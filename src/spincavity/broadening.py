@@ -106,11 +106,6 @@ class SubEnsembleGrid:
     def size(self) -> int:
         return self.deltas.size
 
-    @property
-    def entries(self):
-        """Ordered (Delta_m, g_m, N_m) tuples."""
-        return list(zip(self.deltas, self.couplings, self.spins))
-
 
 # Rational approximation of the Faddeeva function on the closed upper
 # half plane (Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)).  The

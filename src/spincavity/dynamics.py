@@ -3,11 +3,14 @@
 Mean values obey ``dy/dt = A y`` and covariances obey
 ``dgamma/dt = A gamma + gamma A^T + N_diag`` for the drift matrix ``A``
 and diagonal noise ``N_diag`` of a :class:`~spincavity.model.DriftModel`.
-Means are propagated exactly by the action of the matrix exponential
-``e^{A t} y0`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011));
-covariances with an adaptive embedded Runge-Kutta pair.  The steady
-covariance comes from the algebraic Lyapunov equation and is only
-defined when the spectral abscissa of the drift is negative.
+Both are propagated exactly, with no step-size control.  Means use the
+action of the matrix exponential ``e^{A t} y0`` (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488 (2011)).  Covariances use Van Loan's
+block-exponential identity (IEEE Trans. Autom. Control 23, 395
+(1978)), which gives the exact one-step pair
+``gamma(t + h) = Phi gamma(t) Phi^T + Q``.  The steady covariance comes
+from the algebraic Lyapunov equation and is only defined when the
+spectral abscissa of the drift is negative.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.sparse.linalg import expm_multiply
 
-from ._integrate import integrate
 from .broadening import BroadeningFamily, SubEnsembleGrid
 from .errors import (
     NumericalError,
@@ -83,6 +85,11 @@ def _validate_times(times) -> np.ndarray:
     return times
 
 
+def _is_uniform(times: np.ndarray) -> bool:
+    """True for a grid equal to ``np.linspace(0, t_max, T)``."""
+    return np.array_equal(times, np.linspace(0.0, times[-1], times.size))
+
+
 def check_revival_window(grid: SubEnsembleGrid, gamma_perp: float, t_max: float):
     """Reject windows that run into discretization revivals.
 
@@ -141,7 +148,7 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
     drift = sp.csr_matrix(model.drift)
     with _pinned_global_rng():
-        if np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
+        if _is_uniform(times):
             ys = expm_multiply(
                 drift, y0, start=0.0, stop=times[-1], num=times.size,
                 endpoint=True,
@@ -169,20 +176,52 @@ def _covariance_track(gamma: np.ndarray, M: int) -> np.ndarray:
     )
 
 
+def _van_loan_pair(drift: np.ndarray, noise: np.ndarray, h: float):
+    """Exact covariance step pair over one step ``h``.
+
+    Returns ``Phi = e^{A h}`` and ``Q = int_0^h e^{A s} N e^{A^T s} ds``.
+    With ``B = [[-A, N], [0, A^T]]``, ``expm(B s)`` holds ``e^{A s}`` as
+    the transpose of its lower-right block and ``Q(s) = e^{A s} F12``
+    (Van Loan 1978).  The ``e^{-A s}`` block grows like ``e^{|A| s}``
+    and swamps ``F12`` when ``|A| h`` is large, so the exponential is
+    taken over the sub-step ``s = h / 2^k`` with ``||A||_1 s <= 1`` and
+    the pair is then doubled ``k`` times:
+    ``Q(2s) = Phi(s) Q(s) Phi(s)^T + Q(s)``, ``Phi(2s) = Phi(s)^2``.
+    """
+    dim = drift.shape[0]
+    norm_h = np.abs(drift).sum(axis=0).max() * h
+    k = math.ceil(math.log2(norm_h)) if norm_h > 1.0 else 0
+    s = h / 2.0**k
+    block = np.zeros((2 * dim, 2 * dim))
+    block[:dim, :dim] = -s * drift
+    block[:dim, dim:] = np.diag(s * noise)
+    block[dim:, dim:] = s * drift.T
+    full = expm(block)
+    phi = full[dim:, dim:].T
+    q = phi @ full[:dim, dim:]
+    for _ in range(k):
+        q = phi @ q @ phi.T + q
+        phi = phi @ phi
+    return phi, q
+
+
 def evolve_covariance(
     model: DriftModel,
     gamma0: np.ndarray,
     times,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
     store_full: bool | None = None,
 ) -> MomentSeries:
     """Propagate the covariance matrix through the output times.
 
-    The propagated matrix is re-symmetrized after every accepted step.
-    Full (T, dim, dim) storage is kept when ``store_full`` is true,
-    defaulting to systems of dimension <= 64; the collective variance
-    track is recorded at every output time regardless.
+    Each output interval ``h`` is one exact step
+    ``gamma <- Phi gamma Phi^T + Q`` with the sub-stepped Van Loan pair
+    of :func:`_van_loan_pair`; there is no step-size control and no
+    tolerance.  A uniform grid ``np.linspace(0, t_max, T)`` shares one
+    pair, any other grid takes one pair per interval.  The matrix is
+    re-symmetrized after every step.  Full (T, dim, dim) storage is kept
+    when ``store_full`` is true, defaulting to systems of dimension
+    <= 64; the collective variance track is recorded at every output
+    time regardless.
     """
     times = _validate_times(times)
     dim = model.dim
@@ -198,37 +237,24 @@ def evolve_covariance(
     if store_full is None:
         store_full = dim <= 64
 
-    drift = sp.csr_matrix(model.drift)
-    noise = model.noise_diag
-    idx_diag = np.arange(dim)
-
-    def rhs(t, flat):
-        gamma = flat.reshape(dim, dim)
-        half = drift.dot(gamma)
-        out = half + half.T
-        out[idx_diag, idx_diag] += noise
-        return out.ravel()
-
-    def resym(flat):
-        gamma = flat.reshape(dim, dim)
-        gamma = (gamma + gamma.T) / 2.0
-        return gamma.ravel()
-
-    flats, _ = integrate(
-        rhs,
-        gamma0.ravel(),
-        times,
-        rtol=rtol,
-        atol=atol,
-        postprocess=resym,
-    )
     M = model.grid.size
-    track = np.array(
-        [_covariance_track(flat.reshape(dim, dim), M) for flat in flats]
-    )
-    covs = None
-    if store_full:
-        covs = flats.reshape(times.size, dim, dim)
+    drift, noise = model.drift, model.noise_diag
+    steps = np.diff(times)
+    if _is_uniform(times):
+        pairs = [_van_loan_pair(drift, noise, steps[0])] * steps.size
+    else:
+        pairs = [_van_loan_pair(drift, noise, h) for h in steps]
+    track = np.empty((times.size, len(_TRACK_KEYS)))
+    covs = np.empty((times.size, dim, dim)) if store_full else None
+    gamma = gamma0
+    for k in range(times.size):
+        if k > 0:
+            phi, q = pairs[k - 1]
+            gamma = phi @ gamma @ phi.T + q
+            gamma = (gamma + gamma.T) / 2.0
+        track[k] = _covariance_track(gamma, M)
+        if store_full:
+            covs[k] = gamma
     return MomentSeries(
         times=times, model=model, covariances=covs, var_track=track
     )
@@ -278,11 +304,13 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
     """Fill the collective reductions of a moment series.
 
     Mean-level records (X_c, P_c, S_x, S_y) come from stored means;
-    variance records come from stored covariances when available, else
-    from the propagation-time variance track.  The relaxation ratio
-    ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))`` of the collective
-    S_x variance is filled when the model is stable and is NaN-flagged
-    otherwise.
+    variance records come from the propagation-time variance track,
+    which :func:`evolve_covariance` takes from the same matrices it
+    stores.  The steady collective
+    variances ``var_S_x_inf`` and ``var_P_c_inf`` and the relaxation
+    ratio ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))`` of the
+    collective S_x variance are filled when the model is stable and are
+    NaN-flagged otherwise.
     """
     if grid.size != series.model.grid.size:
         raise PreconditionError("grid does not match the series' model")
@@ -294,12 +322,7 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
         red["P_c"] = series.means[:, 1].copy()
         red["S_x"] = series.means[:, ix].sum(axis=1)
         red["S_y"] = series.means[:, ix + 1].sum(axis=1)
-    if series.covariances is not None:
-        track = np.array(
-            [_covariance_track(g, M) for g in series.covariances]
-        )
-    else:
-        track = series.var_track
+    track = series.var_track
     if track is not None:
         for k, key in enumerate(_TRACK_KEYS):
             red[key] = track[:, k].copy()
@@ -307,9 +330,12 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
         try:
             gamma_inf = steady_state_covariance(series.model)
         except UnstableModelError:
+            red["var_S_x_inf"] = red["var_P_c_inf"] = np.nan
             red["R"] = np.full(series.times.size, np.nan)
         else:
             var_inf = gamma_inf[np.ix_(ix, ix)].sum() / 2.0
+            red["var_S_x_inf"] = var_inf
+            red["var_P_c_inf"] = gamma_inf[1, 1] / 2.0
             denom = var_inf - var_sx[0]
             if denom == 0.0:
                 red["R"] = np.full(series.times.size, np.nan)

@@ -334,8 +334,8 @@ class TestConfigResolution:
         for key in (
             "experiment", "family", "width", "m", "kappa", "kappa1",
             "kappa2", "gamma_perp", "g_ens", "delta_cs", "p", "n_spins",
-            "normalize_gamma", "alpha", "t_max", "t_samples", "rtol",
-            "atol", "columns", "package_version",
+            "normalize_gamma", "alpha", "t_max", "t_samples", "columns",
+            "package_version",
         ):
             assert key in manifest
         assert manifest["kappa1"] == 4.0

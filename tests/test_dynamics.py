@@ -25,7 +25,12 @@ from spincavity import (
     steady_state_moments_hom,
 )
 
-from conftest import expm_mean, fit_exponential_rate, vanloan_covariance
+from conftest import (
+    dp45_covariance,
+    expm_mean,
+    fit_exponential_rate,
+    vanloan_covariance,
+)
 
 HOM = BroadeningSpec(BroadeningFamily.HOMOGENEOUS, 0.0)
 LOR = BroadeningSpec(BroadeningFamily.LORENTZIAN, 1.6)
@@ -128,6 +133,38 @@ class TestEvolveCovariance:
         reference = vanloan_covariance(model.drift, model.noise, gamma0, times)
         scale = np.abs(reference).max()
         assert np.max(np.abs(series.covariances - reference)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize(
+        "case",
+        ["coarse-grid", "unstable", "zero-dephasing", "nonuniform-grid"],
+    )
+    def test_matches_dp45_oracle_at_hard_edges(self, case):
+        if case == "coarse-grid":
+            # one step with ||A||_1 h in the hundreds: a single
+            # exponential of the Van Loan block overflows here
+            model, grid = small_model(spec=GAUSS, m=21, kappa=8.0,
+                                      g_ens=1.0)
+            times = np.array([0.0, 20.0])
+        elif case == "unstable":
+            # C = 1.5: the variances grow without bound
+            model, grid = small_model(spec=HOM, m=1, kappa=1.0,
+                                      gamma_perp=1.0, g_ens=np.sqrt(1.5))
+            times = np.linspace(0.0, 10.0, 11)
+        elif case == "zero-dephasing":
+            # undamped spins: marginal modes with zero real part
+            model, grid = small_model(spec=GAUSS, m=41, gamma_perp=0.0)
+            times = np.linspace(0.0, 5.0, 6)
+        else:
+            model, grid = small_model(spec=LOR, m=5, delta_cs=0.5)
+            times = np.array([0.0, 0.1, 0.25, 1.0, 2.9, 3.0])
+        _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        series = evolve_covariance(model, gamma0, times, store_full=True)
+        reference = dp45_covariance(
+            model.drift, model.noise_diag, gamma0, times
+        )
+        error = np.abs(series.covariances - reference).max(axis=(1, 2))
+        scale = np.abs(reference).max(axis=(1, 2))
+        assert np.all(error <= 1e-8 * scale)
 
     def test_decoupled_cavity_variance_relaxation(self):
         model, grid = small_model(g_ens=0.0, kappa=2.0, gamma_perp=0.0)

@@ -28,7 +28,8 @@ from spincavity import (
     sz_drain_from_covariance,
     sz_drain_subensemble_sum,
 )
-from spincavity._integrate import integrate
+
+from conftest import integrate
 
 LOR = BroadeningSpec(BroadeningFamily.LORENTZIAN, 1.6)
 HOM = BroadeningSpec(BroadeningFamily.HOMOGENEOUS, 0.0)
