@@ -43,8 +43,10 @@ from .dynamics import (
     MomentSeries,
     check_revival_window,
     collective_reduce,
+    drift_eigenvalues,
     evolve_covariance,
     evolve_mean,
+    field_kick_response,
     spectral_abscissa,
     steady_state_covariance,
 )
@@ -101,8 +103,10 @@ __all__ = [
     "MomentSeries",
     "check_revival_window",
     "collective_reduce",
+    "drift_eigenvalues",
     "evolve_covariance",
     "evolve_mean",
+    "field_kick_response",
     "spectral_abscissa",
     "steady_state_covariance",
     "StabilityReport",

@@ -44,9 +44,10 @@ from .broadening import (
 )
 from .dynamics import (
     collective_reduce,
+    drift_eigenvalues,
     evolve_covariance,
     evolve_mean,
-    spectral_abscissa,
+    field_kick_response,
 )
 from .errors import (
     ConvergenceError,
@@ -71,6 +72,11 @@ _GRID_DEFAULTS = {
     "stability-sweep": {"gaussian": 101, "lorentzian": 101, "homogeneous": 1},
     "pole": {"gaussian": 1, "lorentzian": 1, "homogeneous": 1},
 }
+
+# the dense float64 drift has (2M + 2)^2 entries; covariance runs hold
+# several arrays four times its size
+_DRIFT_BYTE_BUDGET = 16 * 2**20
+_M_LIMIT = (math.isqrt(_DRIFT_BYTE_BUDGET // 8) - 2) // 2
 
 
 @dataclass
@@ -205,6 +211,13 @@ def _resolve(config: RunConfig):
     m = config.m
     if m is None:
         m = _GRID_DEFAULTS[config.experiment][family.value]
+    drift_bytes = 8 * (2 * m + 2) ** 2
+    if drift_bytes > _DRIFT_BYTE_BUDGET:
+        raise PreconditionError(
+            f"--m {m} needs a dense drift of {drift_bytes / 2**20:.1f} MiB, "
+            f"over the {_DRIFT_BYTE_BUDGET // 2**20} MiB budget "
+            f"(M <= {_M_LIMIT})"
+        )
     manifest = {
         "experiment": config.experiment,
         "package_version": __version__,
@@ -407,8 +420,16 @@ def _run_stability_sweep(config: RunConfig) -> None:
     windowed = (
         spec.family is BroadeningFamily.GAUSSIAN and params.gamma_perp == 0.0
     )
+    # eigenvalues of the undamped uniform grid carry a small positive
+    # artifact; the windowed verdict judges by the kicked cavity
+    # envelope instead (spin coherences never decay at gamma_perp = 0)
+    times = np.linspace(0.0, config.t_max, 101)
+    fifth = max(2, times.size // 5)
+    kick = _SQRT2 * config.alpha  # X_c(0) of the field-kick state
+    fallbacks = 0
     rows = []
     for g in g_values:
+        grid = discretize(spec, m, g, config.n_spins)
         for kappa in kappa_values:
             point = SystemParams(
                 kappa=kappa,
@@ -417,18 +438,15 @@ def _run_stability_sweep(config: RunConfig) -> None:
                 delta_cs=params.delta_cs,
             )
             report = stability_report(point, spec)
-            grid = discretize(spec, m, g, config.n_spins)
             model = build_drift_matrix(point, grid, config.p)
-            abscissa = spectral_abscissa(model)
+            eigenvalues = drift_eigenvalues(model)
+            abscissa = float(eigenvalues.real.max())
             if windowed:
-                # eigenvalues of the undamped uniform grid carry a
-                # small positive artifact; judge by the cavity envelope
-                # (spin coherences never decay at gamma_perp = 0)
-                times = np.linspace(0.0, config.t_max, 101)
-                y0, _ = initial_state("field-kick", grid, alpha=config.alpha)
-                series = evolve_mean(model, y0, times)
-                envelope = np.hypot(series.means[:, 0], series.means[:, 1])
-                fifth = max(2, times.size // 5)
+                response, fallback = field_kick_response(
+                    model, eigenvalues, times
+                )
+                fallbacks += fallback
+                envelope = np.abs(kick * response)
                 numeric = bool(envelope[-fifth:].max() < envelope[:fifth].max())
             else:
                 numeric = bool(abscissa < 0.0)
@@ -452,6 +470,7 @@ def _run_stability_sweep(config: RunConfig) -> None:
         kappa_samples=config.kappa_samples,
         t_max=config.t_max,
         windowed_verdict=windowed,
+        kick_response_fallbacks=fallbacks,
         columns=columns,
     )
     _write_csv(config.out, manifest, columns, rows)

@@ -108,6 +108,29 @@ class DriftModel:
         """Noise matrix as a full (diagonal) array."""
         return np.diag(self.noise_diag)
 
+    @property
+    def arrowhead(self) -> np.ndarray:
+        """Complex (M+1) x (M+1) arrowhead matrix ``H`` of the drift.
+
+        In the amplitudes ``a = X_c + i P_c`` and
+        ``s_m = S_x^(m) - i S_y^(m)`` the mean equations read
+        ``d(a, s_1, ..., s_M)/dt = H (a, s_1, ..., s_M)`` with
+        ``H_00 = -(kappa + i delta_cs)``, ``H_0m = -i g_m / sqrt(2)``,
+        ``H_m0 = i sqrt(2) g_m p N_m`` and
+        ``H_mm = -(gamma_perp + i Delta_m)``, zero elsewhere.  The real
+        drift is the realification of ``H`` in these coordinates, so its
+        spectrum is that of ``H`` plus the complex conjugates.
+        """
+        params, grid = self.params, self.grid
+        gm = grid.couplings
+        H = np.zeros((grid.size + 1, grid.size + 1), dtype=complex)
+        H[0, 0] = -complex(params.kappa, params.delta_cs)
+        H[0, 1:] = -1j * gm / _SQRT2
+        H[1:, 0] = 1j * _SQRT2 * gm * self.p * grid.spins
+        diag = np.arange(1, grid.size + 1)
+        H[diag, diag] = -(params.gamma_perp + 1j * grid.deltas)
+        return H
+
 
 class InitialStateKind(str, enum.Enum):
     FIELD_KICK = "field-kick"

@@ -13,10 +13,20 @@ import numpy as np
 import pytest
 
 import spincavity
-from spincavity import NumericalError, SystemParams, gaussian_pole, pole_seeds
+import spincavity.dynamics as dynamics
+from spincavity import (
+    BroadeningSpec,
+    NumericalError,
+    SystemParams,
+    build_drift_matrix,
+    discretize,
+    gaussian_pole,
+    initial_state,
+    pole_seeds,
+)
 from spincavity import cli
 
-from conftest import fit_exponential_rate
+from conftest import expm_mean, fit_exponential_rate
 
 SIGMA_UNIT = math.sqrt(math.pi / 2.0)
 
@@ -136,9 +146,12 @@ class TestDecay:
         )
         assert rate == pytest.approx(root.real, rel=0.05)
 
-    def test_revival_guard_maps_to_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "experiment", ["decay", "stability-sweep"],
+    )
+    def test_revival_guard_maps_to_exit_2(self, tmp_path, experiment):
         code = run_cli([
-            "decay", "--family", "gaussian", "--normalize-gamma",
+            experiment, "--family", "gaussian", "--normalize-gamma",
             "--gamma-perp", "0", "--kappa", "8", "--g-ens", "2",
             "--m", "25", "--t-max", "5", "--out", tmp_path / "x.csv",
         ])
@@ -241,6 +254,68 @@ class TestStabilitySweep:
                 continue
             assert row[5] == row[6]
             assert (cell(row[4]) < 0) == (row[5] == "true")
+
+
+    WINDOWED = [
+        "stability-sweep", "--family", "gaussian", "--normalize-gamma",
+        "--gamma-perp", "0", "--m", "41", "--t-max", "2",
+        "--g-min", "0.5", "--g-max", "3", "--g-samples", "4",
+        "--kappa-min", "0.5", "--kappa-max", "8", "--kappa-samples", "4",
+    ]
+
+    def test_windowed_verdicts_match_expm_envelopes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(self.WINDOWED + ["--out", out]) == 0
+        _, columns, rows, _ = read_table(out)
+        manifest = json.loads(
+            (tmp_path / "sweep.csv.manifest.json").read_text()
+        )
+        assert manifest["windowed_verdict"] is True
+        assert manifest["kick_response_fallbacks"] == 0
+        spec = BroadeningSpec("gaussian", manifest["width"])
+        times = np.linspace(0.0, 2.0, 101)
+        fifth = times.size // 5
+        for row in rows:
+            g, kappa = cell(row[0]), cell(row[1])
+            grid = discretize(spec, 41, g, manifest["n_spins"])
+            params = SystemParams(kappa=kappa, gamma_perp=0.0, g_ens=g)
+            model = build_drift_matrix(params, grid, 1)
+            y0, _ = initial_state("field-kick", grid, alpha=1.0)
+            means = expm_mean(model.drift, y0, times)
+            envelope = np.hypot(means[:, 0], means[:, 1])
+            stable = envelope[-fifth:].max() < envelope[:fifth].max()
+            assert row[6] == ("true" if stable else "false")
+        # the grid spans both verdicts
+        assert {row[6] for row in rows} == {"true", "false"}
+
+    def test_windowed_reruns_byte_identical(self, tmp_path):
+        small = self.WINDOWED + ["--g-samples", "2", "--kappa-samples", "2"]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            assert run_cli(small + ["--out", path]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        first = (tmp_path / "a.csv.manifest.json").read_bytes()
+        assert first == (tmp_path / "b.csv.manifest.json").read_bytes()
+
+    def test_zero_kick_gives_no_stable_verdict(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(self.WINDOWED + ["--alpha", "0", "--out", out]) == 0
+        _, _, rows, _ = read_table(out)
+        assert [row[6] for row in rows] == ["false"] * 16
+
+    def test_fallbacks_counted_with_unchanged_verdicts(self, tmp_path,
+                                                       monkeypatch):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(self.WINDOWED + ["--out", out]) == 0
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        forced = tmp_path / "forced.csv"
+        assert run_cli(self.WINDOWED + ["--out", forced]) == 0
+        manifest = json.loads(
+            (tmp_path / "forced.csv.manifest.json").read_text()
+        )
+        assert manifest["kick_response_fallbacks"] == 16
+        verdicts = [row[6] for row in read_table(out)[2]]
+        assert [row[6] for row in read_table(forced)[2]] == verdicts
 
 
 class TestPole:
@@ -373,3 +448,15 @@ class TestExitCodes:
 
     def test_missing_out_is_precondition_failure(self):
         assert run_cli(LOR_DECAY) == 2
+
+    def test_oversized_grid_names_the_budget(self, tmp_path, capsys):
+        # every M the tests, scripts and benchmark use fits the budget
+        assert cli._M_LIMIT >= 601
+        too_big = str(cli._M_LIMIT + 2)
+        code = run_cli([
+            "decay", "--family", "lorentzian", "--width", "2",
+            "--gamma-perp", "0", "--m", too_big, "--out", tmp_path / "x.csv",
+        ])
+        assert code == 2
+        assert "16 MiB budget" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
+import spincavity.dynamics as dynamics
 from spincavity import (
     BroadeningFamily,
     BroadeningSpec,
+    NumericalError,
     PreconditionError,
     RevivalGuardError,
     SystemParams,
@@ -17,8 +20,10 @@ from spincavity import (
     check_revival_window,
     collective_reduce,
     discretize,
+    drift_eigenvalues,
     evolve_covariance,
     evolve_mean,
+    field_kick_response,
     initial_state,
     spectral_abscissa,
     steady_state_covariance,
@@ -280,6 +285,160 @@ class TestSpectralAbscissa:
     def test_decoupled_value(self):
         model, _ = small_model(g_ens=0.0, kappa=3.0, gamma_perp=0.2)
         assert spectral_abscissa(model) == pytest.approx(-0.2, rel=1e-12)
+
+
+def realify(H):
+    """Real drift of the complex arrowhead matrix, in model coordinates.
+
+    A complex amplitude ``x + i y`` evolves with ``[[Re H, -Im H],
+    [Im H, Re H]]``; the spin amplitudes are ``s_m = S_x - i S_y``, so
+    their imaginary parts are ``-S_y`` and those rows and columns flip
+    sign.
+    """
+    n = H.shape[0]
+    real = np.empty((2 * n, 2 * n))
+    real[0::2, 0::2] = H.real
+    real[0::2, 1::2] = -H.imag
+    real[1::2, 0::2] = H.imag
+    real[1::2, 1::2] = H.real
+    sign = np.ones(2 * n)
+    sign[3::2] = -1.0
+    return sign[:, None] * real * sign
+
+
+# (spec, M, gamma_perp, delta_cs): every family, zero dephasing and a
+# detuned cavity, from a single sub-ensemble up to M = 401
+SPECTRUM_CASES = [
+    (HOM, 1, 0.5, 0.7),
+    (HOM, 1, 0.0, 0.0),
+    (GAUSS, 41, 0.0, 0.7),
+    (GAUSS, 401, 0.0, -0.7),
+    (LOR, 41, 0.3, -0.7),
+    (LOR, 401, 0.0, 0.7),
+]
+SPECTRUM_IDS = [
+    f"{spec.family.value}-M{m}-gp{gp:g}-dcs{dcs:g}"
+    for spec, m, gp, dcs in SPECTRUM_CASES
+]
+
+
+class TestArrowheadSpectrum:
+    @pytest.mark.parametrize("p", [1, -1])
+    @pytest.mark.parametrize(
+        "spec, m, gamma_perp, delta_cs", SPECTRUM_CASES, ids=SPECTRUM_IDS
+    )
+    def test_realification_is_the_drift(self, spec, m, gamma_perp,
+                                         delta_cs, p):
+        model, _ = small_model(spec=spec, m=m, gamma_perp=gamma_perp,
+                               delta_cs=delta_cs, p=p)
+        assert model.arrowhead.shape == (model.grid.size + 1,) * 2
+        assert np.array_equal(realify(model.arrowhead), model.drift)
+
+    @pytest.mark.parametrize("p", [1, -1])
+    @pytest.mark.parametrize(
+        "spec, m, gamma_perp, delta_cs", SPECTRUM_CASES, ids=SPECTRUM_IDS
+    )
+    def test_eigenvalues_and_conjugates_are_the_drift_spectrum(
+        self, spec, m, gamma_perp, delta_cs, p
+    ):
+        model, _ = small_model(spec=spec, m=m, gamma_perp=gamma_perp,
+                               delta_cs=delta_cs, p=p)
+        lam = drift_eigenvalues(model)
+        assert lam.shape == (model.grid.size + 1,)
+        ours = np.concatenate([lam, lam.conj()])
+        dense = np.linalg.eigvals(model.drift)
+        distance = np.abs(ours[:, None] - dense[None, :])
+        rows, cols = linear_sum_assignment(distance)
+        norm = np.abs(model.drift).sum(axis=0).max()
+        assert distance[rows, cols].max() <= 1e-12 * norm
+        assert spectral_abscissa(model) == lam.real.max()
+
+    def test_eig_failure_is_numerical_error(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        model, _ = small_model(m=3)
+        with pytest.raises(NumericalError):
+            drift_eigenvalues(model)
+
+
+def kick_oracle(model, times):
+    """a(t)/a(0) after a unit field kick, by dense Pade exponentials."""
+    y0 = np.zeros(model.dim)
+    y0[0] = 1.0
+    means = expm_mean(model.drift, y0, times)
+    return means[:, 0] + 1j * means[:, 1]
+
+
+class TestFieldKickResponse:
+    @pytest.mark.parametrize("gamma_perp", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "spec, m, kappa, g_ens, p",
+        [
+            (GAUSS, 41, 2.0, 2.0, 1),
+            (GAUSS, 41, 1.0, 1.5, -1),
+            (LOR, 41, 4.0, 1.5, 1),
+            (LOR, 41, 0.5, 2.0, -1),
+            (HOM, 1, 3.0, 1.5, 1),
+            (HOM, 1, 0.5, 2.0, -1),
+        ],
+        ids=["gaussian+", "gaussian-", "lorentzian+", "lorentzian-",
+             "homogeneous+", "homogeneous-"],
+    )
+    def test_matches_expm_oracle(self, spec, m, kappa, g_ens, p,
+                                 gamma_perp, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            dynamics, "evolve_mean",
+            lambda *args: calls.append(args) or evolve_mean(*args),
+        )
+        model, _ = small_model(spec=spec, m=m, kappa=kappa, g_ens=g_ens,
+                               p=p, gamma_perp=gamma_perp, delta_cs=0.4)
+        times = np.linspace(0.0, 2.0, 21)
+        response, fallback = field_kick_response(
+            model, drift_eigenvalues(model), times
+        )
+        reference = kick_oracle(model, times)
+        peak = np.abs(reference).max()
+        assert np.abs(response - reference).max() <= 1e-10 * peak
+        assert not fallback and calls == []
+
+    def test_exceptional_point_falls_back(self, monkeypatch):
+        # p = -1, kappa = 3, gamma_perp = 1, g_ens = 1: the double root
+        # lambda = -2 of (lambda + kappa)(lambda + gamma_perp) = p g_ens^2
+        calls = []
+        monkeypatch.setattr(
+            dynamics, "evolve_mean",
+            lambda *args: calls.append(args) or evolve_mean(*args),
+        )
+        model, _ = small_model(spec=HOM, m=1, kappa=3.0, gamma_perp=1.0,
+                               g_ens=1.0, p=-1)
+        times = np.linspace(0.0, 5.0, 26)
+        response, fallback = field_kick_response(
+            model, drift_eigenvalues(model), times
+        )
+        assert fallback and len(calls) == 1
+        # the defective pair gives a(t)/a(0) = (1 - t) e^{-2 t}
+        assert_allclose(response, (1.0 - times) * np.exp(-2.0 * times),
+                        rtol=0.0, atol=1e-10)
+
+    def test_decoupled_spins_fall_back(self):
+        model, _ = small_model(g_ens=0.0, kappa=3.0, delta_cs=0.5)
+        times = np.linspace(0.0, 2.0, 9)
+        response, fallback = field_kick_response(
+            model, drift_eigenvalues(model), times
+        )
+        assert fallback
+        assert_allclose(response, np.exp(-(3.0 + 0.5j) * times), rtol=1e-12)
+
+    def test_guards(self):
+        model, _ = small_model(spec=GAUSS, m=25, gamma_perp=0.0)
+        lam = drift_eigenvalues(model)
+        with pytest.raises(RevivalGuardError):
+            field_kick_response(model, lam, np.linspace(0.0, 20.0, 11))
+        with pytest.raises(PreconditionError):
+            field_kick_response(model, lam[:-1], np.linspace(0.0, 1.0, 3))
 
 
 class TestCollectiveReduce:
