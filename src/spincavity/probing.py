@@ -14,6 +14,7 @@ from input-output relations, and on resonance they encode the product
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -85,29 +86,18 @@ class SpectrumTable:
         return list(zip(self.delta_e, self.r, self.t, self.abs_r2, self.abs_t2))
 
 
-def _overlap_integral(
-    spec: BroadeningSpec, gamma_perp: float, delta_e: float
-) -> complex:
-    """Distribution overlap ``integral f(Delta) dDelta /
-    (gamma_perp + i (Delta - Delta_e))`` in closed form per family."""
-    family = spec.family
-    if family is BroadeningFamily.LORENTZIAN:
-        Gamma = spec.width / 2.0 + gamma_perp
-        return 1.0 / (Gamma - 1j * delta_e)
-    if family is BroadeningFamily.GAUSSIAN:
-        sigma = spec.width
-        z = (delta_e + 1j * gamma_perp) / (math.sqrt(2.0) * sigma)
-        return math.sqrt(math.pi / 2.0) * faddeeva(z) / sigma
-    if gamma_perp == 0.0 and delta_e == 0.0:
-        raise PreconditionError(
-            "undamped homogeneous ensemble has a singular resonant response"
-        )
-    return 1.0 / (gamma_perp - 1j * delta_e)
+def _field_per_drive(
+    params: SystemParams, spec: BroadeningSpec, p: int, delta_e: np.ndarray
+) -> np.ndarray:
+    """Steady ``<a_c> / beta`` over an array of probe detunings.
 
-
-def _check_drive_preconditions(
-    params: SystemParams, spec: BroadeningSpec, p: int
-) -> None:
+    The distribution overlap ``integral f(Delta) dDelta / (gamma_perp +
+    i (Delta - Delta_e))`` is in closed form per family.  The undamped
+    homogeneous ensemble has no linear response at zero detuning; those
+    entries are NaN.
+    """
+    if p not in (+1, -1):
+        raise PreconditionError(f"inversion sign p must be +1 or -1, got {p}")
     if params.delta_cs != 0.0:
         raise PreconditionError(
             "driven response assumes the cavity resonant with the spins "
@@ -121,18 +111,40 @@ def _check_drive_preconditions(
                 f"inverted sample beyond threshold (C={C:.6g} >= 1); "
                 "the driven steady state does not exist"
             )
+    singular = False
+    if spec.family is BroadeningFamily.LORENTZIAN:
+        overlap = 1.0 / (spec.width / 2.0 + params.gamma_perp - 1j * delta_e)
+    elif spec.family is BroadeningFamily.GAUSSIAN:
+        sigma = spec.width
+        z = (delta_e + 1j * params.gamma_perp) / (math.sqrt(2.0) * sigma)
+        overlap = math.sqrt(math.pi / 2.0) * faddeeva(z) / sigma
+    else:
+        pole = params.gamma_perp - 1j * delta_e
+        singular = pole == 0.0
+        overlap = 1.0 / np.where(singular, 1.0, pole)
+    denominator = params.kappa - 1j * delta_e - p * params.g_ens**2 * overlap
+    return np.where(singular, np.nan, math.sqrt(2.0 * params.kappa1) / denominator)
+
+
+def _coefficients(params: SystemParams, field):
+    """``(r, t)`` from the field per unit drive ``<a_c> / beta``."""
+    r = math.sqrt(2.0 * params.kappa1) * field - 1.0
+    t = math.sqrt(2.0 * params.kappa2) * field
+    return r, t
 
 
 def driven_field(
     params: SystemParams, spec: BroadeningSpec, probe: ProbeConfig
 ) -> complex:
     """Steady intracavity mean field under a coherent probe."""
-    _check_drive_preconditions(params, spec, probe.p)
-    overlap = _overlap_integral(spec, params.gamma_perp, probe.delta_e)
-    denominator = (
-        params.kappa - 1j * probe.delta_e - probe.p * params.g_ens**2 * overlap
+    field = complex(
+        _field_per_drive(params, spec, probe.p, np.asarray(probe.delta_e))
     )
-    return math.sqrt(2.0 * params.kappa1) * probe.beta0 / denominator
+    if cmath.isnan(field):
+        raise PreconditionError(
+            "undamped homogeneous ensemble has a singular resonant response"
+        )
+    return probe.beta0 * field
 
 
 def reflection_transmission(
@@ -145,10 +157,7 @@ def reflection_transmission(
     """
     if probe.beta0 == 0:
         raise PreconditionError("reflection/transmission need a nonzero drive")
-    a_c = driven_field(params, spec, probe)
-    r = (math.sqrt(2.0 * params.kappa1) * a_c - probe.beta0) / probe.beta0
-    t = math.sqrt(2.0 * params.kappa2) * a_c / probe.beta0
-    return r, t
+    return _coefficients(params, driven_field(params, spec, probe) / probe.beta0)
 
 
 def spectrum_scan(
@@ -156,20 +165,17 @@ def spectrum_scan(
 ) -> SpectrumTable:
     """Scan reflection and transmission over a probe-detuning grid.
 
-    Rows whose preconditions fail are NaN-flagged in place.
+    The whole grid is one array expression.  When its preconditions
+    fail (detuned cavity, inverted sample at or beyond threshold) every
+    row is flagged invalid; singular rows are NaN-flagged in place.
     """
     grid = np.asarray(delta_e_grid, dtype=float)
-    r = np.full(grid.shape, np.nan, dtype=complex)
-    t = np.full(grid.shape, np.nan, dtype=complex)
-    valid = np.zeros(grid.shape, dtype=bool)
-    for k, delta_e in enumerate(grid):
-        probe = ProbeConfig(beta0=1.0, delta_e=delta_e, p=p)
-        try:
-            r[k], t[k] = reflection_transmission(params, spec, probe)
-        except PreconditionError:
-            continue
-        valid[k] = True
-    return SpectrumTable(delta_e=grid, r=r, t=t, valid=valid)
+    try:
+        field = _field_per_drive(params, spec, p, grid)
+    except PreconditionError:
+        field = np.full(grid.shape, np.nan, dtype=complex)
+    r, t = _coefficients(params, field)
+    return SpectrumTable(delta_e=grid, r=r, t=t, valid=np.isfinite(field))
 
 
 def estimate_pC(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,40 @@ LOR_DECAY = [
     "0.2", "--kappa", "8", "--g-ens", "2", "--m", "41", "--t-max", "4",
     "--t-samples", "9",
 ]
+
+
+# one small, valid run per experiment, and the keys each one adds to
+# its options: run-level header values and fitted/reference trailer values
+SMALL = {
+    "decay": [
+        "decay", "--family", "gaussian", "--normalize-gamma", "--gamma-perp",
+        "0", "--m", "201", "--t-max", "2", "--t-samples", "9",
+    ],
+    "moments": [
+        "moments", "--family", "gaussian", "--normalize-gamma",
+        "--gamma-perp", "0.02", "--t-max", "1", "--t-samples", "3",
+    ],
+    "spectrum": [
+        "spectrum", "--family", "lorentzian", "--width", "1.6",
+        "--gamma-perp", "0.2", "--kappa", "2", "--g-ens", "1", "--p", "-1",
+        "--delta-e-min", "-5", "--delta-e-max", "5", "--delta-e-samples", "11",
+    ],
+    "stability-sweep": [
+        "stability-sweep", "--family", "homogeneous", "--gamma-perp", "1",
+        "--g-samples", "2", "--kappa-samples", "2",
+    ],
+    "pole": [
+        "pole", "--family", "gaussian", "--normalize-gamma", "--gamma-perp",
+        "0", "--kappa", "8", "--g-ens", "2",
+    ],
+}
+ADDED_KEYS = {
+    "decay": {"Gamma", "pole_rate_re", "pole_rate_im"},
+    "moments": {"panel_f_ratio_sx", "panel_f_ratio_pc"},
+    "spectrum": {"invalid_rows"},
+    "stability-sweep": {"windowed_verdict", "kick_response_fallbacks"},
+    "pole": set(),
+}
 
 
 class TestDeterminism:
@@ -150,9 +185,11 @@ class TestDecay:
         "experiment", ["decay", "stability-sweep"],
     )
     def test_revival_guard_maps_to_exit_2(self, tmp_path, experiment):
+        # the sweep grid sets kappa and g_ens, so it has no such flags
+        rates = ["--kappa", "8", "--g-ens", "2"] if experiment == "decay" else []
         code = run_cli([
             experiment, "--family", "gaussian", "--normalize-gamma",
-            "--gamma-perp", "0", "--kappa", "8", "--g-ens", "2",
+            "--gamma-perp", "0", *rates,
             "--m", "25", "--t-max", "5", "--out", tmp_path / "x.csv",
         ])
         assert code == 2
@@ -215,6 +252,19 @@ class TestSpectrum:
             re_t, im_t, abs_t2 = cell(row[1]), cell(row[2]), cell(row[3])
             assert abs_t2 == pytest.approx(re_t**2 + im_t**2, rel=1e-12)
             assert cell(row[3]) + cell(row[6]) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--p", "1", "--kappa", "1", "--g-ens", "2"], ["--delta-cs", "0.5"]],
+        ids=["inverted-above-threshold", "detuned-cavity"],
+    )
+    def test_failed_preconditions_leave_every_row_empty(self, tmp_path, extra):
+        out = tmp_path / "spectrum.csv"
+        assert run_cli(SMALL["spectrum"] + extra + ["--out", out]) == 0
+        meta, _, rows, _ = read_table(out)
+        assert meta["invalid_rows"] == "11"
+        assert len(rows) == 11
+        assert all(value == "" for row in rows for value in row[1:])
 
     def test_singular_rows_left_empty(self, tmp_path):
         out = tmp_path / "spectrum.csv"
@@ -300,8 +350,11 @@ class TestStabilitySweep:
     def test_zero_kick_gives_no_stable_verdict(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli(self.WINDOWED + ["--alpha", "0", "--out", out]) == 0
-        _, _, rows, _ = read_table(out)
+        meta, _, rows, _ = read_table(out)
         assert [row[6] for row in rows] == ["false"] * 16
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["alpha"] == 0.0
+        assert meta["alpha"] == "0"
 
     def test_fallbacks_counted_with_unchanged_verdicts(self, tmp_path,
                                                        monkeypatch):
@@ -417,6 +470,53 @@ class TestConfigResolution:
         assert manifest["p"] == 1
         assert "timestamp" not in manifest
 
+    @pytest.mark.parametrize(
+        "experiment, line",
+        [
+            ("decay", "experiment = moments"),
+            ("decay", "t_samples = 2.5"),
+            ("decay", "family = triangle"),
+            ("decay", "p = 2"),
+            ("decay", "normalize_gamma = yes"),
+            ("spectrum", "m = 41"),
+        ],
+    )
+    def test_bad_config_value_is_precondition_failure(
+        self, tmp_path, experiment, line
+    ):
+        # values go through the flag parsers; a key the experiment does
+        # not read is an unknown key
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        argv = SMALL[experiment] + ["--config", config, "--out", tmp_path / "x.csv"]
+        assert run_cli(argv) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_file_may_name_the_output(self, tmp_path):
+        out = tmp_path / "from_config.csv"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out = {out}\nnormalize_gamma = true\n")
+        argv = ["pole", "--family", "gaussian", "--config", config]
+        assert run_cli(argv) == 0
+        manifest = json.loads((tmp_path / "from_config.csv.manifest.json").read_text())
+        assert manifest["normalize_gamma"] is True
+
+    @pytest.mark.parametrize("experiment", list(SMALL))
+    def test_manifest_keys_are_the_table_options(self, tmp_path, experiment):
+        out = tmp_path / "x.csv"
+        assert run_cli(SMALL[experiment] + ["--out", out]) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        expected = (
+            set(cli._EXPERIMENTS[experiment].options)
+            | {"experiment", "package_version", "columns"}
+            | ADDED_KEYS[experiment]
+        )
+        assert set(manifest) == expected
+        # the CSV carries every manifest key except the column list
+        meta, columns, _, trailing = read_table(out)
+        assert set(meta) | set(trailing) == expected - {"columns"}
+        assert manifest["columns"] == columns
+
     def test_stdout_output(self, capsys):
         assert run_cli(LOR_DECAY + ["--out", "-"]) == 0
         captured = capsys.readouterr()
@@ -432,12 +532,36 @@ class TestExitCodes:
         assert code == 2
 
     def test_numerical_failure_maps_to_3(self, tmp_path, monkeypatch):
-        def explode(config):
+        def explode(options):
             raise NumericalError("synthetic failure")
 
-        monkeypatch.setitem(cli._RUNNERS, "decay", explode)
+        entry = cli._EXPERIMENTS["decay"]._replace(compute=explode)
+        monkeypatch.setitem(cli._EXPERIMENTS, "decay", entry)
         code = run_cli(LOR_DECAY + ["--out", tmp_path / "x.csv"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "experiment, flag, value",
+        [
+            ("pole", "--p", "-1"),
+            ("pole", "--delta-cs", "3"),
+            ("pole", "--m", "41"),
+            ("pole", "--n-spins", "1e6"),
+            ("spectrum", "--m", "1001"),
+            ("spectrum", "--n-spins", "1e6"),
+            ("stability-sweep", "--t-samples", "9"),
+            ("stability-sweep", "--kappa", "8"),
+            ("stability-sweep", "--g-ens", "2"),
+            ("stability-sweep", "--kappa1", "4"),
+            ("stability-sweep", "--kappa2", "4"),
+        ],
+    )
+    def test_flag_the_run_does_not_read_is_rejected(
+        self, tmp_path, experiment, flag, value
+    ):
+        with pytest.raises(SystemExit) as info:
+            run_cli(SMALL[experiment] + [flag, value, "--out", tmp_path / "x.csv"])
+        assert info.value.code == 2
 
     def test_argparse_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -460,3 +584,22 @@ class TestExitCodes:
         assert code == 2
         assert "16 MiB budget" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestFigureBundle:
+    def test_fast_bundle_writes_a_manifest_beside_every_csv(
+        self, tmp_path, monkeypatch
+    ):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+        monkeypatch.setattr(
+            sys, "argv", [str(script), "--outdir", str(tmp_path), "--fast"]
+        )
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+        try:
+            runpy.run_path(str(script), run_name="__main__")
+        except SystemExit as exc:  # the script exits only on a failed run
+            pytest.fail(f"bundle exited: {exc.code}")
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) == 17
+        for path in csvs:
+            assert Path(str(path) + ".manifest.json").is_file()

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import wofz
 
 from spincavity import (
     BroadeningFamily,
@@ -33,6 +35,23 @@ from conftest import integrate
 
 LOR = BroadeningSpec(BroadeningFamily.LORENTZIAN, 1.6)
 HOM = BroadeningSpec(BroadeningFamily.HOMOGENEOUS, 0.0)
+GAU = BroadeningSpec(BroadeningFamily.GAUSSIAN, 1.3)
+
+
+def wofz_transfer(params, spec, p, delta_e):
+    """``(r, t)`` from input-output theory, with ``scipy.special.wofz``
+    standing in for the package's Faddeeva function."""
+    gp = params.gamma_perp
+    if spec.family is BroadeningFamily.GAUSSIAN:
+        z = (delta_e + 1j * gp) / (math.sqrt(2.0) * spec.width)
+        overlap = math.sqrt(math.pi / 2.0) * wofz(z) / spec.width
+    elif spec.family is BroadeningFamily.LORENTZIAN:
+        overlap = 1.0 / (spec.width / 2.0 + gp - 1j * delta_e)
+    else:
+        overlap = 1.0 / (gp - 1j * delta_e)
+    den = params.kappa - 1j * delta_e - p * params.g_ens**2 * overlap
+    t = 2.0 * math.sqrt(params.kappa1 * params.kappa2) / den
+    return 2.0 * params.kappa1 / den - 1.0, t
 
 
 class TestDrivenField:
@@ -186,11 +205,45 @@ class TestSpectrumScan:
         # the resonant dip sits between the peaks
         assert table.abs_t2[mid] < 0.25 * table.abs_t2.max()
 
+    @pytest.mark.parametrize("p", [1, -1])
+    @pytest.mark.parametrize(
+        "spec, gamma_perp",
+        [(GAU, 0.0), (GAU, 0.4), (LOR, 0.2), (HOM, 1.0)],
+        ids=["gaussian-undamped", "gaussian", "lorentzian", "homogeneous"],
+    )
+    def test_rows_match_wofz_transfer_function(self, spec, gamma_perp, p):
+        # C < 1 for both signs; unequal mirrors exercise kappa1 != kappa2
+        params = SystemParams(
+            kappa=3.0, gamma_perp=gamma_perp, g_ens=1.0, kappa1=2.0, kappa2=1.0
+        )
+        grid = np.linspace(-12.0, 12.0, 241)
+        table = spectrum_scan(params, spec, p, grid)
+        r, t = wofz_transfer(params, spec, p, grid)
+        assert table.valid.all()
+        np.testing.assert_allclose(table.t, t, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(table.r, r, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "params, p",
+        [
+            (SystemParams(kappa=1.0, gamma_perp=0.2, g_ens=2.0), 1),
+            (SystemParams(kappa=2.0, gamma_perp=0.2, g_ens=1.0, delta_cs=0.5), -1),
+        ],
+        ids=["inverted-above-threshold", "detuned-cavity"],
+    )
+    def test_failed_preconditions_flag_every_row(self, params, p):
+        table = spectrum_scan(params, LOR, p, np.linspace(-5.0, 5.0, 11))
+        assert not table.valid.any()
+        assert np.isnan(table.r).all() and np.isnan(table.t).all()
+
     def test_singular_rows_flagged_not_fatal(self):
         # homogeneous gamma_perp = 0 has no linear response at zero
-        # detuning; that row is flagged and the rest of the scan kept
+        # detuning; that row is flagged, without a RuntimeWarning, and
+        # the rest of the scan kept
         params = SystemParams(kappa=2.0, gamma_perp=0.0, g_ens=1.0)
-        table = spectrum_scan(params, HOM, -1, np.array([-1.0, 0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = spectrum_scan(params, HOM, -1, np.array([-1.0, 0.0, 1.0]))
         assert table.valid.tolist() == [True, False, True]
         assert np.isnan(table.t[1])
         rows = list(table.rows())
