@@ -41,6 +41,7 @@ from .model import (
 )
 from .dynamics import (
     MomentSeries,
+    arrowhead_eigenvalues,
     check_revival_window,
     collective_reduce,
     drift_eigenvalues,
@@ -101,6 +102,7 @@ __all__ = [
     "build_homogeneous_Q",
     "initial_state",
     "MomentSeries",
+    "arrowhead_eigenvalues",
     "check_revival_window",
     "collective_reduce",
     "drift_eigenvalues",

@@ -18,12 +18,21 @@ file, the file over the default.
 One writer emits every output.  The CSV opens with ``# key=value``
 lines (sorted keys): experiment, package version, the resolved options
 and the run-level ``header`` values (``Gamma``, ``invalid_rows``,
-``windowed_verdict``, ``kick_response_fallbacks``).  The column names
-and the data rows follow, floats at 17 significant digits and undefined
-cells empty; closing ``#`` lines hold the fitted or reference values of
-``trailer`` (``pole_*``, ``panel_f_ratio_*``).  The manifest holds both
-blocks and ``columns``.  Exit codes: 0 success, 2 precondition failure,
-3 numerical failure.
+``windowed_verdict``, and the solver paths taken:
+``kick_response_fallbacks``, the kicked fields that ``decay`` and
+``stability-sweep`` propagated with ``evolve_mean`` instead of the
+residue expansion, and ``eigensolver_fallbacks``, the sweep points whose
+eigenvalues came from dense ``eigvals`` instead of the secular solver).
+Both counts are deterministic, so reruns stay byte-identical.  The
+column names and the data rows follow, floats at 17 significant digits
+and undefined cells empty; closing ``#`` lines hold the fitted or
+reference values of ``trailer`` (``pole_*``, ``panel_f_ratio_*``).  The
+manifest holds both blocks and ``columns``.
+
+Exit codes: 0 success; 2 precondition failure, which includes an
+unreadable ``--config``, an unwritable ``--out`` and a ``--m``,
+``--t-samples`` or ``--delta-e-samples`` over its byte budget; 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -46,8 +55,8 @@ from .broadening import (
     solve_width_for_gamma,
 )
 from .dynamics import (
-    collective_reduce, drift_eigenvalues, evolve_covariance, evolve_mean,
-    field_kick_response,
+    arrowhead_eigenvalues, collective_reduce, drift_eigenvalues,
+    evolve_covariance, evolve_mean, field_kick_response,
 )
 from .errors import (
     ConvergenceError, NumericalError, PreconditionError, UnstableModelError,
@@ -65,6 +74,12 @@ _FAMILIES = tuple(f.value for f in BroadeningFamily)
 # several arrays four times its size
 _DRIFT_BYTE_BUDGET = 16 * 2**20
 _M_LIMIT = (math.isqrt(_DRIFT_BYTE_BUDGET // 8) - 2) // 2
+
+# time and detuning grids: each sample holds one CSV row (up to seven
+# 17-digit cells, kept as Python strings until written) and, on a time
+# grid, one float64 state row
+_SAMPLE_BYTE_BUDGET = 256 * 2**20
+_ROW_BYTES = 512
 
 
 def _choice(kind, values):
@@ -136,9 +151,22 @@ def _params(o: dict, **point) -> SystemParams:
     return SystemParams(**{k: o[k] for k in names if k in o}, **point)
 
 
+def _check_samples(flag: str, samples: int, row_bytes: int) -> None:
+    """Reject a sample count whose rows would exceed the byte budget."""
+    need = samples * row_bytes
+    if need > _SAMPLE_BYTE_BUDGET:
+        raise PreconditionError(
+            f"{flag} {samples} needs {need / 2**20:.1f} MiB at "
+            f"{row_bytes} bytes per sample, over the "
+            f"{_SAMPLE_BYTE_BUDGET // 2**20} MiB sample budget"
+        )
+
+
 def _time_grid(o: dict) -> np.ndarray:
     if o["t_max"] <= 0 or o["t_samples"] < 2:
         raise PreconditionError("need t_max > 0 and t_samples >= 2")
+    # moments and the decay fallback store a (T, 2M + 2) mean series
+    _check_samples("--t-samples", o["t_samples"], 8 * (2 * o["m"] + 2) + _ROW_BYTES)
     return np.linspace(0.0, o["t_max"], o["t_samples"])
 
 
@@ -147,8 +175,8 @@ def _decay(o: dict):
     times = _time_grid(o)
     grid = discretize(spec, o["m"], params.g_ens, o["n_spins"])
     model = build_drift_matrix(params, grid, o["p"])
-    y0, _ = initial_state("field-kick", grid, alpha=o["alpha"])
-    x_sim = evolve_mean(model, y0, times).means[:, 0]
+    response, fallback = field_kick_response(model, drift_eigenvalues(model), times)
+    x_sim = (_SQRT2 * o["alpha"] * response).real  # X_c(0) = sqrt(2) alpha
 
     Gamma = characteristic_width(spec, params.gamma_perp)
     x_lor = x_weak = x_pole = [None] * times.size
@@ -175,7 +203,8 @@ def _decay(o: dict):
         "X_c_pole_tail",
     ]
     rows = zip(times, x_sim, x_lor, x_weak, x_pole)
-    return columns, rows, {"Gamma": Gamma}, trailer
+    header = {"Gamma": Gamma, "kick_response_fallbacks": int(fallback)}
+    return columns, rows, header, trailer
 
 
 def _moments(o: dict):
@@ -221,6 +250,7 @@ def _moments(o: dict):
 def _spectrum(o: dict):
     if o["delta_e_samples"] < 2 or o["delta_e_max"] <= o["delta_e_min"]:
         raise PreconditionError("need delta_e_max > delta_e_min and >= 2 samples")
+    _check_samples("--delta-e-samples", o["delta_e_samples"], _ROW_BYTES)
     delta_grid = np.linspace(o["delta_e_min"], o["delta_e_max"], o["delta_e_samples"])
     table = spectrum_scan(_params(o), _spec(o), o["p"], delta_grid)
     columns = ["delta_e", "re_t", "im_t", "abs_t2", "re_r", "im_r", "abs_r2"]
@@ -246,7 +276,7 @@ def _stability_sweep(o: dict):
     times = np.linspace(0.0, o["t_max"], 101)
     fifth = max(2, times.size // 5)
     kick = _SQRT2 * o["alpha"]  # X_c(0) of the field-kick state
-    fallbacks = 0
+    fallbacks = dense = 0
     rows = []
     for g in np.linspace(o["g_min"], o["g_max"], o["g_samples"]):
         grid = discretize(spec, o["m"], g, o["n_spins"])
@@ -254,7 +284,8 @@ def _stability_sweep(o: dict):
             point = _params(o, kappa=kappa, g_ens=g)
             report = stability_report(point, spec)
             model = build_drift_matrix(point, grid, o["p"])
-            eigenvalues = drift_eigenvalues(model)
+            eigenvalues, dense_path = arrowhead_eigenvalues(model)
+            dense += dense_path
             abscissa = float(eigenvalues.real.max())
             if windowed:
                 response, fallback = field_kick_response(model, eigenvalues, times)
@@ -265,7 +296,10 @@ def _stability_sweep(o: dict):
                 numeric = bool(abscissa < 0.0)
             rows.append([g, kappa, report.Gamma, report.C, abscissa,
                          bool(report.stable), numeric])
-    header = {"windowed_verdict": windowed, "kick_response_fallbacks": fallbacks}
+    header = {
+        "windowed_verdict": windowed, "kick_response_fallbacks": fallbacks,
+        "eigensolver_fallbacks": dense,
+    }
     return columns, rows, header, {}
 
 
@@ -364,25 +398,29 @@ def _read_config(path: str, name: str) -> dict:
     """``key = value`` lines, each value through its option's parser."""
     parsers = {key: _OPTIONS[key].parse for key in _EXPERIMENTS[name].options}
     parsers["out"] = str
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read --config {path}: {exc}") from exc
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, text = line.partition("=")
-            key = key.strip().replace("-", "_")
-            where = f"{path}:{lineno}"
-            if not sep:
-                raise PreconditionError(
-                    f"{where}: expected key=value, got {raw.rstrip()!r}"
-                )
-            if key not in parsers:
-                raise PreconditionError(f"{where}: unknown key {key!r} for {name}")
-            try:
-                values[key] = parsers[key](text.strip())
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise PreconditionError(f"{where}: {key}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, text = line.partition("=")
+        key = key.strip().replace("-", "_")
+        where = f"{path}:{lineno}"
+        if not sep:
+            raise PreconditionError(
+                f"{where}: expected key=value, got {raw.rstrip()!r}"
+            )
+        if key not in parsers:
+            raise PreconditionError(f"{where}: unknown key {key!r} for {name}")
+        try:
+            values[key] = parsers[key](text.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise PreconditionError(f"{where}: {key}: {exc}") from None
     return values
 
 
@@ -404,12 +442,15 @@ def _write(out: str, header: dict, columns, rows, trailer: dict) -> None:
     if out == "-":
         sys.stdout.write(text)
         return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-        manifest = {**header, **trailer, "columns": list(columns)}
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    manifest = {**header, **trailer, "columns": list(columns)}
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write --out {out}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

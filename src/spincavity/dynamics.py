@@ -14,14 +14,21 @@ spectral abscissa of the drift is negative.
 
 The real drift is the realification of the complex (M+1) x (M+1)
 arrowhead matrix ``H`` of :attr:`DriftModel.arrowhead`, so its
-spectrum is that of ``H`` plus the complex conjugates: one complex
-eigenvalue problem of half the size gives the spectral abscissa.  The
+spectrum is that of ``H`` plus the complex conjugates.  The
 eigenvalues are the roots of the secular function
 ``F(lambda) = lambda + kappa + i delta_cs
-- p sum_m g_m^2 N_m / (lambda + gamma_perp + i Delta_m)``, and the
-partial-fraction expansion of ``1 / F`` gives the field after a cavity
-kick as ``a(t) / a(0) = sum_k e^{lambda_k t} / F'(lambda_k)`` with no
-eigenvectors and no time stepping.
+- p sum_m g_m^2 N_m / (lambda + gamma_perp + i Delta_m)``, which
+:func:`arrowhead_eigenvalues` finds in O(M^2) by a vectorized
+Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 339 (1973); Bini &
+Robol, J. Comput. Appl. Math. 272, 276 (2014)) after deflating
+decoupled and repeated poles (Gu & Eisenstat, SIAM J. Matrix Anal.
+Appl. 16, 172 (1995)), without building ``H``.  It stops each root on
+an absolute-floor step test, bounds every work array by
+``_CHUNK_BYTES``, and falls back to dense ``eigvals`` of ``H`` when the
+iteration does not settle or the roots sit near an exceptional point.
+The partial-fraction expansion of ``1 / F`` gives the field after a
+cavity kick as ``a(t) / a(0) = sum_k e^{lambda_k t} / F'(lambda_k)``
+with no eigenvectors and no time stepping.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ __all__ = [
     "evolve_mean",
     "evolve_covariance",
     "steady_state_covariance",
+    "arrowhead_eigenvalues",
     "drift_eigenvalues",
     "spectral_abscissa",
     "field_kick_response",
@@ -56,8 +64,15 @@ __all__ = [
     "check_revival_window",
 ]
 
-# largest sum_k |r_k| of the residue expansion in field_kick_response
+# largest sum_k |r_k| = sum_k 1 / |F'(lambda_k)| accepted from the
+# secular solver and from the residue expansion of field_kick_response
 _RESIDUE_BOUND = 100.0
+
+# Aberth iterations before arrowhead_eigenvalues falls back to dense eig
+_ABERTH_MAX_ITER = 100
+
+# bytes of each complex (roots x sub-ensembles) work array
+_CHUNK_BYTES = 256 * 2**10
 
 # order of the compact per-time variance track stored by
 # evolve_covariance: (Var Xc, Var Pc, Var Sx, Var Sy, <dSx dPc>, <dSy dXc>)
@@ -276,17 +291,163 @@ def evolve_covariance(
     )
 
 
+def _row_blocks(rows: int, cols: int):
+    """Row slices of a complex (rows x cols) array, each <= _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (16 * max(cols, 1)))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def _secular_terms(model: DriftModel):
+    """Poles ``d_m = gamma_perp + i Delta_m`` and weights ``w_m = p g_m^2 N_m``."""
+    grid = model.grid
+    poles = model.params.gamma_perp + 1j * grid.deltas
+    return poles, model.p * grid.couplings**2 * grid.spins
+
+
+def _aberth_roots(shift: complex, poles: np.ndarray, weights: np.ndarray):
+    """All roots of ``z + shift - sum_m weights_m / (z + poles_m)``.
+
+    The poles must be distinct and the weights nonzero; the n poles then
+    give n + 1 roots.  Returns ``None`` when the iteration does not
+    settle every root (see :func:`arrowhead_eigenvalues`).
+    """
+    n = poles.size
+    if n == 0:
+        return np.array([-shift])
+    roots = np.empty(n + 1, dtype=complex)
+    residues = np.empty(n + 1, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots[0] = -shift
+        roots[1:] = -poles + weights / (shift - poles)
+    floor = max(abs(shift), float(np.abs(poles).max()))
+    tol = 4.0 * np.finfo(float).eps
+    active = np.arange(n + 1)
+    for _ in range(_ABERTH_MAX_ITER):
+        steps = np.empty(active.size, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for block in _row_blocks(active.size, n + 1):
+                rows = active[block]
+                z = roots[rows]
+                at = np.arange(rows.size)
+                # split off the nearest pole k: with e = z + d_k and F_k,
+                # S_k the sums over the other poles, P'/P equals
+                # (F_k' e + F_k) / (F_k e - w_k) + S_k, finite at e = 0
+                gap = z[:, None] + poles
+                near = np.abs(gap).argmin(axis=1)
+                e, w = gap[at, near], weights[near]
+                gap[at, near] = np.inf
+                inv = 1.0 / gap
+                terms = weights * inv
+                f = z + shift - terms.sum(axis=1)
+                df = 1.0 + (terms * inv).sum(axis=1)
+                diff = z[:, None] - roots
+                diff[at, rows] = np.inf
+                rest = inv.sum(axis=1) - (1.0 / diff).sum(axis=1)
+                # 1 / (P'/P - sum_j 1/(z_i - z_j)), zero at an exact root
+                num, den = df * e + f, f * e - w
+                steps[block] = den / (num + den * rest)
+                residues[rows] = e * e / (df * e * e + w)  # 1 / F'(z)
+        if not np.all(np.isfinite(steps)):
+            return None
+        roots[active] -= steps
+        settled = np.abs(steps) <= tol * np.maximum(np.abs(roots[active]), floor)
+        active = active[~settled]
+        if active.size == 0:
+            # sum_k 1 / |F'(lambda_k)| bounds the roots' condition
+            if np.abs(residues).sum() > _RESIDUE_BOUND:
+                return None
+            return roots
+    return None
+
+
+def arrowhead_eigenvalues(model: DriftModel) -> tuple:
+    """Eigenvalues of the arrowhead matrix and the path that found them.
+
+    The M+1 eigenvalues are the roots of the secular function
+    ``F(lambda) = lambda + c - sum_m w_m / (lambda + d_m)`` with
+    ``c = kappa + i delta_cs``, ``w_m = p g_m^2 N_m`` and
+    ``d_m = gamma_perp + i Delta_m``; the matrix itself is never built
+    unless the dense fallback runs.
+
+    Deflation (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
+    (1995)): a decoupled sub-ensemble (``w_m = 0``) keeps the eigenvalue
+    ``-d_m`` exactly, and k sub-ensembles sharing one pole keep k - 1
+    eigenvalues ``-d_m`` and enter ``F`` as one pole of summed weight.
+
+    The remaining roots come from the Aberth-Ehrlich iteration (Aberth,
+    Math. Comp. 27, 339 (1973); for secular equations Bini & Robol,
+    J. Comput. Appl. Math. 272, 276 (2014)) on the numerator
+    ``P(lambda) = F(lambda) prod_m (lambda + d_m)``, all roots updated at
+    once from the previous iterate:
+    ``lambda_i <- lambda_i - 1 / (F'/F + sum_m 1/(lambda_i + d_m)
+    - sum_{j != i} 1/(lambda_i - lambda_j))``.  The pole nearest each
+    iterate is split off: with ``e = lambda_i + d_k`` and ``F_k``,
+    ``S_k`` the sums over the other poles,
+    ``P'/P = (F_k' e + F_k) / (F_k e - w_k) + S_k``, which has no
+    cancellation near the pole and stays finite on it (the seed of a
+    far-tail sub-ensemble can round onto its pole).  The seeds are
+    the decoupled cavity root ``-c`` and the weak-coupling roots
+    ``-d_m + w_m / (c - d_m)``.  A root is frozen once its step is at
+    most ``4 eps max(|lambda_i|, |c|, max_m |d_m|)``: the absolute floor
+    stops roots near the band centre, which jitter at the rounding level
+    of ``F`` and never meet a purely relative test.  Each iteration costs
+    O(M) per unfrozen root, with its (roots x M) work arrays cut into
+    row blocks of at most ``_CHUNK_BYTES`` (256 KiB) each.
+
+    The dense ``numpy.linalg.eigvals`` of :attr:`DriftModel.arrowhead`
+    runs instead when a step is not finite, when a root is still moving
+    after ``_ABERTH_MAX_ITER`` iterations, or when
+    ``sum_k 1 / |F'(lambda_k)|`` exceeds ``_RESIDUE_BOUND``: that sum
+    grows without bound as roots merge at an exceptional point, where
+    the roots are known only to about the square root of the rounding
+    error.  Returns ``(eigenvalues, fallback)``, ``fallback`` telling
+    whether the dense path ran.
+    """
+    poles, weights = _secular_terms(model)
+    coupled = weights != 0.0
+    merged, first, index = np.unique(
+        poles[coupled], return_index=True, return_inverse=True
+    )
+    merged_weights = np.zeros(merged.size)
+    np.add.at(merged_weights, index, weights[coupled])
+    deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
+    shift = complex(model.params.kappa, model.params.delta_cs)
+    roots = _aberth_roots(shift, merged, merged_weights)
+    if roots is not None:
+        return np.concatenate([roots, -deflated]), False
+    try:
+        return np.linalg.eigvals(model.arrowhead), True
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+
+
 def drift_eigenvalues(model: DriftModel) -> np.ndarray:
     """The M+1 eigenvalues of the complex arrowhead matrix of the model.
 
     The spectrum of the real (2M+2) drift is these eigenvalues plus
     their complex conjugates (:attr:`DriftModel.arrowhead`), so one
     complex eigenvalue problem of half the size replaces the real one.
+    They are the roots of the secular function
+    ``F(lambda) = lambda + kappa + i delta_cs
+    - p sum_m g_m^2 N_m / (lambda + gamma_perp + i Delta_m)``, found
+    without building the matrix by :func:`arrowhead_eigenvalues`:
+
+    * algorithm: deflation of decoupled and repeated poles, then an
+      O(M^2) per iteration Aberth-Ehrlich iteration on all roots at once
+      (Aberth 1973; Bini & Robol 2014; Gu & Eisenstat 1995 for the
+      deflation);
+    * stopping rule: each root is frozen once its step is at most
+      ``4 eps max(|lambda|, |kappa + i delta_cs|, max_m |d_m|)``;
+    * fallbacks: dense O(M^3) ``numpy.linalg.eigvals`` of the arrowhead
+      on a non-finite step, on roots still moving after
+      ``_ABERTH_MAX_ITER`` iterations, or on
+      ``sum_k 1 / |F'(lambda_k)| > _RESIDUE_BOUND`` (an exceptional
+      point); a dense ``LinAlgError`` raises :class:`NumericalError`;
+    * memory: the (roots x M) work arrays are formed in row blocks of at
+      most ``_CHUNK_BYTES`` (256 KiB) each.
     """
-    try:
-        return np.linalg.eigvals(model.arrowhead)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+    return arrowhead_eigenvalues(model)[0]
 
 
 def spectral_abscissa(model: DriftModel) -> float:
@@ -306,7 +467,8 @@ def field_kick_response(model: DriftModel, eigenvalues, times) -> tuple:
     are ``r_k = 1 / F'(lambda_k)`` with
     ``F'(lambda) = 1 + p sum_m g_m^2 N_m / (lambda + gamma_perp + i Delta_m)^2``.
     The cost is O(M^2) for the residues plus O(M T) for the sum, with
-    no eigenvectors and no time stepping.
+    no eigenvectors and no time stepping; both are formed in row blocks
+    of at most ``_CHUNK_BYTES`` per work array.
 
     The residues add up to 1, the response at ``t = 0``, but the sum is
     formed from terms as large as ``|r_k|``.  Near an exceptional point two
@@ -328,20 +490,26 @@ def field_kick_response(model: DriftModel, eigenvalues, times) -> tuple:
     """
     times = _validate_times(times)
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
-    params, grid = model.params, model.grid
+    size = model.grid.size + 1
     lam = np.asarray(eigenvalues, dtype=complex)
-    if lam.shape != (grid.size + 1,):
+    if lam.shape != (size,):
         raise PreconditionError(
-            f"need the {grid.size + 1} arrowhead eigenvalues, got {lam.shape}"
+            f"need the {size} arrowhead eigenvalues, got {lam.shape}"
         )
-    poles = params.gamma_perp + 1j * grid.deltas
-    weights = model.p * grid.couplings**2 * grid.spins
+    poles, weights = _secular_terms(model)
+    slope = np.empty(lam.size, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = 1.0 + (weights / (lam[:, None] + poles) ** 2).sum(axis=1)
+        for block in _row_blocks(lam.size, poles.size):
+            slope[block] = 1.0 + (
+                weights / (lam[block, None] + poles) ** 2
+            ).sum(axis=1)
         residues = 1.0 / slope
         residue_sum = np.abs(residues).sum()
     if residue_sum <= _RESIDUE_BOUND and abs(residues.sum() - 1.0) <= 1e-10:
-        return np.exp(np.outer(times, lam)) @ residues, False
+        response = np.empty(times.size, dtype=complex)
+        for block in _row_blocks(times.size, lam.size):
+            response[block] = np.exp(np.outer(times[block], lam)) @ residues
+        return response, False
     y0 = np.zeros(model.dim)
     y0[0] = 1.0
     means = evolve_mean(model, y0, times).means

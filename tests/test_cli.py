@@ -87,10 +87,14 @@ SMALL = {
     ],
 }
 ADDED_KEYS = {
-    "decay": {"Gamma", "pole_rate_re", "pole_rate_im"},
+    "decay": {
+        "Gamma", "kick_response_fallbacks", "pole_rate_re", "pole_rate_im",
+    },
     "moments": {"panel_f_ratio_sx", "panel_f_ratio_pc"},
     "spectrum": {"invalid_rows"},
-    "stability-sweep": {"windowed_verdict", "kick_response_fallbacks"},
+    "stability-sweep": {
+        "windowed_verdict", "kick_response_fallbacks", "eigensolver_fallbacks",
+    },
     "pole": set(),
 }
 
@@ -180,6 +184,39 @@ class TestDecay:
             params, SIGMA_UNIT, pole_seeds(params, SIGMA_UNIT)["slow"]
         )
         assert rate == pytest.approx(root.real, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "family, m, width",
+        [("gaussian", 201, SIGMA_UNIT), ("lorentzian", 101, 1.6)],
+    )
+    def test_residue_path_matches_expm_oracle(self, tmp_path, family, m,
+                                              width):
+        out = tmp_path / "decay.csv"
+        code = run_cli([
+            "decay", "--family", family, "--width", width, "--gamma-perp",
+            "0", "--kappa", "3", "--g-ens", "2", "--delta-cs", "0.4",
+            "--m", m, "--t-max", "2", "--t-samples", "21", "--out", out,
+        ])
+        assert code == 0
+        manifest = json.loads((tmp_path / "decay.csv.manifest.json").read_text())
+        assert manifest["kick_response_fallbacks"] == 0
+        _, _, rows, _ = read_table(out)
+        times = np.array([cell(row[0]) for row in rows])
+        sim = np.array([cell(row[1]) for row in rows])
+        params = SystemParams(kappa=3.0, gamma_perp=0.0, g_ens=2.0,
+                              delta_cs=0.4)
+        grid = discretize(BroadeningSpec(family, width), m, 2.0, 1e6)
+        model = build_drift_matrix(params, grid, 1)
+        y0, _ = initial_state("field-kick", grid, alpha=1.0)
+        reference = expm_mean(model.drift, y0, times)[:, 0]
+        assert np.abs(sim - reference).max() <= 1e-10 * np.abs(reference).max()
+
+    def test_records_the_kick_response_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        out = tmp_path / "decay.csv"
+        assert run_cli(LOR_DECAY + ["--out", out]) == 0
+        meta, _, _, _ = read_table(out)
+        assert meta["kick_response_fallbacks"] == "1"
 
     @pytest.mark.parametrize(
         "experiment", ["decay", "stability-sweep"],
@@ -322,6 +359,7 @@ class TestStabilitySweep:
         )
         assert manifest["windowed_verdict"] is True
         assert manifest["kick_response_fallbacks"] == 0
+        assert manifest["eigensolver_fallbacks"] == 0
         spec = BroadeningSpec("gaussian", manifest["width"])
         times = np.linspace(0.0, 2.0, 101)
         fifth = times.size // 5
@@ -356,17 +394,25 @@ class TestStabilitySweep:
         assert manifest["alpha"] == 0.0
         assert meta["alpha"] == "0"
 
-    def test_fallbacks_counted_with_unchanged_verdicts(self, tmp_path,
-                                                       monkeypatch):
+    @pytest.mark.parametrize(
+        "constant, kick_fallbacks",
+        [("_RESIDUE_BOUND", 16), ("_ABERTH_MAX_ITER", 0)],
+    )
+    def test_fallbacks_counted_with_unchanged_verdicts(
+        self, tmp_path, monkeypatch, constant, kick_fallbacks
+    ):
+        # a zero residue bound rejects both residue sums, a zero
+        # iteration cap only the secular solver
         out = tmp_path / "sweep.csv"
         assert run_cli(self.WINDOWED + ["--out", out]) == 0
-        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        monkeypatch.setattr(dynamics, constant, 0)
         forced = tmp_path / "forced.csv"
         assert run_cli(self.WINDOWED + ["--out", forced]) == 0
         manifest = json.loads(
             (tmp_path / "forced.csv.manifest.json").read_text()
         )
-        assert manifest["kick_response_fallbacks"] == 16
+        assert manifest["kick_response_fallbacks"] == kick_fallbacks
+        assert manifest["eigensolver_fallbacks"] == 16
         verdicts = [row[6] for row in read_table(out)[2]]
         assert [row[6] for row in read_table(forced)[2]] == verdicts
 
@@ -572,6 +618,50 @@ class TestExitCodes:
 
     def test_missing_out_is_precondition_failure(self):
         assert run_cli(LOR_DECAY) == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["decay", "--family", "lorentzian", "--width", "1",
+              "--t-samples", "100000000"], "--t-samples"),
+            (["moments", "--family", "homogeneous", "--gamma-perp", "1",
+              "--t-samples", "100000000"], "--t-samples"),
+            (SMALL["spectrum"] + ["--delta-e-samples", "1000000000"],
+             "--delta-e-samples"),
+        ],
+        ids=["decay", "moments", "spectrum"],
+    )
+    def test_oversized_sample_grid_names_the_budget(
+        self, tmp_path, capsys, monkeypatch, argv, flag
+    ):
+        linspace = np.linspace
+
+        def bounded(start, stop, num=50, **kwargs):
+            assert num <= 10**6, "the budget check must run first"
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", bounded)
+        assert run_cli(argv + ["--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ")
+        assert "256 MiB sample budget" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unreadable_config_is_precondition_failure(self, tmp_path, capsys):
+        for config in (tmp_path / "missing.cfg", tmp_path):
+            code = run_cli(SMALL["pole"] + [
+                "--config", config, "--out", tmp_path / "x.csv",
+            ])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: cannot read --config")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_in_missing_directory_is_precondition_failure(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli(SMALL["pole"] + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --out")
 
     def test_oversized_grid_names_the_budget(self, tmp_path, capsys):
         # every M the tests, scripts and benchmark use fits the budget

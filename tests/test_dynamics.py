@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -14,9 +18,12 @@ from spincavity import (
     NumericalError,
     PreconditionError,
     RevivalGuardError,
+    SubEnsembleGrid,
     SystemParams,
     UnstableModelError,
+    arrowhead_eigenvalues,
     build_drift_matrix,
+    characteristic_width,
     check_revival_window,
     collective_reduce,
     discretize,
@@ -24,7 +31,9 @@ from spincavity import (
     evolve_covariance,
     evolve_mean,
     field_kick_response,
+    gaussian_pole,
     initial_state,
+    pole_seeds,
     spectral_abscissa,
     steady_state_covariance,
     steady_state_moments_hom,
@@ -343,7 +352,8 @@ class TestArrowheadSpectrum:
     ):
         model, _ = small_model(spec=spec, m=m, gamma_perp=gamma_perp,
                                delta_cs=delta_cs, p=p)
-        lam = drift_eigenvalues(model)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback  # the secular solver, not dense eig
         assert lam.shape == (model.grid.size + 1,)
         ours = np.concatenate([lam, lam.conj()])
         dense = np.linalg.eigvals(model.drift)
@@ -357,10 +367,182 @@ class TestArrowheadSpectrum:
         def fail(matrix):
             raise np.linalg.LinAlgError("no convergence")
 
+        # the secular solver must give up first for dense eig to run
+        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 0)
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         model, _ = small_model(m=3)
         with pytest.raises(NumericalError):
             drift_eigenvalues(model)
+
+
+def assert_matches_dense(model, lam):
+    """Eigenvalues equal dense eig of the arrowhead to 1e-12 ||A||_1."""
+    dense = np.linalg.eigvals(model.arrowhead)
+    distance = np.abs(lam[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    norm = np.abs(model.drift).sum(axis=0).max()
+    assert lam.shape == dense.shape
+    assert distance[rows, cols].max() <= 1e-12 * norm
+
+
+class TestSecularSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["homogeneous", "lorentzian", "gaussian"]),
+        p=st.sampled_from([1, -1]),
+        log_c=st.floats(np.log(0.01), np.log(20.0)),
+        log_kappa=st.floats(np.log(0.05), np.log(50.0)),
+        gamma_perp=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+        log10_n=st.floats(0.0, 12.0),
+        delta_cs=st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),
+        m=st.sampled_from([3, 41, 201]),
+    )
+    def test_matches_dense_eig(self, family, p, log_c, log_kappa,
+                               gamma_perp, log10_n, delta_cs, m):
+        # kappa and g_ens in units of the characteristic width Gamma
+        if family == "homogeneous":
+            spec, gamma_perp = HOM, max(gamma_perp, 0.01)
+        else:
+            spec = BroadeningSpec(family, 1.2)
+        Gamma = characteristic_width(spec, gamma_perp)
+        kappa = np.exp(log_kappa) * Gamma
+        g_ens = np.sqrt(np.exp(log_c) * kappa * Gamma)
+        model, _ = small_model(spec=spec, m=m, kappa=kappa,
+                               gamma_perp=gamma_perp, g_ens=g_ens, p=p,
+                               delta_cs=delta_cs, n=10.0**log10_n)
+        assert_matches_dense(model, drift_eigenvalues(model))
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("spec, m", [(HOM, 1), (LOR, 401), (GAUSS, 201)],
+                             ids=["homogeneous", "lorentzian", "gaussian"])
+    def test_threshold_from_below(self, spec, m, gap):
+        # C = 1 - gap at gamma_perp = 0.5
+        kappa, gamma_perp = 2.0, 0.5
+        Gamma = characteristic_width(spec, gamma_perp)
+        g_ens = np.sqrt((1.0 - gap) * kappa * Gamma)
+        model, _ = small_model(spec=spec, m=m, kappa=kappa,
+                               gamma_perp=gamma_perp, g_ens=g_ens)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        assert_matches_dense(model, lam)
+        if spec is HOM:
+            # the roots of (lambda + kappa)(lambda + gamma_perp) = g_ens^2
+            # multiply to kappa gamma_perp - g_ens^2 = gap kappa gamma_perp
+            fast = (-(kappa + gamma_perp)
+                    - np.sqrt((kappa - gamma_perp) ** 2 + 4 * g_ens**2)) / 2
+            slow = (kappa * gamma_perp - g_ens**2) / fast
+            assert slow < 0.0
+            assert abs(lam.real.max() - slow) <= 1e-14
+
+    def test_homogeneous_double_root_takes_dense_path(self):
+        # (lambda + 3)(lambda + 1) = -1: the double root lambda = -2
+        model, _ = small_model(spec=HOM, m=1, kappa=3.0, gamma_perp=1.0,
+                               g_ens=1.0, p=-1)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert fallback
+        assert np.array_equal(lam, np.linalg.eigvals(model.arrowhead))
+
+    def test_decoupled_and_repeated_poles_are_deflated(self):
+        # sub-ensemble 3 is decoupled and two share the pole at Delta = 0
+        grid = SubEnsembleGrid(
+            family=BroadeningFamily.LORENTZIAN,
+            deltas=np.array([-1.0, 0.0, 0.0, 1.0, 2.5]),
+            couplings=np.array([0.5, 0.3, 0.4, 0.0, 0.2]) * 1e-3,
+            spins=np.full(5, 2e5),
+            total_spins=1e6,
+            g_ens=1.0,
+        )
+        params = SystemParams(kappa=2.0, gamma_perp=0.3, g_ens=1.0,
+                              delta_cs=0.4)
+        model = build_drift_matrix(params, grid, 1)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        assert_matches_dense(model, lam)
+        # both deflated eigenvalues are exact
+        assert np.count_nonzero(lam == -(0.3 + 1j)) == 1
+        assert np.count_nonzero(lam == -(0.3 + 0j)) == 1
+
+    def test_seed_that_rounds_onto_its_pole(self):
+        # a far-tail sub-ensemble so weakly coupled that its seed
+        # -d_m + w_m / (c - d_m) rounds to the pole -d_m itself
+        grid = SubEnsembleGrid(
+            family=BroadeningFamily.GAUSSIAN,
+            deltas=np.array([-5.4, 0.0, 5.4]),
+            couplings=np.sqrt([1e-16, 1.0, 1e-16]),
+            spins=np.ones(3),
+            total_spins=3.0,
+            g_ens=1.0,
+        )
+        params = SystemParams(kappa=0.5, gamma_perp=1.0, g_ens=1.0)
+        model = build_drift_matrix(params, grid, 1)
+        poles = 1.0 + 1j * grid.deltas
+        seeds = -poles + grid.couplings**2 / (0.5 - poles)
+        assert seeds[0] == -poles[0]
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        assert_matches_dense(model, lam)
+
+    def test_fully_decoupled_model(self):
+        model, grid = small_model(g_ens=0.0, kappa=3.0, delta_cs=0.5)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        expected = np.concatenate([[-(3.0 + 0.5j)], -(0.2 + 1j * grid.deltas)])
+        assert np.array_equal(np.sort_complex(lam), np.sort_complex(expected))
+
+    def test_slowest_root_approaches_continuum_pole(self):
+        # C = 4/3 above threshold: the growing root of the Gaussian pole
+        # condition lies right of the band, where the discretized
+        # spectrum converges to it
+        params = SystemParams(kappa=3.0, gamma_perp=0.0, g_ens=2.0)
+        sigma = GAUSS.width
+        root = gaussian_pole(params, sigma, pole_seeds(params, sigma)["slow"])
+        errors = []
+        for m in (21, 41, 81, 161):
+            model = build_drift_matrix(params, discretize(GAUSS, m, 2.0, 1e6), 1)
+            lam, fallback = arrowhead_eigenvalues(model)
+            assert not fallback
+            errors.append(abs(lam[np.argmax(lam.real)] - root))
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[-1] <= 1e-7 * abs(root)
+
+    def test_iteration_cap_falls_back_to_dense(self, monkeypatch):
+        model, _ = small_model(spec=GAUSS, m=41, delta_cs=0.3)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a)
+        )
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback and calls == []
+        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 2)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert fallback and len(calls) == 1
+        assert np.array_equal(lam, eigvals(model.arrowhead))
+
+    def test_work_arrays_stay_within_the_chunk_budget(self):
+        # unchunked, the (M+1) x M complex work arrays of M = 601 take
+        # 5.8 MB each: 28 MiB peak for the roots, 11 MiB for the field
+        model, _ = small_model(spec=GAUSS, m=601, kappa=8.0, gamma_perp=0.0,
+                               g_ens=2.0)
+        times = np.linspace(0.0, 5.0, 201)
+        tracemalloc.start()
+        try:
+            lam = drift_eigenvalues(model)
+            roots_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _, fallback = field_kick_response(model, lam, times)
+            field_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not fallback
+        assert roots_peak <= 8 * dynamics._CHUNK_BYTES
+        assert field_peak <= 8 * dynamics._CHUNK_BYTES
+
+    def test_chunking_leaves_the_roots_unchanged(self, monkeypatch):
+        model, _ = small_model(spec=LOR, m=201, delta_cs=0.3)
+        lam = drift_eigenvalues(model)
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 16)  # one row a block
+        assert np.array_equal(drift_eigenvalues(model), lam)
 
 
 def kick_oracle(model, times):
