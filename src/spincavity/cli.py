@@ -21,9 +21,12 @@ and the run-level ``header`` values (``Gamma``, ``invalid_rows``,
 ``windowed_verdict``, and the solver paths taken:
 ``kick_response_fallbacks``, the kicked fields that ``decay`` and
 ``stability-sweep`` propagated with ``evolve_mean`` instead of the
-residue expansion, and ``eigensolver_fallbacks``, the sweep points whose
-eigenvalues came from dense ``eigvals`` instead of the secular solver).
-Both counts are deterministic, so reruns stay byte-identical.  The
+residue expansion; ``eigensolver_fallbacks``, the sweep points whose
+eigenvalues came from dense ``eigvals`` instead of the secular solver;
+and ``moment_fallbacks``, the mean, covariance and steady-state
+computations of ``moments`` that took the dense ``expm_multiply``, Van
+Loan or Bartels-Stewart path instead of the arrowhead eigen-system).
+The counts are deterministic, so reruns stay byte-identical.  The
 column names and the data rows follow, floats at 17 significant digits
 and undefined cells empty; closing ``#`` lines hold the fitted or
 reference values of ``trailer`` (``pole_*``, ``panel_f_ratio_*``).  The
@@ -215,9 +218,10 @@ def _moments(o: dict):
     grid = discretize(spec, o["m"], params.g_ens, o["n_spins"])
     model = build_drift_matrix(params, grid, o["p"])
     y0, gamma0 = initial_state("tilted-spin", grid, theta=o["theta"])
-    means = evolve_mean(model, y0, times).means
+    mean_series = evolve_mean(model, y0, times)
     cov_series = evolve_covariance(model, gamma0, times, store_full=False)
     red = collective_reduce(cov_series, grid).reductions
+    means = mean_series.means
 
     N = o["n_spins"]
     sx = means[:, 2::2].sum(axis=1)
@@ -244,7 +248,8 @@ def _moments(o: dict):
         times, sx / sx[0], means[:, 1], red["var_S_x"] / N - 1.0,
         2.0 * red["var_P_c"] - 1.0, red["R"],
     )
-    return columns, rows, {}, trailer
+    header = {"moment_fallbacks": mean_series.fallbacks + cov_series.fallbacks}
+    return columns, rows, header, trailer
 
 
 def _spectrum(o: dict):

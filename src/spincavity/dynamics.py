@@ -3,14 +3,6 @@
 Mean values obey ``dy/dt = A y`` and covariances obey
 ``dgamma/dt = A gamma + gamma A^T + N_diag`` for the drift matrix ``A``
 and diagonal noise ``N_diag`` of a :class:`~spincavity.model.DriftModel`.
-Both are propagated exactly, with no step-size control.  Means use the
-action of the matrix exponential ``e^{A t} y0`` (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 488 (2011)).  Covariances use Van Loan's
-block-exponential identity (IEEE Trans. Autom. Control 23, 395
-(1978)), which gives the exact one-step pair
-``gamma(t + h) = Phi gamma(t) Phi^T + Q``.  The steady covariance comes
-from the algebraic Lyapunov equation and is only defined when the
-spectral abscissa of the drift is negative.
 
 The real drift is the realification of the complex (M+1) x (M+1)
 arrowhead matrix ``H`` of :attr:`DriftModel.arrowhead`, so its
@@ -29,6 +21,24 @@ iteration does not settle or the roots sit near an exceptional point.
 The partial-fraction expansion of ``1 / F`` gives the field after a
 cavity kick as ``a(t) / a(0) = sum_k e^{lambda_k t} / F'(lambda_k)``
 with no eigenvectors and no time stepping.
+
+The same roots give the eigenvectors of ``H`` in closed form, and
+every moment is propagated in that eigenbasis, exactly, on any time
+grid and with no step-size control: the means as
+``z(t) = V e^{Lambda t} V^{-1} z(0)``, the covariance as the
+multivariate Ornstein-Uhlenbeck solution (Gardiner, *Handbook of
+Stochastic Methods*) of the Hermitian amplitude covariance, and the
+steady covariance from the same eigen-system, each in O(M^2) per
+output time after an O(M^3) set-up of a few dense products.  Dense
+paths remain as gated fallbacks: near an exceptional point, with
+deflated poles, for a steady state that fails its Lyapunov residual
+check or for a quadrature-anisotropic initial covariance, means use the
+action of the matrix exponential ``e^{A t} y0`` (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488 (2011)), covariances Van Loan's
+block-exponential identity (IEEE Trans. Autom. Control 23, 395 (1978))
+for the exact one-step pair ``gamma(t + h) = Phi gamma(t) Phi^T + Q``,
+and the steady state Bartels-Stewart.  The steady covariance is only
+defined when the spectral abscissa of the drift is negative.
 """
 
 from __future__ import annotations
@@ -74,6 +84,10 @@ _ABERTH_MAX_ITER = 100
 # bytes of each complex (roots x sub-ensembles) work array
 _CHUNK_BYTES = 256 * 2**10
 
+# largest Lyapunov residual accepted from a steady state, relative to
+# the largest noise entry
+_LYAPUNOV_RTOL = 1e-10
+
 # order of the compact per-time variance track stored by
 # evolve_covariance: (Var Xc, Var Pc, Var Sx, Var Sy, <dSx dPc>, <dSy dXc>)
 _TRACK_KEYS = (
@@ -93,7 +107,11 @@ class MomentSeries:
     ``means`` has shape (T, dim); ``covariances`` (T, dim, dim) is only
     stored for small systems or on request, while ``var_track`` always
     records the collective second-moment reductions per output time for
-    covariance runs.  ``reductions`` is filled by
+    covariance runs, and ``steady_track`` the same six entries of the
+    steady covariance (NaN when the model is unstable).  ``fallbacks``
+    counts the computations behind the series that took a dense path
+    instead of the arrowhead eigen-system: the mean, or the covariance
+    and the steady state.  ``reductions`` is filled by
     :func:`collective_reduce`.
     """
 
@@ -103,6 +121,8 @@ class MomentSeries:
     covariances: np.ndarray | None = None
     var_track: np.ndarray | None = None
     reductions: dict | None = None
+    steady_track: np.ndarray | None = None
+    fallbacks: int = 0
 
 
 def _validate_times(times) -> np.ndarray:
@@ -163,12 +183,21 @@ def _pinned_global_rng():
 def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     """Propagate the mean vector through the output times.
 
+    In the amplitudes ``z = (a, s_1, ..., s_M)`` the means obey
+    ``dz/dt = H z`` with the arrowhead ``H``, so
+    ``z(t) = right e^{Lambda t} left z(0)`` with the closed-form
+    eigenvectors of :func:`_eigensystem`: O(M^2) to set up and O(M^2)
+    per output time, on any grid, with no dense ``eig`` and no stepping.
+    The real means are the real parts and the signed imaginary parts of
+    ``z``; the first row is ``y0`` itself.
+
+    Fallback: when the eigenvectors fail their gates (dense roots, a
+    deflated pole or the residue checks of :func:`_eigensystem`),
     ``y(t) = e^{A t} y0`` is evaluated by the truncated-Taylor action of
     the matrix exponential on the sparse drift
     (:func:`scipy.sparse.linalg.expm_multiply`, Al-Mohy & Higham 2011),
-    accurate to double precision with no step-size control.  A uniform
-    grid ``np.linspace(0, t_max, T)`` is served by one call over the
-    whole interval; any other grid takes one call per output interval.
+    one call over a uniform grid ``np.linspace(0, t_max, T)`` and one
+    per output interval on any other grid, and ``fallbacks`` is 1.
     """
     times = _validate_times(times)
     y0 = np.asarray(y0, dtype=float)
@@ -177,19 +206,38 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
             f"state length {y0.shape} does not match model dim {model.dim}"
         )
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
+    lam, vectors = _eigensystem(model)
+    if vectors is None:
+        return MomentSeries(
+            times=times, model=model, means=_expm_mean(model, y0, times),
+            fallbacks=1,
+        )
+    right, left = vectors
+    signs = _signs(lam.size)
+    weights = left @ (y0[0::2] + 1j * signs * y0[1::2])
+    ys = np.empty((times.size, y0.size))
+    for block in _row_blocks(times.size, lam.size):
+        amps = (np.exp(np.outer(times[block], lam)) * weights) @ right.T
+        ys[block, 0::2] = amps.real
+        ys[block, 1::2] = signs * amps.imag
+    ys[0] = y0
+    return MomentSeries(times=times, model=model, means=ys)
+
+
+def _expm_mean(model: DriftModel, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Means by ``expm_multiply`` on the sparse drift: the fallback path."""
     drift = sp.csr_matrix(model.drift)
     with _pinned_global_rng():
         if _is_uniform(times):
-            ys = expm_multiply(
+            return expm_multiply(
                 drift, y0, start=0.0, stop=times[-1], num=times.size,
                 endpoint=True,
             )
-        else:
-            ys = np.empty((times.size, y0.size))
-            ys[0] = y0
-            for k, dt in enumerate(np.diff(times), start=1):
-                ys[k] = expm_multiply(dt * drift, ys[k - 1])
-    return MomentSeries(times=times, model=model, means=ys)
+        ys = np.empty((times.size, y0.size))
+        ys[0] = y0
+        for k, dt in enumerate(np.diff(times), start=1):
+            ys[k] = expm_multiply(dt * drift, ys[k - 1])
+    return ys
 
 
 def _covariance_track(gamma: np.ndarray, M: int) -> np.ndarray:
@@ -244,15 +292,35 @@ def evolve_covariance(
 ) -> MomentSeries:
     """Propagate the covariance matrix through the output times.
 
-    Each output interval ``h`` is one exact step
+    The Hermitian amplitude covariance ``C = T gamma T^H`` obeys
+    ``dC/dt = H C + C H^H + D`` with diagonal ``D = T N T^H``, and the
+    anomalous part ``T gamma T^T`` has no source (the noise is equal on
+    both quadratures), so it stays zero from a quadrature-isotropic
+    ``gamma0`` and ``C`` alone fixes ``gamma``.  In the eigenbasis of
+    ``H`` (Gardiner, *Handbook of Stochastic Methods*, multivariate
+    Ornstein-Uhlenbeck process)
+    ``C~(t) = C~_inf + e^{Lambda t} (C~_0 - C~_inf) e^{Lambda^H t}``
+    with ``C~_inf,kl = -D~_kl / (lambda_k + conj(lambda_l))``.  The
+    six-entry variance track is a quarter of ``C_00``, ``1^T C_ss 1`` and
+    ``Im C_0s 1``, each one (T x K)(K x K) product over all output times
+    (:func:`_spectral_covariance`); any grid works.  The first row is
+    ``gamma0`` itself.
+
+    Fallback, counted in ``fallbacks``: when the eigenvectors fail their
+    gates (see :func:`_eigensystem`), when the steady state fails its
+    Lyapunov residual check or when ``gamma0`` is not quadrature-isotropic
+    (``|T gamma0 T^T|`` above 1e-12 of ``|C_0|``), each output interval
+    ``h`` is one exact step
     ``gamma <- Phi gamma Phi^T + Q`` with the sub-stepped Van Loan pair
-    of :func:`_van_loan_pair`; there is no step-size control and no
-    tolerance.  A uniform grid ``np.linspace(0, t_max, T)`` shares one
-    pair, any other grid takes one pair per interval.  The matrix is
-    re-symmetrized after every step.  Full (T, dim, dim) storage is kept
-    when ``store_full`` is true, defaulting to systems of dimension
-    <= 64; the collective variance track is recorded at every output
-    time regardless.
+    of :func:`_van_loan_pair` (one pair for a uniform grid), the matrix
+    re-symmetrized after every step.
+
+    Full (T, dim, dim) storage is kept when ``store_full`` is true,
+    defaulting to systems of dimension <= 64.  ``steady_track`` holds
+    the track of the steady covariance, from the same eigen-system or,
+    as in :func:`steady_state_covariance`, from Bartels-Stewart (a
+    second count in ``fallbacks``); it is NaN for an unstable model and
+    ``None`` when no steady state meets the Lyapunov residual bound.
     """
     times = _validate_times(times)
     dim = model.dim
@@ -269,6 +337,38 @@ def evolve_covariance(
         store_full = dim <= 64
 
     M = model.grid.size
+    lam, vectors = _eigensystem(model)
+    steady = None if vectors is None else _spectral_steady(model, lam, *vectors)
+    amp0, anomalous = _to_amplitudes(gamma0)
+    if steady is not None and np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max():
+        track, covs = _spectral_covariance(
+            times, lam, *vectors, steady, amp0, store_full
+        )
+        fallbacks = 0
+    else:
+        track, covs = _van_loan_covariance(model, gamma0, times, store_full)
+        fallbacks = 1
+    track[0] = _covariance_track(gamma0, M)
+    if store_full:
+        covs[0] = gamma0
+    try:
+        gamma_inf, dense = _steady_state(model, lam, steady)
+    except UnstableModelError:
+        steady_track = np.full(len(_TRACK_KEYS), np.nan)
+    except NumericalError:
+        steady_track = None  # no steady state meets the residual bound
+    else:
+        steady_track = _covariance_track(gamma_inf, M)
+        fallbacks += dense
+    return MomentSeries(
+        times=times, model=model, covariances=covs, var_track=track,
+        steady_track=steady_track, fallbacks=fallbacks,
+    )
+
+
+def _van_loan_covariance(model, gamma0, times, store_full) -> tuple:
+    """Track and optional matrices by Van Loan steps: the fallback path."""
+    dim, M = model.dim, model.grid.size
     drift, noise = model.drift, model.noise_diag
     steps = np.diff(times)
     if _is_uniform(times):
@@ -286,9 +386,7 @@ def evolve_covariance(
         track[k] = _covariance_track(gamma, M)
         if store_full:
             covs[k] = gamma
-    return MomentSeries(
-        times=times, model=model, covariances=covs, var_track=track
-    )
+    return track, covs
 
 
 def _row_blocks(rows: int, cols: int):
@@ -320,6 +418,13 @@ def _aberth_roots(shift: complex, poles: np.ndarray, weights: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots[0] = -shift
         roots[1:] = -poles + weights / (shift - poles)
+        # a pole at -shift has no weak-coupling seed; take the root of
+        # its 2 x 2 block (z + shift)(z + d) = w nearest -d instead
+        bad = ~np.isfinite(roots[1:])
+        gap, w = shift - poles[bad], weights[bad]
+        root = np.sqrt(gap * gap + 4.0 * w)
+        root = np.where((gap.conjugate() * root).real < 0.0, -root, root)
+        roots[1:][bad] = -poles[bad] + 2.0 * w / (gap + root)
     floor = max(abs(shift), float(np.abs(poles).max()))
     tol = 4.0 * np.finfo(float).eps
     active = np.arange(n + 1)
@@ -388,10 +493,13 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     cancellation near the pole and stays finite on it (the seed of a
     far-tail sub-ensemble can round onto its pole).  The seeds are
     the decoupled cavity root ``-c`` and the weak-coupling roots
-    ``-d_m + w_m / (c - d_m)``.  A root is frozen once its step is at
-    most ``4 eps max(|lambda_i|, |c|, max_m |d_m|)``: the absolute floor
-    stops roots near the band centre, which jitter at the rounding level
-    of ``F`` and never meet a purely relative test.  Each iteration costs
+    ``-d_m + w_m / (c - d_m)``; a pole with ``d_m = c``, where that seed
+    is infinite, is seeded with the root of its 2 x 2 block
+    ``(lambda + c)(lambda + d_m) = w_m`` nearest ``-d_m``.  A root is
+    frozen once its step is at most
+    ``4 eps max(|lambda_i|, |c|, max_m |d_m|)``: the absolute floor stops
+    roots near the band centre, which jitter at the rounding level of
+    ``F`` and never meet a purely relative test.  Each iteration costs
     O(M) per unfrozen root, with its (roots x M) work arrays cut into
     row blocks of at most ``_CHUNK_BYTES`` (256 KiB) each.
 
@@ -404,6 +512,11 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     error.  Returns ``(eigenvalues, fallback)``, ``fallback`` telling
     whether the dense path ran.
     """
+    return _roots(model)[:2]
+
+
+def _roots(model: DriftModel) -> tuple:
+    """:func:`arrowhead_eigenvalues` plus whether any pole was deflated."""
     poles, weights = _secular_terms(model)
     coupled = weights != 0.0
     merged, first, index = np.unique(
@@ -415,9 +528,9 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     shift = complex(model.params.kappa, model.params.delta_cs)
     roots = _aberth_roots(shift, merged, merged_weights)
     if roots is not None:
-        return np.concatenate([roots, -deflated]), False
+        return np.concatenate([roots, -deflated]), False, deflated.size > 0
     try:
-        return np.linalg.eigvals(model.arrowhead), True
+        return np.linalg.eigvals(model.arrowhead), True, deflated.size > 0
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
 
@@ -516,48 +629,206 @@ def field_kick_response(model: DriftModel, eigenvalues, times) -> tuple:
     return means[:, 0] + 1j * means[:, 1], True
 
 
+def _eigensystem(model: DriftModel) -> tuple:
+    """Arrowhead eigenvalues and, where they pass the gates, eigenvectors.
+
+    With ``b_m = H_0m``, ``c_m = H_m0`` and ``d_m = -H_mm`` the right
+    and left eigenvectors of the root ``lambda_k`` have the closed form
+    ``v_k = (1, c_m / (lambda_k + d_m))`` and
+    ``u_k = (1, b_m / (lambda_k + d_m)) / F'(lambda_k)``, normalized to
+    ``u_k v_k = 1`` because ``b_m c_m = p g_m^2 N_m``; building them costs
+    O(M^2) and no dense ``eig``.  Returns ``(lam, vectors)`` with
+    ``vectors = (right, left)``, the ``v_k`` as the columns of ``right``
+    and the ``u_k`` as the rows of ``left = right^{-1}``.  ``vectors`` is
+    ``None`` when the roots came from dense ``eigvals``, when a pole was
+    deflated (its eigenvector is not of this form), when
+    ``sum_k 1 / |F'(lambda_k)|`` exceeds ``_RESIDUE_BOUND`` or when the
+    residues miss ``sum_k 1 / F'(lambda_k) = (right left)_00 = 1`` by more
+    than 1e-10, the gates of :func:`field_kick_response`.
+    """
+    lam, dense, deflated = _roots(model)
+    if dense or deflated:
+        return lam, None
+    poles, weights = _secular_terms(model)
+    arrow = model.arrowhead
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cauchy = 1.0 / (lam + poles[:, None])  # 1 / (lambda_k + d_m)
+        residues = 1.0 / (1.0 + weights @ cauchy**2)  # 1 / F'(lambda_k)
+    if not (
+        np.all(np.isfinite(cauchy))
+        and np.abs(residues).sum() <= _RESIDUE_BOUND
+        and abs(residues.sum() - 1.0) <= 1e-10
+    ):
+        return lam, None
+    right = np.vstack([np.ones(lam.size), arrow[1:, :1] * cauchy])
+    left = np.hstack([np.ones((lam.size, 1)), cauchy.T * arrow[0, 1:]])
+    return lam, (right, left * residues[:, None])
+
+
+def _signs(size: int) -> np.ndarray:
+    """Sign of the second quadrature in each amplitude: ``s_m = S_x - i S_y``."""
+    signs = -np.ones(size)
+    signs[0] = 1.0
+    return signs
+
+
+def _to_amplitudes(gamma: np.ndarray) -> tuple:
+    """``C = T gamma T^H`` and the anomalous ``T gamma T^T``.
+
+    ``T`` maps the state to the amplitudes ``a = X_c + i P_c`` and
+    ``s_m = S_x - i S_y``.
+    """
+    signs = _signs(gamma.shape[0] // 2)
+    xx, xy = gamma[0::2, 0::2], gamma[0::2, 1::2] * signs
+    yx = signs[:, None] * gamma[1::2, 0::2]
+    yy = signs[:, None] * gamma[1::2, 1::2] * signs
+    return xx + yy + 1j * (yx - xy), xx - yy + 1j * (yx + xy)
+
+
+def _from_amplitudes(amp: np.ndarray) -> np.ndarray:
+    """Symmetric real covariance of a Hermitian ``C`` with no anomalous part."""
+    signs = _signs(amp.shape[0])
+    re, im = amp.real / 2.0, amp.imag / 2.0
+    gamma = np.empty((2 * amp.shape[0],) * 2)
+    gamma[0::2, 0::2] = re
+    gamma[1::2, 1::2] = signs[:, None] * re * signs
+    gamma[1::2, 0::2] = signs[:, None] * im
+    gamma[0::2, 1::2] = -im * signs
+    return (gamma + gamma.T) / 2.0
+
+
+def _spectral_steady(model: DriftModel, lam, right, left):
+    """Steady covariance in the eigenbasis and in amplitudes, or ``None``.
+
+    The amplitude noise ``D = T N T^H`` is diagonal, so
+    ``C~_kl = -D~_kl / (lambda_k + conj(lambda_l))`` with
+    ``D~ = left D left^H`` and ``C = right C~ right^H``.  ``None`` when
+    the Lyapunov residual of ``C``, formed in O(M^2) from the arrowhead's
+    structure, exceeds the bound of :func:`steady_state_covariance`.
+    """
+    noise = model.noise_diag[0::2] + model.noise_diag[1::2]
+    arrow = model.arrowhead
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tilde = -((left * noise) @ left.conj().T) / (lam[:, None] + lam.conj())
+        amp = right @ tilde @ right.conj().T
+        amp = (amp + amp.conj().T) / 2.0
+        product = np.diagonal(arrow)[:, None] * amp  # H C
+        product[0] += arrow[0, 1:] @ amp[1:]
+        product[1:] += arrow[1:, :1] * amp[0]
+        residual = product + product.conj().T + np.diag(noise)
+        # the real residual holds the halved real and imaginary parts
+        worst = max(np.abs(residual.real).max(), np.abs(residual.imag).max()) / 2.0
+    if not worst <= _LYAPUNOV_RTOL * model.noise_diag.max():
+        return None
+    return tilde, amp
+
+
+def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
+    """Variance track, and optionally the matrices, from the eigen-system.
+
+    ``C(t) = C_inf + right e^{Lambda t} (C~_0 - C~_inf) e^{Lambda^H t}
+    right^H`` with ``C~_0 = left C_0 left^H``.  The track needs only
+    ``C_00``, ``1^T C_ss 1`` and ``C_0s 1``, the forms ``x C~ y^H`` of
+    the field row ``x`` of ``right`` and the sum ``y`` of its spin rows;
+    on a block of output times each is one (times x K)(K x K) product
+    with ``e^{lambda_k t}`` folded into the rows, so any grid costs the
+    same.
+    """
+    tilde_inf, amp_inf = steady
+    diff = left @ amp0 @ left.conj().T - tilde_inf
+    field, spins = right[0], right[1:].sum(axis=0)
+    forms = np.empty((times.size, 3), dtype=complex)
+    for block in _row_blocks(times.size, lam.size):
+        growth = np.exp(np.outer(times[block], lam))
+        x, y = growth * field, growth * spins
+        xd = x @ diff
+        forms[block, 0] = (xd * x.conj()).sum(axis=1)
+        forms[block, 1] = ((y @ diff) * y.conj()).sum(axis=1)
+        forms[block, 2] = (xd * y.conj()).sum(axis=1)
+    forms += [amp_inf[0, 0], amp_inf[1:, 1:].sum(), amp_inf[0, 1:].sum()]
+    # (var X_c, var P_c), (var S_x, var S_y), (cov Sx Pc, cov Sy Xc)
+    track = np.repeat([forms[:, 0].real, forms[:, 1].real, forms[:, 2].imag], 2, 0)
+    covs = None
+    if store_full:
+        covs = np.empty((times.size, 2 * lam.size, 2 * lam.size))
+        for k, t in enumerate(times):
+            grown = right * np.exp(lam * t)
+            covs[k] = _from_amplitudes(amp_inf + grown @ diff @ grown.conj().T)
+    return track.T / 4.0, covs
+
+
 def steady_state_covariance(model: DriftModel) -> np.ndarray:
     """Solve the algebraic Lyapunov equation of the model.
 
-    Requires a strictly stable drift (spectral abscissa < 0); the
-    result is symmetrized and its residual is verified against the
-    noise scale, with one refinement pass before giving up.
+    Requires a strictly stable drift (spectral abscissa < 0).  The
+    steady covariance is ``C_inf = right C~_inf right^H`` from the
+    arrowhead eigen-system (see :func:`evolve_covariance`), realified;
+    its Lyapunov residual ``A gamma + gamma A^T + N``, formed in the
+    amplitudes in O(M^2), must stay within ``1e-10`` of the largest
+    noise entry.  When the eigenvectors fail their gates or the residual
+    check fails, the equation is solved by Bartels-Stewart
+    (:func:`scipy.linalg.solve_continuous_lyapunov`) with the spin
+    quadratures scaled by ``1 / sqrt(N_m)``, symmetrized and checked
+    against the same bound, with one refinement pass before giving up.
     """
-    abscissa = spectral_abscissa(model)
+    lam, vectors = _eigensystem(model)
+    steady = None
+    if vectors is not None and lam.real.max() < 0.0:
+        steady = _spectral_steady(model, lam, *vectors)
+    return _steady_state(model, lam, steady)[0]
+
+
+def _steady_state(model: DriftModel, lam, steady) -> tuple:
+    """Steady covariance and whether Bartels-Stewart produced it."""
+    abscissa = float(lam.real.max())
     if abscissa >= 0.0:
         raise UnstableModelError(
             "no steady state: spectral abscissa "
             f"{abscissa:.3e} >= 0 (second moments diverge)"
         )
-    noise = np.diag(model.noise_diag)
+    if steady is not None:
+        return _from_amplitudes(steady[1]), False
+    # solved with the spin quadratures scaled by 1 / sqrt(N_m): unscaled,
+    # the couplings span sqrt(N) to 1 / sqrt(N), and at N = 1e11 the
+    # solver returns a negative field variance that passes the residual
+    spins = np.repeat(model.grid.spins, 2)
+    scale = np.ones(model.dim)
+    scale[2:] = 1.0 / np.sqrt(np.where(spins > 0.0, spins, 1.0))
+    scales = np.outer(scale, scale)
     drift = model.drift
-    gamma = solve_continuous_lyapunov(drift, -noise)
-    gamma = (gamma + gamma.T) / 2.0
-    tol = 1e-10 * model.noise_diag.max()
+    balanced = scale[:, None] * drift / scale
+
+    def solve(source):
+        """``gamma`` with ``A gamma + gamma A^T + source = 0``."""
+        gamma = solve_continuous_lyapunov(balanced, -scales * source)
+        return (gamma + gamma.T) / (2.0 * scales)
+
+    noise = np.diag(model.noise_diag)
+    gamma = solve(noise)
+    tol = _LYAPUNOV_RTOL * model.noise_diag.max()
     residual = drift @ gamma + gamma @ drift.T + noise
     if np.abs(residual).max() > tol:
-        correction = solve_continuous_lyapunov(drift, -residual)
-        gamma = gamma + (correction + correction.T) / 2.0
+        gamma = gamma + solve(residual)
         residual = drift @ gamma + gamma @ drift.T + noise
         if np.abs(residual).max() > tol:
             raise NumericalError(
                 "Lyapunov residual "
                 f"{np.abs(residual).max():.3e} exceeds {tol:.3e}"
             )
-    return gamma
+    return gamma, True
 
 
 def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeries:
     """Fill the collective reductions of a moment series.
 
     Mean-level records (X_c, P_c, S_x, S_y) come from stored means;
-    variance records come from the propagation-time variance track,
-    which :func:`evolve_covariance` takes from the same matrices it
-    stores.  The steady collective
-    variances ``var_S_x_inf`` and ``var_P_c_inf`` and the relaxation
-    ratio ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))`` of the
-    collective S_x variance are filled when the model is stable and are
-    NaN-flagged otherwise.
+    variance records come from the propagation-time variance track and
+    the steady variances ``var_S_x_inf`` and ``var_P_c_inf`` from the
+    steady track, both recorded by :func:`evolve_covariance`, so the
+    model is not solved again.  The relaxation ratio
+    ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))`` of the collective
+    S_x variance is NaN-flagged, like the steady variances, when the
+    model is unstable.
     """
     if grid.size != series.model.grid.size:
         raise PreconditionError("grid does not match the series' model")
@@ -571,21 +842,19 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
         red["S_y"] = series.means[:, ix + 1].sum(axis=1)
     track = series.var_track
     if track is not None:
+        steady = series.steady_track
+        if steady is None:
+            # not recorded: solving again raises the residual failure
+            steady = _covariance_track(steady_state_covariance(series.model), M)
         for k, key in enumerate(_TRACK_KEYS):
             red[key] = track[:, k].copy()
         var_sx = red["var_S_x"]
-        try:
-            gamma_inf = steady_state_covariance(series.model)
-        except UnstableModelError:
-            red["var_S_x_inf"] = red["var_P_c_inf"] = np.nan
+        var_inf = steady[_TRACK_KEYS.index("var_S_x")]
+        red["var_S_x_inf"] = var_inf
+        red["var_P_c_inf"] = steady[_TRACK_KEYS.index("var_P_c")]
+        denom = var_inf - var_sx[0]
+        if np.isnan(denom) or denom == 0.0:
             red["R"] = np.full(series.times.size, np.nan)
         else:
-            var_inf = gamma_inf[np.ix_(ix, ix)].sum() / 2.0
-            red["var_S_x_inf"] = var_inf
-            red["var_P_c_inf"] = gamma_inf[1, 1] / 2.0
-            denom = var_inf - var_sx[0]
-            if denom == 0.0:
-                red["R"] = np.full(series.times.size, np.nan)
-            else:
-                red["R"] = (var_inf - var_sx) / denom
+            red["R"] = (var_inf - var_sx) / denom
     return replace(series, reductions=red)

@@ -27,7 +27,9 @@ from spincavity import (
 )
 from spincavity import cli
 
-from conftest import expm_mean, fit_exponential_rate
+from conftest import (
+    dp45_covariance, expm_mean, fit_exponential_rate, lyapunov_oracle,
+)
 
 SIGMA_UNIT = math.sqrt(math.pi / 2.0)
 
@@ -90,7 +92,7 @@ ADDED_KEYS = {
     "decay": {
         "Gamma", "kick_response_fallbacks", "pole_rate_re", "pole_rate_im",
     },
-    "moments": {"panel_f_ratio_sx", "panel_f_ratio_pc"},
+    "moments": {"moment_fallbacks", "panel_f_ratio_sx", "panel_f_ratio_pc"},
     "spectrum": {"invalid_rows"},
     "stability-sweep": {
         "windowed_verdict", "kick_response_fallbacks", "eigensolver_fallbacks",
@@ -232,6 +234,12 @@ class TestDecay:
         assert code == 2
 
 
+STABLE_MOMENTS = [
+    "moments", "--family", "gaussian", "--normalize-gamma", "--gamma-perp",
+    "0.2", "--kappa", "8", "--g-ens", "1.9",
+]
+
+
 class TestMoments:
     def test_schema_and_panel_ratios(self, tmp_path):
         out = tmp_path / "moments.csv"
@@ -256,6 +264,52 @@ class TestMoments:
         assert manifest["panel_f_ratio_sx"] == pytest.approx(
             float(trailing["panel_f_ratio_sx"]), rel=1e-15
         )
+
+    def test_gaussian_variance_columns_match_dp45_oracle(self, tmp_path):
+        out = tmp_path / "moments.csv"
+        # C = 0.45; at M = 41 a dephasing of 0.02 would leave the
+        # discretized model unstable
+        code = run_cli(STABLE_MOMENTS + [
+            "--m", "41", "--t-max", "3", "--t-samples", "13", "--out", out,
+        ])
+        assert code == 0
+        manifest = json.loads((tmp_path / "moments.csv.manifest.json").read_text())
+        assert manifest["moment_fallbacks"] == 0
+        _, columns, rows, _ = read_table(out)
+        table = np.array([[cell(value) for value in row] for row in rows])
+        params = SystemParams(kappa=8.0, gamma_perp=0.2, g_ens=1.9)
+        n = manifest["n_spins"]
+        grid = discretize(BroadeningSpec("gaussian", manifest["width"]), 41, 1.9, n)
+        model = build_drift_matrix(params, grid, 1)
+        _, gamma0 = initial_state("tilted-spin", grid, theta=manifest["theta"])
+        times = table[:, columns.index("t")]
+        gammas = dp45_covariance(model.drift, model.noise_diag, gamma0, times)
+        ix = 2 + 2 * np.arange(grid.size)
+        var_sx = gammas[:, ix][:, :, ix].sum(axis=(1, 2)) / 2.0
+        var_sx_inf = lyapunov_oracle(model)[np.ix_(ix, ix)].sum() / 2.0
+        expected = {
+            "VarSx_over_N_minus_1": var_sx / n - 1.0,
+            "twoVarPc_minus_1": gammas[:, 1, 1] - 1.0,
+            "R": (var_sx_inf - var_sx) / (var_sx_inf - var_sx[0]),
+        }
+        for name, want in expected.items():
+            got = table[:, columns.index(name)]
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), name
+
+    def test_records_the_moment_fallbacks(self, tmp_path, monkeypatch):
+        args = STABLE_MOMENTS + ["--m", "21", "--t-max", "1", "--t-samples", "5"]
+        assert run_cli(args + ["--out", tmp_path / "spectral.csv"]) == 0
+        # mean, covariance and steady state all take their dense paths
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        assert run_cli(args + ["--out", tmp_path / "dense.csv"]) == 0
+        spectral, dense = (read_table(tmp_path / name)
+                           for name in ("spectral.csv", "dense.csv"))
+        assert spectral[0]["moment_fallbacks"] == "0"
+        assert dense[0]["moment_fallbacks"] == "3"
+        for column in range(1, len(spectral[1])):
+            want = np.array([cell(row[column]) for row in spectral[2]])
+            got = np.array([cell(row[column]) for row in dense[2]])
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
     def test_unstable_leaves_r_empty(self, tmp_path):
         out = tmp_path / "moments.csv"

@@ -43,6 +43,7 @@ from conftest import (
     dp45_covariance,
     expm_mean,
     fit_exponential_rate,
+    lyapunov_oracle,
     vanloan_covariance,
 )
 
@@ -58,6 +59,34 @@ def small_model(spec=LOR, m=5, kappa=4.0, gamma_perp=0.2, g_ens=1.5, p=1,
     )
     grid = discretize(spec, m, g_ens, n)
     return build_drift_matrix(params, grid, p), grid
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Counts of the dense paths the arrowhead eigen-system replaces."""
+    calls = {"van_loan": 0, "bartels_stewart": 0, "expm_multiply": 0}
+    for key, name in [
+        ("van_loan", "_van_loan_pair"),
+        ("bartels_stewart", "solve_continuous_lyapunov"),
+        ("expm_multiply", "expm_multiply"),
+    ]:
+        def counted(*args, _key=key, _run=getattr(dynamics, name), **kwargs):
+            calls[_key] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+NO_DENSE_CALLS = {"van_loan": 0, "bartels_stewart": 0, "expm_multiply": 0}
+
+
+def assert_matches_dp45(model, gamma0, times, series):
+    """Stored covariances within 1e-8 of each time's DP45 oracle peak."""
+    reference = dp45_covariance(model.drift, model.noise_diag, gamma0, times)
+    error = np.abs(series.covariances - reference).max(axis=(1, 2))
+    scale = np.abs(reference).max(axis=(1, 2))
+    assert np.all(error <= 1e-8 * scale)
 
 
 class TestEvolveMean:
@@ -127,6 +156,24 @@ class TestEvolveMean:
         assert draw == np.random.random()
         assert np.array_equal(first, second)
 
+    def test_expm_multiply_fallback(self, monkeypatch, dense_calls):
+        # every eigen-system gate closed: the fallback's per-interval
+        # branch runs, and its 1-norm estimator's draws from the global
+        # stream are pinned and undone
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        model, grid = small_model(spec=LOR, m=41, delta_cs=0.5)
+        y0, _ = initial_state("field-kick", grid, alpha=1.0)
+        times = np.array([0.0, 0.1, 0.25, 1.0, 2.9, 3.0])
+        np.random.seed(7)
+        series = evolve_mean(model, y0, times)
+        draw = np.random.random()
+        np.random.seed(7)
+        assert draw == np.random.random()
+        assert series.fallbacks == 1 and dense_calls["expm_multiply"] == 5
+        reference = expm_mean(model.drift, y0, times)
+        scale = np.abs(reference).max()
+        assert np.max(np.abs(series.means - reference)) <= 1e-8 * scale
+
     def test_time_grid_validation(self):
         model, grid = small_model()
         y0, _ = initial_state("vacuum", grid)
@@ -149,10 +196,15 @@ class TestEvolveCovariance:
         assert np.max(np.abs(series.covariances - reference)) <= 1e-6 * scale
 
     @pytest.mark.parametrize(
-        "case",
-        ["coarse-grid", "unstable", "zero-dephasing", "nonuniform-grid"],
+        "case, path",
+        [pytest.param(case, path,
+                      id=case if path == "spectral" else f"{case}-{path}")
+         for path in ("spectral", "van-loan")
+         for case in ("coarse-grid", "unstable", "zero-dephasing",
+                      "nonuniform-grid")],
     )
-    def test_matches_dp45_oracle_at_hard_edges(self, case):
+    def test_matches_dp45_oracle_at_hard_edges(self, case, path, dense_calls,
+                                               monkeypatch):
         if case == "coarse-grid":
             # one step with ||A||_1 h in the hundreds: a single
             # exponential of the Van Loan block overflows here
@@ -171,14 +223,16 @@ class TestEvolveCovariance:
         else:
             model, grid = small_model(spec=LOR, m=5, delta_cs=0.5)
             times = np.array([0.0, 0.1, 0.25, 1.0, 2.9, 3.0])
+        if path == "van-loan":
+            monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
         series = evolve_covariance(model, gamma0, times, store_full=True)
-        reference = dp45_covariance(
-            model.drift, model.noise_diag, gamma0, times
-        )
-        error = np.abs(series.covariances - reference).max(axis=(1, 2))
-        scale = np.abs(reference).max(axis=(1, 2))
-        assert np.all(error <= 1e-8 * scale)
+        if path == "spectral":
+            # the arrowhead eigen-system, not a dense fallback, gave the result
+            assert series.fallbacks == 0 and dense_calls == NO_DENSE_CALLS
+        else:
+            assert series.fallbacks >= 1 and dense_calls["van_loan"] >= 1
+        assert_matches_dp45(model, gamma0, times, series)
 
     def test_decoupled_cavity_variance_relaxation(self):
         model, grid = small_model(g_ens=0.0, kappa=2.0, gamma_perp=0.0)
@@ -212,6 +266,152 @@ class TestEvolveCovariance:
         bad[0, 1] = 0.5
         with pytest.raises(PreconditionError):
             evolve_covariance(model, bad, np.linspace(0.0, 1.0, 3))
+
+
+class TestSpectralMoments:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["homogeneous", "lorentzian", "gaussian"]),
+        p=st.sampled_from([1, -1]),
+        c=st.one_of(
+            st.floats(0.02, 3.0),
+            st.sampled_from([1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9]),
+        ),
+        log_kappa=st.floats(np.log(0.1), np.log(20.0)),
+        gamma_perp=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+        log10_n=st.floats(0.0, 12.0),
+        m=st.sampled_from([5, 15]),
+    )
+    def test_matches_dp45_and_lyapunov_oracles(self, family, p, c, log_kappa,
+                                               gamma_perp, log10_n, m):
+        # kappa and g_ens in units of the characteristic width Gamma; a
+        # homogeneous model has one sub-ensemble (more would be deflated)
+        if family == "homogeneous":
+            spec, m, gamma_perp = HOM, 1, max(gamma_perp, 0.01)
+        else:
+            spec = BroadeningSpec(family, 1.2)
+        Gamma = characteristic_width(spec, gamma_perp)
+        kappa = np.exp(log_kappa) * Gamma
+        g_ens = np.sqrt(c * kappa * Gamma)
+        model, grid = small_model(spec=spec, m=m, kappa=kappa,
+                                  gamma_perp=gamma_perp, g_ens=g_ens, p=p,
+                                  n=10.0**log10_n)
+        t_max = 2.0 / Gamma
+        if grid.spacing is not None and gamma_perp == 0.0:
+            t_max = min(t_max, 0.5 * np.pi / grid.spacing)  # revival guard
+        times = np.linspace(0.0, t_max, 5)
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        series = evolve_covariance(model, gamma0, times, store_full=True)
+        assert_matches_dp45(model, gamma0, times, series)
+        means = evolve_mean(model, y0, times).means
+        reference = expm_mean(model.drift, y0, times)
+        assert np.abs(means - reference).max() <= 1e-8 * np.abs(reference).max()
+        if spectral_abscissa(model) >= 0.0:
+            assert np.all(np.isnan(series.steady_track))
+            return
+        reference = lyapunov_oracle(model)
+        try:
+            gamma = steady_state_covariance(model)
+        except NumericalError:
+            # close to threshold the steady state is so large that the
+            # rounding of A gamma alone comes within 100x of the bound
+            rounding = (np.finfo(float).eps * np.abs(model.drift).sum(axis=1).max()
+                        * np.abs(reference).max())
+            assert rounding >= 1e-12 * model.noise_diag.max()
+            assert series.steady_track is None
+            return
+        assert np.abs(gamma - reference).max() <= 1e-8 * np.abs(reference).max()
+        assert_allclose(series.steady_track, dynamics._covariance_track(gamma, m),
+                        rtol=1e-12, atol=1e-12 * np.abs(gamma).max())
+
+    @pytest.mark.parametrize("case", ["exceptional-point", "decoupled"])
+    def test_dense_fallbacks_run_and_match_oracles(self, case, dense_calls):
+        if case == "exceptional-point":
+            # the double root lambda = -2 of (lambda + 3)(lambda + 1) = -1
+            model, grid = small_model(spec=HOM, m=1, kappa=3.0,
+                                      gamma_perp=1.0, g_ens=1.0, p=-1)
+        else:
+            model, grid = small_model(g_ens=0.0, kappa=2.0, gamma_perp=0.4)
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        times = np.linspace(0.0, 2.0, 9)
+        series = evolve_covariance(model, gamma0, times, store_full=True)
+        assert series.fallbacks == 2  # covariance and steady state
+        assert dense_calls["van_loan"] == 1
+        assert dense_calls["bartels_stewart"] >= 1
+        assert_matches_dp45(model, gamma0, times, series)
+        gamma = steady_state_covariance(model)
+        residual = model.drift @ gamma + gamma @ model.drift.T + model.noise
+        assert np.abs(residual).max() <= 1e-10 * model.noise_diag.max()
+        mean_series = evolve_mean(model, y0, times)
+        assert mean_series.fallbacks == 1 and dense_calls["expm_multiply"] >= 1
+        reference = expm_mean(model.drift, y0, times)
+        assert np.abs(mean_series.means - reference).max() <= (
+            1e-8 * np.abs(reference).max()
+        )
+
+    def test_anisotropic_initial_covariance_takes_van_loan(self, dense_calls):
+        model, grid = small_model(spec=GAUSS, m=7, delta_cs=0.5)
+        _, gamma0 = initial_state("vacuum", grid)
+        gamma0 = gamma0.copy()
+        gamma0[0, 0], gamma0[1, 1] = 4.0, 0.25  # a squeezed field
+        times = np.linspace(0.0, 2.0, 9)
+        series = evolve_covariance(model, gamma0, times, store_full=True)
+        # the steady state does not depend on gamma0 and stays spectral
+        assert series.fallbacks == 1
+        assert dense_calls == {**NO_DENSE_CALLS, "van_loan": 1}
+        assert_matches_dp45(model, gamma0, times, series)
+
+    def test_residual_gate_sends_the_steady_state_to_bartels_stewart(
+        self, monkeypatch, dense_calls
+    ):
+        model, _ = small_model(m=7, g_ens=1.2)
+        steady_state_covariance(model)
+        assert dense_calls == NO_DENSE_CALLS
+        # no residual passes a zero bound: the eigen-system's steady state
+        # is refused, then Bartels-Stewart and its refinement pass
+        monkeypatch.setattr(dynamics, "_LYAPUNOV_RTOL", 0.0)
+        with pytest.raises(NumericalError):
+            steady_state_covariance(model)
+        assert dense_calls["bartels_stewart"] == 2
+
+    @pytest.mark.parametrize("path", ["spectral", "bartels-stewart"])
+    @pytest.mark.parametrize(
+        "spec, m, kappa, gamma_perp, g_ens, n",
+        [(HOM, 1, 0.05, 0.01, 0.01, 1e11),
+         (GAUSS, 41, 2.0, 0.3, 3.0, 1e6),
+         (LOR, 9, 0.5, 0.05, 1.0, 1e12)],
+        ids=["homogeneous-N1e11", "gaussian", "lorentzian-N1e12"],
+    )
+    def test_ground_state_ensemble_relaxes_to_vacuum(
+        self, spec, m, kappa, gamma_perp, g_ens, n, path, monkeypatch,
+        dense_calls,
+    ):
+        # with p = -1 the vacuum covariance solves the Lyapunov equation
+        # exactly: the field-spin sources cancel term by term.  Unscaled,
+        # Bartels-Stewart misses it by 1e-5 in the Lorentzian case.
+        model, grid = small_model(spec=spec, m=m, kappa=kappa,
+                                  gamma_perp=gamma_perp, g_ens=g_ens, p=-1,
+                                  n=n)
+        if path == "bartels-stewart":
+            monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        _, vacuum = initial_state("vacuum", grid)
+        gamma = steady_state_covariance(model)
+        assert (dense_calls["bartels_stewart"] > 0) == (path == "bartels-stewart")
+        assert np.abs(gamma - vacuum).max() <= 1e-10 * vacuum.max()
+
+    def test_means_and_track_on_any_grid(self):
+        model, grid = small_model(spec=GAUSS, m=21, gamma_perp=0.1, g_ens=1.0)
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        times = np.array([0.0, 0.05, 0.3, 0.31, 2.0, 4.5])
+        series = evolve_covariance(model, gamma0, times)
+        uniform = evolve_covariance(model, gamma0, np.linspace(0.0, 4.5, 91))
+        assert series.fallbacks == uniform.fallbacks == 0
+        assert_allclose(series.var_track[-1], uniform.var_track[-1], rtol=1e-12)
+        assert np.all(np.isfinite(series.steady_track))
+        assert np.array_equal(series.steady_track, uniform.steady_track)
+        means = evolve_mean(model, y0, times).means
+        reference = expm_mean(model.drift, y0, times)
+        assert np.abs(means - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestSteadyState:
@@ -462,6 +662,21 @@ class TestSecularSolver:
         assert np.count_nonzero(lam == -(0.3 + 1j)) == 1
         assert np.count_nonzero(lam == -(0.3 + 0j)) == 1
 
+    @pytest.mark.parametrize("p", [1, -1])
+    @pytest.mark.parametrize("kappa, g_ens", [(1.0, np.sqrt(2.0)), (1.0, 1.5),
+                                             (2.0, 2.0 * np.sqrt(2.0))])
+    def test_cavity_on_a_pole(self, kappa, g_ens, p):
+        # kappa = gamma_perp puts -(kappa + i delta_cs) on the pole, where
+        # the weak-coupling seed w / (c - d) is infinite
+        model, _ = small_model(spec=HOM, m=1, kappa=kappa, gamma_perp=kappa,
+                               g_ens=g_ens, p=p)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        # (lambda + kappa)^2 = p g_ens^2
+        closed = -kappa + np.array([1.0, -1.0]) * np.sqrt(complex(p * g_ens**2))
+        distance = np.abs(np.sort_complex(lam) - np.sort_complex(closed))
+        assert distance.max() <= 4 * np.finfo(float).eps * np.abs(closed).max()
+
     def test_seed_that_rounds_onto_its_pole(self):
         # a far-tail sub-ensemble so weakly coupled that its seed
         # -d_m + w_m / (c - d_m) rounds to the pole -d_m itself
@@ -653,6 +868,24 @@ class TestCollectiveReduce:
             assert series.reductions["var_P_c"][k] == pytest.approx(
                 gamma[1, 1] / 2, rel=1e-12
             )
+
+    def test_steady_values_come_from_the_stored_track(self, monkeypatch):
+        model, grid = small_model(spec=GAUSS, m=9, gamma_perp=0.3, g_ens=1.0)
+        _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        series = evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 5))
+        gamma = steady_state_covariance(model)
+
+        def solve_again(*args):
+            raise AssertionError("collective_reduce solved the model again")
+
+        monkeypatch.setattr(dynamics, "steady_state_covariance", solve_again)
+        monkeypatch.setattr(dynamics, "_steady_state", solve_again)
+        red = collective_reduce(series, grid).reductions
+        ix = 2 + 2 * np.arange(grid.size)
+        assert red["var_S_x_inf"] == pytest.approx(
+            gamma[np.ix_(ix, ix)].sum() / 2, rel=1e-12
+        )
+        assert red["var_P_c_inf"] == pytest.approx(gamma[1, 1] / 2, rel=1e-12)
 
     def test_unstable_marks_r_undefined(self):
         model, grid = small_model(spec=HOM, m=1, kappa=1.0, gamma_perp=1.0,
