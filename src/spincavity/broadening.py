@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 
 __all__ = [
     "BroadeningFamily",
@@ -258,7 +257,66 @@ def solve_width_for_gamma(
         hi *= 2.0
         if hi > 1e12 * gamma:
             raise PreconditionError("no Gaussian width realizes this gamma")
-    return float(brentq(mismatch, lo, hi, xtol=1e-15 * gamma, rtol=8.9e-16))
+    return float(_brentq(mismatch, lo, hi, xtol=1e-15 * gamma, rtol=8.9e-16))
+
+
+def _brentq(f, xpre, xcur, xtol, rtol, maxiter=100):
+    """Root of ``f`` in the sign-changing bracket ``[xpre, xcur]``.
+
+    Brent's method (Brent, *Algorithms for Minimization Without
+    Derivatives*, 1973, ch. 4) as a line-by-line port of scipy's
+    ``brentq.c``, so it returns the bits of
+    :func:`scipy.optimize.brentq` for equal arguments: inverse quadratic
+    or secant steps while they shrink fast enough, bisection otherwise,
+    and never a step below ``delta = (xtol + rtol |x|) / 2``.  Raises
+    :class:`PreconditionError` for an unbracketed interval and
+    :class:`ConvergenceError` after ``maxiter`` iterations.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise PreconditionError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ConvergenceError(
+        f"Brent's method did not converge in {maxiter} iterations"
+    )
 
 
 def discretize(

@@ -37,20 +37,20 @@ action of the matrix exponential ``e^{A t} y0`` (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 488 (2011)), covariances Van Loan's
 block-exponential identity (IEEE Trans. Autom. Control 23, 395 (1978))
 for the exact one-step pair ``gamma(t + h) = Phi gamma(t) Phi^T + Q``,
-and the steady state Bartels-Stewart.  The steady covariance is only
+and the steady state Bartels-Stewart.  The fallbacks import scipy
+inside the functions that run them, so the package imports, and its
+eigen-system paths run, with numpy alone.  The steady covariance is only
 defined when the spectral abscissa of the drift is negative.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm, solve_continuous_lyapunov
-from scipy.sparse.linalg import expm_multiply
 
 from .broadening import BroadeningFamily, SubEnsembleGrid
 from .errors import (
@@ -87,6 +87,10 @@ _CHUNK_BYTES = 256 * 2**10
 # largest Lyapunov residual accepted from a steady state, relative to
 # the largest noise entry
 _LYAPUNOV_RTOL = 1e-10
+
+# the last _eigensystem: [weak reference to its model, the gate
+# constants it was found under, the result], or empty
+_MEMO: list = []
 
 # order of the compact per-time variance track stored by
 # evolve_covariance: (Var Xc, Var Pc, Var Sx, Var Sy, <dSx dPc>, <dSy dXc>)
@@ -226,7 +230,10 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
 
 def _expm_mean(model: DriftModel, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Means by ``expm_multiply`` on the sparse drift: the fallback path."""
-    drift = sp.csr_matrix(model.drift)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import expm_multiply
+
+    drift = csr_matrix(model.drift)
     with _pinned_global_rng():
         if _is_uniform(times):
             return expm_multiply(
@@ -267,6 +274,8 @@ def _van_loan_pair(drift: np.ndarray, noise: np.ndarray, h: float):
     the pair is then doubled ``k`` times:
     ``Q(2s) = Phi(s) Q(s) Phi(s)^T + Q(s)``, ``Phi(2s) = Phi(s)^2``.
     """
+    from scipy.linalg import expm
+
     dim = drift.shape[0]
     norm_h = np.abs(drift).sum(axis=0).max() * h
     k = math.ceil(math.log2(norm_h)) if norm_h > 1.0 else 0
@@ -421,10 +430,20 @@ def _aberth_roots(shift: complex, poles: np.ndarray, weights: np.ndarray):
         # a pole at -shift has no weak-coupling seed; take the root of
         # its 2 x 2 block (z + shift)(z + d) = w nearest -d instead
         bad = ~np.isfinite(roots[1:])
+        # one real pole and a real shift give real seeds, which the
+        # iteration never moves off the real axis: a complex pair of
+        # roots is seeded from the block as well
+        pair = (
+            n == 1 and shift.imag == poles[0].imag == 0.0 and not bad[0]
+            and (shift - poles[0]).real ** 2 + 4.0 * weights[0] < 0.0
+        )
+        bad[0] |= pair
         gap, w = shift - poles[bad], weights[bad]
         root = np.sqrt(gap * gap + 4.0 * w)
         root = np.where((gap.conjugate() * root).real < 0.0, -root, root)
         roots[1:][bad] = -poles[bad] + 2.0 * w / (gap + root)
+        if pair:
+            roots[0] = -shift - 2.0 * w[0] / (gap[0] + root[0])
     floor = max(abs(shift), float(np.abs(poles).max()))
     tol = 4.0 * np.finfo(float).eps
     active = np.arange(n + 1)
@@ -495,7 +514,10 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     the decoupled cavity root ``-c`` and the weak-coupling roots
     ``-d_m + w_m / (c - d_m)``; a pole with ``d_m = c``, where that seed
     is infinite, is seeded with the root of its 2 x 2 block
-    ``(lambda + c)(lambda + d_m) = w_m`` nearest ``-d_m``.  A root is
+    ``(lambda + c)(lambda + d_m) = w_m`` nearest ``-d_m``, and a single
+    real pole with a real ``c`` has both roots seeded from that block when
+    they are a complex pair, which its real seeds would never reach (the
+    iteration keeps real seeds real).  A root is
     frozen once its step is at most
     ``4 eps max(|lambda_i|, |c|, max_m |d_m|)``: the absolute floor stops
     roots near the band centre, which jitter at the rounding level of
@@ -645,7 +667,27 @@ def _eigensystem(model: DriftModel) -> tuple:
     ``sum_k 1 / |F'(lambda_k)|`` exceeds ``_RESIDUE_BOUND`` or when the
     residues miss ``sum_k 1 / F'(lambda_k) = (right left)_00 = 1`` by more
     than 1e-10, the gates of :func:`field_kick_response`.
+
+    The last result is kept, read-only, for as long as its model lives,
+    so the means and the covariance of one model share one solve.
     """
+    key = (_RESIDUE_BOUND, _ABERTH_MAX_ITER)
+    if _MEMO and _MEMO[0]() is model and _MEMO[1] == key:
+        return _MEMO[2]
+    _MEMO.clear()
+    result = _solve_eigensystem(model)
+    for array in (result[0], *(result[1] or ())):
+        array.flags.writeable = False
+    _MEMO.extend([weakref.ref(model, _forget), key, result])
+    return result
+
+
+def _forget(ref):
+    if _MEMO and _MEMO[0] is ref:
+        _MEMO.clear()
+
+
+def _solve_eigensystem(model: DriftModel) -> tuple:
     lam, dense, deflated = _roots(model)
     if dense or deflated:
         return lam, None
@@ -800,6 +842,8 @@ def _steady_state(model: DriftModel, lam, steady) -> tuple:
 
     def solve(source):
         """``gamma`` with ``A gamma + gamma A^T + source = 0``."""
+        from scipy.linalg import solve_continuous_lyapunov
+
         gamma = solve_continuous_lyapunov(balanced, -scales * source)
         return (gamma + gamma.T) / (2.0 * scales)
 

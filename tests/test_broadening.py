@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import wofz
 
+import spincavity.broadening as broadening
 from spincavity import (
     BroadeningFamily,
     BroadeningSpec,
+    ConvergenceError,
     DomainError,
     PreconditionError,
     characteristic_width,
@@ -157,6 +160,43 @@ class TestSolveWidth:
         # a Lorentzian cannot be narrower than its homogeneous floor
         with pytest.raises(PreconditionError):
             solve_width_for_gamma(BroadeningFamily.LORENTZIAN, 0.5, 0.6)
+
+
+class TestBrentPort:
+    @given(
+        log10_gamma=st.floats(-3.0, 3.0),
+        ratio=st.one_of(
+            st.just(0.0),
+            st.floats(1e-12, 1.0 - 1e-4),
+            st.floats(-12.0, np.log10(1.0 - 1e-4)).map(lambda e: 10.0**e),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_scipy_brentq(self, log10_gamma, ratio):
+        # both solvers on solve_width_for_gamma's own mismatch and bracket
+        gamma = 10.0**log10_gamma
+        port, solves = broadening._brentq, []
+
+        def both(f, lo, hi, xtol, rtol):
+            ours = port(f, lo, hi, xtol, rtol)
+            solves.append((ours, brentq(f, lo, hi, xtol=xtol, rtol=rtol)))
+            return ours
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(broadening, "_brentq", both)
+            solve_width_for_gamma(BroadeningFamily.GAUSSIAN, gamma, ratio * gamma)
+        [(ours, theirs)] = solves
+        assert type(ours) is float
+        assert ours == theirs
+
+    def test_unbracketed_interval_is_rejected(self):
+        with pytest.raises(PreconditionError):
+            broadening._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+
+    def test_exhausted_iteration_cap_raises(self):
+        with pytest.raises(ConvergenceError):
+            broadening._brentq(lambda x: x - 0.3, 0.0, 1.0, 1e-12, 8.9e-16,
+                               maxiter=0)
 
 
 class TestDensity:

@@ -56,6 +56,25 @@ def run_cli(args):
     return cli.main([str(a) for a in args])
 
 
+def source_env():
+    """Environment in which a fresh interpreter imports this package."""
+    package_root = str(Path(spincavity.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def assert_columns_match(want_path, got_path):
+    """Every data column within 1e-8 of its peak in ``want_path``."""
+    want_rows, got_rows = (read_table(path)[2] for path in (want_path, got_path))
+    for column in range(1, len(want_rows[0])):
+        want = np.array([cell(row[column]) for row in want_rows])
+        got = np.array([cell(row[column]) for row in got_rows])
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
 LOR_DECAY = [
     "decay", "--family", "lorentzian", "--width", "1.6", "--gamma-perp",
     "0.2", "--kappa", "8", "--g-ens", "2", "--m", "41", "--t-max", "4",
@@ -306,10 +325,42 @@ class TestMoments:
                            for name in ("spectral.csv", "dense.csv"))
         assert spectral[0]["moment_fallbacks"] == "0"
         assert dense[0]["moment_fallbacks"] == "3"
-        for column in range(1, len(spectral[1])):
-            want = np.array([cell(row[column]) for row in spectral[2]])
-            got = np.array([cell(row[column]) for row in dense[2]])
+        assert_columns_match(tmp_path / "spectral.csv", tmp_path / "dense.csv")
+
+    def test_homogeneous_complex_pair_takes_no_fallback(self, tmp_path,
+                                                        monkeypatch):
+        # p = -1 at delta_cs = 0 with 4 g_ens^2 > (kappa - gamma_perp)^2:
+        # the secular solver finds the complex pair, so the eigen-system
+        # gives the means, the covariance and the steady state
+        args = [
+            "moments", "--family", "homogeneous", "--gamma-perp", "0.1",
+            "--kappa", "2", "--g-ens", "3", "--p", "-1", "--t-max", "1",
+            "--t-samples", "5",
+        ]
+        assert run_cli(args + ["--out", tmp_path / "spectral.csv"]) == 0
+        meta, _, spectral, _ = read_table(tmp_path / "spectral.csv")
+        assert meta["moment_fallbacks"] == "0"
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        assert run_cli(args + ["--out", tmp_path / "dense.csv"]) == 0
+        meta, _, dense, _ = read_table(tmp_path / "dense.csv")
+        assert meta["moment_fallbacks"] == "3"
+        # the mean columns; the variances are rounding noise about zero
+        for column in (1, 2):
+            want = np.array([cell(row[column]) for row in dense])
+            got = np.array([cell(row[column]) for row in spectral])
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_one_secular_solve_per_run(self, tmp_path, monkeypatch):
+        # the means and the covariance share the model's eigen-system
+        solved, solve = [], dynamics._roots
+
+        def counted(model):
+            solved.append(model)
+            return solve(model)
+
+        monkeypatch.setattr(dynamics, "_roots", counted)
+        assert run_cli(SMALL["moments"] + ["--out", tmp_path / "m.csv"]) == 0
+        assert len(solved) == 1
 
     def test_unstable_leaves_r_empty(self, tmp_path):
         out = tmp_path / "moments.csv"
@@ -476,11 +527,6 @@ class TestPole:
         # run cli.main as a process via ``-m``, which also works from an
         # uninstalled source tree, then check that the console script
         # is wired to the same entry point
-        package_root = str(Path(spincavity.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
         out = tmp_path / "pole.csv"
         result = subprocess.run(
             [
@@ -490,7 +536,7 @@ class TestPole:
             ],
             capture_output=True,
             text=True,
-            env=env,
+            env=source_env(),
         )
         assert result.returncode == 0, result.stderr
         _, columns, rows, _ = read_table(out)
@@ -514,6 +560,64 @@ class TestPole:
             "--out", tmp_path / "x.csv",
         ])
         assert code == 2
+
+
+# runs [forced, argv] pairs through cli.main in one fresh interpreter,
+# forced ones with every eigen-system gate closed, and prints each run's
+# exit code and the scipy modules loaded after it
+FRESH_RUNS = """
+import json, sys
+import spincavity, spincavity.cli
+from spincavity import cli, dynamics
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+report = [[None, scipy_modules()]]
+for forced, argv in json.loads(sys.argv[1]):
+    if forced:
+        dynamics._RESIDUE_BOUND = 0.0
+    report.append([cli.main(argv), scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def run_fresh(runs):
+    """``[exit code, scipy modules]`` after the import and after each run."""
+    runs = [[forced, [str(a) for a in argv]] for forced, argv in runs]
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNS, json.dumps(runs)],
+        capture_output=True, text=True, env=source_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+class TestImportHygiene:
+    # scipy serves only the dense fallbacks, which it loads on first use;
+    # pytest and conftest import scipy, so each check is a fresh process
+
+    def test_import_loads_no_scipy(self):
+        assert run_fresh([]) == [[None, []]]
+
+    def test_small_runs_load_no_scipy(self, tmp_path):
+        runs = [[False, argv + ["--out", tmp_path / f"{name}.csv"]]
+                for name, argv in SMALL.items()]
+        runs.append([False, LOR_DECAY + ["--out", tmp_path / "lor.csv"]])
+        assert run_fresh(runs) == [[None, []]] + [[0, []]] * len(runs)
+
+    def test_forced_fallbacks_load_scipy_and_agree(self, tmp_path):
+        args = STABLE_MOMENTS + ["--m", "21", "--t-max", "1", "--t-samples", "5"]
+        spectral, dense = tmp_path / "spectral.csv", tmp_path / "dense.csv"
+        report = run_fresh([[False, args + ["--out", spectral]],
+                            [True, args + ["--out", dense]]])
+        assert report[1] == [0, []]
+        code, modules = report[2]
+        assert code == 0
+        assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(modules)
+        assert read_table(spectral)[0]["moment_fallbacks"] == "0"
+        assert read_table(dense)[0]["moment_fallbacks"] == "3"
+        assert_columns_match(spectral, dense)
 
 
 class TestConfigResolution:

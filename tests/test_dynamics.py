@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -65,16 +67,18 @@ def small_model(spec=LOR, m=5, kappa=4.0, gamma_perp=0.2, g_ens=1.5, p=1,
 def dense_calls(monkeypatch):
     """Counts of the dense paths the arrowhead eigen-system replaces."""
     calls = {"van_loan": 0, "bartels_stewart": 0, "expm_multiply": 0}
-    for key, name in [
-        ("van_loan", "_van_loan_pair"),
-        ("bartels_stewart", "solve_continuous_lyapunov"),
-        ("expm_multiply", "expm_multiply"),
+    # the scipy fallbacks are imported inside the functions that call
+    # them, so they are counted where those imports find them
+    for key, owner, name in [
+        ("van_loan", dynamics, "_van_loan_pair"),
+        ("bartels_stewart", scipy.linalg, "solve_continuous_lyapunov"),
+        ("expm_multiply", scipy.sparse.linalg, "expm_multiply"),
     ]:
-        def counted(*args, _key=key, _run=getattr(dynamics, name), **kwargs):
+        def counted(*args, _key=key, _run=getattr(owner, name), **kwargs):
             calls[_key] += 1
             return _run(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -414,6 +418,20 @@ class TestSpectralMoments:
         assert np.abs(means - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
+    def test_one_eigensystem_per_model_and_gates(self, monkeypatch):
+        # kept read-only while the model lives, found again when a gate
+        # constant changes, and let go with the model
+        model, _ = small_model(spec=GAUSS, m=21)
+        lam, (right, left) = dynamics._eigensystem(model)
+        assert dynamics._eigensystem(model)[0] is lam
+        for array in (lam, right, left):
+            assert not array.flags.writeable
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        assert dynamics._eigensystem(model)[1] is None
+        del model
+        assert not dynamics._MEMO
+
+
 class TestSteadyState:
     def test_matched_rates_unit_field_variance(self):
         # kappa = Gamma makes the field variance exactly the vacuum value
@@ -641,6 +659,23 @@ class TestSecularSolver:
         lam, fallback = arrowhead_eigenvalues(model)
         assert fallback
         assert np.array_equal(lam, np.linalg.eigvals(model.arrowhead))
+
+    @pytest.mark.parametrize("kappa, gamma_perp, g_ens",
+                             [(2.0, 0.1, 3.0), (0.5, 0.01, 0.3),
+                              (1e3, 1e-3, 6e2)])
+    def test_homogeneous_complex_pair(self, kappa, gamma_perp, g_ens):
+        # delta_cs = 0: one real pole and real seeds, which the iteration
+        # keeps on the real axis, while p = -1 and
+        # 4 g_ens^2 > (kappa - gamma_perp)^2 give a complex pair
+        model, _ = small_model(spec=HOM, m=1, kappa=kappa,
+                               gamma_perp=gamma_perp, g_ens=g_ens, p=-1)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        # (lambda + kappa)(lambda + gamma_perp) = -g_ens^2
+        root = np.sqrt(complex((kappa - gamma_perp) ** 2 - 4.0 * g_ens**2))
+        closed = (-(kappa + gamma_perp) + np.array([-1.0, 1.0]) * root) / 2.0
+        lam = lam[np.argsort(lam.imag)]
+        assert np.abs(lam - closed).max() <= 1e-15 * np.abs(closed).max()
 
     def test_decoupled_and_repeated_poles_are_deflated(self):
         # sub-ensemble 3 is decoupled and two share the pole at Delta = 0
