@@ -692,7 +692,7 @@ def _solve_eigensystem(model: DriftModel) -> tuple:
     if dense or deflated:
         return lam, None
     poles, weights = _secular_terms(model)
-    arrow = model.arrowhead
+    _, row, col = model._arrowhead_border()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cauchy = 1.0 / (lam + poles[:, None])  # 1 / (lambda_k + d_m)
         residues = 1.0 / (1.0 + weights @ cauchy**2)  # 1 / F'(lambda_k)
@@ -702,8 +702,8 @@ def _solve_eigensystem(model: DriftModel) -> tuple:
         and abs(residues.sum() - 1.0) <= 1e-10
     ):
         return lam, None
-    right = np.vstack([np.ones(lam.size), arrow[1:, :1] * cauchy])
-    left = np.hstack([np.ones((lam.size, 1)), cauchy.T * arrow[0, 1:]])
+    right = np.vstack([np.ones(lam.size), col[:, None] * cauchy])
+    left = np.hstack([np.ones((lam.size, 1)), cauchy.T * row])
     return lam, (right, left * residues[:, None])
 
 
@@ -749,14 +749,14 @@ def _spectral_steady(model: DriftModel, lam, right, left):
     structure, exceeds the bound of :func:`steady_state_covariance`.
     """
     noise = model.noise_diag[0::2] + model.noise_diag[1::2]
-    arrow = model.arrowhead
+    diag, row, col = model._arrowhead_border()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tilde = -((left * noise) @ left.conj().T) / (lam[:, None] + lam.conj())
         amp = right @ tilde @ right.conj().T
         amp = (amp + amp.conj().T) / 2.0
-        product = np.diagonal(arrow)[:, None] * amp  # H C
-        product[0] += arrow[0, 1:] @ amp[1:]
-        product[1:] += arrow[1:, :1] * amp[0]
+        product = diag[:, None] * amp  # H C
+        product[0] += row @ amp[1:]
+        product[1:] += col[:, None] * amp[0]
         residual = product + product.conj().T + np.diag(noise)
         # the real residual holds the halved real and imaginary parts
         worst = max(np.abs(residual.real).max(), np.abs(residual.imag).max()) / 2.0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,30 +84,65 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DriftModel:
-    """Drift matrix, diagonal noise and metadata of one linear model."""
+    """Noise diagonal and arrowhead data of one linear model.
 
-    drift: np.ndarray
+    The hot paths read only the O(M) arrowhead data (``params``,
+    ``grid``, ``p``); the dense (2M+2) x (2M+2) :attr:`drift` is built
+    on first use, for the dense fallbacks, oracles and tests, and kept.
+    """
+
     noise_diag: np.ndarray
     p: int
     grid: SubEnsembleGrid
     params: SystemParams
 
     def __post_init__(self):
-        drift = np.ascontiguousarray(self.drift, dtype=float)
         noise = np.ascontiguousarray(self.noise_diag, dtype=float)
-        drift.flags.writeable = False
         noise.flags.writeable = False
-        object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "noise_diag", noise)
 
     @property
     def dim(self) -> int:
-        return self.drift.shape[0]
+        return 2 * self.grid.size + 2
 
     @property
     def noise(self) -> np.ndarray:
         """Noise matrix as a full (diagonal) array."""
         return np.diag(self.noise_diag)
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """Read-only (2M+2) x (2M+2) real drift matrix.
+
+        Block layout: the field block is
+        ``[[-kappa, delta_cs], [-delta_cs, -kappa]]``; the field rows
+        couple to each sub-ensemble through ``-g_m/sqrt(2)`` on the
+        cross quadrature; each spin block carries dephasing
+        ``-gamma_perp`` with detuning rotation ``-Delta_m``/``+Delta_m``
+        off diagonal and couples back to the field through
+        ``-sqrt(2) g_m S_z^(m)`` with ``S_z^(m) = p N_m``.
+        """
+        params, grid = self.params, self.grid
+        M = grid.size
+        A = np.zeros((self.dim, self.dim))
+        A[0, 0] = -params.kappa
+        A[0, 1] = params.delta_cs
+        A[1, 0] = -params.delta_cs
+        A[1, 1] = -params.kappa
+
+        ix = 2 + 2 * np.arange(M)  # S_x rows; S_y rows are ix + 1
+        gm = grid.couplings
+        sz = self.p * grid.spins
+        A[0, ix + 1] = -gm / _SQRT2
+        A[1, ix] = -gm / _SQRT2
+        A[ix, 1] = -_SQRT2 * gm * sz
+        A[ix + 1, 0] = -_SQRT2 * gm * sz
+        A[ix, ix] = -params.gamma_perp
+        A[ix + 1, ix + 1] = -params.gamma_perp
+        A[ix, ix + 1] = -grid.deltas
+        A[ix + 1, ix] = grid.deltas
+        A.flags.writeable = False
+        return A
 
     @property
     def arrowhead(self) -> np.ndarray:
@@ -121,15 +157,20 @@ class DriftModel:
         drift is the realification of ``H`` in these coordinates, so its
         spectrum is that of ``H`` plus the complex conjugates.
         """
+        diag, row, col = self._arrowhead_border()
+        H = np.diag(diag)
+        H[0, 1:] = row
+        H[1:, 0] = col
+        return H
+
+    def _arrowhead_border(self) -> tuple:
+        """Diagonal, ``H[0, 1:]`` and ``H[1:, 0]`` of :attr:`arrowhead`, in O(M)."""
         params, grid = self.params, self.grid
         gm = grid.couplings
-        H = np.zeros((grid.size + 1, grid.size + 1), dtype=complex)
-        H[0, 0] = -complex(params.kappa, params.delta_cs)
-        H[0, 1:] = -1j * gm / _SQRT2
-        H[1:, 0] = 1j * _SQRT2 * gm * self.p * grid.spins
-        diag = np.arange(1, grid.size + 1)
-        H[diag, diag] = -(params.gamma_perp + 1j * grid.deltas)
-        return H
+        diag = np.empty(grid.size + 1, dtype=complex)
+        diag[0] = -complex(params.kappa, params.delta_cs)
+        diag[1:] = -(params.gamma_perp + 1j * grid.deltas)
+        return diag, -1j * gm / _SQRT2, 1j * _SQRT2 * gm * self.p * grid.spins
 
 
 class InitialStateKind(str, enum.Enum):
@@ -141,46 +182,23 @@ class InitialStateKind(str, enum.Enum):
 def build_drift_matrix(
     params: SystemParams, grid: SubEnsembleGrid, p: int
 ) -> DriftModel:
-    """Assemble the (2M+2) x (2M+2) drift matrix and noise diagonal.
+    """The linear model of ``params`` on ``grid`` with inversion sign ``p``.
 
-    Block layout: the field block is
-    ``[[-kappa, delta_cs], [-delta_cs, -kappa]]``; the field rows
-    couple to each sub-ensemble through ``-g_m/sqrt(2)`` on the
-    cross quadrature; each spin block carries dephasing ``-gamma_perp``
-    with detuning rotation ``-Delta_m``/``+Delta_m`` off diagonal and
-    couples back to the field through ``-sqrt(2) g_m S_z^(m)`` with
-    ``S_z^(m) = p N_m``.  Noise is diagonal: ``2 kappa`` on the field,
+    Holds the noise diagonal, ``2 kappa`` on the field and
     ``4 gamma_perp N_m`` on each spin quadrature (zero-temperature
-    reservoirs).
+    reservoirs), and the arrowhead data; the (2M+2) x (2M+2) drift
+    matrix (see :attr:`DriftModel.drift`) is assembled on first use.
     """
     if p not in (+1, -1):
         raise PreconditionError(f"inversion sign p must be +1 or -1, got {p}")
     if grid.size < 1:
         raise PreconditionError("grid must contain at least one sub-ensemble")
     M = grid.size
-    dim = 2 * M + 2
-    A = np.zeros((dim, dim))
-    A[0, 0] = -params.kappa
-    A[0, 1] = params.delta_cs
-    A[1, 0] = -params.delta_cs
-    A[1, 1] = -params.kappa
-
-    ix = 2 + 2 * np.arange(M)  # S_x rows; S_y rows are ix + 1
-    gm = grid.couplings
-    sz = p * grid.spins
-    A[0, ix + 1] = -gm / _SQRT2
-    A[1, ix] = -gm / _SQRT2
-    A[ix, 1] = -_SQRT2 * gm * sz
-    A[ix + 1, 0] = -_SQRT2 * gm * sz
-    A[ix, ix] = -params.gamma_perp
-    A[ix + 1, ix + 1] = -params.gamma_perp
-    A[ix, ix + 1] = -grid.deltas
-    A[ix + 1, ix] = grid.deltas
-
-    noise = np.zeros(dim)
+    ix = 2 + 2 * np.arange(M)
+    noise = np.zeros(2 * M + 2)
     noise[0] = noise[1] = 2.0 * params.kappa
     noise[ix] = noise[ix + 1] = 4.0 * params.gamma_perp * grid.spins
-    return DriftModel(drift=A, noise_diag=noise, p=p, grid=grid, params=params)
+    return DriftModel(noise_diag=noise, p=p, grid=grid, params=params)
 
 
 def build_homogeneous_Q(params: SystemParams, N: float):

@@ -17,6 +17,7 @@ import spincavity.dynamics as dynamics
 from spincavity import (
     BroadeningFamily,
     BroadeningSpec,
+    DriftModel,
     NumericalError,
     PreconditionError,
     RevivalGuardError,
@@ -417,6 +418,23 @@ class TestSpectralMoments:
         reference = expm_mean(model.drift, y0, times)
         assert np.abs(means - reference).max() <= 1e-12 * np.abs(reference).max()
 
+
+    def test_eigen_paths_build_no_dense_matrix(self, monkeypatch, dense_calls):
+        # the hot paths read the O(M) arrowhead border: neither the
+        # (2M+2)^2 drift nor the (M+1)^2 arrowhead is formed
+        def dense(self):
+            raise AssertionError("dense arrowhead built")
+
+        monkeypatch.setattr(DriftModel, "arrowhead", property(dense))
+        model, grid = small_model(spec=GAUSS, m=21, gamma_perp=0.1, g_ens=1.0)
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        times = np.linspace(0.0, 2.0, 11)
+        assert evolve_mean(model, y0, times).fallbacks == 0
+        assert evolve_covariance(model, gamma0, times).fallbacks == 0
+        steady_state_covariance(model)
+        spectral_abscissa(model)
+        assert dense_calls == NO_DENSE_CALLS
+        assert "drift" not in vars(model)
 
     def test_one_eigensystem_per_model_and_gates(self, monkeypatch):
         # kept read-only while the model lives, found again when a gate

@@ -129,6 +129,13 @@ class TestDriftMatrix:
         with pytest.raises(PreconditionError):
             build_drift_matrix(params, grid, 0)
 
+    def test_dense_drift_is_built_once_on_demand(self):
+        model = hom_model(8.0, 1.0, 2.0)
+        assert "drift" not in vars(model)
+        drift = model.drift
+        assert model.drift is drift
+        assert drift.shape == (model.dim, model.dim)
+
     def test_drift_is_read_only(self):
         model = hom_model(8.0, 1.0, 2.0)
         with pytest.raises(ValueError):
