@@ -53,6 +53,7 @@ from .dynamics import (
 )
 from .analytics import (
     StabilityReport,
+    PoleRoot,
     SteadyMomentsHom,
     eigenvalue_pair,
     gaussian_pole,
@@ -112,6 +113,7 @@ __all__ = [
     "spectral_abscissa",
     "steady_state_covariance",
     "StabilityReport",
+    "PoleRoot",
     "SteadyMomentsHom",
     "eigenvalue_pair",
     "gaussian_pole",

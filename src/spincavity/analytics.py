@@ -33,6 +33,7 @@ __all__ = [
     "stability_report",
     "eigenvalue_pair",
     "lorentzian_kick_response",
+    "PoleRoot",
     "gaussian_pole",
     "pole_seeds",
     "threshold_rate_approx",
@@ -133,19 +134,26 @@ def _pole_function(lam: complex, kappa, gamma_perp, g_ens, sigma_delta):
     return F, dF
 
 
+class PoleRoot(NamedTuple):
+    """A root of the Gaussian pole condition and ``F`` there."""
+
+    lam: complex
+    residual: complex
+
+
 def gaussian_pole(
     params: SystemParams,
     sigma_delta: float,
     seed: complex,
     max_iter: int = 100,
-) -> complex:
+) -> PoleRoot:
     """Locate a decay-rate pole of the Gaussian-broadened response.
 
     Damped Newton iteration on the transcendental pole condition,
     converged when ``|F(lam)| <= 1e-10 kappa``.  Returns the root
-    nearest the seed; raises :class:`ConvergenceError` with the iterate
-    trace if the budget is exhausted.  Use :func:`pole_seeds` for the
-    standard fast/slow starting points.
+    nearest the seed and ``F`` there; raises :class:`ConvergenceError`
+    with the iterate trace if the budget is exhausted.  Use
+    :func:`pole_seeds` for the standard fast/slow starting points.
     """
     sigma_delta = float(sigma_delta)
     if sigma_delta <= 0.0:
@@ -168,7 +176,7 @@ def gaussian_pole(
         ) from exc
     for _ in range(max_iter):
         if abs(F) <= tol:
-            return lam
+            return PoleRoot(lam, F)
         if dF == 0:
             raise ConvergenceError(
                 "pole search stalled on a vanishing derivative", trace

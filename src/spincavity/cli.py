@@ -11,9 +11,14 @@ manifest sidecar:
 
 ``_EXPERIMENTS`` lists, per experiment, the options its run reads, its
 default ``M`` per family and a compute function returning ``(columns,
-rows, header, trailer)``.  Each option of ``_OPTIONS`` has one parser,
-for its flag and for its key in a ``--config`` file; flags win over the
-file, the file over the default.
+rows, header, trailer)``.  ``decay``, ``moments`` and ``spectrum``
+return their rows as one float ``ndarray``, NaN in an undefined cell;
+``stability-sweep`` and ``pole`` return short lists of mixed-type rows.
+Each option of ``_OPTIONS`` has one parser, for its flag and for its key
+in a ``--config`` file; flags win over the file, the file over the
+default.  The argument parser is built once per process, so callers
+that run ``main`` many times in one process (the figure bundle, the
+benchmark) pay for it once.
 
 One writer emits every output.  The CSV opens with ``# key=value``
 lines (sorted keys): experiment, package version, the resolved options
@@ -30,7 +35,10 @@ The counts are deterministic, so reruns stay byte-identical.  The
 column names and the data rows follow, floats at 17 significant digits
 and undefined cells empty; closing ``#`` lines hold the fitted or
 reference values of ``trailer`` (``pole_*``, ``panel_f_ratio_*``).  The
-manifest holds both blocks and ``columns``.
+manifest holds both blocks and ``columns``.  ``_format_cell`` is the one
+definition of a cell; a float-table row without NaN is written with one
+``"%.17g,...,%.17g" % row``, which gives the same bytes at a fraction
+of the cost.
 
 Exit codes: 0 success; 2 precondition failure, which includes an
 unreadable ``--config``, an unwritable ``--out`` and a ``--m``,
@@ -41,6 +49,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,7 +60,7 @@ import numpy as np
 from . import __version__
 from .analytics import (
     gaussian_pole, lorentzian_kick_response, pole_seeds, stability_report,
-    steady_state_moments_hom, weak_coupling_response, _pole_function,
+    steady_state_moments_hom, weak_coupling_response,
 )
 from .broadening import (
     BroadeningFamily, BroadeningSpec, characteristic_width, discretize,
@@ -78,11 +87,16 @@ _FAMILIES = tuple(f.value for f in BroadeningFamily)
 _DRIFT_BYTE_BUDGET = 16 * 2**20
 _M_LIMIT = (math.isqrt(_DRIFT_BYTE_BUDGET // 8) - 2) // 2
 
-# time and detuning grids: each sample holds one CSV row (up to seven
-# 17-digit cells, kept as Python strings until written) and, on a time
-# grid, one float64 state row
+# time and detuning grids: each sample holds one float64 row of the
+# table a compute returns and, on a time grid, one float64 state row.
+# The writer then holds, per row, one CSV line of up to seven 17-digit
+# cells as a Python string and its share of the joined text, then that
+# text and its UTF-8 encoding: about 340 bytes a row at its peak
 _SAMPLE_BYTE_BUDGET = 256 * 2**20
 _ROW_BYTES = 512
+
+# rows of a float table turned into Python floats at a time by the writer
+_BLOCK_ROWS = 1024
 
 
 def _choice(kind, values):
@@ -182,30 +196,34 @@ def _decay(o: dict):
     x_sim = (_SQRT2 * o["alpha"] * response).real  # X_c(0) = sqrt(2) alpha
 
     Gamma = characteristic_width(spec, params.gamma_perp)
-    x_lor = x_weak = x_pole = [None] * times.size
+    # t, X_c_sim and the three reference columns; a reference the family
+    # does not define stays NaN, which the writer leaves empty
+    rows = np.full((times.size, 5), np.nan)
+    rows[:, 0], rows[:, 1] = times, x_sim
     trailer: dict = {}
     if spec.family is not _GAUSSIAN:
         response = lorentzian_kick_response(
             o["alpha"], params.kappa, Gamma, params.g_ens, times
         )
-        x_lor = _SQRT2 * response.real
+        rows[:, 2] = _SQRT2 * response.real
     else:
-        x_weak = _SQRT2 * weak_coupling_response(o["alpha"], params, spec.width, times)
+        rows[:, 3] = _SQRT2 * weak_coupling_response(
+            o["alpha"], params, spec.width, times
+        )
         seeds = pole_seeds(params, spec.width)
         try:
-            lam = gaussian_pole(params, spec.width, seeds["slow"])
+            lam = gaussian_pole(params, spec.width, seeds["slow"]).lam
         except ConvergenceError:
             trailer["pole_tail"] = "unconverged"
         else:
             anchor = int(np.argmin(np.abs(times - 0.5 * o["t_max"])))
             tail = x_sim[anchor] * np.exp(lam * (times - times[anchor]))
-            x_pole = [None] * anchor + [float(v.real) for v in tail[anchor:]]
+            rows[anchor:, 4] = tail[anchor:].real
             trailer.update(pole_rate_re=lam.real, pole_rate_im=lam.imag)
     columns = [
         "t", "X_c_sim", "X_c_lorentzian_analytic", "X_c_weak_coupling",
         "X_c_pole_tail",
     ]
-    rows = zip(times, x_sim, x_lor, x_weak, x_pole)
     header = {"Gamma": Gamma, "kick_response_fallbacks": int(fallback)}
     return columns, rows, header, trailer
 
@@ -244,10 +262,10 @@ def _moments(o: dict):
         "t", "Sx_over_Sx0", "Pc", "VarSx_over_N_minus_1", "twoVarPc_minus_1",
         "R",
     ]
-    rows = zip(
+    rows = np.column_stack([
         times, sx / sx[0], means[:, 1], red["var_S_x"] / N - 1.0,
         2.0 * red["var_P_c"] - 1.0, red["R"],
-    )
+    ])
     header = {"moment_fallbacks": mean_series.fallbacks + cov_series.fallbacks}
     return columns, rows, header, trailer
 
@@ -320,10 +338,7 @@ def _pole(o: dict):
     rows = []
     for label in ("slow", "fast"):
         seed = seeds[label]
-        root = gaussian_pole(params, spec.width, seed)
-        residual, _ = _pole_function(
-            root, params.kappa, params.gamma_perp, params.g_ens, spec.width
-        )
+        root, residual = gaussian_pole(params, spec.width, seed)
         rows.append([label, seed.real, seed.imag, root.real, root.imag, abs(residual)])
     return columns, rows, {}, {}
 
@@ -437,13 +452,37 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write(out: str, header: dict, columns, rows, trailer: dict) -> None:
-    """The CSV (or stdout for ``-``) and, for a file, its manifest."""
+def _csv_text(header: dict, columns, rows, trailer: dict) -> str:
+    """The CSV: ``header`` lines, the column names, the rows, ``trailer``.
+
+    ``rows`` is a float table or a list of mixed rows.  A float table
+    formats each row with one ``%`` of a row format; only rows that hold
+    a NaN go cell by cell through :func:`_format_cell`, which gives the
+    same bytes.  ``tolist`` runs in blocks of ``_BLOCK_ROWS``, so the
+    Python floats of a long table never exist all at once, and the
+    lines are freed on return, before the text is encoded and written.
+    """
     lines = [f"# {key}={_format_cell(header[key])}" for key in sorted(header)]
     lines.append(",".join(columns))
-    lines.extend(",".join(map(_format_cell, row)) for row in rows)
+    if isinstance(rows, np.ndarray):
+        row_format = ",".join(["%.17g"] * rows.shape[1])
+        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            defined = ~np.isnan(block).any(axis=1)
+            lines.extend(
+                row_format % tuple(row) if plain else ",".join(map(_format_cell, row))
+                for row, plain in zip(block.tolist(), defined.tolist())
+            )
+    else:
+        lines.extend(",".join(map(_format_cell, row)) for row in rows)
     lines.extend(f"# {key}={_format_cell(trailer[key])}" for key in sorted(trailer))
-    text = "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline
+    return "\n".join(lines)
+
+
+def _write(out: str, header: dict, columns, rows, trailer: dict) -> None:
+    """The CSV (or stdout for ``-``) and, for a file, its manifest."""
+    text = _csv_text(header, columns, rows, trailer)
     if out == "-":
         sys.stdout.write(text)
         return
@@ -458,7 +497,9 @@ def _write(out: str, header: dict, columns, rows, trailer: dict) -> None:
         raise PreconditionError(f"cannot write --out {out}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every experiment, built once per process."""
     parser = argparse.ArgumentParser(
         prog="spincavity", description="spin-ensemble cavity dynamics experiments"
     )

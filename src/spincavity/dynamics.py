@@ -32,9 +32,11 @@ steady covariance from the same eigen-system, each in O(M^2) per
 output time after an O(M^3) set-up of a few dense products.  Dense
 paths remain as gated fallbacks: near an exceptional point, with
 deflated poles, for a steady state that fails its Lyapunov residual
-check or for a quadrature-anisotropic initial covariance, means use the
-action of the matrix exponential ``e^{A t} y0`` (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 488 (2011)), covariances Van Loan's
+check (or, for the covariance track, sits so close to threshold that
+subtracting it cancels too many digits) or for a quadrature-anisotropic
+initial covariance, means use the action of the matrix exponential
+``e^{A t} y0`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)), covariances Van Loan's
 block-exponential identity (IEEE Trans. Autom. Control 23, 395 (1978))
 for the exact one-step pair ``gamma(t + h) = Phi gamma(t) Phi^T + Q``,
 and the steady state Bartels-Stewart.  The fallbacks import scipy
@@ -85,7 +87,7 @@ _ABERTH_MAX_ITER = 100
 _CHUNK_BYTES = 256 * 2**10
 
 # largest Lyapunov residual accepted from a steady state, relative to
-# the largest noise entry
+# ||A|| ||gamma|| + ||N|| (see _lyapunov_bound)
 _LYAPUNOV_RTOL = 1e-10
 
 # the last _eigensystem: [weak reference to its model, the gate
@@ -317,7 +319,9 @@ def evolve_covariance(
 
     Fallback, counted in ``fallbacks``: when the eigenvectors fail their
     gates (see :func:`_eigensystem`), when the steady state fails its
-    Lyapunov residual check or when ``gamma0`` is not quadrature-isotropic
+    Lyapunov residual check, when it is too large for the track to
+    subtract it accurately (see :func:`_spectral_steady`) or when
+    ``gamma0`` is not quadrature-isotropic
     (``|T gamma0 T^T|`` above 1e-12 of ``|C_0|``), each output interval
     ``h`` is one exact step
     ``gamma <- Phi gamma Phi^T + Q`` with the sub-stepped Van Loan pair
@@ -349,7 +353,9 @@ def evolve_covariance(
     lam, vectors = _eigensystem(model)
     steady = None if vectors is None else _spectral_steady(model, lam, *vectors)
     amp0, anomalous = _to_amplitudes(gamma0)
-    if steady is not None and np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max():
+    isotropic = np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max()
+    # steady[2]: C_inf is small enough for the track to subtract it
+    if steady is not None and steady[2] and isotropic:
         track, covs = _spectral_covariance(
             times, lam, *vectors, steady, amp0, store_full
         )
@@ -746,10 +752,26 @@ def _spectral_steady(model: DriftModel, lam, right, left):
     ``C~_kl = -D~_kl / (lambda_k + conj(lambda_l))`` with
     ``D~ = left D left^H`` and ``C = right C~ right^H``.  ``None`` when
     the Lyapunov residual of ``C``, formed in O(M^2) from the arrowhead's
-    structure, exceeds the bound of :func:`steady_state_covariance`.
+    structure, exceeds the bound of :func:`steady_state_covariance`,
+    taken here in the amplitudes: ``H``, ``C`` and ``D`` stand for ``A``,
+    ``gamma`` and ``N``, each twice as large.
+
+    The third entry tells whether the residual also stays within
+    ``_LYAPUNOV_RTOL`` of the largest noise entry.  Rounding leaves a
+    residual near ``eps ||A|| ||C_inf||``, so this holds while ``C_inf``
+    is at most ~10^5 times ``||N|| / ||A||``; beyond, near threshold,
+    ``C(t) = C_inf + (C(t) - C_inf)`` cancels too many digits and
+    :func:`evolve_covariance` takes Van Loan steps instead.
     """
     noise = model.noise_diag[0::2] + model.noise_diag[1::2]
     diag, row, col = model._arrowhead_border()
+    scale = _balance(model)
+    scales = np.outer(scale, scale)
+    # infinity norm of the balanced arrowhead, scale H / scale
+    norm = max(
+        abs(diag[0]) + np.abs(row / scale[1:]).sum(),
+        (np.abs(diag[1:]) + np.abs(col * scale[1:])).max(),
+    )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tilde = -((left * noise) @ left.conj().T) / (lam[:, None] + lam.conj())
         amp = right @ tilde @ right.conj().T
@@ -758,11 +780,37 @@ def _spectral_steady(model: DriftModel, lam, right, left):
         product[0] += row @ amp[1:]
         product[1:] += col[:, None] * amp[0]
         residual = product + product.conj().T + np.diag(noise)
+        worst = np.abs(scales * residual).max()
+        bound = _lyapunov_bound(norm, scales * amp, scale**2 * noise)
         # the real residual holds the halved real and imaginary parts
-        worst = max(np.abs(residual.real).max(), np.abs(residual.imag).max()) / 2.0
-    if not worst <= _LYAPUNOV_RTOL * model.noise_diag.max():
+        unscaled = max(np.abs(residual.real).max(), np.abs(residual.imag).max()) / 2.0
+    if not worst <= bound:
         return None
-    return tilde, amp
+    return tilde, amp, bool(unscaled <= _LYAPUNOV_RTOL * model.noise_diag.max())
+
+
+def _balance(model: DriftModel) -> np.ndarray:
+    """Amplitude scales: 1 for the field, ``1 / sqrt(N_m)`` for the spins.
+
+    Unscaled, the couplings span ``sqrt(N)`` to ``1 / sqrt(N)`` and the
+    variances ``1`` to ``N``; scaled, both are of order one.
+    """
+    spins = model.grid.spins
+    return np.concatenate(([1.0], 1.0 / np.sqrt(np.where(spins > 0.0, spins, 1.0))))
+
+
+def _lyapunov_bound(norm: float, gamma: np.ndarray, noise: np.ndarray) -> float:
+    """Largest Lyapunov residual accepted from a steady state ``gamma``.
+
+    Backward-stable: ``_LYAPUNOV_RTOL (||A|| ||gamma|| + ||N||)``, with
+    the infinity norm ``norm`` of the drift and the largest entries of
+    ``gamma`` and of the noise, all in the balanced coordinates of
+    :func:`_balance`.  The residual ``A gamma + gamma A^T + N`` is
+    compared by its largest entry.  Close to threshold ``gamma`` grows
+    as ``1 / (1 - C)`` and the rounding of ``A gamma`` with it, so a
+    bound on the noise alone fails every solver there.
+    """
+    return _LYAPUNOV_RTOL * (norm * np.abs(gamma).max() + np.abs(noise).max())
 
 
 def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
@@ -776,7 +824,7 @@ def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
     with ``e^{lambda_k t}`` folded into the rows, so any grid costs the
     same.
     """
-    tilde_inf, amp_inf = steady
+    tilde_inf, amp_inf, _ = steady
     diff = left @ amp0 @ left.conj().T - tilde_inf
     field, spins = right[0], right[1:].sum(axis=0)
     forms = np.empty((times.size, 3), dtype=complex)
@@ -806,9 +854,11 @@ def steady_state_covariance(model: DriftModel) -> np.ndarray:
     steady covariance is ``C_inf = right C~_inf right^H`` from the
     arrowhead eigen-system (see :func:`evolve_covariance`), realified;
     its Lyapunov residual ``A gamma + gamma A^T + N``, formed in the
-    amplitudes in O(M^2), must stay within ``1e-10`` of the largest
-    noise entry.  When the eigenvectors fail their gates or the residual
-    check fails, the equation is solved by Bartels-Stewart
+    amplitudes in O(M^2), must stay within ``1e-10`` of
+    ``||A|| ||gamma|| + ||N||``, all with the spin quadratures scaled by
+    ``1 / sqrt(N_m)`` (:func:`_lyapunov_bound`).  When the eigenvectors
+    fail their gates or the residual check fails, the equation is
+    solved by Bartels-Stewart
     (:func:`scipy.linalg.solve_continuous_lyapunov`) with the spin
     quadratures scaled by ``1 / sqrt(N_m)``, symmetrized and checked
     against the same bound, with one refinement pass before giving up.
@@ -833,12 +883,11 @@ def _steady_state(model: DriftModel, lam, steady) -> tuple:
     # solved with the spin quadratures scaled by 1 / sqrt(N_m): unscaled,
     # the couplings span sqrt(N) to 1 / sqrt(N), and at N = 1e11 the
     # solver returns a negative field variance that passes the residual
-    spins = np.repeat(model.grid.spins, 2)
-    scale = np.ones(model.dim)
-    scale[2:] = 1.0 / np.sqrt(np.where(spins > 0.0, spins, 1.0))
+    scale = np.repeat(_balance(model), 2)
     scales = np.outer(scale, scale)
     drift = model.drift
     balanced = scale[:, None] * drift / scale
+    norm = np.abs(balanced).sum(axis=1).max()
 
     def solve(source):
         """``gamma`` with ``A gamma + gamma A^T + source = 0``."""
@@ -849,17 +898,18 @@ def _steady_state(model: DriftModel, lam, steady) -> tuple:
 
     noise = np.diag(model.noise_diag)
     gamma = solve(noise)
-    tol = _LYAPUNOV_RTOL * model.noise_diag.max()
-    residual = drift @ gamma + gamma @ drift.T + noise
-    if np.abs(residual).max() > tol:
-        gamma = gamma + solve(residual)
+    for refine in (True, False):
         residual = drift @ gamma + gamma @ drift.T + noise
-        if np.abs(residual).max() > tol:
-            raise NumericalError(
-                "Lyapunov residual "
-                f"{np.abs(residual).max():.3e} exceeds {tol:.3e}"
-            )
-    return gamma, True
+        worst = np.abs(scales * residual).max()
+        bound = _lyapunov_bound(norm, scales * gamma, scale**2 * model.noise_diag)
+        if worst <= bound:
+            return gamma, True
+        if refine:
+            gamma = gamma + solve(residual)
+    raise NumericalError(
+        f"Lyapunov residual {worst:.3e} exceeds {bound:.3e} "
+        "(spin quadratures scaled by 1 / sqrt(N_m))"
+    )
 
 
 def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeries:
@@ -872,7 +922,10 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
     model is not solved again.  The relaxation ratio
     ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))`` of the collective
     S_x variance is NaN-flagged, like the steady variances, when the
-    model is unstable.
+    model is unstable, and also when ``Var(0)`` equals ``Var_inf`` to
+    ``_LYAPUNOV_RTOL``, the tolerance the steady state is solved to: a
+    start at the steady variance leaves only rounding in both the
+    numerator and the denominator.
     """
     if grid.size != series.model.grid.size:
         raise PreconditionError("grid does not match the series' model")
@@ -897,7 +950,7 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
         red["var_S_x_inf"] = var_inf
         red["var_P_c_inf"] = steady[_TRACK_KEYS.index("var_P_c")]
         denom = var_inf - var_sx[0]
-        if np.isnan(denom) or denom == 0.0:
+        if not abs(denom) > _LYAPUNOV_RTOL * abs(var_inf):
             red["R"] = np.full(series.times.size, np.nan)
         else:
             red["R"] = (var_inf - var_sx) / denom

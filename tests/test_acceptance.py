@@ -191,20 +191,20 @@ def test_05_gaussian_pole_asymptotics():
     # (a) narrow-feature limit reduces to the two-mode eigenvalue
     params_a = SystemParams(kappa=2.0, gamma_perp=1.0, g_ens=1.0)
     expected_a = (-3.0 + math.sqrt(5.0)) / 2.0
-    root_a = gaussian_pole(params_a, 1e-3, complex(expected_a + 0.05))
+    root_a = gaussian_pole(params_a, 1e-3, complex(expected_a + 0.05)).lam
     err_a = abs(root_a - expected_a) / abs(expected_a)
     # (b) near-threshold expansion at 99% of the critical decay rate
     params_b = SystemParams(kappa=3.96, gamma_perp=0.0, g_ens=2.0)
     root_b = gaussian_pole(
         params_b, SIGMA_UNIT, pole_seeds(params_b, SIGMA_UNIT)["slow"]
-    )
+    ).lam
     approx_b = threshold_rate_approx(3.96, 4.0, SIGMA_UNIT, 2.0)
     err_b = abs(root_b.real - approx_b) / abs(approx_b)
     # (c) the C=0.5 kicked simulation relaxes at the pole rate
     params_c = SystemParams(kappa=8.0, gamma_perp=0.0, g_ens=2.0)
     root_c = gaussian_pole(
         params_c, SIGMA_UNIT, pole_seeds(params_c, SIGMA_UNIT)["slow"]
-    )
+    ).lam
     times = np.linspace(0.0, 5.0, 51)
     sim = kick_simulation(
         BroadeningSpec("gaussian", SIGMA_UNIT), 8.0, 0.0, 2.0, 401, times

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import spincavity.analytics as analytics
 from spincavity import (
     BroadeningFamily,
     BroadeningSpec,
@@ -132,7 +133,7 @@ class TestGaussianPole:
         # (lam + kappa)(lam + gamma_perp) = g^2; slow root (-3+sqrt5)/2
         params = SystemParams(kappa=2.0, gamma_perp=1.0, g_ens=1.0)
         expected = (-3.0 + math.sqrt(5.0)) / 2.0
-        root = gaussian_pole(params, 1e-3, complex(expected + 0.05))
+        root = gaussian_pole(params, 1e-3, complex(expected + 0.05)).lam
         assert abs(root - expected) <= 1e-4 * abs(expected)
         assert abs(root.imag) <= 1e-10
 
@@ -142,17 +143,17 @@ class TestGaussianPole:
         kappa = 0.99 * kappa_c
         params = SystemParams(kappa=kappa, gamma_perp=0.0, g_ens=g_ens)
         approx = threshold_rate_approx(kappa, kappa_c, sigma, g_ens)
-        root = gaussian_pole(params, sigma, complex(approx))
+        root = gaussian_pole(params, sigma, complex(approx)).lam
         assert root.real == pytest.approx(approx, rel=0.05)
 
     def test_marginal_point_root_at_origin(self):
         params = SystemParams(kappa=4.0, gamma_perp=0.0, g_ens=2.0)  # C = 1
-        root = gaussian_pole(params, SIGMA_UNIT, 0.1 + 0.0j)
+        root = gaussian_pole(params, SIGMA_UNIT, 0.1 + 0.0j).lam
         assert abs(root) <= 1e-8
 
     def test_decoupled_limit_bare_cavity_pole(self):
         params = SystemParams(kappa=1.0, gamma_perp=2.0, g_ens=1e-3)
-        root = gaussian_pole(params, 1.0, complex(-1.0 + 0.01))
+        root = gaussian_pole(params, 1.0, complex(-1.0 + 0.01)).lam
         assert abs(root + 1.0) <= 1e-4
 
     def test_seed_outside_faddeeva_strip_rejected(self):
@@ -171,10 +172,32 @@ class TestGaussianPole:
         params = SystemParams(kappa=8.0, gamma_perp=0.0, g_ens=2.0)
         seeds = pole_seeds(params, SIGMA_UNIT)
         assert set(seeds) == {"fast", "slow"}
-        slow = gaussian_pole(params, SIGMA_UNIT, seeds["slow"])
-        fast = gaussian_pole(params, SIGMA_UNIT, seeds["fast"])
+        slow = gaussian_pole(params, SIGMA_UNIT, seeds["slow"]).lam
+        fast = gaussian_pole(params, SIGMA_UNIT, seeds["fast"]).lam
         assert slow.real < 0
         assert abs(slow - fast) <= 1e-8 * abs(slow)
+
+    @pytest.mark.parametrize("kappa, gamma_perp, g_ens", [
+        (8.0, 0.0, 2.0), (3.96, 0.0, 2.0), (2.0, 0.5, 3.0),
+    ])
+    def test_residual_is_the_pole_condition_at_the_root(
+        self, kappa, gamma_perp, g_ens
+    ):
+        from scipy.special import wofz
+
+        params = SystemParams(kappa=kappa, gamma_perp=gamma_perp, g_ens=g_ens)
+        for seed in pole_seeds(params, SIGMA_UNIT).values():
+            lam, residual = gaussian_pole(params, SIGMA_UNIT, seed)
+            z = 1j * (lam + gamma_perp) / (math.sqrt(2.0) * SIGMA_UNIT)
+            condition = lam + kappa - math.sqrt(math.pi / 2.0) * (
+                g_ens**2 / SIGMA_UNIT
+            ) * wofz(z)
+            assert abs(residual) <= 1e-10 * kappa
+            assert abs(residual - condition) <= 1e-12 * kappa
+            # the very value the pole CSV printed when it evaluated F again
+            assert residual == analytics._pole_function(
+                lam, kappa, gamma_perp, g_ens, SIGMA_UNIT
+            )[0]
 
 
 class TestThresholdRateApprox:

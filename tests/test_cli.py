@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spincavity
 import spincavity.dynamics as dynamics
@@ -203,7 +208,7 @@ class TestDecay:
         params = SystemParams(kappa=2.0, gamma_perp=0.0, g_ens=2.0)
         root = gaussian_pole(
             params, SIGMA_UNIT, pole_seeds(params, SIGMA_UNIT)["slow"]
-        )
+        ).lam
         assert rate == pytest.approx(root.real, rel=0.05)
 
     @pytest.mark.parametrize(
@@ -349,6 +354,38 @@ class TestMoments:
             want = np.array([cell(row[column]) for row in dense])
             got = np.array([cell(row[column]) for row in spectral])
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+        # the run starts at its steady variance, so R is 0 / 0 on both
+        # paths, although Bartels-Stewart leaves Var_inf - Var(0) 4 ulps
+        # from zero
+        assert all(row[5] == "" for row in spectral + dense)
+
+    def test_near_threshold_steady_state_matches_oracle(self, tmp_path):
+        # C = 1 - 1e-6 with N = 1: the steady variances are ~1e6 times
+        # the noise, and the Lyapunov residual of any solver is too
+        kappa = gamma_perp = 0.01
+        g_ens = math.sqrt((1.0 - 1e-6) * kappa * gamma_perp)
+        out = tmp_path / "moments.csv"
+        code = run_cli([
+            "moments", "--family", "homogeneous", "--gamma-perp", gamma_perp,
+            "--kappa", kappa, "--g-ens", repr(g_ens), "--n-spins", "1",
+            "--out", out,
+        ])
+        assert code == 0
+        _, columns, rows, _ = read_table(out)
+        table = np.array([[cell(value) for value in row] for row in rows])
+        params = SystemParams(kappa=kappa, gamma_perp=gamma_perp, g_ens=g_ens)
+        grid = discretize(BroadeningSpec("homogeneous", 0.0), 1, g_ens, 1.0)
+        model = build_drift_matrix(params, grid, 1)
+        reference = lyapunov_oracle(model)
+        gamma = spincavity.steady_state_covariance(model)
+        assert np.abs(gamma - reference).max() <= 1e-8 * np.abs(reference).max()
+        # 1 - R = (Var(t) - Var(0)) / (Var_inf - Var(0)) measures Var_inf;
+        # R is printed to 17 digits and is within 5e-9 of 1 here
+        var_sx = table[:, columns.index("VarSx_over_N_minus_1")] + 1.0
+        var_sx_inf = reference[2:, 2:][::2, ::2].sum() / 2.0
+        want = (var_sx - var_sx[0]) / (var_sx_inf - var_sx[0])
+        got = 1.0 - table[:, columns.index("R")]
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
     def test_one_secular_solve_per_run(self, tmp_path, monkeypatch):
         # the means and the covariance share the model's eigen-system
@@ -618,6 +655,105 @@ class TestImportHygiene:
         assert read_table(spectral)[0]["moment_fallbacks"] == "0"
         assert read_table(dense)[0]["moment_fallbacks"] == "3"
         assert_columns_match(spectral, dense)
+
+
+def reference_cell(value) -> str:
+    """One CSV cell, written cell by cell for comparison with the writer."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return "" if math.isnan(value) else "%.17g" % value
+    return str(value)
+
+
+def reference_csv(header, columns, rows, trailer) -> str:
+    lines = [f"# {key}={reference_cell(header[key])}" for key in sorted(header)]
+    lines.append(",".join(columns))
+    lines.extend(",".join(reference_cell(value) for value in row) for row in rows)
+    lines.extend(f"# {key}={reference_cell(trailer[key])}" for key in sorted(trailer))
+    return "".join(line + "\n" for line in lines)
+
+
+def written(header, columns, rows, trailer) -> str:
+    """What the writer sends to standard output for ``--out -``."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        cli._write("-", header, columns, rows, trailer)
+    return buffer.getvalue()
+
+
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+    1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, -1.0 / 3.0,
+]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+HEADER = {"experiment": "decay", "Gamma": 0.5, "invalid_rows": 3,
+          "windowed_verdict": True, "width": None}
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.integers(1, 7).flatmap(
+            lambda width: st.lists(st.lists(FLOATS, min_size=width,
+                                            max_size=width), max_size=40)
+        ),
+        trailer=st.dictionaries(st.sampled_from(["pole_rate_re", "ratio"]), FLOATS),
+    )
+    def test_float_table_matches_cell_by_cell_reference(self, table, trailer):
+        width = len(table[0]) if table else 3
+        rows = np.array(table, dtype=float).reshape(len(table), width)
+        columns = [f"c{k}" for k in range(width)]
+        want = reference_csv(HEADER, columns, table, trailer)
+        assert written(HEADER, columns, rows, trailer) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        FLOATS, st.booleans(), st.none(), st.integers(),
+        st.text(st.characters(blacklist_characters=",\n\r"), max_size=8),
+        FLOATS.map(np.float64),
+    ), min_size=3, max_size=3), max_size=20))
+    def test_mixed_rows_match_cell_by_cell_reference(self, rows):
+        columns = ["a", "b", "c"]
+        want = reference_csv(HEADER, columns, rows, {})
+        assert written(HEADER, columns, rows, {}) == want
+
+    def test_peak_memory_per_row(self, tmp_path):
+        samples = 20001
+        options = cli._resolve("spectrum", {
+            "family": "lorentzian", "width": 1.6, "gamma_perp": 0.2,
+            "kappa": 2.0, "g_ens": 1.0, "p": -1, "delta_e_samples": samples,
+        })
+        columns, rows, header, trailer = cli._EXPERIMENTS["spectrum"].compute(options)
+        assert rows.shape == (samples, 7)
+        tracemalloc.start()
+        try:
+            cli._write(str(tmp_path / "spectrum.csv"), header, columns, rows, trailer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._ROW_BYTES * samples
+
+    def test_in_process_runs_match_a_fresh_process(self, tmp_path):
+        # main() reuses one parser per process, as the figure bundle and
+        # the benchmark client do when they call it many times
+        assert cli._build_parser() is cli._build_parser()
+        runs = {name: SMALL[name] for name in ("decay", "spectrum")}
+        for name, args in runs.items():
+            assert run_cli(args + ["--out", tmp_path / f"{name}-main.csv"]) == 0
+        for name, args in runs.items():
+            result = subprocess.run(
+                [sys.executable, "-m", "spincavity", *args,
+                 "--out", str(tmp_path / f"{name}-fresh.csv")],
+                capture_output=True, text=True, env=source_env(),
+            )
+            assert result.returncode == 0, result.stderr
+        for name in runs:
+            for suffix in (".csv", ".csv.manifest.json"):
+                main_bytes = (tmp_path / f"{name}-main{suffix}").read_bytes()
+                assert main_bytes == (tmp_path / f"{name}-fresh{suffix}").read_bytes()
 
 
 class TestConfigResolution:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
@@ -287,6 +287,10 @@ class TestSpectralMoments:
         log10_n=st.floats(0.0, 12.0),
         m=st.sampled_from([5, 15]),
     )
+    # near threshold the steady state passes its residual bound but is
+    # too large for the spectral track to subtract it accurately
+    @example(family="homogeneous", p=1, c=1.0 - 1e-9, log_kappa=0.0,
+             gamma_perp=0.0, log10_n=0.0, m=5)
     def test_matches_dp45_and_lyapunov_oracles(self, family, p, c, log_kappa,
                                                gamma_perp, log10_n, m):
         # kappa and g_ens in units of the characteristic width Gamma; a
@@ -311,21 +315,20 @@ class TestSpectralMoments:
         means = evolve_mean(model, y0, times).means
         reference = expm_mean(model.drift, y0, times)
         assert np.abs(means - reference).max() <= 1e-8 * np.abs(reference).max()
-        if spectral_abscissa(model) >= 0.0:
+        abscissa = spectral_abscissa(model)
+        if abscissa >= 0.0:
             assert np.all(np.isnan(series.steady_track))
             return
         reference = lyapunov_oracle(model)
-        try:
-            gamma = steady_state_covariance(model)
-        except NumericalError:
-            # close to threshold the steady state is so large that the
-            # rounding of A gamma alone comes within 100x of the bound
-            rounding = (np.finfo(float).eps * np.abs(model.drift).sum(axis=1).max()
-                        * np.abs(reference).max())
-            assert rounding >= 1e-12 * model.noise_diag.max()
-            assert series.steady_track is None
-            return
-        assert np.abs(gamma - reference).max() <= 1e-8 * np.abs(reference).max()
+        gamma = steady_state_covariance(model)
+        # a backward-stable solve is accurate to about eps times the
+        # condition number ||A|| / |abscissa| of the Lyapunov operator,
+        # with the spin quadratures scaled by 1 / sqrt(N_m); that passes
+        # 1e-8 only within about 1e-7 of threshold
+        scale = np.repeat(np.concatenate(([1.0], 1.0 / np.sqrt(grid.spins))), 2)
+        norm = np.abs(scale[:, None] * model.drift / scale).sum(axis=1).max()
+        rtol = max(1e-8, np.finfo(float).eps * norm / -abscissa)
+        assert np.abs(gamma - reference).max() <= rtol * np.abs(reference).max()
         assert_allclose(series.steady_track, dynamics._covariance_track(gamma, m),
                         rtol=1e-12, atol=1e-12 * np.abs(gamma).max())
 
@@ -763,7 +766,7 @@ class TestSecularSolver:
         # spectrum converges to it
         params = SystemParams(kappa=3.0, gamma_perp=0.0, g_ens=2.0)
         sigma = GAUSS.width
-        root = gaussian_pole(params, sigma, pole_seeds(params, sigma)["slow"])
+        root = gaussian_pole(params, sigma, pole_seeds(params, sigma)["slow"]).lam
         errors = []
         for m in (21, 41, 81, 161):
             model = build_drift_matrix(params, discretize(GAUSS, m, 2.0, 1e6), 1)
