@@ -51,6 +51,7 @@ import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +90,12 @@ _CHUNK_BYTES = 256 * 2**10
 # largest Lyapunov residual accepted from a steady state, relative to
 # ||A|| ||gamma|| + ||N|| (see _lyapunov_bound)
 _LYAPUNOV_RTOL = 1e-10
+
+# R(t) is NaN when |Var_inf - Var(0)| is at most this fraction of
+# |Var_inf|.  A start at the steady variance leaves a few to ~50 ulps
+# there, while Van Loan steps leave Var(t) ~1e-12 relative rounding
+# (3e-10 at N = 1e12), so R over a denominator of a few ulps is noise
+_R_RTOL = 1e-10
 
 # the last _eigensystem: [weak reference to its model, the gate
 # constants it was found under, the result], or empty
@@ -354,8 +361,10 @@ def evolve_covariance(
     steady = None if vectors is None else _spectral_steady(model, lam, *vectors)
     amp0, anomalous = _to_amplitudes(gamma0)
     isotropic = np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max()
-    # steady[2]: C_inf is small enough for the track to subtract it
-    if steady is not None and steady[2] and isotropic:
+    if (
+        steady is not None and isotropic
+        and steady.residual <= _LYAPUNOV_RTOL * model.noise_diag.max()
+    ):
         track, covs = _spectral_covariance(
             times, lam, *vectors, steady, amp0, store_full
         )
@@ -745,7 +754,15 @@ def _from_amplitudes(amp: np.ndarray) -> np.ndarray:
     return (gamma + gamma.T) / 2.0
 
 
-def _spectral_steady(model: DriftModel, lam, right, left):
+class _Steady(NamedTuple):
+    """Steady covariance from the eigen-system (:func:`_spectral_steady`)."""
+
+    tilde: np.ndarray  # in the eigenbasis
+    amp: np.ndarray  # in the amplitudes
+    residual: float  # largest Lyapunov residual entry, unscaled
+
+
+def _spectral_steady(model: DriftModel, lam, right, left) -> _Steady | None:
     """Steady covariance in the eigenbasis and in amplitudes, or ``None``.
 
     The amplitude noise ``D = T N T^H`` is diagonal, so
@@ -756,12 +773,12 @@ def _spectral_steady(model: DriftModel, lam, right, left):
     taken here in the amplitudes: ``H``, ``C`` and ``D`` stand for ``A``,
     ``gamma`` and ``N``, each twice as large.
 
-    The third entry tells whether the residual also stays within
+    :func:`evolve_covariance` also needs ``residual`` within
     ``_LYAPUNOV_RTOL`` of the largest noise entry.  Rounding leaves a
     residual near ``eps ||A|| ||C_inf||``, so this holds while ``C_inf``
     is at most ~10^5 times ``||N|| / ||A||``; beyond, near threshold,
-    ``C(t) = C_inf + (C(t) - C_inf)`` cancels too many digits and
-    :func:`evolve_covariance` takes Van Loan steps instead.
+    ``C(t) = C_inf + (C(t) - C_inf)`` cancels too many digits and it
+    takes Van Loan steps instead.
     """
     noise = model.noise_diag[0::2] + model.noise_diag[1::2]
     diag, row, col = model._arrowhead_border()
@@ -786,7 +803,7 @@ def _spectral_steady(model: DriftModel, lam, right, left):
         unscaled = max(np.abs(residual.real).max(), np.abs(residual.imag).max()) / 2.0
     if not worst <= bound:
         return None
-    return tilde, amp, bool(unscaled <= _LYAPUNOV_RTOL * model.noise_diag.max())
+    return _Steady(tilde, amp, float(unscaled))
 
 
 def _balance(model: DriftModel) -> np.ndarray:
@@ -824,7 +841,7 @@ def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
     with ``e^{lambda_k t}`` folded into the rows, so any grid costs the
     same.
     """
-    tilde_inf, amp_inf, _ = steady
+    tilde_inf, amp_inf = steady.tilde, steady.amp
     diff = left @ amp0 @ left.conj().T - tilde_inf
     field, spins = right[0], right[1:].sum(axis=0)
     forms = np.empty((times.size, 3), dtype=complex)
@@ -879,7 +896,7 @@ def _steady_state(model: DriftModel, lam, steady) -> tuple:
             f"{abscissa:.3e} >= 0 (second moments diverge)"
         )
     if steady is not None:
-        return _from_amplitudes(steady[1]), False
+        return _from_amplitudes(steady.amp), False
     # solved with the spin quadratures scaled by 1 / sqrt(N_m): unscaled,
     # the couplings span sqrt(N) to 1 / sqrt(N), and at N = 1e11 the
     # solver returns a negative field variance that passes the residual
@@ -923,9 +940,8 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
     ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))`` of the collective
     S_x variance is NaN-flagged, like the steady variances, when the
     model is unstable, and also when ``Var(0)`` equals ``Var_inf`` to
-    ``_LYAPUNOV_RTOL``, the tolerance the steady state is solved to: a
-    start at the steady variance leaves only rounding in both the
-    numerator and the denominator.
+    ``_R_RTOL`` relative: a start at the steady variance leaves only
+    rounding in both the numerator and the denominator.
     """
     if grid.size != series.model.grid.size:
         raise PreconditionError("grid does not match the series' model")
@@ -950,7 +966,7 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
         red["var_S_x_inf"] = var_inf
         red["var_P_c_inf"] = steady[_TRACK_KEYS.index("var_P_c")]
         denom = var_inf - var_sx[0]
-        if not abs(denom) > _LYAPUNOV_RTOL * abs(var_inf):
+        if not abs(denom) > _R_RTOL * abs(var_inf):
             red["R"] = np.full(series.times.size, np.nan)
         else:
             red["R"] = (var_inf - var_sx) / denom

@@ -685,7 +685,7 @@ def written(header, columns, rows, trailer) -> str:
 
 
 EDGE_FLOATS = [
-    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308,
     1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, -1.0 / 3.0,
 ]
 FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))

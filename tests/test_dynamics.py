@@ -406,6 +406,11 @@ class TestSpectralMoments:
         gamma = steady_state_covariance(model)
         assert (dense_calls["bartels_stewart"] > 0) == (path == "bartels-stewart")
         assert np.abs(gamma - vacuum).max() <= 1e-10 * vacuum.max()
+        # a start at the steady variance leaves R rounding over rounding
+        series = collective_reduce(
+            evolve_covariance(model, vacuum, np.linspace(0.0, 1.0, 5)), grid
+        )
+        assert np.all(np.isnan(series.reductions["R"]))
 
     def test_means_and_track_on_any_grid(self):
         model, grid = small_model(spec=GAUSS, m=21, gamma_perp=0.1, g_ens=1.0)
