@@ -15,9 +15,14 @@ Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 339 (1973); Bini &
 Robol, J. Comput. Appl. Math. 272, 276 (2014)) after deflating
 decoupled and repeated poles (Gu & Eisenstat, SIAM J. Matrix Anal.
 Appl. 16, 172 (1995)), without building ``H``.  It stops each root on
-an absolute-floor step test, bounds every work array by
-``_CHUNK_BYTES``, and falls back to dense ``eigvals`` of ``H`` when the
-iteration does not settle or the roots sit near an exceptional point.
+an absolute-floor step test and bounds every work array by
+``_CHUNK_BYTES``.  On a mirrored line (``delta_cs = 0``, poles and
+weights symmetric about ``Delta = 0`` to the bit, an odd count: every
+discretized grid) ``F`` is real on the real axis, and the iteration
+runs on the real roots and one member of each conjugate pair only.
+Its fallbacks, in order: the general iteration on all roots, then
+dense ``eigvals`` of ``H``, when an iteration does not settle or the
+roots sit near an exceptional point.
 The partial-fraction expansion of ``1 / F`` gives the field after a
 cavity kick as ``a(t) / a(0) = sum_k e^{lambda_k t} / F'(lambda_k)``
 with no eigenvectors and no time stepping.
@@ -349,8 +354,13 @@ def evolve_covariance(
         raise PreconditionError(
             f"covariance shape {gamma0.shape} does not match model dim {dim}"
         )
-    scale = np.abs(gamma0).max()
-    if scale > 0 and np.abs(gamma0 - gamma0.T).max() > 1e-12 * scale:
+    # row blocks of gamma0 and of its transpose, never a dim^2 temporary
+    blocks = list(_row_blocks(dim, dim))
+    scale = np.max([np.abs(gamma0[block]).max() for block in blocks])
+    skew = np.max(
+        [np.abs(gamma0[block] - gamma0[:, block].T).max() for block in blocks]
+    )
+    if scale > 0 and skew > 1e-12 * scale:
         raise PreconditionError("initial covariance must be symmetric")
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
     if store_full is None:
@@ -427,77 +437,243 @@ def _secular_terms(model: DriftModel):
     return poles, model.p * grid.couplings**2 * grid.spins
 
 
-def _aberth_roots(shift: complex, poles: np.ndarray, weights: np.ndarray):
-    """All roots of ``z + shift - sum_m weights_m / (z + poles_m)``.
+def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The decoupled cavity root ``-shift``, then one seed per pole.
 
-    The poles must be distinct and the weights nonzero; the n poles then
-    give n + 1 roots.  Returns ``None`` when the iteration does not
-    settle every root (see :func:`arrowhead_eigenvalues`).
+    The weak-coupling seed of pole m is ``-d_m + w_m / (shift - d_m)``;
+    a pole at ``-shift`` has none and takes the root of its 2 x 2 block
+    ``(z + shift)(z + d_m) = w_m`` nearest ``-d_m`` instead.
     """
-    n = poles.size
-    if n == 0:
-        return np.array([-shift])
-    roots = np.empty(n + 1, dtype=complex)
-    residues = np.empty(n + 1, dtype=complex)
+    seeds = np.empty(poles.size + 1, dtype=complex)
+    seeds[0] = -shift
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        roots[0] = -shift
-        roots[1:] = -poles + weights / (shift - poles)
-        # a pole at -shift has no weak-coupling seed; take the root of
-        # its 2 x 2 block (z + shift)(z + d) = w nearest -d instead
-        bad = ~np.isfinite(roots[1:])
-        # one real pole and a real shift give real seeds, which the
-        # iteration never moves off the real axis: a complex pair of
-        # roots is seeded from the block as well
-        pair = (
-            n == 1 and shift.imag == poles[0].imag == 0.0 and not bad[0]
-            and (shift - poles[0]).real ** 2 + 4.0 * weights[0] < 0.0
-        )
-        bad[0] |= pair
+        seeds[1:] = -poles + weights / (shift - poles)
+        bad = ~np.isfinite(seeds[1:])
         gap, w = shift - poles[bad], weights[bad]
         root = np.sqrt(gap * gap + 4.0 * w)
         root = np.where((gap.conjugate() * root).real < 0.0, -root, root)
-        roots[1:][bad] = -poles[bad] + 2.0 * w / (gap + root)
-        if pair:
-            roots[0] = -shift - 2.0 * w[0] / (gap[0] + root[0])
+        seeds[1:][bad] = -poles[bad] + 2.0 * w / (gap + root)
+    return seeds
+
+
+def _collective_seeds(shift: float, poles, weights, centre_seed) -> np.ndarray:
+    """Seeds of the two roots of a mirrored problem not seeded at pole pairs.
+
+    ``poles`` holds the real centre pole ``d_0`` and then one member of
+    each mirrored pair; ``centre_seed`` is the weak-coupling seed of
+    ``d_0``.  They come from the 2 x 2 problem of the cavity and the
+    whole line on ``d_0``, ``(z + shift)(z + d_0) = W = sum_m w_m``.
+    When the full secular function has no real roots off the pole pairs
+    (:func:`_real_pair` decides for negative weights; positive ones
+    always leave some), this returns one seed: the 2 x 2 root with
+    positive imaginary part, which is then complex and stands for a
+    conjugate pair.  Otherwise it returns two real seeds: the 2 x 2 root
+    nearest ``-shift`` (the midpoint of the two if they are complex)
+    and, for the root next to ``d_0``, the other 2 x 2 root when the
+    line is strongly coupled, else ``centre_seed``.  On the real axis
+    ``F`` keeps the sign it has next to the pole from ``d_0`` out to
+    that root, so ``F`` at the geometric mean of the two candidates'
+    distances from ``d_0`` tells which one lies nearer.
+    """
+    centre, w0 = poles[0].real, weights[0]
+    mid, half = -(shift + centre) / 2.0, (shift - centre) / 2.0
+    total = w0 + 2.0 * weights[1:].sum()
+    halves = poles[1:].imag
+    if w0 < 0.0 and not _real_pair(2.0 * abs(half), halves, weights):
+        return np.array([complex(mid, math.sqrt(max(-total - half * half, 0.0)))])
+    root = math.copysign(math.sqrt(max(half * half + total, 0.0)), half)
+    near, far = centre_seed.real + centre, mid + root + centre  # t = z + d_0
+    if root != 0.0 and near * far > 0.0:
+        t = math.copysign(math.sqrt(near * far), far)
+        if (2.0 * half + _odd_part(np.array([t]), halves, weights)[0]) * w0 * t < 0.0:
+            return np.array([mid - root, far - centre], dtype=complex)
+    return np.array([mid - root, centre_seed])
+
+
+def _odd_part(t: np.ndarray, halves: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``t - w_0 / t - sum_k 2 w_k t / (t^2 + D_k^2)`` at real ``t``.
+
+    The secular function of a mirrored problem on the real axis, with
+    ``t = z + d_0``, less ``shift - d_0``; ``halves`` holds the ``D_k``.
+    """
+    out = t - weights[0] / t
+    squares, w2 = halves**2, 2.0 * weights[1:]
+    for block in _row_blocks(t.size, squares.size):
+        tb = t[block, None]
+        out[block] -= (w2 * tb / (tb * tb + squares)).sum(axis=1)
+    return out
+
+
+def _real_pair(level: float, halves: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether a mirrored problem with negative weights has real roots.
+
+    On the real axis the secular function is ``phi(t) + shift - d_0``
+    with ``phi`` of :func:`_odd_part`, odd in ``t = z + d_0`` and
+    positive for ``t > 0``, so it has real roots if and only if ``phi``
+    falls to ``level = |shift - d_0|`` somewhere on ``t > 0``, which needs
+    ``t <= level`` and ``-w_0 / t <= level``.  No term of ``phi``
+    changes by more than a factor ``r`` over a factor ``r`` in ``t``, so
+    on ``[a, r a]`` ``phi`` stays above ``sqrt(phi(a) phi(r a) / r)``.
+    A geometric ladder is refined where that bound still reaches
+    ``level`` until a sample does (real roots), none can (none), or
+    after 12 halvings or beyond 256 open intervals, where ``min phi``
+    lies within ~1e-4 of ``level`` or ``phi`` is very flat: the roots
+    are then nearly double, and taken as real.
+    """
+    w0 = weights[0]
+    if not (level > 0.0 and -w0 < level * level):
+        return False
+    lo, hi = math.log(-w0 / level), math.log(level)
+    count = math.ceil(2.0 * (hi - lo))
+    step = (hi - lo) / count
+    ladder = np.exp(np.linspace(lo, hi, count + 1))
+    values = _odd_part(ladder, halves, weights)
+    a, b, fa, fb = ladder[:-1], ladder[1:], values[:-1], values[1:]
+    for _ in range(12):
+        if min(fa.min(), fb.min()) <= level:
+            return True
+        open_ = np.sqrt(fa * fb) * math.exp(-step / 2.0) <= level
+        if not open_.any():
+            return False
+        if np.count_nonzero(open_) > 256:
+            break
+        a, b, fa, fb = a[open_], b[open_], fa[open_], fb[open_]
+        mid = np.sqrt(a * b)
+        fm = _odd_part(mid, halves, weights)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+        step /= 2.0
+    return True
+
+
+def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
+    """Roots of ``z + shift - sum_m weights_m / (z + poles_m)`` from ``seeds``.
+
+    The poles must be distinct and the weights nonzero; n poles give
+    n + 1 roots.  The last ``pairs`` poles each stand for themselves and
+    their conjugates, of equal weight; they must share the real part of
+    the last unpaired pole and have increasing, positive imaginary
+    parts.  The last ``root_pairs`` seeds likewise stand for conjugate
+    pairs, and with any pair the other seeds must be real.  Returns the
+    unpaired roots, the paired ones and their conjugates, or ``None``
+    when the iteration does not settle every root (see
+    :func:`arrowhead_eigenvalues`).
+    """
+    if poles.size == 0:
+        return seeds.copy()
+    single = poles.size - pairs
+    lone_poles, lone_weights = poles[:single], weights[:single]
+    centre, halves = lone_poles[-1].real, poles[single:].imag
+    squares, pair_weights = halves**2, weights[single:]
+    roots = seeds.copy()
+    lone = roots.size - root_pairs
+    mirrored = pairs + root_pairs > 0
+    residues = np.empty(roots.size, dtype=complex)
     floor = max(abs(shift), float(np.abs(poles).max()))
     tol = 4.0 * np.finfo(float).eps
-    active = np.arange(n + 1)
+    # every (rows x columns) array lives in one of two _CHUNK_BYTES work
+    # arrays: fresh arrays that large cost more to allocate than to fill
+    width = max(poles.size, roots.size)
+    work = np.empty((2, max(_CHUNK_BYTES // 16, width)), dtype=complex)
+
+    def view(index, count, columns, dtype=complex):
+        return work[index].view(dtype)[: count * columns].reshape(count, columns)
+
+    active = np.arange(roots.size)
     for _ in range(_ABERTH_MAX_ITER):
         steps = np.empty(active.size, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for block in _row_blocks(active.size, n + 1):
+            for block in _row_blocks(active.size, width):
                 rows = active[block]
                 z = roots[rows]
-                at = np.arange(rows.size)
-                # split off the nearest pole k: with e = z + d_k and F_k,
-                # S_k the sums over the other poles, P'/P equals
-                # (F_k' e + F_k) / (F_k e - w_k) + S_k, finite at e = 0
-                gap = z[:, None] + poles
-                near = np.abs(gap).argmin(axis=1)
-                e, w = gap[at, near], weights[near]
-                gap[at, near] = np.inf
-                inv = 1.0 / gap
-                terms = weights * inv
+                count = rows.size
+                at = np.arange(count)
+                # split off the nearest pole: with F_k, S_k the sums over
+                # the other poles, P'/P = G'/G + S_k for G = F_k q - v, where
+                # q = e = z + d_k and v = w_k for an unpaired pole and
+                # q = (y + iD)(y - iD), y = z + g and v = 2 w_k y for the
+                # pair g +- iD; G stays finite and uncancelled at the pole
+                gap = np.add(z[:, None], lone_poles, out=view(0, count, single))
+                dist = np.abs(gap, out=view(1, count, single, float))
+                near = dist.argmin(axis=1)
+                q = gap[at, near]
+                v = lone_weights[near].astype(complex)
+                dq = np.ones(count, dtype=complex)
+                dv = np.zeros(count)
+                if pairs:
+                    y = z + centre
+                    k = _nearest(halves, np.abs(y.imag))
+                    pair_dist = np.hypot(y.real, np.abs(y.imag) - halves[k])
+                    split = pair_dist < dist[at, near]
+                    ys, ws, hs = y[split], pair_weights[k[split]], 1j * halves[k[split]]
+                    q[split], v[split] = (ys + hs) * (ys - hs), 2.0 * ws * ys
+                    dq[split], dv[split] = 2.0 * ys, 2.0 * ws
+                    gap[at[~split], near[~split]] = np.inf
+                else:
+                    gap[at, near] = np.inf
+                inv = np.divide(1.0, gap, out=gap)
+                terms = np.multiply(lone_weights, inv, out=view(1, count, single))
                 f = z + shift - terms.sum(axis=1)
-                df = 1.0 + (terms * inv).sum(axis=1)
-                diff = z[:, None] - roots
-                diff[at, rows] = np.inf
-                rest = inv.sum(axis=1) - (1.0 / diff).sum(axis=1)
+                df = 1.0 + np.multiply(terms, inv, out=terms).sum(axis=1)
+                rest = inv.sum(axis=1)
+                if pairs:
+                    # 1/(z + d) + 1/(z + conj d) = 2y / (y^2 + D^2), and the
+                    # squares add up to 4y^2 / (y^2 + D^2)^2 - 2 / (y^2 + D^2);
+                    # y^2 + D^2 cancels only next to a pole, and the nearest
+                    # pair was split off above in the product form
+                    inv = np.add((y * y)[:, None], squares, out=view(0, count, pairs))
+                    inv[at[split], k[split]] = np.inf
+                    inv = np.divide(1.0, inv, out=inv)
+                    terms = np.multiply(pair_weights, inv, out=view(1, count, pairs))
+                    pole_sum = terms.sum(axis=1)
+                    f -= 2.0 * y * pole_sum
+                    df += 4.0 * y * y * np.multiply(terms, inv, out=terms).sum(axis=1)
+                    df -= 2.0 * pole_sum
+                    rest += 2.0 * y * inv.sum(axis=1)
+                own = rows < lone
+                diff = np.subtract(z[:, None], roots[:lone], out=view(0, count, lone))
+                diff[at[own], rows[own]] = np.inf
+                rest -= np.divide(1.0, diff, out=diff).sum(axis=1)
+                if root_pairs:
+                    # 1/(z - a) + 1/(z - conj a) = 2x / (x^2 + Im(a)^2)
+                    # with x = z - Re(a); a paired root keeps its own conjugate
+                    partner = roots[lone:]
+                    x = np.subtract(
+                        z[:, None], partner.real, out=view(0, count, root_pairs)
+                    )
+                    quad = np.multiply(x, x, out=view(1, count, root_pairs))
+                    quad += partner.imag**2
+                    quad[at[~own], rows[~own] - lone] = np.inf
+                    x += x
+                    rest -= np.divide(x, quad, out=x).sum(axis=1)
+                    rest[~own] -= 0.5 / (1j * z[~own].imag)
                 # 1 / (P'/P - sum_j 1/(z_i - z_j)), zero at an exact root
-                num, den = df * e + f, f * e - w
+                num, den = df * q + f * dq - dv, f * q - v
                 steps[block] = den / (num + den * rest)
-                residues[rows] = e * e / (df * e * e + w)  # 1 / F'(z)
+                residues[rows] = q * q / (df * q * q - (dv * q - v * dq))  # 1 / F'(z)
         if not np.all(np.isfinite(steps)):
             return None
+        if mirrored:
+            # the unpaired roots of a mirrored problem are real, and so are
+            # their steps but for rounding, which would pull them off
+            steps[active < lone] = steps[active < lone].real
         roots[active] -= steps
         settled = np.abs(steps) <= tol * np.maximum(np.abs(roots[active]), floor)
         active = active[~settled]
         if active.size == 0:
             # sum_k 1 / |F'(lambda_k)| bounds the roots' condition
-            if np.abs(residues).sum() > _RESIDUE_BOUND:
+            size = np.abs(residues[:lone]).sum() + 2.0 * np.abs(residues[lone:]).sum()
+            if size > _RESIDUE_BOUND:
                 return None
-            return roots
+            return np.concatenate([roots, roots[lone:].conjugate()])
     return None
+
+
+def _nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the entry of the increasing ``values`` nearest each target."""
+    upper = np.minimum(np.searchsorted(values, targets), values.size - 1)
+    lower = np.maximum(upper - 1, 0)
+    return np.where(targets - values[lower] <= values[upper] - targets, lower, upper)
 
 
 def arrowhead_eigenvalues(model: DriftModel) -> tuple:
@@ -529,10 +705,7 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     the decoupled cavity root ``-c`` and the weak-coupling roots
     ``-d_m + w_m / (c - d_m)``; a pole with ``d_m = c``, where that seed
     is infinite, is seeded with the root of its 2 x 2 block
-    ``(lambda + c)(lambda + d_m) = w_m`` nearest ``-d_m``, and a single
-    real pole with a real ``c`` has both roots seeded from that block when
-    they are a complex pair, which its real seeds would never reach (the
-    iteration keeps real seeds real).  A root is
+    ``(lambda + c)(lambda + d_m) = w_m`` nearest ``-d_m``.  A root is
     frozen once its step is at most
     ``4 eps max(|lambda_i|, |c|, max_m |d_m|)``: the absolute floor stops
     roots near the band centre, which jitter at the rounding level of
@@ -540,9 +713,33 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     O(M) per unfrozen root, with its (roots x M) work arrays cut into
     row blocks of at most ``_CHUNK_BYTES`` (256 KiB) each.
 
-    The dense ``numpy.linalg.eigvals`` of :attr:`DriftModel.arrowhead`
-    runs instead when a step is not finite, when a root is still moving
-    after ``_ABERTH_MAX_ITER`` iterations, or when
+    Mirrored lines: when ``delta_cs = 0`` and the coupled poles and
+    their weights are mirror-symmetric about ``Delta = 0`` to the bit,
+    with an odd count (every grid of :func:`~spincavity.broadening.discretize`),
+    ``F`` is real on the real axis and the roots are real or come in
+    conjugate pairs.  The same iteration then runs on the real roots and
+    one member of each pair, with the poles of each mirrored pair and
+    the roots of each conjugate pair summed in closed form
+    (``1/(y + iD) + 1/(y - iD) = 2y / (y^2 + D^2)``), so it has half the
+    rows and half the columns; a pair of poles nearest an iterate is
+    split off as a whole.  It returns the real roots, the pair members
+    and their conjugates.  The two roots not seeded at pole pairs come
+    from the 2 x 2 problem of the cavity and the whole line on the
+    centre pole, ``(lambda + c)(lambda + d_0) = sum_m w_m``
+    (:func:`_collective_seeds`).  When ``F`` has real roots off the pole
+    pairs (always for ``p = +1``; for ``p = -1`` a bounded search of
+    ``F`` on the real axis decides) they are its root nearest ``-c`` and,
+    by the sign of ``F`` between them, its other root or the centre
+    pole's own seed, whichever lies nearer the real root next to
+    ``d_0``; a real seed cannot get around the centre pole.  Otherwise
+    they are one complex pair, which real seeds would never reach.
+
+    Fallbacks, in order: a mirrored line whose folded iteration does not
+    settle takes the general iteration from the same seeds, and the
+    dense ``numpy.linalg.eigvals`` of :attr:`DriftModel.arrowhead` runs
+    when that does not settle either.  An iteration does not settle when
+    a step is not finite, when a root is still moving after
+    ``_ABERTH_MAX_ITER`` iterations, or when
     ``sum_k 1 / |F'(lambda_k)|`` exceeds ``_RESIDUE_BOUND``: that sum
     grows without bound as roots merge at an exceptional point, where
     the roots are known only to about the square root of the rounding
@@ -563,7 +760,31 @@ def _roots(model: DriftModel) -> tuple:
     np.add.at(merged_weights, index, weights[coupled])
     deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
     shift = complex(model.params.kappa, model.params.delta_cs)
-    roots = _aberth_roots(shift, merged, merged_weights)
+    seeds = _seeds(shift, merged, merged_weights)
+    roots = None
+    # np.unique sorts the poles, which share one real part, by Delta
+    half = merged.size // 2
+    if (
+        shift.imag == 0.0 and merged.size % 2 == 1
+        and np.array_equal(merged, merged[::-1].conjugate())
+        and np.array_equal(merged_weights, merged_weights[::-1])
+    ):
+        upper, upper_weights = merged[half:], merged_weights[half:]
+        collective = _collective_seeds(
+            shift.real, upper, upper_weights, seeds[half + 1]
+        )
+        if collective.size == 2:
+            lone, paired = collective, seeds[half + 2:]
+        else:
+            lone, paired = seeds[:0], np.concatenate([collective, seeds[half + 2:]])
+        roots = _aberth_roots(
+            shift, upper, upper_weights, np.concatenate([lone, paired]),
+            pairs=half, root_pairs=paired.size,
+        )
+        # the general iteration starts from the same seeds
+        seeds = np.concatenate([lone, paired, paired.conjugate()])
+    if roots is None:
+        roots = _aberth_roots(shift, merged, merged_weights, seeds)
     if roots is not None:
         return np.concatenate([roots, -deflated]), False, deflated.size > 0
     try:
@@ -587,10 +808,17 @@ def drift_eigenvalues(model: DriftModel) -> np.ndarray:
       O(M^2) per iteration Aberth-Ehrlich iteration on all roots at once
       (Aberth 1973; Bini & Robol 2014; Gu & Eisenstat 1995 for the
       deflation);
+    * symmetry: at ``delta_cs = 0`` with coupled poles and weights
+      mirror-symmetric about ``Delta = 0`` to the bit and an odd count
+      of poles (every discretized line), the iteration runs on the real
+      roots and one member of each conjugate pair, over mirrored pole
+      pairs summed in closed form: a quarter of the work per iteration;
     * stopping rule: each root is frozen once its step is at most
       ``4 eps max(|lambda|, |kappa + i delta_cs|, max_m |d_m|)``;
-    * fallbacks: dense O(M^3) ``numpy.linalg.eigvals`` of the arrowhead
-      on a non-finite step, on roots still moving after
+    * fallbacks, in order: a mirrored iteration that does not settle
+      hands its seeds to the general one; dense O(M^3)
+      ``numpy.linalg.eigvals`` of the arrowhead runs when that does not
+      settle either: on a non-finite step, on roots still moving after
       ``_ABERTH_MAX_ITER`` iterations, or on
       ``sum_k 1 / |F'(lambda_k)| > _RESIDUE_BOUND`` (an exceptional
       point); a dense ``LinAlgError`` raises :class:`NumericalError`;

@@ -136,6 +136,31 @@ class TestDeterminism:
         assert first == second
 
 
+    def test_decay_and_sweep_ignore_the_blas_thread_count(self, tmp_path):
+        runs = {
+            "decay": SMALL["decay"],
+            "stability-sweep": [
+                "stability-sweep", "--family", "gaussian", "--normalize-gamma",
+                "--gamma-perp", "0", "--m", "61", "--g-samples", "3",
+                "--kappa-samples", "3",
+            ],
+        }
+        for threads in ("1", "2"):
+            env = source_env()
+            env["OPENBLAS_NUM_THREADS"] = threads
+            for name, args in runs.items():
+                result = subprocess.run(
+                    [sys.executable, "-m", "spincavity", *args,
+                     "--out", str(tmp_path / f"{name}-{threads}.csv")],
+                    capture_output=True, text=True, env=env,
+                )
+                assert result.returncode == 0, result.stderr
+        for name in runs:
+            for suffix in (".csv", ".csv.manifest.json"):
+                one = (tmp_path / f"{name}-1{suffix}").read_bytes()
+                assert one == (tmp_path / f"{name}-2{suffix}").read_bytes()
+
+
 class TestDecay:
     def test_schema_and_analytic_columns(self, tmp_path):
         out = tmp_path / "decay.csv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from spincavity import (
     gaussian_pole,
     initial_state,
     pole_seeds,
+    solve_width_for_gamma,
     spectral_abscissa,
     steady_state_covariance,
     steady_state_moments_hom,
@@ -84,6 +86,22 @@ def dense_calls(monkeypatch):
 
 
 NO_DENSE_CALLS = {"van_loan": 0, "bartels_stewart": 0, "expm_multiply": 0}
+
+
+@pytest.fixture
+def aberth_calls(monkeypatch):
+    """``(pairs, root_pairs, settled)`` of each secular iteration run."""
+    calls = []
+    run = dynamics._aberth_roots
+
+    def counted(*args, **kwargs):
+        roots = run(*args, **kwargs)
+        calls.append((kwargs.get("pairs", 0), kwargs.get("root_pairs", 0),
+                      roots is not None))
+        return roots
+
+    monkeypatch.setattr(dynamics, "_aberth_roots", counted)
+    return calls
 
 
 def assert_matches_dp45(model, gamma0, times, series):
@@ -271,6 +289,22 @@ class TestEvolveCovariance:
         bad[0, 1] = 0.5
         with pytest.raises(PreconditionError):
             evolve_covariance(model, bad, np.linspace(0.0, 1.0, 3))
+
+    def test_symmetry_check_runs_in_row_blocks(self):
+        # at M = 601 the covariance is 11.6 MB; |gamma0| and
+        # gamma0 - gamma0^T as whole arrays took twice that
+        model, grid = small_model(spec=GAUSS, m=601)
+        _, gamma0 = initial_state("vacuum", grid)
+        bad = gamma0.copy()
+        bad[-1, -2] = 0.5  # in the last row block
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError):
+                evolve_covariance(model, bad, np.linspace(0.0, 1.0, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dynamics._CHUNK_BYTES
 
 
 class TestSpectralMoments:
@@ -638,7 +672,10 @@ class TestSecularSolver:
         log_kappa=st.floats(np.log(0.05), np.log(50.0)),
         gamma_perp=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
         log10_n=st.floats(0.0, 12.0),
-        delta_cs=st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),
+        # 0 gives the mirrored problem of every discretized line
+        delta_cs=st.one_of(
+            st.just(0.0), st.floats(-3.0, -0.1), st.floats(0.1, 3.0)
+        ),
         m=st.sampled_from([3, 41, 201]),
     )
     def test_matches_dense_eig(self, family, p, log_c, log_kappa,
@@ -702,6 +739,74 @@ class TestSecularSolver:
         closed = (-(kappa + gamma_perp) + np.array([-1.0, 1.0]) * root) / 2.0
         lam = lam[np.argsort(lam.imag)]
         assert np.abs(lam - closed).max() <= 1e-15 * np.abs(closed).max()
+
+    # delta_cs = 0 on a discretized line; the first six are the sweep's
+    # Gaussian (Gamma = 1, gamma_perp = 0, M = 201, 100 mirrored pole
+    # pairs); (spec, M, gamma_perp, g_ens, kappa, p, pairs of roots)
+    @pytest.mark.parametrize(
+        "spec, m, gamma_perp, g_ens, kappa, p, root_pairs",
+        [
+            # a complex collective pair, seeded as one: 57, 44 and 40
+            # iterations when it left the real axis only by rounding
+            (None, 201, 0.0, 5.0, 0.5, -1, 101),
+            (None, 201, 0.0, 2.0, 0.1, -1, 101),
+            (None, 201, 0.0, 3.0, 1.0, -1, 101),
+            # real collective roots, though (kappa - gamma_perp)^2 + 4 W < 0
+            (None, 201, 0.0, 0.3, 0.2, -1, 100),
+            # strong coupling and a small kappa: from -kappa the real
+            # cavity seed was drawn into the band centre, which a real
+            # root cannot get around, and the folded iteration stalled
+            (None, 201, 0.0, 5.259056162393782, 0.5295732967676123, 1, 100),
+            (None, 201, 0.0, 4.3900102582748435, 1.0390013100976117, 1, 100),
+            # strong coupling: the real root next to the centre pole lies
+            # far out, where the centre pole's own seed never got
+            (BroadeningSpec(BroadeningFamily.LORENTZIAN, 1.2), 41, 0.0,
+             11.807456965089377, 26.757707605844935, 1, 20),
+            (BroadeningSpec(BroadeningFamily.LORENTZIAN, 1.2), 201,
+             1.2701727572717314, 25.378478128769565, 69.06678756941238, -1,
+             100),
+        ],
+    )
+    def test_mirrored_line_settles_in_the_folded_iteration(
+        self, spec, m, gamma_perp, g_ens, kappa, p, root_pairs, aberth_calls
+    ):
+        if spec is None:
+            width = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, 1.0, 0.0)
+            spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, width)
+        model, _ = small_model(spec=spec, m=m, kappa=kappa,
+                               gamma_perp=gamma_perp, g_ens=g_ens, p=p)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        assert aberth_calls == [((m - 1) // 2, root_pairs, True)]
+        assert_matches_dense(model, lam)
+
+    def test_one_ulp_off_the_mirror_takes_the_general_iteration(
+        self, aberth_calls
+    ):
+        model, grid = small_model(spec=GAUSS, m=41)
+        arrowhead_eigenvalues(model)
+        assert aberth_calls == [(20, 20, True)]
+        couplings = grid.couplings.copy()
+        couplings[0] = np.nextafter(couplings[0], np.inf)
+        skewed = replace(grid, couplings=couplings)
+        model = build_drift_matrix(model.params, skewed, 1)
+        weights = dynamics._secular_terms(model)[1]
+        assert weights[0] != weights[-1]
+        aberth_calls.clear()
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        assert aberth_calls == [(0, 0, True)]
+        assert_matches_dense(model, lam)
+
+    def test_mirrored_iteration_falls_through_to_the_general_one(
+        self, monkeypatch, aberth_calls
+    ):
+        model, _ = small_model(spec=GAUSS, m=41)
+        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 2)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert fallback
+        assert aberth_calls == [(20, 20, False), (0, 0, False)]
+        assert np.array_equal(lam, np.linalg.eigvals(model.arrowhead))
 
     def test_decoupled_and_repeated_poles_are_deflated(self):
         # sub-ensemble 3 is decoupled and two share the pole at Delta = 0
@@ -814,8 +919,9 @@ class TestSecularSolver:
         assert roots_peak <= 8 * dynamics._CHUNK_BYTES
         assert field_peak <= 8 * dynamics._CHUNK_BYTES
 
-    def test_chunking_leaves_the_roots_unchanged(self, monkeypatch):
-        model, _ = small_model(spec=LOR, m=201, delta_cs=0.3)
+    @pytest.mark.parametrize("delta_cs", [0.3, 0.0])
+    def test_chunking_leaves_the_roots_unchanged(self, monkeypatch, delta_cs):
+        model, _ = small_model(spec=LOR, m=201, delta_cs=delta_cs)
         lam = drift_eigenvalues(model)
         monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 16)  # one row a block
         assert np.array_equal(drift_eigenvalues(model), lam)
