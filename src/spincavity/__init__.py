@@ -44,7 +44,6 @@ from .dynamics import (
     arrowhead_eigenvalues,
     check_revival_window,
     collective_reduce,
-    drift_eigenvalues,
     evolve_covariance,
     evolve_mean,
     field_kick_response,
@@ -106,7 +105,6 @@ __all__ = [
     "arrowhead_eigenvalues",
     "check_revival_window",
     "collective_reduce",
-    "drift_eigenvalues",
     "evolve_covariance",
     "evolve_mean",
     "field_kick_response",

@@ -29,8 +29,9 @@ and the run-level ``header`` values (``Gamma``, ``invalid_rows``,
 residue expansion; ``eigensolver_fallbacks``, the sweep points whose
 eigenvalues came from dense ``eigvals`` instead of the secular solver;
 and ``moment_fallbacks``, the mean, covariance and steady-state
-computations of ``moments`` that took the dense ``expm_multiply``, Van
-Loan or Bartels-Stewart path instead of the arrowhead eigen-system).
+computations of ``moments`` that took a dense path instead of the
+arrowhead eigen-system: matrix-exponential steps, Van Loan steps or
+Bartels-Stewart).
 The counts are deterministic, so reruns stay byte-identical.  The
 column names and the data rows follow, floats at 17 significant digits
 and undefined cells empty; closing ``#`` lines hold the fitted or
@@ -67,8 +68,8 @@ from .broadening import (
     solve_width_for_gamma,
 )
 from .dynamics import (
-    arrowhead_eigenvalues, collective_reduce, drift_eigenvalues,
-    evolve_covariance, evolve_mean, field_kick_response,
+    arrowhead_eigenvalues, collective_reduce, evolve_covariance, evolve_mean,
+    field_kick_response,
 )
 from .errors import (
     ConvergenceError, NumericalError, PreconditionError, UnstableModelError,
@@ -192,7 +193,7 @@ def _decay(o: dict):
     times = _time_grid(o)
     grid = discretize(spec, o["m"], params.g_ens, o["n_spins"])
     model = build_drift_matrix(params, grid, o["p"])
-    response, fallback = field_kick_response(model, drift_eigenvalues(model), times)
+    response, fallback = field_kick_response(model, times)
     x_sim = (_SQRT2 * o["alpha"] * response).real  # X_c(0) = sqrt(2) alpha
 
     Gamma = characteristic_width(spec, params.gamma_perp)
@@ -311,7 +312,7 @@ def _stability_sweep(o: dict):
             dense += dense_path
             abscissa = float(eigenvalues.real.max())
             if windowed:
-                response, fallback = field_kick_response(model, eigenvalues, times)
+                response, fallback = field_kick_response(model, times)
                 fallbacks += fallback
                 envelope = np.abs(kick * response)
                 numeric = bool(envelope[-fifth:].max() < envelope[:fifth].max())

@@ -6,26 +6,15 @@ and diagonal noise ``N_diag`` of a :class:`~spincavity.model.DriftModel`.
 
 The real drift is the realification of the complex (M+1) x (M+1)
 arrowhead matrix ``H`` of :attr:`DriftModel.arrowhead`, so its
-spectrum is that of ``H`` plus the complex conjugates.  The
-eigenvalues are the roots of the secular function
-``F(lambda) = lambda + kappa + i delta_cs
-- p sum_m g_m^2 N_m / (lambda + gamma_perp + i Delta_m)``, which
-:func:`arrowhead_eigenvalues` finds in O(M^2) by a vectorized
-Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 339 (1973); Bini &
-Robol, J. Comput. Appl. Math. 272, 276 (2014)) after deflating
-decoupled and repeated poles (Gu & Eisenstat, SIAM J. Matrix Anal.
-Appl. 16, 172 (1995)), without building ``H``.  It stops each root on
-an absolute-floor step test and bounds every work array by
-``_CHUNK_BYTES``.  On a mirrored line (``delta_cs = 0``, poles and
-weights symmetric about ``Delta = 0`` to the bit, an odd count: every
-discretized grid) ``F`` is real on the real axis, and the iteration
-runs on the real roots and one member of each conjugate pair only.
-Its fallbacks, in order: the general iteration on all roots, then
-dense ``eigvals`` of ``H``, when an iteration does not settle or the
-roots sit near an exceptional point.
-The partial-fraction expansion of ``1 / F`` gives the field after a
-cavity kick as ``a(t) / a(0) = sum_k e^{lambda_k t} / F'(lambda_k)``
-with no eigenvectors and no time stepping.
+spectrum is that of ``H`` plus the complex conjugates: the roots
+``lambda_k`` of a secular function ``F``, found in O(M^2) without
+building ``H`` (:func:`arrowhead_eigenvalues` gives the solver, its
+symmetry rule and its fallbacks).  Each model is solved once:
+:func:`_spectrum` keeps the roots of the last model, and with them the
+residues ``1 / F'(lambda_k)`` and the eigenvectors, each formed on first
+use and gated in one place.  The partial-fraction expansion of ``1 / F``
+gives the field after a cavity kick from the residues alone
+(:func:`field_kick_response`).
 
 The same roots give the eigenvectors of ``H`` in closed form, and
 every moment is propagated in that eigenbasis, exactly, on any time
@@ -39,22 +28,20 @@ paths remain as gated fallbacks: near an exceptional point, with
 deflated poles, for a steady state that fails its Lyapunov residual
 check (or, for the covariance track, sits so close to threshold that
 subtracting it cancels too many digits) or for a quadrature-anisotropic
-initial covariance, means use the action of the matrix exponential
-``e^{A t} y0`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)), covariances Van Loan's
-block-exponential identity (IEEE Trans. Autom. Control 23, 395 (1978))
-for the exact one-step pair ``gamma(t + h) = Phi gamma(t) Phi^T + Q``,
-and the steady state Bartels-Stewart.  The fallbacks import scipy
-inside the functions that run them, so the package imports, and its
-eigen-system paths run, with numpy alone.  The steady covariance is only
-defined when the spectral abscissa of the drift is negative.
+initial covariance, means take exact steps ``y <- e^{A h} y``,
+covariances Van Loan's block-exponential identity (IEEE Trans. Autom.
+Control 23, 395 (1978)) for the exact one-step pair
+``gamma(t + h) = Phi gamma(t) Phi^T + Q``, and the steady state
+Bartels-Stewart.  The fallbacks import scipy inside the functions that
+run them, so the package imports, and its eigen-system paths run, with
+numpy alone.  The steady covariance is only defined when the spectral
+abscissa of the drift is negative.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -75,7 +62,6 @@ __all__ = [
     "evolve_covariance",
     "steady_state_covariance",
     "arrowhead_eigenvalues",
-    "drift_eigenvalues",
     "spectral_abscissa",
     "field_kick_response",
     "collective_reduce",
@@ -83,7 +69,7 @@ __all__ = [
 ]
 
 # largest sum_k |r_k| = sum_k 1 / |F'(lambda_k)| accepted from the
-# secular solver and from the residue expansion of field_kick_response
+# secular solver and from the residues of a spectrum (_residues)
 _RESIDUE_BOUND = 100.0
 
 # Aberth iterations before arrowhead_eigenvalues falls back to dense eig
@@ -102,8 +88,8 @@ _LYAPUNOV_RTOL = 1e-10
 # (3e-10 at N = 1e12), so R over a denominator of a few ulps is noise
 _R_RTOL = 1e-10
 
-# the last _eigensystem: [weak reference to its model, the gate
-# constants it was found under, the result], or empty
+# the last model's spectrum: [weak reference to the model, the gate
+# constants it was found under, its _Spectrum], or empty
 _MEMO: list = []
 
 # order of the compact per-time variance track stored by
@@ -154,9 +140,15 @@ def _validate_times(times) -> np.ndarray:
     return times
 
 
-def _is_uniform(times: np.ndarray) -> bool:
-    """True for a grid equal to ``np.linspace(0, t_max, T)``."""
-    return np.array_equal(times, np.linspace(0.0, times[-1], times.size))
+def _interval_maps(times: np.ndarray, step) -> list:
+    """``step(h)`` for each output interval ``h``.
+
+    A uniform grid, equal to ``np.linspace(0, t_max, T)``, takes one call.
+    """
+    steps = np.diff(times)
+    if np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
+        return [step(steps[0])] * steps.size
+    return [step(h) for h in steps]
 
 
 def check_revival_window(grid: SubEnsembleGrid, gamma_perp: float, t_max: float):
@@ -181,23 +173,6 @@ def check_revival_window(grid: SubEnsembleGrid, gamma_perp: float, t_max: float)
             )
 
 
-@contextmanager
-def _pinned_global_rng():
-    """Seed numpy's global stream for the block, then restore it.
-
-    The 1-norm estimator inside ``expm_multiply`` draws random sign
-    vectors from the global stream, and its estimate picks the Taylor
-    degree and scaling.  Pinning the stream makes equal inputs give
-    equal bits and leaves the caller's stream untouched.
-    """
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        yield
-    finally:
-        np.random.set_state(state)
-
-
 def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     """Propagate the mean vector through the output times.
 
@@ -210,12 +185,10 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     ``z``; the first row is ``y0`` itself.
 
     Fallback: when the eigenvectors fail their gates (dense roots, a
-    deflated pole or the residue checks of :func:`_eigensystem`),
-    ``y(t) = e^{A t} y0`` is evaluated by the truncated-Taylor action of
-    the matrix exponential on the sparse drift
-    (:func:`scipy.sparse.linalg.expm_multiply`, Al-Mohy & Higham 2011),
-    one call over a uniform grid ``np.linspace(0, t_max, T)`` and one
-    per output interval on any other grid, and ``fallbacks`` is 1.
+    deflated pole or the residue gate of :func:`_residues`), each output
+    interval ``h`` is one exact step ``y <- Phi y`` with
+    ``Phi = e^{A h}`` (:func:`scipy.linalg.expm`), one ``Phi`` for a
+    uniform grid, and ``fallbacks`` is 1.
     """
     times = _validate_times(times)
     y0 = np.asarray(y0, dtype=float)
@@ -225,40 +198,25 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
         )
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
     lam, vectors = _eigensystem(model)
+    ys = np.empty((times.size, y0.size))
+    ys[0] = y0
     if vectors is None:
-        return MomentSeries(
-            times=times, model=model, means=_expm_mean(model, y0, times),
-            fallbacks=1,
-        )
+        from scipy.linalg import expm
+
+        drift = model.drift
+        phis = _interval_maps(times, lambda h: expm(h * drift))
+        for k, phi in enumerate(phis, start=1):
+            ys[k] = phi @ ys[k - 1]
+        return MomentSeries(times=times, model=model, means=ys, fallbacks=1)
     right, left = vectors
     signs = _signs(lam.size)
     weights = left @ (y0[0::2] + 1j * signs * y0[1::2])
-    ys = np.empty((times.size, y0.size))
     for block in _row_blocks(times.size, lam.size):
         amps = (np.exp(np.outer(times[block], lam)) * weights) @ right.T
         ys[block, 0::2] = amps.real
         ys[block, 1::2] = signs * amps.imag
     ys[0] = y0
     return MomentSeries(times=times, model=model, means=ys)
-
-
-def _expm_mean(model: DriftModel, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Means by ``expm_multiply`` on the sparse drift: the fallback path."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import expm_multiply
-
-    drift = csr_matrix(model.drift)
-    with _pinned_global_rng():
-        if _is_uniform(times):
-            return expm_multiply(
-                drift, y0, start=0.0, stop=times[-1], num=times.size,
-                endpoint=True,
-            )
-        ys = np.empty((times.size, y0.size))
-        ys[0] = y0
-        for k, dt in enumerate(np.diff(times), start=1):
-            ys[k] = expm_multiply(dt * drift, ys[k - 1])
-    return ys
 
 
 def _covariance_track(gamma: np.ndarray, M: int) -> np.ndarray:
@@ -404,11 +362,7 @@ def _van_loan_covariance(model, gamma0, times, store_full) -> tuple:
     """Track and optional matrices by Van Loan steps: the fallback path."""
     dim, M = model.dim, model.grid.size
     drift, noise = model.drift, model.noise_diag
-    steps = np.diff(times)
-    if _is_uniform(times):
-        pairs = [_van_loan_pair(drift, noise, steps[0])] * steps.size
-    else:
-        pairs = [_van_loan_pair(drift, noise, h) for h in steps]
+    pairs = _interval_maps(times, lambda h: _van_loan_pair(drift, noise, h))
     track = np.empty((times.size, len(_TRACK_KEYS)))
     covs = np.empty((times.size, dim, dim)) if store_full else None
     gamma = gamma0
@@ -743,14 +697,20 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     ``sum_k 1 / |F'(lambda_k)|`` exceeds ``_RESIDUE_BOUND``: that sum
     grows without bound as roots merge at an exceptional point, where
     the roots are known only to about the square root of the rounding
-    error.  Returns ``(eigenvalues, fallback)``, ``fallback`` telling
-    whether the dense path ran.
+    error.  A dense ``LinAlgError`` raises :class:`NumericalError`.
+
+    Returns ``(eigenvalues, fallback)``, ``fallback`` telling whether the
+    dense path ran.  The eigenvalues and their conjugates are the
+    spectrum of the real drift.  They are read-only: a model is solved
+    once, and every function of this module reads the same roots
+    (:func:`_spectrum`).
     """
-    return _roots(model)[:2]
+    spectrum = _spectrum(model)
+    return spectrum.lam, spectrum.dense
 
 
 def _roots(model: DriftModel) -> tuple:
-    """:func:`arrowhead_eigenvalues` plus whether any pole was deflated."""
+    """Roots, and whether dense ``eigvals`` ran and a pole was deflated."""
     poles, weights = _secular_terms(model)
     coupled = weights != 0.0
     merged, first, index = np.unique(
@@ -793,60 +753,127 @@ def _roots(model: DriftModel) -> tuple:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
 
 
-def drift_eigenvalues(model: DriftModel) -> np.ndarray:
-    """The M+1 eigenvalues of the complex arrowhead matrix of the model.
+@dataclass
+class _Spectrum:
+    """The arrowhead spectrum of one model, and what is built from it.
 
-    The spectrum of the real (2M+2) drift is these eigenvalues plus
-    their complex conjugates (:attr:`DriftModel.arrowhead`), so one
-    complex eigenvalue problem of half the size replaces the real one.
-    They are the roots of the secular function
-    ``F(lambda) = lambda + kappa + i delta_cs
-    - p sum_m g_m^2 N_m / (lambda + gamma_perp + i Delta_m)``, found
-    without building the matrix by :func:`arrowhead_eigenvalues`:
-
-    * algorithm: deflation of decoupled and repeated poles, then an
-      O(M^2) per iteration Aberth-Ehrlich iteration on all roots at once
-      (Aberth 1973; Bini & Robol 2014; Gu & Eisenstat 1995 for the
-      deflation);
-    * symmetry: at ``delta_cs = 0`` with coupled poles and weights
-      mirror-symmetric about ``Delta = 0`` to the bit and an odd count
-      of poles (every discretized line), the iteration runs on the real
-      roots and one member of each conjugate pair, over mirrored pole
-      pairs summed in closed form: a quarter of the work per iteration;
-    * stopping rule: each root is frozen once its step is at most
-      ``4 eps max(|lambda|, |kappa + i delta_cs|, max_m |d_m|)``;
-    * fallbacks, in order: a mirrored iteration that does not settle
-      hands its seeds to the general one; dense O(M^3)
-      ``numpy.linalg.eigvals`` of the arrowhead runs when that does not
-      settle either: on a non-finite step, on roots still moving after
-      ``_ABERTH_MAX_ITER`` iterations, or on
-      ``sum_k 1 / |F'(lambda_k)| > _RESIDUE_BOUND`` (an exceptional
-      point); a dense ``LinAlgError`` raises :class:`NumericalError`;
-    * memory: the (roots x M) work arrays are formed in row blocks of at
-      most ``_CHUNK_BYTES`` (256 KiB) each.
+    ``lam``, ``dense`` and ``deflated`` are :func:`_roots` of the model.
+    The residues and their gate (:func:`_residues`) and the eigenvectors
+    (:func:`_eigensystem`) are filled in on first use.  Every array is
+    read-only.
     """
-    return arrowhead_eigenvalues(model)[0]
+
+    lam: np.ndarray
+    dense: bool
+    deflated: bool
+    residues: np.ndarray | None = None
+    gated: bool = False  # whether the residues pass their gate
+    vectors: tuple | None = None  # (right, left)
+
+
+def _spectrum(model: DriftModel) -> _Spectrum:
+    """The model's spectrum, from one secular solve.
+
+    The last model's record is kept for as long as that model lives and
+    the gate constants stay as they were, so the abscissa, the kicked
+    field, the means, the covariance and the steady state of one model
+    share one solve.
+    """
+    key = (_RESIDUE_BOUND, _ABERTH_MAX_ITER)
+    if _MEMO and _MEMO[0]() is model and _MEMO[1] == key:
+        return _MEMO[2]
+    _MEMO.clear()
+    lam, dense, deflated = _roots(model)
+    lam.flags.writeable = False
+    spectrum = _Spectrum(lam, dense, deflated)
+    _MEMO.extend([weakref.ref(model, _forget), key, spectrum])
+    return spectrum
+
+
+def _forget(ref):
+    if _MEMO and _MEMO[0] is ref:
+        _MEMO.clear()
+
+
+def _residues(model: DriftModel) -> np.ndarray | None:
+    """Residues ``r_k = 1 / F'(lambda_k)`` of the spectrum, or ``None``.
+
+    ``F'(lambda) = 1 + sum_m w_m / (lambda + d_m)^2``, summed in row
+    blocks of at most ``_CHUNK_BYTES``: O(M^2).  ``None`` when the
+    residues fail their gate, ``sum_k |r_k| <= _RESIDUE_BOUND`` and
+    ``|sum_k r_k - 1| <= 1e-10`` (:func:`field_kick_response` gives the
+    reason); a non-finite residue fails it too.
+    """
+    spectrum = _spectrum(model)
+    if spectrum.residues is None:
+        lam = spectrum.lam
+        poles, weights = _secular_terms(model)
+        slope = np.empty(lam.size, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for block in _row_blocks(lam.size, poles.size):
+                slope[block] = 1.0 + (
+                    weights / (lam[block, None] + poles) ** 2
+                ).sum(axis=1)
+            residues = 1.0 / slope
+            spectrum.gated = bool(
+                np.abs(residues).sum() <= _RESIDUE_BOUND
+                and abs(residues.sum() - 1.0) <= 1e-10
+            )
+        residues.flags.writeable = False
+        spectrum.residues = residues
+    return spectrum.residues if spectrum.gated else None
+
+
+def _eigensystem(model: DriftModel) -> tuple:
+    """Arrowhead eigenvalues and, where they pass the gates, eigenvectors.
+
+    With ``b_m = H_0m``, ``c_m = H_m0`` and ``d_m = -H_mm`` the right
+    and left eigenvectors of the root ``lambda_k`` have the closed form
+    ``v_k = (1, c_m / (lambda_k + d_m))`` and
+    ``u_k = (1, b_m / (lambda_k + d_m)) r_k`` with the residue
+    ``r_k = 1 / F'(lambda_k)``, normalized to ``u_k v_k = 1`` because
+    ``b_m c_m = p g_m^2 N_m`` (Gu & Eisenstat 1995); building them costs
+    O(M^2) and no dense ``eig``.  Returns ``(lam, vectors)`` with
+    ``vectors = (right, left)``, the ``v_k`` as the columns of ``right``
+    and the ``u_k`` as the rows of ``left = right^{-1}``.  ``vectors`` is
+    ``None`` when the roots came from dense ``eigvals``, when a pole was
+    deflated (its eigenvector is not of this form) or when the residues
+    fail their gate (:func:`_residues`), whose ``sum_k r_k = 1`` is
+    ``(right left)_00 = 1``.
+    """
+    spectrum = _spectrum(model)
+    if spectrum.vectors is None and not (spectrum.dense or spectrum.deflated):
+        residues = _residues(model)
+        if residues is not None:
+            lam, poles = spectrum.lam, _secular_terms(model)[0]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                cauchy = 1.0 / (lam + poles[:, None])  # 1 / (lambda_k + d_m)
+            if np.all(np.isfinite(cauchy)):
+                _, row, col = model._arrowhead_border()
+                right = np.vstack([np.ones(lam.size), col[:, None] * cauchy])
+                left = np.hstack([np.ones((lam.size, 1)), cauchy.T * row])
+                spectrum.vectors = (right, left * residues[:, None])
+                for array in spectrum.vectors:
+                    array.flags.writeable = False
+    return spectrum.lam, spectrum.vectors
 
 
 def spectral_abscissa(model: DriftModel) -> float:
     """Largest real part over the drift-matrix spectrum."""
-    return float(drift_eigenvalues(model).real.max())
+    return float(arrowhead_eigenvalues(model)[0].real.max())
 
 
-def field_kick_response(model: DriftModel, eigenvalues, times) -> tuple:
+def field_kick_response(model: DriftModel, times) -> tuple:
     """Kicked cavity field ``a(t) / a(0)`` from the arrowhead spectrum.
 
     After a field kick (``a(0) != 0``, every ``s_m(0) = 0``) the field
-    is ``a(t) / a(0) = [e^{H t}]_00 = sum_k r_k e^{lambda_k t}``, where
-    ``lambda_k`` are the roots of the secular function
-    ``F(lambda) = lambda + kappa + i delta_cs
-    - p sum_m g_m^2 N_m / (lambda + gamma_perp + i Delta_m)``
-    (the eigenvalues from :func:`drift_eigenvalues`) and the residues
-    are ``r_k = 1 / F'(lambda_k)`` with
-    ``F'(lambda) = 1 + p sum_m g_m^2 N_m / (lambda + gamma_perp + i Delta_m)^2``.
-    The cost is O(M^2) for the residues plus O(M T) for the sum, with
-    no eigenvectors and no time stepping; both are formed in row blocks
-    of at most ``_CHUNK_BYTES`` per work array.
+    is ``a(t) / a(0) = [e^{H t}]_00 = sum_k r_k e^{lambda_k t}``, the
+    partial-fraction expansion of ``1 / F``, with the roots ``lambda_k``
+    of :func:`arrowhead_eigenvalues` and the residues
+    ``r_k = 1 / F'(lambda_k)`` of :func:`_residues`.  The cost is O(M^2)
+    for the residues plus O(M T) for the sum, with no eigenvectors and no
+    time stepping; both are formed in row blocks of at most
+    ``_CHUNK_BYTES`` per work array.
 
     The residues add up to 1, the response at ``t = 0``, but the sum is
     formed from terms as large as ``|r_k|``.  Near an exceptional point two
@@ -868,22 +895,9 @@ def field_kick_response(model: DriftModel, eigenvalues, times) -> tuple:
     """
     times = _validate_times(times)
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
-    size = model.grid.size + 1
-    lam = np.asarray(eigenvalues, dtype=complex)
-    if lam.shape != (size,):
-        raise PreconditionError(
-            f"need the {size} arrowhead eigenvalues, got {lam.shape}"
-        )
-    poles, weights = _secular_terms(model)
-    slope = np.empty(lam.size, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for block in _row_blocks(lam.size, poles.size):
-            slope[block] = 1.0 + (
-                weights / (lam[block, None] + poles) ** 2
-            ).sum(axis=1)
-        residues = 1.0 / slope
-        residue_sum = np.abs(residues).sum()
-    if residue_sum <= _RESIDUE_BOUND and abs(residues.sum() - 1.0) <= 1e-10:
+    residues = _residues(model)
+    if residues is not None:
+        lam = _spectrum(model).lam
         response = np.empty(times.size, dtype=complex)
         for block in _row_blocks(times.size, lam.size):
             response[block] = np.exp(np.outer(times[block], lam)) @ residues
@@ -892,62 +906,6 @@ def field_kick_response(model: DriftModel, eigenvalues, times) -> tuple:
     y0[0] = 1.0
     means = evolve_mean(model, y0, times).means
     return means[:, 0] + 1j * means[:, 1], True
-
-
-def _eigensystem(model: DriftModel) -> tuple:
-    """Arrowhead eigenvalues and, where they pass the gates, eigenvectors.
-
-    With ``b_m = H_0m``, ``c_m = H_m0`` and ``d_m = -H_mm`` the right
-    and left eigenvectors of the root ``lambda_k`` have the closed form
-    ``v_k = (1, c_m / (lambda_k + d_m))`` and
-    ``u_k = (1, b_m / (lambda_k + d_m)) / F'(lambda_k)``, normalized to
-    ``u_k v_k = 1`` because ``b_m c_m = p g_m^2 N_m``; building them costs
-    O(M^2) and no dense ``eig``.  Returns ``(lam, vectors)`` with
-    ``vectors = (right, left)``, the ``v_k`` as the columns of ``right``
-    and the ``u_k`` as the rows of ``left = right^{-1}``.  ``vectors`` is
-    ``None`` when the roots came from dense ``eigvals``, when a pole was
-    deflated (its eigenvector is not of this form), when
-    ``sum_k 1 / |F'(lambda_k)|`` exceeds ``_RESIDUE_BOUND`` or when the
-    residues miss ``sum_k 1 / F'(lambda_k) = (right left)_00 = 1`` by more
-    than 1e-10, the gates of :func:`field_kick_response`.
-
-    The last result is kept, read-only, for as long as its model lives,
-    so the means and the covariance of one model share one solve.
-    """
-    key = (_RESIDUE_BOUND, _ABERTH_MAX_ITER)
-    if _MEMO and _MEMO[0]() is model and _MEMO[1] == key:
-        return _MEMO[2]
-    _MEMO.clear()
-    result = _solve_eigensystem(model)
-    for array in (result[0], *(result[1] or ())):
-        array.flags.writeable = False
-    _MEMO.extend([weakref.ref(model, _forget), key, result])
-    return result
-
-
-def _forget(ref):
-    if _MEMO and _MEMO[0] is ref:
-        _MEMO.clear()
-
-
-def _solve_eigensystem(model: DriftModel) -> tuple:
-    lam, dense, deflated = _roots(model)
-    if dense or deflated:
-        return lam, None
-    poles, weights = _secular_terms(model)
-    _, row, col = model._arrowhead_border()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cauchy = 1.0 / (lam + poles[:, None])  # 1 / (lambda_k + d_m)
-        residues = 1.0 / (1.0 + weights @ cauchy**2)  # 1 / F'(lambda_k)
-    if not (
-        np.all(np.isfinite(cauchy))
-        and np.abs(residues).sum() <= _RESIDUE_BOUND
-        and abs(residues.sum() - 1.0) <= 1e-10
-    ):
-        return lam, None
-    right = np.vstack([np.ones(lam.size), col[:, None] * cauchy])
-    left = np.hstack([np.ones((lam.size, 1)), cauchy.T * row])
-    return lam, (right, left * residues[:, None])
 
 
 def _signs(size: int) -> np.ndarray:

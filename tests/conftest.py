@@ -6,10 +6,13 @@ for mean propagation, an adaptive embedded Dormand-Prince 5(4)
 integrator for covariance propagation and the driven cavity, and
 Bartels-Stewart for steady states.  The package takes means,
 covariances and steady states from the closed-form eigenvectors of the
-arrowhead matrix, with ``expm_multiply``, sub-stepped Van Loan pairs and
-Bartels-Stewart only as gated fallbacks.  The mean oracle
+arrowhead matrix, with exact ``e^{A h}`` steps, sub-stepped Van Loan
+pairs and Bartels-Stewart only as gated fallbacks.  The mean oracle
 ``scipy.linalg.expm`` (scaling and squaring with Pade approximants) is
-separate code from both; the Dormand-Prince integrator time-steps the
+separate code from the eigen-system.  The mean fallback calls the same
+routine, but the oracle exponentiates ``A t`` afresh at every output
+time, where the fallback repeats one step ``e^{A h}`` across a uniform
+grid.  The Dormand-Prince integrator time-steps the
 Lyapunov differential equation itself, and the single-exponential
 :func:`vanloan_covariance` is kept as a second, small-system check; the
 steady-state oracle :func:`lyapunov_oracle` runs scipy's Bartels-Stewart

@@ -71,6 +71,19 @@ def source_env():
     return env
 
 
+@pytest.fixture
+def secular_solves(monkeypatch):
+    """The model of each secular solve (each ``dynamics._roots`` call)."""
+    solved, solve = [], dynamics._roots
+
+    def counted(model):
+        solved.append(model)
+        return solve(model)
+
+    monkeypatch.setattr(dynamics, "_roots", counted)
+    return solved
+
+
 def assert_columns_match(want_path, got_path):
     """Every data column within 1e-8 of its peak in ``want_path``."""
     want_rows, got_rows = (read_table(path)[2] for path in (want_path, got_path))
@@ -262,12 +275,15 @@ class TestDecay:
         reference = expm_mean(model.drift, y0, times)[:, 0]
         assert np.abs(sim - reference).max() <= 1e-10 * np.abs(reference).max()
 
-    def test_records_the_kick_response_fallback(self, tmp_path, monkeypatch):
+    def test_records_the_kick_response_fallback(self, tmp_path, monkeypatch,
+                                                secular_solves):
         monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         out = tmp_path / "decay.csv"
         assert run_cli(LOR_DECAY + ["--out", out]) == 0
         meta, _, _, _ = read_table(out)
         assert meta["kick_response_fallbacks"] == "1"
+        # the fallback's means read the spectrum whose residues failed
+        assert len(secular_solves) == 1
 
     @pytest.mark.parametrize(
         "experiment", ["decay", "stability-sweep"],
@@ -412,17 +428,10 @@ class TestMoments:
         got = 1.0 - table[:, columns.index("R")]
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
-    def test_one_secular_solve_per_run(self, tmp_path, monkeypatch):
+    def test_one_secular_solve_per_run(self, tmp_path, secular_solves):
         # the means and the covariance share the model's eigen-system
-        solved, solve = [], dynamics._roots
-
-        def counted(model):
-            solved.append(model)
-            return solve(model)
-
-        monkeypatch.setattr(dynamics, "_roots", counted)
         assert run_cli(SMALL["moments"] + ["--out", tmp_path / "m.csv"]) == 0
-        assert len(solved) == 1
+        assert len(secular_solves) == 1
 
     def test_unstable_leaves_r_empty(self, tmp_path):
         out = tmp_path / "moments.csv"
@@ -552,6 +561,16 @@ class TestStabilitySweep:
         first = (tmp_path / "a.csv.manifest.json").read_bytes()
         assert first == (tmp_path / "b.csv.manifest.json").read_bytes()
 
+    def test_kick_fallback_solves_each_point_once(self, tmp_path, monkeypatch,
+                                                  secular_solves):
+        # the abscissa, the refused residues and the fallback's means of
+        # a point all read one spectrum
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        assert run_cli(self.WINDOWED + ["--out", tmp_path / "sweep.csv"]) == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["kick_response_fallbacks"] == 16
+        assert len(secular_solves) == len({id(m) for m in secular_solves}) == 16
+
     def test_zero_kick_gives_no_stable_verdict(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli(self.WINDOWED + ["--alpha", "0", "--out", out]) == 0
@@ -676,7 +695,8 @@ class TestImportHygiene:
         assert report[1] == [0, []]
         code, modules = report[2]
         assert code == 0
-        assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(modules)
+        # the dense exponential is scipy.linalg's, so scipy.sparse stays out
+        assert "scipy.linalg" in modules and "scipy.sparse" not in modules
         assert read_table(spectral)[0]["moment_fallbacks"] == "0"
         assert read_table(dense)[0]["moment_fallbacks"] == "3"
         assert_columns_match(spectral, dense)

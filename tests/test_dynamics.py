@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -31,7 +30,6 @@ from spincavity import (
     check_revival_window,
     collective_reduce,
     discretize,
-    drift_eigenvalues,
     evolve_covariance,
     evolve_mean,
     field_kick_response,
@@ -68,24 +66,29 @@ def small_model(spec=LOR, m=5, kappa=4.0, gamma_perp=0.2, g_ens=1.5, p=1,
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """Counts of the dense paths the arrowhead eigen-system replaces."""
-    calls = {"van_loan": 0, "bartels_stewart": 0, "expm_multiply": 0}
+    """Counts of the dense paths the arrowhead eigen-system replaces.
+
+    ``expm`` counts the matrix exponentials of the mean fallback: every
+    ``scipy.linalg.expm`` call but the one inside each Van Loan pair.
+    """
+    calls = {"van_loan": 0, "bartels_stewart": 0, "expm": 0}
     # the scipy fallbacks are imported inside the functions that call
     # them, so they are counted where those imports find them
     for key, owner, name in [
         ("van_loan", dynamics, "_van_loan_pair"),
         ("bartels_stewart", scipy.linalg, "solve_continuous_lyapunov"),
-        ("expm_multiply", scipy.sparse.linalg, "expm_multiply"),
+        ("expm", scipy.linalg, "expm"),
     ]:
         def counted(*args, _key=key, _run=getattr(owner, name), **kwargs):
             calls[_key] += 1
+            calls["expm"] -= _key == "van_loan"  # the pair's own exponential
             return _run(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-NO_DENSE_CALLS = {"van_loan": 0, "bartels_stewart": 0, "expm_multiply": 0}
+NO_DENSE_CALLS = {"van_loan": 0, "bartels_stewart": 0, "expm": 0}
 
 
 @pytest.fixture
@@ -165,7 +168,10 @@ class TestEvolveMean:
         scale = np.abs(reference).max()
         assert np.max(np.abs(series.means - reference)) <= 1e-8 * scale
 
-    def test_leaves_global_rng_stream_untouched(self):
+    @pytest.mark.parametrize("path", ["spectral", "dense"])
+    def test_leaves_global_rng_stream_untouched(self, path, monkeypatch):
+        if path == "dense":
+            monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         model, grid = small_model(spec=LOR, m=41)
         y0, _ = initial_state("field-kick", grid, alpha=1.0)
         times = np.linspace(0.0, 20.0, 11)
@@ -178,21 +184,24 @@ class TestEvolveMean:
         np.random.seed(7)
         assert draw == np.random.random()
         assert np.array_equal(first, second)
+        assert evolve_mean(model, y0, times).fallbacks == (path == "dense")
 
-    def test_expm_multiply_fallback(self, monkeypatch, dense_calls):
-        # every eigen-system gate closed: the fallback's per-interval
-        # branch runs, and its 1-norm estimator's draws from the global
-        # stream are pinned and undone
+    @pytest.mark.parametrize(
+        "times, exponentials",
+        [(np.array([0.0, 0.1, 0.25, 1.0, 2.9, 3.0]), 5),
+         (np.linspace(0.0, 3.0, 31), 1)],
+        ids=["nonuniform-grid", "uniform-grid"],
+    )
+    def test_dense_mean_fallback(self, monkeypatch, dense_calls, times,
+                                 exponentials):
+        # every eigen-system gate closed: exact steps e^{A h}, one
+        # exponential per interval, or one for a uniform grid
         monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         model, grid = small_model(spec=LOR, m=41, delta_cs=0.5)
         y0, _ = initial_state("field-kick", grid, alpha=1.0)
-        times = np.array([0.0, 0.1, 0.25, 1.0, 2.9, 3.0])
-        np.random.seed(7)
         series = evolve_mean(model, y0, times)
-        draw = np.random.random()
-        np.random.seed(7)
-        assert draw == np.random.random()
-        assert series.fallbacks == 1 and dense_calls["expm_multiply"] == 5
+        assert series.fallbacks == 1
+        assert dense_calls == {**NO_DENSE_CALLS, "expm": exponentials}
         reference = expm_mean(model.drift, y0, times)
         scale = np.abs(reference).max()
         assert np.max(np.abs(series.means - reference)) <= 1e-8 * scale
@@ -385,7 +394,7 @@ class TestSpectralMoments:
         residual = model.drift @ gamma + gamma @ model.drift.T + model.noise
         assert np.abs(residual).max() <= 1e-10 * model.noise_diag.max()
         mean_series = evolve_mean(model, y0, times)
-        assert mean_series.fallbacks == 1 and dense_calls["expm_multiply"] >= 1
+        assert mean_series.fallbacks == 1 and dense_calls["expm"] >= 1
         reference = expm_mean(model.drift, y0, times)
         assert np.abs(mean_series.means - reference).max() <= (
             1e-8 * np.abs(reference).max()
@@ -479,14 +488,20 @@ class TestSpectralMoments:
         assert "drift" not in vars(model)
 
     def test_one_eigensystem_per_model_and_gates(self, monkeypatch):
-        # kept read-only while the model lives, found again when a gate
-        # constant changes, and let go with the model
+        # one record per model, kept read-only while the model lives,
+        # found again when a gate constant changes, and let go with the
+        # model
         model, _ = small_model(spec=GAUSS, m=21)
         lam, (right, left) = dynamics._eigensystem(model)
-        assert dynamics._eigensystem(model)[0] is lam
-        for array in (lam, right, left):
+        spectrum = dynamics._spectrum(model)
+        assert spectrum.lam is lam
+        assert spectrum.vectors[0] is right and spectrum.vectors[1] is left
+        assert arrowhead_eigenvalues(model)[0] is lam
+        assert dynamics._residues(model) is spectrum.residues
+        for array in (lam, spectrum.residues, right, left):
             assert not array.flags.writeable
         monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        assert dynamics._spectrum(model) is not spectrum
         assert dynamics._eigensystem(model)[1] is None
         del model
         assert not dynamics._MEMO
@@ -650,7 +665,7 @@ class TestArrowheadSpectrum:
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         model, _ = small_model(m=3)
         with pytest.raises(NumericalError):
-            drift_eigenvalues(model)
+            arrowhead_eigenvalues(model)
 
 
 def assert_matches_dense(model, lam):
@@ -691,7 +706,7 @@ class TestSecularSolver:
         model, _ = small_model(spec=spec, m=m, kappa=kappa,
                                gamma_perp=gamma_perp, g_ens=g_ens, p=p,
                                delta_cs=delta_cs, n=10.0**log10_n)
-        assert_matches_dense(model, drift_eigenvalues(model))
+        assert_matches_dense(model, arrowhead_eigenvalues(model)[0])
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
     @pytest.mark.parametrize("spec, m", [(HOM, 1), (LOR, 401), (GAUSS, 201)],
@@ -908,10 +923,10 @@ class TestSecularSolver:
         times = np.linspace(0.0, 5.0, 201)
         tracemalloc.start()
         try:
-            lam = drift_eigenvalues(model)
+            arrowhead_eigenvalues(model)
             roots_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            _, fallback = field_kick_response(model, lam, times)
+            _, fallback = field_kick_response(model, times)
             field_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -920,11 +935,15 @@ class TestSecularSolver:
         assert field_peak <= 8 * dynamics._CHUNK_BYTES
 
     @pytest.mark.parametrize("delta_cs", [0.3, 0.0])
-    def test_chunking_leaves_the_roots_unchanged(self, monkeypatch, delta_cs):
+    def test_chunking_leaves_the_roots_unchanged(self, monkeypatch, delta_cs,
+                                                 aberth_calls):
+        # an equal second model: the first one's roots are kept with it
         model, _ = small_model(spec=LOR, m=201, delta_cs=delta_cs)
-        lam = drift_eigenvalues(model)
+        lam = arrowhead_eigenvalues(model)[0]
         monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 16)  # one row a block
-        assert np.array_equal(drift_eigenvalues(model), lam)
+        again, _ = small_model(spec=LOR, m=201, delta_cs=delta_cs)
+        assert np.array_equal(arrowhead_eigenvalues(again)[0], lam)
+        assert len(aberth_calls) == 2 and aberth_calls[0] == aberth_calls[1]
 
 
 def kick_oracle(model, times):
@@ -960,9 +979,7 @@ class TestFieldKickResponse:
         model, _ = small_model(spec=spec, m=m, kappa=kappa, g_ens=g_ens,
                                p=p, gamma_perp=gamma_perp, delta_cs=0.4)
         times = np.linspace(0.0, 2.0, 21)
-        response, fallback = field_kick_response(
-            model, drift_eigenvalues(model), times
-        )
+        response, fallback = field_kick_response(model, times)
         reference = kick_oracle(model, times)
         peak = np.abs(reference).max()
         assert np.abs(response - reference).max() <= 1e-10 * peak
@@ -979,9 +996,7 @@ class TestFieldKickResponse:
         model, _ = small_model(spec=HOM, m=1, kappa=3.0, gamma_perp=1.0,
                                g_ens=1.0, p=-1)
         times = np.linspace(0.0, 5.0, 26)
-        response, fallback = field_kick_response(
-            model, drift_eigenvalues(model), times
-        )
+        response, fallback = field_kick_response(model, times)
         assert fallback and len(calls) == 1
         # the defective pair gives a(t)/a(0) = (1 - t) e^{-2 t}
         assert_allclose(response, (1.0 - times) * np.exp(-2.0 * times),
@@ -990,19 +1005,14 @@ class TestFieldKickResponse:
     def test_decoupled_spins_fall_back(self):
         model, _ = small_model(g_ens=0.0, kappa=3.0, delta_cs=0.5)
         times = np.linspace(0.0, 2.0, 9)
-        response, fallback = field_kick_response(
-            model, drift_eigenvalues(model), times
-        )
+        response, fallback = field_kick_response(model, times)
         assert fallback
         assert_allclose(response, np.exp(-(3.0 + 0.5j) * times), rtol=1e-12)
 
     def test_guards(self):
         model, _ = small_model(spec=GAUSS, m=25, gamma_perp=0.0)
-        lam = drift_eigenvalues(model)
         with pytest.raises(RevivalGuardError):
-            field_kick_response(model, lam, np.linspace(0.0, 20.0, 11))
-        with pytest.raises(PreconditionError):
-            field_kick_response(model, lam[:-1], np.linspace(0.0, 1.0, 3))
+            field_kick_response(model, np.linspace(0.0, 20.0, 11))
 
 
 class TestCollectiveReduce:

@@ -1,0 +1,46 @@
+"""Static checks of the package source."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "spincavity"
+
+
+def private_definitions(tree: ast.Module):
+    """Module-level ``_private`` function, class and constant names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets
+                     if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def named_uses(tree: ast.Module):
+    """Every name the code reads, imports or looks up as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_helper_has_a_user():
+    # a helper whose last caller was deleted is named only where it is
+    # defined; docstrings and comments do not count as uses
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SOURCE.glob("*.py"))}
+    used = {name for tree in trees.values() for name in named_uses(tree)}
+    dead = [f"{module}: {name}" for module, tree in trees.items()
+            for name in private_definitions(tree) if name not in used]
+    assert dead == []
