@@ -20,31 +20,28 @@ default.  The argument parser is built once per process, so callers
 that run ``main`` many times in one process (the figure bundle, the
 benchmark) pay for it once.
 
-One writer emits every output.  The CSV opens with ``# key=value``
-lines (sorted keys): experiment, package version, the resolved options
-and the run-level ``header`` values (``Gamma``, ``invalid_rows``,
-``windowed_verdict``, and the solver paths taken:
+One writer (:func:`_csv_text`) emits every output.  The CSV opens with
+``# key=value`` lines (sorted keys): experiment, package version, the
+resolved options and the run-level ``header`` values (``Gamma``,
+``invalid_rows``, ``windowed_verdict``, and the solver paths taken:
 ``kick_response_fallbacks``, the kicked fields that ``decay`` and
 ``stability-sweep`` propagated with ``evolve_mean`` instead of the
 residue expansion; ``eigensolver_fallbacks``, the sweep points whose
-eigenvalues came from dense ``eigvals`` instead of the secular solver;
-and ``moment_fallbacks``, the mean, covariance and steady-state
-computations of ``moments`` that took a dense path instead of the
-arrowhead eigen-system: matrix-exponential steps, Van Loan steps or
-Bartels-Stewart).
-The counts are deterministic, so reruns stay byte-identical.  The
-column names and the data rows follow, floats at 17 significant digits
-and undefined cells empty; closing ``#`` lines hold the fitted or
-reference values of ``trailer`` (``pole_*``, ``panel_f_ratio_*``).  The
-manifest holds both blocks and ``columns``.  ``_format_cell`` is the one
-definition of a cell; a float-table row is written with one
-``"%.17g,...,%.17g" % row`` with its ``nan`` cells emptied, which gives
-the same bytes at a fraction of the cost.
+eigenvalues came from dense ``eigvals``; and ``moment_fallbacks``, the
+mean, covariance and steady-state computations of ``moments`` that took
+a dense path on the arrowhead: matrix-exponential steps, Van Loan steps
+or Bartels-Stewart).  The counts are deterministic, so reruns stay
+byte-identical.  The column names and the data rows follow, floats at
+17 significant digits and undefined cells empty; closing ``#`` lines
+hold the fitted or reference values of ``trailer`` (``pole_*``,
+``panel_f_ratio_*``).  The manifest holds both blocks and ``columns``.
 
 Exit codes: 0 success; 2 precondition failure, which includes an
-unreadable ``--config``, an unwritable ``--out`` and a ``--m``,
-``--t-samples`` or ``--delta-e-samples`` over its byte budget; 3
-numerical failure.
+unreadable ``--config``, an unwritable ``--out``, a ``--t-samples`` or
+``--delta-e-samples`` over its byte budget, and a model whose dense
+(M+1)^2 complex arrays would exceed the library's budget (16 MiB each:
+``moments`` at M > 1023, or a dense fallback of ``decay`` or
+``stability-sweep``, which otherwise take any M); 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -82,11 +79,6 @@ __all__ = ["main"]
 _SQRT2 = math.sqrt(2.0)
 _GAUSSIAN = BroadeningFamily.GAUSSIAN
 _FAMILIES = tuple(f.value for f in BroadeningFamily)
-
-# the dense float64 drift has (2M + 2)^2 entries; covariance runs hold
-# several arrays four times its size
-_DRIFT_BYTE_BUDGET = 16 * 2**20
-_M_LIMIT = (math.isqrt(_DRIFT_BYTE_BUDGET // 8) - 2) // 2
 
 # time and detuning grids: each sample holds one float64 row of the
 # table a compute returns and, on a time grid, one float64 state row.
@@ -402,16 +394,8 @@ def _resolve(name: str, values: dict) -> dict:
     if "kappa" in o:
         params = _params(o)
         o["kappa1"], o["kappa2"] = params.kappa1, params.kappa2
-    if experiment.m_default is not None:
-        if o["m"] is None:
-            o["m"] = experiment.m_default[family.value]
-        drift_bytes = 8 * (2 * o["m"] + 2) ** 2
-        if drift_bytes > _DRIFT_BYTE_BUDGET:
-            raise PreconditionError(
-                f"--m {o['m']} needs a dense drift of "
-                f"{drift_bytes / 2**20:.1f} MiB, over the "
-                f"{_DRIFT_BYTE_BUDGET // 2**20} MiB budget (M <= {_M_LIMIT})"
-            )
+    if experiment.m_default is not None and o["m"] is None:
+        o["m"] = experiment.m_default[family.value]
     return o
 
 

@@ -1,41 +1,37 @@
 """Propagation of means and covariances, steady states, stability.
 
-Mean values obey ``dy/dt = A y`` and covariances obey
-``dgamma/dt = A gamma + gamma A^T + N_diag`` for the drift matrix ``A``
-and diagonal noise ``N_diag`` of a :class:`~spincavity.model.DriftModel`.
+Every path works in the amplitudes ``z = (a, s_1, ..., s_M)``,
+``a = X_c + i P_c`` and ``s_m = S_x - i S_y``: the means obey
+``dz/dt = H z`` with the complex (M+1) x (M+1) arrowhead ``H`` of
+:attr:`DriftModel.arrowhead`, and the Hermitian covariance
+``C = T gamma T^H`` obeys ``dC/dt = H C + C H^H + D``.  The real drift
+(:attr:`DriftModel.drift`) is never built here, and the real covariance
+``gamma`` is formed only where a function returns it.
 
-The real drift is the realification of the complex (M+1) x (M+1)
-arrowhead matrix ``H`` of :attr:`DriftModel.arrowhead`, so its
-spectrum is that of ``H`` plus the complex conjugates: the roots
-``lambda_k`` of a secular function ``F``, found in O(M^2) without
-building ``H`` (:func:`arrowhead_eigenvalues` gives the solver, its
-symmetry rule and its fallbacks).  Each model is solved once:
-:func:`_spectrum` keeps the roots of the last model, and with them the
-residues ``1 / F'(lambda_k)`` and the eigenvectors, each formed on first
-use and gated in one place.  The partial-fraction expansion of ``1 / F``
-gives the field after a cavity kick from the residues alone
-(:func:`field_kick_response`).
-
-The same roots give the eigenvectors of ``H`` in closed form, and
-every moment is propagated in that eigenbasis, exactly, on any time
-grid and with no step-size control: the means as
+The spectrum of ``H`` is the set of roots ``lambda_k`` of a secular
+function ``F``, found in O(M^2) without building ``H``
+(:func:`arrowhead_eigenvalues`).  :func:`_spectrum` keeps the roots of
+the last model, with the residues ``1 / F'(lambda_k)`` and the
+closed-form eigenvectors, each formed on first use and gated in one
+place.  The residues alone give the field after a cavity kick
+(:func:`field_kick_response`).  In the eigenbasis every moment is
+propagated exactly on any time grid: the means as
 ``z(t) = V e^{Lambda t} V^{-1} z(0)``, the covariance as the
 multivariate Ornstein-Uhlenbeck solution (Gardiner, *Handbook of
-Stochastic Methods*) of the Hermitian amplitude covariance, and the
-steady covariance from the same eigen-system, each in O(M^2) per
-output time after an O(M^3) set-up of a few dense products.  Dense
-paths remain as gated fallbacks: near an exceptional point, with
-deflated poles, for a steady state that fails its Lyapunov residual
-check (or, for the covariance track, sits so close to threshold that
-subtracting it cancels too many digits) or for a quadrature-anisotropic
-initial covariance, means take exact steps ``y <- e^{A h} y``,
-covariances Van Loan's block-exponential identity (IEEE Trans. Autom.
-Control 23, 395 (1978)) for the exact one-step pair
-``gamma(t + h) = Phi gamma(t) Phi^T + Q``, and the steady state
-Bartels-Stewart.  The fallbacks import scipy inside the functions that
-run them, so the package imports, and its eigen-system paths run, with
-numpy alone.  The steady covariance is only defined when the spectral
-abscissa of the drift is negative.
+Stochastic Methods*), and the steady state from the same eigen-system.
+
+Dense paths on ``H`` remain as gated fallbacks (near an exceptional
+point, with deflated poles, for a steady state that fails its residual
+check or sits too close to threshold for the track, or for a
+quadrature-anisotropic initial covariance): exact steps
+``z <- e^{H h} z``, Van Loan's block exponential (IEEE Trans. Autom.
+Control 23, 395 (1978)) for ``C <- Phi C Phi^H + Q``, and
+Bartels-Stewart for the steady state, which passes the same O(M^2)
+residual check (:func:`_lyapunov_check`).  They import scipy inside the
+functions that run them, so the package imports with numpy alone.  The
+only dense arrays are complex (M+1) x (M+1), and a model is checked
+against ``_DENSE_BYTE_BUDGET`` before the first is built
+(:func:`_check_dense`); the kicked field and the abscissa take any M.
 """
 
 from __future__ import annotations
@@ -78,8 +74,11 @@ _ABERTH_MAX_ITER = 100
 # bytes of each complex (roots x sub-ensembles) work array
 _CHUNK_BYTES = 256 * 2**10
 
+# bytes of one dense complex (M+1) x (M+1) array (see _check_dense)
+_DENSE_BYTE_BUDGET = 16 * 2**20
+
 # largest Lyapunov residual accepted from a steady state, relative to
-# ||A|| ||gamma|| + ||N|| (see _lyapunov_bound)
+# ||H|| ||C|| + ||D|| (see _lyapunov_check)
 _LYAPUNOV_RTOL = 1e-10
 
 # R(t) is NaN when |Var_inf - Var(0)| is at most this fraction of
@@ -186,8 +185,8 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
 
     Fallback: when the eigenvectors fail their gates (dense roots, a
     deflated pole or the residue gate of :func:`_residues`), each output
-    interval ``h`` is one exact step ``y <- Phi y`` with
-    ``Phi = e^{A h}`` (:func:`scipy.linalg.expm`), one ``Phi`` for a
+    interval ``h`` is one exact step ``z <- Phi z`` with
+    ``Phi = e^{H h}`` (:func:`scipy.linalg.expm`), one ``Phi`` for a
     uniform grid, and ``fallbacks`` is 1.
     """
     times = _validate_times(times)
@@ -198,69 +197,74 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
         )
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
     lam, vectors = _eigensystem(model)
+    signs = _signs(lam.size)
+    z = y0[0::2] + 1j * signs * y0[1::2]
     ys = np.empty((times.size, y0.size))
-    ys[0] = y0
     if vectors is None:
         from scipy.linalg import expm
 
-        drift = model.drift
-        phis = _interval_maps(times, lambda h: expm(h * drift))
+        arrowhead = model.arrowhead
+        phis = _interval_maps(times, lambda h: expm(h * arrowhead))
         for k, phi in enumerate(phis, start=1):
-            ys[k] = phi @ ys[k - 1]
-        return MomentSeries(times=times, model=model, means=ys, fallbacks=1)
-    right, left = vectors
-    signs = _signs(lam.size)
-    weights = left @ (y0[0::2] + 1j * signs * y0[1::2])
-    for block in _row_blocks(times.size, lam.size):
-        amps = (np.exp(np.outer(times[block], lam)) * weights) @ right.T
-        ys[block, 0::2] = amps.real
-        ys[block, 1::2] = signs * amps.imag
+            z = phi @ z
+            ys[k, 0::2], ys[k, 1::2] = z.real, signs * z.imag
+    else:
+        right, left = vectors
+        weights = left @ z
+        for block in _row_blocks(times.size, lam.size):
+            amps = (np.exp(np.outer(times[block], lam)) * weights) @ right.T
+            ys[block, 0::2] = amps.real
+            ys[block, 1::2] = signs * amps.imag
     ys[0] = y0
-    return MomentSeries(times=times, model=model, means=ys)
+    return MomentSeries(times=times, model=model, means=ys,
+                        fallbacks=int(vectors is None))
 
 
-def _covariance_track(gamma: np.ndarray, M: int) -> np.ndarray:
-    ix = 2 + 2 * np.arange(M)
-    iy = ix + 1
-    return np.array(
-        [
-            gamma[0, 0] / 2.0,
-            gamma[1, 1] / 2.0,
-            gamma[np.ix_(ix, ix)].sum() / 2.0,
-            gamma[np.ix_(iy, iy)].sum() / 2.0,
-            gamma[ix, 1].sum() / 2.0,
-            gamma[iy, 0].sum() / 2.0,
-        ]
-    )
+def _sums(amp: np.ndarray) -> np.ndarray:
+    """``Re X_00``, ``Re 1^T X_ss 1`` and ``Im X_0s 1`` of an amplitude matrix."""
+    block = np.ascontiguousarray(amp[1:, 1:].real)
+    return np.array([amp[0, 0].real, block.sum(), amp[0, 1:].imag.sum()])
 
 
-def _van_loan_pair(drift: np.ndarray, noise: np.ndarray, h: float):
-    """Exact covariance step pair over one step ``h``.
+def _track(sums: np.ndarray, anomalous=0.0) -> np.ndarray:
+    """The six ``_TRACK_KEYS`` from :func:`_sums` of ``C`` and of ``A`` (or 0).
 
-    Returns ``Phi = e^{A h}`` and ``Q = int_0^h e^{A s} N e^{A^T s} ds``.
-    With ``B = [[-A, N], [0, A^T]]``, ``expm(B s)`` holds ``e^{A s}`` as
-    the transpose of its lower-right block and ``Q(s) = e^{A s} F12``
-    (Van Loan 1978).  The ``e^{-A s}`` block grows like ``e^{|A| s}``
-    and swamps ``F12`` when ``|A| h`` is large, so the exponential is
-    taken over the sub-step ``s = h / 2^k`` with ``||A||_1 s <= 1`` and
-    the pair is then doubled ``k`` times:
-    ``Q(2s) = Phi(s) Q(s) Phi(s)^T + Q(s)``, ``Phi(2s) = Phi(s)^2``.
+    ``gamma`` holds ``Re(C + A) / 2`` on the ``x`` quadratures,
+    ``Re(C - A) / 2`` on the ``y`` ones (up to the signs of ``T``) and
+    ``Im(C -+ A) / 2`` across them, so ``Var X_c = Re(C + A)_00 / 4``
+    and the rest follows alike.  The sums run along the last axis.
+    """
+    pairs = np.stack([sums + anomalous, sums - anomalous], axis=-1)
+    return pairs.reshape(sums.shape[:-1] + (6,)) / 4.0
+
+
+def _van_loan_pair(arrowhead: np.ndarray, noise: np.ndarray, h: float):
+    """Exact amplitude covariance step pair over one step ``h``.
+
+    Returns ``Phi = e^{H h}`` and ``Q = int_0^h e^{H s} D e^{H^H s} ds``.
+    With ``B = [[-H, D], [0, H^H]]``, ``expm(B s)`` holds ``e^{H s}`` as
+    the conjugate transpose of its lower-right block and
+    ``Q(s) = e^{H s} F12`` (Van Loan 1978).  The ``e^{-H s}`` block grows
+    like ``e^{|H| s}`` and swamps ``F12`` when ``|H| h`` is large, so the
+    exponential is taken over the sub-step ``s = h / 2^k`` with
+    ``||H||_1 s <= 1`` and the pair is then doubled ``k`` times:
+    ``Q(2s) = Phi(s) Q(s) Phi(s)^H + Q(s)``, ``Phi(2s) = Phi(s)^2``.
     """
     from scipy.linalg import expm
 
-    dim = drift.shape[0]
-    norm_h = np.abs(drift).sum(axis=0).max() * h
+    size = arrowhead.shape[0]
+    norm_h = np.abs(arrowhead).sum(axis=0).max() * h
     k = math.ceil(math.log2(norm_h)) if norm_h > 1.0 else 0
     s = h / 2.0**k
-    block = np.zeros((2 * dim, 2 * dim))
-    block[:dim, :dim] = -s * drift
-    block[:dim, dim:] = np.diag(s * noise)
-    block[dim:, dim:] = s * drift.T
+    block = np.zeros((2 * size, 2 * size), dtype=complex)
+    block[:size, :size] = -s * arrowhead
+    block[:size, size:] = np.diag(s * noise)
+    block[size:, size:] = s * arrowhead.conj().T
     full = expm(block)
-    phi = full[dim:, dim:].T
-    q = phi @ full[:dim, dim:]
+    phi = full[size:, size:].conj().T
+    q = phi @ full[:size, size:]
     for _ in range(k):
-        q = phi @ q @ phi.T + q
+        q = phi @ q @ phi.conj().T + q
         phi = phi @ phi
     return phi, q
 
@@ -273,37 +277,31 @@ def evolve_covariance(
 ) -> MomentSeries:
     """Propagate the covariance matrix through the output times.
 
-    The Hermitian amplitude covariance ``C = T gamma T^H`` obeys
-    ``dC/dt = H C + C H^H + D`` with diagonal ``D = T N T^H``, and the
-    anomalous part ``T gamma T^T`` has no source (the noise is equal on
-    both quadratures), so it stays zero from a quadrature-isotropic
-    ``gamma0`` and ``C`` alone fixes ``gamma``.  In the eigenbasis of
-    ``H`` (Gardiner, *Handbook of Stochastic Methods*, multivariate
-    Ornstein-Uhlenbeck process)
+    In the amplitudes (see the module docstring) ``C = T gamma T^H``
+    obeys ``dC/dt = H C + C H^H + D`` with diagonal ``D = T N T^H``, and
+    the anomalous part ``A = T gamma T^T`` obeys ``dA/dt = H A + A H^T``:
+    the noise is equal on both quadratures, so ``A`` stays zero from a
+    quadrature-isotropic ``gamma0``.  In the eigenbasis of ``H``
     ``C~(t) = C~_inf + e^{Lambda t} (C~_0 - C~_inf) e^{Lambda^H t}``
-    with ``C~_inf,kl = -D~_kl / (lambda_k + conj(lambda_l))``.  The
-    six-entry variance track is a quarter of ``C_00``, ``1^T C_ss 1`` and
-    ``Im C_0s 1``, each one (T x K)(K x K) product over all output times
-    (:func:`_spectral_covariance`); any grid works.  The first row is
-    ``gamma0`` itself.
+    with ``C~_inf,kl = -D~_kl / (lambda_k + conj(lambda_l))``, and the
+    six-entry variance track (:func:`_track`) takes one (T x K)(K x K)
+    product per form over all output times (:func:`_spectral_covariance`).
 
     Fallback, counted in ``fallbacks``: when the eigenvectors fail their
     gates (see :func:`_eigensystem`), when the steady state fails its
-    Lyapunov residual check, when it is too large for the track to
-    subtract it accurately (see :func:`_spectral_steady`) or when
-    ``gamma0`` is not quadrature-isotropic
-    (``|T gamma0 T^T|`` above 1e-12 of ``|C_0|``), each output interval
-    ``h`` is one exact step
-    ``gamma <- Phi gamma Phi^T + Q`` with the sub-stepped Van Loan pair
-    of :func:`_van_loan_pair` (one pair for a uniform grid), the matrix
-    re-symmetrized after every step.
+    residual check or is too large for the track to subtract it
+    accurately (see :func:`_spectral_steady`), or when ``|A_0|`` exceeds
+    1e-12 of ``|C_0|``, each output interval ``h`` is one exact step
+    ``C <- Phi C Phi^H + Q`` of the Van Loan pair (:func:`_van_loan_pair`,
+    one pair for a uniform grid) and, for an anisotropic start,
+    ``A <- Phi A Phi^T``, each re-symmetrized after every step.
 
-    Full (T, dim, dim) storage is kept when ``store_full`` is true,
-    defaulting to systems of dimension <= 64.  ``steady_track`` holds
-    the track of the steady covariance, from the same eigen-system or,
-    as in :func:`steady_state_covariance`, from Bartels-Stewart (a
-    second count in ``fallbacks``); it is NaN for an unstable model and
-    ``None`` when no steady state meets the Lyapunov residual bound.
+    The first row is that of ``gamma0`` itself.  The real (T, dim, dim)
+    covariances are stored when ``store_full`` is true, by default for
+    dimension <= 64.  ``steady_track`` is the track of the steady state
+    of :func:`steady_state_covariance` (Bartels-Stewart adds a count to
+    ``fallbacks``), NaN for an unstable model and ``None`` when no steady
+    state meets the residual bound.
     """
     times = _validate_times(times)
     dim = model.dim
@@ -324,7 +322,6 @@ def evolve_covariance(
     if store_full is None:
         store_full = dim <= 64
 
-    M = model.grid.size
     lam, vectors = _eigensystem(model)
     steady = None if vectors is None else _spectral_steady(model, lam, *vectors)
     amp0, anomalous = _to_amplitudes(gamma0)
@@ -338,19 +335,21 @@ def evolve_covariance(
         )
         fallbacks = 0
     else:
-        track, covs = _van_loan_covariance(model, gamma0, times, store_full)
+        track, covs = _van_loan_covariance(
+            model, amp0, None if isotropic else anomalous, times, store_full
+        )
         fallbacks = 1
-    track[0] = _covariance_track(gamma0, M)
+    track[0] = _track(_sums(amp0), _sums(anomalous))
     if store_full:
         covs[0] = gamma0
     try:
-        gamma_inf, dense = _steady_state(model, lam, steady)
+        amp_inf, dense = _steady_state(model, lam, steady)
     except UnstableModelError:
         steady_track = np.full(len(_TRACK_KEYS), np.nan)
     except NumericalError:
         steady_track = None  # no steady state meets the residual bound
     else:
-        steady_track = _covariance_track(gamma_inf, M)
+        steady_track = _track(_sums(amp_inf))
         fallbacks += dense
     return MomentSeries(
         times=times, model=model, covariances=covs, var_track=track,
@@ -358,23 +357,26 @@ def evolve_covariance(
     )
 
 
-def _van_loan_covariance(model, gamma0, times, store_full) -> tuple:
-    """Track and optional matrices by Van Loan steps: the fallback path."""
-    dim, M = model.dim, model.grid.size
-    drift, noise = model.drift, model.noise_diag
-    pairs = _interval_maps(times, lambda h: _van_loan_pair(drift, noise, h))
-    track = np.empty((times.size, len(_TRACK_KEYS)))
-    covs = np.empty((times.size, dim, dim)) if store_full else None
-    gamma = gamma0
+def _van_loan_covariance(model, amp, anomalous, times, store_full) -> tuple:
+    """Track and optional matrices by Van Loan steps from ``C_0`` and ``A_0``."""
+    arrowhead, noise = model.arrowhead, _noise(model)
+    pairs = _interval_maps(times, lambda h: _van_loan_pair(arrowhead, noise, h))
+    sums = np.zeros((2, times.size, 3))
+    covs = np.empty((times.size, model.dim, model.dim)) if store_full else None
     for k in range(times.size):
         if k > 0:
             phi, q = pairs[k - 1]
-            gamma = phi @ gamma @ phi.T + q
-            gamma = (gamma + gamma.T) / 2.0
-        track[k] = _covariance_track(gamma, M)
+            amp = phi @ amp @ phi.conj().T + q
+            amp = (amp + amp.conj().T) / 2.0
+            if anomalous is not None:
+                anomalous = phi @ anomalous @ phi.T
+                anomalous = (anomalous + anomalous.T) / 2.0
+        sums[0, k] = _sums(amp)
+        if anomalous is not None:
+            sums[1, k] = _sums(anomalous)
         if store_full:
-            covs[k] = gamma
-    return track, covs
+            covs[k] = _from_amplitudes(amp, anomalous)
+    return _track(*sums), covs
 
 
 def _row_blocks(rows: int, cols: int):
@@ -382,6 +384,24 @@ def _row_blocks(rows: int, cols: int):
     step = max(1, _CHUNK_BYTES // (16 * max(cols, 1)))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
+
+
+def _work_blocks(rows: int, cols: int):
+    """:func:`_row_blocks`, each with its view of one reused complex array."""
+    work = np.empty(max(_CHUNK_BYTES // 16, cols), dtype=complex)
+    for block in _row_blocks(rows, cols):
+        yield block, work[: (block.stop - block.start) * cols].reshape(-1, cols)
+
+
+def _check_dense(model: DriftModel) -> None:
+    """Refuse a model whose dense (M+1) x (M+1) complex arrays exceed the budget."""
+    need = 16 * (model.grid.size + 1) ** 2
+    if need > _DENSE_BYTE_BUDGET:
+        raise PreconditionError(
+            f"M = {model.grid.size} needs {need / 2**20:.1f} MiB per dense "
+            f"(M+1)^2 complex array, over the {_DENSE_BYTE_BUDGET // 2**20} "
+            f"MiB budget (M <= {math.isqrt(_DENSE_BYTE_BUDGET // 16) - 1})"
+        )
 
 
 def _secular_terms(model: DriftModel):
@@ -672,26 +692,19 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     with an odd count (every grid of :func:`~spincavity.broadening.discretize`),
     ``F`` is real on the real axis and the roots are real or come in
     conjugate pairs.  The same iteration then runs on the real roots and
-    one member of each pair, with the poles of each mirrored pair and
-    the roots of each conjugate pair summed in closed form
-    (``1/(y + iD) + 1/(y - iD) = 2y / (y^2 + D^2)``), so it has half the
-    rows and half the columns; a pair of poles nearest an iterate is
-    split off as a whole.  It returns the real roots, the pair members
-    and their conjugates.  The two roots not seeded at pole pairs come
-    from the 2 x 2 problem of the cavity and the whole line on the
-    centre pole, ``(lambda + c)(lambda + d_0) = sum_m w_m``
-    (:func:`_collective_seeds`).  When ``F`` has real roots off the pole
-    pairs (always for ``p = +1``; for ``p = -1`` a bounded search of
-    ``F`` on the real axis decides) they are its root nearest ``-c`` and,
-    by the sign of ``F`` between them, its other root or the centre
-    pole's own seed, whichever lies nearer the real root next to
-    ``d_0``; a real seed cannot get around the centre pole.  Otherwise
-    they are one complex pair, which real seeds would never reach.
+    one member of each pair, with each mirrored pole pair and each
+    conjugate root pair summed in closed form
+    (``1/(y + iD) + 1/(y - iD) = 2y / (y^2 + D^2)``): half the rows and
+    half the columns, and a pole pair nearest an iterate is split off as
+    a whole.  The two roots not seeded at pole pairs come from the 2 x 2
+    problem of the cavity and the whole line on the centre pole
+    (:func:`_collective_seeds`).
 
     Fallbacks, in order: a mirrored line whose folded iteration does not
     settle takes the general iteration from the same seeds, and the
-    dense ``numpy.linalg.eigvals`` of :attr:`DriftModel.arrowhead` runs
-    when that does not settle either.  An iteration does not settle when
+    dense ``numpy.linalg.eigvals`` of :attr:`DriftModel.arrowhead`, within
+    the dense budget (:func:`_check_dense`), runs when that does not
+    settle either.  An iteration does not settle when
     a step is not finite, when a root is still moving after
     ``_ABERTH_MAX_ITER`` iterations, or when
     ``sum_k 1 / |F'(lambda_k)|`` exceeds ``_RESIDUE_BOUND``: that sum
@@ -747,6 +760,7 @@ def _roots(model: DriftModel) -> tuple:
         roots = _aberth_roots(shift, merged, merged_weights, seeds)
     if roots is not None:
         return np.concatenate([roots, -deflated]), False, deflated.size > 0
+    _check_dense(model)
     try:
         return np.linalg.eigvals(model.arrowhead), True, deflated.size > 0
     except np.linalg.LinAlgError as exc:
@@ -799,8 +813,8 @@ def _residues(model: DriftModel) -> np.ndarray | None:
     """Residues ``r_k = 1 / F'(lambda_k)`` of the spectrum, or ``None``.
 
     ``F'(lambda) = 1 + sum_m w_m / (lambda + d_m)^2``, summed in row
-    blocks of at most ``_CHUNK_BYTES``: O(M^2).  ``None`` when the
-    residues fail their gate, ``sum_k |r_k| <= _RESIDUE_BOUND`` and
+    blocks of one work array (:func:`_work_blocks`): O(M^2).  ``None``
+    when the residues fail their gate, ``sum_k |r_k| <= _RESIDUE_BOUND`` and
     ``|sum_k r_k - 1| <= 1e-10`` (:func:`field_kick_response` gives the
     reason); a non-finite residue fails it too.
     """
@@ -810,10 +824,10 @@ def _residues(model: DriftModel) -> np.ndarray | None:
         poles, weights = _secular_terms(model)
         slope = np.empty(lam.size, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for block in _row_blocks(lam.size, poles.size):
-                slope[block] = 1.0 + (
-                    weights / (lam[block, None] + poles) ** 2
-                ).sum(axis=1)
+            for block, terms in _work_blocks(lam.size, poles.size):
+                np.add(lam[block, None], poles, out=terms)
+                np.divide(weights, np.square(terms, out=terms), out=terms)
+                slope[block] = 1.0 + terms.sum(axis=1)
             residues = 1.0 / slope
             spectrum.gated = bool(
                 np.abs(residues).sum() <= _RESIDUE_BOUND
@@ -839,8 +853,10 @@ def _eigensystem(model: DriftModel) -> tuple:
     ``None`` when the roots came from dense ``eigvals``, when a pole was
     deflated (its eigenvector is not of this form) or when the residues
     fail their gate (:func:`_residues`), whose ``sum_k r_k = 1`` is
-    ``(right left)_00 = 1``.
+    ``(right left)_00 = 1``.  The model is first checked against the
+    dense budget (:func:`_check_dense`).
     """
+    _check_dense(model)
     spectrum = _spectrum(model)
     if spectrum.vectors is None and not (spectrum.dense or spectrum.deflated):
         residues = _residues(model)
@@ -872,22 +888,19 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     of :func:`arrowhead_eigenvalues` and the residues
     ``r_k = 1 / F'(lambda_k)`` of :func:`_residues`.  The cost is O(M^2)
     for the residues plus O(M T) for the sum, with no eigenvectors and no
-    time stepping; both are formed in row blocks of at most
-    ``_CHUNK_BYTES`` per work array.
+    time stepping; both are formed in row blocks of one reused work
+    array of ``_CHUNK_BYTES`` (:func:`_work_blocks`).
 
-    The residues add up to 1, the response at ``t = 0``, but the sum is
-    formed from terms as large as ``|r_k|``.  Near an exceptional point two
-    roots merge and their residues blow up with opposite signs; a
-    backward-stable eigensolver then moves those roots by about
-    ``eps * sum_k |r_k|`` relative to their separation, and the
-    cancelling pair carries that into the field, so the error grows
-    like ``eps * (sum_k |r_k|)^2`` (about 1e-13, 1e-12 and 2e-10 of the
-    kick at ``sum_k |r_k|`` = 22, 70 and 700 next to the homogeneous
-    double root).  The expansion is therefore used only while
-    ``sum_k |r_k| <= 100``, which keeps that error near 2e-12, and
-    while the a-posteriori identity ``sum_k r_k = 1`` holds to 1e-10.
-    Otherwise, or with a non-finite residue (a sub-ensemble decoupled
-    at ``g_m = 0`` is a pole of ``F`` sitting on a root), the field is
+    The residues add up to 1, the response at ``t = 0``, from terms as
+    large as ``|r_k|``.  Near an exceptional point two roots merge, their
+    residues blow up with opposite signs, and a backward-stable solver
+    leaves an error in the field that grows like
+    ``eps * (sum_k |r_k|)^2`` (1e-13, 1e-12 and 2e-10 of the kick at
+    ``sum_k |r_k|`` = 22, 70 and 700 next to the homogeneous double
+    root).  So the expansion is used only while ``sum_k |r_k| <= 100``
+    (an error near 2e-12) and ``sum_k r_k = 1`` holds to 1e-10.
+    Otherwise, or with a non-finite residue (a sub-ensemble decoupled at
+    ``g_m = 0`` is a pole of ``F`` sitting on a root), the field is
     propagated with :func:`evolve_mean` from the kicked state.
 
     Returns ``(response, fallback)``: the complex response on
@@ -899,8 +912,9 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     if residues is not None:
         lam = _spectrum(model).lam
         response = np.empty(times.size, dtype=complex)
-        for block in _row_blocks(times.size, lam.size):
-            response[block] = np.exp(np.outer(times[block], lam)) @ residues
+        for block, growth in _work_blocks(times.size, lam.size):
+            np.multiply(times[block, None], lam, out=growth)
+            response[block] = np.exp(growth, out=growth) @ residues
         return response, False
     y0 = np.zeros(model.dim)
     y0[0] = 1.0
@@ -928,16 +942,23 @@ def _to_amplitudes(gamma: np.ndarray) -> tuple:
     return xx + yy + 1j * (yx - xy), xx - yy + 1j * (yx + xy)
 
 
-def _from_amplitudes(amp: np.ndarray) -> np.ndarray:
-    """Symmetric real covariance of a Hermitian ``C`` with no anomalous part."""
+def _from_amplitudes(amp: np.ndarray, anomalous=None) -> np.ndarray:
+    """Real ``gamma`` of a Hermitian ``C`` and an anomalous ``A`` (``None``: 0)."""
     signs = _signs(amp.shape[0])
-    re, im = amp.real / 2.0, amp.imag / 2.0
+    plus = minus = amp / 2.0
+    if anomalous is not None:
+        plus, minus = (amp + anomalous) / 2.0, (amp - anomalous) / 2.0
     gamma = np.empty((2 * amp.shape[0],) * 2)
-    gamma[0::2, 0::2] = re
-    gamma[1::2, 1::2] = signs[:, None] * re * signs
-    gamma[1::2, 0::2] = signs[:, None] * im
-    gamma[0::2, 1::2] = -im * signs
+    gamma[0::2, 0::2] = plus.real
+    gamma[1::2, 1::2] = signs[:, None] * minus.real * signs
+    gamma[1::2, 0::2] = signs[:, None] * plus.imag
+    gamma[0::2, 1::2] = -minus.imag * signs
     return (gamma + gamma.T) / 2.0
+
+
+def _noise(model: DriftModel) -> np.ndarray:
+    """Diagonal of the amplitude noise ``D = T N T^H``."""
+    return model.noise_diag[0::2] + model.noise_diag[1::2]
 
 
 class _Steady(NamedTuple):
@@ -951,40 +972,22 @@ class _Steady(NamedTuple):
 def _spectral_steady(model: DriftModel, lam, right, left) -> _Steady | None:
     """Steady covariance in the eigenbasis and in amplitudes, or ``None``.
 
-    The amplitude noise ``D = T N T^H`` is diagonal, so
     ``C~_kl = -D~_kl / (lambda_k + conj(lambda_l))`` with
-    ``D~ = left D left^H`` and ``C = right C~ right^H``.  ``None`` when
-    the Lyapunov residual of ``C``, formed in O(M^2) from the arrowhead's
-    structure, exceeds the bound of :func:`steady_state_covariance`,
-    taken here in the amplitudes: ``H``, ``C`` and ``D`` stand for ``A``,
-    ``gamma`` and ``N``, each twice as large.
+    ``D~ = left D left^H`` and ``C = right C~ right^H``; ``None`` when
+    ``C`` fails :func:`_lyapunov_check`.
 
     :func:`evolve_covariance` also needs ``residual`` within
     ``_LYAPUNOV_RTOL`` of the largest noise entry.  Rounding leaves a
-    residual near ``eps ||A|| ||C_inf||``, so this holds while ``C_inf``
-    is at most ~10^5 times ``||N|| / ||A||``; beyond, near threshold,
+    residual near ``eps ||H|| ||C_inf||``, so this holds while ``C_inf``
+    is at most ~10^5 times ``||D|| / ||H||``; beyond, near threshold,
     ``C(t) = C_inf + (C(t) - C_inf)`` cancels too many digits and it
     takes Van Loan steps instead.
     """
-    noise = model.noise_diag[0::2] + model.noise_diag[1::2]
-    diag, row, col = model._arrowhead_border()
-    scale = _balance(model)
-    scales = np.outer(scale, scale)
-    # infinity norm of the balanced arrowhead, scale H / scale
-    norm = max(
-        abs(diag[0]) + np.abs(row / scale[1:]).sum(),
-        (np.abs(diag[1:]) + np.abs(col * scale[1:])).max(),
-    )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tilde = -((left * noise) @ left.conj().T) / (lam[:, None] + lam.conj())
+        tilde = -((left * _noise(model)) @ left.conj().T) / (lam[:, None] + lam.conj())
         amp = right @ tilde @ right.conj().T
         amp = (amp + amp.conj().T) / 2.0
-        product = diag[:, None] * amp  # H C
-        product[0] += row @ amp[1:]
-        product[1:] += col[:, None] * amp[0]
-        residual = product + product.conj().T + np.diag(noise)
-        worst = np.abs(scales * residual).max()
-        bound = _lyapunov_bound(norm, scales * amp, scale**2 * noise)
+        residual, worst, bound = _lyapunov_check(model, amp)
         # the real residual holds the halved real and imaginary parts
         unscaled = max(np.abs(residual.real).max(), np.abs(residual.imag).max()) / 2.0
     if not worst <= bound:
@@ -1002,18 +1005,35 @@ def _balance(model: DriftModel) -> np.ndarray:
     return np.concatenate(([1.0], 1.0 / np.sqrt(np.where(spins > 0.0, spins, 1.0))))
 
 
-def _lyapunov_bound(norm: float, gamma: np.ndarray, noise: np.ndarray) -> float:
-    """Largest Lyapunov residual accepted from a steady state ``gamma``.
+def _lyapunov_check(model: DriftModel, amp: np.ndarray) -> tuple:
+    """Residual ``R = H C + C H^H + D`` of a steady ``C``, in O(M^2).
 
-    Backward-stable: ``_LYAPUNOV_RTOL (||A|| ||gamma|| + ||N||)``, with
-    the infinity norm ``norm`` of the drift and the largest entries of
-    ``gamma`` and of the noise, all in the balanced coordinates of
-    :func:`_balance`.  The residual ``A gamma + gamma A^T + N`` is
-    compared by its largest entry.  Close to threshold ``gamma`` grows
-    as ``1 / (1 - C)`` and the rounding of ``A gamma`` with it, so a
-    bound on the noise alone fails every solver there.
+    Returns ``(R, worst, bound)``: the largest entry of ``R`` and the
+    backward-stable bound ``_LYAPUNOV_RTOL (||H|| ||C|| + ||D||)`` (the
+    infinity norm of ``H``, the largest entries of ``C`` and ``D``), all
+    in the balanced coordinates of :func:`_balance`.  ``C`` passes when
+    ``worst <= bound``.  Near threshold ``C`` grows as ``1 / (1 - C)``
+    and the rounding of ``H C`` with it: a bound on ``D`` alone fails
+    every solver there.
     """
-    return _LYAPUNOV_RTOL * (norm * np.abs(gamma).max() + np.abs(noise).max())
+    noise = _noise(model)
+    diag, row, col = model._arrowhead_border()
+    scale = _balance(model)
+    scales = np.outer(scale, scale)
+    # infinity norm of the balanced arrowhead, scale H / scale
+    norm = max(
+        abs(diag[0]) + np.abs(row / scale[1:]).sum(),
+        (np.abs(diag[1:]) + np.abs(col * scale[1:])).max(),
+    )
+    product = diag[:, None] * amp  # H C
+    product[0] += row @ amp[1:]
+    product[1:] += col[:, None] * amp[0]
+    residual = product + product.conj().T + np.diag(noise)
+    worst = np.abs(scales * residual).max()
+    bound = _LYAPUNOV_RTOL * (
+        norm * np.abs(scales * amp).max() + np.abs(scale**2 * noise).max()
+    )
+    return residual, worst, bound
 
 
 def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
@@ -1039,42 +1059,39 @@ def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
         forms[block, 1] = ((y @ diff) * y.conj()).sum(axis=1)
         forms[block, 2] = (xd * y.conj()).sum(axis=1)
     forms += [amp_inf[0, 0], amp_inf[1:, 1:].sum(), amp_inf[0, 1:].sum()]
-    # (var X_c, var P_c), (var S_x, var S_y), (cov Sx Pc, cov Sy Xc)
-    track = np.repeat([forms[:, 0].real, forms[:, 1].real, forms[:, 2].imag], 2, 0)
     covs = None
     if store_full:
         covs = np.empty((times.size, 2 * lam.size, 2 * lam.size))
         for k, t in enumerate(times):
             grown = right * np.exp(lam * t)
             covs[k] = _from_amplitudes(amp_inf + grown @ diff @ grown.conj().T)
-    return track.T / 4.0, covs
+    return _track(np.column_stack([forms.real[:, :2], forms.imag[:, 2]])), covs
 
 
 def steady_state_covariance(model: DriftModel) -> np.ndarray:
     """Solve the algebraic Lyapunov equation of the model.
 
-    Requires a strictly stable drift (spectral abscissa < 0).  The
-    steady covariance is ``C_inf = right C~_inf right^H`` from the
-    arrowhead eigen-system (see :func:`evolve_covariance`), realified;
-    its Lyapunov residual ``A gamma + gamma A^T + N``, formed in the
-    amplitudes in O(M^2), must stay within ``1e-10`` of
-    ``||A|| ||gamma|| + ||N||``, all with the spin quadratures scaled by
-    ``1 / sqrt(N_m)`` (:func:`_lyapunov_bound`).  When the eigenvectors
-    fail their gates or the residual check fails, the equation is
-    solved by Bartels-Stewart
-    (:func:`scipy.linalg.solve_continuous_lyapunov`) with the spin
-    quadratures scaled by ``1 / sqrt(N_m)``, symmetrized and checked
-    against the same bound, with one refinement pass before giving up.
+    Requires a strictly stable drift (spectral abscissa < 0).  The steady
+    ``C_inf = right C~_inf right^H`` comes from the eigen-system (see
+    :func:`evolve_covariance`) and must pass :func:`_lyapunov_check`.
+    When the eigenvectors fail their gates or the check fails,
+    ``H C + C H^H + D = 0`` is solved by Bartels-Stewart
+    (:func:`scipy.linalg.solve_continuous_lyapunov`) on the balanced
+    ``H``, made Hermitian and checked the same way, with one refinement
+    pass before giving up.  Returns the real ``gamma``.
     """
-    lam, vectors = _eigensystem(model)
-    steady = None
-    if vectors is not None and lam.real.max() < 0.0:
-        steady = _spectral_steady(model, lam, *vectors)
-    return _steady_state(model, lam, steady)[0]
+    return _from_amplitudes(_steady_state(model)[0])
 
 
-def _steady_state(model: DriftModel, lam, steady) -> tuple:
-    """Steady covariance and whether Bartels-Stewart produced it."""
+def _steady_state(model: DriftModel, lam=None, steady=None) -> tuple:
+    """Steady ``C`` and whether Bartels-Stewart produced it.
+
+    ``lam`` and ``steady`` (:func:`_spectral_steady`) are found when not given.
+    """
+    if lam is None:
+        lam, vectors = _eigensystem(model)
+        if vectors is not None and lam.real.max() < 0.0:
+            steady = _spectral_steady(model, lam, *vectors)
     abscissa = float(lam.real.max())
     if abscissa >= 0.0:
         raise UnstableModelError(
@@ -1082,36 +1099,31 @@ def _steady_state(model: DriftModel, lam, steady) -> tuple:
             f"{abscissa:.3e} >= 0 (second moments diverge)"
         )
     if steady is not None:
-        return _from_amplitudes(steady.amp), False
-    # solved with the spin quadratures scaled by 1 / sqrt(N_m): unscaled,
+        return steady.amp, False
+    # solved with the spin amplitudes scaled by 1 / sqrt(N_m): unscaled,
     # the couplings span sqrt(N) to 1 / sqrt(N), and at N = 1e11 the
     # solver returns a negative field variance that passes the residual
-    scale = np.repeat(_balance(model), 2)
+    scale = _balance(model)
     scales = np.outer(scale, scale)
-    drift = model.drift
-    balanced = scale[:, None] * drift / scale
-    norm = np.abs(balanced).sum(axis=1).max()
+    balanced = scale[:, None] * model.arrowhead / scale
 
     def solve(source):
-        """``gamma`` with ``A gamma + gamma A^T + source = 0``."""
+        """``C`` with ``H C + C H^H + source = 0``."""
         from scipy.linalg import solve_continuous_lyapunov
 
-        gamma = solve_continuous_lyapunov(balanced, -scales * source)
-        return (gamma + gamma.T) / (2.0 * scales)
+        amp = solve_continuous_lyapunov(balanced, -scales * source)
+        return (amp + amp.conj().T) / (2.0 * scales)
 
-    noise = np.diag(model.noise_diag)
-    gamma = solve(noise)
+    amp = solve(np.diag(_noise(model)))
     for refine in (True, False):
-        residual = drift @ gamma + gamma @ drift.T + noise
-        worst = np.abs(scales * residual).max()
-        bound = _lyapunov_bound(norm, scales * gamma, scale**2 * model.noise_diag)
+        residual, worst, bound = _lyapunov_check(model, amp)
         if worst <= bound:
-            return gamma, True
+            return amp, True
         if refine:
-            gamma = gamma + solve(residual)
+            amp = amp + solve(residual)
     raise NumericalError(
         f"Lyapunov residual {worst:.3e} exceeds {bound:.3e} "
-        "(spin quadratures scaled by 1 / sqrt(N_m))"
+        "(spin amplitudes scaled by 1 / sqrt(N_m))"
     )
 
 
@@ -1131,8 +1143,7 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
     """
     if grid.size != series.model.grid.size:
         raise PreconditionError("grid does not match the series' model")
-    M = grid.size
-    ix = 2 + 2 * np.arange(M)
+    ix = 2 + 2 * np.arange(grid.size)
     red: dict[str, np.ndarray] = {}
     if series.means is not None:
         red["X_c"] = series.means[:, 0].copy()
@@ -1144,7 +1155,7 @@ def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeri
         steady = series.steady_track
         if steady is None:
             # not recorded: solving again raises the residual failure
-            steady = _covariance_track(steady_state_covariance(series.model), M)
+            steady = _track(_sums(_steady_state(series.model)[0]))
         for k, key in enumerate(_TRACK_KEYS):
             red[key] = track[:, k].copy()
         var_sx = red["var_S_x"]

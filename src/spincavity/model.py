@@ -86,9 +86,10 @@ class SystemParams:
 class DriftModel:
     """Noise diagonal and arrowhead data of one linear model.
 
-    The hot paths read only the O(M) arrowhead data (``params``,
-    ``grid``, ``p``); the dense (2M+2) x (2M+2) :attr:`drift` is built
-    on first use, for the dense fallbacks, oracles and tests, and kept.
+    Every library path reads the O(M) arrowhead data (``params``,
+    ``grid``, ``p``), and the dense fallbacks the (M+1) x (M+1)
+    :attr:`arrowhead`; the real (2M+2) x (2M+2) :attr:`drift` is built
+    on first use, for oracles and tests only, and kept.
     """
 
     noise_diag: np.ndarray
@@ -112,7 +113,8 @@ class DriftModel:
 
     @cached_property
     def drift(self) -> np.ndarray:
-        """Read-only (2M+2) x (2M+2) real drift matrix.
+        """Read-only (2M+2) x (2M+2) real drift matrix, the realification
+        of :attr:`arrowhead`; no library path reads it.
 
         Block layout: the field block is
         ``[[-kappa, delta_cs], [-delta_cs, -kappa]]``; the field rows

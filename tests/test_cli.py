@@ -1002,17 +1002,56 @@ class TestExitCodes:
         assert run_cli(SMALL["pole"] + ["--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write --out")
 
-    def test_oversized_grid_names_the_budget(self, tmp_path, capsys):
-        # every M the tests, scripts and benchmark use fits the budget
-        assert cli._M_LIMIT >= 601
-        too_big = str(cli._M_LIMIT + 2)
+    def test_oversized_grid_names_the_budget(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the budget bounds one dense (M+1)^2 complex array; every M that
+        # builds one in the tests, scripts and benchmark fits it
+        limit = math.isqrt(dynamics._DENSE_BYTE_BUDGET // 16) - 1
+        assert limit >= 801
+        m = limit + 2
+        size = 2 * m + 2
+        tracemalloc.start()
+        try:
+            code = run_cli([
+                "moments", "--family", "gaussian", "--normalize-gamma",
+                "--gamma-perp", "0.2", "--m", m, "--out", tmp_path / "x.csv",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "16 MiB budget" in capsys.readouterr().err
+        # refused before the eigenvectors: nothing as large as one
+        # (M+1)^2 complex array joins the dense initial covariance
+        assert peak < 8 * size**2 + 16 * (m + 1) ** 2
+        # the sweep builds one only when dense eigvals takes over
+        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 0)
         code = run_cli([
-            "decay", "--family", "lorentzian", "--width", "2",
-            "--gamma-perp", "0", "--m", too_big, "--out", tmp_path / "x.csv",
+            "stability-sweep", "--family", "gaussian", "--normalize-gamma",
+            "--gamma-perp", "0", "--m", m, "--out", tmp_path / "x.csv",
         ])
         assert code == 2
         assert "16 MiB budget" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_kicked_field_takes_a_grid_over_the_dense_budget(self, tmp_path):
+        # the residue expansion builds no (M+1)^2 array: at M = 2001 one
+        # would take 64 MB
+        m = 2001
+        assert 16 * (m + 1) ** 2 > dynamics._DENSE_BYTE_BUDGET
+        out = tmp_path / "decay.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli([
+                "decay", "--family", "gaussian", "--normalize-gamma",
+                "--gamma-perp", "0", "--m", m, "--out", out,
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert read_table(out)[0]["kick_response_fallbacks"] == "0"
+        assert peak < (m + 1) ** 2
 
 
 class TestFigureBundle:

@@ -107,12 +107,26 @@ def aberth_calls(monkeypatch):
     return calls
 
 
+def real_track(gamma, m):
+    """The six ``var_track`` entries read off a real covariance ``gamma``."""
+    ix = 2 + 2 * np.arange(m)
+    iy = ix + 1
+    return np.array([
+        gamma[0, 0], gamma[1, 1], gamma[np.ix_(ix, ix)].sum(),
+        gamma[np.ix_(iy, iy)].sum(), gamma[ix, 1].sum(), gamma[iy, 0].sum(),
+    ]) / 2.0
+
+
 def assert_matches_dp45(model, gamma0, times, series):
-    """Stored covariances within 1e-8 of each time's DP45 oracle peak."""
+    """Stored covariances and the variance track within 1e-8 of each
+    time's DP45 oracle peak."""
     reference = dp45_covariance(model.drift, model.noise_diag, gamma0, times)
     error = np.abs(series.covariances - reference).max(axis=(1, 2))
     scale = np.abs(reference).max(axis=(1, 2))
     assert np.all(error <= 1e-8 * scale)
+    track = np.array([real_track(gamma, model.grid.size) for gamma in reference])
+    error = np.abs(series.var_track - track).max(axis=1)
+    assert np.all(error <= 1e-8 * np.abs(track).max(axis=1))
 
 
 class TestEvolveMean:
@@ -231,7 +245,7 @@ class TestEvolveCovariance:
         "case, path",
         [pytest.param(case, path,
                       id=case if path == "spectral" else f"{case}-{path}")
-         for path in ("spectral", "van-loan")
+         for path in ("spectral", "van-loan", "squeezed")
          for case in ("coarse-grid", "unstable", "zero-dephasing",
                       "nonuniform-grid")],
     )
@@ -258,6 +272,11 @@ class TestEvolveCovariance:
         if path == "van-loan":
             monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        if path == "squeezed":
+            # a quadrature-anisotropic start: Van Loan steps carry the
+            # anomalous part A <- Phi A Phi^T next to the covariance
+            gamma0 = gamma0.copy()
+            gamma0[0, 0], gamma0[1, 1] = 4.0, 0.25
         series = evolve_covariance(model, gamma0, times, store_full=True)
         if path == "spectral":
             # the arrowhead eigen-system, not a dense fallback, gave the result
@@ -372,7 +391,7 @@ class TestSpectralMoments:
         norm = np.abs(scale[:, None] * model.drift / scale).sum(axis=1).max()
         rtol = max(1e-8, np.finfo(float).eps * norm / -abscissa)
         assert np.abs(gamma - reference).max() <= rtol * np.abs(reference).max()
-        assert_allclose(series.steady_track, dynamics._covariance_track(gamma, m),
+        assert_allclose(series.steady_track, real_track(gamma, m),
                         rtol=1e-12, atol=1e-12 * np.abs(gamma).max())
 
     @pytest.mark.parametrize("case", ["exceptional-point", "decoupled"])
@@ -386,14 +405,16 @@ class TestSpectralMoments:
         y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
         times = np.linspace(0.0, 2.0, 9)
         series = evolve_covariance(model, gamma0, times, store_full=True)
+        gamma = steady_state_covariance(model)
+        mean_series = evolve_mean(model, y0, times)
+        # the dense paths run on the complex arrowhead, not the real drift
+        assert "drift" not in vars(model)
         assert series.fallbacks == 2  # covariance and steady state
         assert dense_calls["van_loan"] == 1
         assert dense_calls["bartels_stewart"] >= 1
         assert_matches_dp45(model, gamma0, times, series)
-        gamma = steady_state_covariance(model)
         residual = model.drift @ gamma + gamma @ model.drift.T + model.noise
         assert np.abs(residual).max() <= 1e-10 * model.noise_diag.max()
-        mean_series = evolve_mean(model, y0, times)
         assert mean_series.fallbacks == 1 and dense_calls["expm"] >= 1
         reference = expm_mean(model.drift, y0, times)
         assert np.abs(mean_series.means - reference).max() <= (
