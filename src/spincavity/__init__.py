@@ -43,7 +43,6 @@ from .dynamics import (
     MomentSeries,
     arrowhead_eigenvalues,
     check_revival_window,
-    collective_reduce,
     evolve_covariance,
     evolve_mean,
     field_kick_response,
@@ -104,7 +103,6 @@ __all__ = [
     "MomentSeries",
     "arrowhead_eigenvalues",
     "check_revival_window",
-    "collective_reduce",
     "evolve_covariance",
     "evolve_mean",
     "field_kick_response",

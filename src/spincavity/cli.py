@@ -65,8 +65,7 @@ from .broadening import (
     solve_width_for_gamma,
 )
 from .dynamics import (
-    arrowhead_eigenvalues, collective_reduce, evolve_covariance, evolve_mean,
-    field_kick_response,
+    arrowhead_eigenvalues, evolve_covariance, evolve_mean, field_kick_response,
 )
 from .errors import (
     ConvergenceError, NumericalError, PreconditionError, UnstableModelError,
@@ -231,11 +230,10 @@ def _moments(o: dict):
     y0, gamma0 = initial_state("tilted-spin", grid, theta=o["theta"])
     mean_series = evolve_mean(model, y0, times)
     cov_series = evolve_covariance(model, gamma0, times, store_full=False)
-    red = collective_reduce(cov_series, grid).reductions
-    means = mean_series.means
+    mean, red = mean_series.reductions, cov_series.reductions
 
     N = o["n_spins"]
-    sx = means[:, 2::2].sum(axis=1)
+    sx = mean["S_x"]
     trailer: dict = {}
     var_sx_inf = red["var_S_x_inf"]
     if spec.family is _GAUSSIAN and not math.isnan(var_sx_inf):
@@ -256,7 +254,7 @@ def _moments(o: dict):
         "R",
     ]
     rows = np.column_stack([
-        times, sx / sx[0], means[:, 1], red["var_S_x"] / N - 1.0,
+        times, sx / sx[0], mean["P_c"], red["var_S_x"] / N - 1.0,
         2.0 * red["var_P_c"] - 1.0, red["R"],
     ])
     header = {"moment_fallbacks": mean_series.fallbacks + cov_series.fallbacks}

@@ -19,6 +19,9 @@ propagated exactly on any time grid: the means as
 ``z(t) = V e^{Lambda t} V^{-1} z(0)``, the covariance as the
 multivariate Ornstein-Uhlenbeck solution (Gardiner, *Handbook of
 Stochastic Methods*), and the steady state from the same eigen-system.
+Each run returns its collective reductions with it
+(:attr:`MomentSeries.reductions`): the mean field and spin, or the
+variance track, its steady values and the relaxation ratio ``R(t)``.
 
 Dense paths on ``H`` remain as gated fallbacks (near an exceptional
 point, with deflated poles, for a steady state that fails its residual
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +63,6 @@ __all__ = [
     "arrowhead_eigenvalues",
     "spectral_abscissa",
     "field_kick_response",
-    "collective_reduce",
     "check_revival_window",
 ]
 
@@ -91,8 +93,8 @@ _R_RTOL = 1e-10
 # constants it was found under, its _Spectrum], or empty
 _MEMO: list = []
 
-# order of the compact per-time variance track stored by
-# evolve_covariance: (Var Xc, Var Pc, Var Sx, Var Sy, <dSx dPc>, <dSy dXc>)
+# order of the per-time variance track of evolve_covariance:
+# (Var Xc, Var Pc, Var Sx, Var Sy, <dSx dPc>, <dSy dXc>)
 _TRACK_KEYS = (
     "var_X_c",
     "var_P_c",
@@ -105,26 +107,22 @@ _TRACK_KEYS = (
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Time series of first and/or second moments of one model.
+    """Time series of the first or the second moments of one model.
 
-    ``means`` has shape (T, dim); ``covariances`` (T, dim, dim) is only
-    stored for small systems or on request, while ``var_track`` always
-    records the collective second-moment reductions per output time for
-    covariance runs, and ``steady_track`` the same six entries of the
-    steady covariance (NaN when the model is unstable).  ``fallbacks``
-    counts the computations behind the series that took a dense path
-    instead of the arrowhead eigen-system: the mean, or the covariance
-    and the steady state.  ``reductions`` is filled by
-    :func:`collective_reduce`.
+    ``reductions`` holds the collective values: the means ``X_c``,
+    ``P_c``, ``S_x`` and ``S_y`` per output time (:func:`evolve_mean`),
+    or the variances of :func:`evolve_covariance`.  ``means`` has shape
+    (T, dim); ``covariances`` (T, dim, dim) is only stored for small
+    systems or on request.  ``fallbacks`` counts the computations behind
+    the series that took a dense path instead of the arrowhead
+    eigen-system: the mean, or the covariance and the steady state.
     """
 
     times: np.ndarray
     model: DriftModel
+    reductions: dict
     means: np.ndarray | None = None
     covariances: np.ndarray | None = None
-    var_track: np.ndarray | None = None
-    reductions: dict | None = None
-    steady_track: np.ndarray | None = None
     fallbacks: int = 0
 
 
@@ -181,7 +179,9 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     eigenvectors of :func:`_eigensystem`: O(M^2) to set up and O(M^2)
     per output time, on any grid, with no dense ``eig`` and no stepping.
     The real means are the real parts and the signed imaginary parts of
-    ``z``; the first row is ``y0`` itself.
+    ``z``; the first row is ``y0`` itself.  ``reductions`` holds the
+    field quadratures ``X_c`` and ``P_c`` and the collective spin
+    ``S_x`` and ``S_y``, summed over the sub-ensembles.
 
     Fallback: when the eigenvectors fail their gates (dense roots, a
     deflated pole or the residue gate of :func:`_residues`), each output
@@ -216,8 +216,12 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
             ys[block, 0::2] = amps.real
             ys[block, 1::2] = signs * amps.imag
     ys[0] = y0
-    return MomentSeries(times=times, model=model, means=ys,
-                        fallbacks=int(vectors is None))
+    reductions = {
+        "X_c": ys[:, 0], "P_c": ys[:, 1],
+        "S_x": ys[:, 2::2].sum(axis=1), "S_y": ys[:, 3::2].sum(axis=1),
+    }
+    return MomentSeries(times=times, model=model, reductions=reductions,
+                        means=ys, fallbacks=int(vectors is None))
 
 
 def _sums(amp: np.ndarray) -> np.ndarray:
@@ -296,12 +300,19 @@ def evolve_covariance(
     one pair for a uniform grid) and, for an anisotropic start,
     ``A <- Phi A Phi^T``, each re-symmetrized after every step.
 
-    The first row is that of ``gamma0`` itself.  The real (T, dim, dim)
+    ``reductions`` holds the track under the ``_TRACK_KEYS``, its first
+    row that of ``gamma0`` itself; the steady ``var_S_x_inf`` and
+    ``var_P_c_inf`` of :func:`steady_state_covariance` (Bartels-Stewart
+    adds a count to ``fallbacks``), NaN for an unstable model; and the
+    relaxation ratio ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))``
+    of the collective ``S_x`` variance.  ``R`` is NaN when the model is
+    unstable and when ``Var(0)`` equals ``Var_inf`` to ``_R_RTOL``
+    relative: a start at the steady variance leaves only rounding in
+    both the numerator and the denominator.  A stable model whose
+    steady state meets no residual bound raises :class:`NumericalError`,
+    as :func:`steady_state_covariance` does.  The real (T, dim, dim)
     covariances are stored when ``store_full`` is true, by default for
-    dimension <= 64.  ``steady_track`` is the track of the steady state
-    of :func:`steady_state_covariance` (Bartels-Stewart adds a count to
-    ``fallbacks``), NaN for an unstable model and ``None`` when no steady
-    state meets the residual bound.
+    dimension <= 64.
     """
     times = _validate_times(times)
     dim = model.dim
@@ -324,6 +335,13 @@ def evolve_covariance(
 
     lam, vectors = _eigensystem(model)
     steady = None if vectors is None else _spectral_steady(model, lam, *vectors)
+    try:
+        amp_inf, dense = _steady_state(model, lam, steady)
+    except UnstableModelError:
+        var_inf = dict.fromkeys(_TRACK_KEYS, np.nan)
+        dense = False
+    else:
+        var_inf = dict(zip(_TRACK_KEYS, _track(_sums(amp_inf))))
     amp0, anomalous = _to_amplitudes(gamma0)
     isotropic = np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max()
     if (
@@ -342,18 +360,19 @@ def evolve_covariance(
     track[0] = _track(_sums(amp0), _sums(anomalous))
     if store_full:
         covs[0] = gamma0
-    try:
-        amp_inf, dense = _steady_state(model, lam, steady)
-    except UnstableModelError:
-        steady_track = np.full(len(_TRACK_KEYS), np.nan)
-    except NumericalError:
-        steady_track = None  # no steady state meets the residual bound
+    reductions = dict(zip(_TRACK_KEYS, track.T))
+    var_sx, var_sx_inf = reductions["var_S_x"], var_inf["var_S_x"]
+    denom = var_sx_inf - var_sx[0]
+    if abs(denom) > _R_RTOL * abs(var_sx_inf):
+        ratio = (var_sx_inf - var_sx) / denom
     else:
-        steady_track = _track(_sums(amp_inf))
-        fallbacks += dense
+        ratio = np.full(times.size, np.nan)
+    reductions.update(
+        var_S_x_inf=var_sx_inf, var_P_c_inf=var_inf["var_P_c"], R=ratio
+    )
     return MomentSeries(
-        times=times, model=model, covariances=covs, var_track=track,
-        steady_track=steady_track, fallbacks=fallbacks,
+        times=times, model=model, reductions=reductions, covariances=covs,
+        fallbacks=fallbacks + dense,
     )
 
 
@@ -1126,45 +1145,3 @@ def _steady_state(model: DriftModel, lam=None, steady=None) -> tuple:
         "(spin amplitudes scaled by 1 / sqrt(N_m))"
     )
 
-
-def collective_reduce(series: MomentSeries, grid: SubEnsembleGrid) -> MomentSeries:
-    """Fill the collective reductions of a moment series.
-
-    Mean-level records (X_c, P_c, S_x, S_y) come from stored means;
-    variance records come from the propagation-time variance track and
-    the steady variances ``var_S_x_inf`` and ``var_P_c_inf`` from the
-    steady track, both recorded by :func:`evolve_covariance`, so the
-    model is not solved again.  The relaxation ratio
-    ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))`` of the collective
-    S_x variance is NaN-flagged, like the steady variances, when the
-    model is unstable, and also when ``Var(0)`` equals ``Var_inf`` to
-    ``_R_RTOL`` relative: a start at the steady variance leaves only
-    rounding in both the numerator and the denominator.
-    """
-    if grid.size != series.model.grid.size:
-        raise PreconditionError("grid does not match the series' model")
-    ix = 2 + 2 * np.arange(grid.size)
-    red: dict[str, np.ndarray] = {}
-    if series.means is not None:
-        red["X_c"] = series.means[:, 0].copy()
-        red["P_c"] = series.means[:, 1].copy()
-        red["S_x"] = series.means[:, ix].sum(axis=1)
-        red["S_y"] = series.means[:, ix + 1].sum(axis=1)
-    track = series.var_track
-    if track is not None:
-        steady = series.steady_track
-        if steady is None:
-            # not recorded: solving again raises the residual failure
-            steady = _track(_sums(_steady_state(series.model)[0]))
-        for k, key in enumerate(_TRACK_KEYS):
-            red[key] = track[:, k].copy()
-        var_sx = red["var_S_x"]
-        var_inf = steady[_TRACK_KEYS.index("var_S_x")]
-        red["var_S_x_inf"] = var_inf
-        red["var_P_c_inf"] = steady[_TRACK_KEYS.index("var_P_c")]
-        denom = var_inf - var_sx[0]
-        if not abs(denom) > _R_RTOL * abs(var_inf):
-            red["R"] = np.full(series.times.size, np.nan)
-        else:
-            red["R"] = (var_inf - var_sx) / denom
-    return replace(series, reductions=red)

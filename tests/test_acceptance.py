@@ -21,7 +21,6 @@ from spincavity import (
     build_drift_matrix,
     build_homogeneous_Q,
     characteristic_width,
-    collective_reduce,
     discretize,
     driven_field,
     eigenvalue_pair,
@@ -322,9 +321,7 @@ def test_09_variance_mean_timescale_relation():
     grid = discretize(hom, 1, 2.0, N_SPINS)
     model = build_drift_matrix(params, grid, +1)
     _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
-    series = collective_reduce(
-        evolve_covariance(model, gamma0, times), grid
-    )
+    series = evolve_covariance(model, gamma0, times)
     tail = times >= 3.0
     rate_hom = -fit_exponential_rate(times[tail], series.reductions["R"][tail])
     lam_plus, _ = eigenvalue_pair(8.0, 1.0, 0.5)
@@ -345,9 +342,7 @@ def test_09_variance_mean_timescale_relation():
     mean_x = evolve_mean(model_g, y0, times).means[:, 0]
     rate_mean = -fit_exponential_rate(times[tail], mean_x[tail])
     _, gamma0_t = initial_state("tilted-spin", grid_g, theta=1e-3)
-    series_g = collective_reduce(
-        evolve_covariance(model_g, gamma0_t, times, store_full=False), grid_g
-    )
+    series_g = evolve_covariance(model_g, gamma0_t, times, store_full=False)
     relaxing = series_g.reductions["R"] - series_g.reductions["R"][-1]
     fit = (times >= 1.0) & (times <= 2.5)
     rate_var = -fit_exponential_rate(times[fit], relaxing[fit])

@@ -361,6 +361,41 @@ class TestMoments:
             got = table[:, columns.index(name)]
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), name
 
+    @pytest.mark.parametrize(
+        "args",
+        [STABLE_MOMENTS + ["--m", "21", "--t-max", "2", "--t-samples", "9"],
+         ["moments", "--family", "homogeneous", "--gamma-perp", "1",
+          "--kappa", "8", "--g-ens", "2", "--t-max", "2", "--t-samples", "9"]],
+        ids=["gaussian", "homogeneous"],
+    )
+    def test_columns_are_the_library_reductions(self, tmp_path, args):
+        out = tmp_path / "moments.csv"
+        assert run_cli(args + ["--out", out]) == 0
+        manifest = json.loads((tmp_path / "moments.csv.manifest.json").read_text())
+        _, columns, rows, _ = read_table(out)
+        table = np.array([[cell(value) for value in row] for row in rows])
+        names = ("kappa", "kappa1", "kappa2", "gamma_perp", "g_ens", "delta_cs")
+        params = SystemParams(**{name: manifest[name] for name in names})
+        n = manifest["n_spins"]
+        spec = BroadeningSpec(manifest["family"], manifest["width"])
+        grid = discretize(spec, manifest["m"], params.g_ens, n)
+        model = build_drift_matrix(params, grid, manifest["p"])
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=manifest["theta"])
+        times = table[:, columns.index("t")]
+        mean = spincavity.evolve_mean(model, y0, times).reductions
+        var = spincavity.evolve_covariance(model, gamma0, times).reductions
+        expected = {
+            "Sx_over_Sx0": mean["S_x"] / mean["S_x"][0],
+            "Pc": mean["P_c"],
+            "VarSx_over_N_minus_1": var["var_S_x"] / n - 1.0,
+            "twoVarPc_minus_1": 2.0 * var["var_P_c"] - 1.0,
+            "R": var["R"],
+        }
+        assert np.all(np.isfinite(var["R"]))
+        for name, want in expected.items():
+            # the writer prints 17 significant digits, which read back exactly
+            assert np.array_equal(table[:, columns.index(name)], want), name
+
     def test_records_the_moment_fallbacks(self, tmp_path, monkeypatch):
         args = STABLE_MOMENTS + ["--m", "21", "--t-max", "1", "--t-samples", "5"]
         assert run_cli(args + ["--out", tmp_path / "spectral.csv"]) == 0
@@ -444,6 +479,11 @@ class TestMoments:
         _, _, rows, trailing = read_table(out)
         assert all(row[5] == "" for row in rows)
         assert trailing == {}
+
+    def test_steady_state_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dynamics, "_LYAPUNOV_RTOL", 0.0)
+        assert run_cli(SMALL["moments"] + ["--out", tmp_path / "m.csv"]) == 3
+        assert "Lyapunov residual" in capsys.readouterr().err
 
 
 class TestSpectrum:

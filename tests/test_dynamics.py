@@ -28,7 +28,6 @@ from spincavity import (
     build_drift_matrix,
     characteristic_width,
     check_revival_window,
-    collective_reduce,
     discretize,
     evolve_covariance,
     evolve_mean,
@@ -108,13 +107,18 @@ def aberth_calls(monkeypatch):
 
 
 def real_track(gamma, m):
-    """The six ``var_track`` entries read off a real covariance ``gamma``."""
+    """The six ``_TRACK_KEYS`` entries read off a real covariance ``gamma``."""
     ix = 2 + 2 * np.arange(m)
     iy = ix + 1
     return np.array([
         gamma[0, 0], gamma[1, 1], gamma[np.ix_(ix, ix)].sum(),
         gamma[np.ix_(iy, iy)].sum(), gamma[ix, 1].sum(), gamma[iy, 0].sum(),
     ]) / 2.0
+
+
+def track_of(series):
+    """The (T, 6) variance track of a covariance run's reductions."""
+    return np.column_stack([series.reductions[key] for key in dynamics._TRACK_KEYS])
 
 
 def assert_matches_dp45(model, gamma0, times, series):
@@ -125,7 +129,7 @@ def assert_matches_dp45(model, gamma0, times, series):
     scale = np.abs(reference).max(axis=(1, 2))
     assert np.all(error <= 1e-8 * scale)
     track = np.array([real_track(gamma, model.grid.size) for gamma in reference])
-    error = np.abs(series.var_track - track).max(axis=1)
+    error = np.abs(track_of(series) - track).max(axis=1)
     assert np.all(error <= 1e-8 * np.abs(track).max(axis=1))
 
 
@@ -292,14 +296,13 @@ class TestEvolveCovariance:
         gamma0[0, 0] = gamma0[1, 1] = 3.0  # displaced to Var = 3/2
         times = np.linspace(0.0, 2.0, 9)
         series = evolve_covariance(model, gamma0, times)
-        var_x = series.var_track[:, 0]
+        var_x = series.reductions["var_X_c"]
         assert_allclose(
             var_x, 0.5 + 1.0 * np.exp(-2 * 2.0 * times), rtol=1e-7
         )
         # undamped, noiseless spin block stays frozen
-        assert_allclose(
-            series.var_track[:, 2], series.var_track[0, 2], rtol=1e-12
-        )
+        var_sx = series.reductions["var_S_x"]
+        assert_allclose(var_sx, var_sx[0], rtol=1e-12)
 
     def test_output_symmetrized(self):
         model, grid = small_model(m=3)
@@ -379,7 +382,9 @@ class TestSpectralMoments:
         assert np.abs(means - reference).max() <= 1e-8 * np.abs(reference).max()
         abscissa = spectral_abscissa(model)
         if abscissa >= 0.0:
-            assert np.all(np.isnan(series.steady_track))
+            assert np.isnan(series.reductions["var_S_x_inf"])
+            assert np.isnan(series.reductions["var_P_c_inf"])
+            assert np.all(np.isnan(series.reductions["R"]))
             return
         reference = lyapunov_oracle(model)
         gamma = steady_state_covariance(model)
@@ -391,7 +396,8 @@ class TestSpectralMoments:
         norm = np.abs(scale[:, None] * model.drift / scale).sum(axis=1).max()
         rtol = max(1e-8, np.finfo(float).eps * norm / -abscissa)
         assert np.abs(gamma - reference).max() <= rtol * np.abs(reference).max()
-        assert_allclose(series.steady_track, real_track(gamma, m),
+        steady = [series.reductions[key] for key in ("var_P_c_inf", "var_S_x_inf")]
+        assert_allclose(steady, real_track(gamma, m)[1:3],
                         rtol=1e-12, atol=1e-12 * np.abs(gamma).max())
 
     @pytest.mark.parametrize("case", ["exceptional-point", "decoupled"])
@@ -471,9 +477,7 @@ class TestSpectralMoments:
         assert (dense_calls["bartels_stewart"] > 0) == (path == "bartels-stewart")
         assert np.abs(gamma - vacuum).max() <= 1e-10 * vacuum.max()
         # a start at the steady variance leaves R rounding over rounding
-        series = collective_reduce(
-            evolve_covariance(model, vacuum, np.linspace(0.0, 1.0, 5)), grid
-        )
+        series = evolve_covariance(model, vacuum, np.linspace(0.0, 1.0, 5))
         assert np.all(np.isnan(series.reductions["R"]))
 
     def test_means_and_track_on_any_grid(self):
@@ -483,9 +487,10 @@ class TestSpectralMoments:
         series = evolve_covariance(model, gamma0, times)
         uniform = evolve_covariance(model, gamma0, np.linspace(0.0, 4.5, 91))
         assert series.fallbacks == uniform.fallbacks == 0
-        assert_allclose(series.var_track[-1], uniform.var_track[-1], rtol=1e-12)
-        assert np.all(np.isfinite(series.steady_track))
-        assert np.array_equal(series.steady_track, uniform.steady_track)
+        assert_allclose(track_of(series)[-1], track_of(uniform)[-1], rtol=1e-12)
+        for key in ("var_S_x_inf", "var_P_c_inf"):
+            assert np.isfinite(series.reductions[key])
+            assert series.reductions[key] == uniform.reductions[key]
         means = evolve_mean(model, y0, times).means
         reference = expm_mean(model.drift, y0, times)
         assert np.abs(means - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -1036,15 +1041,13 @@ class TestFieldKickResponse:
             field_kick_response(model, np.linspace(0.0, 20.0, 11))
 
 
-class TestCollectiveReduce:
+class TestReductions:
     def test_relaxation_curve_properties(self):
         model, grid = small_model(spec=HOM, m=1, kappa=8.0, gamma_perp=1.0,
                                   g_ens=2.0)
         _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
         times = np.linspace(0.0, 10.0, 41)
-        series = collective_reduce(
-            evolve_covariance(model, gamma0, times), grid
-        )
+        series = evolve_covariance(model, gamma0, times)
         r_curve = series.reductions["R"]
         assert r_curve[0] == pytest.approx(1.0, abs=1e-12)
         assert r_curve[-1] == pytest.approx(0.0, abs=1e-3)
@@ -1054,9 +1057,7 @@ class TestCollectiveReduce:
         model, grid = small_model(m=3)
         _, gamma0 = initial_state("vacuum", grid)
         times = np.linspace(0.0, 1.5, 5)
-        series = collective_reduce(
-            evolve_covariance(model, gamma0, times, store_full=True), grid
-        )
+        series = evolve_covariance(model, gamma0, times, store_full=True)
         ix = 2 + 2 * np.arange(grid.size)
         for k, gamma in enumerate(series.covariances):
             var_sx = gamma[np.ix_(ix, ix)].sum() / 2
@@ -1067,18 +1068,12 @@ class TestCollectiveReduce:
                 gamma[1, 1] / 2, rel=1e-12
             )
 
-    def test_steady_values_come_from_the_stored_track(self, monkeypatch):
+    def test_steady_values_match_the_steady_state(self):
         model, grid = small_model(spec=GAUSS, m=9, gamma_perp=0.3, g_ens=1.0)
         _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
         series = evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 5))
         gamma = steady_state_covariance(model)
-
-        def solve_again(*args):
-            raise AssertionError("collective_reduce solved the model again")
-
-        monkeypatch.setattr(dynamics, "steady_state_covariance", solve_again)
-        monkeypatch.setattr(dynamics, "_steady_state", solve_again)
-        red = collective_reduce(series, grid).reductions
+        red = series.reductions
         ix = 2 + 2 * np.arange(grid.size)
         assert red["var_S_x_inf"] == pytest.approx(
             gamma[np.ix_(ix, ix)].sum() / 2, rel=1e-12
@@ -1089,28 +1084,33 @@ class TestCollectiveReduce:
         model, grid = small_model(spec=HOM, m=1, kappa=1.0, gamma_perp=1.0,
                                   g_ens=1.5)
         _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
-        series = collective_reduce(
-            evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 3)), grid
-        )
+        series = evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 3))
+        assert np.isnan(series.reductions["var_S_x_inf"])
         assert np.all(np.isnan(series.reductions["R"]))
+
+    def test_steady_state_failure_raises(self, monkeypatch):
+        # no steady state passes a zero residual bound, so the stable
+        # model has no steady values or R(t): the run raises, as
+        # steady_state_covariance does
+        model, grid = small_model(m=7, g_ens=1.2)
+        _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        monkeypatch.setattr(dynamics, "_LYAPUNOV_RTOL", 0.0)
+        with pytest.raises(NumericalError, match="Lyapunov residual"):
+            evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 3))
 
     def test_mean_reductions(self):
         model, grid = small_model(spec=GAUSS, m=5)
         y0, _ = initial_state("tilted-spin", grid, theta=1e-3)
         times = np.linspace(0.0, 1.0, 3)
-        series = collective_reduce(evolve_mean(model, y0, times), grid)
+        series = evolve_mean(model, y0, times)
         assert series.reductions["S_x"][0] == pytest.approx(
             1e-3 * grid.total_spins, rel=1e-12
         )
         assert series.reductions["X_c"][0] == 0.0
-
-    def test_grid_mismatch_rejected(self):
-        model, _ = small_model(spec=GAUSS, m=5)
-        other = discretize(GAUSS, 7, 1.5, 1e6)
-        y0, _ = initial_state("vacuum", model.grid)
-        series = evolve_mean(model, y0, np.linspace(0.0, 1.0, 3))
-        with pytest.raises(PreconditionError):
-            collective_reduce(series, other)
+        means = series.means
+        for key, column in (("X_c", means[:, 0]), ("P_c", means[:, 1]),
+                            ("S_y", means[:, 3::2].sum(axis=1))):
+            assert np.array_equal(series.reductions[key], column), key
 
 
 class TestRevivalGuard:
