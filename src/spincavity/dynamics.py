@@ -1064,7 +1064,9 @@ def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
     the field row ``x`` of ``right`` and the sum ``y`` of its spin rows;
     on a block of output times each is one (times x K)(K x K) product
     with ``e^{lambda_k t}`` folded into the rows, so any grid costs the
-    same.
+    same.  ``C_inf`` enters through :func:`_sums`, as in the steady
+    values of :func:`evolve_covariance`, so ``R(t)`` subtracts one
+    rounding of it.
     """
     tilde_inf, amp_inf = steady.tilde, steady.amp
     diff = left @ amp0 @ left.conj().T - tilde_inf
@@ -1077,14 +1079,14 @@ def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
         forms[block, 0] = (xd * x.conj()).sum(axis=1)
         forms[block, 1] = ((y @ diff) * y.conj()).sum(axis=1)
         forms[block, 2] = (xd * y.conj()).sum(axis=1)
-    forms += [amp_inf[0, 0], amp_inf[1:, 1:].sum(), amp_inf[0, 1:].sum()]
     covs = None
     if store_full:
         covs = np.empty((times.size, 2 * lam.size, 2 * lam.size))
         for k, t in enumerate(times):
             grown = right * np.exp(lam * t)
             covs[k] = _from_amplitudes(amp_inf + grown @ diff @ grown.conj().T)
-    return _track(np.column_stack([forms.real[:, :2], forms.imag[:, 2]])), covs
+    sums = np.column_stack([forms.real[:, :2], forms.imag[:, 2]]) + _sums(amp_inf)
+    return _track(sums), covs
 
 
 def steady_state_covariance(model: DriftModel) -> np.ndarray:
