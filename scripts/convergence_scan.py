@@ -74,7 +74,7 @@ def main() -> None:
         if previous is None:
             shift = ""
         else:
-            shift = f"{np.max(np.abs(trace - previous)) / np.max(np.abs(trace)):.3e}"
+            shift = f"{np.max(np.abs(trace - previous)) / np.max(np.abs(trace)):.1e}"
         print(f"{m:>5} {abscissa:>13.5e} {shift:>26}")
         previous = trace
 

@@ -217,7 +217,7 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
             ys[block, 1::2] = signs * amps.imag
     ys[0] = y0
     reductions = {
-        "X_c": ys[:, 0], "P_c": ys[:, 1],
+        "X_c": ys[:, 0].copy(), "P_c": ys[:, 1].copy(),
         "S_x": ys[:, 2::2].sum(axis=1), "S_y": ys[:, 3::2].sum(axis=1),
     }
     return MomentSeries(times=times, model=model, reductions=reductions,
@@ -338,25 +338,23 @@ def evolve_covariance(
     try:
         amp_inf, dense = _steady_state(model, lam, steady)
     except UnstableModelError:
-        var_inf = dict.fromkeys(_TRACK_KEYS, np.nan)
-        dense = False
+        var_inf, dense = dict.fromkeys(_TRACK_KEYS, np.nan), False
     else:
         var_inf = dict(zip(_TRACK_KEYS, _track(_sums(amp_inf))))
     amp0, anomalous = _to_amplitudes(gamma0)
     isotropic = np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max()
-    if (
+    spectral = (
         steady is not None and isotropic
         and steady.residual <= _LYAPUNOV_RTOL * model.noise_diag.max()
-    ):
+    )
+    if spectral:
         track, covs = _spectral_covariance(
             times, lam, *vectors, steady, amp0, store_full
         )
-        fallbacks = 0
     else:
         track, covs = _van_loan_covariance(
             model, amp0, None if isotropic else anomalous, times, store_full
         )
-        fallbacks = 1
     track[0] = _track(_sums(amp0), _sums(anomalous))
     if store_full:
         covs[0] = gamma0
@@ -372,7 +370,7 @@ def evolve_covariance(
     )
     return MomentSeries(
         times=times, model=model, reductions=reductions, covariances=covs,
-        fallbacks=fallbacks + dense,
+        fallbacks=int(not spectral) + dense,
     )
 
 
@@ -1146,4 +1144,3 @@ def _steady_state(model: DriftModel, lam=None, steady=None) -> tuple:
         f"Lyapunov residual {worst:.3e} exceeds {bound:.3e} "
         "(spin amplitudes scaled by 1 / sqrt(N_m))"
     )
-

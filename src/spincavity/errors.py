@@ -12,6 +12,16 @@ Two branches matter to callers and to the CLI exit-code mapping:
 
 from __future__ import annotations
 
+__all__ = [
+    "SpinCavityError",
+    "PreconditionError",
+    "DomainError",
+    "UnstableModelError",
+    "RevivalGuardError",
+    "NumericalError",
+    "ConvergenceError",
+]
+
 
 class SpinCavityError(Exception):
     """Base class for all package-specific errors."""

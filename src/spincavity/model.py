@@ -106,11 +106,6 @@ class DriftModel:
     def dim(self) -> int:
         return 2 * self.grid.size + 2
 
-    @property
-    def noise(self) -> np.ndarray:
-        """Noise matrix as a full (diagonal) array."""
-        return np.diag(self.noise_diag)
-
     @cached_property
     def drift(self) -> np.ndarray:
         """Read-only (2M+2) x (2M+2) real drift matrix, the realification

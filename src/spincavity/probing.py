@@ -82,9 +82,6 @@ class SpectrumTable:
     def abs_t2(self) -> np.ndarray:
         return np.abs(self.t) ** 2
 
-    def rows(self):
-        return list(zip(self.delta_e, self.r, self.t, self.abs_r2, self.abs_t2))
-
 
 def _field_per_drive(
     params: SystemParams, spec: BroadeningSpec, p: int, delta_e: np.ndarray

@@ -241,7 +241,9 @@ class TestEvolveCovariance:
         _, gamma0 = initial_state("vacuum", grid)
         times = np.linspace(0.0, 2.0, 5)
         series = evolve_covariance(model, gamma0, times, store_full=True)
-        reference = vanloan_covariance(model.drift, model.noise, gamma0, times)
+        reference = vanloan_covariance(
+            model.drift, np.diag(model.noise_diag), gamma0, times
+        )
         scale = np.abs(reference).max()
         assert np.max(np.abs(series.covariances - reference)) <= 1e-6 * scale
 
@@ -419,7 +421,8 @@ class TestSpectralMoments:
         assert dense_calls["van_loan"] == 1
         assert dense_calls["bartels_stewart"] >= 1
         assert_matches_dp45(model, gamma0, times, series)
-        residual = model.drift @ gamma + gamma @ model.drift.T + model.noise
+        residual = (model.drift @ gamma + gamma @ model.drift.T
+                    + np.diag(model.noise_diag))
         assert np.abs(residual).max() <= 1e-10 * model.noise_diag.max()
         assert mean_series.fallbacks == 1 and dense_calls["expm"] >= 1
         reference = expm_mean(model.drift, y0, times)
@@ -451,6 +454,11 @@ class TestSpectralMoments:
         with pytest.raises(NumericalError):
             steady_state_covariance(model)
         assert dense_calls["bartels_stewart"] == 2
+        # with no steady state a covariance run has no steady values or
+        # R(t), and raises the same error
+        _, gamma0 = initial_state("tilted-spin", model.grid, theta=1e-3)
+        with pytest.raises(NumericalError, match="Lyapunov residual"):
+            evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("path", ["spectral", "bartels-stewart"])
     @pytest.mark.parametrize(
@@ -569,7 +577,8 @@ class TestSteadyState:
     def test_residual_contract(self):
         model, _ = small_model(m=7, g_ens=1.2)
         gamma = steady_state_covariance(model)
-        residual = model.drift @ gamma + gamma @ model.drift.T + model.noise
+        residual = (model.drift @ gamma + gamma @ model.drift.T
+                    + np.diag(model.noise_diag))
         assert np.abs(residual).max() <= 1e-10 * model.noise_diag.max()
 
     def test_unstable_rejected(self):
@@ -1068,18 +1077,6 @@ class TestReductions:
                 gamma[1, 1] / 2, rel=1e-12
             )
 
-    def test_steady_values_match_the_steady_state(self):
-        model, grid = small_model(spec=GAUSS, m=9, gamma_perp=0.3, g_ens=1.0)
-        _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
-        series = evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 5))
-        gamma = steady_state_covariance(model)
-        red = series.reductions
-        ix = 2 + 2 * np.arange(grid.size)
-        assert red["var_S_x_inf"] == pytest.approx(
-            gamma[np.ix_(ix, ix)].sum() / 2, rel=1e-12
-        )
-        assert red["var_P_c_inf"] == pytest.approx(gamma[1, 1] / 2, rel=1e-12)
-
     def test_unstable_marks_r_undefined(self):
         model, grid = small_model(spec=HOM, m=1, kappa=1.0, gamma_perp=1.0,
                                   g_ens=1.5)
@@ -1087,16 +1084,6 @@ class TestReductions:
         series = evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 3))
         assert np.isnan(series.reductions["var_S_x_inf"])
         assert np.all(np.isnan(series.reductions["R"]))
-
-    def test_steady_state_failure_raises(self, monkeypatch):
-        # no steady state passes a zero residual bound, so the stable
-        # model has no steady values or R(t): the run raises, as
-        # steady_state_covariance does
-        model, grid = small_model(m=7, g_ens=1.2)
-        _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
-        monkeypatch.setattr(dynamics, "_LYAPUNOV_RTOL", 0.0)
-        with pytest.raises(NumericalError, match="Lyapunov residual"):
-            evolve_covariance(model, gamma0, np.linspace(0.0, 1.0, 3))
 
     def test_mean_reductions(self):
         model, grid = small_model(spec=GAUSS, m=5)

@@ -112,7 +112,6 @@ class TestDriftMatrix:
         assert model.noise_diag[1] == 8.0
         assert_allclose(model.noise_diag[2::2], 4 * 0.3 * grid.spins, rtol=1e-14)
         assert_allclose(model.noise_diag[3::2], 4 * 0.3 * grid.spins, rtol=1e-14)
-        assert_allclose(model.noise, np.diag(model.noise_diag), rtol=0, atol=0)
 
     def test_detuning_enters_antisymmetrically(self):
         spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, 1.0)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+
+import spincavity
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "spincavity"
 
@@ -44,3 +47,19 @@ def test_every_private_helper_has_a_user():
     dead = [f"{module}: {name}" for module, tree in trees.items()
             for name in private_definitions(tree) if name not in used]
     assert dead == []
+
+
+def test_package_exports_the_public_names_of_its_modules():
+    # the package re-exports each library module's __all__ and nothing
+    # else, so a name deleted from a module cannot stay exported
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    modules = {node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    library = {path.stem for path in SOURCE.glob("*.py")}
+    assert modules == library - {"__init__", "__main__", "cli"}
+    names = {"__version__"}.union(*(
+        importlib.import_module(f"spincavity.{module}").__all__
+        for module in modules
+    ))
+    assert len(spincavity.__all__) == len(set(spincavity.__all__))
+    assert set(spincavity.__all__) == names
