@@ -4,13 +4,15 @@
 The Gaussian line at zero dephasing is only marginally stable once
 discretized: a finite grid of undamped spins leaves near-zero drift
 eigenvalues whose real part shrinks slowly with M.  This script prints,
-for a chosen configuration, the discrete spectral abscissa and the
+for a chosen configuration, the discrete spectral abscissa, the
 peak-normalized change of the kicked-cavity trace between consecutive M
-values, so a sufficient M can be read off before running steady-state
-or long-window studies.  The trace is the residue expansion of
-``field_kick_response``, which needs O(M) memory, so the scan runs past
-the dense (M+1)^2 budget of the moment paths (for example
-``--m-values 1201 2001``).
+values and the revival margin ``t_revival / (4 t_max)`` of
+``check_revival_window`` (blank where no revival is guarded, at
+nonzero dephasing), so a sufficient M can be read off before running
+steady-state or long-window studies.  The trace is the residue
+expansion of ``field_kick_response``, which needs O(M) memory, so the
+scan runs past the dense (M+1)^2 budget of the moment paths (for
+example ``--m-values 1201 2001``).
 
 Usage:
     python3 scripts/convergence_scan.py
@@ -32,6 +34,7 @@ from spincavity import (
     BroadeningSpec,
     SystemParams,
     build_drift_matrix,
+    check_revival_window,
     discretize,
     field_kick_response,
     solve_width_for_gamma,
@@ -61,7 +64,10 @@ def main() -> None:
         f"gaussian line, Gamma=1 (sigma={sigma:.6f}), kappa={ns.kappa:g}, "
         f"g_ens={ns.g_ens:g}, C={C:g}"
     )
-    print(f"{'M':>5} {'abscissa':>13} {'trace shift vs previous M':>26}")
+    print(
+        f"{'M':>5} {'abscissa':>13} {'trace shift vs previous M':>26} "
+        f"{'revival margin':>15}"
+    )
 
     times = np.linspace(0.0, ns.t_max, 101)
     previous = None
@@ -75,7 +81,9 @@ def main() -> None:
             shift = ""
         else:
             shift = f"{np.max(np.abs(trace - previous)) / np.max(np.abs(trace)):.1e}"
-        print(f"{m:>5} {abscissa:>13.5e} {shift:>26}")
+        margin = check_revival_window(grid, ns.gamma_perp, ns.t_max)
+        margin = "" if margin is None else f"{margin:.3g}"
+        print(f"{m:>5} {abscissa:>13.5e} {shift:>26} {margin:>15}")
         previous = trace
 
     if ns.gamma_perp == 0.0:

@@ -9,13 +9,14 @@ Every path works in the amplitudes ``z = (a, s_1, ..., s_M)``,
 ``gamma`` is formed only where a function returns it.
 
 The spectrum of ``H`` is the set of roots ``lambda_k`` of a secular
-function ``F``, found in O(M^2) without building ``H``
-(:func:`arrowhead_eigenvalues`).  :func:`_spectrum` keeps the roots of
-the last model, with the residues ``1 / F'(lambda_k)`` and the
-closed-form eigenvectors, each formed on first use and gated in one
-place.  The residues alone give the field after a cavity kick
+function ``F``, found in O(M^2) without building ``H``, together with
+the residues ``1 / F'(lambda_k)`` (:func:`arrowhead_eigenvalues`).
+:func:`_spectrum` keeps both for the last model, with the closed-form
+eigenvectors formed on first use; the residues are gated in one place.
+The residues alone give the field after a cavity kick
 (:func:`field_kick_response`).  In the eigenbasis every moment is
-propagated exactly on any time grid: the means as
+propagated exactly on any time grid, from one helper for
+``e^{lambda_k t}`` (:func:`_growth_blocks`): the means as
 ``z(t) = V e^{Lambda t} V^{-1} z(0)``, the covariance as the
 multivariate Ornstein-Uhlenbeck solution (Gardiner, *Handbook of
 Stochastic Methods*), and the steady state from the same eigen-system.
@@ -137,37 +138,45 @@ def _validate_times(times) -> np.ndarray:
     return times
 
 
-def _interval_maps(times: np.ndarray, step) -> list:
-    """``step(h)`` for each output interval ``h``.
+def _uniform(times: np.ndarray) -> bool:
+    """Whether the grid equals ``np.linspace(0, t_max, T)`` to the bit."""
+    return np.array_equal(times, np.linspace(0.0, times[-1], times.size))
 
-    A uniform grid, equal to ``np.linspace(0, t_max, T)``, takes one call.
-    """
+
+def _interval_maps(times: np.ndarray, step) -> list:
+    """``step(h)`` for each output interval ``h``; a uniform grid takes one call."""
     steps = np.diff(times)
-    if np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
+    if _uniform(times):
         return [step(steps[0])] * steps.size
     return [step(h) for h in steps]
 
 
-def check_revival_window(grid: SubEnsembleGrid, gamma_perp: float, t_max: float):
+def check_revival_window(
+    grid: SubEnsembleGrid, gamma_perp: float, t_max: float
+) -> float | None:
     """Reject windows that run into discretization revivals.
 
     A uniform grid of undamped spins rephases at ``t = 2 pi / spacing``.
     With ``gamma_perp == 0`` the revival is undamped, so the window must
     end at or below a quarter of the revival time; refine the grid
-    (larger M) to extend the window.
+    (larger M) to extend the window.  Returns the margin
+    ``t_revival / (4 t_max)``, at least 1, or ``None`` where no revival
+    is guarded (a damped line, or a grid that is not uniform Gaussian).
     """
-    if (
+    if not (
         grid.spacing is not None
         and gamma_perp == 0.0
         and grid.family is BroadeningFamily.GAUSSIAN
     ):
-        t_revival = 2.0 * math.pi / grid.spacing
-        if t_revival < 4.0 * t_max:
-            need = 1 + math.ceil((grid.size - 1) * 4.0 * t_max / t_revival)
-            raise RevivalGuardError(
-                f"window t_max={t_max:g} exceeds a quarter of the grid "
-                f"revival time {t_revival:g}; use M >= {need | 1} sub-ensembles"
-            )
+        return None
+    t_revival = 2.0 * math.pi / grid.spacing
+    if t_revival < 4.0 * t_max:
+        need = 1 + math.ceil((grid.size - 1) * 4.0 * t_max / t_revival)
+        raise RevivalGuardError(
+            f"window t_max={t_max:g} exceeds a quarter of the grid "
+            f"revival time {t_revival:g}; use M >= {need | 1} sub-ensembles"
+        )
+    return t_revival / (4.0 * t_max)
 
 
 def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
@@ -211,8 +220,8 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     else:
         right, left = vectors
         weights = left @ z
-        for block in _row_blocks(times.size, lam.size):
-            amps = (np.exp(np.outer(times[block], lam)) * weights) @ right.T
+        for block, growth in _growth_blocks(times, lam):
+            amps = np.multiply(growth, weights, out=growth) @ right.T
             ys[block, 0::2] = amps.real
             ys[block, 1::2] = signs * amps.imag
     ys[0] = y0
@@ -410,6 +419,38 @@ def _work_blocks(rows: int, cols: int):
         yield block, work[: (block.stop - block.start) * cols].reshape(-1, cols)
 
 
+def _growth_blocks(times: np.ndarray, lam: np.ndarray):
+    """:func:`_work_blocks` of the (T x K) array ``e^{lambda_k t_j}``, filled in.
+
+    On a uniform grid (:func:`_uniform`) row ``j = a B + b`` is
+    ``e^{lambda t_aB} e^{lambda t_b}``, with ``B = ceil(sqrt(T))`` capped
+    at the rows of one block: about ``2 sqrt(T) K`` exponentials and one
+    product per entry, where ``np.exp`` takes ``T K`` exponentials.  The
+    arguments ``t_aB + t_b`` and ``t_j`` differ by rounding, so an entry
+    moves by a few ulps times ``1 + |lambda t_j|``.  Other grids take
+    ``np.exp`` of every entry.
+    """
+    uniform = _uniform(times)
+    if uniform:
+        size = min(math.isqrt(times.size - 1) + 1, _CHUNK_BYTES // (16 * lam.size))
+        size = max(size, 1)
+        fine = np.exp(np.multiply.outer(times[:size], lam))
+        last = -1
+    for block, growth in _work_blocks(times.size, lam.size):
+        if uniform:
+            for a in range(block.start // size, (block.stop - 1) // size + 1):
+                if a != last:  # a coarse row can span two blocks
+                    last, coarse = a, np.exp(times[a * size] * lam)
+                lo, hi = max(block.start, a * size), min(block.stop, (a + 1) * size)
+                np.multiply(
+                    fine[lo - a * size: hi - a * size], coarse,
+                    out=growth[lo - block.start: hi - block.start],
+                )
+        else:
+            np.exp(np.multiply(times[block, None], lam, out=growth), out=growth)
+        yield block, growth
+
+
 def _check_dense(model: DriftModel) -> None:
     """Refuse a model whose dense (M+1) x (M+1) complex arrays exceed the budget."""
     need = 16 * (model.grid.size + 1) ** 2
@@ -537,6 +578,94 @@ def _real_pair(level: float, halves: np.ndarray, weights: np.ndarray) -> bool:
     return True
 
 
+def _work_arrays(width: int) -> np.ndarray:
+    """Two complex work arrays of ``_CHUNK_BYTES`` for :func:`_view`.
+
+    Every (rows x columns) array of the secular kernel lives in them:
+    fresh arrays that large cost more to allocate than to fill.
+    """
+    return np.empty((2, max(_CHUNK_BYTES // 16, width)), dtype=complex)
+
+
+def _view(work, index, count, columns, dtype=complex) -> np.ndarray:
+    """A (count x columns) view of work array ``index``."""
+    return work[index].view(dtype)[: count * columns].reshape(count, columns)
+
+
+def _split_sums(z, shift, poles, weights, pairs, work) -> tuple:
+    """Secular sums at ``z`` with the nearest pole, or pole pair, split off.
+
+    With ``F_k`` and ``S_k`` the sums over the other poles,
+    ``F = F_k - v / q``: ``q = e = z + d_k`` and ``v = w_k`` for an
+    unpaired pole, ``q = (y + iD)(y - iD)``, ``y = z + g`` and
+    ``v = 2 w_k y`` for the pair ``g +- iD``.  Returns
+    ``(F_k, F_k', S_k, q, v, q', v')``; the split-off factor stays finite
+    and uncancelled at the pole.  The poles are laid out as in
+    :func:`_aberth_roots`, and every (rows x poles) array lives in
+    ``work`` (:func:`_work_arrays`).
+    """
+    single = poles.size - pairs
+    lone_poles, lone_weights = poles[:single], weights[:single]
+    count = z.size
+    at = np.arange(count)
+    gap = np.add(z[:, None], lone_poles, out=_view(work, 0, count, single))
+    dist = np.abs(gap, out=_view(work, 1, count, single, float))
+    near = dist.argmin(axis=1)
+    q = gap[at, near]
+    v = lone_weights[near].astype(complex)
+    dq = np.ones(count, dtype=complex)
+    dv = np.zeros(count)
+    if pairs:
+        halves, pair_weights = poles[single:].imag, weights[single:]
+        y = z + lone_poles[-1].real
+        k = _nearest(halves, np.abs(y.imag))
+        pair_dist = np.hypot(y.real, np.abs(y.imag) - halves[k])
+        split = pair_dist < dist[at, near]
+        ys, ws, hs = y[split], pair_weights[k[split]], 1j * halves[k[split]]
+        q[split], v[split] = (ys + hs) * (ys - hs), 2.0 * ws * ys
+        dq[split], dv[split] = 2.0 * ys, 2.0 * ws
+        gap[at[~split], near[~split]] = np.inf
+    else:
+        gap[at, near] = np.inf
+    inv = np.divide(1.0, gap, out=gap)
+    terms = np.multiply(lone_weights, inv, out=_view(work, 1, count, single))
+    f = z + shift - terms.sum(axis=1)
+    df = 1.0 + np.multiply(terms, inv, out=terms).sum(axis=1)
+    rest = inv.sum(axis=1)
+    if pairs:
+        # 1/(z + d) + 1/(z + conj d) = 2y / (y^2 + D^2), and the squares
+        # add up to 4y^2 / (y^2 + D^2)^2 - 2 / (y^2 + D^2); y^2 + D^2
+        # cancels only next to a pole, and the nearest pair was split off
+        # above in the product form
+        inv = np.add((y * y)[:, None], halves**2, out=_view(work, 0, count, pairs))
+        inv[at[split], k[split]] = np.inf
+        inv = np.divide(1.0, inv, out=inv)
+        terms = np.multiply(pair_weights, inv, out=_view(work, 1, count, pairs))
+        pole_sum = terms.sum(axis=1)
+        f -= 2.0 * y * pole_sum
+        df += 4.0 * y * y * np.multiply(terms, inv, out=terms).sum(axis=1)
+        df -= 2.0 * pole_sum
+        rest += 2.0 * y * inv.sum(axis=1)
+    return f, df, rest, q, v, dq, dv
+
+
+def _residue_pass(roots, poles, weights, pairs, work) -> np.ndarray:
+    """Residues ``1 / F'`` at ``roots``, in the split-off form of :func:`_split_sums`.
+
+    ``F' = F_k' + (v q' - v' q) / q^2``, so ``1 / F' = q^2 / (F_k' q^2 -
+    (v' q - v q'))``: O(M) per root, zero on a pole, and with no
+    cancellation next to one.
+    """
+    residues = np.empty(roots.size, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for block in _row_blocks(roots.size, poles.size):
+            _, df, _, q, v, dq, dv = _split_sums(
+                roots[block], 0.0, poles, weights, pairs, work
+            )
+            residues[block] = q * q / (df * q * q - (dv * q - v * dq))
+    return residues
+
+
 def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
     """Roots of ``z + shift - sum_m weights_m / (z + poles_m)`` from ``seeds``.
 
@@ -545,30 +674,22 @@ def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
     their conjugates, of equal weight; they must share the real part of
     the last unpaired pole and have increasing, positive imaginary
     parts.  The last ``root_pairs`` seeds likewise stand for conjugate
-    pairs, and with any pair the other seeds must be real.  Returns the
-    unpaired roots, the paired ones and their conjugates, or ``None``
-    when the iteration does not settle every root (see
+    pairs, and with any pair the other seeds must be real.  Returns
+    ``(roots, residues)``: the unpaired roots, the paired ones and their
+    conjugates, and the residue ``1 / F'`` of each from one more pass
+    at the settled roots (:func:`_residue_pass`).  Returns ``None`` when
+    the iteration does not settle every root (see
     :func:`arrowhead_eigenvalues`).
     """
     if poles.size == 0:
-        return seeds.copy()
-    single = poles.size - pairs
-    lone_poles, lone_weights = poles[:single], weights[:single]
-    centre, halves = lone_poles[-1].real, poles[single:].imag
-    squares, pair_weights = halves**2, weights[single:]
+        return seeds.copy(), np.ones(seeds.size, dtype=complex)
     roots = seeds.copy()
     lone = roots.size - root_pairs
     mirrored = pairs + root_pairs > 0
-    residues = np.empty(roots.size, dtype=complex)
     floor = max(abs(shift), float(np.abs(poles).max()))
     tol = 4.0 * np.finfo(float).eps
-    # every (rows x columns) array lives in one of two _CHUNK_BYTES work
-    # arrays: fresh arrays that large cost more to allocate than to fill
     width = max(poles.size, roots.size)
-    work = np.empty((2, max(_CHUNK_BYTES // 16, width)), dtype=complex)
-
-    def view(index, count, columns, dtype=complex):
-        return work[index].view(dtype)[: count * columns].reshape(count, columns)
+    work = _work_arrays(width)
 
     active = np.arange(roots.size)
     for _ in range(_ABERTH_MAX_ITER):
@@ -577,52 +698,16 @@ def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
             for block in _row_blocks(active.size, width):
                 rows = active[block]
                 z = roots[rows]
+                # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
+                f, df, rest, q, v, dq, dv = _split_sums(
+                    z, shift, poles, weights, pairs, work
+                )
                 count = rows.size
                 at = np.arange(count)
-                # split off the nearest pole: with F_k, S_k the sums over
-                # the other poles, P'/P = G'/G + S_k for G = F_k q - v, where
-                # q = e = z + d_k and v = w_k for an unpaired pole and
-                # q = (y + iD)(y - iD), y = z + g and v = 2 w_k y for the
-                # pair g +- iD; G stays finite and uncancelled at the pole
-                gap = np.add(z[:, None], lone_poles, out=view(0, count, single))
-                dist = np.abs(gap, out=view(1, count, single, float))
-                near = dist.argmin(axis=1)
-                q = gap[at, near]
-                v = lone_weights[near].astype(complex)
-                dq = np.ones(count, dtype=complex)
-                dv = np.zeros(count)
-                if pairs:
-                    y = z + centre
-                    k = _nearest(halves, np.abs(y.imag))
-                    pair_dist = np.hypot(y.real, np.abs(y.imag) - halves[k])
-                    split = pair_dist < dist[at, near]
-                    ys, ws, hs = y[split], pair_weights[k[split]], 1j * halves[k[split]]
-                    q[split], v[split] = (ys + hs) * (ys - hs), 2.0 * ws * ys
-                    dq[split], dv[split] = 2.0 * ys, 2.0 * ws
-                    gap[at[~split], near[~split]] = np.inf
-                else:
-                    gap[at, near] = np.inf
-                inv = np.divide(1.0, gap, out=gap)
-                terms = np.multiply(lone_weights, inv, out=view(1, count, single))
-                f = z + shift - terms.sum(axis=1)
-                df = 1.0 + np.multiply(terms, inv, out=terms).sum(axis=1)
-                rest = inv.sum(axis=1)
-                if pairs:
-                    # 1/(z + d) + 1/(z + conj d) = 2y / (y^2 + D^2), and the
-                    # squares add up to 4y^2 / (y^2 + D^2)^2 - 2 / (y^2 + D^2);
-                    # y^2 + D^2 cancels only next to a pole, and the nearest
-                    # pair was split off above in the product form
-                    inv = np.add((y * y)[:, None], squares, out=view(0, count, pairs))
-                    inv[at[split], k[split]] = np.inf
-                    inv = np.divide(1.0, inv, out=inv)
-                    terms = np.multiply(pair_weights, inv, out=view(1, count, pairs))
-                    pole_sum = terms.sum(axis=1)
-                    f -= 2.0 * y * pole_sum
-                    df += 4.0 * y * y * np.multiply(terms, inv, out=terms).sum(axis=1)
-                    df -= 2.0 * pole_sum
-                    rest += 2.0 * y * inv.sum(axis=1)
                 own = rows < lone
-                diff = np.subtract(z[:, None], roots[:lone], out=view(0, count, lone))
+                diff = np.subtract(
+                    z[:, None], roots[:lone], out=_view(work, 0, count, lone)
+                )
                 diff[at[own], rows[own]] = np.inf
                 rest -= np.divide(1.0, diff, out=diff).sum(axis=1)
                 if root_pairs:
@@ -630,9 +715,9 @@ def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
                     # with x = z - Re(a); a paired root keeps its own conjugate
                     partner = roots[lone:]
                     x = np.subtract(
-                        z[:, None], partner.real, out=view(0, count, root_pairs)
+                        z[:, None], partner.real, out=_view(work, 0, count, root_pairs)
                     )
-                    quad = np.multiply(x, x, out=view(1, count, root_pairs))
+                    quad = np.multiply(x, x, out=_view(work, 1, count, root_pairs))
                     quad += partner.imag**2
                     quad[at[~own], rows[~own] - lone] = np.inf
                     x += x
@@ -641,7 +726,6 @@ def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
                 # 1 / (P'/P - sum_j 1/(z_i - z_j)), zero at an exact root
                 num, den = df * q + f * dq - dv, f * q - v
                 steps[block] = den / (num + den * rest)
-                residues[rows] = q * q / (df * q * q - (dv * q - v * dq))  # 1 / F'(z)
         if not np.all(np.isfinite(steps)):
             return None
         if mirrored:
@@ -652,12 +736,17 @@ def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
         settled = np.abs(steps) <= tol * np.maximum(np.abs(roots[active]), floor)
         active = active[~settled]
         if active.size == 0:
-            # sum_k 1 / |F'(lambda_k)| bounds the roots' condition
-            size = np.abs(residues[:lone]).sum() + 2.0 * np.abs(residues[lone:]).sum()
-            if size > _RESIDUE_BOUND:
-                return None
-            return np.concatenate([roots, roots[lone:].conjugate()])
-    return None
+            break
+    else:
+        return None
+    residues = _residue_pass(roots, poles, weights, pairs, work)
+    # sum_k 1 / |F'(lambda_k)| bounds the roots' condition
+    size = np.abs(residues[:lone]).sum() + 2.0 * np.abs(residues[lone:]).sum()
+    if not size <= _RESIDUE_BOUND:
+        return None
+    pair = slice(lone, None)
+    return (np.concatenate([roots, roots[pair].conjugate()]),
+            np.concatenate([residues, residues[pair].conjugate()]))
 
 
 def _nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -702,7 +791,13 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     roots near the band centre, which jitter at the rounding level of
     ``F`` and never meet a purely relative test.  Each iteration costs
     O(M) per unfrozen root, with its (roots x M) work arrays cut into
-    row blocks of at most ``_CHUNK_BYTES`` (256 KiB) each.
+    row blocks of at most ``_CHUNK_BYTES`` (256 KiB) each.  Once every
+    root is frozen, one more pass at the final roots forms the residues
+    ``1 / F'(lambda_k)`` in the same split-off form, with no root sums
+    (:func:`_residue_pass`): the residues the kicked field and the
+    eigenvectors need, and the gate below.  The ``1 / F'`` of the last
+    step is taken before the step, which moves the kicked field by up to
+    2e-12 of the kick near threshold, so it is not reused.
 
     Mirrored lines: when ``delta_cs = 0`` and the coupled poles and
     their weights are mirror-symmetric about ``Delta = 0`` to the bit,
@@ -729,7 +824,8 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     the roots are known only to about the square root of the rounding
     error.  A dense ``LinAlgError`` raises :class:`NumericalError`.
 
-    Returns ``(eigenvalues, fallback)``, ``fallback`` telling whether the
+    Dense roots take the same residue pass.  Returns
+    ``(eigenvalues, fallback)``, ``fallback`` telling whether the
     dense path ran.  The eigenvalues and their conjugates are the
     spectrum of the real drift.  They are read-only: a model is solved
     once, and every function of this module reads the same roots
@@ -740,7 +836,12 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
 
 
 def _roots(model: DriftModel) -> tuple:
-    """Roots, and whether dense ``eigvals`` ran and a pole was deflated."""
+    """Roots, their residues and whether dense ``eigvals`` found the roots.
+
+    The residues ``1 / F'(lambda_k)`` come from the secular solve, or
+    from :func:`_residue_pass` at the dense roots; they are ``None`` when
+    a pole was deflated, whose eigenvalue has no closed-form eigenvector.
+    """
     poles, weights = _secular_terms(model)
     coupled = weights != 0.0
     merged, first, index = np.unique(
@@ -751,7 +852,7 @@ def _roots(model: DriftModel) -> tuple:
     deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
     shift = complex(model.params.kappa, model.params.delta_cs)
     seeds = _seeds(shift, merged, merged_weights)
-    roots = None
+    found = None
     # np.unique sorts the poles, which share one real part, by Delta
     half = merged.size // 2
     if (
@@ -767,38 +868,41 @@ def _roots(model: DriftModel) -> tuple:
             lone, paired = collective, seeds[half + 2:]
         else:
             lone, paired = seeds[:0], np.concatenate([collective, seeds[half + 2:]])
-        roots = _aberth_roots(
+        found = _aberth_roots(
             shift, upper, upper_weights, np.concatenate([lone, paired]),
             pairs=half, root_pairs=paired.size,
         )
         # the general iteration starts from the same seeds
         seeds = np.concatenate([lone, paired, paired.conjugate()])
-    if roots is None:
-        roots = _aberth_roots(shift, merged, merged_weights, seeds)
-    if roots is not None:
-        return np.concatenate([roots, -deflated]), False, deflated.size > 0
-    _check_dense(model)
-    try:
-        return np.linalg.eigvals(model.arrowhead), True, deflated.size > 0
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+    if found is None:
+        found = _aberth_roots(shift, merged, merged_weights, seeds)
+    if found is not None:
+        roots, residues = found
+        lam, dense = np.concatenate([roots, -deflated]), False
+    else:
+        _check_dense(model)
+        try:
+            lam, dense = np.linalg.eigvals(model.arrowhead), True
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+        residues = _residue_pass(
+            lam, merged, merged_weights, 0, _work_arrays(merged.size)
+        )
+    return lam, None if deflated.size else residues, dense
 
 
 @dataclass
 class _Spectrum:
     """The arrowhead spectrum of one model, and what is built from it.
 
-    ``lam``, ``dense`` and ``deflated`` are :func:`_roots` of the model.
-    The residues and their gate (:func:`_residues`) and the eigenvectors
-    (:func:`_eigensystem`) are filled in on first use.  Every array is
-    read-only.
+    ``lam``, ``residues`` and ``dense`` are :func:`_roots` of the model;
+    the eigenvectors (:func:`_eigensystem`) are filled in on first use.
+    Every array is read-only.
     """
 
     lam: np.ndarray
+    residues: np.ndarray | None
     dense: bool
-    deflated: bool
-    residues: np.ndarray | None = None
-    gated: bool = False  # whether the residues pass their gate
     vectors: tuple | None = None  # (right, left)
 
 
@@ -814,9 +918,10 @@ def _spectrum(model: DriftModel) -> _Spectrum:
     if _MEMO and _MEMO[0]() is model and _MEMO[1] == key:
         return _MEMO[2]
     _MEMO.clear()
-    lam, dense, deflated = _roots(model)
-    lam.flags.writeable = False
-    spectrum = _Spectrum(lam, dense, deflated)
+    spectrum = _Spectrum(*_roots(model))
+    for array in (spectrum.lam, spectrum.residues):
+        if array is not None:
+            array.flags.writeable = False
     _MEMO.extend([weakref.ref(model, _forget), key, spectrum])
     return spectrum
 
@@ -829,30 +934,23 @@ def _forget(ref):
 def _residues(model: DriftModel) -> np.ndarray | None:
     """Residues ``r_k = 1 / F'(lambda_k)`` of the spectrum, or ``None``.
 
-    ``F'(lambda) = 1 + sum_m w_m / (lambda + d_m)^2``, summed in row
-    blocks of one work array (:func:`_work_blocks`): O(M^2).  ``None``
-    when the residues fail their gate, ``sum_k |r_k| <= _RESIDUE_BOUND`` and
-    ``|sum_k r_k - 1| <= 1e-10`` (:func:`field_kick_response` gives the
-    reason); a non-finite residue fails it too.
+    The secular solve leaves them with its roots: one pass at the
+    settled roots, O(M^2), in the split-off form of its iteration
+    (:func:`_residue_pass`), which dense ``eigvals`` roots also take.
+    ``None`` when a pole was deflated or the residues fail their gate,
+    ``sum_k |r_k| <= _RESIDUE_BOUND`` and ``|sum_k r_k - 1| <= 1e-10``
+    (:func:`field_kick_response` gives the reason); a non-finite residue
+    fails it too.
     """
-    spectrum = _spectrum(model)
-    if spectrum.residues is None:
-        lam = spectrum.lam
-        poles, weights = _secular_terms(model)
-        slope = np.empty(lam.size, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for block, terms in _work_blocks(lam.size, poles.size):
-                np.add(lam[block, None], poles, out=terms)
-                np.divide(weights, np.square(terms, out=terms), out=terms)
-                slope[block] = 1.0 + terms.sum(axis=1)
-            residues = 1.0 / slope
-            spectrum.gated = bool(
-                np.abs(residues).sum() <= _RESIDUE_BOUND
-                and abs(residues.sum() - 1.0) <= 1e-10
-            )
-        residues.flags.writeable = False
-        spectrum.residues = residues
-    return spectrum.residues if spectrum.gated else None
+    residues = _spectrum(model).residues
+    if residues is None:
+        return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        gated = (
+            np.abs(residues).sum() <= _RESIDUE_BOUND
+            and abs(residues.sum() - 1.0) <= 1e-10
+        )
+    return residues if gated else None
 
 
 def _eigensystem(model: DriftModel) -> tuple:
@@ -867,15 +965,15 @@ def _eigensystem(model: DriftModel) -> tuple:
     O(M^2) and no dense ``eig``.  Returns ``(lam, vectors)`` with
     ``vectors = (right, left)``, the ``v_k`` as the columns of ``right``
     and the ``u_k`` as the rows of ``left = right^{-1}``.  ``vectors`` is
-    ``None`` when the roots came from dense ``eigvals``, when a pole was
-    deflated (its eigenvector is not of this form) or when the residues
+    ``None`` when the roots came from dense ``eigvals``, or when a pole
+    was deflated (its eigenvector is not of this form) or the residues
     fail their gate (:func:`_residues`), whose ``sum_k r_k = 1`` is
     ``(right left)_00 = 1``.  The model is first checked against the
     dense budget (:func:`_check_dense`).
     """
     _check_dense(model)
     spectrum = _spectrum(model)
-    if spectrum.vectors is None and not (spectrum.dense or spectrum.deflated):
+    if spectrum.vectors is None and not spectrum.dense:
         residues = _residues(model)
         if residues is not None:
             lam, poles = spectrum.lam, _secular_terms(model)[0]
@@ -903,10 +1001,14 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     is ``a(t) / a(0) = [e^{H t}]_00 = sum_k r_k e^{lambda_k t}``, the
     partial-fraction expansion of ``1 / F``, with the roots ``lambda_k``
     of :func:`arrowhead_eigenvalues` and the residues
-    ``r_k = 1 / F'(lambda_k)`` of :func:`_residues`.  The cost is O(M^2)
-    for the residues plus O(M T) for the sum, with no eigenvectors and no
-    time stepping; both are formed in row blocks of one reused work
-    array of ``_CHUNK_BYTES`` (:func:`_work_blocks`).
+    ``r_k = 1 / F'(lambda_k)`` that the secular solve leaves with them
+    (:func:`_residues`).  The cost is the O(M^2) solve, then about
+    ``2 sqrt(T) K`` exponentials and ``T K`` products for ``e^{lambda_k
+    t_j}`` on a uniform grid (:func:`_growth_blocks`; ``T K``
+    exponentials on any other) and one (T x K) product with the
+    residues, with no eigenvectors and no time stepping.  The
+    exponentials fill row blocks of one reused work array of
+    ``_CHUNK_BYTES`` (:func:`_work_blocks`).
 
     The residues add up to 1, the response at ``t = 0``, from terms as
     large as ``|r_k|``.  Near an exceptional point two roots merge, their
@@ -916,9 +1018,10 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     ``sum_k |r_k|`` = 22, 70 and 700 next to the homogeneous double
     root).  So the expansion is used only while ``sum_k |r_k| <= 100``
     (an error near 2e-12) and ``sum_k r_k = 1`` holds to 1e-10.
-    Otherwise, or with a non-finite residue (a sub-ensemble decoupled at
-    ``g_m = 0`` is a pole of ``F`` sitting on a root), the field is
-    propagated with :func:`evolve_mean` from the kicked state.
+    Otherwise, or with a non-finite residue or a deflated pole (a
+    sub-ensemble decoupled at ``g_m = 0``, or two sharing one detuning),
+    the field is propagated with :func:`evolve_mean` from the kicked
+    state.
 
     Returns ``(response, fallback)``: the complex response on
     ``times`` and whether the :func:`evolve_mean` path was taken.
@@ -927,11 +1030,9 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
     residues = _residues(model)
     if residues is not None:
-        lam = _spectrum(model).lam
         response = np.empty(times.size, dtype=complex)
-        for block, growth in _work_blocks(times.size, lam.size):
-            np.multiply(times[block, None], lam, out=growth)
-            response[block] = np.exp(growth, out=growth) @ residues
+        for block, growth in _growth_blocks(times, _spectrum(model).lam):
+            response[block] = growth @ residues
         return response, False
     y0 = np.zeros(model.dim)
     y0[0] = 1.0
@@ -1061,17 +1162,16 @@ def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
     ``C_00``, ``1^T C_ss 1`` and ``C_0s 1``, the forms ``x C~ y^H`` of
     the field row ``x`` of ``right`` and the sum ``y`` of its spin rows;
     on a block of output times each is one (times x K)(K x K) product
-    with ``e^{lambda_k t}`` folded into the rows, so any grid costs the
-    same.  ``C_inf`` enters through :func:`_sums`, as in the steady
-    values of :func:`evolve_covariance`, so ``R(t)`` subtracts one
-    rounding of it.
+    with ``e^{lambda_k t}`` (:func:`_growth_blocks`) folded into the
+    rows, so any grid costs about the same.  ``C_inf`` enters through
+    :func:`_sums`, as in the steady values of :func:`evolve_covariance`,
+    so ``R(t)`` subtracts one rounding of it.
     """
     tilde_inf, amp_inf = steady.tilde, steady.amp
     diff = left @ amp0 @ left.conj().T - tilde_inf
     field, spins = right[0], right[1:].sum(axis=0)
     forms = np.empty((times.size, 3), dtype=complex)
-    for block in _row_blocks(times.size, lam.size):
-        growth = np.exp(np.outer(times[block], lam))
+    for block, growth in _growth_blocks(times, lam):
         x, y = growth * field, growth * spins
         xd = x @ diff
         forms[block, 0] = (xd * x.conj()).sum(axis=1)

@@ -1074,23 +1074,35 @@ class TestExitCodes:
         assert "16 MiB budget" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_kicked_field_takes_a_grid_over_the_dense_budget(self, tmp_path):
-        # the residue expansion builds no (M+1)^2 array: at M = 2001 one
-        # would take 64 MB
+    @pytest.mark.parametrize(
+        "argv, fallbacks",
+        [
+            (["decay"], ["kick_response_fallbacks"]),
+            (["stability-sweep", "--g-samples", "3", "--kappa-samples", "3"],
+             ["kick_response_fallbacks", "eigensolver_fallbacks"]),
+        ],
+        ids=["decay", "stability-sweep"],
+    )
+    def test_kicked_field_takes_a_grid_over_the_dense_budget(
+        self, tmp_path, argv, fallbacks
+    ):
+        # the secular solve and the residue expansion build no (M+1)^2
+        # array: at M = 2001 one would take 64 MB
         m = 2001
         assert 16 * (m + 1) ** 2 > dynamics._DENSE_BYTE_BUDGET
-        out = tmp_path / "decay.csv"
+        out = tmp_path / "out.csv"
         tracemalloc.start()
         try:
-            code = run_cli([
-                "decay", "--family", "gaussian", "--normalize-gamma",
-                "--gamma-perp", "0", "--m", m, "--out", out,
+            code = run_cli(argv + [
+                "--family", "gaussian", "--normalize-gamma", "--gamma-perp",
+                "0", "--m", m, "--out", out,
             ])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert read_table(out)[0]["kick_response_fallbacks"] == "0"
+        meta = read_table(out)[0]
+        assert [meta[key] for key in fallbacks] == ["0"] * len(fallbacks)
         assert peak < (m + 1) ** 2
 
 

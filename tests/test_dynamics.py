@@ -989,7 +989,17 @@ def kick_oracle(model, times):
     return means[:, 0] + 1j * means[:, 1]
 
 
+# a strictly increasing grid from 0 that np.linspace does not reproduce
+NONUNIFORM = 2.0 * np.linspace(0.0, 1.0, 21) ** 2
+
+
 class TestFieldKickResponse:
+    @pytest.mark.parametrize(
+        "times", [np.linspace(0.0, 2.0, 21), NONUNIFORM],
+        ids=["uniform", "nonuniform"],
+    )
+    # delta_cs = 0 mirrors the broadened lines: the folded iteration
+    @pytest.mark.parametrize("delta_cs", [0.4, 0.0])
     @pytest.mark.parametrize("gamma_perp", [0.0, 0.3])
     @pytest.mark.parametrize(
         "spec, m, kappa, g_ens, p",
@@ -1004,21 +1014,64 @@ class TestFieldKickResponse:
         ids=["gaussian+", "gaussian-", "lorentzian+", "lorentzian-",
              "homogeneous+", "homogeneous-"],
     )
-    def test_matches_expm_oracle(self, spec, m, kappa, g_ens, p,
-                                 gamma_perp, monkeypatch):
+    def test_matches_expm_oracle(self, spec, m, kappa, g_ens, p, gamma_perp,
+                                 delta_cs, times, monkeypatch, aberth_calls):
         calls = []
         monkeypatch.setattr(
             dynamics, "evolve_mean",
             lambda *args: calls.append(args) or evolve_mean(*args),
         )
         model, _ = small_model(spec=spec, m=m, kappa=kappa, g_ens=g_ens,
-                               p=p, gamma_perp=gamma_perp, delta_cs=0.4)
-        times = np.linspace(0.0, 2.0, 21)
+                               p=p, gamma_perp=gamma_perp, delta_cs=delta_cs)
         response, fallback = field_kick_response(model, times)
         reference = kick_oracle(model, times)
         peak = np.abs(reference).max()
         assert np.abs(response - reference).max() <= 1e-10 * peak
         assert not fallback and calls == []
+        # the first secular iteration folds the pole pairs of a mirrored line
+        assert (aberth_calls[0][0] > 0) == (delta_cs == 0.0 and m > 1)
+
+    @pytest.mark.parametrize(
+        "spec, m, delta_cs", [(GAUSS, 201, 0.0), (LOR, 201, 0.3)],
+        ids=["gaussian-mirrored", "lorentzian-detuned"],
+    )
+    def test_residues_match_dense_eigenvectors(self, spec, m, delta_cs):
+        # [e^{H t}]_00 = sum_k V[0, k] (V^-1)[k, 0] e^{lambda_k t}, so the
+        # residue of lambda_k is V[0, k] (V^-1)[k, 0], from dense eig
+        model, _ = small_model(spec=spec, m=m, gamma_perp=0.0, kappa=8.0,
+                               g_ens=2.0, delta_cs=delta_cs)
+        residues = dynamics._residues(model)
+        lam = dynamics._spectrum(model).lam
+        values, vectors = np.linalg.eig(model.arrowhead)
+        dense = vectors[0] * np.linalg.inv(vectors)[:, 0]
+        match = np.abs(lam[:, None] - values).argmin(axis=1)
+        assert np.array_equal(np.sort(match), np.arange(lam.size))
+        scale = np.abs(residues).sum()
+        assert np.abs(residues - dense[match]).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("rows", [None, 4], ids=["chunk", "four-rows"])
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(0.0, 5.0, size) for size in (2, 3, 5, 201)]
+        + [2.5 * NONUNIFORM],
+        ids=["T2", "T3", "T5", "T201", "nonuniform"],
+    )
+    def test_growth_blocks_match_exp(self, times, rows, monkeypatch):
+        # an unstable sweep point (C = 9), whose roots grow; blocks of four
+        # rows cap the factored stride and split its coarse rows
+        model, _ = small_model(spec=GAUSS, m=201, kappa=1.0, gamma_perp=0.0,
+                               g_ens=3.0)
+        lam = arrowhead_eigenvalues(model)[0]
+        assert lam.real.max() > 1.0
+        if rows is not None:
+            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 16 * lam.size * rows)
+        growth = np.empty((times.size, lam.size), dtype=complex)
+        for block, values in dynamics._growth_blocks(times, lam):
+            growth[block] = values
+        exponent = np.outer(times, lam)
+        reference = np.exp(exponent)
+        ulps = 4.0 * np.finfo(float).eps * (1.0 + np.abs(exponent))
+        assert np.all(np.abs(growth - reference) <= ulps * np.abs(reference))
 
     def test_exceptional_point_falls_back(self, monkeypatch):
         # p = -1, kappa = 3, gamma_perp = 1, g_ens = 1: the double root
@@ -1108,9 +1161,11 @@ class TestRevivalGuard:
 
     def test_guard_inactive_with_damping_or_fine_grid(self):
         grid = discretize(GAUSS, 25, 2.0, 1e6)
-        check_revival_window(grid, 0.5, 20.0)
+        assert check_revival_window(grid, 0.5, 20.0) is None
         fine = discretize(GAUSS, 1001, 2.0, 1e6)
-        check_revival_window(fine, 0.0, 20.0)
+        margin = check_revival_window(fine, 0.0, 20.0)
+        assert margin == pytest.approx(2.0 * np.pi / fine.spacing / 80.0)
+        assert margin >= 1.0
 
     def test_guard_wired_into_evolution(self):
         params = SystemParams(kappa=8.0, gamma_perp=0.0, g_ens=2.0)
