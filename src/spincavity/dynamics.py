@@ -12,7 +12,7 @@ The spectrum of ``H`` is the set of roots ``lambda_k`` of a secular
 function ``F``, found in O(M^2) without building ``H``, together with
 the residues ``1 / F'(lambda_k)`` (:func:`arrowhead_eigenvalues`).
 :func:`_spectrum` keeps both for the last model, with the closed-form
-eigenvectors formed on first use; the residues are gated in one place.
+eigenvectors formed on first use; the residues are gated once (:func:`_roots`).
 The residues alone give the field after a cavity kick
 (:func:`field_kick_response`).  In the eigenbasis every moment is
 propagated exactly on any time grid, from one helper for
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 # largest sum_k |r_k| = sum_k 1 / |F'(lambda_k)| accepted from the
-# secular solver and from the residues of a spectrum (_residues)
+# secular solver and by the residue gate of a spectrum (_roots)
 _RESIDUE_BOUND = 100.0
 
 # Aberth iterations before arrowhead_eigenvalues falls back to dense eig
@@ -193,7 +193,7 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     ``S_x`` and ``S_y``, summed over the sub-ensembles.
 
     Fallback: when the eigenvectors fail their gates (dense roots, a
-    deflated pole or the residue gate of :func:`_residues`), each output
+    deflated pole or the residue gate of :func:`_roots`), each output
     interval ``h`` is one exact step ``z <- Phi z`` with
     ``Phi = e^{H h}`` (:func:`scipy.linalg.expm`), one ``Phi`` for a
     uniform grid, and ``fallbacks`` is 1.
@@ -412,15 +412,8 @@ def _row_blocks(rows: int, cols: int):
         yield slice(start, min(start + step, rows))
 
 
-def _work_blocks(rows: int, cols: int):
-    """:func:`_row_blocks`, each with its view of one reused complex array."""
-    work = np.empty(max(_CHUNK_BYTES // 16, cols), dtype=complex)
-    for block in _row_blocks(rows, cols):
-        yield block, work[: (block.stop - block.start) * cols].reshape(-1, cols)
-
-
 def _growth_blocks(times: np.ndarray, lam: np.ndarray):
-    """:func:`_work_blocks` of the (T x K) array ``e^{lambda_k t_j}``, filled in.
+    """Row blocks of the (T x K) ``e^{lambda_k t_j}`` in one reused :func:`_view`.
 
     On a uniform grid (:func:`_uniform`) row ``j = a B + b`` is
     ``e^{lambda t_aB} e^{lambda t_b}``, with ``B = ceil(sqrt(T))`` capped
@@ -436,7 +429,9 @@ def _growth_blocks(times: np.ndarray, lam: np.ndarray):
         size = max(size, 1)
         fine = np.exp(np.multiply.outer(times[:size], lam))
         last = -1
-    for block, growth in _work_blocks(times.size, lam.size):
+    work = _work_arrays(lam.size)
+    for block in _row_blocks(times.size, lam.size):
+        growth = _view(work, 0, block.stop - block.start, lam.size)
         if uniform:
             for a in range(block.start // size, (block.stop - 1) // size + 1):
                 if a != last:  # a coarse row can span two blocks
@@ -581,8 +576,8 @@ def _real_pair(level: float, halves: np.ndarray, weights: np.ndarray) -> bool:
 def _work_arrays(width: int) -> np.ndarray:
     """Two complex work arrays of ``_CHUNK_BYTES`` for :func:`_view`.
 
-    Every (rows x columns) array of the secular kernel lives in them:
-    fresh arrays that large cost more to allocate than to fill.
+    Every block array of the secular kernel and :func:`_growth_blocks`
+    lives in them: fresh arrays that large cost more to allocate than to fill.
     """
     return np.empty((2, max(_CHUNK_BYTES // 16, width)), dtype=complex)
 
@@ -836,11 +831,13 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
 
 
 def _roots(model: DriftModel) -> tuple:
-    """Roots, their residues and whether dense ``eigvals`` found the roots.
+    """Roots, their gated residues and whether dense ``eigvals`` found the roots.
 
-    The residues ``1 / F'(lambda_k)`` come from the secular solve, or
-    from :func:`_residue_pass` at the dense roots; they are ``None`` when
-    a pole was deflated, whose eigenvalue has no closed-form eigenvector.
+    The residues ``r_k = 1 / F'(lambda_k)`` come from the secular solve,
+    or from :func:`_residue_pass` at the dense roots.  They are ``None``
+    when a pole was deflated (no closed-form eigenvector) or unless
+    ``sum_k |r_k| <= _RESIDUE_BOUND`` and ``|sum_k r_k - 1| <= 1e-10``
+    (see :func:`field_kick_response`), a gate that a NaN fails.
     """
     poles, weights = _secular_terms(model)
     coupled = weights != 0.0
@@ -888,7 +885,13 @@ def _roots(model: DriftModel) -> tuple:
         residues = _residue_pass(
             lam, merged, merged_weights, 0, _work_arrays(merged.size)
         )
-    return lam, None if deflated.size else residues, dense
+    with np.errstate(invalid="ignore", over="ignore"):
+        gated = (
+            deflated.size == 0
+            and np.abs(residues).sum() <= _RESIDUE_BOUND
+            and abs(residues.sum() - 1.0) <= 1e-10
+        )
+    return lam, residues if gated else None, dense
 
 
 @dataclass
@@ -931,28 +934,6 @@ def _forget(ref):
         _MEMO.clear()
 
 
-def _residues(model: DriftModel) -> np.ndarray | None:
-    """Residues ``r_k = 1 / F'(lambda_k)`` of the spectrum, or ``None``.
-
-    The secular solve leaves them with its roots: one pass at the
-    settled roots, O(M^2), in the split-off form of its iteration
-    (:func:`_residue_pass`), which dense ``eigvals`` roots also take.
-    ``None`` when a pole was deflated or the residues fail their gate,
-    ``sum_k |r_k| <= _RESIDUE_BOUND`` and ``|sum_k r_k - 1| <= 1e-10``
-    (:func:`field_kick_response` gives the reason); a non-finite residue
-    fails it too.
-    """
-    residues = _spectrum(model).residues
-    if residues is None:
-        return None
-    with np.errstate(invalid="ignore", over="ignore"):
-        gated = (
-            np.abs(residues).sum() <= _RESIDUE_BOUND
-            and abs(residues.sum() - 1.0) <= 1e-10
-        )
-    return residues if gated else None
-
-
 def _eigensystem(model: DriftModel) -> tuple:
     """Arrowhead eigenvalues and, where they pass the gates, eigenvectors.
 
@@ -967,25 +948,24 @@ def _eigensystem(model: DriftModel) -> tuple:
     and the ``u_k`` as the rows of ``left = right^{-1}``.  ``vectors`` is
     ``None`` when the roots came from dense ``eigvals``, or when a pole
     was deflated (its eigenvector is not of this form) or the residues
-    fail their gate (:func:`_residues`), whose ``sum_k r_k = 1`` is
+    fail their gate (:func:`_roots`), whose ``sum_k r_k = 1`` is
     ``(right left)_00 = 1``.  The model is first checked against the
     dense budget (:func:`_check_dense`).
     """
     _check_dense(model)
     spectrum = _spectrum(model)
-    if spectrum.vectors is None and not spectrum.dense:
-        residues = _residues(model)
-        if residues is not None:
-            lam, poles = spectrum.lam, _secular_terms(model)[0]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                cauchy = 1.0 / (lam + poles[:, None])  # 1 / (lambda_k + d_m)
-            if np.all(np.isfinite(cauchy)):
-                _, row, col = model._arrowhead_border()
-                right = np.vstack([np.ones(lam.size), col[:, None] * cauchy])
-                left = np.hstack([np.ones((lam.size, 1)), cauchy.T * row])
-                spectrum.vectors = (right, left * residues[:, None])
-                for array in spectrum.vectors:
-                    array.flags.writeable = False
+    residues = spectrum.residues
+    if spectrum.vectors is None and not spectrum.dense and residues is not None:
+        lam, poles = spectrum.lam, _secular_terms(model)[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cauchy = 1.0 / (lam + poles[:, None])  # 1 / (lambda_k + d_m)
+        if np.all(np.isfinite(cauchy)):
+            _, row, col = model._arrowhead_border()
+            right = np.vstack([np.ones(lam.size), col[:, None] * cauchy])
+            left = np.hstack([np.ones((lam.size, 1)), cauchy.T * row])
+            spectrum.vectors = (right, left * residues[:, None])
+            for array in spectrum.vectors:
+                array.flags.writeable = False
     return spectrum.lam, spectrum.vectors
 
 
@@ -1002,13 +982,13 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     partial-fraction expansion of ``1 / F``, with the roots ``lambda_k``
     of :func:`arrowhead_eigenvalues` and the residues
     ``r_k = 1 / F'(lambda_k)`` that the secular solve leaves with them
-    (:func:`_residues`).  The cost is the O(M^2) solve, then about
+    (gated in :func:`_roots`).  The cost is the O(M^2) solve, then about
     ``2 sqrt(T) K`` exponentials and ``T K`` products for ``e^{lambda_k
     t_j}`` on a uniform grid (:func:`_growth_blocks`; ``T K``
     exponentials on any other) and one (T x K) product with the
     residues, with no eigenvectors and no time stepping.  The
     exponentials fill row blocks of one reused work array of
-    ``_CHUNK_BYTES`` (:func:`_work_blocks`).
+    ``_CHUNK_BYTES`` (:func:`_work_arrays`).
 
     The residues add up to 1, the response at ``t = 0``, from terms as
     large as ``|r_k|``.  Near an exceptional point two roots merge, their
@@ -1028,11 +1008,11 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     """
     times = _validate_times(times)
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
-    residues = _residues(model)
-    if residues is not None:
+    spectrum = _spectrum(model)
+    if spectrum.residues is not None:
         response = np.empty(times.size, dtype=complex)
-        for block, growth in _growth_blocks(times, _spectrum(model).lam):
-            response[block] = growth @ residues
+        for block, growth in _growth_blocks(times, spectrum.lam):
+            response[block] = growth @ spectrum.residues
         return response, False
     y0 = np.zeros(model.dim)
     y0[0] = 1.0

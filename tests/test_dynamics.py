@@ -531,7 +531,7 @@ class TestSpectralMoments:
         assert spectrum.lam is lam
         assert spectrum.vectors[0] is right and spectrum.vectors[1] is left
         assert arrowhead_eigenvalues(model)[0] is lam
-        assert dynamics._residues(model) is spectrum.residues
+        assert dynamics._spectrum(model).residues is spectrum.residues
         for array in (lam, spectrum.residues, right, left):
             assert not array.flags.writeable
         monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
@@ -1040,7 +1040,7 @@ class TestFieldKickResponse:
         # residue of lambda_k is V[0, k] (V^-1)[k, 0], from dense eig
         model, _ = small_model(spec=spec, m=m, gamma_perp=0.0, kappa=8.0,
                                g_ens=2.0, delta_cs=delta_cs)
-        residues = dynamics._residues(model)
+        residues = dynamics._spectrum(model).residues
         lam = dynamics._spectrum(model).lam
         values, vectors = np.linalg.eig(model.arrowhead)
         dense = vectors[0] * np.linalg.inv(vectors)[:, 0]

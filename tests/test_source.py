@@ -53,10 +53,19 @@ def test_package_exports_the_public_names_of_its_modules():
     # the package re-exports each library module's __all__ and nothing
     # else, so a name deleted from a module cannot stay exported
     tree = ast.parse((SOURCE / "__init__.py").read_text())
-    modules = {node.module for node in tree.body
-               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    modules = {node.module for node in imports if node.level == 1}
     library = {path.stem for path in SOURCE.glob("*.py")}
     assert modules == library - {"__init__", "__main__", "cli"}
+    # it imports only the library modules (and __future__ features) and
+    # assigns only its version and its export list, so no name can be
+    # exported that a module does not list
+    assert all(node.module == "__future__" for node in imports if node.level == 0)
+    body = tree.body[1:] if ast.get_docstring(tree) else tree.body
+    assert all(isinstance(node, (ast.ImportFrom, ast.Assign)) for node in body)
+    assigned = [target.id for node in body if isinstance(node, ast.Assign)
+                for target in node.targets]
+    assert sorted(assigned) == ["__all__", "__version__"]
     names = {"__version__"}.union(*(
         importlib.import_module(f"spincavity.{module}").__all__
         for module in modules
