@@ -222,17 +222,26 @@ def pole_seeds(params: SystemParams, sigma_delta: float):
     for ``Re lam + gamma_perp < 0`` the Faddeeva factor grows like
     ``2 exp(|z|^2)``, so it is useless as a seed.)
     ``slow``: the near-threshold expansion of the pole condition, the
-    long-time tail rate.
+    long-time tail rate.  Raises :class:`DomainError` when a seed
+    overflows, for rates past about 1e154.
     """
     kappa = params.kappa
     gp = params.gamma_perp
     g = params.g_ens
-    disc = math.sqrt((kappa - gp) ** 2 + 4.0 * g * g)
-    fast = (-(kappa + gp) + disc) / 2.0
     spec = BroadeningSpec("gaussian", sigma_delta)
     Gamma = characteristic_width(spec, gp)
     kappa_c = g * g / Gamma
-    slow = threshold_rate_approx(kappa, kappa_c, sigma_delta, g)
+    try:  # a float ** raises on overflow, where * and + return inf
+        disc = math.sqrt((kappa - gp) ** 2 + 4.0 * g * g)
+        fast = (-(kappa + gp) + disc) / 2.0
+        slow = threshold_rate_approx(kappa, kappa_c, sigma_delta, g)
+    except OverflowError:
+        fast = slow = math.inf
+    if not (math.isfinite(fast) and math.isfinite(slow)):
+        raise DomainError(
+            f"the pole seeds overflow at kappa={kappa:g}, "
+            f"gamma_perp={gp:g}, g_ens={g:g}"
+        )
     return {"fast": complex(fast), "slow": complex(slow)}
 
 

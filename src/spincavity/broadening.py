@@ -340,10 +340,10 @@ def discretize(
     """
     g_ens = float(g_ens)
     N = float(N)
-    if g_ens < 0.0:
-        raise PreconditionError("g_ens must be >= 0")
-    if N <= 0.0:
-        raise PreconditionError("total spin count must be > 0")
+    if not (math.isfinite(g_ens) and g_ens >= 0.0):
+        raise PreconditionError(f"g_ens must be finite and >= 0, got {g_ens!r}")
+    if not (math.isfinite(N) and N > 0.0):
+        raise PreconditionError(f"total spin count must be finite and > 0, got {N!r}")
     family = spec.family
 
     if family is BroadeningFamily.HOMOGENEOUS:

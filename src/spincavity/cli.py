@@ -36,12 +36,14 @@ byte-identical.  The column names and the data rows follow, floats at
 hold the fitted or reference values of ``trailer`` (``pole_*``,
 ``panel_f_ratio_*``).  The manifest holds both blocks and ``columns``.
 
-Exit codes: 0 success; 2 precondition failure, which includes an
-unreadable ``--config``, an unwritable ``--out``, a ``--t-samples`` or
-``--delta-e-samples`` over its byte budget, and a model whose dense
-(M+1)^2 complex arrays would exceed the library's budget (16 MiB each:
-``moments`` at M > 1023, or a dense fallback of ``decay`` or
-``stability-sweep``, which otherwise take any M); 3 numerical failure.
+Exit codes: 0 success; 2 precondition failure, which includes a
+non-finite float option, a sweep sample count below 1, ``pole`` seeds
+that overflow, an unreadable ``--config``, an unwritable ``--out``, a
+``--t-samples`` or ``--delta-e-samples`` over its byte budget, and a
+model whose dense (M+1)^2 complex arrays would exceed the library's
+budget (16 MiB each: ``moments`` at M > 1023, or a dense fallback of
+``decay`` or ``stability-sweep``, which otherwise take any M); 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ from .dynamics import (
     arrowhead_eigenvalues, evolve_covariance, evolve_mean, field_kick_response,
 )
 from .errors import (
-    ConvergenceError, NumericalError, PreconditionError, UnstableModelError,
+    ConvergenceError, DomainError, NumericalError, PreconditionError,
+    UnstableModelError,
 )
 from .model import SystemParams, build_drift_matrix, initial_state
 from .probing import spectrum_scan
@@ -104,6 +107,28 @@ def _choice(kind, values):
     return parse
 
 
+def _finite(text: str) -> float:
+    """A finite float; ``float`` alone lets ``nan`` and ``inf`` through."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """A sample count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _boolean(text: str) -> bool:
     if text.lower() not in ("true", "false"):
         raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
@@ -120,34 +145,34 @@ class _Option(NamedTuple):
 
 _OPTIONS = {
     "family": _Option(_choice(str, _FAMILIES), "gaussian", ", ".join(_FAMILIES)),
-    "width": _Option(float, help="FWHM (lorentzian) or std dev (gaussian)"),
+    "width": _Option(_finite, help="FWHM (lorentzian) or std dev (gaussian)"),
     "normalize_gamma": _Option(
         _boolean, False,
         "interpret rates in units of the characteristic width "
         "(the distribution width is recomputed so Gamma = 1)",
     ),
-    "gamma_perp": _Option(float, 0.0),
+    "gamma_perp": _Option(_finite, 0.0),
     "m": _Option(int, help="number of sub-ensembles"),
-    "kappa": _Option(float, 8.0),
-    "kappa1": _Option(float),
-    "kappa2": _Option(float),
-    "g_ens": _Option(float, 2.0),
-    "delta_cs": _Option(float, 0.0),
+    "kappa": _Option(_finite, 8.0),
+    "kappa1": _Option(_finite),
+    "kappa2": _Option(_finite),
+    "g_ens": _Option(_finite, 2.0),
+    "delta_cs": _Option(_finite, 0.0),
     "p": _Option(_choice(int, (1, -1)), 1),
-    "n_spins": _Option(float, 1e6),
-    "alpha": _Option(float, 1.0, "kick amplitude"),
-    "theta": _Option(float, 1e-3, "tilt angle"),
-    "t_max": _Option(float, 5.0),
+    "n_spins": _Option(_finite, 1e6),
+    "alpha": _Option(_finite, 1.0, "kick amplitude"),
+    "theta": _Option(_finite, 1e-3, "tilt angle"),
+    "t_max": _Option(_finite, 5.0),
     "t_samples": _Option(int, 201),
-    "delta_e_min": _Option(float, -20.0),
-    "delta_e_max": _Option(float, 20.0),
+    "delta_e_min": _Option(_finite, -20.0),
+    "delta_e_max": _Option(_finite, 20.0),
     "delta_e_samples": _Option(int, 401),
-    "g_min": _Option(float, 0.5),
-    "g_max": _Option(float, 5.0),
-    "g_samples": _Option(int, 8),
-    "kappa_min": _Option(float, 0.5),
-    "kappa_max": _Option(float, 10.0),
-    "kappa_samples": _Option(int, 8),
+    "g_min": _Option(_finite, 0.5),
+    "g_max": _Option(_finite, 5.0),
+    "g_samples": _Option(_count, 8),
+    "kappa_min": _Option(_finite, 0.5),
+    "kappa_max": _Option(_finite, 10.0),
+    "kappa_samples": _Option(_count, 8),
 }
 
 
@@ -202,10 +227,10 @@ def _decay(o: dict):
         rows[:, 3] = _SQRT2 * weak_coupling_response(
             o["alpha"], params, spec.width, times
         )
-        seeds = pole_seeds(params, spec.width)
         try:
-            lam = gaussian_pole(params, spec.width, seeds["slow"]).lam
-        except ConvergenceError:
+            seed = pole_seeds(params, spec.width)["slow"]
+            lam = gaussian_pole(params, spec.width, seed).lam
+        except (ConvergenceError, DomainError):
             trailer["pole_tail"] = "unconverged"
         else:
             anchor = int(np.argmin(np.abs(times - 0.5 * o["t_max"])))

@@ -1064,7 +1064,7 @@ class _Steady(NamedTuple):
 
     tilde: np.ndarray  # in the eigenbasis
     amp: np.ndarray  # in the amplitudes
-    residual: float  # largest Lyapunov residual entry, unscaled
+    residual: float  # largest Lyapunov residual entry or its rounding, unscaled
 
 
 def _spectral_steady(model: DriftModel, lam, right, left) -> _Steady | None:
@@ -1079,7 +1079,11 @@ def _spectral_steady(model: DriftModel, lam, right, left) -> _Steady | None:
     residual near ``eps ||H|| ||C_inf||``, so this holds while ``C_inf``
     is at most ~10^5 times ``||D|| / ||H||``; beyond, near threshold,
     ``C(t) = C_inf + (C(t) - C_inf)`` cancels too many digits and it
-    takes Van Loan steps instead.
+    takes Van Loan steps instead.  Along the slow mode the measured
+    residual can fall far below that rounding level (1e-13 of the noise
+    at N = 1e5 and C = 1 - 1e-9, where the track still loses 7e-8), so
+    ``residual`` is the larger of the two, in balanced units
+    (:func:`_balance`) scaled to the largest noise entry.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tilde = -((left * _noise(model)) @ left.conj().T) / (lam[:, None] + lam.conj())
@@ -1090,7 +1094,10 @@ def _spectral_steady(model: DriftModel, lam, right, left) -> _Steady | None:
         unscaled = max(np.abs(residual.real).max(), np.abs(residual.imag).max()) / 2.0
     if not worst <= bound:
         return None
-    return _Steady(tilde, amp, float(unscaled))
+    # bound / _LYAPUNOV_RTOL is ||H|| ||C|| + ||D||, balanced
+    floor = np.abs(_balance(model) ** 2 * _noise(model)).max()
+    rounding = np.finfo(float).eps * (bound / _LYAPUNOV_RTOL - floor) / floor
+    return _Steady(tilde, amp, max(float(unscaled), rounding * model.noise_diag.max()))
 
 
 def _balance(model: DriftModel) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spincavity import (
     BroadeningFamily,
     BroadeningSpec,
     ConvergenceError,
+    DomainError,
     PreconditionError,
     SystemParams,
     UnstableModelError,
@@ -176,6 +178,14 @@ class TestGaussianPole:
         fast = gaussian_pole(params, SIGMA_UNIT, seeds["fast"]).lam
         assert slow.real < 0
         assert abs(slow - fast) <= 1e-8 * abs(slow)
+
+    @pytest.mark.parametrize("kappa", [1.3e154, 1.4e154, 1e300])
+    def test_overflowing_seeds_name_the_rates(self, kappa):
+        # (kappa - gamma_perp) ** 2 raises OverflowError past ~1.34e154,
+        # and just below it the slow seed's products overflow to inf
+        params = SystemParams(kappa=kappa, gamma_perp=0.0, g_ens=2.0)
+        with pytest.raises(DomainError, match=re.escape(f"kappa={kappa:g}")):
+            pole_seeds(params, SIGMA_UNIT)
 
     @pytest.mark.parametrize("kappa, gamma_perp, g_ens", [
         (8.0, 0.0, 2.0), (3.96, 0.0, 2.0), (2.0, 0.5, 3.0),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,10 +279,12 @@ class TestDiscretize:
         for m in (0, 1, 2, 4, 100):
             with pytest.raises(PreconditionError):
                 discretize(spec, m, 2.0, 1e6)
-        with pytest.raises(PreconditionError):
-            discretize(spec, 101, -1.0, 1e6)
-        with pytest.raises(PreconditionError):
-            discretize(spec, 101, 2.0, 0.0)
+        for g_ens in (-1.0, math.inf, math.nan):
+            with pytest.raises(PreconditionError, match="g_ens"):
+                discretize(spec, 101, g_ens, 1e6)
+        for n in (0.0, math.inf, math.nan):
+            with pytest.raises(PreconditionError, match="spin count"):
+                discretize(spec, 101, 2.0, n)
 
     def test_arrays_are_read_only(self):
         spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, 1.0)

@@ -213,6 +213,16 @@ class TestDecay:
         assert float(trailing["pole_rate_re"]) < 0
         assert float(meta["width"]) == pytest.approx(SIGMA_UNIT, rel=1e-12)
 
+    def test_overflowing_pole_seed_leaves_the_tail_empty(self, tmp_path):
+        # past kappa ~ 1.3e154 the slow seed overflows (DomainError), which
+        # decay reports as it reports a pole search that does not converge
+        out = tmp_path / "decay.csv"
+        assert run_cli(SMALL["decay"] + ["--kappa", "1.4e154", "--out", out]) == 0
+        _, _, rows, trailing = read_table(out)
+        assert trailing == {"pole_tail": "unconverged"}
+        assert all(row[4] == "" for row in rows)
+        assert all(row[3] != "" for row in rows)
+
     def test_marginal_gaussian_band(self, tmp_path):
         # C = 1: the kicked field neither grows past 1.05x nor falls
         # below 0.1x of the initial amplitude across the window tail
@@ -903,6 +913,8 @@ class TestConfigResolution:
             ("decay", "family = triangle"),
             ("decay", "p = 2"),
             ("decay", "normalize_gamma = yes"),
+            ("decay", "alpha = nan"),
+            ("stability-sweep", "g_samples = 0"),
             ("spectrum", "m = 41"),
         ],
     )
@@ -987,6 +999,34 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             run_cli(SMALL[experiment] + [flag, value, "--out", tmp_path / "x.csv"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (LOR_DECAY + ["--alpha", "nan"], "--alpha"),
+            (SMALL["stability-sweep"] + ["--alpha", "nan"], "--alpha"),
+            (SMALL["moments"] + ["--theta", "nan"], "--theta"),
+            (SMALL["moments"] + ["--theta", "inf"], "--theta"),
+            (SMALL["spectrum"] + ["--delta-e-min", "nan"], "--delta-e-min"),
+            (LOR_DECAY + ["--t-max", "inf"], "--t-max"),
+            (SMALL["stability-sweep"] + ["--g-samples", "-1"], "--g-samples"),
+            (SMALL["stability-sweep"] + ["--g-samples", "0"], "--g-samples"),
+            (SMALL["stability-sweep"] + ["--kappa-samples", "0"],
+             "--kappa-samples"),
+            (LOR_DECAY + ["--n-spins", "inf"], "--n-spins"),
+            (LOR_DECAY + ["--n-spins", "nan"], "--n-spins"),
+            (SMALL["pole"] + ["--kappa", "1.4e154"], "kappa=1.4e+154"),
+        ],
+    )
+    def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, argv, name):
+        # argparse exits 2 itself; a failed precondition returns 2
+        try:
+            code = run_cli(argv + ["--out", tmp_path / "x.csv"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_argparse_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -358,6 +358,10 @@ class TestSpectralMoments:
     # too large for the spectral track to subtract it accurately
     @example(family="homogeneous", p=1, c=1.0 - 1e-9, log_kappa=0.0,
              gamma_perp=0.0, log10_n=0.0, m=5)
+    # and at N = 1e5, where the measured residual falls far below its
+    # rounding level
+    @example(family="homogeneous", p=1, c=1.0 - 1e-9, log_kappa=0.0,
+             gamma_perp=0.0, log10_n=5.0, m=5)
     def test_matches_dp45_and_lyapunov_oracles(self, family, p, c, log_kappa,
                                                gamma_perp, log10_n, m):
         # kappa and g_ens in units of the characteristic width Gamma; a
@@ -536,6 +540,7 @@ class TestSpectralMoments:
             assert not array.flags.writeable
         monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         assert dynamics._spectrum(model) is not spectrum
+        assert dynamics._spectrum(model).residues is None
         assert dynamics._eigensystem(model)[1] is None
         del model
         assert not dynamics._MEMO
