@@ -1,41 +1,26 @@
 """Propagation of means and covariances, steady states, stability.
 
 Every path works in the amplitudes ``z = (a, s_1, ..., s_M)``,
-``a = X_c + i P_c`` and ``s_m = S_x - i S_y``: the means obey
-``dz/dt = H z`` with the complex (M+1) x (M+1) arrowhead ``H`` of
-:attr:`DriftModel.arrowhead`, and the Hermitian covariance
-``C = T gamma T^H`` obeys ``dC/dt = H C + C H^H + D``.  The real drift
-(:attr:`DriftModel.drift`) is never built here, and the real covariance
-``gamma`` is formed only where a function returns it.
+``a = X_c + i P_c``, ``s_m = S_x - i S_y``: ``dz/dt = H z`` with the
+complex (M+1) x (M+1) arrowhead ``H`` (:attr:`DriftModel.arrowhead`), and
+``C = T gamma T^H`` obeys ``dC/dt = H C + C H^H + D``.  The roots
+``lambda_k`` of the secular function ``F`` and the residues
+``r_k = 1 / F'(lambda_k)``, found in O(M^2) and gated once per model
+(:func:`arrowhead_eigenvalues`), give every moment on any time grid with
+no (M+1)^2 array: the kicked field (:func:`field_kick_response`), the
+means through the Cauchy-matrix eigenvectors (:func:`evolve_mean`), and
+the covariance as the Ornstein-Uhlenbeck solution in the eigenbasis
+(Gardiner, *Handbook of Stochastic Methods*), where the poles' common
+real part folds ``left D left^H`` to O(1) per entry (:func:`_folding`).
+The steady state is built from its field row and checked entry by entry
+in O(M^2) (:func:`_spectral_steady`, :func:`_lyapunov_check`).
 
-The spectrum of ``H`` is the set of roots ``lambda_k`` of a secular
-function ``F``, found in O(M^2) without building ``H``, together with
-the residues ``1 / F'(lambda_k)`` (:func:`arrowhead_eigenvalues`).
-:func:`_spectrum` keeps both for the last model, with the closed-form
-eigenvectors formed on first use; the residues are gated once (:func:`_roots`).
-The residues alone give the field after a cavity kick
-(:func:`field_kick_response`).  In the eigenbasis every moment is
-propagated exactly on any time grid, from one helper for
-``e^{lambda_k t}`` (:func:`_growth_blocks`): the means as
-``z(t) = V e^{Lambda t} V^{-1} z(0)``, the covariance as the
-multivariate Ornstein-Uhlenbeck solution (Gardiner, *Handbook of
-Stochastic Methods*), and the steady state from the same eigen-system.
-Each run returns its collective reductions with it
-(:attr:`MomentSeries.reductions`): the mean field and spin, or the
-variance track, its steady values and the relaxation ratio ``R(t)``.
-
-Dense paths on ``H`` remain as gated fallbacks (near an exceptional
-point, with deflated poles, for a steady state that fails its residual
-check or sits too close to threshold for the track, or for a
-quadrature-anisotropic initial covariance): exact steps
+Dense paths on ``H`` remain as gated fallbacks: exact steps
 ``z <- e^{H h} z``, Van Loan's block exponential (IEEE Trans. Autom.
-Control 23, 395 (1978)) for ``C <- Phi C Phi^H + Q``, and
-Bartels-Stewart for the steady state, which passes the same O(M^2)
-residual check (:func:`_lyapunov_check`).  They import scipy inside the
-functions that run them, so the package imports with numpy alone.  The
-only dense arrays are complex (M+1) x (M+1), and a model is checked
-against ``_DENSE_BYTE_BUDGET`` before the first is built
-(:func:`_check_dense`); the kicked field and the abscissa take any M.
+Control 23, 395 (1978)) for ``C <- Phi C Phi^H + Q``, and Bartels-Stewart
+for the steady state, checked the same way.  They import scipy where they
+run, so the package imports with numpy alone, and each first checks the
+model against ``_DENSE_BYTE_BUDGET`` (:func:`_check_dense`).
 """
 
 from __future__ import annotations
@@ -43,27 +28,19 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .broadening import BroadeningFamily, SubEnsembleGrid
 from .errors import (
-    NumericalError,
-    PreconditionError,
-    RevivalGuardError,
-    UnstableModelError,
+    NumericalError, PreconditionError, RevivalGuardError, UnstableModelError,
 )
 from .model import DriftModel
 
 __all__ = [
-    "MomentSeries",
-    "evolve_mean",
-    "evolve_covariance",
-    "steady_state_covariance",
-    "arrowhead_eigenvalues",
-    "spectral_abscissa",
-    "field_kick_response",
+    "MomentSeries", "evolve_mean", "evolve_covariance", "steady_state_covariance",
+    "arrowhead_eigenvalues", "spectral_abscissa", "field_kick_response",
     "check_revival_window",
 ]
 
@@ -96,27 +73,17 @@ _MEMO: list = []
 
 # order of the per-time variance track of evolve_covariance:
 # (Var Xc, Var Pc, Var Sx, Var Sy, <dSx dPc>, <dSy dXc>)
-_TRACK_KEYS = (
-    "var_X_c",
-    "var_P_c",
-    "var_S_x",
-    "var_S_y",
-    "cov_Sx_Pc",
-    "cov_Sy_Xc",
-)
+_TRACK_KEYS = ("var_X_c", "var_P_c", "var_S_x", "var_S_y", "cov_Sx_Pc", "cov_Sy_Xc")
 
 
 @dataclass(frozen=True)
 class MomentSeries:
     """Time series of the first or the second moments of one model.
 
-    ``reductions`` holds the collective values: the means ``X_c``,
-    ``P_c``, ``S_x`` and ``S_y`` per output time (:func:`evolve_mean`),
-    or the variances of :func:`evolve_covariance`.  ``means`` has shape
-    (T, dim); ``covariances`` (T, dim, dim) is only stored for small
-    systems or on request.  ``fallbacks`` counts the computations behind
-    the series that took a dense path instead of the arrowhead
-    eigen-system: the mean, or the covariance and the steady state.
+    ``reductions`` holds the collective values; ``means`` (T, dim) and
+    ``covariances`` (T, dim, dim), the latter for small systems or on
+    request.  ``fallbacks`` counts the computations behind the series
+    that took a dense path instead of the roots and residues.
     """
 
     times: np.ndarray
@@ -156,12 +123,11 @@ def check_revival_window(
 ) -> float | None:
     """Reject windows that run into discretization revivals.
 
-    A uniform grid of undamped spins rephases at ``t = 2 pi / spacing``.
-    With ``gamma_perp == 0`` the revival is undamped, so the window must
-    end at or below a quarter of the revival time; refine the grid
-    (larger M) to extend the window.  Returns the margin
-    ``t_revival / (4 t_max)``, at least 1, or ``None`` where no revival
-    is guarded (a damped line, or a grid that is not uniform Gaussian).
+    A uniform grid of undamped spins rephases at ``t = 2 pi / spacing``,
+    so with ``gamma_perp == 0`` the window must end within a quarter of
+    that; a larger M extends it.  Returns the margin ``t_revival /
+    (4 t_max)``, at least 1, or ``None`` where no revival is guarded (a
+    damped line, or a grid that is not uniform Gaussian).
     """
     if not (
         grid.spacing is not None
@@ -182,21 +148,21 @@ def check_revival_window(
 def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     """Propagate the mean vector through the output times.
 
-    In the amplitudes ``z = (a, s_1, ..., s_M)`` the means obey
-    ``dz/dt = H z`` with the arrowhead ``H``, so
-    ``z(t) = right e^{Lambda t} left z(0)`` with the closed-form
-    eigenvectors of :func:`_eigensystem`: O(M^2) to set up and O(M^2)
-    per output time, on any grid, with no dense ``eig`` and no stepping.
-    The real means are the real parts and the signed imaginary parts of
-    ``z``; the first row is ``y0`` itself.  ``reductions`` holds the
-    field quadratures ``X_c`` and ``P_c`` and the collective spin
-    ``S_x`` and ``S_y``, summed over the sub-ensembles.
-
-    Fallback: when the eigenvectors fail their gates (dense roots, a
-    deflated pole or the residue gate of :func:`_roots`), each output
-    interval ``h`` is one exact step ``z <- Phi z`` with
-    ``Phi = e^{H h}`` (:func:`scipy.linalg.expm`), one ``Phi`` for a
-    uniform grid, and ``fallbacks`` is 1.
+    With ``b_m = H_0m``, ``c_m = H_m0`` and ``d_m = -H_mm`` the root
+    ``lambda_k`` has the eigenvectors ``v_k = (1, c_m / (lambda_k +
+    d_m))`` and ``u_k = r_k (1, b_m / (lambda_k + d_m))`` (Gu &
+    Eisenstat 1995), so ``z(t) = sum_k v_k e^{lambda_k t} u_k z(0)``.  One
+    pass over row blocks of the Cauchy matrix ``1 / (lambda_k + d_m)``
+    gives the weights ``u_k z(0)`` and, with ``e^{lambda_k t}``
+    (:func:`_growth_blocks`), the spin rows of ``z(t)``: O(M^2) per
+    output time on any grid.  The real means are the real and the signed
+    imaginary parts of ``z``, the first row ``y0`` itself; ``reductions``
+    holds ``X_c``, ``P_c`` and the collective ``S_x`` and ``S_y``.
+    Fallback (``fallbacks`` 1): when the roots came from dense
+    ``eigvals``, a pole was deflated, the residues fail their gate
+    (:func:`_roots`) or a weight is not finite, each output interval
+    ``h`` is one step ``z <- e^{H h} z`` (:func:`scipy.linalg.expm`
+    within :func:`_check_dense`, one for a uniform grid).
     """
     times = _validate_times(times)
     y0 = np.asarray(y0, dtype=float)
@@ -205,36 +171,48 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
             f"state length {y0.shape} does not match model dim {model.dim}"
         )
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
-    lam, vectors = _eigensystem(model)
+    spectrum = _spectrum(model)
+    lam, poles = spectrum.lam, _secular_terms(model)[0]
+    _, row, col = model._arrowhead_border()
     signs = _signs(lam.size)
     z = y0[0::2] + 1j * signs * y0[1::2]
     ys = np.empty((times.size, y0.size))
-    if vectors is None:
+    spectral = not spectrum.dense and spectrum.residues is not None
+    for block, growth in _growth_blocks(times, lam, _DENSE_BYTE_BUDGET):
+        if not spectral:
+            break
+        amps = np.zeros((block.stop - block.start, lam.size), dtype=complex)
+        for part in _row_blocks(lam.size, poles.size):
+            cauchy = _cauchy(lam[part], poles)
+            weights = spectrum.residues[part] * (z[0] + cauchy @ (row * z[1:]))
+            spectral = spectral and np.all(np.isfinite(weights))
+            weighted = growth[:, part] * weights
+            amps[:, 0] += weighted.sum(axis=1)
+            amps[:, 1:] += weighted @ cauchy
+        amps[:, 1:] *= col
+        ys[block, 0::2], ys[block, 1::2] = amps.real, signs * amps.imag
+    if not spectral:
         from scipy.linalg import expm
 
+        _check_dense(model)
         arrowhead = model.arrowhead
         phis = _interval_maps(times, lambda h: expm(h * arrowhead))
         for k, phi in enumerate(phis, start=1):
             z = phi @ z
             ys[k, 0::2], ys[k, 1::2] = z.real, signs * z.imag
-    else:
-        right, left = vectors
-        weights = left @ z
-        for block, growth in _growth_blocks(times, lam):
-            amps = np.multiply(growth, weights, out=growth) @ right.T
-            ys[block, 0::2] = amps.real
-            ys[block, 1::2] = signs * amps.imag
     ys[0] = y0
     reductions = {
         "X_c": ys[:, 0].copy(), "P_c": ys[:, 1].copy(),
         "S_x": ys[:, 2::2].sum(axis=1), "S_y": ys[:, 3::2].sum(axis=1),
     }
     return MomentSeries(times=times, model=model, reductions=reductions,
-                        means=ys, fallbacks=int(vectors is None))
+                        means=ys, fallbacks=int(not spectral))
 
 
 def _sums(amp: np.ndarray) -> np.ndarray:
-    """``Re X_00``, ``Re 1^T X_ss 1`` and ``Im X_0s 1`` of an amplitude matrix."""
+    """``Re X_00``, ``Re 1^T X_ss 1``, ``Im X_0s 1`` of amplitudes or their diagonal."""
+    if amp.ndim == 1:
+        return np.array([amp[0], amp[1:].sum(), 0.0]).real
     block = np.ascontiguousarray(amp[1:, 1:].real)
     return np.array([amp[0, 0].real, block.sum(), amp[0, 1:].imag.sum()])
 
@@ -245,23 +223,21 @@ def _track(sums: np.ndarray, anomalous=0.0) -> np.ndarray:
     ``gamma`` holds ``Re(C + A) / 2`` on the ``x`` quadratures,
     ``Re(C - A) / 2`` on the ``y`` ones (up to the signs of ``T``) and
     ``Im(C -+ A) / 2`` across them, so ``Var X_c = Re(C + A)_00 / 4``
-    and the rest follows alike.  The sums run along the last axis.
+    and the rest follows alike, along the last axis.
     """
     pairs = np.stack([sums + anomalous, sums - anomalous], axis=-1)
     return pairs.reshape(sums.shape[:-1] + (6,)) / 4.0
 
 
 def _van_loan_pair(arrowhead: np.ndarray, noise: np.ndarray, h: float):
-    """Exact amplitude covariance step pair over one step ``h``.
+    """``Phi = e^{H h}`` and ``Q = int_0^h e^{H s} D e^{H^H s} ds``.
 
-    Returns ``Phi = e^{H h}`` and ``Q = int_0^h e^{H s} D e^{H^H s} ds``.
     With ``B = [[-H, D], [0, H^H]]``, ``expm(B s)`` holds ``e^{H s}`` as
     the conjugate transpose of its lower-right block and
-    ``Q(s) = e^{H s} F12`` (Van Loan 1978).  The ``e^{-H s}`` block grows
-    like ``e^{|H| s}`` and swamps ``F12`` when ``|H| h`` is large, so the
-    exponential is taken over the sub-step ``s = h / 2^k`` with
-    ``||H||_1 s <= 1`` and the pair is then doubled ``k`` times:
-    ``Q(2s) = Phi(s) Q(s) Phi(s)^H + Q(s)``, ``Phi(2s) = Phi(s)^2``.
+    ``Q(s) = e^{H s} F12`` (Van Loan 1978).  The ``e^{-H s}`` block
+    swamps ``F12`` when ``|H| h`` is large, so the exponential is taken
+    over ``s = h / 2^k`` with ``||H||_1 s <= 1`` and the pair doubled
+    ``k`` times: ``Q(2s) = Phi Q Phi^H + Q``, ``Phi(2s) = Phi^2``.
     """
     from scipy.linalg import expm
 
@@ -290,97 +266,90 @@ def evolve_covariance(
 ) -> MomentSeries:
     """Propagate the covariance matrix through the output times.
 
-    In the amplitudes (see the module docstring) ``C = T gamma T^H``
-    obeys ``dC/dt = H C + C H^H + D`` with diagonal ``D = T N T^H``, and
-    the anomalous part ``A = T gamma T^T`` obeys ``dA/dt = H A + A H^T``:
-    the noise is equal on both quadratures, so ``A`` stays zero from a
-    quadrature-isotropic ``gamma0``.  In the eigenbasis of ``H``
-    ``C~(t) = C~_inf + e^{Lambda t} (C~_0 - C~_inf) e^{Lambda^H t}``
-    with ``C~_inf,kl = -D~_kl / (lambda_k + conj(lambda_l))``, and the
-    six-entry variance track (:func:`_track`) takes one (T x K)(K x K)
-    product per form over all output times (:func:`_spectral_covariance`).
-
-    Fallback, counted in ``fallbacks``: when the eigenvectors fail their
-    gates (see :func:`_eigensystem`), when the steady state fails its
-    residual check or is too large for the track to subtract it
-    accurately (see :func:`_spectral_steady`), or when ``|A_0|`` exceeds
-    1e-12 of ``|C_0|``, each output interval ``h`` is one exact step
-    ``C <- Phi C Phi^H + Q`` of the Van Loan pair (:func:`_van_loan_pair`,
-    one pair for a uniform grid) and, for an anisotropic start,
-    ``A <- Phi A Phi^T``, each re-symmetrized after every step.
+    ``gamma0`` is the real initial covariance or its diagonal (as
+    :func:`~spincavity.model.initial_state` returns it).  In the
+    amplitudes ``dC/dt = H C + C H^H + D`` with diagonal ``D``, and the
+    anomalous ``A = T gamma T^T`` obeys ``dA/dt = H A + A H^T``.  From a
+    diagonal, isotropic (``A = 0``) start the track comes from the roots
+    and residues (:func:`_spectral_covariance`, :func:`_spectral_steady`).
+    Otherwise, or when the spectrum fails the gates of
+    :func:`evolve_mean`, or the steady state fails its check or its
+    ``residual`` exceeds ``_LYAPUNOV_RTOL`` of the largest noise entry
+    (near threshold ``C_inf + (C(t) - C_inf)`` cancels too many digits),
+    each output interval is one exact step ``C <- Phi C Phi^H + Q``, ``A
+    <- Phi A Phi^T`` of the Van Loan pair (:func:`_van_loan_pair`, one
+    for a uniform grid), counted in ``fallbacks``.
 
     ``reductions`` holds the track under the ``_TRACK_KEYS``, its first
-    row that of ``gamma0`` itself; the steady ``var_S_x_inf`` and
-    ``var_P_c_inf`` of :func:`steady_state_covariance` (Bartels-Stewart
-    adds a count to ``fallbacks``), NaN for an unstable model; and the
-    relaxation ratio ``R(t) = (Var_inf - Var(t)) / (Var_inf - Var(0))``
-    of the collective ``S_x`` variance.  ``R`` is NaN when the model is
-    unstable and when ``Var(0)`` equals ``Var_inf`` to ``_R_RTOL``
-    relative: a start at the steady variance leaves only rounding in
-    both the numerator and the denominator.  A stable model whose
-    steady state meets no residual bound raises :class:`NumericalError`,
-    as :func:`steady_state_covariance` does.  The real (T, dim, dim)
-    covariances are stored when ``store_full`` is true, by default for
-    dimension <= 64.
+    row that of ``gamma0``; the steady ``var_S_x_inf`` and
+    ``var_P_c_inf`` (Bartels-Stewart adds a count to ``fallbacks``), NaN
+    for an unstable model; and ``R(t) = (Var_inf - Var(t)) / (Var_inf -
+    Var(0))`` of the collective ``S_x`` variance, NaN when the model is
+    unstable or ``Var(0)`` equals ``Var_inf`` to ``_R_RTOL`` relative
+    (rounding over rounding).  A stable model whose steady state meets
+    no residual bound raises :class:`NumericalError`.  ``store_full``
+    (default: dimension <= 64) stores the real (T, dim, dim) matrices.
     """
     times = _validate_times(times)
     dim = model.dim
     gamma0 = np.asarray(gamma0, dtype=float)
-    if gamma0.shape != (dim, dim):
+    if gamma0.shape not in ((dim,), (dim, dim)):
         raise PreconditionError(
             f"covariance shape {gamma0.shape} does not match model dim {dim}"
         )
-    # row blocks of gamma0 and of its transpose, never a dim^2 temporary
-    blocks = list(_row_blocks(dim, dim))
-    scale = np.max([np.abs(gamma0[block]).max() for block in blocks])
-    skew = np.max(
-        [np.abs(gamma0[block] - gamma0[:, block].T).max() for block in blocks]
-    )
-    if scale > 0 and skew > 1e-12 * scale:
-        raise PreconditionError("initial covariance must be symmetric")
+    diagonal = gamma0 if gamma0.ndim == 1 else np.diagonal(gamma0)
+    if gamma0.ndim == 2:
+        # row blocks of gamma0 and of its transpose, never a dim^2 temporary
+        scale, skew, off = np.max([
+            (np.abs(gamma0[b]).max(), np.abs(gamma0[b] - gamma0[:, b].T).max(),
+             np.count_nonzero(gamma0[b]) - np.count_nonzero(diagonal[b]))
+            for b in _row_blocks(dim, dim)
+        ], axis=0)
+        if scale > 0 and skew > 1e-12 * scale:
+            raise PreconditionError("initial covariance must be symmetric")
+        diagonal = None if off else diagonal
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
-    if store_full is None:
-        store_full = dim <= 64
+    store_full = dim <= 64 if store_full is None else store_full
 
-    lam, vectors = _eigensystem(model)
-    steady = None if vectors is None else _spectral_steady(model, lam, *vectors)
+    steady = _spectral_steady(model)
     try:
-        amp_inf, dense = _steady_state(model, lam, steady)
+        steady_inf, dense = _steady_state(model, steady)
     except UnstableModelError:
         var_inf, dense = dict.fromkeys(_TRACK_KEYS, np.nan), False
     else:
-        var_inf = dict(zip(_TRACK_KEYS, _track(_sums(amp_inf))))
-    amp0, anomalous = _to_amplitudes(gamma0)
+        var_inf = dict(zip(_TRACK_KEYS, _track(steady_inf.sums)))
+    if diagonal is None:
+        _check_dense(model)
+        amp0, anomalous = _to_amplitudes(gamma0)
+    else:
+        amp0 = diagonal[0::2] + diagonal[1::2]
+        anomalous = diagonal[0::2] - diagonal[1::2]
+    start = _track(_sums(amp0), _sums(anomalous))
     isotropic = np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max()
     spectral = (
-        steady is not None and isotropic
+        steady is not None and diagonal is not None and isotropic
         and steady.residual <= _LYAPUNOV_RTOL * model.noise_diag.max()
     )
     if spectral:
-        track, covs = _spectral_covariance(
-            times, lam, *vectors, steady, amp0, store_full
-        )
+        track, covs = _spectral_covariance(model, times, steady, amp0, store_full)
     else:
+        _check_dense(model)
+        if diagonal is not None:
+            amp0, anomalous = np.diag(amp0 + 0j), np.diag(anomalous + 0j)
         track, covs = _van_loan_covariance(
             model, amp0, None if isotropic else anomalous, times, store_full
         )
-    track[0] = _track(_sums(amp0), _sums(anomalous))
+    track[0] = start
     if store_full:
-        covs[0] = gamma0
+        covs[0] = gamma0 if gamma0.ndim == 2 else np.diag(gamma0)
     reductions = dict(zip(_TRACK_KEYS, track.T))
     var_sx, var_sx_inf = reductions["var_S_x"], var_inf["var_S_x"]
     denom = var_sx_inf - var_sx[0]
-    if abs(denom) > _R_RTOL * abs(var_sx_inf):
-        ratio = (var_sx_inf - var_sx) / denom
-    else:
-        ratio = np.full(times.size, np.nan)
-    reductions.update(
-        var_S_x_inf=var_sx_inf, var_P_c_inf=var_inf["var_P_c"], R=ratio
-    )
-    return MomentSeries(
-        times=times, model=model, reductions=reductions, covariances=covs,
-        fallbacks=int(not spectral) + dense,
-    )
+    ratio = (var_sx_inf - var_sx) / denom if abs(denom) > _R_RTOL * abs(
+        var_sx_inf) else np.full(times.size, np.nan)
+    reductions.update(var_S_x_inf=var_sx_inf, var_P_c_inf=var_inf["var_P_c"], R=ratio)
+    return MomentSeries(times=times, model=model, reductions=reductions,
+                        covariances=covs, fallbacks=int(not spectral) + dense)
 
 
 def _van_loan_covariance(model, amp, anomalous, times, store_full) -> tuple:
@@ -405,33 +374,52 @@ def _van_loan_covariance(model, amp, anomalous, times, store_full) -> tuple:
     return _track(*sums), covs
 
 
-def _row_blocks(rows: int, cols: int):
-    """Row slices of a complex (rows x cols) array, each <= _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (16 * max(cols, 1)))
+def _row_blocks(rows: int, cols: int, chunk: int | None = None):
+    """Row slices of a complex (rows x cols) array, each <= ``chunk`` bytes
+    (``_CHUNK_BYTES`` by default)."""
+    step = max(1, (chunk or _CHUNK_BYTES) // (16 * max(cols, 1)))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
 
 
-def _growth_blocks(times: np.ndarray, lam: np.ndarray):
-    """Row blocks of the (T x K) ``e^{lambda_k t_j}`` in one reused :func:`_view`.
+def _cauchy(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The Cauchy matrix ``1 / (rows_i + cols_j)``, infinite where they cancel."""
+    out = np.add.outer(rows, cols)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.divide(1.0, out, out=out)
 
-    On a uniform grid (:func:`_uniform`) row ``j = a B + b`` is
-    ``e^{lambda t_aB} e^{lambda t_b}``, with ``B = ceil(sqrt(T))`` capped
-    at the rows of one block: about ``2 sqrt(T) K`` exponentials and one
-    product per entry, where ``np.exp`` takes ``T K`` exponentials.  The
-    arguments ``t_aB + t_b`` and ``t_j`` differ by rounding, so an entry
-    moves by a few ulps times ``1 + |lambda t_j|``.  Other grids take
-    ``np.exp`` of every entry.
+
+def _pole_sums(rows, cols, values, square=False) -> np.ndarray:
+    """``sum_j values_j / (rows_i + cols_j)`` (squared with ``square``),
+    for one vector of ``values`` or each of a stack, in row blocks."""
+    values = np.asarray(values)
+    out = np.empty(values.shape[:-1] + rows.shape, dtype=complex)
+    for block in _row_blocks(rows.size, cols.size):
+        cauchy = _cauchy(rows[block], cols)
+        if square:
+            cauchy *= cauchy
+        out[..., block] = values @ cauchy.T
+    return out
+
+
+def _growth_blocks(times: np.ndarray, lam: np.ndarray, chunk: int | None = None):
+    """Row blocks of the (T x K) ``e^{lambda_k t_j}``, each <= ``chunk`` bytes.
+
+    Each block is a view of one reused work array.  On a uniform grid
+    (:func:`_uniform`) row ``j = a B + b`` is ``e^{lambda t_aB} e^{lambda
+    t_b}``, ``B = ceil(sqrt(T))`` capped at a block: about ``2 sqrt(T) K``
+    exponentials, where other grids take ``T K``; an entry moves by a few
+    ulps times ``1 + |lambda t_j|``.
     """
     uniform = _uniform(times)
+    rows = min(times.size, max(1, (chunk or _CHUNK_BYTES) // (16 * lam.size)))
     if uniform:
-        size = min(math.isqrt(times.size - 1) + 1, _CHUNK_BYTES // (16 * lam.size))
-        size = max(size, 1)
+        size = min(math.isqrt(times.size - 1) + 1, rows)
         fine = np.exp(np.multiply.outer(times[:size], lam))
         last = -1
-    work = _work_arrays(lam.size)
-    for block in _row_blocks(times.size, lam.size):
-        growth = _view(work, 0, block.stop - block.start, lam.size)
+    work = np.empty((rows, lam.size), dtype=complex)
+    for block in _row_blocks(times.size, lam.size, chunk):
+        growth = work[: block.stop - block.start]
         if uniform:
             for a in range(block.start // size, (block.stop - 1) // size + 1):
                 if a != last:  # a coarse row can span two blocks
@@ -486,21 +474,17 @@ def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray) -> np.ndarray
 def _collective_seeds(shift: float, poles, weights, centre_seed) -> np.ndarray:
     """Seeds of the two roots of a mirrored problem not seeded at pole pairs.
 
-    ``poles`` holds the real centre pole ``d_0`` and then one member of
-    each mirrored pair; ``centre_seed`` is the weak-coupling seed of
-    ``d_0``.  They come from the 2 x 2 problem of the cavity and the
-    whole line on ``d_0``, ``(z + shift)(z + d_0) = W = sum_m w_m``.
-    When the full secular function has no real roots off the pole pairs
-    (:func:`_real_pair` decides for negative weights; positive ones
-    always leave some), this returns one seed: the 2 x 2 root with
-    positive imaginary part, which is then complex and stands for a
-    conjugate pair.  Otherwise it returns two real seeds: the 2 x 2 root
-    nearest ``-shift`` (the midpoint of the two if they are complex)
-    and, for the root next to ``d_0``, the other 2 x 2 root when the
-    line is strongly coupled, else ``centre_seed``.  On the real axis
-    ``F`` keeps the sign it has next to the pole from ``d_0`` out to
-    that root, so ``F`` at the geometric mean of the two candidates'
-    distances from ``d_0`` tells which one lies nearer.
+    ``poles`` holds the real centre pole ``d_0``, then one of each
+    mirrored pair; ``centre_seed`` is the weak-coupling seed of ``d_0``.
+    They come from ``(z + shift)(z + d_0) = sum_m w_m``.  With no real
+    roots off the pole pairs (:func:`_real_pair` decides for negative
+    weights; positive ones always leave some) this is one seed, the
+    2 x 2 root with positive imaginary part, for a conjugate pair.  Else
+    two real seeds: the 2 x 2 root nearest ``-shift`` (their midpoint if
+    complex) and, for the root next to ``d_0``, the other 2 x 2 root on a
+    strongly coupled line, else ``centre_seed``; ``F`` keeps its sign
+    from next to ``d_0`` out to that root, so ``F`` at the geometric mean
+    of the candidates' distances from ``d_0`` tells which lies nearer.
     """
     centre, w0 = poles[0].real, weights[0]
     mid, half = -(shift + centre) / 2.0, (shift - centre) / 2.0
@@ -534,18 +518,16 @@ def _odd_part(t: np.ndarray, halves: np.ndarray, weights: np.ndarray) -> np.ndar
 def _real_pair(level: float, halves: np.ndarray, weights: np.ndarray) -> bool:
     """Whether a mirrored problem with negative weights has real roots.
 
-    On the real axis the secular function is ``phi(t) + shift - d_0``
-    with ``phi`` of :func:`_odd_part`, odd in ``t = z + d_0`` and
-    positive for ``t > 0``, so it has real roots if and only if ``phi``
-    falls to ``level = |shift - d_0|`` somewhere on ``t > 0``, which needs
-    ``t <= level`` and ``-w_0 / t <= level``.  No term of ``phi``
+    On the real axis ``F = phi(t) + shift - d_0`` with ``phi`` of
+    :func:`_odd_part`, odd in ``t = z + d_0`` and positive for ``t > 0``,
+    so real roots need ``phi`` to fall to ``level = |shift - d_0|`` on
+    ``t > 0``, within ``-w_0 / level <= t <= level``.  No term of ``phi``
     changes by more than a factor ``r`` over a factor ``r`` in ``t``, so
-    on ``[a, r a]`` ``phi`` stays above ``sqrt(phi(a) phi(r a) / r)``.
-    A geometric ladder is refined where that bound still reaches
-    ``level`` until a sample does (real roots), none can (none), or
-    after 12 halvings or beyond 256 open intervals, where ``min phi``
-    lies within ~1e-4 of ``level`` or ``phi`` is very flat: the roots
-    are then nearly double, and taken as real.
+    on ``[a, r a]`` ``phi >= sqrt(phi(a) phi(r a) / r)``.  A geometric
+    ladder is refined where that bound still reaches ``level`` until a
+    sample does (real roots), none can (none), or after 12 halvings or
+    256 open intervals, where the roots are nearly double and taken as
+    real.
     """
     w0 = weights[0]
     if not (level > 0.0 and -w0 < level * level):
@@ -576,8 +558,8 @@ def _real_pair(level: float, halves: np.ndarray, weights: np.ndarray) -> bool:
 def _work_arrays(width: int) -> np.ndarray:
     """Two complex work arrays of ``_CHUNK_BYTES`` for :func:`_view`.
 
-    Every block array of the secular kernel and :func:`_growth_blocks`
-    lives in them: fresh arrays that large cost more to allocate than to fill.
+    Every block array of the secular kernel lives in them: fresh arrays
+    that large cost more to allocate than to fill.
     """
     return np.empty((2, max(_CHUNK_BYTES // 16, width)), dtype=complex)
 
@@ -590,14 +572,12 @@ def _view(work, index, count, columns, dtype=complex) -> np.ndarray:
 def _split_sums(z, shift, poles, weights, pairs, work) -> tuple:
     """Secular sums at ``z`` with the nearest pole, or pole pair, split off.
 
-    With ``F_k`` and ``S_k`` the sums over the other poles,
-    ``F = F_k - v / q``: ``q = e = z + d_k`` and ``v = w_k`` for an
-    unpaired pole, ``q = (y + iD)(y - iD)``, ``y = z + g`` and
-    ``v = 2 w_k y`` for the pair ``g +- iD``.  Returns
-    ``(F_k, F_k', S_k, q, v, q', v')``; the split-off factor stays finite
-    and uncancelled at the pole.  The poles are laid out as in
-    :func:`_aberth_roots`, and every (rows x poles) array lives in
-    ``work`` (:func:`_work_arrays`).
+    With ``F_k``, ``S_k`` the sums over the other poles, ``F = F_k - v /
+    q``: ``q = z + d_k``, ``v = w_k`` for an unpaired pole, ``q = (y +
+    iD)(y - iD)``, ``y = z + g``, ``v = 2 w_k y`` for the pair ``g +- iD``.
+    Returns ``(F_k, F_k', S_k, q, v, q', v')``, finite and uncancelled at
+    the pole; the poles are laid out as in :func:`_aberth_roots`, and
+    every (rows x poles) array lives in ``work`` (:func:`_work_arrays`).
     """
     single = poles.size - pairs
     lone_poles, lone_weights = poles[:single], weights[:single]
@@ -645,12 +625,9 @@ def _split_sums(z, shift, poles, weights, pairs, work) -> tuple:
 
 
 def _residue_pass(roots, poles, weights, pairs, work) -> np.ndarray:
-    """Residues ``1 / F'`` at ``roots``, in the split-off form of :func:`_split_sums`.
-
-    ``F' = F_k' + (v q' - v' q) / q^2``, so ``1 / F' = q^2 / (F_k' q^2 -
-    (v' q - v q'))``: O(M) per root, zero on a pole, and with no
-    cancellation next to one.
-    """
+    """Residues ``1 / F'`` at ``roots``, in the split-off form of :func:`_split_sums`:
+    ``1 / F' = q^2 / (F_k' q^2 - (v' q - v q'))``, O(M) per root, zero on
+    a pole, and with no cancellation next to one."""
     residues = np.empty(roots.size, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block in _row_blocks(roots.size, poles.size):
@@ -665,16 +642,14 @@ def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
     """Roots of ``z + shift - sum_m weights_m / (z + poles_m)`` from ``seeds``.
 
     The poles must be distinct and the weights nonzero; n poles give
-    n + 1 roots.  The last ``pairs`` poles each stand for themselves and
-    their conjugates, of equal weight; they must share the real part of
-    the last unpaired pole and have increasing, positive imaginary
-    parts.  The last ``root_pairs`` seeds likewise stand for conjugate
-    pairs, and with any pair the other seeds must be real.  Returns
-    ``(roots, residues)``: the unpaired roots, the paired ones and their
-    conjugates, and the residue ``1 / F'`` of each from one more pass
-    at the settled roots (:func:`_residue_pass`).  Returns ``None`` when
-    the iteration does not settle every root (see
-    :func:`arrowhead_eigenvalues`).
+    n + 1 roots.  The last ``pairs`` poles stand for themselves and their
+    conjugates, of equal weight, sharing the real part of the last
+    unpaired pole, with increasing positive imaginary parts; the last
+    ``root_pairs`` seeds likewise stand for conjugate pairs, and with any
+    pair the other seeds must be real.  Returns ``(roots, residues)``,
+    the residues ``1 / F'`` from one more pass at the settled roots
+    (:func:`_residue_pass`), or ``None`` when a root does not settle
+    (see :func:`arrowhead_eigenvalues`).
     """
     if poles.size == 0:
         return seeds.copy(), np.ones(seeds.size, dtype=complex)
@@ -754,77 +729,42 @@ def _nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     """Eigenvalues of the arrowhead matrix and the path that found them.
 
-    The M+1 eigenvalues are the roots of the secular function
-    ``F(lambda) = lambda + c - sum_m w_m / (lambda + d_m)`` with
-    ``c = kappa + i delta_cs``, ``w_m = p g_m^2 N_m`` and
-    ``d_m = gamma_perp + i Delta_m``; the matrix itself is never built
-    unless the dense fallback runs.
+    They are the roots of ``F(lambda) = lambda + c - sum_m w_m / (lambda
+    + d_m)``, ``c = kappa + i delta_cs``, ``w_m = p g_m^2 N_m``,
+    ``d_m = gamma_perp + i Delta_m``.  A decoupled sub-ensemble keeps
+    ``-d_m``, and k sub-ensembles on one pole keep k - 1 roots ``-d_m``
+    and enter ``F`` as one pole of summed weight (deflation; Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  The other
+    roots come from the Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
+    339 (1973); Bini & Robol, J. Comput. Appl. Math. 272, 276 (2014)) on
+    ``P = F prod_m (lambda + d_m)``, all roots at once from the seeds of
+    :func:`_seeds`, with the pole nearest each iterate split off
+    (:func:`_split_sums`) so ``P'/P`` stays finite and uncancelled there.
+    A root is frozen once its step is at most ``4 eps max(|lambda_i|,
+    |c|, max_m |d_m|)``; the absolute floor stops roots near the band
+    centre, which jitter at the rounding level of ``F``.  An iteration
+    costs O(M) per unfrozen root, in row blocks of ``_CHUNK_BYTES``.  One
+    more pass at the settled roots forms the residues ``1 / F'``
+    (:func:`_residue_pass`); those of the last step, taken before it,
+    would move the kicked field by up to 2e-12 of the kick.
 
-    Deflation (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
-    (1995)): a decoupled sub-ensemble (``w_m = 0``) keeps the eigenvalue
-    ``-d_m`` exactly, and k sub-ensembles sharing one pole keep k - 1
-    eigenvalues ``-d_m`` and enter ``F`` as one pole of summed weight.
-
-    The remaining roots come from the Aberth-Ehrlich iteration (Aberth,
-    Math. Comp. 27, 339 (1973); for secular equations Bini & Robol,
-    J. Comput. Appl. Math. 272, 276 (2014)) on the numerator
-    ``P(lambda) = F(lambda) prod_m (lambda + d_m)``, all roots updated at
-    once from the previous iterate:
-    ``lambda_i <- lambda_i - 1 / (F'/F + sum_m 1/(lambda_i + d_m)
-    - sum_{j != i} 1/(lambda_i - lambda_j))``.  The pole nearest each
-    iterate is split off: with ``e = lambda_i + d_k`` and ``F_k``,
-    ``S_k`` the sums over the other poles,
-    ``P'/P = (F_k' e + F_k) / (F_k e - w_k) + S_k``, which has no
-    cancellation near the pole and stays finite on it (the seed of a
-    far-tail sub-ensemble can round onto its pole).  The seeds are
-    the decoupled cavity root ``-c`` and the weak-coupling roots
-    ``-d_m + w_m / (c - d_m)``; a pole with ``d_m = c``, where that seed
-    is infinite, is seeded with the root of its 2 x 2 block
-    ``(lambda + c)(lambda + d_m) = w_m`` nearest ``-d_m``.  A root is
-    frozen once its step is at most
-    ``4 eps max(|lambda_i|, |c|, max_m |d_m|)``: the absolute floor stops
-    roots near the band centre, which jitter at the rounding level of
-    ``F`` and never meet a purely relative test.  Each iteration costs
-    O(M) per unfrozen root, with its (roots x M) work arrays cut into
-    row blocks of at most ``_CHUNK_BYTES`` (256 KiB) each.  Once every
-    root is frozen, one more pass at the final roots forms the residues
-    ``1 / F'(lambda_k)`` in the same split-off form, with no root sums
-    (:func:`_residue_pass`): the residues the kicked field and the
-    eigenvectors need, and the gate below.  The ``1 / F'`` of the last
-    step is taken before the step, which moves the kicked field by up to
-    2e-12 of the kick near threshold, so it is not reused.
-
-    Mirrored lines: when ``delta_cs = 0`` and the coupled poles and
-    their weights are mirror-symmetric about ``Delta = 0`` to the bit,
-    with an odd count (every grid of :func:`~spincavity.broadening.discretize`),
-    ``F`` is real on the real axis and the roots are real or come in
-    conjugate pairs.  The same iteration then runs on the real roots and
-    one member of each pair, with each mirrored pole pair and each
-    conjugate root pair summed in closed form
-    (``1/(y + iD) + 1/(y - iD) = 2y / (y^2 + D^2)``): half the rows and
-    half the columns, and a pole pair nearest an iterate is split off as
-    a whole.  The two roots not seeded at pole pairs come from the 2 x 2
-    problem of the cavity and the whole line on the centre pole
-    (:func:`_collective_seeds`).
-
-    Fallbacks, in order: a mirrored line whose folded iteration does not
-    settle takes the general iteration from the same seeds, and the
-    dense ``numpy.linalg.eigvals`` of :attr:`DriftModel.arrowhead`, within
-    the dense budget (:func:`_check_dense`), runs when that does not
-    settle either.  An iteration does not settle when
-    a step is not finite, when a root is still moving after
-    ``_ABERTH_MAX_ITER`` iterations, or when
-    ``sum_k 1 / |F'(lambda_k)|`` exceeds ``_RESIDUE_BOUND``: that sum
-    grows without bound as roots merge at an exceptional point, where
-    the roots are known only to about the square root of the rounding
-    error.  A dense ``LinAlgError`` raises :class:`NumericalError`.
-
-    Dense roots take the same residue pass.  Returns
-    ``(eigenvalues, fallback)``, ``fallback`` telling whether the
-    dense path ran.  The eigenvalues and their conjugates are the
-    spectrum of the real drift.  They are read-only: a model is solved
-    once, and every function of this module reads the same roots
-    (:func:`_spectrum`).
+    On a mirrored line (``delta_cs = 0``, coupled poles and weights
+    mirror-symmetric to the bit, an odd count: every
+    :func:`~spincavity.broadening.discretize` grid) the roots are real or
+    conjugate pairs, and the iteration runs on the real roots and one of
+    each pair, mirrored pole and root pairs summed in closed form
+    (``1/(y + iD) + 1/(y - iD) = 2y / (y^2 + D^2)``), seeded by
+    :func:`_collective_seeds`.  Fallbacks, in order: the general
+    iteration, then dense ``numpy.linalg.eigvals`` of
+    :attr:`DriftModel.arrowhead` within :func:`_check_dense` (a
+    ``LinAlgError`` raises :class:`NumericalError`).  An iteration fails
+    on a step that is not finite, a root still moving after
+    ``_ABERTH_MAX_ITER`` iterations, or ``sum_k 1 / |F'(lambda_k)|`` over
+    ``_RESIDUE_BOUND``: it grows without bound as roots merge at an
+    exceptional point, where they are known to about the square root of
+    the rounding error.  Returns ``(eigenvalues, fallback)``, whether the
+    dense path ran; with their conjugates the eigenvalues are the
+    spectrum of the real drift, read-only and found once per model.
     """
     spectrum = _spectrum(model)
     return spectrum.lam, spectrum.dense
@@ -834,10 +774,9 @@ def _roots(model: DriftModel) -> tuple:
     """Roots, their gated residues and whether dense ``eigvals`` found the roots.
 
     The residues ``r_k = 1 / F'(lambda_k)`` come from the secular solve,
-    or from :func:`_residue_pass` at the dense roots.  They are ``None``
-    when a pole was deflated (no closed-form eigenvector) or unless
-    ``sum_k |r_k| <= _RESIDUE_BOUND`` and ``|sum_k r_k - 1| <= 1e-10``
-    (see :func:`field_kick_response`), a gate that a NaN fails.
+    or from :func:`_residue_pass` at dense roots.  They are ``None`` when
+    a pole was deflated, or unless ``sum_k |r_k| <= _RESIDUE_BOUND`` and
+    ``|sum_k r_k - 1| <= 1e-10`` (see :func:`field_kick_response`).
     """
     poles, weights = _secular_terms(model)
     coupled = weights != 0.0
@@ -894,28 +833,19 @@ def _roots(model: DriftModel) -> tuple:
     return lam, residues if gated else None, dense
 
 
-@dataclass
-class _Spectrum:
-    """The arrowhead spectrum of one model, and what is built from it.
-
-    ``lam``, ``residues`` and ``dense`` are :func:`_roots` of the model;
-    the eigenvectors (:func:`_eigensystem`) are filled in on first use.
-    Every array is read-only.
-    """
+class _Spectrum(NamedTuple):
+    """The arrowhead spectrum of one model: :func:`_roots`, read-only."""
 
     lam: np.ndarray
     residues: np.ndarray | None
     dense: bool
-    vectors: tuple | None = None  # (right, left)
 
 
 def _spectrum(model: DriftModel) -> _Spectrum:
     """The model's spectrum, from one secular solve.
 
-    The last model's record is kept for as long as that model lives and
-    the gate constants stay as they were, so the abscissa, the kicked
-    field, the means, the covariance and the steady state of one model
-    share one solve.
+    The last model's record is kept while that model lives and the gate
+    constants stay as they were, so every path on one model shares it.
     """
     key = (_RESIDUE_BOUND, _ABERTH_MAX_ITER)
     if _MEMO and _MEMO[0]() is model and _MEMO[1] == key:
@@ -934,41 +864,6 @@ def _forget(ref):
         _MEMO.clear()
 
 
-def _eigensystem(model: DriftModel) -> tuple:
-    """Arrowhead eigenvalues and, where they pass the gates, eigenvectors.
-
-    With ``b_m = H_0m``, ``c_m = H_m0`` and ``d_m = -H_mm`` the right
-    and left eigenvectors of the root ``lambda_k`` have the closed form
-    ``v_k = (1, c_m / (lambda_k + d_m))`` and
-    ``u_k = (1, b_m / (lambda_k + d_m)) r_k`` with the residue
-    ``r_k = 1 / F'(lambda_k)``, normalized to ``u_k v_k = 1`` because
-    ``b_m c_m = p g_m^2 N_m`` (Gu & Eisenstat 1995); building them costs
-    O(M^2) and no dense ``eig``.  Returns ``(lam, vectors)`` with
-    ``vectors = (right, left)``, the ``v_k`` as the columns of ``right``
-    and the ``u_k`` as the rows of ``left = right^{-1}``.  ``vectors`` is
-    ``None`` when the roots came from dense ``eigvals``, or when a pole
-    was deflated (its eigenvector is not of this form) or the residues
-    fail their gate (:func:`_roots`), whose ``sum_k r_k = 1`` is
-    ``(right left)_00 = 1``.  The model is first checked against the
-    dense budget (:func:`_check_dense`).
-    """
-    _check_dense(model)
-    spectrum = _spectrum(model)
-    residues = spectrum.residues
-    if spectrum.vectors is None and not spectrum.dense and residues is not None:
-        lam, poles = spectrum.lam, _secular_terms(model)[0]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cauchy = 1.0 / (lam + poles[:, None])  # 1 / (lambda_k + d_m)
-        if np.all(np.isfinite(cauchy)):
-            _, row, col = model._arrowhead_border()
-            right = np.vstack([np.ones(lam.size), col[:, None] * cauchy])
-            left = np.hstack([np.ones((lam.size, 1)), cauchy.T * row])
-            spectrum.vectors = (right, left * residues[:, None])
-            for array in spectrum.vectors:
-                array.flags.writeable = False
-    return spectrum.lam, spectrum.vectors
-
-
 def spectral_abscissa(model: DriftModel) -> float:
     """Largest real part over the drift-matrix spectrum."""
     return float(arrowhead_eigenvalues(model)[0].real.max())
@@ -977,34 +872,18 @@ def spectral_abscissa(model: DriftModel) -> float:
 def field_kick_response(model: DriftModel, times) -> tuple:
     """Kicked cavity field ``a(t) / a(0)`` from the arrowhead spectrum.
 
-    After a field kick (``a(0) != 0``, every ``s_m(0) = 0``) the field
-    is ``a(t) / a(0) = [e^{H t}]_00 = sum_k r_k e^{lambda_k t}``, the
-    partial-fraction expansion of ``1 / F``, with the roots ``lambda_k``
-    of :func:`arrowhead_eigenvalues` and the residues
-    ``r_k = 1 / F'(lambda_k)`` that the secular solve leaves with them
-    (gated in :func:`_roots`).  The cost is the O(M^2) solve, then about
-    ``2 sqrt(T) K`` exponentials and ``T K`` products for ``e^{lambda_k
-    t_j}`` on a uniform grid (:func:`_growth_blocks`; ``T K``
-    exponentials on any other) and one (T x K) product with the
-    residues, with no eigenvectors and no time stepping.  The
-    exponentials fill row blocks of one reused work array of
-    ``_CHUNK_BYTES`` (:func:`_work_arrays`).
-
-    The residues add up to 1, the response at ``t = 0``, from terms as
-    large as ``|r_k|``.  Near an exceptional point two roots merge, their
-    residues blow up with opposite signs, and a backward-stable solver
-    leaves an error in the field that grows like
-    ``eps * (sum_k |r_k|)^2`` (1e-13, 1e-12 and 2e-10 of the kick at
-    ``sum_k |r_k|`` = 22, 70 and 700 next to the homogeneous double
-    root).  So the expansion is used only while ``sum_k |r_k| <= 100``
-    (an error near 2e-12) and ``sum_k r_k = 1`` holds to 1e-10.
-    Otherwise, or with a non-finite residue or a deflated pole (a
-    sub-ensemble decoupled at ``g_m = 0``, or two sharing one detuning),
-    the field is propagated with :func:`evolve_mean` from the kicked
-    state.
-
-    Returns ``(response, fallback)``: the complex response on
-    ``times`` and whether the :func:`evolve_mean` path was taken.
+    After a field kick ``a(t) / a(0) = [e^{H t}]_00 = sum_k r_k
+    e^{lambda_k t}``, the partial fractions of ``1 / F``
+    (:func:`arrowhead_eigenvalues`), with ``e^{lambda_k t}`` from
+    :func:`_growth_blocks`.  The residues add up to 1 from terms as
+    large as ``|r_k|``: near an exceptional point they blow up with
+    opposite signs and leave an error near ``eps (sum_k |r_k|)^2`` (1e-13,
+    1e-12 and 2e-10 of the kick at ``sum_k |r_k|`` = 22, 70 and 700 next
+    to the homogeneous double root).  So the expansion is used only
+    while the residues pass their gate (:func:`_roots`: ``sum_k |r_k| <=
+    100``, and ``sum_k r_k = 1`` to 1e-10) and no pole was deflated;
+    otherwise the field is propagated with :func:`evolve_mean`.  Returns
+    ``(response, fallback)``, ``fallback`` telling whether it was.
     """
     times = _validate_times(times)
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
@@ -1059,153 +938,264 @@ def _noise(model: DriftModel) -> np.ndarray:
     return model.noise_diag[0::2] + model.noise_diag[1::2]
 
 
-class _Steady(NamedTuple):
-    """Steady covariance from the eigen-system (:func:`_spectral_steady`)."""
-
-    tilde: np.ndarray  # in the eigenbasis
-    amp: np.ndarray  # in the amplitudes
-    residual: float  # largest Lyapunov residual entry or its rounding, unscaled
-
-
-def _spectral_steady(model: DriftModel, lam, right, left) -> _Steady | None:
-    """Steady covariance in the eigenbasis and in amplitudes, or ``None``.
-
-    ``C~_kl = -D~_kl / (lambda_k + conj(lambda_l))`` with
-    ``D~ = left D left^H`` and ``C = right C~ right^H``; ``None`` when
-    ``C`` fails :func:`_lyapunov_check`.
-
-    :func:`evolve_covariance` also needs ``residual`` within
-    ``_LYAPUNOV_RTOL`` of the largest noise entry.  Rounding leaves a
-    residual near ``eps ||H|| ||C_inf||``, so this holds while ``C_inf``
-    is at most ~10^5 times ``||D|| / ||H||``; beyond, near threshold,
-    ``C(t) = C_inf + (C(t) - C_inf)`` cancels too many digits and it
-    takes Van Loan steps instead.  Along the slow mode the measured
-    residual can fall far below that rounding level (1e-13 of the noise
-    at N = 1e5 and C = 1 - 1e-9, where the track still loses 7e-8), so
-    ``residual`` is the larger of the two, in balanced units
-    (:func:`_balance`) scaled to the largest noise entry.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tilde = -((left * _noise(model)) @ left.conj().T) / (lam[:, None] + lam.conj())
-        amp = right @ tilde @ right.conj().T
-        amp = (amp + amp.conj().T) / 2.0
-        residual, worst, bound = _lyapunov_check(model, amp)
-        # the real residual holds the halved real and imaginary parts
-        unscaled = max(np.abs(residual.real).max(), np.abs(residual.imag).max()) / 2.0
-    if not worst <= bound:
-        return None
-    # bound / _LYAPUNOV_RTOL is ||H|| ||C|| + ||D||, balanced
-    floor = np.abs(_balance(model) ** 2 * _noise(model)).max()
-    rounding = np.finfo(float).eps * (bound / _LYAPUNOV_RTOL - floor) / floor
-    return _Steady(tilde, amp, max(float(unscaled), rounding * model.noise_diag.max()))
-
-
 def _balance(model: DriftModel) -> np.ndarray:
-    """Amplitude scales: 1 for the field, ``1 / sqrt(N_m)`` for the spins.
-
-    Unscaled, the couplings span ``sqrt(N)`` to ``1 / sqrt(N)`` and the
-    variances ``1`` to ``N``; scaled, both are of order one.
-    """
+    """Amplitude scales, 1 for the field and ``1 / sqrt(N_m)`` for the spins,
+    that bring couplings (``sqrt(N)`` to ``1 / sqrt(N)``) and variances
+    (``1`` to ``N``) to order one."""
     spins = model.grid.spins
     return np.concatenate(([1.0], 1.0 / np.sqrt(np.where(spins > 0.0, spins, 1.0))))
 
 
-def _lyapunov_check(model: DriftModel, amp: np.ndarray) -> tuple:
+class _Steady(NamedTuple):
+    """A steady amplitude covariance ``C`` that passed :func:`_lyapunov_check`."""
+
+    sums: np.ndarray  # _sums of C, as the track adds them
+    residual: float  # largest residual part or its rounding level, unscaled
+    field: np.ndarray  # the field row C[0]
+    rows: Callable  # a slice of spin rows -> those rows of C
+
+    def matrix(self) -> np.ndarray:
+        """The dense ``C``."""
+        return np.vstack([self.field, self.rows(slice(0, self.field.size - 1))])
+
+
+def _folding(model: DriftModel, start=None) -> tuple:
+    """``(rows, rho)``: row blocks of ``C~_inf``, or of ``C~_0 - C~_inf``.
+
+    ``C~_inf,kl = -D~_kl / (lambda_k + conj(lambda_l))``, ``D~ = left D
+    left^H``, ``C~_0 = left C_0 left^H`` for the amplitude diagonal
+    ``start``.  As ``u_k = r_k (1, b_m / (lambda_k + d_m))`` and the poles
+    share one real part, partial fractions fold ``left X left^H`` for a
+    diagonal ``X`` into ``r_k conj(r_l) [X_0 + (s_k + conj(s_l)) / (y_k +
+    conj(y_l))]``, ``y = lambda + gamma_perp``, ``s = sum_m X_m |b_m|^2 /
+    (lambda + d_m)``: O(1) per entry after one O(M^2) pass, which also
+    gives the spin sums ``rho_k = sum_m c_m / (lambda_k + d_m)`` of
+    ``v_k``.  On the diagonal every term of ``s_k + conj(s_k)`` carries
+    the ``Re y_k`` of the denominator, so the fold stays accurate however
+    small it is; a pair mirrored about the line of poles (``|y_k +
+    conj(y_l)|`` below 2^-20 of the spectral scale, or ``Re y_k = 0``) is
+    summed directly.
+    """
+    spectrum = _spectrum(model)
+    lam, residues = spectrum.lam, spectrum.residues
+    poles = _secular_terms(model)[0]
+    _, row, col = model._arrowhead_border()
+    noise = _noise(model)
+    values = np.array([noise[1:]] + ([] if start is None else [start[1:]]))
+    values *= np.abs(row) ** 2
+    *sums, rho = _pole_sums(lam, poles, np.vstack([values, col]))
+    shifted = lam + model.params.gamma_perp
+    near = 2.0**-20 * (np.abs(shifted).max() + np.abs(poles.imag).max())
+
+    def rows(block):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pair = np.add.outer(shifted[block], shifted.conj())
+            lyapunov = np.add.outer(lam[block], lam.conj())
+            k, l = np.nonzero(np.abs(pair) < near)  # the mirrored pairs
+            keep = (k + block.start != l) | (shifted.real[l] == 0.0)
+            k, l = k[keep], l[keep]
+            out = np.add.outer(sums[0][block], sums[0].conj()) + noise[0] * pair
+            if start is not None:
+                out += np.add.outer(sums[1][block], sums[1].conj()) * lyapunov
+            out /= np.multiply(pair, lyapunov, out=pair)
+            direct = _cauchy(lam[block][k], poles) * _cauchy(lam[l], poles).conj()
+            direct = values @ direct.T
+            out[k, l] = (noise[0] + direct[0]) / lyapunov[k, l]
+            if start is not None:
+                out[k, l] += direct[1]
+                out += start[0]
+            sign = 1.0 if start is not None else -1.0
+            out *= np.multiply.outer(sign * residues[block], residues.conj())
+        return out
+
+    return rows, rho
+
+
+def _spectral_steady(model: DriftModel) -> _Steady | None:
+    """Steady covariance from the roots and residues, or ``None``.
+
+    Row blocks of ``C~_inf`` (:func:`_folding`) give ``f = 1^T C~_inf``
+    and ``rho^T C~_inf conj(rho)``.  ``C = right C~_inf right^H`` is
+    never multiplied out: ``C_00 = sum_l f_l``, ``C_0n = conj(c_n)
+    sum_l f_l / (conj(lambda_l) + conj(d_n))``, and the Lyapunov equation
+    gives the spin block, ``C_mn = (c_m C_0n + C_m0 conj(c_n) + D_m
+    delta_mn) / (d_m + conj(d_n))``.  At ``gamma_perp = 0`` the
+    denominator and ``D_m`` vanish on the diagonal; there, as the
+    residues of ``1 / ((lambda + d_m)(lambda + conj(lambda_l)) F)`` sum
+    to zero, ``C_mm = -D_0 |c_m|^2 sum_l conj(r_l) / ((conj(lambda_l) -
+    d_m)^2 F(-conj(lambda_l)))``.  ``None`` unless the spectrum passes
+    the gates of :func:`evolve_mean`, ``C`` passes
+    :func:`_lyapunov_check`, and the sums of ``C`` the track adds
+    (:func:`_sums`) match ``1^T C~_inf 1``, ``rho^T C~_inf conj(rho)``
+    and ``f conj(rho)`` within its bound, carried to each sum by
+    :func:`_balance`.  ``residual`` is the larger of the measured one
+    and its rounding level ``eps ||H|| ||C_inf||``, which near threshold
+    the measured one can fall far below (1e-13 of the noise at N = 1e5,
+    C = 1 - 1e-9, where the track loses 7e-8).
+    """
+    spectrum = _spectrum(model)
+    if spectrum.dense or spectrum.residues is None:
+        return None
+    lam, residues = spectrum.lam, spectrum.residues
+    poles, weights = _secular_terms(model)
+    _, _, col = model._arrowhead_border()
+    noise, scale = _noise(model), _balance(model)
+    undamped = model.params.gamma_perp == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tilde_rows, rho = _folding(model)
+        total, spins = np.zeros(lam.size, dtype=complex), 0.0
+        for block in _row_blocks(lam.size, lam.size):
+            tilde = tilde_rows(block)
+            total += tilde.sum(axis=0)
+            spins += rho[block] @ (tilde @ rho.conj())
+        field = np.concatenate([
+            [total.sum().real], (col * _pole_sums(poles, lam, total.conj())).conj()
+        ])
+        if undamped:
+            at = -lam.conj()
+            shift = complex(model.params.kappa, model.params.delta_cs)
+            own = residues.conj() / (at + shift - _pole_sums(at, poles, weights))
+            own = -noise[0] * np.abs(col) ** 2 * _pole_sums(-poles, -at, own, True)
+
+        def rows(block):
+            """Spin rows ``block`` of ``C``, from its field row."""
+            out = np.empty((block.stop - block.start, field.size), dtype=complex)
+            out[:, 0] = field[1:][block].conj()
+            num = np.multiply.outer(col[block], field[1:])
+            num += np.multiply.outer(out[:, 0], col.conj())
+            den = np.add.outer(poles[block], poles.conj())
+            diagonal = np.arange(num.shape[0]), np.arange(block.start, block.stop)
+            num[diagonal] += noise[1:][block]
+            if undamped:
+                num[diagonal], den[diagonal] = own[block].real, 1.0
+            np.divide(num, den, out=out[:, 1:])
+            return out
+
+        worst, bound, unscaled, sums = _lyapunov_check(model, field, rows)
+        folded = [field[0].real, spins.real, (total @ rho.conj()).imag]
+    spread = (1.0 / scale[1:]).sum()
+    if not (worst <= bound and np.all(
+        np.abs(sums - folded) <= bound * np.array([1.0, spread**2, spread])
+    )):
+        return None
+    # bound / _LYAPUNOV_RTOL is ||H|| ||C|| + ||D||, balanced
+    floor = np.abs(scale**2 * noise).max()
+    rounding = np.finfo(float).eps * (bound / _LYAPUNOV_RTOL - floor) / floor
+    residual = max(unscaled / 2.0, rounding * model.noise_diag.max())
+    return _Steady(sums, residual, field, rows)
+
+
+def _lyapunov_check(model: DriftModel, field, rows, out=None) -> tuple:
     """Residual ``R = H C + C H^H + D`` of a steady ``C``, in O(M^2).
 
-    Returns ``(R, worst, bound)``: the largest entry of ``R`` and the
-    backward-stable bound ``_LYAPUNOV_RTOL (||H|| ||C|| + ||D||)`` (the
-    infinity norm of ``H``, the largest entries of ``C`` and ``D``), all
-    in the balanced coordinates of :func:`_balance`.  ``C`` passes when
-    ``worst <= bound``.  Near threshold ``C`` grows as ``1 / (1 - C)``
-    and the rounding of ``H C`` with it: a bound on ``D`` alone fails
-    every solver there.
+    ``C`` is its field row ``field`` and ``rows(slice)`` of spin rows;
+    every entry of ``R`` is formed, a row block at a time, into ``out``
+    when given.  Returns the largest entry of ``R`` and the bound
+    ``_LYAPUNOV_RTOL (||H|| ||C|| + ||D||)`` (infinity norm, largest
+    entries), both balanced (:func:`_balance`); the largest part of ``R``,
+    unscaled; and :func:`_sums` of ``C``.  ``C`` passes when the first is
+    at most the second: near threshold ``C`` and the rounding of ``H C``
+    grow as ``1 / (1 - C)``, and a bound on ``D`` alone fails there.
     """
     noise = _noise(model)
     diag, row, col = model._arrowhead_border()
     scale = _balance(model)
-    scales = np.outer(scale, scale)
     # infinity norm of the balanced arrowhead, scale H / scale
-    norm = max(
-        abs(diag[0]) + np.abs(row / scale[1:]).sum(),
-        (np.abs(diag[1:]) + np.abs(col * scale[1:])).max(),
-    )
-    product = diag[:, None] * amp  # H C
-    product[0] += row @ amp[1:]
-    product[1:] += col[:, None] * amp[0]
-    residual = product + product.conj().T + np.diag(noise)
-    worst = np.abs(scales * residual).max()
-    bound = _LYAPUNOV_RTOL * (
-        norm * np.abs(scales * amp).max() + np.abs(scale**2 * noise).max()
-    )
-    return residual, worst, bound
+    norm = max(abs(diag[0]) + np.abs(row / scale[1:]).sum(),
+               (np.abs(diag[1:]) + np.abs(col * scale[1:])).max())
+
+    def sizes(at, residual, amp):
+        """Balanced largest entries of ``R`` and ``C``, and unscaled ``R``."""
+        balance = np.multiply.outer(scale[at], scale)
+        return (np.abs(balance * residual).max(), np.abs(balance * amp).max(),
+                np.abs(residual.view(float)).max())
+
+    top = diag[0] * field  # the field row of H C, less the spin rows' part
+    stats, spins = [], 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block in _row_blocks(diag.size - 1, diag.size):
+            amp, at = rows(block), np.arange(block.start, block.stop) + 1
+            top += row[block] @ amp
+            residual = diag[at, None] * amp + np.multiply.outer(col[block], field)
+            residual[:, 0] += amp[:, 0] * diag[0].conj() + amp[:, 1:] @ row.conj()
+            residual[:, 1:] += np.multiply.outer(amp[:, 0], col.conj())
+            residual[:, 1:] += amp[:, 1:] * diag[1:].conj()
+            residual[at - at[0], at] += noise[at]
+            stats.append(sizes(at, residual, amp))
+            spins += amp[:, 1:].sum().real
+            if out is not None:
+                out[at] = residual
+        top[0] += field[0] * diag[0].conj() + field[1:] @ row.conj() + noise[0]
+        top[1:] += field[0] * col.conj() + field[1:] * diag[1:].conj()
+        stats.append(sizes([0], top[None], field[None]))
+    if out is not None:
+        out[0] = top
+    worst, peak, unscaled = np.max(stats, axis=0)
+    bound = _LYAPUNOV_RTOL * (norm * peak + np.abs(scale**2 * noise).max())
+    sums = np.array([field[0].real, spins, field[1:].sum().imag])
+    return worst, bound, unscaled, sums
 
 
-def _spectral_covariance(times, lam, right, left, steady, amp0, store_full):
-    """Variance track, and optionally the matrices, from the eigen-system.
+def _spectral_covariance(model, times, steady, amp0, store_full) -> tuple:
+    """Variance track, and optionally the matrices, from the roots and residues.
 
-    ``C(t) = C_inf + right e^{Lambda t} (C~_0 - C~_inf) e^{Lambda^H t}
-    right^H`` with ``C~_0 = left C_0 left^H``.  The track needs only
-    ``C_00``, ``1^T C_ss 1`` and ``C_0s 1``, the forms ``x C~ y^H`` of
-    the field row ``x`` of ``right`` and the sum ``y`` of its spin rows;
-    on a block of output times each is one (times x K)(K x K) product
-    with ``e^{lambda_k t}`` (:func:`_growth_blocks`) folded into the
-    rows, so any grid costs about the same.  ``C_inf`` enters through
-    :func:`_sums`, as in the steady values of :func:`evolve_covariance`,
-    so ``R(t)`` subtracts one rounding of it.
+    ``C(t) = C_inf + right e^{Lambda t} diff e^{Lambda^H t} right^H`` with
+    ``diff = C~_0 - C~_inf`` (:func:`_folding`).  The track needs
+    ``C_00``, ``1^T C_ss 1`` and ``C_0s 1``: the forms ``x diff y^H`` of
+    ``x = e^{lambda t}`` and ``y = rho e^{lambda t}``, one (T x K)(K x
+    rows) product per row block of ``diff`` for all three, over blocks of
+    times up to ``_DENSE_BYTE_BUDGET``.  ``C_inf`` enters through
+    ``steady.sums``, as in the steady values.
     """
-    tilde_inf, amp_inf = steady.tilde, steady.amp
-    diff = left @ amp0 @ left.conj().T - tilde_inf
-    field, spins = right[0], right[1:].sum(axis=0)
-    forms = np.empty((times.size, 3), dtype=complex)
-    for block, growth in _growth_blocks(times, lam):
-        x, y = growth * field, growth * spins
-        xd = x @ diff
-        forms[block, 0] = (xd * x.conj()).sum(axis=1)
-        forms[block, 1] = ((y @ diff) * y.conj()).sum(axis=1)
-        forms[block, 2] = (xd * y.conj()).sum(axis=1)
+    lam = _spectrum(model).lam
+    diff, rho = _folding(model, amp0)
+    forms = np.zeros((times.size, 3), dtype=complex)
+    for block, growth in _growth_blocks(times, lam, _DENSE_BYTE_BUDGET):
+        back = growth.conj()
+        for rows in _row_blocks(lam.size, lam.size):
+            part = diff(rows)
+            count = part.shape[0]
+            product = back @ np.concatenate([part, part * rho.conj()]).T
+            x = growth[:, rows]
+            forms[block, 0] += (x * product[:, :count]).sum(axis=1)
+            forms[block, 1] += (x * rho[rows] * product[:, count:]).sum(axis=1)
+            forms[block, 2] += (x * product[:, count:]).sum(axis=1)
     covs = None
     if store_full:
+        poles, (_, _, col) = _secular_terms(model)[0], model._arrowhead_border()
+        right = np.vstack([np.ones(lam.size), col[:, None] * _cauchy(poles, lam)])
+        full, amp_inf = diff(slice(0, lam.size)), steady.matrix()
         covs = np.empty((times.size, 2 * lam.size, 2 * lam.size))
         for k, t in enumerate(times):
             grown = right * np.exp(lam * t)
-            covs[k] = _from_amplitudes(amp_inf + grown @ diff @ grown.conj().T)
-    sums = np.column_stack([forms.real[:, :2], forms.imag[:, 2]]) + _sums(amp_inf)
+            covs[k] = _from_amplitudes(amp_inf + grown @ full @ grown.conj().T)
+    sums = np.column_stack([forms.real[:, :2], forms.imag[:, 2]]) + steady.sums
     return _track(sums), covs
 
 
 def steady_state_covariance(model: DriftModel) -> np.ndarray:
-    """Solve the algebraic Lyapunov equation of the model.
+    """Solve the algebraic Lyapunov equation of a stable model.
 
-    Requires a strictly stable drift (spectral abscissa < 0).  The steady
-    ``C_inf = right C~_inf right^H`` comes from the eigen-system (see
-    :func:`evolve_covariance`) and must pass :func:`_lyapunov_check`.
-    When the eigenvectors fail their gates or the check fails,
-    ``H C + C H^H + D = 0`` is solved by Bartels-Stewart
+    ``C_inf`` comes from the roots and residues, checked entry by entry
+    in O(M^2) (:func:`_spectral_steady`), or else from Bartels-Stewart
     (:func:`scipy.linalg.solve_continuous_lyapunov`) on the balanced
-    ``H``, made Hermitian and checked the same way, with one refinement
-    pass before giving up.  Returns the real ``gamma``.
+    ``H`` within :func:`_check_dense`, made Hermitian and checked the
+    same way, with one refinement pass.  Returns the real ``gamma``.
     """
-    return _from_amplitudes(_steady_state(model)[0])
+    return _from_amplitudes(_steady_state(model, _spectral_steady(model))[0].matrix())
 
 
-def _steady_state(model: DriftModel, lam=None, steady=None) -> tuple:
-    """Steady ``C`` and whether Bartels-Stewart produced it.
-
-    ``lam`` and ``steady`` (:func:`_spectral_steady`) are found when not given.
-    """
-    if lam is None:
-        lam, vectors = _eigensystem(model)
-        if vectors is not None and lam.real.max() < 0.0:
-            steady = _spectral_steady(model, lam, *vectors)
-    abscissa = float(lam.real.max())
+def _steady_state(model: DriftModel, steady: _Steady | None) -> tuple:
+    """``steady``, or else the Bartels-Stewart steady state, and whether it ran."""
+    abscissa = spectral_abscissa(model)
     if abscissa >= 0.0:
         raise UnstableModelError(
             "no steady state: spectral abscissa "
             f"{abscissa:.3e} >= 0 (second moments diverge)"
         )
     if steady is not None:
-        return steady.amp, False
+        return steady, False
+    _check_dense(model)
     # solved with the spin amplitudes scaled by 1 / sqrt(N_m): unscaled,
     # the couplings span sqrt(N) to 1 / sqrt(N), and at N = 1e11 the
     # solver returns a negative field variance that passes the residual
@@ -1221,10 +1211,12 @@ def _steady_state(model: DriftModel, lam=None, steady=None) -> tuple:
         return (amp + amp.conj().T) / (2.0 * scales)
 
     amp = solve(np.diag(_noise(model)))
+    residual = np.empty_like(amp)
     for refine in (True, False):
-        residual, worst, bound = _lyapunov_check(model, amp)
+        rows = lambda block, amp=amp: amp[1 + block.start: 1 + block.stop]  # noqa: E731
+        worst, bound, unscaled, sums = _lyapunov_check(model, amp[0], rows, residual)
         if worst <= bound:
-            return amp, True
+            return _Steady(sums, unscaled / 2.0, amp[0], rows), True
         if refine:
             amp = amp + solve(residual)
     raise NumericalError(

@@ -240,14 +240,15 @@ def initial_state(
     alpha: float = 0.0,
     theta: float = 0.0,
 ):
-    """Mean vector and covariance for the supported preparations.
+    """Mean vector and covariance diagonal for the supported preparations.
 
     ``field-kick``: coherent field displacement, ``X_c = sqrt(2) alpha``.
     ``tilted-spin``: each sub-ensemble tipped by the small angle theta,
     ``S_x^(m) = theta N_m``.
     ``vacuum``: zero means.
     All three share the coherent/vacuum covariance
-    ``diag(1, 1, 2 N_1, 2 N_1, ..., 2 N_M, 2 N_M)``.
+    ``diag(1, 1, 2 N_1, 2 N_1, ..., 2 N_M, 2 N_M)``, returned as its
+    diagonal (``np.diag`` of it is the matrix).
     """
     try:
         kind = InitialStateKind(kind)
@@ -264,4 +265,4 @@ def initial_state(
     gamma0 = np.zeros(dim)
     gamma0[0] = gamma0[1] = 1.0
     gamma0[ix] = gamma0[ix + 1] = 2.0 * grid.spins
-    return y0, np.diag(gamma0)
+    return y0, gamma0

@@ -140,13 +140,17 @@ ADDED_KEYS = {
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path in paths:
-            assert run_cli(LOR_DECAY + ["--out", path]) == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        first = (tmp_path / "a.csv.manifest.json").read_bytes()
-        second = (tmp_path / "b.csv.manifest.json").read_bytes()
-        assert first == second
+        # a Lorentzian decay and a Gaussian moments run (the roots,
+        # residues, folded steady state and variance track)
+        gaussian_moments = SMALL["moments"][:-4] + ["--t-max", "6", "--t-samples", "61"]
+        for name, argv in [("decay", LOR_DECAY), ("moments", gaussian_moments)]:
+            paths = [tmp_path / f"{name}-a.csv", tmp_path / f"{name}-b.csv"]
+            for path in paths:
+                assert run_cli(argv + ["--out", path]) == 0
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+            first = (tmp_path / f"{name}-a.csv.manifest.json").read_bytes()
+            second = (tmp_path / f"{name}-b.csv.manifest.json").read_bytes()
+            assert first == second
 
 
     def test_decay_and_sweep_ignore_the_blas_thread_count(self, tmp_path):
@@ -358,7 +362,7 @@ class TestMoments:
         model = build_drift_matrix(params, grid, 1)
         _, gamma0 = initial_state("tilted-spin", grid, theta=manifest["theta"])
         times = table[:, columns.index("t")]
-        gammas = dp45_covariance(model.drift, model.noise_diag, gamma0, times)
+        gammas = dp45_covariance(model.drift, model.noise_diag, np.diag(gamma0), times)
         ix = 2 + 2 * np.arange(grid.size)
         var_sx = gammas[:, ix][:, :, ix].sum(axis=(1, 2)) / 2.0
         var_sx_inf = lyapunov_oracle(model)[np.ix_(ix, ix)].sum() / 2.0
@@ -1082,37 +1086,56 @@ class TestExitCodes:
         assert run_cli(SMALL["pole"] + ["--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write --out")
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--gamma-perp", "0.2"],
+        ["stability-sweep", "--gamma-perp", "0"],
+    ], ids=["moments", "stability-sweep"])
     def test_oversized_grid_names_the_budget(self, tmp_path, capsys,
-                                             monkeypatch):
+                                             monkeypatch, argv):
         # the budget bounds one dense (M+1)^2 complex array; every M that
-        # builds one in the tests, scripts and benchmark fits it
+        # builds one in the tests, scripts and benchmark fits it.  Both
+        # experiments build one only when dense eigvals takes over
         limit = math.isqrt(dynamics._DENSE_BYTE_BUDGET // 16) - 1
         assert limit >= 801
         m = limit + 2
-        size = 2 * m + 2
+        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 0)
         tracemalloc.start()
         try:
-            code = run_cli([
-                "moments", "--family", "gaussian", "--normalize-gamma",
-                "--gamma-perp", "0.2", "--m", m, "--out", tmp_path / "x.csv",
+            code = run_cli(argv + [
+                "--family", "gaussian", "--normalize-gamma", "--m", m,
+                "--out", tmp_path / "x.csv",
             ])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2
         assert "16 MiB budget" in capsys.readouterr().err
-        # refused before the eigenvectors: nothing as large as one
-        # (M+1)^2 complex array joins the dense initial covariance
-        assert peak < 8 * size**2 + 16 * (m + 1) ** 2
-        # the sweep builds one only when dense eigvals takes over
-        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 0)
-        code = run_cli([
-            "stability-sweep", "--family", "gaussian", "--normalize-gamma",
-            "--gamma-perp", "0", "--m", m, "--out", tmp_path / "x.csv",
-        ])
-        assert code == 2
-        assert "16 MiB budget" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+        # refused before the dense fallback: nothing as large as one
+        # (M+1)^2 complex array
+        assert peak < 16 * (m + 1) ** 2
+
+    def test_moments_take_a_grid_over_the_dense_budget(self, tmp_path):
+        # the means, the folded steady state, its O(M^2) check and the
+        # track build no (M+1)^2 array: at M = 2001 one would take 64 MB
+        m = 2001
+        assert 16 * (m + 1) ** 2 > dynamics._DENSE_BYTE_BUDGET
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli([
+                "moments", "--family", "gaussian", "--normalize-gamma",
+                "--gamma-perp", "0.02", "--m", m, "--t-samples", "201",
+                "--out", out,
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        meta, _, rows, _ = read_table(out)
+        assert meta["moment_fallbacks"] == "0"
+        assert len(rows) == 201 and all(cell != "" for cell in rows[-1][:5])
+        assert peak < 16 * (m + 1) ** 2
 
     @pytest.mark.parametrize(
         "argv, fallbacks",
