@@ -41,8 +41,8 @@ non-finite float option, a sweep sample count below 1, ``pole`` seeds
 that overflow, an unreadable ``--config``, an unwritable ``--out``, a
 ``--t-samples`` or ``--delta-e-samples`` over its byte budget, and a
 model whose dense (M+1)^2 complex arrays would exceed the library's
-budget (16 MiB each: ``moments`` at M > 1023, or a dense fallback of
-``decay`` or ``stability-sweep``, which otherwise take any M); 3
+budget (16 MiB each, M <= 1023; only a dense fallback of ``decay``,
+``moments`` or ``stability-sweep`` builds one, so each takes any M); 3
 numerical failure.
 """
 

@@ -5,11 +5,11 @@ quadrature for the Faddeeva function, dense scipy matrix exponentials
 for mean propagation, an adaptive embedded Dormand-Prince 5(4)
 integrator for covariance propagation and the driven cavity, and
 Bartels-Stewart for steady states.  The package takes means,
-covariances and steady states from the closed-form eigenvectors of the
+covariances and steady states from the secular roots and residues of the
 arrowhead matrix, with exact ``e^{A h}`` steps, sub-stepped Van Loan
 pairs and Bartels-Stewart only as gated fallbacks.  The mean oracle
 ``scipy.linalg.expm`` (scaling and squaring with Pade approximants) is
-separate code from the eigen-system.  The mean fallback calls the same
+separate code from the roots and residues.  The mean fallback calls the same
 routine, but the oracle exponentiates ``A t`` afresh at every output
 time, where the fallback repeats one step ``e^{A h}`` across a uniform
 grid.  The Dormand-Prince integrator time-steps the

@@ -546,6 +546,113 @@ class TestSpectralMoments:
         assert not dynamics._MEMO
 
 
+def normalized_model(family, m, gamma_perp, delta_cs=0.0, p=1, c=0.5):
+    """A broadened line of width Gamma = 1 at kappa = 8 and cooperativity c."""
+    spec = BroadeningSpec(family, solve_width_for_gamma(family, 1.0, gamma_perp))
+    params = SystemParams(kappa=8.0, gamma_perp=gamma_perp, g_ens=np.sqrt(8.0 * c),
+                          delta_cs=delta_cs)
+    return build_drift_matrix(params, discretize(spec, m, params.g_ens, 1e6), p)
+
+
+def moment_residuals(model, lam, residues):
+    """Relative residuals of the four moment identities of the arrowhead.
+
+    With ``c = -H_00``, ``d_m = -H_mm`` and ``w_m = H_0m H_m0``:
+    ``sum lambda = -(c + sum d)``, ``sum lambda^2 = c^2 + sum d^2 +
+    2 sum w`` (the traces of ``H`` and ``H^2``), and, as ``r_k = v_k[0]
+    u_k[0]``, ``sum r lambda = [H]_00 = -c`` and ``sum r lambda^2 =
+    [H^2]_00 = c^2 + sum w``.  The plain traces are relative to the sum
+    of the magnitudes of their terms, the weighted ones to
+    ``sum |r| max |lambda|^j``.
+    """
+    diag, row, col = model._arrowhead_border()
+    c, d, w = -diag[0], -diag[1:], row * col
+    top = np.abs(residues).sum() * np.abs(lam).max() ** np.array([1, 2])
+    return np.array([
+        abs(lam.sum() + c + d.sum())
+        / (np.abs(lam).sum() + abs(c) + np.abs(d).sum()),
+        abs((lam**2).sum() - c * c - (d**2).sum() - 2.0 * w.sum())
+        / ((np.abs(lam) ** 2).sum() + abs(c) ** 2 + (np.abs(d) ** 2).sum()
+           + 2.0 * np.abs(w).sum()),
+        abs((residues * lam).sum() + c) / top[0],
+        abs((residues * lam**2).sum() - c * c - w.sum()) / top[1],
+    ])
+
+
+# a few dozen rounding units: the identities held to 1.5e-15 (M = 201 to
+# 10001, mirrored and detuned lines)
+MOMENT_RTOL = 32 * np.finfo(float).eps
+
+
+class TestIndependentOracles:
+    """Checks that share no code with the secular kernel or the fold."""
+
+    @pytest.mark.parametrize(
+        "family, m, gamma_perp, delta_cs",
+        [("gaussian", 201, 0.0, 0.0), ("lorentzian", 201, 0.02, 0.3),
+         ("gaussian", 2001, 0.0, 0.0), ("lorentzian", 2001, 0.02, 0.3),
+         ("gaussian", 2001, 0.25, 0.3), ("gaussian", 10001, 0.02, 0.0)],
+        ids=["gaussian-201", "lorentzian-detuned-201", "gaussian-2001",
+             "lorentzian-detuned-2001", "gaussian-detuned-2001",
+             "gaussian-10001"],
+    )
+    def test_root_and_residue_moments(self, family, m, gamma_perp, delta_cs):
+        model = normalized_model(family, m, gamma_perp, delta_cs)
+        spectrum = dynamics._spectrum(model)
+        assert not spectrum.dense and spectrum.residues is not None
+        residuals = moment_residuals(model, spectrum.lam, spectrum.residues)
+        assert np.all(residuals <= MOMENT_RTOL), residuals
+
+    @pytest.mark.parametrize("delta_cs", [0.0, 0.3], ids=["mirrored", "detuned"])
+    def test_swapped_residues_fail_the_first_moment(self, delta_cs):
+        # the plain traces cannot see a swap; the weighted ones must, even
+        # of two neighbouring roots in the band (1.3e-9 here)
+        model = normalized_model("lorentzian", 201, 0.02, delta_cs)
+        spectrum = dynamics._spectrum(model)
+        lam, residues = spectrum.lam, spectrum.residues.copy()
+        pair = np.argsort(lam.imag)[lam.size // 2 + 5:][:2]
+        residues[pair] = residues[pair[::-1]]
+        assert np.all(moment_residuals(model, lam, residues)[:2] <= MOMENT_RTOL)
+        assert moment_residuals(model, lam, residues)[2] > 1e3 * MOMENT_RTOL
+
+    @pytest.mark.parametrize(
+        "family, m, gamma_perp, delta_cs, p",
+        [("gaussian", 401, 0.02, 0.0, 1), ("lorentzian", 201, 0.25, 0.3, 1),
+         ("lorentzian", 401, 0.0, 0.0, -1)],
+        ids=["gaussian-0.02", "lorentzian-detuned-0.25", "lorentzian-undamped-p-1"],
+    )
+    def test_steady_state_matches_dense_bartels_stewart(
+        self, family, m, gamma_perp, delta_cs, p, dense_calls
+    ):
+        model = normalized_model(family, m, gamma_perp, delta_cs, p)
+        steady = dynamics._spectral_steady(model)
+        gamma = steady_state_covariance(model)
+        assert steady is not None and dense_calls == NO_DENSE_CALLS
+        amp = steady.matrix()
+        # scipy on the dense arrowhead, with the spins scaled by
+        # 1 / sqrt(N_m); a backward-stable solve is accurate to about eps
+        # times ||H|| / |abscissa|
+        scale = np.concatenate(([1.0], 1.0 / np.sqrt(model.grid.spins)))
+        arrowhead = scale[:, None] * model.arrowhead / scale
+        noise = model.noise_diag[0::2] + model.noise_diag[1::2]
+        reference = scipy.linalg.solve_continuous_lyapunov(
+            arrowhead, -np.diag(scale**2 * noise)
+        )
+        rtol = 64 * np.finfo(float).eps * np.abs(arrowhead).sum(axis=1).max() / (
+            -spectral_abscissa(model)
+        )
+        error = np.abs(np.outer(scale, scale) * amp - reference).max()
+        assert error <= rtol * np.abs(reference).max()
+        # the real covariance is the same matrix in quadratures
+        assert_allclose(gamma[0, 0] + gamma[1, 1], amp[0, 0].real, rtol=1e-14)
+        if p == -1:
+            # the vacuum solves the Lyapunov equation exactly
+            vacuum = np.concatenate(([1.0, 1.0], np.repeat(2.0 * model.grid.spins, 2)))
+            balance = np.repeat(scale, 2)
+            error = np.abs(np.outer(balance, balance) * (gamma - np.diag(vacuum)))
+            assert error.max() <= rtol
+
+
 class TestSteadyState:
     def test_matched_rates_unit_field_variance(self):
         # kappa = Gamma makes the field variance exactly the vacuum value
