@@ -9,41 +9,33 @@ manifest sidecar:
 * ``stability-sweep`` analytic vs discretized stability verdicts
 * ``pole``            decay-rate roots of the Gaussian pole condition
 
-``_EXPERIMENTS`` lists, per experiment, the options its run reads, its
-default ``M`` per family and a compute function returning ``(columns,
-rows, header, trailer)``.  ``decay``, ``moments`` and ``spectrum``
-return their rows as one float ``ndarray``, NaN in an undefined cell;
-``stability-sweep`` and ``pole`` return short lists of mixed-type rows.
-Each option of ``_OPTIONS`` has one parser, for its flag and for its key
-in a ``--config`` file; flags win over the file, the file over the
-default.  The argument parser is built once per process, so callers
-that run ``main`` many times in one process (the figure bundle, the
-benchmark) pay for it once.
+``_EXPERIMENTS`` lists, per experiment, the options that can change its
+data rows (the mirror rates only in ``spectrum``; the spin count only in
+``moments``, as the kicked field and the spectrum read ``g_m^2 N_m``
+alone), its default ``M`` per family and a compute returning
+``(columns, rows, header, trailer)``; ``rows`` is one float ``ndarray``
+(NaN in an undefined cell) or, for ``stability-sweep`` and ``pole``, a
+short list of mixed-type rows.  Each option of ``_OPTIONS`` has one
+parser, for its flag and for its key in a ``--config`` file; flags win
+over the file, the file over the default.  The argument parser is built
+once per process, so callers that run ``main`` many times in one
+process (the figure bundle, the benchmark) pay for it once.
 
 One writer (:func:`_csv_text`) emits every output.  The CSV opens with
 ``# key=value`` lines (sorted keys): experiment, package version, the
 resolved options and the run-level ``header`` values (``Gamma``,
-``invalid_rows``, ``windowed_verdict``, and the solver paths taken:
-``kick_response_fallbacks``, the kicked fields that ``decay`` and
-``stability-sweep`` propagated with ``evolve_mean`` instead of the
-residue expansion; ``eigensolver_fallbacks``, the sweep points whose
-eigenvalues came from dense ``eigvals``; and ``moment_fallbacks``, the
-mean, covariance and steady-state computations of ``moments`` that took
-a dense path on the arrowhead: matrix-exponential steps, Van Loan steps
-or Bartels-Stewart).  The counts are deterministic, so reruns stay
-byte-identical.  The column names and the data rows follow, floats at
-17 significant digits and undefined cells empty; closing ``#`` lines
-hold the fitted or reference values of ``trailer`` (``pole_*``,
-``panel_f_ratio_*``).  The manifest holds both blocks and ``columns``.
+``invalid_rows``, ``windowed_verdict`` and the deterministic counts of
+dense solver paths taken, ``*_fallbacks``).  The column names and the
+data rows follow, floats at 17 significant digits and undefined cells
+empty; closing ``#`` lines hold the fitted or reference values of
+``trailer`` (``pole_*``, ``panel_f_ratio_*``).  The manifest holds both
+blocks and ``columns``.
 
-Exit codes: 0 success; 2 precondition failure, which includes a
-non-finite float option, a sweep sample count below 1, ``pole`` seeds
-that overflow, an unreadable ``--config``, an unwritable ``--out``, a
-``--t-samples`` or ``--delta-e-samples`` over its byte budget, and a
-model whose dense (M+1)^2 complex arrays would exceed the library's
-budget (16 MiB each, M <= 1023; only a dense fallback of ``decay``,
-``moments`` or ``stability-sweep`` builds one, so each takes any M); 3
-numerical failure.
+Exit codes (the README lists every case): 0 success; 2 precondition
+failure, such as a non-finite float option, a ``--width`` next to
+``--normalize-gamma`` or ``--family homogeneous`` (which set it), a
+sample grid over its byte budget or a dense fallback over the library's
+budget; 3 numerical failure, a NaN from a propagation included.
 """
 
 from __future__ import annotations
@@ -80,6 +72,7 @@ __all__ = ["main"]
 
 _SQRT2 = math.sqrt(2.0)
 _GAUSSIAN = BroadeningFamily.GAUSSIAN
+_HOMOGENEOUS = BroadeningFamily.HOMOGENEOUS
 _FAMILIES = tuple(f.value for f in BroadeningFamily)
 
 # time and detuning grids: each sample holds one float64 row of the
@@ -207,7 +200,8 @@ def _time_grid(o: dict) -> np.ndarray:
 def _decay(o: dict):
     spec, params = _spec(o), _params(o)
     times = _time_grid(o)
-    grid = discretize(spec, o["m"], params.g_ens, o["n_spins"])
+    # the kicked field reads the spins only through g_m^2 N_m = g_ens^2 w_m
+    grid = discretize(spec, o["m"], params.g_ens, 1.0)
     model = build_drift_matrix(params, grid, o["p"])
     response, fallback = field_kick_response(model, times)
     x_sim = (_SQRT2 * o["alpha"] * response).real  # X_c(0) = sqrt(2) alpha
@@ -254,7 +248,7 @@ def _moments(o: dict):
     model = build_drift_matrix(params, grid, o["p"])
     y0, gamma0 = initial_state("tilted-spin", grid, theta=o["theta"])
     mean_series = evolve_mean(model, y0, times)
-    cov_series = evolve_covariance(model, gamma0, times, store_full=False)
+    cov_series = evolve_covariance(model, gamma0, times)
     mean, red = mean_series.reductions, cov_series.reductions
 
     N = o["n_spins"]
@@ -311,14 +305,15 @@ def _stability_sweep(o: dict):
     windowed = spec.family is _GAUSSIAN and o["gamma_perp"] == 0.0
     # eigenvalues of the undamped uniform grid carry a small positive
     # artifact; the windowed verdict judges by the kicked cavity
-    # envelope instead (spin coherences never decay at gamma_perp = 0)
+    # envelope instead (spin coherences never decay at gamma_perp = 0),
+    # early against late, so the kick scale cancels
     times = np.linspace(0.0, o["t_max"], 101)
     fifth = max(2, times.size // 5)
-    kick = _SQRT2 * o["alpha"]  # X_c(0) of the field-kick state
     fallbacks = dense = 0
     rows = []
     for g in np.linspace(o["g_min"], o["g_max"], o["g_samples"]):
-        grid = discretize(spec, o["m"], g, o["n_spins"])
+        # the spectrum reads the spins only through g_m^2 N_m = g^2 w_m
+        grid = discretize(spec, o["m"], g, 1.0)
         for kappa in np.linspace(o["kappa_min"], o["kappa_max"], o["kappa_samples"]):
             point = _params(o, kappa=kappa, g_ens=g)
             report = stability_report(point, spec)
@@ -329,7 +324,7 @@ def _stability_sweep(o: dict):
             if windowed:
                 response, fallback = field_kick_response(model, times)
                 fallbacks += fallback
-                envelope = np.abs(kick * response)
+                envelope = np.abs(response)
                 numeric = bool(envelope[-fifth:].max() < envelope[:fifth].max())
             else:
                 numeric = bool(abscissa < 0.0)
@@ -368,8 +363,8 @@ class _Experiment(NamedTuple):
 
 
 _BROADENING = ("family", "width", "normalize_gamma", "gamma_perp")
-_CAVITY = ("kappa", "kappa1", "kappa2", "g_ens")
-_ENSEMBLE = ("m", "delta_cs", "p", "n_spins")
+_CAVITY = ("kappa", "g_ens")
+_ENSEMBLE = ("m", "delta_cs", "p")
 
 _EXPERIMENTS = {
     "decay": _Experiment(
@@ -379,17 +374,19 @@ _EXPERIMENTS = {
     ),
     "moments": _Experiment(
         _moments,
-        _BROADENING + _CAVITY + _ENSEMBLE + ("theta", "t_max", "t_samples"),
+        _BROADENING + _CAVITY + _ENSEMBLE + ("n_spins", "theta", "t_max", "t_samples"),
         {"gaussian": 201, "lorentzian": 201, "homogeneous": 1},
     ),
-    "spectrum": _Experiment(_spectrum, _BROADENING + _CAVITY + (
-        "delta_cs", "p", "delta_e_min", "delta_e_max", "delta_e_samples",
+    # only the probe's input-output relations read the mirror split
+    "spectrum": _Experiment(_spectrum, _BROADENING + (
+        "kappa", "kappa1", "kappa2", "g_ens", "delta_cs", "p",
+        "delta_e_min", "delta_e_max", "delta_e_samples",
     )),
     # the (g_ens, kappa) grid sets those rates, so their options are absent
     "stability-sweep": _Experiment(
         _stability_sweep,
         _BROADENING + _ENSEMBLE + (
-            "alpha", "t_max", "g_min", "g_max", "g_samples",
+            "t_max", "g_min", "g_max", "g_samples",
             "kappa_min", "kappa_max", "kappa_samples",
         ),
         {"gaussian": 101, "lorentzian": 101, "homogeneous": 1},
@@ -403,18 +400,21 @@ def _resolve(name: str, values: dict) -> dict:
     experiment = _EXPERIMENTS[name]
     o = {key: values.get(key, _OPTIONS[key].default) for key in experiment.options}
     family = BroadeningFamily(o["family"])
+    if o["width"] is not None and (o["normalize_gamma"] or family is _HOMOGENEOUS):
+        other = "--normalize-gamma" if o["normalize_gamma"] else "--family homogeneous"
+        raise PreconditionError(f"--width conflicts with {other}, which sets the width")
     if o["normalize_gamma"]:
         # interpret all rates in units of the characteristic width:
         # recompute the distribution width so that Gamma == 1 exactly
         o["width"] = solve_width_for_gamma(family, 1.0, o["gamma_perp"])
-    if family is BroadeningFamily.HOMOGENEOUS:
+    if family is _HOMOGENEOUS:
         o["width"] = 0.0
     if o["width"] is None:
         raise PreconditionError(
             "--width is required for broadened families unless "
             "--normalize-gamma is given"
         )
-    if "kappa" in o:
+    if "kappa1" in o:
         params = _params(o)
         o["kappa1"], o["kappa2"] = params.kappa1, params.kappa2
     if experiment.m_default is not None and o["m"] is None:

@@ -81,9 +81,9 @@ class MomentSeries:
     """Time series of the first or the second moments of one model.
 
     ``reductions`` holds the collective values; ``means`` (T, dim) and
-    ``covariances`` (T, dim, dim), the latter for small systems or on
-    request.  ``fallbacks`` counts the computations behind the series
-    that took a dense path instead of the roots and residues.
+    ``covariances`` (T, dim, dim), the latter only with ``store_full``.
+    ``fallbacks`` counts the computations behind the series that took a
+    dense path instead of the roots and residues.
     """
 
     times: np.ndarray
@@ -162,7 +162,9 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     ``eigvals``, a pole was deflated, the residues fail their gate
     (:func:`_roots`) or a weight is not finite, each output interval
     ``h`` is one step ``z <- e^{H h} z`` (:func:`scipy.linalg.expm`
-    within :func:`_check_dense`, one for a uniform grid).
+    within :func:`_check_dense`, one for a uniform grid).  A NaN mean
+    raises :class:`NumericalError` naming the path; an ``inf`` from real
+    growth is returned.
     """
     times = _validate_times(times)
     y0 = np.asarray(y0, dtype=float)
@@ -201,6 +203,8 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
             z = phi @ z
             ys[k, 0::2], ys[k, 1::2] = z.real, signs * z.imag
     ys[0] = y0
+    path = "the eigenvectors" if spectral else "the dense fallback (e^{H h} steps)"
+    _no_nan(ys, f"mean propagation by {path}")
     reductions = {
         "X_c": ys[:, 0].copy(), "P_c": ys[:, 1].copy(),
         "S_x": ys[:, 2::2].sum(axis=1), "S_y": ys[:, 3::2].sum(axis=1),
@@ -262,7 +266,7 @@ def evolve_covariance(
     model: DriftModel,
     gamma0: np.ndarray,
     times,
-    store_full: bool | None = None,
+    store_full: bool = False,
 ) -> MomentSeries:
     """Propagate the covariance matrix through the output times.
 
@@ -288,7 +292,7 @@ def evolve_covariance(
     unstable or ``Var(0)`` equals ``Var_inf`` to ``_R_RTOL`` relative
     (rounding over rounding).  A stable model whose steady state meets
     no residual bound raises :class:`NumericalError`.  ``store_full``
-    (default: dimension <= 64) stores the real (T, dim, dim) matrices.
+    stores the real (T, dim, dim) matrices, within :func:`_check_dense`.
     """
     times = _validate_times(times)
     dim = model.dim
@@ -309,7 +313,8 @@ def evolve_covariance(
             raise PreconditionError("initial covariance must be symmetric")
         diagonal = None if off else diagonal
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
-    store_full = dim <= 64 if store_full is None else store_full
+    if store_full:
+        _check_dense(model)
 
     steady = _spectral_steady(model)
     try:
@@ -443,6 +448,13 @@ def _check_dense(model: DriftModel) -> None:
             f"(M+1)^2 complex array, over the {_DENSE_BYTE_BUDGET // 2**20} "
             f"MiB budget (M <= {math.isqrt(_DENSE_BYTE_BUDGET // 16) - 1})"
         )
+
+
+def _no_nan(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, or :class:`NumericalError` naming ``what`` if one is NaN."""
+    if np.isnan(values).any():
+        raise NumericalError(f"{what} returned NaN")
+    return values
 
 
 def _secular_terms(model: DriftModel):
@@ -883,7 +895,8 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     while the residues pass their gate (:func:`_roots`: ``sum_k |r_k| <=
     100``, and ``sum_k r_k = 1`` to 1e-10) and no pole was deflated;
     otherwise the field is propagated with :func:`evolve_mean`.  Returns
-    ``(response, fallback)``, ``fallback`` telling whether it was.
+    ``(response, fallback)``, ``fallback`` telling whether it was; a NaN
+    on either path raises :class:`NumericalError`.
     """
     times = _validate_times(times)
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
@@ -892,7 +905,7 @@ def field_kick_response(model: DriftModel, times) -> tuple:
         response = np.empty(times.size, dtype=complex)
         for block, growth in _growth_blocks(times, spectrum.lam):
             response[block] = growth @ spectrum.residues
-        return response, False
+        return _no_nan(response, "the residue expansion of the kicked field"), False
     y0 = np.zeros(model.dim)
     y0[0] = 1.0
     means = evolve_mean(model, y0, times).means
@@ -1180,8 +1193,10 @@ def steady_state_covariance(model: DriftModel) -> np.ndarray:
     in O(M^2) (:func:`_spectral_steady`), or else from Bartels-Stewart
     (:func:`scipy.linalg.solve_continuous_lyapunov`) on the balanced
     ``H`` within :func:`_check_dense`, made Hermitian and checked the
-    same way, with one refinement pass.  Returns the real ``gamma``.
+    same way, with one refinement pass.  Returns the real ``gamma``, a
+    dense array held to :func:`_check_dense`.
     """
+    _check_dense(model)
     return _from_amplitudes(_steady_state(model, _spectral_steady(model))[0].matrix())
 
 

@@ -22,6 +22,7 @@ import spincavity
 import spincavity.dynamics as dynamics
 from spincavity import (
     BroadeningSpec,
+    ConvergenceError,
     NumericalError,
     SystemParams,
     build_drift_matrix,
@@ -217,15 +218,33 @@ class TestDecay:
         assert float(trailing["pole_rate_re"]) < 0
         assert float(meta["width"]) == pytest.approx(SIGMA_UNIT, rel=1e-12)
 
-    def test_overflowing_pole_seed_leaves_the_tail_empty(self, tmp_path):
-        # past kappa ~ 1.3e154 the slow seed overflows (DomainError), which
-        # decay reports as it reports a pole search that does not converge
+    def test_unconverged_pole_leaves_the_tail_empty(self, tmp_path,
+                                                    monkeypatch):
+        def unconverged(*args):
+            raise ConvergenceError("synthetic failure")
+
+        monkeypatch.setattr(cli, "gaussian_pole", unconverged)
         out = tmp_path / "decay.csv"
-        assert run_cli(SMALL["decay"] + ["--kappa", "1.4e154", "--out", out]) == 0
+        assert run_cli(SMALL["decay"] + ["--out", out]) == 0
         _, _, rows, trailing = read_table(out)
         assert trailing == {"pole_tail": "unconverged"}
         assert all(row[4] == "" for row in rows)
-        assert all(row[3] != "" for row in rows)
+        assert all(row[1] != "" and row[3] != "" for row in rows)
+
+    def test_nan_kicked_field_exits_3(self):
+        # past kappa ~ 1.3e154 the secular roots fall to dense eigvals,
+        # their residues fail the gate and the expm steps of the mean
+        # fallback return NaN: a numerical failure, not blank cells
+        result = subprocess.run(
+            [sys.executable, "-m", "spincavity", *SMALL["decay"],
+             "--kappa", "1.4e154", "--out", "-"],
+            capture_output=True, text=True, env=source_env(),
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("numerical failure: ")
+        assert "dense fallback" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_marginal_gaussian_band(self, tmp_path):
         # C = 1: the kicked field neither grows past 1.05x nor falls
@@ -388,7 +407,7 @@ class TestMoments:
         manifest = json.loads((tmp_path / "moments.csv.manifest.json").read_text())
         _, columns, rows, _ = read_table(out)
         table = np.array([[cell(value) for value in row] for row in rows])
-        names = ("kappa", "kappa1", "kappa2", "gamma_perp", "g_ens", "delta_cs")
+        names = ("kappa", "gamma_perp", "g_ens", "delta_cs")
         params = SystemParams(**{name: manifest[name] for name in names})
         n = manifest["n_spins"]
         spec = BroadeningSpec(manifest["family"], manifest["width"])
@@ -595,7 +614,9 @@ class TestStabilitySweep:
         fifth = times.size // 5
         for row in rows:
             g, kappa = cell(row[0]), cell(row[1])
-            grid = discretize(spec, 41, g, manifest["n_spins"])
+            # the kicked field reads the spins only through g_m^2 N_m,
+            # so any spin count gives the verdict
+            grid = discretize(spec, 41, g, 1e6)
             params = SystemParams(kappa=kappa, gamma_perp=0.0, g_ens=g)
             model = build_drift_matrix(params, grid, 1)
             y0, _ = initial_state("field-kick", grid, alpha=1.0)
@@ -624,15 +645,6 @@ class TestStabilitySweep:
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert manifest["kick_response_fallbacks"] == 16
         assert len(secular_solves) == len({id(m) for m in secular_solves}) == 16
-
-    def test_zero_kick_gives_no_stable_verdict(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert run_cli(self.WINDOWED + ["--alpha", "0", "--out", out]) == 0
-        meta, _, rows, _ = read_table(out)
-        assert [row[6] for row in rows] == ["false"] * 16
-        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-        assert manifest["alpha"] == 0.0
-        assert meta["alpha"] == "0"
 
     @pytest.mark.parametrize(
         "constant, kick_fallbacks",
@@ -899,15 +911,17 @@ class TestConfigResolution:
         assert run_cli(LOR_DECAY + ["--out", out]) == 0
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         for key in (
-            "experiment", "family", "width", "m", "kappa", "kappa1",
-            "kappa2", "gamma_perp", "g_ens", "delta_cs", "p", "n_spins",
-            "normalize_gamma", "alpha", "t_max", "t_samples", "columns",
-            "package_version",
+            "experiment", "family", "width", "m", "kappa", "gamma_perp",
+            "g_ens", "delta_cs", "p", "normalize_gamma", "alpha", "t_max",
+            "t_samples", "columns", "package_version",
         ):
             assert key in manifest
-        assert manifest["kappa1"] == 4.0
         assert manifest["p"] == 1
         assert "timestamp" not in manifest
+        # only spectrum reads the mirror rates, resolved to kappa / 2 each
+        assert run_cli(SMALL["spectrum"] + ["--out", out]) == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["kappa1"] == manifest["kappa2"] == 1.0
 
     @pytest.mark.parametrize(
         "experiment, line",
@@ -920,6 +934,10 @@ class TestConfigResolution:
             ("decay", "alpha = nan"),
             ("stability-sweep", "g_samples = 0"),
             ("spectrum", "m = 41"),
+            # a width the run would replace, with the flag or as a key
+            ("pole", "width = 3"),
+            ("spectrum", "normalize_gamma = true"),
+            ("stability-sweep", "width = 1.6"),
         ],
     )
     def test_bad_config_value_is_precondition_failure(
@@ -995,20 +1013,34 @@ class TestExitCodes:
             ("stability-sweep", "--g-ens", "2"),
             ("stability-sweep", "--kappa1", "4"),
             ("stability-sweep", "--kappa2", "4"),
+            # the mirror split enters only the probe's input-output relations
+            ("decay", "--kappa1", "4"),
+            ("decay", "--kappa2", "4"),
+            ("moments", "--kappa1", "4"),
+            ("moments", "--kappa2", "4"),
+            ("pole", "--kappa1", "4"),
+            ("pole", "--kappa2", "4"),
+            # the kicked field and the spectrum read g_m^2 N_m alone
+            ("decay", "--n-spins", "1e6"),
+            ("stability-sweep", "--n-spins", "1e6"),
+            # the windowed verdict compares the envelope early against late
+            ("stability-sweep", "--alpha", "0"),
         ],
     )
     def test_flag_the_run_does_not_read_is_rejected(
-        self, tmp_path, experiment, flag, value
+        self, tmp_path, capsys, experiment, flag, value
     ):
         with pytest.raises(SystemExit) as info:
             run_cli(SMALL[experiment] + [flag, value, "--out", tmp_path / "x.csv"])
         assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "argv, name",
         [
             (LOR_DECAY + ["--alpha", "nan"], "--alpha"),
-            (SMALL["stability-sweep"] + ["--alpha", "nan"], "--alpha"),
+            (SMALL["decay"] + ["--alpha", "inf"], "--alpha"),
             (SMALL["moments"] + ["--theta", "nan"], "--theta"),
             (SMALL["moments"] + ["--theta", "inf"], "--theta"),
             (SMALL["spectrum"] + ["--delta-e-min", "nan"], "--delta-e-min"),
@@ -1017,9 +1049,14 @@ class TestExitCodes:
             (SMALL["stability-sweep"] + ["--g-samples", "0"], "--g-samples"),
             (SMALL["stability-sweep"] + ["--kappa-samples", "0"],
              "--kappa-samples"),
-            (LOR_DECAY + ["--n-spins", "inf"], "--n-spins"),
-            (LOR_DECAY + ["--n-spins", "nan"], "--n-spins"),
+            (SMALL["moments"] + ["--n-spins", "inf"], "--n-spins"),
+            (SMALL["moments"] + ["--n-spins", "nan"], "--n-spins"),
             (SMALL["pole"] + ["--kappa", "1.4e154"], "kappa=1.4e+154"),
+            # --normalize-gamma solves the width, a homogeneous line has none
+            (SMALL["pole"] + ["--width", "3"],
+             "--width conflicts with --normalize-gamma"),
+            (SMALL["stability-sweep"] + ["--width", "0"],
+             "--width conflicts with --family homogeneous"),
         ],
     )
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, argv, name):

@@ -253,7 +253,7 @@ class TestEvolveCovariance:
         "case, path",
         [pytest.param(case, path,
                       id=case if path == "spectral" else f"{case}-{path}")
-         for path in ("spectral", "van-loan", "squeezed")
+         for path in ("spectral", "van-loan", "squeezed", "correlated")
          for case in ("coarse-grid", "unstable", "zero-dephasing",
                       "nonuniform-grid")],
     )
@@ -285,6 +285,11 @@ class TestEvolveCovariance:
             # anomalous part A <- Phi A Phi^T next to the covariance
             gamma0 = np.diag(gamma0)
             gamma0[0, 0], gamma0[1, 1] = 4.0, 0.25
+        if path == "correlated":
+            # a symmetric positive-definite start with every entry set:
+            # mapped to amplitudes as a full matrix, then Van Loan steps
+            spread = np.random.default_rng(7).standard_normal((gamma0.size, 2))
+            gamma0 = np.diag(gamma0) + spread @ spread.T
         series = evolve_covariance(model, gamma0, times, store_full=True)
         if path == "spectral":
             # the arrowhead eigen-system, not a dense fallback, gave the result
@@ -340,6 +345,25 @@ class TestEvolveCovariance:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * dynamics._CHUNK_BYTES
+
+    def test_dense_outputs_refused_past_the_budget(self):
+        # the steady state and stored covariances are real (2M + 2)^2
+        # arrays: past M = 1023 both are refused before any is built
+        model, grid = small_model(spec=GAUSS, m=1201, gamma_perp=0.02)
+        _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        times = np.linspace(0.0, 1.0, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="16 MiB budget"):
+                steady_state_covariance(model)
+            with pytest.raises(PreconditionError, match="16 MiB budget"):
+                evolve_covariance(model, gamma0, times, store_full=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dynamics._DENSE_BYTE_BUDGET
+        # the variance track alone still runs at this size
+        assert evolve_covariance(model, gamma0, times).covariances is None
 
 
 class TestSpectralMoments:

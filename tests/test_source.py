@@ -7,8 +7,10 @@ import importlib
 from pathlib import Path
 
 import spincavity
+from spincavity import cli
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "spincavity"
+README = SOURCE.parents[1] / "README.md"
 
 
 def private_definitions(tree: ast.Module):
@@ -72,3 +74,22 @@ def test_package_exports_the_public_names_of_its_modules():
     ))
     assert len(spincavity.__all__) == len(set(spincavity.__all__))
     assert set(spincavity.__all__) == names
+
+
+def test_readme_option_table_lists_each_experiments_flags():
+    # the "further options" table names each experiment's flags past
+    # the four every experiment reads, in the order --help lists them
+    lines = README.read_text().splitlines()
+    start = next(k for k, line in enumerate(lines) if "further options" in line)
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        name, flags = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        table[name] = flags.split()
+    common = ("family", "width", "normalize_gamma", "gamma_perp")
+    assert table == {
+        name: ["--" + key.replace("_", "-")
+               for key in experiment.options if key not in common]
+        for name, experiment in cli._EXPERIMENTS.items()
+    }
