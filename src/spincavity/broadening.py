@@ -135,7 +135,9 @@ def _faddeeva_upper(z: np.ndarray) -> np.ndarray:
     iz = 1j * z
     ratio = (big_l + iz) / (big_l - iz)
     poly = np.polynomial.polynomial.polyval(ratio, _WEIDEMAN_A)
-    return 2.0 * poly / (big_l - iz) ** 2 + (1.0 / math.sqrt(math.pi)) / (big_l - iz)
+    with np.errstate(over="ignore"):  # past |z| ~ 1e154 the first term is 0
+        square = (big_l - iz) ** 2
+    return 2.0 * poly / square + (1.0 / math.sqrt(math.pi)) / (big_l - iz)
 
 
 def faddeeva(z):

@@ -13,11 +13,14 @@ the covariance as the Ornstein-Uhlenbeck solution in the eigenbasis
 (Gardiner, *Handbook of Stochastic Methods*), where the poles' common
 real part folds ``left D left^H`` to O(1) per entry (:func:`_folding`).
 The steady state is built from its field row and checked entry by entry
-in O(M^2) (:func:`_spectral_steady`, :func:`_lyapunov_check`).
+in O(M^2) (:func:`_spectral_steady`, :func:`_lyapunov_check`).  A
+covariance run starts from the diagonal that
+:func:`~spincavity.model.initial_state` returns.
 
 Dense paths on ``H`` remain as gated fallbacks: exact steps
 ``z <- e^{H h} z``, Van Loan's block exponential (IEEE Trans. Autom.
-Control 23, 395 (1978)) for ``C <- Phi C Phi^H + Q``, and Bartels-Stewart
+Control 23, 395 (1978)) for ``C <- Phi C Phi^H + Q``, which a squeezed
+(quadrature-anisotropic) diagonal takes too, and Bartels-Stewart
 for the steady state, checked the same way.  They import scipy where they
 run, so the package imports with numpy alone, and each first checks the
 model against ``_DENSE_BYTE_BUDGET`` (:func:`_check_dense`).
@@ -163,8 +166,8 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     (:func:`_roots`) or a weight is not finite, each output interval
     ``h`` is one step ``z <- e^{H h} z`` (:func:`scipy.linalg.expm`
     within :func:`_check_dense`, one for a uniform grid).  A NaN mean
-    raises :class:`NumericalError` naming the path; an ``inf`` from real
-    growth is returned.
+    raises :class:`NumericalError` naming the path, and so does an
+    ``e^{lambda t}`` past the float range (:func:`_growth_blocks`).
     """
     times = _validate_times(times)
     y0 = np.asarray(y0, dtype=float)
@@ -180,9 +183,8 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     z = y0[0::2] + 1j * signs * y0[1::2]
     ys = np.empty((times.size, y0.size))
     spectral = not spectrum.dense and spectrum.residues is not None
-    for block, growth in _growth_blocks(times, lam, _DENSE_BYTE_BUDGET):
-        if not spectral:
-            break
+    blocks = _growth_blocks(times, lam, _DENSE_BYTE_BUDGET) if spectral else ()
+    for block, growth in blocks:
         amps = np.zeros((block.stop - block.start, lam.size), dtype=complex)
         for part in _row_blocks(lam.size, poles.size):
             cauchy = _cauchy(lam[part], poles)
@@ -191,6 +193,8 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
             weighted = growth[:, part] * weights
             amps[:, 0] += weighted.sum(axis=1)
             amps[:, 1:] += weighted @ cauchy
+        if not spectral:
+            break
         amps[:, 1:] *= col
         ys[block, 0::2], ys[block, 1::2] = amps.real, signs * amps.imag
     if not spectral:
@@ -270,13 +274,14 @@ def evolve_covariance(
 ) -> MomentSeries:
     """Propagate the covariance matrix through the output times.
 
-    ``gamma0`` is the real initial covariance or its diagonal (as
-    :func:`~spincavity.model.initial_state` returns it).  In the
-    amplitudes ``dC/dt = H C + C H^H + D`` with diagonal ``D``, and the
-    anomalous ``A = T gamma T^T`` obeys ``dA/dt = H A + A H^T``.  From a
-    diagonal, isotropic (``A = 0``) start the track comes from the roots
-    and residues (:func:`_spectral_covariance`, :func:`_spectral_steady`).
-    Otherwise, or when the spectrum fails the gates of
+    ``gamma0`` is the diagonal of the real initial covariance, of length
+    ``dim``, as :func:`~spincavity.model.initial_state` returns it;
+    anything else raises :class:`PreconditionError`.  In the amplitudes
+    ``dC/dt = H C + C H^H + D`` with diagonal ``D``, and the anomalous
+    ``A = T gamma T^T`` obeys ``dA/dt = H A + A H^T``.  From an isotropic
+    (``A = 0``) start the track comes from the roots and residues
+    (:func:`_spectral_covariance`, :func:`_spectral_steady`).  From a
+    squeezed one, or when the spectrum fails the gates of
     :func:`evolve_mean`, or the steady state fails its check or its
     ``residual`` exceeds ``_LYAPUNOV_RTOL`` of the largest noise entry
     (near threshold ``C_inf + (C(t) - C_inf)`` cancels too many digits),
@@ -292,29 +297,22 @@ def evolve_covariance(
     unstable or ``Var(0)`` equals ``Var_inf`` to ``_R_RTOL`` relative
     (rounding over rounding).  A stable model whose steady state meets
     no residual bound raises :class:`NumericalError`.  ``store_full``
-    stores the real (T, dim, dim) matrices, within :func:`_check_dense`.
+    stores the real (T, dim, dim) matrices, refused past
+    ``_DENSE_BYTE_BUDGET`` bytes in all.
     """
     times = _validate_times(times)
     dim = model.dim
     gamma0 = np.asarray(gamma0, dtype=float)
-    if gamma0.shape not in ((dim,), (dim, dim)):
+    if gamma0.shape != (dim,):
         raise PreconditionError(
-            f"covariance shape {gamma0.shape} does not match model dim {dim}"
+            f"covariance shape {gamma0.shape} is not the ({dim},) diagonal "
+            "that initial_state returns"
         )
-    diagonal = gamma0 if gamma0.ndim == 1 else np.diagonal(gamma0)
-    if gamma0.ndim == 2:
-        # row blocks of gamma0 and of its transpose, never a dim^2 temporary
-        scale, skew, off = np.max([
-            (np.abs(gamma0[b]).max(), np.abs(gamma0[b] - gamma0[:, b].T).max(),
-             np.count_nonzero(gamma0[b]) - np.count_nonzero(diagonal[b]))
-            for b in _row_blocks(dim, dim)
-        ], axis=0)
-        if scale > 0 and skew > 1e-12 * scale:
-            raise PreconditionError("initial covariance must be symmetric")
-        diagonal = None if off else diagonal
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
-    if store_full:
-        _check_dense(model)
+    need = 8 * times.size * dim**2  # bytes of the stored covariances
+    if store_full and need > _DENSE_BYTE_BUDGET:
+        raise PreconditionError(f"store_full needs {need / 2**20:.1f} MiB, over "
+                                f"the {_DENSE_BYTE_BUDGET // 2**20} MiB budget")
 
     steady = _spectral_steady(model)
     try:
@@ -323,30 +321,25 @@ def evolve_covariance(
         var_inf, dense = dict.fromkeys(_TRACK_KEYS, np.nan), False
     else:
         var_inf = dict(zip(_TRACK_KEYS, _track(steady_inf.sums)))
-    if diagonal is None:
-        _check_dense(model)
-        amp0, anomalous = _to_amplitudes(gamma0)
-    else:
-        amp0 = diagonal[0::2] + diagonal[1::2]
-        anomalous = diagonal[0::2] - diagonal[1::2]
+    amp0 = gamma0[0::2] + gamma0[1::2]
+    anomalous = gamma0[0::2] - gamma0[1::2]
     start = _track(_sums(amp0), _sums(anomalous))
     isotropic = np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max()
     spectral = (
-        steady is not None and diagonal is not None and isotropic
+        steady is not None and isotropic
         and steady.residual <= _LYAPUNOV_RTOL * model.noise_diag.max()
     )
     if spectral:
         track, covs = _spectral_covariance(model, times, steady, amp0, store_full)
     else:
         _check_dense(model)
-        if diagonal is not None:
-            amp0, anomalous = np.diag(amp0 + 0j), np.diag(anomalous + 0j)
         track, covs = _van_loan_covariance(
-            model, amp0, None if isotropic else anomalous, times, store_full
+            model, np.diag(amp0 + 0j),
+            None if isotropic else np.diag(anomalous + 0j), times, store_full,
         )
     track[0] = start
     if store_full:
-        covs[0] = gamma0 if gamma0.ndim == 2 else np.diag(gamma0)
+        covs[0] = np.diag(gamma0)
     reductions = dict(zip(_TRACK_KEYS, track.T))
     var_sx, var_sx_inf = reductions["var_S_x"], var_inf["var_S_x"]
     denom = var_sx_inf - var_sx[0]
@@ -414,28 +407,38 @@ def _growth_blocks(times: np.ndarray, lam: np.ndarray, chunk: int | None = None)
     (:func:`_uniform`) row ``j = a B + b`` is ``e^{lambda t_aB} e^{lambda
     t_b}``, ``B = ceil(sqrt(T))`` capped at a block: about ``2 sqrt(T) K``
     exponentials, where other grids take ``T K``; an entry moves by a few
-    ulps times ``1 + |lambda t_j|``.
+    ulps times ``1 + |lambda t_j|``.  A block with an entry past the
+    float range raises :class:`NumericalError` naming the overflow.
     """
     uniform = _uniform(times)
     rows = min(times.size, max(1, (chunk or _CHUNK_BYTES) // (16 * lam.size)))
     if uniform:
         size = min(math.isqrt(times.size - 1) + 1, rows)
-        fine = np.exp(np.multiply.outer(times[:size], lam))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fine = np.exp(np.multiply.outer(times[:size], lam))
         last = -1
     work = np.empty((rows, lam.size), dtype=complex)
     for block in _row_blocks(times.size, lam.size, chunk):
         growth = work[: block.stop - block.start]
-        if uniform:
-            for a in range(block.start // size, (block.stop - 1) // size + 1):
-                if a != last:  # a coarse row can span two blocks
-                    last, coarse = a, np.exp(times[a * size] * lam)
-                lo, hi = max(block.start, a * size), min(block.stop, (a + 1) * size)
-                np.multiply(
-                    fine[lo - a * size: hi - a * size], coarse,
-                    out=growth[lo - block.start: hi - block.start],
-                )
-        else:
-            np.exp(np.multiply(times[block, None], lam, out=growth), out=growth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if uniform:
+                for a in range(block.start // size, (block.stop - 1) // size + 1):
+                    if a != last:  # a coarse row can span two blocks
+                        last, coarse = a, np.exp(times[a * size] * lam)
+                    lo = max(block.start, a * size)
+                    hi = min(block.stop, (a + 1) * size)
+                    np.multiply(
+                        fine[lo - a * size: hi - a * size], coarse,
+                        out=growth[lo - block.start: hi - block.start],
+                    )
+            else:
+                np.exp(np.multiply(times[block, None], lam, out=growth), out=growth)
+        if not np.isfinite(growth.view(float)).all():
+            rate = lam.real.max()
+            raise NumericalError(
+                "e^(lambda t) overflows the float range past t = "
+                f"{np.log(np.finfo(float).max) / rate:.6g} (Re lambda = {rate:.6g})"
+            )
         yield block, growth
 
 
@@ -502,14 +505,16 @@ def _collective_seeds(shift: float, poles, weights, centre_seed) -> np.ndarray:
     mid, half = -(shift + centre) / 2.0, (shift - centre) / 2.0
     total = w0 + 2.0 * weights[1:].sum()
     halves = poles[1:].imag
-    if w0 < 0.0 and not _real_pair(2.0 * abs(half), halves, weights):
-        return np.array([complex(mid, math.sqrt(max(-total - half * half, 0.0)))])
-    root = math.copysign(math.sqrt(max(half * half + total, 0.0)), half)
-    near, far = centre_seed.real + centre, mid + root + centre  # t = z + d_0
-    if root != 0.0 and near * far > 0.0:
-        t = math.copysign(math.sqrt(near * far), far)
-        if (2.0 * half + _odd_part(np.array([t]), halves, weights)[0]) * w0 * t < 0.0:
-            return np.array([mid - root, far - centre], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # half^2 past rates ~1e154
+        if w0 < 0.0 and not _real_pair(2.0 * abs(half), halves, weights):
+            return np.array([complex(mid, math.sqrt(max(-total - half * half, 0.0)))])
+        root = math.copysign(math.sqrt(max(half * half + total, 0.0)), half)
+        near, far = centre_seed.real + centre, mid + root + centre  # t = z + d_0
+        if root != 0.0 and near * far > 0.0:
+            t = math.copysign(math.sqrt(near * far), far)
+            odd = _odd_part(np.array([t]), halves, weights)[0]
+            if (2.0 * half + odd) * w0 * t < 0.0:
+                return np.array([mid - root, far - centre], dtype=complex)
     return np.array([mid - root, centre_seed])
 
 
@@ -896,7 +901,8 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     100``, and ``sum_k r_k = 1`` to 1e-10) and no pole was deflated;
     otherwise the field is propagated with :func:`evolve_mean`.  Returns
     ``(response, fallback)``, ``fallback`` telling whether it was; a NaN
-    on either path raises :class:`NumericalError`.
+    on either path, or an ``e^{lambda t}`` past the float range, raises
+    :class:`NumericalError`.
     """
     times = _validate_times(times)
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
@@ -917,19 +923,6 @@ def _signs(size: int) -> np.ndarray:
     signs = -np.ones(size)
     signs[0] = 1.0
     return signs
-
-
-def _to_amplitudes(gamma: np.ndarray) -> tuple:
-    """``C = T gamma T^H`` and the anomalous ``T gamma T^T``.
-
-    ``T`` maps the state to the amplitudes ``a = X_c + i P_c`` and
-    ``s_m = S_x - i S_y``.
-    """
-    signs = _signs(gamma.shape[0] // 2)
-    xx, xy = gamma[0::2, 0::2], gamma[0::2, 1::2] * signs
-    yx = signs[:, None] * gamma[1::2, 0::2]
-    yy = signs[:, None] * gamma[1::2, 1::2] * signs
-    return xx + yy + 1j * (yx - xy), xx - yy + 1j * (yx + xy)
 
 
 def _from_amplitudes(amp: np.ndarray, anomalous=None) -> np.ndarray:

@@ -231,20 +231,44 @@ class TestDecay:
         assert all(row[4] == "" for row in rows)
         assert all(row[1] != "" and row[3] != "" for row in rows)
 
-    def test_nan_kicked_field_exits_3(self):
+    @pytest.mark.parametrize("argv, code, phrase", [
         # past kappa ~ 1.3e154 the secular roots fall to dense eigvals,
         # their residues fail the gate and the expm steps of the mean
         # fallback return NaN: a numerical failure, not blank cells
+        pytest.param([*SMALL["decay"], "--kappa", "1.4e154"], 3, "dense fallback",
+                     id="decay-kappa-1.4e154"),
+        # the seeds overflow on the way to the same fallback
+        pytest.param([*SMALL["decay"], "--kappa", "1e300"], 3, "dense fallback",
+                     id="decay-kappa-1e300"),
+        # w(z) overflows its square on the way to 0; the pole tail is
+        # left unconverged and the simulated field still prints
+        pytest.param([*SMALL["decay"], "--kappa", "1e100"], 0, None,
+                     id="decay-kappa-1e100"),
+        pytest.param(["pole", "--family", "gaussian", "--normalize-gamma",
+                      "--kappa", "1e100"], 3, "pole search", id="pole-kappa-1e100"),
+        # C = 900: e^{lambda t} passes the float range near t = 24.5
+        *(pytest.param([name, "--family", "homogeneous", "--gamma-perp", "1",
+                        "--kappa", "1", "--g-ens", "30", "--t-max", "100",
+                        "--t-samples", "5"], 3, "overflow", id=f"{name}-growth")
+          for name in ("decay", "moments")),
+    ])
+    def test_extreme_rates_exit_silently(self, argv, code, phrase):
+        # the library prints no RuntimeWarning: with warnings as errors
+        # each run still ends with its exit code and no traceback
         result = subprocess.run(
-            [sys.executable, "-m", "spincavity", *SMALL["decay"],
-             "--kappa", "1.4e154", "--out", "-"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "spincavity",
+             *argv, "--out", "-"],
             capture_output=True, text=True, env=source_env(),
         )
-        assert result.returncode == 3
-        assert result.stdout == ""
-        assert result.stderr.startswith("numerical failure: ")
-        assert "dense fallback" in result.stderr
+        assert result.returncode == code
+        assert "Warning" not in result.stderr
         assert "Traceback" not in result.stderr
+        if code == 3:
+            assert result.stdout == ""
+            assert result.stderr.startswith("numerical failure: ")
+            assert phrase in result.stderr
+        else:
+            assert result.stdout.endswith("# pole_tail=unconverged\n")
 
     def test_marginal_gaussian_band(self, tmp_path):
         # C = 1: the kicked field neither grows past 1.05x nor falls
