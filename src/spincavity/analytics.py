@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +43,16 @@ __all__ = [
 ]
 
 _SQRT_PI_HALF = math.sqrt(math.pi / 2.0)
+
+
+@contextmanager
+def _in_float_range(**rates):
+    """:class:`DomainError` naming ``rates`` for an overflow or a zero divisor."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        named = ", ".join(f"{name}={value:g}" for name, value in rates.items())
+        raise DomainError(f"the closed form leaves the float range at {named}") from exc
 
 
 @dataclass(frozen=True)
@@ -71,11 +82,14 @@ def eigenvalue_pair(kappa: float, Gamma: float, C: float):
 
 
 def stability_report(params: SystemParams, spec: BroadeningSpec) -> StabilityReport:
-    """Characteristic width, cooperativity and eigenvalues in one record."""
-    Gamma = characteristic_width(spec, params.gamma_perp)
-    kappa_c = params.g_ens**2 / Gamma
-    C = params.g_ens**2 / (params.kappa * Gamma)
-    lam_plus, lam_minus = eigenvalue_pair(params.kappa, Gamma, C)
+    """Characteristic width, cooperativity and eigenvalues in one record
+    (:class:`DomainError` past the float range)."""
+    with _in_float_range(kappa=params.kappa, gamma_perp=params.gamma_perp,
+                         g_ens=params.g_ens, width=spec.width):
+        Gamma = characteristic_width(spec, params.gamma_perp)
+        kappa_c = params.g_ens**2 / Gamma
+        C = params.g_ens**2 / (params.kappa * Gamma)
+        lam_plus, lam_minus = eigenvalue_pair(params.kappa, Gamma, C)
     return StabilityReport(
         Gamma=Gamma,
         kappa_c=kappa_c,
@@ -94,11 +108,13 @@ def lorentzian_kick_response(alpha, kappa, Gamma, g_ens, t):
     - (lam_- + Gamma) e^{lam_- t} ] / (lam_+ - lam_-)`` for t >= 0 and
     0 for t < 0; the degenerate double-pole case falls back to the
     analytic limit ``alpha (1 + (Gamma + lam) t) e^{lam t}``.
-    Vectorized over ``t``, returns complex.
+    Vectorized over ``t``, returns complex; raises :class:`DomainError`
+    where the poles leave the float range.
     """
     t = np.asarray(t, dtype=float)
-    C = g_ens**2 / (kappa * Gamma)
-    lam_plus, lam_minus = eigenvalue_pair(kappa, Gamma, C)
+    with _in_float_range(kappa=kappa, Gamma=Gamma, g_ens=g_ens):
+        C = g_ens**2 / (kappa * Gamma)
+        lam_plus, lam_minus = eigenvalue_pair(kappa, Gamma, C)
     out = np.zeros(t.shape, dtype=complex)
     fwd = t >= 0.0
     tf = t[fwd]
@@ -251,17 +267,14 @@ def threshold_rate_approx(
     """Near-threshold decay rate of the Gaussian-broadened tail.
 
     Second-order expansion in ``kappa_c - kappa``; positive (growth)
-    below the critical decay rate, negative above.
+    below the critical decay rate, negative above.  Raises
+    :class:`DomainError` where it leaves the float range.
     """
-    ratio = 1.0 + g_ens**2 / sigma_delta**2
-    first = (kappa_c - kappa) / ratio
-    second = (
-        math.sqrt(math.pi / 8.0)
-        * g_ens**2
-        / sigma_delta**3
-        * (kappa_c - kappa) ** 2
-        / ratio**3
-    )
+    with _in_float_range(kappa=kappa, kappa_c=kappa_c, width=sigma_delta, g_ens=g_ens):
+        ratio = 1.0 + g_ens**2 / sigma_delta**2
+        first = (kappa_c - kappa) / ratio
+        second = (math.sqrt(math.pi / 8.0) * g_ens**2 / sigma_delta**3
+                  * (kappa_c - kappa) ** 2 / ratio**3)
     return first + second
 
 
@@ -273,11 +286,13 @@ def weak_coupling_response(alpha, params: SystemParams, sigma_delta, t):
     ``alpha e^{-kappa t} + alpha (g_ens/kappa)^2
     e^{-sigma^2 t^2/2 - gamma_perp t}``.  The tail's log-amplitude is
     quadratic in time, the signature of Gaussian broadening.
-    Vectorized over ``t``, returns real values.
+    Vectorized over ``t``, returns real values; raises
+    :class:`DomainError` where ``(g_ens / kappa)^2`` leaves the float range.
     """
     t = np.asarray(t, dtype=float)
     kappa = params.kappa
-    ratio = (params.g_ens / kappa) ** 2
+    with _in_float_range(kappa=kappa, g_ens=params.g_ens):
+        ratio = (params.g_ens / kappa) ** 2
     out = alpha * (
         np.exp(-kappa * t)
         + ratio * np.exp(-0.5 * sigma_delta**2 * t * t - params.gamma_perp * t)

@@ -15,15 +15,17 @@ real part folds ``left D left^H`` to O(1) per entry (:func:`_folding`).
 The steady state is built from its field row and checked entry by entry
 in O(M^2) (:func:`_spectral_steady`, :func:`_lyapunov_check`).  A
 covariance run starts from the diagonal that
-:func:`~spincavity.model.initial_state` returns.
+:func:`~spincavity.model.initial_state` returns, equal in the two
+quadratures of each mode, so the phase-insensitive model keeps the
+anomalous ``A = T gamma T^T`` at zero.
 
 Dense paths on ``H`` remain as gated fallbacks: exact steps
 ``z <- e^{H h} z``, Van Loan's block exponential (IEEE Trans. Autom.
-Control 23, 395 (1978)) for ``C <- Phi C Phi^H + Q``, which a squeezed
-(quadrature-anisotropic) diagonal takes too, and Bartels-Stewart
+Control 23, 395 (1978)) for ``C <- Phi C Phi^H + Q``, and Bartels-Stewart
 for the steady state, checked the same way.  They import scipy where they
 run, so the package imports with numpy alone, and each first checks the
-model against ``_DENSE_BYTE_BUDGET`` (:func:`_check_dense`).
+model against ``_DENSE_BYTE_BUDGET`` (:func:`_check_dense`); steps past
+the float range raise :class:`NumericalError` (:func:`_finite`).
 """
 
 from __future__ import annotations
@@ -83,14 +85,12 @@ _TRACK_KEYS = ("var_X_c", "var_P_c", "var_S_x", "var_S_y", "cov_Sx_Pc", "cov_Sy_
 class MomentSeries:
     """Time series of the first or the second moments of one model.
 
-    ``reductions`` holds the collective values; ``means`` (T, dim) and
-    ``covariances`` (T, dim, dim), the latter only with ``store_full``.
-    ``fallbacks`` counts the computations behind the series that took a
-    dense path instead of the roots and residues.
+    ``reductions`` holds the collective values at the caller's T times;
+    ``means`` (T, dim) and ``covariances`` (T, dim, dim), the latter only
+    with ``store_full``.  ``fallbacks`` counts the computations behind the
+    series that took a dense path instead of the roots and residues.
     """
 
-    times: np.ndarray
-    model: DriftModel
     reductions: dict
     means: np.ndarray | None = None
     covariances: np.ndarray | None = None
@@ -165,9 +165,10 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     ``eigvals``, a pole was deflated, the residues fail their gate
     (:func:`_roots`) or a weight is not finite, each output interval
     ``h`` is one step ``z <- e^{H h} z`` (:func:`scipy.linalg.expm`
-    within :func:`_check_dense`, one for a uniform grid).  A NaN mean
-    raises :class:`NumericalError` naming the path, and so does an
-    ``e^{lambda t}`` past the float range (:func:`_growth_blocks`).
+    within :func:`_check_dense`, one for a uniform grid).  A mean past
+    the float range raises :class:`NumericalError` naming the path and
+    the time (:func:`_finite`), and so does an ``e^{lambda t}`` past it
+    (:func:`_growth_blocks`).
     """
     times = _validate_times(times)
     y0 = np.asarray(y0, dtype=float)
@@ -202,19 +203,20 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
 
         _check_dense(model)
         arrowhead = model.arrowhead
-        phis = _interval_maps(times, lambda h: expm(h * arrowhead))
-        for k, phi in enumerate(phis, start=1):
-            z = phi @ z
-            ys[k, 0::2], ys[k, 1::2] = z.real, signs * z.imag
+        # steps past the float range are left to _finite, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            phis = _interval_maps(times, lambda h: expm(h * arrowhead))
+            for k, phi in enumerate(phis, start=1):
+                z = phi @ z
+                ys[k, 0::2], ys[k, 1::2] = z.real, signs * z.imag
     ys[0] = y0
     path = "the eigenvectors" if spectral else "the dense fallback (e^{H h} steps)"
-    _no_nan(ys, f"mean propagation by {path}")
+    _finite(ys, f"mean propagation by {path}", times)
     reductions = {
         "X_c": ys[:, 0].copy(), "P_c": ys[:, 1].copy(),
         "S_x": ys[:, 2::2].sum(axis=1), "S_y": ys[:, 3::2].sum(axis=1),
     }
-    return MomentSeries(times=times, model=model, reductions=reductions,
-                        means=ys, fallbacks=int(not spectral))
+    return MomentSeries(reductions=reductions, means=ys, fallbacks=int(not spectral))
 
 
 def _sums(amp: np.ndarray) -> np.ndarray:
@@ -225,16 +227,14 @@ def _sums(amp: np.ndarray) -> np.ndarray:
     return np.array([amp[0, 0].real, block.sum(), amp[0, 1:].imag.sum()])
 
 
-def _track(sums: np.ndarray, anomalous=0.0) -> np.ndarray:
-    """The six ``_TRACK_KEYS`` from :func:`_sums` of ``C`` and of ``A`` (or 0).
+def _track(sums: np.ndarray) -> np.ndarray:
+    """The six ``_TRACK_KEYS`` from :func:`_sums` of ``C``, along the last axis.
 
-    ``gamma`` holds ``Re(C + A) / 2`` on the ``x`` quadratures,
-    ``Re(C - A) / 2`` on the ``y`` ones (up to the signs of ``T``) and
-    ``Im(C -+ A) / 2`` across them, so ``Var X_c = Re(C + A)_00 / 4``
-    and the rest follows alike, along the last axis.
+    With no anomalous part ``gamma`` holds ``Re C / 2`` on both
+    quadratures (up to the signs of ``T``) and ``Im C / 2`` across them,
+    so ``Var X_c = Var P_c = Re C_00 / 4``, and the rest follows alike.
     """
-    pairs = np.stack([sums + anomalous, sums - anomalous], axis=-1)
-    return pairs.reshape(sums.shape[:-1] + (6,)) / 4.0
+    return np.repeat(sums, 2, axis=-1) / 4.0
 
 
 def _van_loan_pair(arrowhead: np.ndarray, noise: np.ndarray, h: float):
@@ -275,19 +275,21 @@ def evolve_covariance(
     """Propagate the covariance matrix through the output times.
 
     ``gamma0`` is the diagonal of the real initial covariance, of length
-    ``dim``, as :func:`~spincavity.model.initial_state` returns it;
-    anything else raises :class:`PreconditionError`.  In the amplitudes
-    ``dC/dt = H C + C H^H + D`` with diagonal ``D``, and the anomalous
-    ``A = T gamma T^T`` obeys ``dA/dt = H A + A H^T``.  From an isotropic
-    (``A = 0``) start the track comes from the roots and residues
-    (:func:`_spectral_covariance`, :func:`_spectral_steady`).  From a
-    squeezed one, or when the spectrum fails the gates of
-    :func:`evolve_mean`, or the steady state fails its check or its
-    ``residual`` exceeds ``_LYAPUNOV_RTOL`` of the largest noise entry
-    (near threshold ``C_inf + (C(t) - C_inf)`` cancels too many digits),
-    each output interval is one exact step ``C <- Phi C Phi^H + Q``, ``A
-    <- Phi A Phi^T`` of the Van Loan pair (:func:`_van_loan_pair`, one
-    for a uniform grid), counted in ``fallbacks``.
+    ``dim`` and equal in the two quadratures of each mode, as
+    :func:`~spincavity.model.initial_state` returns it; anything else,
+    a squeezed start among them, raises :class:`PreconditionError`.  In
+    the amplitudes ``dC/dt = H C + C H^H + D`` with diagonal ``D``; the
+    anomalous ``A = T gamma T^T`` obeys ``dA/dt = H A + A H^T`` and so
+    stays at its start, zero.  The track comes from the roots and
+    residues (:func:`_spectral_covariance`, :func:`_spectral_steady`).
+    When the spectrum fails the gates of :func:`evolve_mean`, or the
+    steady state fails its check or its ``residual`` exceeds
+    ``_LYAPUNOV_RTOL`` of the largest noise entry (near threshold
+    ``C_inf + (C(t) - C_inf)`` cancels too many digits), each output
+    interval is one exact step ``C <- Phi C Phi^H + Q`` of the Van Loan
+    pair (:func:`_van_loan_pair`, one for a uniform grid), counted in
+    ``fallbacks``.  A track past the float range raises
+    :class:`NumericalError` naming the path and the time (:func:`_finite`).
 
     ``reductions`` holds the track under the ``_TRACK_KEYS``, its first
     row that of ``gamma0``; the steady ``var_S_x_inf`` and
@@ -308,6 +310,9 @@ def evolve_covariance(
             f"covariance shape {gamma0.shape} is not the ({dim},) diagonal "
             "that initial_state returns"
         )
+    if not np.array_equal(gamma0[0::2], gamma0[1::2]):
+        raise PreconditionError("the two quadratures of each mode must start with "
+                                "equal variances: no squeezed start")
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
     need = 8 * times.size * dim**2  # bytes of the stored covariances
     if store_full and need > _DENSE_BYTE_BUDGET:
@@ -322,22 +327,18 @@ def evolve_covariance(
     else:
         var_inf = dict(zip(_TRACK_KEYS, _track(steady_inf.sums)))
     amp0 = gamma0[0::2] + gamma0[1::2]
-    anomalous = gamma0[0::2] - gamma0[1::2]
-    start = _track(_sums(amp0), _sums(anomalous))
-    isotropic = np.abs(anomalous).max() <= 1e-12 * np.abs(amp0).max()
     spectral = (
-        steady is not None and isotropic
+        steady is not None
         and steady.residual <= _LYAPUNOV_RTOL * model.noise_diag.max()
     )
     if spectral:
         track, covs = _spectral_covariance(model, times, steady, amp0, store_full)
     else:
         _check_dense(model)
-        track, covs = _van_loan_covariance(
-            model, np.diag(amp0 + 0j),
-            None if isotropic else np.diag(anomalous + 0j), times, store_full,
-        )
-    track[0] = start
+        track, covs = _van_loan_covariance(model, np.diag(amp0 + 0j), times, store_full)
+    track[0] = _track(_sums(amp0))
+    path = "the residues" if spectral else "the dense fallback (Van Loan steps)"
+    _finite(track, f"covariance propagation by {path}", times)
     if store_full:
         covs[0] = np.diag(gamma0)
     reductions = dict(zip(_TRACK_KEYS, track.T))
@@ -346,30 +347,26 @@ def evolve_covariance(
     ratio = (var_sx_inf - var_sx) / denom if abs(denom) > _R_RTOL * abs(
         var_sx_inf) else np.full(times.size, np.nan)
     reductions.update(var_S_x_inf=var_sx_inf, var_P_c_inf=var_inf["var_P_c"], R=ratio)
-    return MomentSeries(times=times, model=model, reductions=reductions,
-                        covariances=covs, fallbacks=int(not spectral) + dense)
+    return MomentSeries(reductions=reductions, covariances=covs,
+                        fallbacks=int(not spectral) + dense)
 
 
-def _van_loan_covariance(model, amp, anomalous, times, store_full) -> tuple:
-    """Track and optional matrices by Van Loan steps from ``C_0`` and ``A_0``."""
+def _van_loan_covariance(model, amp, times, store_full) -> tuple:
+    """Track and optional matrices by Van Loan steps from ``C_0``."""
     arrowhead, noise = model.arrowhead, _noise(model)
-    pairs = _interval_maps(times, lambda h: _van_loan_pair(arrowhead, noise, h))
-    sums = np.zeros((2, times.size, 3))
+    sums = np.zeros((times.size, 3))
     covs = np.empty((times.size, model.dim, model.dim)) if store_full else None
-    for k in range(times.size):
-        if k > 0:
-            phi, q = pairs[k - 1]
-            amp = phi @ amp @ phi.conj().T + q
-            amp = (amp + amp.conj().T) / 2.0
-            if anomalous is not None:
-                anomalous = phi @ anomalous @ phi.T
-                anomalous = (anomalous + anomalous.T) / 2.0
-        sums[0, k] = _sums(amp)
-        if anomalous is not None:
-            sums[1, k] = _sums(anomalous)
-        if store_full:
-            covs[k] = _from_amplitudes(amp, anomalous)
-    return _track(*sums), covs
+    with np.errstate(over="ignore", invalid="ignore"):  # left to _finite
+        pairs = _interval_maps(times, lambda h: _van_loan_pair(arrowhead, noise, h))
+        for k in range(times.size):
+            if k > 0:
+                phi, q = pairs[k - 1]
+                amp = phi @ amp @ phi.conj().T + q
+                amp = (amp + amp.conj().T) / 2.0
+            sums[k] = _sums(amp)
+            if store_full:
+                covs[k] = _from_amplitudes(amp)
+    return _track(sums), covs
 
 
 def _row_blocks(rows: int, cols: int, chunk: int | None = None):
@@ -453,10 +450,14 @@ def _check_dense(model: DriftModel) -> None:
         )
 
 
-def _no_nan(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``, or :class:`NumericalError` naming ``what`` if one is NaN."""
-    if np.isnan(values).any():
-        raise NumericalError(f"{what} returned NaN")
+def _finite(values: np.ndarray, what: str, times: np.ndarray) -> np.ndarray:
+    """``values`` (one row per time), or :class:`NumericalError` naming
+    ``what`` and the first time at which one is not finite."""
+    bad = ~np.isfinite(values.reshape(times.size, -1)).all(axis=1)
+    if bad.any():
+        raise NumericalError(
+            f"{what} overflows the float range by t = {times[bad.argmax()]:g}"
+        )
     return values
 
 
@@ -911,7 +912,8 @@ def field_kick_response(model: DriftModel, times) -> tuple:
         response = np.empty(times.size, dtype=complex)
         for block, growth in _growth_blocks(times, spectrum.lam):
             response[block] = growth @ spectrum.residues
-        return _no_nan(response, "the residue expansion of the kicked field"), False
+        return _finite(response, "the residue expansion of the kicked field",
+                       times), False
     y0 = np.zeros(model.dim)
     y0[0] = 1.0
     means = evolve_mean(model, y0, times).means
@@ -925,17 +927,15 @@ def _signs(size: int) -> np.ndarray:
     return signs
 
 
-def _from_amplitudes(amp: np.ndarray, anomalous=None) -> np.ndarray:
-    """Real ``gamma`` of a Hermitian ``C`` and an anomalous ``A`` (``None``: 0)."""
+def _from_amplitudes(amp: np.ndarray) -> np.ndarray:
+    """Real ``gamma`` of a Hermitian ``C`` with no anomalous part."""
     signs = _signs(amp.shape[0])
-    plus = minus = amp / 2.0
-    if anomalous is not None:
-        plus, minus = (amp + anomalous) / 2.0, (amp - anomalous) / 2.0
+    half = amp / 2.0
     gamma = np.empty((2 * amp.shape[0],) * 2)
-    gamma[0::2, 0::2] = plus.real
-    gamma[1::2, 1::2] = signs[:, None] * minus.real * signs
-    gamma[1::2, 0::2] = signs[:, None] * plus.imag
-    gamma[0::2, 1::2] = -minus.imag * signs
+    gamma[0::2, 0::2] = half.real
+    gamma[1::2, 1::2] = signs[:, None] * half.real * signs
+    gamma[1::2, 0::2] = signs[:, None] * half.imag
+    gamma[0::2, 1::2] = -half.imag * signs
     return (gamma + gamma.T) / 2.0
 
 

@@ -251,6 +251,24 @@ class TestDecay:
                         "--kappa", "1", "--g-ens", "30", "--t-max", "100",
                         "--t-samples", "5"], 3, "overflow", id=f"{name}-growth")
           for name in ("decay", "moments")),
+        # the analytic references overflow a float ** or divide by a
+        # product underflowed to zero: invalid rates, named
+        pytest.param(["stability-sweep", "--family", "homogeneous",
+                      "--gamma-perp", "1", "--g-min", "1e200", "--g-max", "1e200",
+                      "--g-samples", "1", "--kappa-samples", "1"], 2,
+                     "g_ens=1e+200", id="sweep-g-1e200"),
+        pytest.param(["stability-sweep", "--family", "homogeneous",
+                      "--gamma-perp", "1e-200", "--kappa-min", "1e-200",
+                      "--kappa-max", "1e-200", "--g-samples", "1",
+                      "--kappa-samples", "1"], 2, "kappa=1e-200",
+                     id="sweep-kappa-gamma-1e-200"),
+        pytest.param(["pole", "--family", "gaussian", "--width", "1e-170",
+                      "--kappa", "1", "--g-ens", "1"], 2, "width=1e-170",
+                     id="pole-width-1e-170"),
+        pytest.param(["decay", "--family", "gaussian", "--width", "1",
+                      "--gamma-perp", "0", "--kappa", "1e-100", "--g-ens", "1e60",
+                      "--m", "21", "--t-max", "1e-70", "--t-samples", "5"], 2,
+                     "kappa=1e-100", id="decay-g-over-kappa-1e160"),
     ])
     def test_extreme_rates_exit_silently(self, argv, code, phrase):
         # the library prints no RuntimeWarning: with warnings as errors
@@ -263,9 +281,12 @@ class TestDecay:
         assert result.returncode == code
         assert "Warning" not in result.stderr
         assert "Traceback" not in result.stderr
-        if code == 3:
+        if code:
+            # one line: "error: " for invalid rates, else a numerical failure
             assert result.stdout == ""
-            assert result.stderr.startswith("numerical failure: ")
+            assert result.stderr.startswith("error: " if code == 2
+                                            else "numerical failure: ")
+            assert result.stderr.count("\n") == 1
             assert phrase in result.stderr
         else:
             assert result.stdout.endswith("# pole_tail=unconverged\n")

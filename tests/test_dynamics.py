@@ -251,7 +251,7 @@ class TestEvolveCovariance:
         "case, path",
         [pytest.param(case, path,
                       id=case if path == "spectral" else f"{case}-{path}")
-         for path in ("spectral", "van-loan", "squeezed")
+         for path in ("spectral", "van-loan")
          for case in ("coarse-grid", "unstable", "zero-dephasing",
                       "nonuniform-grid")],
     )
@@ -278,10 +278,6 @@ class TestEvolveCovariance:
         if path == "van-loan":
             monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         _, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
-        if path == "squeezed":
-            # a quadrature-anisotropic start: Van Loan steps carry the
-            # anomalous part A <- Phi A Phi^T next to the covariance
-            gamma0[0], gamma0[1] = 4.0, 0.25
         series = evolve_covariance(model, gamma0, times, store_full=True)
         if path == "spectral":
             # the arrowhead eigen-system, not a dense fallback, gave the result
@@ -315,12 +311,19 @@ class TestEvolveCovariance:
 
     def test_takes_only_the_covariance_diagonal(self):
         # the start is the (dim,) diagonal that initial_state returns; a
-        # matrix, even a diagonal one, is refused naming that shape
+        # matrix, even a diagonal one, is refused naming that shape, and
+        # a squeezed field or spin, unequal in its two quadratures, is
+        # refused naming them
         model, grid = small_model(m=3)
         _, gamma0 = initial_state("vacuum", grid)
         for bad in (np.diag(gamma0), gamma0[:-1]):
             with pytest.raises(PreconditionError, match=r"\(8,\) diagonal"):
                 evolve_covariance(model, bad, np.linspace(0.0, 1.0, 3))
+        for quadratures in ([0, 1], [4, 5]):
+            squeezed = gamma0.copy()
+            squeezed[quadratures] *= [4.0, 0.25]
+            with pytest.raises(PreconditionError, match="two quadratures"):
+                evolve_covariance(model, squeezed, np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("m, samples", [(1201, 3), (101, 201)],
                              ids=["M1201-T3", "M101-T201"])
@@ -440,16 +443,26 @@ class TestSpectralMoments:
             1e-8 * np.abs(reference).max()
         )
 
-    def test_anisotropic_initial_covariance_takes_van_loan(self, dense_calls):
-        model, grid = small_model(spec=GAUSS, m=7, delta_cs=0.5)
-        _, gamma0 = initial_state("vacuum", grid)
-        gamma0[0], gamma0[1] = 4.0, 0.25  # a squeezed field
-        times = np.linspace(0.0, 2.0, 9)
-        series = evolve_covariance(model, gamma0, times, store_full=True)
-        # the steady state does not depend on gamma0 and stays spectral
-        assert series.fallbacks == 1
-        assert dense_calls == {**NO_DENSE_CALLS, "van_loan": 1}
-        assert_matches_dp45(model, gamma0, times, series)
+    def test_dense_fallbacks_name_an_overflow(self, monkeypatch, dense_calls):
+        # C = 900: the growth e^{29 t} passes the float range near
+        # t = 24.5, so every dense step from t = 25 on is inf or NaN.
+        # Each call raises naming the path and the time, with no
+        # RuntimeWarning (pytest turns one into an error)
+        model, grid = small_model(spec=HOM, m=1, kappa=1.0, gamma_perp=1.0,
+                                  g_ens=30.0)
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        times = np.linspace(0.0, 100.0, 5)
+        for run, path in [
+            (lambda: evolve_mean(model, y0, times), r"\(e\^\{H h\} steps\)"),
+            (lambda: field_kick_response(model, times), r"\(e\^\{H h\} steps\)"),
+            (lambda: evolve_covariance(model, gamma0, times), r"\(Van Loan steps\)"),
+        ]:
+            with pytest.raises(NumericalError, match=(
+                f"the dense fallback {path} overflows the float range by t = 25$"
+            )):
+                run()
+        assert dense_calls["expm"] >= 1 and dense_calls["van_loan"] >= 1
 
     def test_residual_gate_sends_the_steady_state_to_bartels_stewart(
         self, monkeypatch, dense_calls
