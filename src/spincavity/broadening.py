@@ -228,8 +228,10 @@ def solve_width_for_gamma(
     family = BroadeningFamily(family)
     gamma = float(gamma)
     gamma_perp = float(gamma_perp)
-    if gamma <= 0.0:
-        raise PreconditionError("target characteristic width must be > 0")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise PreconditionError(f"gamma must be finite and > 0, got {gamma}")
+    if not (math.isfinite(gamma_perp) and gamma_perp >= 0.0):
+        raise PreconditionError(f"gamma_perp must be finite and >= 0, got {gamma_perp}")
     if family is BroadeningFamily.HOMOGENEOUS:
         if not math.isclose(gamma, gamma_perp, rel_tol=1e-12):
             raise PreconditionError(
@@ -243,82 +245,53 @@ def solve_width_for_gamma(
         )
     if family is BroadeningFamily.LORENTZIAN:
         return 2.0 * (gamma - gamma_perp)
+    if gamma_perp == 0.0:
+        return gamma * math.sqrt(math.pi / 2.0)  # w(0) = 1
 
     def mismatch(sigma):
         spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, sigma)
         return characteristic_width(spec, gamma_perp) - gamma
 
-    # Gamma(sigma) is monotone increasing from gamma_perp; expand the
-    # bracket geometrically around the zero-dephasing solution.
-    lo = hi = gamma * math.sqrt(math.pi / 2.0)
-    while mismatch(lo) > 0.0:
-        lo /= 2.0
-        if lo < 1e-12 * gamma:
-            raise PreconditionError("no Gaussian width realizes this gamma")
-    while mismatch(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12 * gamma:
-            raise PreconditionError("no Gaussian width realizes this gamma")
-    return float(_brentq(mismatch, lo, hi, xtol=1e-15 * gamma, rtol=8.9e-16))
+    # Gamma(sigma) = sqrt(2/pi) sigma / erfcx(u), u = gamma_perp / (sqrt(2)
+    # sigma), and the erfcx bounds of Abramowitz & Stegun 7.1.13 give
+    # Gamma(s) < gamma <= Gamma(sqrt(pi/2) s) at s^2 = gamma (gamma -
+    # gamma_perp); s is formed from two roots so that it cannot overflow
+    s = math.sqrt(gamma) * math.sqrt(gamma - gamma_perp)
+    return _illinois(mismatch, s, math.sqrt(math.pi / 2.0) * s,
+                     xtol=1e-15 * gamma, rtol=8.9e-16)
 
 
-def _brentq(f, xpre, xcur, xtol, rtol, maxiter=100):
-    """Root of ``f`` in the sign-changing bracket ``[xpre, xcur]``.
+def _illinois(f, lo, hi, xtol, rtol, maxiter=100):
+    """Root of the increasing ``f`` in ``[lo, hi]``.
 
-    Brent's method (Brent, *Algorithms for Minimization Without
-    Derivatives*, 1973, ch. 4) as a line-by-line port of scipy's
-    ``brentq.c``, so it returns the bits of
-    :func:`scipy.optimize.brentq` for equal arguments: inverse quadratic
-    or secant steps while they shrink fast enough, bisection otherwise,
-    and never a step below ``delta = (xtol + rtol |x|) / 2``.  Raises
-    :class:`PreconditionError` for an unbracketed interval and
+    The Illinois method (Dowell & Jarratt, BIT 11, 168 (1971)): false
+    position that halves the value kept at an end which has not moved
+    for two steps.  Once the bracket is narrower than ``(xtol + rtol x)
+    / 2`` it returns the point of smallest ``|f|`` seen, which at the
+    rounding level of ``f`` need not be the last.  An end whose value
+    already has the root's sign, where rounding can put it, is returned
+    at once.  Raises
     :class:`ConvergenceError` after ``maxiter`` iterations.
     """
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise PreconditionError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    flo, fhi = f(lo), f(hi)
+    if flo >= 0.0 or fhi <= 0.0:
+        return lo if flo >= 0.0 else hi
+    best, side = min((-flo, lo), (fhi, hi)), 0
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                    dblk * dpre * (fblk - fpre)
-                )
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+        x = lo + (hi - lo) * (flo / (flo - fhi))  # no product of two widths
+        fx = f(x)
+        best = min(best, (abs(fx), x))
+        if fx < 0.0:
+            if side < 0:
+                fhi /= 2.0
+            lo, flo, side = x, fx, -1
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise ConvergenceError(
-        f"Brent's method did not converge in {maxiter} iterations"
-    )
+            if side > 0:
+                flo /= 2.0
+            hi, fhi, side = x, fx, 1
+        if fx == 0.0 or hi - lo <= (xtol + rtol * x) / 2.0:
+            return best[1]
+    raise ConvergenceError(f"Illinois iteration unconverged after {maxiter} steps")
 
 
 def discretize(

@@ -235,7 +235,10 @@ def _decay(o: dict):
         "t", "X_c_sim", "X_c_lorentzian_analytic", "X_c_weak_coupling",
         "X_c_pole_tail",
     ]
-    header = {"Gamma": Gamma, "kick_response_fallbacks": int(fallback)}
+    header = {
+        "Gamma": Gamma, "kick_response_fallbacks": int(fallback),
+        "eigensolver_fallbacks": int(arrowhead_eigenvalues(model)[1]),
+    }
     return columns, rows, header, trailer
 
 
@@ -262,12 +265,16 @@ def _moments(o: dict):
         except UnstableModelError:
             pass
         else:
-            trailer["panel_f_ratio_sx"] = (var_sx_inf / N - 1.0) / (
-                reference.var_S_x / N - 1.0
-            )
-            trailer["panel_f_ratio_pc"] = (2.0 * red["var_P_c_inf"] - 1.0) / (
-                2.0 * reference.var_P_c - 1.0
-            )
+            # a reference excess of zero (uncoupled spins) has no ratio
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratios = {
+                    "panel_f_ratio_sx": (var_sx_inf / N - 1.0)
+                    / (reference.var_S_x / N - 1.0),
+                    "panel_f_ratio_pc": (2.0 * red["var_P_c_inf"] - 1.0)
+                    / (2.0 * reference.var_P_c - 1.0),
+                }
+            if all(map(math.isfinite, ratios.values())):
+                trailer.update(ratios)
     columns = [
         "t", "Sx_over_Sx0", "Pc", "VarSx_over_N_minus_1", "twoVarPc_minus_1",
         "R",

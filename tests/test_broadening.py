@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import wofz
 
 import spincavity.broadening as broadening
@@ -160,45 +159,70 @@ class TestSolveWidth:
 
     def test_unreachable_targets_rejected(self):
         # a Lorentzian cannot be narrower than its homogeneous floor
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="gamma > gamma_perp"):
             solve_width_for_gamma(BroadeningFamily.LORENTZIAN, 0.5, 0.6)
+        # non-finite or negative rates are refused before any family branch
+        for family, gamma, gamma_perp, name in (
+            (BroadeningFamily.LORENTZIAN, math.nan, 0.0, "gamma"),
+            (BroadeningFamily.LORENTZIAN, math.inf, 0.0, "gamma"),
+            (BroadeningFamily.GAUSSIAN, math.nan, 0.0, "gamma"),
+            (BroadeningFamily.LORENTZIAN, 1.0, math.nan, "gamma_perp"),
+            (BroadeningFamily.GAUSSIAN, 1.0, math.inf, "gamma_perp"),
+            (BroadeningFamily.GAUSSIAN, 1.0, -0.1, "gamma_perp"),
+            (BroadeningFamily.HOMOGENEOUS, 1.0, -1.0, "gamma_perp"),
+        ):
+            with pytest.raises(PreconditionError, match=f"^{name} must be finite"):
+                solve_width_for_gamma(family, gamma, gamma_perp)
 
-
-class TestBrentPort:
     @given(
         log10_gamma=st.floats(-3.0, 3.0),
         ratio=st.one_of(
             st.just(0.0),
-            st.floats(1e-12, 1.0 - 1e-4),
-            st.floats(-12.0, np.log10(1.0 - 1e-4)).map(lambda e: 10.0**e),
+            st.floats(1e-12, 1.0 - 1e-15),
+            st.floats(-12.0, np.log10(1.0 - 1e-15)).map(lambda e: 10.0**e),
+            st.floats(-15.0, -4.0).map(lambda e: 1.0 - 10.0**e),
         ),
     )
     @settings(max_examples=150, deadline=None)
-    def test_bit_identical_to_scipy_brentq(self, log10_gamma, ratio):
-        # both solvers on solve_width_for_gamma's own mismatch and bracket
+    def test_gaussian_width_inside_the_erfcx_bracket(self, log10_gamma, ratio):
         gamma = 10.0**log10_gamma
-        port, solves = broadening._brentq, []
+        gamma_perp = ratio * gamma
 
-        def both(f, lo, hi, xtol, rtol):
-            ours = port(f, lo, hi, xtol, rtol)
-            solves.append((ours, brentq(f, lo, hi, xtol=xtol, rtol=rtol)))
-            return ours
+        def width(sigma):
+            spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, sigma)
+            return characteristic_width(spec, gamma_perp)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(broadening, "_brentq", both)
-            solve_width_for_gamma(BroadeningFamily.GAUSSIAN, gamma, ratio * gamma)
-        [(ours, theirs)] = solves
-        assert type(ours) is float
-        assert ours == theirs
+        sigma = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, gamma, gamma_perp)
+        assert type(sigma) is float
+        assert abs(width(sigma) - gamma) <= 1e-15 * gamma
+        # Abramowitz & Stegun 7.1.13 put the root in [s, sqrt(pi/2) s];
+        # rounding moves either end's Gamma by up to a few ulps of gamma
+        s = math.sqrt(gamma * (gamma - gamma_perp))
+        assert width(s) - gamma <= 1e-15 * gamma
+        assert gamma - width(math.sqrt(math.pi / 2.0) * s) <= 1e-15 * gamma
 
-    def test_unbracketed_interval_is_rejected(self):
-        with pytest.raises(PreconditionError):
-            broadening._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+    def test_gaussian_width_at_extreme_rates(self):
+        for gamma in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            # w(0) = 1 makes the undephased width a closed form
+            sigma = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, gamma, 0.0)
+            assert sigma == gamma * math.sqrt(math.pi / 2.0)
+            spec = BroadeningSpec(
+                BroadeningFamily.GAUSSIAN,
+                solve_width_for_gamma(BroadeningFamily.GAUSSIAN, gamma, gamma / 2),
+            )
+            assert characteristic_width(spec, gamma / 2) == pytest.approx(
+                gamma, rel=1e-15
+            )
 
-    def test_exhausted_iteration_cap_raises(self):
+    def test_illinois_returns_an_end_past_the_root_and_caps_iterations(self):
+        def f(x):
+            return x - 0.3
+
+        assert broadening._illinois(f, 0.5, 1.0, 1e-12, 8.9e-16) == 0.5
+        assert broadening._illinois(f, 0.0, 0.2, 1e-12, 8.9e-16) == 0.2
+        assert broadening._illinois(f, 0.0, 1.0, 1e-12, 8.9e-16) == pytest.approx(0.3)
         with pytest.raises(ConvergenceError):
-            broadening._brentq(lambda x: x - 0.3, 0.0, 1.0, 1e-12, 8.9e-16,
-                               maxiter=0)
+            broadening._illinois(f, 0.0, 1.0, 1e-12, 8.9e-16, maxiter=0)
 
 
 class TestDensity:

@@ -128,7 +128,8 @@ SMALL = {
 }
 ADDED_KEYS = {
     "decay": {
-        "Gamma", "kick_response_fallbacks", "pole_rate_re", "pole_rate_im",
+        "Gamma", "kick_response_fallbacks", "eigensolver_fallbacks",
+        "pole_rate_re", "pole_rate_im",
     },
     "moments": {"moment_fallbacks", "panel_f_ratio_sx", "panel_f_ratio_pc"},
     "spectrum": {"invalid_rows"},
@@ -353,14 +354,23 @@ class TestDecay:
         reference = expm_mean(model.drift, y0, times)[:, 0]
         assert np.abs(sim - reference).max() <= 1e-10 * np.abs(reference).max()
 
-    def test_records_the_kick_response_fallback(self, tmp_path, monkeypatch,
-                                                secular_solves):
-        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+    @pytest.mark.parametrize(
+        "constant, kick_fallbacks, eigensolver_fallbacks",
+        [("_RESIDUE_BOUND", "1", "1"), ("_ABERTH_MAX_ITER", "0", "1")],
+    )
+    def test_records_the_kick_response_fallback(
+        self, tmp_path, monkeypatch, secular_solves, constant, kick_fallbacks,
+        eigensolver_fallbacks,
+    ):
+        # both send the roots to dense eigvals; a zero residue bound also
+        # refuses their residues, a zero iteration cap does not
+        monkeypatch.setattr(dynamics, constant, 0)
         out = tmp_path / "decay.csv"
         assert run_cli(LOR_DECAY + ["--out", out]) == 0
         meta, _, _, _ = read_table(out)
-        assert meta["kick_response_fallbacks"] == "1"
-        # the fallback's means read the spectrum whose residues failed
+        assert meta["kick_response_fallbacks"] == kick_fallbacks
+        assert meta["eigensolver_fallbacks"] == eigensolver_fallbacks
+        # the fallback's means and the count read the one spectrum
         assert len(secular_solves) == 1
 
     @pytest.mark.parametrize(
@@ -407,6 +417,27 @@ class TestMoments:
         assert manifest["panel_f_ratio_sx"] == pytest.approx(
             float(trailing["panel_f_ratio_sx"]), rel=1e-15
         )
+
+    def test_uncoupled_reference_leaves_out_panel_ratios(self, tmp_path):
+        # at g_ens = 1e-200 both reference excesses are 0: the ratios
+        # would be 0/0 and x/0, so the run writes neither, and no warning
+        out = tmp_path / "moments.csv"
+        code = run_cli([
+            "moments", "--family", "gaussian", "--normalize-gamma",
+            "--gamma-perp", "0.02", "--kappa", "8", "--g-ens", "1e-200",
+            "--m", "21", "--t-max", "1", "--t-samples", "5", "--out", out,
+        ])
+        assert code == 0
+        assert read_table(out)[3] == {}
+
+        def reject(constant):
+            raise ValueError(f"manifest holds {constant}")
+
+        manifest = json.loads(
+            (tmp_path / "moments.csv.manifest.json").read_text(),
+            parse_constant=reject,
+        )
+        assert not {"panel_f_ratio_sx", "panel_f_ratio_pc"} & set(manifest)
 
     def test_gaussian_variance_columns_match_dp45_oracle(self, tmp_path):
         out = tmp_path / "moments.csv"
