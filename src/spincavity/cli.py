@@ -59,7 +59,8 @@ from .broadening import (
     solve_width_for_gamma,
 )
 from .dynamics import (
-    arrowhead_eigenvalues, evolve_covariance, evolve_mean, field_kick_response,
+    arrowhead_eigenvalues, arrowhead_spectra, check_revival_window,
+    evolve_covariance, evolve_mean, field_kick_response,
 )
 from .errors import (
     ConvergenceError, DomainError, NumericalError, PreconditionError,
@@ -309,6 +310,11 @@ def _stability_sweep(o: dict):
         "g_ens", "kappa", "Gamma", "C", "spectral_abscissa_discrete",
         "stable_analytic", "stable_numeric",
     ]
+    # all points are solved at once: each holds a row, its model's noise
+    # row, and the roots and residues of its spectrum
+    m = o["m"]
+    _check_samples("--g-samples x --kappa-samples", o["g_samples"] * o["kappa_samples"],
+                   _ROW_BYTES + 8 * (2 * m + 2) + 32 * (m + 1))
     windowed = spec.family is _GAUSSIAN and o["gamma_perp"] == 0.0
     # eigenvalues of the undamped uniform grid carry a small positive
     # artifact; the windowed verdict judges by the kicked cavity
@@ -316,27 +322,31 @@ def _stability_sweep(o: dict):
     # early against late, so the kick scale cancels
     times = np.linspace(0.0, o["t_max"], 101)
     fifth = max(2, times.size // 5)
-    fallbacks = dense = 0
-    rows = []
+    points = []
     for g in np.linspace(o["g_min"], o["g_max"], o["g_samples"]):
         # the spectrum reads the spins only through g_m^2 N_m = g^2 w_m
-        grid = discretize(spec, o["m"], g, 1.0)
+        grid = discretize(spec, m, g, 1.0)
         for kappa in np.linspace(o["kappa_min"], o["kappa_max"], o["kappa_samples"]):
             point = _params(o, kappa=kappa, g_ens=g)
             report = stability_report(point, spec)
-            model = build_drift_matrix(point, grid, o["p"])
-            eigenvalues, dense_path = arrowhead_eigenvalues(model)
-            dense += dense_path
-            abscissa = float(eigenvalues.real.max())
-            if windowed:
-                response, fallback = field_kick_response(model, times)
-                fallbacks += fallback
-                envelope = np.abs(response)
-                numeric = bool(envelope[-fifth:].max() < envelope[:fifth].max())
-            else:
-                numeric = bool(abscissa < 0.0)
-            rows.append([g, kappa, report.Gamma, report.C, abscissa,
-                         bool(report.stable), numeric])
+            points.append((g, kappa, report, build_drift_matrix(point, grid, o["p"])))
+    # the window reads only the grid spacing, which g leaves alone
+    check_revival_window(grid, o["gamma_perp"], o["t_max"])
+    spectra = arrowhead_spectra([model for *_, model in points])
+    fallbacks = dense = 0
+    rows = []
+    for (g, kappa, report, model), (eigenvalues, dense_path) in zip(points, spectra):
+        dense += dense_path
+        abscissa = float(eigenvalues.real.max())
+        if windowed:
+            response, fallback = field_kick_response(model, times)
+            fallbacks += fallback
+            envelope = np.abs(response)
+            numeric = bool(envelope[-fifth:].max() < envelope[:fifth].max())
+        else:
+            numeric = bool(abscissa < 0.0)
+        rows.append([g, kappa, report.Gamma, report.C, abscissa,
+                     bool(report.stable), numeric])
     header = {
         "windowed_verdict": windowed, "kick_response_fallbacks": fallbacks,
         "eigensolver_fallbacks": dense,

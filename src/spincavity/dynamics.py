@@ -6,8 +6,10 @@ complex (M+1) x (M+1) arrowhead ``H`` (:attr:`DriftModel.arrowhead`), and
 ``C = T gamma T^H`` obeys ``dC/dt = H C + C H^H + D``.  The roots
 ``lambda_k`` of the secular function ``F`` and the residues
 ``r_k = 1 / F'(lambda_k)``, found in O(M^2) and gated once per model
-(:func:`arrowhead_eigenvalues`), give every moment on any time grid with
-no (M+1)^2 array: the kicked field (:func:`field_kick_response`), the
+(:func:`arrowhead_eigenvalues`; models that share their poles, as the
+points of a sweep over ``g_ens`` and ``kappa`` do, in one batched
+iteration, :func:`arrowhead_spectra`), give every moment on any time
+grid with no (M+1)^2 array: the kicked field (:func:`field_kick_response`), the
 means through the Cauchy-matrix eigenvectors (:func:`evolve_mean`), and
 the covariance as the Ornstein-Uhlenbeck solution in the eigenbasis
 (Gardiner, *Handbook of Stochastic Methods*), where the poles' common
@@ -30,6 +32,7 @@ the float range raise :class:`NumericalError` (:func:`_finite`).
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -45,8 +48,8 @@ from .model import DriftModel
 
 __all__ = [
     "MomentSeries", "evolve_mean", "evolve_covariance", "steady_state_covariance",
-    "arrowhead_eigenvalues", "spectral_abscissa", "field_kick_response",
-    "check_revival_window",
+    "arrowhead_eigenvalues", "arrowhead_spectra", "spectral_abscissa",
+    "field_kick_response", "check_revival_window",
 ]
 
 # largest sum_k |r_k| = sum_k 1 / |F'(lambda_k)| accepted from the
@@ -72,9 +75,9 @@ _LYAPUNOV_RTOL = 1e-10
 # (3e-10 at N = 1e12), so R over a denominator of a few ulps is noise
 _R_RTOL = 1e-10
 
-# the last model's spectrum: [weak reference to the model, the gate
-# constants it was found under, its _Spectrum], or empty
-_MEMO: list = []
+# the spectra of the last call that solved: id(model) -> (weak reference
+# to the model, the gate constants it was found under, its _Spectrum)
+_MEMO: dict = {}
 
 # order of the per-time variance track of evolve_covariance:
 # (Var Xc, Var Pc, Var Sx, Var Sy, <dSx dPc>, <dSy dXc>)
@@ -573,13 +576,14 @@ def _real_pair(level: float, halves: np.ndarray, weights: np.ndarray) -> bool:
     return True
 
 
-def _work_arrays(width: int) -> np.ndarray:
-    """Two complex work arrays of ``_CHUNK_BYTES`` for :func:`_view`.
+def _work_arrays(width: int, batched: bool = False) -> np.ndarray:
+    """Complex work arrays of ``_CHUNK_BYTES`` for :func:`_view`: two, and
+    a third for the rows a batch of models gathers (:func:`_take`).
 
     Every block array of the secular kernel lives in them: fresh arrays
     that large cost more to allocate than to fill.
     """
-    return np.empty((2, max(_CHUNK_BYTES // 16, width)), dtype=complex)
+    return np.empty((2 + batched, max(_CHUNK_BYTES // 16, width)), dtype=complex)
 
 
 def _view(work, index, count, columns, dtype=complex) -> np.ndarray:
@@ -587,41 +591,55 @@ def _view(work, index, count, columns, dtype=complex) -> np.ndarray:
     return work[index].view(dtype)[: count * columns].reshape(count, columns)
 
 
-def _split_sums(z, shift, poles, weights, pairs, work) -> tuple:
+def _take(table, owner, work, index=2) -> np.ndarray:
+    """Rows ``table[owner]`` of a (models x columns) table, gathered into
+    work array ``index``; with no ``owner`` (one model) its one row, to
+    broadcast."""
+    if owner is None:
+        return table[0]
+    out = _view(work, index, owner.size, table.shape[1], table.dtype)
+    return np.take(table, owner, axis=0, out=out, mode="clip")
+
+
+def _split_sums(z, shift, poles, weights, pairs, work, owner=None) -> tuple:
     """Secular sums at ``z`` with the nearest pole, or pole pair, split off.
 
     With ``F_k``, ``S_k`` the sums over the other poles, ``F = F_k - v /
     q``: ``q = z + d_k``, ``v = w_k`` for an unpaired pole, ``q = (y +
     iD)(y - iD)``, ``y = z + g``, ``v = 2 w_k y`` for the pair ``g +- iD``.
     Returns ``(F_k, F_k', S_k, q, v, q', v')``, finite and uncancelled at
-    the pole; the poles are laid out as in :func:`_aberth_roots`, and
-    every (rows x poles) array lives in ``work`` (:func:`_work_arrays`).
+    the pole; the poles are laid out as in :func:`_aberth_roots`.  Row
+    ``i`` reads the weights ``weights[owner_i]`` (row 0 with no
+    ``owner``) and ``shift``, one value or one per row; every (rows x
+    poles) array lives in ``work`` (:func:`_work_arrays`).
     """
     single = poles.size - pairs
-    lone_poles, lone_weights = poles[:single], weights[:single]
+    lone_poles = poles[:single]
     count = z.size
     at = np.arange(count)
+    which = 0 if owner is None else owner
     gap = np.add(z[:, None], lone_poles, out=_view(work, 0, count, single))
     dist = np.abs(gap, out=_view(work, 1, count, single, float))
     near = dist.argmin(axis=1)
     q = gap[at, near]
-    v = lone_weights[near].astype(complex)
+    v = weights[which, near].astype(complex)
     dq = np.ones(count, dtype=complex)
     dv = np.zeros(count)
     if pairs:
-        halves, pair_weights = poles[single:].imag, weights[single:]
+        halves = poles[single:].imag
         y = z + lone_poles[-1].real
         k = _nearest(halves, np.abs(y.imag))
         pair_dist = np.hypot(y.real, np.abs(y.imag) - halves[k])
         split = pair_dist < dist[at, near]
-        ys, ws, hs = y[split], pair_weights[k[split]], 1j * halves[k[split]]
+        ys, ws, hs = y[split], weights[which, single + k][split], 1j * halves[k[split]]
         q[split], v[split] = (ys + hs) * (ys - hs), 2.0 * ws * ys
         dq[split], dv[split] = 2.0 * ys, 2.0 * ws
         gap[at[~split], near[~split]] = np.inf
     else:
         gap[at, near] = np.inf
     inv = np.divide(1.0, gap, out=gap)
-    terms = np.multiply(lone_weights, inv, out=_view(work, 1, count, single))
+    terms = np.multiply(_take(weights[:, :single], owner, work), inv,
+                        out=_view(work, 1, count, single))
     f = z + shift - terms.sum(axis=1)
     df = 1.0 + np.multiply(terms, inv, out=terms).sum(axis=1)
     rest = inv.sum(axis=1)
@@ -633,7 +651,8 @@ def _split_sums(z, shift, poles, weights, pairs, work) -> tuple:
         inv = np.add((y * y)[:, None], halves**2, out=_view(work, 0, count, pairs))
         inv[at[split], k[split]] = np.inf
         inv = np.divide(1.0, inv, out=inv)
-        terms = np.multiply(pair_weights, inv, out=_view(work, 1, count, pairs))
+        terms = np.multiply(_take(weights[:, single:], owner, work), inv,
+                            out=_view(work, 1, count, pairs))
         pole_sum = terms.sum(axis=1)
         f -= 2.0 * y * pole_sum
         df += 4.0 * y * y * np.multiply(terms, inv, out=terms).sum(axis=1)
@@ -642,99 +661,125 @@ def _split_sums(z, shift, poles, weights, pairs, work) -> tuple:
     return f, df, rest, q, v, dq, dv
 
 
-def _residue_pass(roots, poles, weights, pairs, work) -> np.ndarray:
-    """Residues ``1 / F'`` at ``roots``, in the split-off form of :func:`_split_sums`:
-    ``1 / F' = q^2 / (F_k' q^2 - (v' q - v q'))``, O(M) per root, zero on
-    a pole, and with no cancellation next to one."""
+def _residue_pass(roots, poles, weights, pairs, work, owner=None) -> np.ndarray:
+    """Residues ``1 / F'`` at ``roots``, root ``i`` of model ``owner_i``, in
+    the split-off form of :func:`_split_sums`: ``1 / F' = q^2 / (F_k' q^2
+    - (v' q - v q'))``, O(M) per root, zero on a pole, and with no
+    cancellation next to one."""
     residues = np.empty(roots.size, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block in _row_blocks(roots.size, poles.size):
             _, df, _, q, v, dq, dv = _split_sums(
-                roots[block], 0.0, poles, weights, pairs, work
+                roots[block], 0.0, poles, weights, pairs, work,
+                None if owner is None else owner[block],
             )
             residues[block] = q * q / (df * q * q - (dv * q - v * dq))
     return residues
 
 
-def _aberth_roots(shift, poles, weights, seeds, pairs=0, root_pairs=0):
-    """Roots of ``z + shift - sum_m weights_m / (z + poles_m)`` from ``seeds``.
+def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
+    """Roots of ``z + shifts_b - sum_m weights_bm / (z + poles_m)`` from
+    ``seeds[b]``, for each model ``b`` of a batch that shares the poles.
 
     The poles must be distinct and the weights nonzero; n poles give
     n + 1 roots.  The last ``pairs`` poles stand for themselves and their
     conjugates, of equal weight, sharing the real part of the last
     unpaired pole, with increasing positive imaginary parts; the last
-    ``root_pairs`` seeds likewise stand for conjugate pairs, and with any
-    pair the other seeds must be real.  Returns ``(roots, residues)``,
-    the residues ``1 / F'`` from one more pass at the settled roots
-    (:func:`_residue_pass`), or ``None`` when a root does not settle
-    (see :func:`arrowhead_eigenvalues`).
+    ``root_pairs`` seeds of each model likewise stand for conjugate
+    pairs, and with any pair the other seeds must be real.  The roots of
+    all models iterate as one set of rows, each reading only its own
+    model's shift, weights and roots, in row sums of unchanged length
+    and order, so a model's roots do not depend on its batch; the
+    settling floor, the iteration cap, the finite-step check and the
+    residue gate hold per model.  The roots replace ``seeds`` in place.
+    Returns one ``(roots, residues)`` per
+    model, the residues ``1 / F'`` from one more pass at the settled
+    roots (:func:`_residue_pass`), or ``None`` for a model whose roots
+    do not settle (see :func:`arrowhead_eigenvalues`).
     """
+    models, size = seeds.shape
     if poles.size == 0:
-        return seeds.copy(), np.ones(seeds.size, dtype=complex)
-    roots = seeds.copy()
-    lone = roots.size - root_pairs
+        return [(row.copy(), np.ones(size, dtype=complex)) for row in seeds]
+    table = seeds  # (models x roots), settled in place
+    roots = table.reshape(-1)
+    lone = size - root_pairs
     mirrored = pairs + root_pairs > 0
-    floor = max(abs(shift), float(np.abs(poles).max()))
+    floor = np.maximum(np.abs(shifts), np.abs(poles).max())
     tol = 4.0 * np.finfo(float).eps
-    width = max(poles.size, roots.size)
-    work = _work_arrays(width)
+    width = max(poles.size, size)
+    work = _work_arrays(width, models > 1)
 
+    failed = np.zeros(models, dtype=bool)
     active = np.arange(roots.size)
     for _ in range(_ABERTH_MAX_ITER):
         steps = np.empty(active.size, dtype=complex)
+        settled = np.empty(active.size, dtype=bool)
+        partner = table[:, lone:]
+        partner_real, partner_square = partner.real, partner.imag**2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for block in _row_blocks(active.size, width):
-                rows = active[block]
-                z = roots[rows]
+                who, rows = (None, active[block]) if models == 1 else np.divmod(
+                    active[block], size)
+                z = roots[active[block]]
                 # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
                 f, df, rest, q, v, dq, dv = _split_sums(
-                    z, shift, poles, weights, pairs, work
+                    z, shifts[0 if who is None else who], poles, weights, pairs,
+                    work, who,
                 )
                 count = rows.size
                 at = np.arange(count)
                 own = rows < lone
-                diff = np.subtract(
-                    z[:, None], roots[:lone], out=_view(work, 0, count, lone)
-                )
+                diff = np.subtract(z[:, None], _take(table[:, :lone], who, work, 0),
+                                   out=_view(work, 0, count, lone))
                 diff[at[own], rows[own]] = np.inf
                 rest -= np.divide(1.0, diff, out=diff).sum(axis=1)
                 if root_pairs:
                     # 1/(z - a) + 1/(z - conj a) = 2x / (x^2 + Im(a)^2)
                     # with x = z - Re(a); a paired root keeps its own conjugate
-                    partner = roots[lone:]
-                    x = np.subtract(
-                        z[:, None], partner.real, out=_view(work, 0, count, root_pairs)
-                    )
+                    x = np.subtract(z[:, None], _take(partner_real, who, work),
+                                    out=_view(work, 0, count, root_pairs))
                     quad = np.multiply(x, x, out=_view(work, 1, count, root_pairs))
-                    quad += partner.imag**2
+                    quad += _take(partner_square, who, work)
                     quad[at[~own], rows[~own] - lone] = np.inf
                     x += x
                     rest -= np.divide(x, quad, out=x).sum(axis=1)
                     rest[~own] -= 0.5 / (1j * z[~own].imag)
                 # 1 / (P'/P - sum_j 1/(z_i - z_j)), zero at an exact root
                 num, den = df * q + f * dq - dv, f * q - v
-                steps[block] = den / (num + den * rest)
-        if not np.all(np.isfinite(steps)):
-            return None
-        if mirrored:
-            # the unpaired roots of a mirrored problem are real, and so are
-            # their steps but for rounding, which would pull them off
-            steps[active < lone] = steps[active < lone].real
+                step = den / (num + den * rest)
+                if mirrored:
+                    # the unpaired roots of a mirrored problem are real, and so
+                    # are their steps but for rounding, which would pull them off
+                    step[own] = step[own].real
+                steps[block] = step
+                scale = np.maximum(np.abs(z - step), floor[0 if who is None else who])
+                settled[block] = np.abs(step) <= tol * scale
+        bad = ~np.isfinite(steps)
+        if bad.any():
+            # a step that is not finite fails its model; the others go on
+            failed[active[bad] // size] = True
+            keep = ~failed[active // size]
+            active, steps, settled = active[keep], steps[keep], settled[keep]
         roots[active] -= steps
-        settled = np.abs(steps) <= tol * np.maximum(np.abs(roots[active]), floor)
         active = active[~settled]
         if active.size == 0:
             break
     else:
-        return None
-    residues = _residue_pass(roots, poles, weights, pairs, work)
-    # sum_k 1 / |F'(lambda_k)| bounds the roots' condition
-    size = np.abs(residues[:lone]).sum() + 2.0 * np.abs(residues[lone:]).sum()
-    if not size <= _RESIDUE_BOUND:
-        return None
+        failed[active // size] = True
+    good = np.flatnonzero(~failed)
+    residues = _residue_pass(
+        roots if good.size == models else table[good].ravel(), poles, weights,
+        pairs, work, None if models == 1 else np.repeat(good, size),
+    ).reshape(good.size, size)
+    del work  # let the work arrays go before the roots are copied out
+    found = [None] * models
     pair = slice(lone, None)
-    return (np.concatenate([roots, roots[pair].conjugate()]),
-            np.concatenate([residues, residues[pair].conjugate()]))
+    for b, row in zip(good, residues):
+        # sum_k 1 / |F'(lambda_k)| bounds the roots' condition
+        if np.abs(row[:lone]).sum() + 2.0 * np.abs(row[pair]).sum() <= _RESIDUE_BOUND:
+            found[b] = (np.concatenate([table[b], table[b, pair].conjugate()]),
+                        np.concatenate([row, row[pair].conjugate()]))
+    return found
 
 
 def _nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -742,6 +787,21 @@ def _nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     upper = np.minimum(np.searchsorted(values, targets), values.size - 1)
     lower = np.maximum(upper - 1, 0)
     return np.where(targets - values[lower] <= values[upper] - targets, lower, upper)
+
+
+def arrowhead_spectra(models) -> list:
+    """``(eigenvalues, fallback)`` of each model, as
+    :func:`arrowhead_eigenvalues` gives it.
+
+    The models' secular iterations run as one batch per group of models
+    whose merged poles agree to the bit and whose iterations have one
+    layout (every point of a sweep over ``g_ens`` and ``kappa``), with
+    each model's roots bit-equal to its own solve; a model that fails in
+    its batch takes the next path alone.  The spectra of the last call
+    that solved are kept while their models live, so each model's later
+    paths read them.
+    """
+    return [(spectrum.lam, spectrum.dense) for spectrum in _spectra(models)]
 
 
 def arrowhead_eigenvalues(model: DriftModel) -> tuple:
@@ -783,19 +843,25 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     the rounding error.  Returns ``(eigenvalues, fallback)``, whether the
     dense path ran; with their conjugates the eigenvalues are the
     spectrum of the real drift, read-only and found once per model.
+    This is the one-model case of :func:`arrowhead_spectra`.
     """
-    spectrum = _spectrum(model)
-    return spectrum.lam, spectrum.dense
+    return arrowhead_spectra([model])[0]
 
 
-def _roots(model: DriftModel) -> tuple:
-    """Roots, their gated residues and whether dense ``eigvals`` found the roots.
+class _Job(NamedTuple):
+    """One model's secular iteration: the arguments of :func:`_aberth_roots`."""
 
-    The residues ``r_k = 1 / F'(lambda_k)`` come from the secular solve,
-    or from :func:`_residue_pass` at dense roots.  They are ``None`` when
-    a pole was deflated, or unless ``sum_k |r_k| <= _RESIDUE_BOUND`` and
-    ``|sum_k r_k - 1| <= 1e-10`` (see :func:`field_kick_response`).
-    """
+    shift: complex
+    poles: np.ndarray
+    weights: np.ndarray
+    seeds: np.ndarray
+    pairs: int = 0
+    root_pairs: int = 0
+
+
+def _job(model: DriftModel, fold: bool = True) -> tuple:
+    """A model's secular iteration, folded on a mirrored line unless not
+    ``fold``, and its deflated poles (see :func:`_roots`)."""
     poles, weights = _secular_terms(model)
     coupled = weights != 0.0
     merged, first, index = np.unique(
@@ -806,7 +872,6 @@ def _roots(model: DriftModel) -> tuple:
     deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
     shift = complex(model.params.kappa, model.params.delta_cs)
     seeds = _seeds(shift, merged, merged_weights)
-    found = None
     # np.unique sorts the poles, which share one real part, by Delta
     half = merged.size // 2
     if (
@@ -814,7 +879,7 @@ def _roots(model: DriftModel) -> tuple:
         and np.array_equal(merged, merged[::-1].conjugate())
         and np.array_equal(merged_weights, merged_weights[::-1])
     ):
-        upper, upper_weights = merged[half:], merged_weights[half:]
+        upper, upper_weights = merged[half:].copy(), merged_weights[half:].copy()
         collective = _collective_seeds(
             shift.real, upper, upper_weights, seeds[half + 1]
         )
@@ -822,33 +887,38 @@ def _roots(model: DriftModel) -> tuple:
             lone, paired = collective, seeds[half + 2:]
         else:
             lone, paired = seeds[:0], np.concatenate([collective, seeds[half + 2:]])
-        found = _aberth_roots(
-            shift, upper, upper_weights, np.concatenate([lone, paired]),
-            pairs=half, root_pairs=paired.size,
-        )
+        if fold:
+            seeds = np.concatenate([lone, paired])
+            return _Job(shift, upper, upper_weights, seeds, half, paired.size), deflated
         # the general iteration starts from the same seeds
         seeds = np.concatenate([lone, paired, paired.conjugate()])
-    if found is None:
-        found = _aberth_roots(shift, merged, merged_weights, seeds)
-    if found is not None:
-        roots, residues = found
-        lam, dense = np.concatenate([roots, -deflated]), False
-    else:
-        _check_dense(model)
-        try:
-            lam, dense = np.linalg.eigvals(model.arrowhead), True
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-        residues = _residue_pass(
-            lam, merged, merged_weights, 0, _work_arrays(merged.size)
+    return _Job(shift, merged, merged_weights, seeds), deflated
+
+
+def _solve(models, fold: bool = True) -> list:
+    """``[deflated poles, folded, roots and residues or None]`` of each
+    model's secular iteration (:func:`_job`), in one batch of
+    :func:`_aberth_roots` per group of models with bit-equal poles and
+    one layout."""
+    out, groups = [], {}
+    for model in models:
+        job, deflated = _job(model, fold)
+        key = (job.poles.tobytes(), job.pairs, job.root_pairs)
+        groups.setdefault(key, []).append((len(out), job))
+        out.append([deflated, job.pairs + job.root_pairs > 0, None])
+    while groups:
+        # the stacked rows replace the jobs before the batch iterates
+        index, jobs = zip(*groups.popitem()[1])
+        first = jobs[0]
+        shifts, weights, seeds = (
+            np.array([job[k] for job in jobs]) for k in (0, 2, 3)
         )
-    with np.errstate(invalid="ignore", over="ignore"):
-        gated = (
-            deflated.size == 0
-            and np.abs(residues).sum() <= _RESIDUE_BOUND
-            and abs(residues.sum() - 1.0) <= 1e-10
-        )
-    return lam, residues if gated else None, dense
+        del jobs
+        found = _aberth_roots(shifts, first.poles, weights, seeds,
+                              pairs=first.pairs, root_pairs=first.root_pairs)
+        for i, result in zip(index, found):
+            out[i][2] = result
+    return out
 
 
 class _Spectrum(NamedTuple):
@@ -859,27 +929,84 @@ class _Spectrum(NamedTuple):
     dense: bool
 
 
-def _spectrum(model: DriftModel) -> _Spectrum:
-    """The model's spectrum, from one secular solve.
+def _roots(models) -> list:
+    """Each model's :class:`_Spectrum`: roots, their gated residues and
+    whether dense ``eigvals`` found the roots.
 
-    The last model's record is kept while that model lives and the gate
-    constants stay as they were, so every path on one model shares it.
+    The first iterations run batched (:func:`_solve`), then the general
+    ones of the models whose folded one (with a pole or root pair)
+    failed, then dense ``eigvals`` for each model left.  The residues
+    ``r_k = 1 / F'(lambda_k)`` come from the secular solve, or from
+    :func:`_residue_pass` at dense roots.  They are ``None`` when a pole
+    was deflated, or unless ``sum_k |r_k| <= _RESIDUE_BOUND`` and
+    ``|sum_k r_k - 1| <= 1e-10`` (see :func:`field_kick_response`).
+    """
+    first = _solve(models)
+    # a folded iteration that failed falls through to the general one
+    again = iter(_solve([model for model, (_, folded, found) in zip(models, first)
+                         if folded and found is None], fold=False))
+    spectra = []
+    for model, (deflated, folded, result) in zip(models, first):
+        if folded and result is None:
+            result = next(again)[2]
+        if result is not None:
+            roots, residues = result
+            lam = np.concatenate([roots, -deflated]) if deflated.size else roots
+            dense = False
+        else:
+            _check_dense(model)
+            try:
+                lam, dense = np.linalg.eigvals(model.arrowhead), True
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+            job = _job(model, fold=False)[0]
+            residues = _residue_pass(
+                lam, job.poles, job.weights[None], 0, _work_arrays(job.poles.size)
+            )
+        with np.errstate(invalid="ignore", over="ignore"):
+            gated = (
+                deflated.size == 0
+                and np.abs(residues).sum() <= _RESIDUE_BOUND
+                and abs(residues.sum() - 1.0) <= 1e-10
+            )
+        spectra.append(_Spectrum(lam, residues if gated else None, dense))
+    return spectra
+
+
+def _spectra(models) -> list:
+    """Each model's spectrum, those not kept from one batched secular solve.
+
+    The records of the last call that solved are kept while their models
+    live and the gate constants stay as they were, so every path on one
+    model shares one.
     """
     key = (_RESIDUE_BOUND, _ABERTH_MAX_ITER)
-    if _MEMO and _MEMO[0]() is model and _MEMO[1] == key:
-        return _MEMO[2]
-    _MEMO.clear()
-    spectrum = _Spectrum(*_roots(model))
-    for array in (spectrum.lam, spectrum.residues):
-        if array is not None:
-            array.flags.writeable = False
-    _MEMO.extend([weakref.ref(model, _forget), key, spectrum])
-    return spectrum
-
-
-def _forget(ref):
-    if _MEMO and _MEMO[0] is ref:
+    entries = [_MEMO.get(id(model)) for model in models]
+    spectra = [entry[2] if entry and entry[0]() is model and entry[1] == key else None
+               for model, entry in zip(models, entries)]
+    missing = [model for model, spectrum in zip(models, spectra) if spectrum is None]
+    if missing:
+        solved = iter(_roots(missing))
+        spectra = [spectrum or next(solved) for spectrum in spectra]
         _MEMO.clear()
+        for model, spectrum in zip(models, spectra):
+            for array in (spectrum.lam, spectrum.residues):
+                if array is not None:
+                    array.flags.writeable = False
+            ref = weakref.ref(model, functools.partial(_forget, id(model)))
+            _MEMO[id(model)] = (ref, key, spectrum)
+    return spectra
+
+
+def _spectrum(model: DriftModel) -> _Spectrum:
+    """The model's spectrum (:func:`_spectra`)."""
+    return _spectra([model])[0]
+
+
+def _forget(ident: int, ref) -> None:
+    """Drop the record of a model that died."""
+    if ident in _MEMO and _MEMO[ident][0] is ref:
+        del _MEMO[ident]
 
 
 def spectral_abscissa(model: DriftModel) -> float:

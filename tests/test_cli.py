@@ -74,12 +74,12 @@ def source_env():
 
 @pytest.fixture
 def secular_solves(monkeypatch):
-    """The model of each secular solve (each ``dynamics._roots`` call)."""
+    """The model of each secular solve: each model of a ``dynamics._roots`` call."""
     solved, solve = [], dynamics._roots
 
-    def counted(model):
-        solved.append(model)
-        return solve(model)
+    def counted(models):
+        solved.extend(models)
+        return solve(models)
 
     monkeypatch.setattr(dynamics, "_roots", counted)
     return solved
@@ -722,6 +722,38 @@ class TestStabilitySweep:
         assert manifest["kick_response_fallbacks"] == 16
         assert len(secular_solves) == len({id(m) for m in secular_solves}) == 16
 
+    def test_one_batched_solve_for_all_points(self, tmp_path, monkeypatch):
+        batches, run = [], dynamics._aberth_roots
+
+        def counted(shifts, *args, **kwargs):
+            batches.append(shifts.size)
+            return run(shifts, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_aberth_roots", counted)
+        assert run_cli(self.WINDOWED + ["--out", tmp_path / "sweep.csv"]) == 0
+        assert batches == [16]
+
+    def test_memory_of_a_large_sweep_stays_per_point(self, tmp_path):
+        # every point holds its model's noise row, its spectrum and its
+        # CSV row until the sweep is written (the sample budget counts
+        # these); the batch adds stacked rows and work arrays, not a
+        # dense array or a work set per point
+        m, points = 201, 16 * 16
+        argv = [
+            "stability-sweep", "--family", "gaussian", "--normalize-gamma",
+            "--gamma-perp", "0", "--m", m, "--g-samples", "16",
+            "--kappa-samples", "16", "--out", tmp_path / "sweep.csv",
+        ]
+        assert run_cli(argv) == 0  # lazy imports and caches first
+        per_point = cli._ROW_BYTES + 8 * (2 * m + 2) + 32 * (m + 1)
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * points * per_point + 4 * dynamics._CHUNK_BYTES
+
     @pytest.mark.parametrize(
         "constant, kick_fallbacks",
         [("_RESIDUE_BOUND", 16), ("_ABERTH_MAX_ITER", 0)],
@@ -1164,8 +1196,11 @@ class TestExitCodes:
               "--t-samples", "100000000"], "--t-samples"),
             (SMALL["spectrum"] + ["--delta-e-samples", "1000000000"],
              "--delta-e-samples"),
+            (["stability-sweep", "--family", "homogeneous", "--gamma-perp", "1",
+              "--g-samples", "10000000", "--kappa-samples", "10000000"],
+             "--g-samples x --kappa-samples"),
         ],
-        ids=["decay", "moments", "spectrum"],
+        ids=["decay", "moments", "spectrum", "stability-sweep"],
     )
     def test_oversized_sample_grid_names_the_budget(
         self, tmp_path, capsys, monkeypatch, argv, flag

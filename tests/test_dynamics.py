@@ -92,15 +92,16 @@ NO_DENSE_CALLS = {"van_loan": 0, "bartels_stewart": 0, "expm": 0}
 
 @pytest.fixture
 def aberth_calls(monkeypatch):
-    """``(pairs, root_pairs, settled)`` of each secular iteration run."""
+    """``(pairs, root_pairs, settled)`` of each model of each secular
+    iteration run."""
     calls = []
     run = dynamics._aberth_roots
 
     def counted(*args, **kwargs):
-        roots = run(*args, **kwargs)
-        calls.append((kwargs.get("pairs", 0), kwargs.get("root_pairs", 0),
-                      roots is not None))
-        return roots
+        found = run(*args, **kwargs)
+        calls.extend((kwargs.get("pairs", 0), kwargs.get("root_pairs", 0),
+                      roots is not None) for roots in found)
+        return found
 
     monkeypatch.setattr(dynamics, "_aberth_roots", counted)
     return calls
@@ -1107,6 +1108,91 @@ class TestSecularSolver:
         again, _ = small_model(spec=LOR, m=201, delta_cs=delta_cs)
         assert np.array_equal(arrowhead_eigenvalues(again)[0], lam)
         assert len(aberth_calls) == 2 and aberth_calls[0] == aberth_calls[1]
+
+
+def batch_models(family, gamma_perp, p, delta_cs, points, m=21):
+    """Models on one grid at the given ``(kappa, g_ens)`` points: their
+    merged poles agree to the bit, so one batch iterates them together."""
+    spec = BroadeningSpec(family, 1.2)
+    return [
+        build_drift_matrix(
+            SystemParams(kappa=kappa, gamma_perp=gamma_perp, g_ens=g_ens,
+                         delta_cs=delta_cs),
+            discretize(spec, m, g_ens, 1e6), p,
+        )
+        for kappa, g_ens in points
+    ]
+
+
+def assert_bit_equal(got, want):
+    """Two spectra with the same roots, residues and path, to the bit."""
+    assert got.lam.tobytes() == want.lam.tobytes()
+    assert (got.residues is None) == (want.residues is None)
+    if want.residues is not None:
+        assert got.residues.tobytes() == want.residues.tobytes()
+    assert got.dense == want.dense
+
+
+class TestBatchedSpectra:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "lorentzian"]),
+        gamma_perp=st.sampled_from([0.0, 0.25]),
+        p=st.sampled_from([1, -1]),
+        delta_cs=st.sampled_from([0.0, 0.3]),
+        points=st.lists(
+            st.tuples(st.floats(0.2, 12.0), st.floats(0.2, 6.0)),
+            min_size=2, max_size=6,
+        ),
+    )
+    def test_each_spectrum_is_bit_equal_to_its_own_solve(
+        self, family, gamma_perp, p, delta_cs, points
+    ):
+        # p = -1 mixes layouts with 0 and 2 real collective roots, so one
+        # call runs several batches
+        models = batch_models(family, gamma_perp, p, delta_cs, points)
+        spectra = dynamics._spectra(models)
+        assert [lam for lam, _ in dynamics.arrowhead_spectra(models)] == [
+            spectrum.lam for spectrum in spectra
+        ]
+        for model, spectrum in zip(models, spectra):
+            assert_bit_equal(spectrum, dynamics._roots([model])[0])
+
+    def test_a_failing_model_falls_through_alone(self, monkeypatch,
+                                                 aberth_calls):
+        points = [(2.0, 1.0), (4.0, 2.5), (8.0, 3.0)]
+        alone = [dynamics._roots([model])[0]
+                 for model in batch_models("gaussian", 0.0, 1, 0.0, points)]
+        seeds = dynamics._seeds
+
+        def poisoned(shift, poles, weights):
+            # NaN seeds for the model at kappa = 4: its steps are not finite
+            return seeds(shift, poles, weights) * (np.nan if shift == 4.0 else 1.0)
+
+        monkeypatch.setattr(dynamics, "_seeds", poisoned)
+        aberth_calls.clear()
+        models = batch_models("gaussian", 0.0, 1, 0.0, points)
+        spectra = dynamics._spectra(models)
+        # one folded batch of three, then the general iteration of the
+        # failed model on its own, then dense eigvals for it
+        assert aberth_calls == [(10, 10, True), (10, 10, False), (10, 10, True),
+                                (0, 0, False)]
+        assert spectra[1].dense
+        assert np.array_equal(spectra[1].lam, np.linalg.eigvals(models[1].arrowhead))
+        for k in (0, 2):
+            assert_bit_equal(spectra[k], alone[k])
+
+    def test_the_memo_lets_each_model_go(self):
+        models = batch_models("lorentzian", 0.25, 1, 0.0,
+                              [(2.0, 1.0), (4.0, 2.0), (8.0, 3.0)])
+        spectra = dynamics.arrowhead_spectra(models)
+        assert len(dynamics._MEMO) == 3
+        # a later call reads the kept records
+        assert dynamics.arrowhead_eigenvalues(models[1])[0] is spectra[1][0]
+        del models[1]
+        assert len(dynamics._MEMO) == 2
+        del models[:]
+        assert not dynamics._MEMO
 
 
 def kick_oracle(model, times):
