@@ -190,7 +190,8 @@ def characteristic_width(spec: BroadeningSpec, gamma_perp: float) -> float:
     (gamma_perp + i Delta)``; for a symmetric distribution the result
     is real.  Closed forms: homogeneous ``gamma_perp``; Lorentzian
     ``width/2 + gamma_perp``; Gaussian
-    ``sqrt(2/pi) * sigma / w(i gamma_perp / (sqrt(2) sigma))``.
+    ``sqrt(2/pi) * sigma / w(i gamma_perp / (sqrt(2) sigma))``, which is
+    ``sqrt(2/pi) * sigma`` at ``gamma_perp = 0`` (``w(0) = 1``).
     """
     gamma_perp = float(gamma_perp)
     if gamma_perp < 0.0 or not math.isfinite(gamma_perp):
@@ -205,6 +206,8 @@ def characteristic_width(spec: BroadeningSpec, gamma_perp: float) -> float:
     if family is BroadeningFamily.LORENTZIAN:
         return spec.width / 2.0 + gamma_perp
     sigma = spec.width
+    if gamma_perp == 0.0:
+        return math.sqrt(2.0 / math.pi) * sigma  # w(0) = 1
     value = math.sqrt(2.0 / math.pi) * sigma / faddeeva(
         1j * gamma_perp / (math.sqrt(2.0) * sigma)
     )

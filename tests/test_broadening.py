@@ -101,6 +101,13 @@ class TestCharacteristicWidth:
             np.sqrt(2.0 / np.pi), rel=1e-14
         )
 
+    def test_normalized_undephased_gaussian_is_exactly_one(self):
+        # w(0) = 1 in the width and in its inversion, so --normalize-gamma
+        # at gamma_perp = 0 gives Gamma = 1 to the bit
+        sigma = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, 1.0, 0.0)
+        spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, sigma)
+        assert characteristic_width(spec, 0.0) == 1.0
+
     def test_gaussian_matches_defining_integral(self):
         # 1/Gamma = int f(Delta) / (gamma_perp + i Delta) dDelta; the
         # imaginary part cancels by symmetry
