@@ -879,7 +879,7 @@ def _job(model: DriftModel, fold: bool = True) -> tuple:
         and np.array_equal(merged, merged[::-1].conjugate())
         and np.array_equal(merged_weights, merged_weights[::-1])
     ):
-        upper, upper_weights = merged[half:].copy(), merged_weights[half:].copy()
+        upper, upper_weights = merged[half:], merged_weights[half:]
         collective = _collective_seeds(
             shift.real, upper, upper_weights, seeds[half + 1]
         )
@@ -910,9 +910,9 @@ def _solve(models, fold: bool = True) -> list:
         # the stacked rows replace the jobs before the batch iterates
         index, jobs = zip(*groups.popitem()[1])
         first = jobs[0]
-        shifts, weights, seeds = (
-            np.array([job[k] for job in jobs]) for k in (0, 2, 3)
-        )
+        shifts = np.array([job.shift for job in jobs])
+        weights = np.array([job.weights for job in jobs])
+        seeds = np.array([job.seeds for job in jobs])
         del jobs
         found = _aberth_roots(shifts, first.poles, weights, seeds,
                               pairs=first.pairs, root_pairs=first.root_pairs)
