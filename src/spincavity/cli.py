@@ -294,12 +294,10 @@ def _spectrum(o: dict):
     _check_samples("--delta-e-samples", o["delta_e_samples"], _ROW_BYTES)
     delta_grid = np.linspace(o["delta_e_min"], o["delta_e_max"], o["delta_e_samples"])
     table = spectrum_scan(_params(o), _spec(o), o["p"], delta_grid)
-    columns = ["delta_e", "re_t", "im_t", "abs_t2", "re_r", "im_r", "abs_r2"]
+    columns = ["delta_e", "re_t", "im_t", "re_r", "im_r"]
     # undefined rows carry NaN, which the writer leaves empty
     rows = np.column_stack([
-        delta_grid,
-        table.t.real, table.t.imag, table.abs_t2,
-        table.r.real, table.r.imag, table.abs_r2,
+        delta_grid, table.t.real, table.t.imag, table.r.real, table.r.imag,
     ])
     return columns, rows, {"invalid_rows": int((~table.valid).sum())}, {}
 
@@ -481,23 +479,25 @@ def _csv_text(header: dict, columns, rows, trailer: dict) -> str:
     """The CSV: ``header`` lines, the column names, the rows, ``trailer``.
 
     ``rows`` is a float table or a list of mixed rows, the latter cell
-    by cell through :func:`_format_cell`.  A float table formats each
-    row with one ``%`` of a row format and then empties its NaN cells:
+    by cell through :func:`_format_cell`.  A float table is formatted in
+    blocks of ``_BLOCK_ROWS`` rows, each with one ``%`` of its rows'
+    formats joined by newlines, and then its NaN cells are emptied:
     ``"%.17g"`` prints every NaN as ``nan``, and no other float's digits,
-    sign, ``.``, ``e`` or ``inf`` hold that substring, so the bytes are
-    those of :func:`_format_cell`.  ``tolist`` runs in blocks of ``_BLOCK_ROWS``, so the
-    Python floats of a long table never exist all at once, and the
-    lines are freed on return, before the text is encoded and written.
+    sign, ``.``, ``e`` or ``inf`` hold that substring, nor can it span the
+    ``,`` or newline between two cells, so the bytes are those of
+    :func:`_format_cell`.
+    The Python floats of a long table never exist all at once, and the
+    blocks are freed on return, before the text is encoded and written.
     """
     lines = [f"# {key}={_format_cell(header[key])}" for key in sorted(header)]
     lines.append(",".join(columns))
     if isinstance(rows, np.ndarray):
         row_format = ",".join(["%.17g"] * rows.shape[1])
         for start in range(0, rows.shape[0], _BLOCK_ROWS):
-            lines.extend(
-                (row_format % tuple(row)).replace("nan", "")
-                for row in rows[start:start + _BLOCK_ROWS].tolist()
-            )
+            block = rows[start:start + _BLOCK_ROWS]
+            block_format = "\n".join([row_format] * block.shape[0])
+            text = block_format % tuple(block.ravel().tolist())
+            lines.append(text.replace("nan", ""))
     else:
         lines.extend(",".join(map(_format_cell, row)) for row in rows)
     lines.extend(f"# {key}={_format_cell(trailer[key])}" for key in sorted(trailer))

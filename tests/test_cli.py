@@ -145,7 +145,17 @@ class TestDeterminism:
         # a Lorentzian decay and a Gaussian moments run (the roots,
         # residues, folded steady state and variance track)
         gaussian_moments = SMALL["moments"][:-4] + ["--t-max", "6", "--t-samples", "61"]
-        for name, argv in [("decay", LOR_DECAY), ("moments", gaussian_moments)]:
+        # and spectra of three writer blocks: an undephased line, whose
+        # row at the spin resonance is singular and left empty, and an
+        # inverted sample above threshold, whose rows are all empty
+        long_spectrum = [
+            "spectrum", "--family", "homogeneous", "--gamma-perp", "0",
+            "--kappa", "2", "--g-ens", "1", "--delta-e-min", "-1",
+            "--delta-e-max", "1", "--delta-e-samples", 2 * cli._BLOCK_ROWS + 1,
+        ]
+        for name, argv in [("decay", LOR_DECAY), ("moments", gaussian_moments),
+                           ("spectrum", long_spectrum + ["--p", "-1"]),
+                           ("amplifier", long_spectrum + ["--p", "1"])]:
             paths = [tmp_path / f"{name}-a.csv", tmp_path / f"{name}-b.csv"]
             for path in paths:
                 assert run_cli(argv + ["--out", path]) == 0
@@ -153,6 +163,11 @@ class TestDeterminism:
             first = (tmp_path / f"{name}-a.csv.manifest.json").read_bytes()
             second = (tmp_path / f"{name}-b.csv.manifest.json").read_bytes()
             assert first == second
+        rows = 2 * cli._BLOCK_ROWS + 1
+        for name, empty in (("spectrum", 1), ("amplifier", rows)):
+            meta, _, table, _ = read_table(tmp_path / f"{name}-a.csv")
+            assert int(meta["invalid_rows"]) == empty and len(table) == rows
+            assert sum(row[1:] == [""] * 4 for row in table) == empty
 
 
     def test_decay_and_sweep_ignore_the_blas_thread_count(self, tmp_path):
@@ -606,14 +621,11 @@ class TestSpectrum:
         ])
         assert code == 0
         meta, columns, rows, _ = read_table(out)
-        assert columns == [
-            "delta_e", "re_t", "im_t", "abs_t2", "re_r", "im_r", "abs_r2",
-        ]
+        assert columns == ["delta_e", "re_t", "im_t", "re_r", "im_r"]
         assert meta["invalid_rows"] == "0"
         for row in rows:
-            re_t, im_t, abs_t2 = cell(row[1]), cell(row[2]), cell(row[3])
-            assert abs_t2 == pytest.approx(re_t**2 + im_t**2, rel=1e-12)
-            assert cell(row[3]) + cell(row[6]) <= 1.0 + 1e-9
+            re_t, im_t, re_r, im_r = map(cell, row[1:])
+            assert re_t**2 + im_t**2 + re_r**2 + im_r**2 <= 1.0 + 1e-9
 
     @pytest.mark.parametrize(
         "extra",
@@ -928,6 +940,27 @@ class TestWriter:
         want = reference_csv(HEADER, columns, table, trailer)
         assert written(HEADER, columns, rows, trailer) == want
 
+    @pytest.mark.parametrize("width", [1, 5])
+    @pytest.mark.parametrize("count", [
+        0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 3001,
+    ])
+    def test_blocks_match_the_mixed_row_path(self, count, width):
+        # block joints and the last, short block against the cell-by-cell
+        # path of mixed rows, with the edge floats and whole NaN rows
+        # placed all over the table
+        rng = np.random.default_rng(count + width)
+        edges = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+        rows = rng.standard_normal((count, width)) * 10.0 ** rng.integers(-300, 300, (count, width))
+        picks = rng.random((count, width)) < 0.3
+        rows[picks] = rng.choice(edges, picks.sum())
+        rows[rng.random(count) < 0.1] = math.nan
+        if count:
+            rows[-1] = math.nan
+        columns = [f"c{k}" for k in range(width)]
+        want = [",".join(columns)]
+        want.extend(",".join(map(cli._format_cell, row)) for row in rows.tolist())
+        assert cli._csv_text({}, columns, rows, {}) == "\n".join(want) + "\n"
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.one_of(
         FLOATS, st.booleans(), st.none(), st.integers(),
@@ -946,7 +979,7 @@ class TestWriter:
             "kappa": 2.0, "g_ens": 1.0, "p": -1, "delta_e_samples": samples,
         })
         columns, rows, header, trailer = cli._EXPERIMENTS["spectrum"].compute(options)
-        assert rows.shape == (samples, 7)
+        assert rows.shape == (samples, 5)
         tracemalloc.start()
         try:
             cli._write(str(tmp_path / "spectrum.csv"), header, columns, rows, trailer)

@@ -37,6 +37,7 @@ from spincavity import (
     pole_seeds,
     solve_width_for_gamma,
     spectral_abscissa,
+    stability_report,
     steady_state_covariance,
     steady_state_moments_hom,
 )
@@ -372,6 +373,10 @@ class TestSpectralMoments:
     # rounding level
     @example(family="homogeneous", p=1, c=1.0 - 1e-9, log_kappa=0.0,
              gamma_perp=0.0, log10_n=5.0, m=5)
+    # and exactly at threshold, where rounding leaves the abscissa at
+    # -5.9e-19 and the Lyapunov operator singular to rounding
+    @example(family="homogeneous", p=1, c=1.0, log_kappa=1.0,
+             gamma_perp=0.0, log10_n=0.0, m=5)
     def test_matches_dp45_and_lyapunov_oracles(self, family, p, c, log_kappa,
                                                gamma_perp, log10_n, m):
         # kappa and g_ens in units of the characteristic width Gamma; a
@@ -402,16 +407,31 @@ class TestSpectralMoments:
             assert np.isnan(series.reductions["var_P_c_inf"])
             assert np.all(np.isnan(series.reductions["R"]))
             return
-        reference = lyapunov_oracle(model)
         gamma = steady_state_covariance(model)
         # a backward-stable solve is accurate to about eps times the
         # condition number ||A|| / |abscissa| of the Lyapunov operator,
         # with the spin quadratures scaled by 1 / sqrt(N_m); that passes
         # 1e-8 only within about 1e-7 of threshold
+        eps = np.finfo(float).eps
         scale = np.repeat(np.concatenate(([1.0], 1.0 / np.sqrt(grid.spins))), 2)
         norm = np.abs(scale[:, None] * model.drift / scale).sum(axis=1).max()
-        rtol = max(1e-8, np.finfo(float).eps * norm / -abscissa)
-        assert np.abs(gamma - reference).max() <= rtol * np.abs(reference).max()
+        rtol = max(1e-8, eps * norm / -abscissa)
+        if rtol > 1.0:
+            # at threshold to rounding (c = 1.0): the operator is singular
+            # to rounding, so no oracle can judge gamma.  A single line's
+            # cooperativity is 1 to rounding, and the library reads the
+            # rounded-negative abscissa as stable: its steady state is the
+            # divergence rounding allows, of order the noise over
+            # eps ||A|| (0.33 of it at least over 254 such models)
+            if family == "homogeneous":
+                assert stability_report(model.params, spec).C == pytest.approx(
+                    1.0, rel=4 * eps)
+            variances = scale**2 * np.diag(gamma)
+            assert np.all(np.isfinite(gamma))
+            assert variances.max() >= 0.1 * (scale**2 * model.noise_diag).max() / (eps * norm)
+        else:
+            reference = lyapunov_oracle(model)
+            assert np.abs(gamma - reference).max() <= rtol * np.abs(reference).max()
         steady = [series.reductions[key] for key in ("var_P_c_inf", "var_S_x_inf")]
         assert_allclose(steady, real_track(gamma, m)[1:3],
                         rtol=1e-12, atol=1e-12 * np.abs(gamma).max())
