@@ -485,9 +485,9 @@ def _csv_text(header: dict, columns, rows, trailer: dict) -> str:
     ``"%.17g"`` prints every NaN as ``nan``, and no other float's digits,
     sign, ``.``, ``e`` or ``inf`` hold that substring, nor can it span the
     ``,`` or newline between two cells, so the bytes are those of
-    :func:`_format_cell`.
-    The Python floats of a long table never exist all at once, and the
-    blocks are freed on return, before the text is encoded and written.
+    :func:`_format_cell`.  The Python floats of a long table never exist
+    all at once, and the blocks are freed on return, before the text is
+    encoded and written.
     """
     lines = [f"# {key}={_format_cell(header[key])}" for key in sorted(header)]
     lines.append(",".join(columns))
