@@ -308,11 +308,11 @@ def _stability_sweep(o: dict):
         "g_ens", "kappa", "Gamma", "C", "spectral_abscissa_discrete",
         "stable_analytic", "stable_numeric",
     ]
-    # all points are solved at once: each holds a row, its model's noise
-    # row, and the roots and residues of its spectrum
+    # all points are solved at once: each holds a row and the roots and
+    # residues of its spectrum (a sweep never reads a model's noise)
     m = o["m"]
     _check_samples("--g-samples x --kappa-samples", o["g_samples"] * o["kappa_samples"],
-                   _ROW_BYTES + 8 * (2 * m + 2) + 32 * (m + 1))
+                   _ROW_BYTES + 32 * (m + 1))
     windowed = spec.family is _GAUSSIAN and o["gamma_perp"] == 0.0
     # eigenvalues of the undamped uniform grid carry a small positive
     # artifact; the windowed verdict judges by the kicked cavity

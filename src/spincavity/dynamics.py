@@ -32,7 +32,6 @@ the float range raise :class:`NumericalError` (:func:`_finite`).
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -75,9 +74,9 @@ _LYAPUNOV_RTOL = 1e-10
 # (3e-10 at N = 1e12), so R over a denominator of a few ulps is noise
 _R_RTOL = 1e-10
 
-# the spectra of the last call that solved: id(model) -> (weak reference
-# to the model, the gate constants it was found under, its _Spectrum)
-_MEMO: dict = {}
+# each live model's spectrum: model -> (the gate constants it was found
+# under, its _Spectrum), dropped when the model dies
+_MEMO = weakref.WeakKeyDictionary()
 
 # order of the per-time variance track of evolve_covariance:
 # (Var Xc, Var Pc, Var Sx, Var Sy, <dSx dPc>, <dSy dXc>)
@@ -142,11 +141,17 @@ def check_revival_window(
     ):
         return None
     t_revival = 2.0 * math.pi / grid.spacing
-    if t_revival < 4.0 * t_max:
-        need = 1 + math.ceil((grid.size - 1) * 4.0 * t_max / t_revival)
+    if t_revival / 4.0 < t_max:
+        # a Python float, inf past the float range with no warning
+        ratio = (grid.size - 1) * 4.0 * float(t_max) / t_revival
+        if ratio < 2.0**53:
+            need = 1 + math.ceil(ratio) | 1
+        else:  # no such M is exact: name the power of ten that suffices
+            scale = math.log10((grid.size - 1) * 4.0 / t_revival)
+            need = f"1e{math.ceil(scale + math.log10(t_max))}"
         raise RevivalGuardError(
             f"window t_max={t_max:g} exceeds a quarter of the grid "
-            f"revival time {t_revival:g}; use M >= {need | 1} sub-ensembles"
+            f"revival time {t_revival:g}; use M >= {need} sub-ensembles"
         )
     return t_revival / (4.0 * t_max)
 
@@ -408,7 +413,9 @@ def _growth_blocks(times: np.ndarray, lam: np.ndarray, chunk: int | None = None)
     t_b}``, ``B = ceil(sqrt(T))`` capped at a block: about ``2 sqrt(T) K``
     exponentials, where other grids take ``T K``; an entry moves by a few
     ulps times ``1 + |lambda t_j|``.  A block with an entry past the
-    float range raises :class:`NumericalError` naming the overflow.
+    float range raises :class:`NumericalError` naming the overflow: the
+    growth ``e^{Re lambda t}`` or, first on a decaying spectrum, the
+    phase ``Im lambda t``.
     """
     uniform = _uniform(times)
     rows = min(times.size, max(1, (chunk or _CHUNK_BYTES) // (16 * lam.size)))
@@ -434,10 +441,18 @@ def _growth_blocks(times: np.ndarray, lam: np.ndarray, chunk: int | None = None)
             else:
                 np.exp(np.multiply(times[block, None], lam, out=growth), out=growth)
         if not np.isfinite(growth.view(float)).all():
-            rate = lam.real.max()
+            # the growth e^(Re lambda t) or the phase Im(lambda) t left
+            # the float range, whichever does so first
+            rate, turn = lam.real.max(), np.abs(lam.imag).max()
+            huge = np.finfo(float).max
+            with np.errstate(divide="ignore", over="ignore"):
+                grows, turns = np.log(huge) / rate, huge / turn
+            if 0.0 < grows <= turns:
+                raise NumericalError("e^(lambda t) overflows the float range past "
+                                     f"t = {grows:.6g} (Re lambda = {rate:.6g})")
             raise NumericalError(
-                "e^(lambda t) overflows the float range past t = "
-                f"{np.log(np.finfo(float).max) / rate:.6g} (Re lambda = {rate:.6g})"
+                "the phase Im(lambda) t of e^(lambda t) overflows the float range "
+                f"past t = {turns:.6g} (max |Im lambda| = {turn:.6g})"
             )
         yield block, growth
 
@@ -797,9 +812,9 @@ def arrowhead_spectra(models) -> list:
     whose merged poles agree to the bit and whose iterations have one
     layout (every point of a sweep over ``g_ens`` and ``kappa``), with
     each model's roots bit-equal to its own solve; a model that fails in
-    its batch takes the next path alone.  The spectra of the last call
-    that solved are kept while their models live, so each model's later
-    paths read them.
+    its batch takes the next path alone.  Each model's spectrum is kept
+    while the model lives, so its later paths, and later calls, read it
+    and only models with no spectrum yet are solved.
     """
     return [(spectrum.lam, spectrum.dense) for spectrum in _spectra(models)]
 
@@ -974,39 +989,27 @@ def _roots(models) -> list:
 
 
 def _spectra(models) -> list:
-    """Each model's spectrum, those not kept from one batched secular solve.
+    """Each model's spectrum; those with no record under the current gate
+    constants are found in one batched secular solve.
 
-    The records of the last call that solved are kept while their models
-    live and the gate constants stay as they were, so every path on one
-    model shares one.
+    A record is kept while its model lives and the gate constants stay
+    as they were, so every path on one model shares one.
     """
     key = (_RESIDUE_BOUND, _ABERTH_MAX_ITER)
-    entries = [_MEMO.get(id(model)) for model in models]
-    spectra = [entry[2] if entry and entry[0]() is model and entry[1] == key else None
-               for model, entry in zip(models, entries)]
-    missing = [model for model, spectrum in zip(models, spectra) if spectrum is None]
-    if missing:
-        solved = iter(_roots(missing))
-        spectra = [spectrum or next(solved) for spectrum in spectra]
-        _MEMO.clear()
-        for model, spectrum in zip(models, spectra):
-            for array in (spectrum.lam, spectrum.residues):
-                if array is not None:
-                    array.flags.writeable = False
-            ref = weakref.ref(model, functools.partial(_forget, id(model)))
-            _MEMO[id(model)] = (ref, key, spectrum)
-    return spectra
+    missing = list(dict.fromkeys(
+        model for model in models if _MEMO.get(model, (None,))[0] != key
+    ))
+    for model, spectrum in zip(missing, _roots(missing) if missing else ()):
+        for array in (spectrum.lam, spectrum.residues):
+            if array is not None:
+                array.flags.writeable = False
+        _MEMO[model] = (key, spectrum)
+    return [_MEMO[model][1] for model in models]
 
 
 def _spectrum(model: DriftModel) -> _Spectrum:
     """The model's spectrum (:func:`_spectra`)."""
     return _spectra([model])[0]
-
-
-def _forget(ident: int, ref) -> None:
-    """Drop the record of a model that died."""
-    if ident in _MEMO and _MEMO[ident][0] is ref:
-        del _MEMO[ident]
 
 
 def spectral_abscissa(model: DriftModel) -> float:

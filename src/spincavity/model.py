@@ -82,29 +82,35 @@ class SystemParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftModel:
-    """Noise diagonal and arrowhead data of one linear model.
+    """Arrowhead data of one linear model, hashed and compared by identity.
 
     Every library path reads the O(M) arrowhead data (``params``,
     ``grid``, ``p``), and the dense fallbacks the (M+1) x (M+1)
-    :attr:`arrowhead`; the real (2M+2) x (2M+2) :attr:`drift` is built
-    on first use, for oracles and tests only, and kept.
+    :attr:`arrowhead`; the noise diagonal (covariance paths) and the real
+    (2M+2) x (2M+2) :attr:`drift` (oracles and tests only) are built on
+    first use and kept.
     """
 
-    noise_diag: np.ndarray
     p: int
     grid: SubEnsembleGrid
     params: SystemParams
 
-    def __post_init__(self):
-        noise = np.ascontiguousarray(self.noise_diag, dtype=float)
-        noise.flags.writeable = False
-        object.__setattr__(self, "noise_diag", noise)
-
     @property
     def dim(self) -> int:
         return 2 * self.grid.size + 2
+
+    @cached_property
+    def noise_diag(self) -> np.ndarray:
+        """Read-only diagonal of the (2M+2) x (2M+2) noise matrix:
+        ``2 kappa`` on the field and ``4 gamma_perp N_m`` on each spin
+        quadrature (zero-temperature reservoirs)."""
+        params = self.params
+        modes = np.append(2.0 * params.kappa, 4.0 * params.gamma_perp * self.grid.spins)
+        noise = np.repeat(modes, 2)  # both quadratures of each mode
+        noise.flags.writeable = False
+        return noise
 
     @cached_property
     def drift(self) -> np.ndarray:
@@ -181,21 +187,15 @@ def build_drift_matrix(
 ) -> DriftModel:
     """The linear model of ``params`` on ``grid`` with inversion sign ``p``.
 
-    Holds the noise diagonal, ``2 kappa`` on the field and
-    ``4 gamma_perp N_m`` on each spin quadrature (zero-temperature
-    reservoirs), and the arrowhead data; the (2M+2) x (2M+2) drift
-    matrix (see :attr:`DriftModel.drift`) is assembled on first use.
+    Holds the arrowhead data only; the noise diagonal
+    (:attr:`DriftModel.noise_diag`) and the (2M+2) x (2M+2) drift matrix
+    (:attr:`DriftModel.drift`) are assembled on first use.
     """
     if p not in (+1, -1):
         raise PreconditionError(f"inversion sign p must be +1 or -1, got {p}")
     if grid.size < 1:
         raise PreconditionError("grid must contain at least one sub-ensemble")
-    M = grid.size
-    ix = 2 + 2 * np.arange(M)
-    noise = np.zeros(2 * M + 2)
-    noise[0] = noise[1] = 2.0 * params.kappa
-    noise[ix] = noise[ix + 1] = 4.0 * params.gamma_perp * grid.spins
-    return DriftModel(noise_diag=noise, p=p, grid=grid, params=params)
+    return DriftModel(p=p, grid=grid, params=params)
 
 
 def build_homogeneous_Q(params: SystemParams, N: float):

@@ -285,6 +285,18 @@ class TestDecay:
                       "--gamma-perp", "0", "--kappa", "1e-100", "--g-ens", "1e60",
                       "--m", "21", "--t-max", "1e-70", "--t-samples", "5"], 2,
                      "kappa=1e-100", id="decay-g-over-kappa-1e160"),
+        # a window past the float range: the revival guard names a power
+        # of ten for M, not an unbounded integer, and no 4 t_max overflows
+        *(pytest.param(["decay", "--family", "gaussian", "--width", "1",
+                        "--t-max", t_max, "--t-samples", "3"], 2,
+                       f"use M >= {need} sub-ensembles", id=f"decay-t-max-{t_max}")
+          for t_max, need in (("1e308", "1e309"), ("1e300", "1e301"))),
+        # a decaying spectrum: the phase Im(lambda) t leaves the float
+        # range, named at a positive time, not a growth
+        pytest.param(["decay", "--family", "gaussian", "--width", "1",
+                      "--gamma-perp", "0.1", "--t-max", "1e308", "--t-samples", "3"],
+                     3, "the phase Im(lambda) t of e^(lambda t) overflows the float "
+                     "range past t = 2.99616e+307", id="decay-phase-1e308"),
     ])
     def test_extreme_rates_exit_silently(self, argv, code, phrase):
         # the library prints no RuntimeWarning: with warnings as errors
@@ -733,8 +745,11 @@ class TestStabilitySweep:
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert manifest["kick_response_fallbacks"] == 16
         assert len(secular_solves) == len({id(m) for m in secular_solves}) == 16
+        # no path of a sweep reads a model's noise diagonal
+        assert not any("noise_diag" in vars(model) for model in secular_solves)
 
-    def test_one_batched_solve_for_all_points(self, tmp_path, monkeypatch):
+    def test_one_batched_solve_for_all_points(self, tmp_path, monkeypatch,
+                                              secular_solves):
         batches, run = [], dynamics._aberth_roots
 
         def counted(shifts, *args, **kwargs):
@@ -744,12 +759,15 @@ class TestStabilitySweep:
         monkeypatch.setattr(dynamics, "_aberth_roots", counted)
         assert run_cli(self.WINDOWED + ["--out", tmp_path / "sweep.csv"]) == 0
         assert batches == [16]
+        # the points were solved and kicked with no noise diagonal built
+        assert len(secular_solves) == 16
+        assert not any("noise_diag" in vars(model) for model in secular_solves)
 
     def test_memory_of_a_large_sweep_stays_per_point(self, tmp_path):
-        # every point holds its model's noise row, its spectrum and its
-        # CSV row until the sweep is written (the sample budget counts
-        # these); the batch adds stacked rows and work arrays, not a
-        # dense array or a work set per point
+        # every point holds its spectrum and its CSV row until the sweep
+        # is written (the sample budget counts these), and no noise row;
+        # the batch adds stacked rows and work arrays, not a dense array
+        # or a work set per point
         m, points = 201, 16 * 16
         argv = [
             "stability-sweep", "--family", "gaussian", "--normalize-gamma",
@@ -757,7 +775,7 @@ class TestStabilitySweep:
             "--kappa-samples", "16", "--out", tmp_path / "sweep.csv",
         ]
         assert run_cli(argv) == 0  # lazy imports and caches first
-        per_point = cli._ROW_BYTES + 8 * (2 * m + 2) + 32 * (m + 1)
+        per_point = cli._ROW_BYTES + 32 * (m + 1)
         tracemalloc.start()
         try:
             assert run_cli(argv) == 0

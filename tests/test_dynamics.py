@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -581,6 +582,45 @@ class TestSpectralMoments:
         assert evolve_mean(model, y0, np.linspace(0.0, 1.0, 3)).fallbacks == 1
         del model
         assert not dynamics._MEMO
+
+    def test_one_solve_per_model_whatever_the_call_order(self, aberth_calls):
+        # interleaved paths on two live models each read their model's
+        # own record, so neither model is solved a second time
+        models = [small_model(spec=GAUSS, m=21, g_ens=g)[0] for g in (1.0, 1.5)]
+        times = np.linspace(0.0, 1.0, 5)
+        for model in models:
+            evolve_mean(model, initial_state("tilted-spin", model.grid, theta=1e-3)[0],
+                        times)
+        for model in models:
+            evolve_covariance(model, initial_state("vacuum", model.grid)[1], times)
+        for model in models[::-1]:
+            field_kick_response(model, times)
+        # and a new model listed twice is solved once
+        fresh = small_model(spec=GAUSS, m=21, g_ens=2.0)[0]
+        spectra = dynamics.arrowhead_spectra(models + [fresh, fresh])
+        assert aberth_calls == [(10, 10, True)] * 3
+        assert spectra[0][0] is dynamics._spectrum(models[0]).lam
+        assert spectra[2][0] is spectra[3][0]
+
+    def test_a_decaying_spectrum_names_its_phase(self):
+        # Re lambda < 0 everywhere: e^(lambda t) leaves the float range
+        # only through Im(lambda) t, past t = max / max |Im lambda| > 0
+        model, grid = small_model(spec=GAUSS, m=21)
+        times = np.linspace(0.0, 1e308, 3)
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        lam = dynamics._spectrum(model).lam
+        assert lam.real.max() < 0.0
+        turn = np.abs(lam.imag).max()
+        past = np.finfo(float).max / turn
+        assert 0.0 < past < times[1]
+        for run in (lambda: evolve_mean(model, y0, times),
+                    lambda: field_kick_response(model, times),
+                    lambda: evolve_covariance(model, gamma0, times)):
+            with pytest.raises(NumericalError, match=(
+                r"^the phase Im\(lambda\) t of e\^\(lambda t\) overflows the float "
+                rf"range past t = {re.escape(f'{past:.6g}')} \(max \|Im lambda\| = "
+            )):
+                run()
 
 
 def normalized_model(family, m, gamma_perp, delta_cs=0.0, p=1, c=0.5):
