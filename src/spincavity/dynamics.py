@@ -162,20 +162,24 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     With ``b_m = H_0m``, ``c_m = H_m0`` and ``d_m = -H_mm`` the root
     ``lambda_k`` has the eigenvectors ``v_k = (1, c_m / (lambda_k +
     d_m))`` and ``u_k = r_k (1, b_m / (lambda_k + d_m))`` (Gu &
-    Eisenstat 1995), so ``z(t) = sum_k v_k e^{lambda_k t} u_k z(0)``.  One
-    pass over row blocks of the Cauchy matrix ``1 / (lambda_k + d_m)``
-    gives the weights ``u_k z(0)`` and, with ``e^{lambda_k t}``
-    (:func:`_growth_blocks`), the spin rows of ``z(t)``: O(M^2) per
-    output time on any grid.  The real means are the real and the signed
-    imaginary parts of ``z``, the first row ``y0`` itself; ``reductions``
-    holds ``X_c``, ``P_c`` and the collective ``S_x`` and ``S_y``.
-    Fallback (``fallbacks`` 1): when the roots came from dense
-    ``eigvals``, a pole was deflated, the residues fail their gate
-    (:func:`_roots`) or a weight is not finite, each output interval
-    ``h`` is one step ``z <- e^{H h} z`` (:func:`scipy.linalg.expm`
-    within :func:`_check_dense`, one for a uniform grid).  A mean past
-    the float range raises :class:`NumericalError` naming the path and
-    the time (:func:`_finite`), and so does an ``e^{lambda t}`` past it
+    Eisenstat 1995), so ``z(t) = sum_k v_k e^{lambda_k t} u_k z(0)``.  The
+    Cauchy sums over ``1 / (lambda_k + d_m)`` all go through
+    :func:`_pole_sums`: once for the weights ``u_k z(0)``, then per block
+    of ``e^{lambda_k t}`` (:func:`_growth_blocks`) for the spin rows
+    ``c_m sum_k e^{lambda_k t} u_k z(0) / (lambda_k + d_m)``, next to the
+    field row ``sum_k e^{lambda_k t} u_k z(0)``: O(M^2) per output time
+    on any grid.  The real means are the real and the signed imaginary
+    parts of ``z``, the first row ``y0`` itself; ``reductions`` holds
+    ``X_c``, ``P_c`` and the collective ``S_x`` and ``S_y``.  Fallback
+    (``fallbacks`` 1), chosen before any time is propagated: when the
+    roots came from dense ``eigvals``, a pole was deflated, the residues
+    fail their gate (:func:`_roots`) or a weight is not finite (a root
+    that rounds onto its pole, as at very weak coupling), each output
+    interval ``h`` is one step ``z <- e^{H h} z``
+    (:func:`scipy.linalg.expm` within :func:`_check_dense`, one for a
+    uniform grid).  A mean past the float range raises
+    :class:`NumericalError` naming the path and the time
+    (:func:`_finite`), and so does an ``e^{lambda t}`` past it
     (:func:`_growth_blocks`).
     """
     times = _validate_times(times)
@@ -192,21 +196,19 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     z = y0[0::2] + 1j * signs * y0[1::2]
     ys = np.empty((times.size, y0.size))
     spectral = not spectrum.dense and spectrum.residues is not None
-    blocks = _growth_blocks(times, lam, _DENSE_BYTE_BUDGET) if spectral else ()
-    for block, growth in blocks:
-        amps = np.zeros((block.stop - block.start, lam.size), dtype=complex)
-        for part in _row_blocks(lam.size, poles.size):
-            cauchy = _cauchy(lam[part], poles)
-            weights = spectrum.residues[part] * (z[0] + cauchy @ (row * z[1:]))
-            spectral = spectral and np.all(np.isfinite(weights))
-            weighted = growth[:, part] * weights
-            amps[:, 0] += weighted.sum(axis=1)
-            amps[:, 1:] += weighted @ cauchy
-        if not spectral:
-            break
-        amps[:, 1:] *= col
-        ys[block, 0::2], ys[block, 1::2] = amps.real, signs * amps.imag
-    if not spectral:
+    if spectral:
+        # a root that rounds onto its pole leaves its weight not finite
+        with np.errstate(invalid="ignore", over="ignore"):
+            weights = spectrum.residues * (z[0] + _pole_sums(lam, poles, row * z[1:]))
+        spectral = np.isfinite(weights).all()
+    if spectral:
+        for block, growth in _growth_blocks(times, lam, _DENSE_BYTE_BUDGET):
+            weighted = np.multiply(growth, weights, out=growth)
+            field = weighted.sum(axis=1)
+            spins = col * _pole_sums(poles, lam, weighted)
+            ys[block, 0], ys[block, 1] = field.real, field.imag
+            ys[block, 2::2], ys[block, 3::2] = spins.real, -spins.imag
+    else:
         from scipy.linalg import expm
 
         _check_dense(model)

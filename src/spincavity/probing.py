@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+def _check_sign(p) -> None:
+    """Reject an inversion sign other than +1 or -1: a bad argument."""
+    if p not in (+1, -1):
+        raise PreconditionError(f"inversion sign p must be +1 or -1, got {p}")
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     """Drive amplitude, probe detuning and sample inversion sign."""
@@ -56,8 +62,7 @@ class ProbeConfig:
     def __post_init__(self):
         object.__setattr__(self, "beta0", complex(self.beta0))
         object.__setattr__(self, "delta_e", float(self.delta_e))
-        if self.p not in (+1, -1):
-            raise PreconditionError(f"inversion sign p must be +1 or -1, got {self.p}")
+        _check_sign(self.p)
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,6 @@ def _field_per_drive(
     homogeneous ensemble has no linear response at zero detuning; those
     entries are NaN.
     """
-    if p not in (+1, -1):
-        raise PreconditionError(f"inversion sign p must be +1 or -1, got {p}")
     if params.delta_cs != 0.0:
         raise PreconditionError(
             "driven response assumes the cavity resonant with the spins "
@@ -164,8 +167,10 @@ def spectrum_scan(
 
     The whole grid is one array expression.  When its preconditions
     fail (detuned cavity, inverted sample at or beyond threshold) every
-    row is flagged invalid; singular rows are NaN-flagged in place.
+    row is flagged invalid; singular rows are NaN-flagged in place.  An
+    inversion sign other than +1 or -1 raises :class:`PreconditionError`.
     """
+    _check_sign(p)
     grid = np.asarray(delta_e_grid, dtype=float)
     try:
         field = _field_per_drive(params, spec, p, grid)
@@ -219,8 +224,7 @@ def sz_depletion_rate(
     ``p = +1`` (stimulated emission), absorption-driven growth for
     ``p = -1``.
     """
-    if p not in (+1, -1):
-        raise PreconditionError(f"inversion sign p must be +1 or -1, got {p}")
+    _check_sign(p)
     return -4.0 * p * g_ens**2 * field_photon_number / Gamma
 
 
@@ -246,8 +250,7 @@ def sz_drain_subensemble_sum(
     pairwise.  In the continuum limit this reproduces
     :func:`sz_depletion_rate`.
     """
-    if p not in (+1, -1):
-        raise PreconditionError(f"inversion sign p must be +1 or -1, got {p}")
+    _check_sign(p)
     if gamma_perp <= 0.0:
         raise PreconditionError(
             "the adiabatic sub-ensemble drain needs gamma_perp > 0"

@@ -130,6 +130,20 @@ class TestLorentzianKickResponse:
 
 
 class TestGaussianPole:
+    @pytest.mark.parametrize(
+        "sigma, seed, message",
+        [
+            (0.0, -0.5, "sigma_delta must be > 0"),
+            (-1.0, -0.5, "sigma_delta must be > 0"),
+            (1.0, complex(math.nan, 0.0), "seed must be finite"),
+            (1.0, complex(-0.5, math.inf), "seed must be finite"),
+        ],
+    )
+    def test_rejected_arguments(self, sigma, seed, message):
+        params = SystemParams(kappa=2.0, gamma_perp=0.0, g_ens=1.0)
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            gaussian_pole(params, sigma, seed)
+
     def test_narrow_feature_limit_recovers_quadratic_root(self):
         # sigma far below every rate: the pole equation degenerates to
         # (lam + kappa)(lam + gamma_perp) = g^2; slow root (-3+sqrt5)/2

@@ -84,6 +84,15 @@ class TestFaddeeva:
 
 
 class TestCharacteristicWidth:
+    @pytest.mark.parametrize("family", list(BroadeningFamily))
+    @pytest.mark.parametrize("gamma_perp", [-0.1, math.nan, math.inf])
+    def test_rejected_rates(self, family, gamma_perp):
+        spec = BroadeningSpec(family, 0.0 if family is BroadeningFamily.HOMOGENEOUS
+                              else 1.0)
+        with pytest.raises(PreconditionError,
+                           match="^gamma_perp must be finite and >= 0$"):
+            characteristic_width(spec, gamma_perp)
+
     def test_homogeneous_equals_transverse_rate(self):
         spec = BroadeningSpec(BroadeningFamily.HOMOGENEOUS, 0.0)
         assert characteristic_width(spec, 0.5) == 0.5

@@ -126,6 +126,27 @@ SMALL = {
         "0", "--kappa", "8", "--g-ens", "2",
     ],
 }
+# runs with every option of REJECTED at its default, so that a config
+# line sets it
+BARE = {
+    "decay": ["decay", "--family", "lorentzian", "--width", "1.6"],
+    "moments": ["moments", "--family", "homogeneous", "--gamma-perp", "1"],
+    "spectrum": ["spectrum", "--family", "lorentzian", "--width", "1.6"],
+    "stability-sweep": ["stability-sweep", "--family", "homogeneous",
+                        "--gamma-perp", "1"],
+    "pole": SMALL["pole"],
+}
+# (experiment, option, value) that exit 2: text that is not a number,
+# and values each run rejects before it computes
+REJECTED = [
+    ("decay", "kappa", "abc"),
+    ("stability-sweep", "g_samples", "abc"),
+    ("decay", "t_max", "0"),
+    ("moments", "t_samples", "1"),
+    ("moments", "theta", "0"),
+    ("spectrum", "delta_e_samples", "1"),
+    ("spectrum", "delta_e_max", "-20"),  # the default --delta-e-min
+]
 ADDED_KEYS = {
     "decay": {
         "Gamma", "kick_response_fallbacks", "eigensolver_fallbacks",
@@ -1267,6 +1288,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} ")
         assert "256 MiB sample budget" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("experiment, flags, line", [
+        *[(experiment, ["--" + key.replace("_", "-"), value], None)
+          for experiment, key, value in REJECTED],
+        *[(experiment, [], f"{key} = {value}")
+          for experiment, key, value in REJECTED],
+        ("pole", [], "kappa 8"),  # a config line with no '='
+    ])
+    def test_rejected_value_exits_2(self, tmp_path, capsys, experiment, flags, line):
+        argv = BARE[experiment] + flags + ["--out", tmp_path / "x.csv"]
+        if line is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(line + "\n")
+            argv += ["--config", config]
+        if flags and flags[1] == "abc":
+            # a flag value its parser rejects: argparse's own exit 2
+            with pytest.raises(SystemExit) as info:
+                run_cli(argv)
+            assert info.value.code == 2
+            assert flags[0] in capsys.readouterr().err
+        else:
+            assert run_cli(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
     def test_unreadable_config_is_precondition_failure(self, tmp_path, capsys):

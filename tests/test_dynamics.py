@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -227,6 +229,27 @@ class TestEvolveMean:
         scale = np.abs(reference).max()
         assert np.max(np.abs(series.means - reference)) <= 1e-8 * scale
 
+    def test_weak_coupling_takes_the_dense_steps_silently(self, dense_calls):
+        # at g_ens = 1e-9 all 21 roots round onto their poles, so their
+        # weights are not finite: the path turns dense before the first
+        # time block, and no Cauchy sum warns
+        params = SystemParams(kappa=1.0, gamma_perp=0.1, g_ens=1e-9)
+        grid = discretize(BroadeningSpec(BroadeningFamily.LORENTZIAN, 2.0), 21,
+                          1e-9, 1e6)
+        model = build_drift_matrix(params, grid, 1)
+        assert np.isin(-dynamics._spectrum(model).lam,
+                       dynamics._secular_terms(model)[0]).sum() == 21
+        y0, _ = initial_state("tilted-spin", grid, theta=1e-3)
+        times = np.linspace(0.0, 5.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = evolve_mean(model, y0, times)
+        assert series.fallbacks == 1
+        assert dense_calls == {**NO_DENSE_CALLS, "expm": 1}
+        reference = expm_mean(model.drift, y0, times)
+        scale = np.abs(reference).max()
+        assert np.max(np.abs(series.means - reference)) <= 1e-8 * scale
+
     def test_time_grid_validation(self):
         model, grid = small_model()
         y0, _ = initial_state("vacuum", grid)
@@ -236,6 +259,13 @@ class TestEvolveMean:
             evolve_mean(model, y0, [0.0, 1.0, 0.5])
         with pytest.raises(PreconditionError):
             evolve_mean(model, y0, [0.0])
+
+    @pytest.mark.parametrize("size", [11, 13, 0])
+    def test_state_length_must_match_the_model(self, size):
+        model, _ = small_model()
+        message = f"state length ({size},) does not match model dim 12"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            evolve_mean(model, np.zeros(size), np.linspace(0.0, 1.0, 3))
 
 
 class TestEvolveCovariance:
@@ -580,8 +610,10 @@ class TestSpectralMoments:
         assert dynamics._spectrum(model).residues is None
         y0, _ = initial_state("tilted-spin", grid, theta=1e-3)
         assert evolve_mean(model, y0, np.linspace(0.0, 1.0, 3)).fallbacks == 1
+        record, alive = dynamics._MEMO[model], weakref.ref(model)
         del model
-        assert not dynamics._MEMO
+        assert alive() is None
+        assert all(kept is not record for kept in dynamics._MEMO.values())
 
     def test_one_solve_per_model_whatever_the_call_order(self, aberth_calls):
         # interleaved paths on two live models each read their model's
@@ -1246,13 +1278,21 @@ class TestBatchedSpectra:
         models = batch_models("lorentzian", 0.25, 1, 0.0,
                               [(2.0, 1.0), (4.0, 2.0), (8.0, 3.0)])
         spectra = dynamics.arrowhead_spectra(models)
-        assert len(dynamics._MEMO) == 3
+        records = [dynamics._MEMO[model] for model in models]
+
+        def kept():
+            # counts only these models' records: other live models may
+            # hold records of their own
+            held = list(dynamics._MEMO.values())
+            return [any(record is other for other in held) for record in records]
+
+        assert kept() == [True] * 3
         # a later call reads the kept records
         assert dynamics.arrowhead_eigenvalues(models[1])[0] is spectra[1][0]
         del models[1]
-        assert len(dynamics._MEMO) == 2
+        assert kept() == [True, False, True]
         del models[:]
-        assert not dynamics._MEMO
+        assert kept() == [False] * 3
 
 
 def kick_oracle(model, times):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,6 +29,27 @@ def hom_model(kappa, gamma_perp, g_ens, N=1e6, p=1, delta_cs=0.0):
     )
     grid = discretize(HOM, 1, g_ens, N)
     return build_drift_matrix(params, grid, p)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SystemParams(kappa=1.0, gamma_perp=0.0, g_ens=1.0,
+                              delta_cs=np.nan), "delta_cs must be finite"),
+        (lambda: build_drift_matrix(
+            SystemParams(kappa=1.0, gamma_perp=0.0, g_ens=1.0),
+            replace(discretize(HOM, 1, 1.0, 1e6), deltas=[], couplings=[], spins=[]),
+            1,
+        ), "grid must contain at least one sub-ensemble"),
+        (lambda: build_homogeneous_Q(
+            SystemParams(kappa=1.0, gamma_perp=0.0, g_ens=1.0), 0.0
+        ), "total spin count must be > 0"),
+    ],
+    ids=["nan-delta-cs", "empty-grid", "no-spins"],
+)
+def test_rejected_arguments(build, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        build()
 
 
 class TestSystemParams:

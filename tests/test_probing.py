@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -295,6 +296,27 @@ class TestEstimatePC:
             estimate_pC(-1.0, "reflection", 1.0, 1.0)
         with pytest.raises(PreconditionError):
             estimate_pC(0.5, "absorption", 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: ProbeConfig(beta0=1.0, p=p),
+        lambda p: sz_depletion_rate(p, 2.0, 1.0, 1.0),
+        lambda p: sz_drain_subensemble_sum(discretize(LOR, 41, 2.0, 1e6), 0.2, p, 1.0),
+        # a bad argument raises, where a failed physical precondition
+        # would flag every row invalid
+        lambda p: spectrum_scan(SystemParams(kappa=2.0, gamma_perp=0.2, g_ens=1.0),
+                                LOR, p, np.linspace(-5.0, 5.0, 11)),
+    ],
+    ids=["ProbeConfig", "sz_depletion_rate", "sz_drain_subensemble_sum",
+         "spectrum_scan"],
+)
+@pytest.mark.parametrize("p", [0, 2, -2])
+def test_inversion_sign_must_be_plus_or_minus_one(call, p):
+    message = f"inversion sign p must be +1 or -1, got {p}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call(p)
 
 
 class TestInversionDrain:
