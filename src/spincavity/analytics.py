@@ -172,8 +172,8 @@ def gaussian_pole(
     :func:`pole_seeds` for the standard fast/slow starting points.
     """
     sigma_delta = float(sigma_delta)
-    if sigma_delta <= 0.0:
-        raise PreconditionError("sigma_delta must be > 0")
+    if not 0.0 < sigma_delta < math.inf:
+        raise PreconditionError("sigma_delta must be finite and > 0")
     lam = complex(seed)
     if not cmath.isfinite(lam):
         raise PreconditionError("seed must be finite")

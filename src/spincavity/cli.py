@@ -227,6 +227,8 @@ def _decay(o: dict):
             lam = gaussian_pole(params, spec.width, seed).lam
         except (ConvergenceError, DomainError):
             trailer["pole_tail"] = "unconverged"
+        except PreconditionError:  # gaussian_pole refused the seed
+            trailer["pole_tail"] = "seed outside the Faddeeva strip"
         else:
             anchor = int(np.argmin(np.abs(times - 0.5 * o["t_max"])))
             tail = x_sim[anchor] * np.exp(lam * (times - times[anchor]))

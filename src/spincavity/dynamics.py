@@ -488,22 +488,58 @@ def _secular_terms(model: DriftModel):
     return poles, model.p * grid.couplings**2 * grid.spins
 
 
+def _mirrored(poles: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether the poles, sorted by ``Delta``, and their weights are
+    mirror-symmetric to the bit, with an odd count."""
+    return (poles.size % 2 == 1 and np.array_equal(poles, poles[::-1].conjugate())
+            and np.array_equal(weights, weights[::-1]))
+
+
+def _hilbert_sums(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``T_m = sum_{j != m} w_j / (Delta_j - Delta_m)`` of poles ``d_j =
+    gamma_perp + i Delta_j`` sorted by ``Delta``, in real row sums (under
+    the caller's ``errstate``).
+
+    A mirrored line (:func:`_mirrored`) forms only the upper half, each
+    mirrored pair ``j`` as ``2 Delta_m w_j / ((Delta_j - Delta_m)(Delta_j
+    + Delta_m))`` and the centre and partner terms of ``m`` apart, so
+    ``T`` is odd to the bit and the centre sum is 0.
+    """
+    deltas, half, mirrored = poles.imag, poles.size // 2, _mirrored(poles, weights)
+    if mirrored:
+        centre, deltas, weights = weights[half], deltas[half + 1:], weights[half + 1:]
+    sums = np.empty(deltas.size)
+    for block in _row_blocks(deltas.size, deltas.size):
+        den = deltas - deltas[block, None]
+        if mirrored:
+            den *= deltas + deltas[block, None]
+        np.fill_diagonal(den[:, block.start:], np.inf)
+        sums[block] = np.divide(weights, den, out=den).sum(axis=1)
+    if not mirrored:
+        return sums
+    upper = 2.0 * deltas * sums - (centre + weights / 2.0) / deltas
+    return np.concatenate([-upper[::-1], [0.0], upper])
+
+
 def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The decoupled cavity root ``-shift``, then one seed per pole.
 
-    The weak-coupling seed of pole m is ``-d_m + w_m / (shift - d_m)``;
-    a pole at ``-shift`` has none and takes the root of its 2 x 2 block
-    ``(z + shift)(z + d_m) = w_m`` nearest ``-d_m`` instead.
+    The seed of pole m is the root nearest ``-d_m`` of its dressed 2 x 2
+    problem ``(z + d_m)(z + shift - S_m) = w_m``, in which every other
+    pole dresses the cavity with ``S_m = sum_{j != m} w_j / (d_j - d_m) =
+    -i T_m`` (:func:`_hilbert_sums`): ``F`` with the other poles frozen
+    at ``z = -d_m``.  Without them (``T_m = 0``) the seed is the
+    weak-coupling one, ``-d_m + w_m / (shift - d_m)`` to first order in
+    ``w_m``.
     """
     seeds = np.empty(poles.size + 1, dtype=complex)
     seeds[0] = -shift
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        seeds[1:] = -poles + weights / (shift - poles)
-        bad = ~np.isfinite(seeds[1:])
-        gap, w = shift - poles[bad], weights[bad]
-        root = np.sqrt(gap * gap + 4.0 * w)
+        gap = shift - poles
+        gap.imag += _hilbert_sums(poles, weights)
+        root = np.sqrt(gap * gap + 4.0 * weights)
         root = np.where((gap.conjugate() * root).real < 0.0, -root, root)
-        seeds[1:][bad] = -poles[bad] + 2.0 * w / (gap + root)
+        seeds[1:] = -poles + 2.0 * weights / (gap + root)
     return seeds
 
 
@@ -511,7 +547,7 @@ def _collective_seeds(shift: float, poles, weights, centre_seed) -> np.ndarray:
     """Seeds of the two roots of a mirrored problem not seeded at pole pairs.
 
     ``poles`` holds the real centre pole ``d_0``, then one of each
-    mirrored pair; ``centre_seed`` is the weak-coupling seed of ``d_0``.
+    mirrored pair; ``centre_seed`` is the seed of ``d_0`` (:func:`_seeds`).
     They come from ``(z + shift)(z + d_0) = sum_m w_m``.  With no real
     roots off the pole pairs (:func:`_real_pair` decides for negative
     weights; positive ones always leave some) this is one seed, the
@@ -832,9 +868,12 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  The other
     roots come from the Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
     339 (1973); Bini & Robol, J. Comput. Appl. Math. 272, 276 (2014)) on
-    ``P = F prod_m (lambda + d_m)``, all roots at once from the seeds of
-    :func:`_seeds`, with the pole nearest each iterate split off
-    (:func:`_split_sums`) so ``P'/P`` stays finite and uncancelled there.
+    ``P = F prod_m (lambda + d_m)``, all roots at once, with the pole
+    nearest each iterate split off (:func:`_split_sums`) so ``P'/P``
+    stays finite and uncancelled there.  Each root starts as a small
+    offset from its pole, the root of the pole's 2 x 2 problem in which
+    every other pole dresses the cavity (:func:`_seeds`), so strongly
+    coupled lines settle in a few iterations too.
     A root is frozen once its step is at most ``4 eps max(|lambda_i|,
     |c|, max_m |d_m|)``; the absolute floor stops roots near the band
     centre, which jitter at the rounding level of ``F``.  An iteration
@@ -891,11 +930,7 @@ def _job(model: DriftModel, fold: bool = True) -> tuple:
     seeds = _seeds(shift, merged, merged_weights)
     # np.unique sorts the poles, which share one real part, by Delta
     half = merged.size // 2
-    if (
-        shift.imag == 0.0 and merged.size % 2 == 1
-        and np.array_equal(merged, merged[::-1].conjugate())
-        and np.array_equal(merged_weights, merged_weights[::-1])
-    ):
+    if shift.imag == 0.0 and _mirrored(merged, merged_weights):
         upper, upper_weights = merged[half:], merged_weights[half:]
         collective = _collective_seeds(
             shift.real, upper, upper_weights, seeds[half + 1]

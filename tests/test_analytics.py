@@ -133,8 +133,10 @@ class TestGaussianPole:
     @pytest.mark.parametrize(
         "sigma, seed, message",
         [
-            (0.0, -0.5, "sigma_delta must be > 0"),
-            (-1.0, -0.5, "sigma_delta must be > 0"),
+            # NaN and inf pass a "<= 0" check; the error names sigma_delta,
+            # not the seed whose strip check it would reach next
+            *((sigma, -0.5, "sigma_delta must be finite and > 0")
+              for sigma in (0.0, -1.0, math.nan, math.inf, -math.inf)),
             (1.0, complex(math.nan, 0.0), "seed must be finite"),
             (1.0, complex(-0.5, math.inf), "seed must be finite"),
         ],

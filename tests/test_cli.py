@@ -268,6 +268,22 @@ class TestDecay:
         assert all(row[4] == "" for row in rows)
         assert all(row[1] != "" and row[3] != "" for row in rows)
 
+    @pytest.mark.parametrize("p", ["1", "-1"])
+    def test_refused_pole_seed_leaves_the_tail_empty(self, tmp_path, p):
+        # the slow seed of this weakly coupled line maps outside the
+        # evaluable Faddeeva strip, so gaussian_pole refuses it; the
+        # kicked field and the weak-coupling law still print
+        out = tmp_path / "decay.csv"
+        assert run_cli([
+            "decay", "--family", "gaussian", "--normalize-gamma",
+            "--gamma-perp", "0.25", "--p", p, "--kappa", "30.9",
+            "--g-ens", "0.0499", "--m", "21", "--out", out,
+        ]) == 0
+        _, _, rows, trailing = read_table(out)
+        assert trailing == {"pole_tail": "seed outside the Faddeeva strip"}
+        assert all(row[4] == "" for row in rows)
+        assert all(row[1] != "" and row[3] != "" for row in rows)
+
     @pytest.mark.parametrize("argv, code, phrase", [
         # past kappa ~ 1.3e154 the secular roots fall to dense eigvals,
         # their residues fail the gate and the expm steps of the mean
@@ -591,6 +607,18 @@ class TestMoments:
         # paths, although Bartels-Stewart leaves Var_inf - Var(0) 4 ulps
         # from zero
         assert all(row[5] == "" for row in spectral + dense)
+
+    def test_strongly_coupled_absorbing_line_takes_no_fallback(self, tmp_path):
+        # an absorbing Gaussian line at C ~ 450: from weak-coupling seeds
+        # both secular iterations ran to their cap, and the means, the
+        # covariance and the steady state took their dense paths
+        out = tmp_path / "moments.csv"
+        assert run_cli([
+            "moments", "--family", "gaussian", "--normalize-gamma",
+            "--gamma-perp", "0.02", "--p", "-1", "--kappa", "0.689",
+            "--g-ens", "17.7", "--m", "401", "--out", out,
+        ]) == 0
+        assert read_table(out)[0]["moment_fallbacks"] == "0"
 
     def test_near_threshold_steady_state_matches_oracle(self, tmp_path):
         # C = 1 - 1e-6 with N = 1: the steady variances are ~1e6 times

@@ -1115,8 +1115,8 @@ class TestSecularSolver:
         assert distance.max() <= 4 * np.finfo(float).eps * np.abs(closed).max()
 
     def test_seed_that_rounds_onto_its_pole(self):
-        # a far-tail sub-ensemble so weakly coupled that its seed
-        # -d_m + w_m / (c - d_m) rounds to the pole -d_m itself
+        # a far-tail sub-ensemble so weakly coupled that its dressed
+        # seed rounds to the pole -d_m itself
         grid = SubEnsembleGrid(
             family=BroadeningFamily.GAUSSIAN,
             deltas=np.array([-5.4, 0.0, 5.4]),
@@ -1127,12 +1127,82 @@ class TestSecularSolver:
         )
         params = SystemParams(kappa=0.5, gamma_perp=1.0, g_ens=1.0)
         model = build_drift_matrix(params, grid, 1)
-        poles = 1.0 + 1j * grid.deltas
-        seeds = -poles + grid.couplings**2 / (0.5 - poles)
-        assert seeds[0] == -poles[0]
+        poles, weights = dynamics._secular_terms(model)
+        seeds = dynamics._seeds(0.5, poles, weights)
+        assert seeds[1] == -poles[0] and seeds[3] == -poles[2]
         lam, fallback = arrowhead_eigenvalues(model)
         assert not fallback
         assert_matches_dense(model, lam)
+
+    @pytest.mark.parametrize("p", [1, -1])
+    def test_dressed_seeds_match_the_two_by_two_roots(self, p):
+        # an unmirrored line and delta_cs != 0: the seed of pole m is the
+        # root nearest -d_m of (z + d_m)(z + c - S_m) = w_m, with S_m
+        # summed over the other poles in complex arithmetic
+        rng = np.random.default_rng(26)
+        poles = 0.3 + 1j * np.sort(rng.uniform(-3.0, 3.0, 41))
+        weights = p * rng.uniform(0.01, 0.2, 41)
+        shift = complex(2.0, 0.7)
+        seeds = dynamics._seeds(shift, poles, weights)
+        assert seeds[0] == -shift
+        for m, (pole, w) in enumerate(zip(poles, weights)):
+            others = np.arange(poles.size) != m
+            dressed = shift - (weights[others] / (poles[others] - pole)).sum()
+            roots = np.roots([1.0, pole + dressed, pole * dressed - w])
+            want = roots[np.argmin(np.abs(roots + pole))]
+            assert abs(seeds[m + 1] - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("p", [1, -1])
+    @pytest.mark.parametrize("spec", [LOR, GAUSS], ids=["lorentzian", "gaussian"])
+    def test_mirrored_seeds_keep_the_mirror(self, spec, p):
+        # the dressing sums of a mirrored line are odd to the bit: the
+        # centre seed and every seed of the iteration's real roots stay
+        # real, and mirrored poles get conjugate seeds
+        model, _ = small_model(spec=spec, m=201, kappa=4.0, g_ens=1.0, p=p)
+        poles, weights = dynamics._secular_terms(model)
+        seeds = dynamics._seeds(4.0 + 0j, poles, weights)[1:]
+        assert seeds[100].imag == 0.0
+        assert np.array_equal(seeds[:100], seeds[:100:-1].conjugate())
+        job = dynamics._job(model)[0]
+        assert job.seeds.size - job.root_pairs == 2
+        assert np.all(job.seeds[:2].imag == 0.0)
+
+    def test_strong_coupling_takes_few_iteration_rows(self, monkeypatch):
+        # a Gaussian line at C = 1 ... 40, both p: the dressed seeds
+        # settle in under 2 rows of secular sums per root, the residue
+        # pass included, where weak-coupling seeds took over 3
+        rows = []
+        run = dynamics._split_sums
+
+        def counted(z, *args, **kwargs):
+            rows.append(z.size)
+            return run(z, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_split_sums", counted)
+        width = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, 1.0, 0.0)
+        spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, width)
+        models = [
+            small_model(spec=spec, m=201, kappa=2.0, gamma_perp=0.0,
+                        g_ens=np.sqrt(2.0 * c), p=p)[0]
+            for p in (1, -1) for c in np.geomspace(1.0, 40.0, 8)
+        ]
+        spectra = dynamics._roots(models)
+        assert not any(spectrum.dense for spectrum in spectra)
+        assert sum(rows) <= 2.5 * sum(spectrum.lam.size for spectrum in spectra)
+
+    @pytest.mark.parametrize("m", [601, 1201])
+    def test_strongly_coupled_absorbing_lorentzian(self, m):
+        # C = 400 on an absorbing Lorentzian line at gamma_perp = 0: from
+        # weak-coupling seeds both secular iterations ran to their cap,
+        # and past M = 1023 dense eigvals is over its budget
+        params = SystemParams(kappa=0.25, gamma_perp=0.0, g_ens=10.0)
+        grid = discretize(BroadeningSpec(BroadeningFamily.LORENTZIAN, 2.0), m,
+                          10.0, 1.0)
+        model = build_drift_matrix(params, grid, -1)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        if m == 601:
+            assert_matches_dense(model, lam)
 
     def test_fully_decoupled_model(self):
         model, grid = small_model(g_ens=0.0, kappa=3.0, delta_cs=0.5)
