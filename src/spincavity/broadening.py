@@ -177,9 +177,15 @@ def density(spec: BroadeningSpec, delta) -> float | np.ndarray:
         out = (w / (2.0 * math.pi)) / (delta * delta + w * w / 4.0)
     else:
         sigma = spec.width
-        out = np.exp(-delta * delta / (2.0 * sigma * sigma)) / (
-            sigma * math.sqrt(2.0 * math.pi)
-        )
+        twice_variance = 2.0 * sigma * sigma
+        if np.finfo(float).tiny <= twice_variance < math.inf:
+            exponent = -delta * delta / twice_variance
+        else:
+            # 2 sigma^2 is not a normal float: scale by sigma first; a
+            # square past the float range is an exponent of -inf
+            with np.errstate(over="ignore"):
+                exponent = -0.5 * (delta / sigma) ** 2
+        out = np.exp(exponent) / (sigma * math.sqrt(2.0 * math.pi))
     return float(out) if out.ndim == 0 else out
 
 

@@ -495,49 +495,68 @@ def _mirrored(poles: np.ndarray, weights: np.ndarray) -> bool:
             and np.array_equal(weights, weights[::-1]))
 
 
-def _hilbert_sums(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``T_m = sum_{j != m} w_j / (Delta_j - Delta_m)`` of poles ``d_j =
+def _hilbert_sums(poles: np.ndarray, weights: np.ndarray, mirrored: bool) -> tuple:
+    """``T_m = sum_{j != m} w_j / (Delta_j - Delta_m)`` and its slope ``U_m
+    = sum_{j != m} w_j / (Delta_j - Delta_m)^2``, of poles ``d_j =
     gamma_perp + i Delta_j`` sorted by ``Delta``, in real row sums (under
     the caller's ``errstate``).
 
-    A mirrored line (:func:`_mirrored`) forms only the upper half, each
-    mirrored pair ``j`` as ``2 Delta_m w_j / ((Delta_j - Delta_m)(Delta_j
-    + Delta_m))`` and the centre and partner terms of ``m`` apart, so
-    ``T`` is odd to the bit and the centre sum is 0.
+    A ``mirrored`` line (:func:`_mirrored`) forms only the upper half,
+    each mirrored pair ``j`` as ``2 Delta_m w_j / (Delta_j^2 - Delta_m^2)``
+    in ``T`` and ``2 w_j (Delta_j^2 + Delta_m^2) / (Delta_j^2 -
+    Delta_m^2)^2`` in ``U``, and the centre and partner terms of ``m``
+    apart, so ``T`` is odd and ``U`` even to the bit.  The centre's ``T``
+    is 0; its ``U`` is left 0, so its seed stays first-order (see
+    :func:`_collective_seeds`).
     """
-    deltas, half, mirrored = poles.imag, poles.size // 2, _mirrored(poles, weights)
+    deltas, half = poles.imag, poles.size // 2
     if mirrored:
         centre, deltas, weights = weights[half], deltas[half + 1:], weights[half + 1:]
-    sums = np.empty(deltas.size)
+        squares = deltas * deltas
+    sums, slopes = np.empty(deltas.size), np.empty(deltas.size)
     for block in _row_blocks(deltas.size, deltas.size):
         den = deltas - deltas[block, None]
         if mirrored:
             den *= deltas + deltas[block, None]
         np.fill_diagonal(den[:, block.start:], np.inf)
-        sums[block] = np.divide(weights, den, out=den).sum(axis=1)
+        terms = weights / den
+        sums[block] = terms.sum(axis=1)
+        if mirrored:
+            # the ratio first: a square of the denominator would leave the
+            # float range at widths far from 1 where U does not
+            terms *= (squares + squares[block, None]) / den
+        else:
+            terms /= den
+        slopes[block] = terms.sum(axis=1)
     if not mirrored:
-        return sums
+        return sums, slopes
     upper = 2.0 * deltas * sums - (centre + weights / 2.0) / deltas
-    return np.concatenate([-upper[::-1], [0.0], upper])
+    slopes = 2.0 * slopes + (centre + weights / 4.0) / squares
+    return (np.concatenate([-upper[::-1], [0.0], upper]),
+            np.concatenate([slopes[::-1], [0.0], slopes]))
 
 
-def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray,
+           mirrored: bool) -> np.ndarray:
     """The decoupled cavity root ``-shift``, then one seed per pole.
 
-    The seed of pole m is the root nearest ``-d_m`` of its dressed 2 x 2
-    problem ``(z + d_m)(z + shift - S_m) = w_m``, in which every other
-    pole dresses the cavity with ``S_m = sum_{j != m} w_j / (d_j - d_m) =
-    -i T_m`` (:func:`_hilbert_sums`): ``F`` with the other poles frozen
-    at ``z = -d_m``.  Without them (``T_m = 0``) the seed is the
+    The seed of pole m is the root nearest ``-d_m`` of its dressed
+    problem ``(1 - U_m) t^2 + (shift - d_m - S_m) t = w_m``, ``t = z +
+    d_m``: ``t F`` with the sum over the other poles taken to first order
+    in ``t``, ``S_m + U_m t``.  Its value ``S_m = sum_{j != m} w_j / (d_j
+    - d_m) = -i T_m`` dresses the cavity and its slope ``U_m`` offsets
+    the unit slope of ``F`` (:func:`_hilbert_sums`, ``mirrored`` as
+    there).  Without them (``T_m = U_m = 0``) the seed is the
     weak-coupling one, ``-d_m + w_m / (shift - d_m)`` to first order in
     ``w_m``.
     """
     seeds = np.empty(poles.size + 1, dtype=complex)
     seeds[0] = -shift
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sums, slopes = _hilbert_sums(poles, weights, mirrored)
         gap = shift - poles
-        gap.imag += _hilbert_sums(poles, weights)
-        root = np.sqrt(gap * gap + 4.0 * weights)
+        gap.imag += sums
+        root = np.sqrt(gap * gap + 4.0 * (1.0 - slopes) * weights)
         root = np.where((gap.conjugate() * root).real < 0.0, -root, root)
         seeds[1:] = -poles + 2.0 * weights / (gap + root)
     return seeds
@@ -654,7 +673,8 @@ def _take(table, owner, work, index=2) -> np.ndarray:
     return np.take(table, owner, axis=0, out=out, mode="clip")
 
 
-def _split_sums(z, shift, poles, weights, pairs, work, owner=None) -> tuple:
+def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
+                aberth=True) -> tuple:
     """Secular sums at ``z`` with the nearest pole, or pole pair, split off.
 
     With ``F_k``, ``S_k`` the sums over the other poles, ``F = F_k - v /
@@ -664,7 +684,9 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None) -> tuple:
     the pole; the poles are laid out as in :func:`_aberth_roots`.  Row
     ``i`` reads the weights ``weights[owner_i]`` (row 0 with no
     ``owner``) and ``shift``, one value or one per row; every (rows x
-    poles) array lives in ``work`` (:func:`_work_arrays`).
+    poles) array lives in ``work`` (:func:`_work_arrays`).  With
+    ``shift`` None no ``F_k`` is formed, and unless ``aberth`` no
+    ``S_k``, which only an Aberth step reads; each comes back ``None``.
     """
     single = poles.size - pairs
     lone_poles = poles[:single]
@@ -693,9 +715,9 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None) -> tuple:
     inv = np.divide(1.0, gap, out=gap)
     terms = np.multiply(_take(weights[:, :single], owner, work), inv,
                         out=_view(work, 1, count, single))
-    f = z + shift - terms.sum(axis=1)
+    f = None if shift is None else z + shift - terms.sum(axis=1)
     df = 1.0 + np.multiply(terms, inv, out=terms).sum(axis=1)
-    rest = inv.sum(axis=1)
+    rest = inv.sum(axis=1) if aberth else None
     if pairs:
         # 1/(z + d) + 1/(z + conj d) = 2y / (y^2 + D^2), and the squares
         # add up to 4y^2 / (y^2 + D^2)^2 - 2 / (y^2 + D^2); y^2 + D^2
@@ -707,24 +729,26 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None) -> tuple:
         terms = np.multiply(_take(weights[:, single:], owner, work), inv,
                             out=_view(work, 1, count, pairs))
         pole_sum = terms.sum(axis=1)
-        f -= 2.0 * y * pole_sum
+        if f is not None:
+            f -= 2.0 * y * pole_sum
         df += 4.0 * y * y * np.multiply(terms, inv, out=terms).sum(axis=1)
         df -= 2.0 * pole_sum
-        rest += 2.0 * y * inv.sum(axis=1)
+        if aberth:
+            rest += 2.0 * y * inv.sum(axis=1)
     return f, df, rest, q, v, dq, dv
 
 
 def _residue_pass(roots, poles, weights, pairs, work, owner=None) -> np.ndarray:
     """Residues ``1 / F'`` at ``roots``, root ``i`` of model ``owner_i``, in
     the split-off form of :func:`_split_sums`: ``1 / F' = q^2 / (F_k' q^2
-    - (v' q - v q'))``, O(M) per root, zero on a pole, and with no
-    cancellation next to one."""
+    - (v' q - v q'))``, O(M) per root from the ``F_k'`` sums alone, zero
+    on a pole, and with no cancellation next to one."""
     residues = np.empty(roots.size, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block in _row_blocks(roots.size, poles.size):
             _, df, _, q, v, dq, dv = _split_sums(
-                roots[block], 0.0, poles, weights, pairs, work,
-                None if owner is None else owner[block],
+                roots[block], None, poles, weights, pairs, work,
+                None if owner is None else owner[block], aberth=False,
             )
             residues[block] = q * q / (df * q * q - (dv * q - v * dq))
     return residues
@@ -764,57 +788,82 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
 
     failed = np.zeros(models, dtype=bool)
     active = np.arange(roots.size)
+    # the iteration converges cubically, so a root whose last step was at
+    # most eps^(1/3) of its scale is within rounding of its root after
+    # one more step: it confirms itself with a Newton step on G = F_k q -
+    # v, without the root sums.  The root sums must also have moved that
+    # step by at most eps^(1/3) of itself (the Newton step N and the
+    # Aberth step s differ by s N rest): an iterate next to another one
+    # takes small steps that only the root sums make, and Newton's would
+    # pull it onto the other's root
+    confirm = np.finfo(float).eps ** (1.0 / 3.0)
+    newton = np.zeros(roots.size, dtype=bool)
     for _ in range(_ABERTH_MAX_ITER):
         steps = np.empty(active.size, dtype=complex)
-        settled = np.empty(active.size, dtype=bool)
+        scales = np.empty(active.size)
+        local = np.ones(active.size, dtype=bool)
         partner = table[:, lone:]
         partner_real, partner_square = partner.real, partner.imag**2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for block in _row_blocks(active.size, width):
-                who, rows = (None, active[block]) if models == 1 else np.divmod(
-                    active[block], size)
-                z = roots[active[block]]
-                # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
-                f, df, rest, q, v, dq, dv = _split_sums(
-                    z, shifts[0 if who is None else who], poles, weights, pairs,
-                    work, who,
-                )
-                count = rows.size
-                at = np.arange(count)
-                own = rows < lone
-                diff = np.subtract(z[:, None], _take(table[:, :lone], who, work, 0),
-                                   out=_view(work, 0, count, lone))
-                diff[at[own], rows[own]] = np.inf
-                rest -= np.divide(1.0, diff, out=diff).sum(axis=1)
-                if root_pairs:
-                    # 1/(z - a) + 1/(z - conj a) = 2x / (x^2 + Im(a)^2)
-                    # with x = z - Re(a); a paired root keeps its own conjugate
-                    x = np.subtract(z[:, None], _take(partner_real, who, work),
-                                    out=_view(work, 0, count, root_pairs))
-                    quad = np.multiply(x, x, out=_view(work, 1, count, root_pairs))
-                    quad += _take(partner_square, who, work)
-                    quad[at[~own], rows[~own] - lone] = np.inf
-                    x += x
-                    rest -= np.divide(x, quad, out=x).sum(axis=1)
-                    rest[~own] -= 0.5 / (1j * z[~own].imag)
-                # 1 / (P'/P - sum_j 1/(z_i - z_j)), zero at an exact root
-                num, den = df * q + f * dq - dv, f * q - v
-                step = den / (num + den * rest)
-                if mirrored:
-                    # the unpaired roots of a mirrored problem are real, and so
-                    # are their steps but for rounding, which would pull them off
-                    step[own] = step[own].real
-                steps[block] = step
-                scale = np.maximum(np.abs(z - step), floor[0 if who is None else who])
-                settled[block] = np.abs(step) <= tol * scale
+            for aberth in (True, False):
+                part = np.flatnonzero(newton[active] != aberth)
+                for block in _row_blocks(part.size, width):
+                    here = part[block]
+                    who, rows = (None, active[here]) if models == 1 else np.divmod(
+                        active[here], size)
+                    z = roots[active[here]]
+                    # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
+                    f, df, rest, q, v, dq, dv = _split_sums(
+                        z, shifts[0 if who is None else who], poles, weights, pairs,
+                        work, who, aberth,
+                    )
+                    own = rows < lone
+                    num, den = df * q + f * dq - dv, f * q - v
+                    if aberth:
+                        count = rows.size
+                        at = np.arange(count)
+                        diff = np.subtract(z[:, None],
+                                           _take(table[:, :lone], who, work, 0),
+                                           out=_view(work, 0, count, lone))
+                        diff[at[own], rows[own]] = np.inf
+                        rest -= np.divide(1.0, diff, out=diff).sum(axis=1)
+                        if root_pairs:
+                            # 1/(z - a) + 1/(z - conj a) = 2x / (x^2 + Im(a)^2)
+                            # with x = z - Re(a); a paired root keeps its own
+                            # conjugate
+                            x = np.subtract(z[:, None], _take(partner_real, who, work),
+                                            out=_view(work, 0, count, root_pairs))
+                            quad = np.multiply(x, x,
+                                               out=_view(work, 1, count, root_pairs))
+                            quad += _take(partner_square, who, work)
+                            quad[at[~own], rows[~own] - lone] = np.inf
+                            x += x
+                            rest -= np.divide(x, quad, out=x).sum(axis=1)
+                            rest[~own] -= 0.5 / (1j * z[~own].imag)
+                        # 1 / (P'/P - sum_j 1/(z_i - z_j)), zero at an exact root
+                        step = den / (num + den * rest)
+                        local[here] = np.abs(den * rest) <= confirm * np.abs(num)
+                    else:
+                        step = den / num
+                    if mirrored:
+                        # the unpaired roots of a mirrored problem are real, and
+                        # so are their steps but for rounding, which would pull
+                        # them off
+                        step[own] = step[own].real
+                    steps[here] = step
+                    scales[here] = np.maximum(np.abs(z - step),
+                                              floor[0 if who is None else who])
         bad = ~np.isfinite(steps)
         if bad.any():
             # a step that is not finite fails its model; the others go on
             failed[active[bad] // size] = True
             keep = ~failed[active // size]
-            active, steps, settled = active[keep], steps[keep], settled[keep]
+            active, steps, scales = active[keep], steps[keep], scales[keep]
+            local = local[keep]
         roots[active] -= steps
-        active = active[~settled]
+        sizes = np.abs(steps)
+        newton[active] = (sizes <= confirm * scales) & local
+        active = active[sizes > tol * scales]
         if active.size == 0:
             break
     else:
@@ -871,16 +920,22 @@ def arrowhead_eigenvalues(model: DriftModel) -> tuple:
     ``P = F prod_m (lambda + d_m)``, all roots at once, with the pole
     nearest each iterate split off (:func:`_split_sums`) so ``P'/P``
     stays finite and uncancelled there.  Each root starts as a small
-    offset from its pole, the root of the pole's 2 x 2 problem in which
-    every other pole dresses the cavity (:func:`_seeds`), so strongly
-    coupled lines settle in a few iterations too.
+    offset from its pole, the root of the pole's quadratic problem in
+    which every other pole dresses the cavity with its value and slope
+    at the pole (:func:`_seeds`), so strongly coupled lines settle in a
+    few iterations too.  A root whose last step was at most ``eps^(1/3)``
+    of its scale, and which the root sums moved by at most ``eps^(1/3)``
+    of itself, takes its next step as Newton's on the split-off ``F``,
+    with no root sums: that step confirms it.
     A root is frozen once its step is at most ``4 eps max(|lambda_i|,
     |c|, max_m |d_m|)``; the absolute floor stops roots near the band
     centre, which jitter at the rounding level of ``F``.  An iteration
     costs O(M) per unfrozen root, in row blocks of ``_CHUNK_BYTES``.  One
-    more pass at the settled roots forms the residues ``1 / F'``
-    (:func:`_residue_pass`); those of the last step, taken before it,
-    would move the kicked field by up to 2e-12 of the kick.
+    more pass of the ``F'`` sums at the settled roots forms the residues
+    ``1 / F'`` (:func:`_residue_pass`); those of the last step, taken
+    before it, would move the kicked field by up to 2e-12 of the kick.
+    A root takes about three rows of O(M) sums: a step, the step that
+    confirms it, and its residue.
 
     On a mirrored line (``delta_cs = 0``, coupled poles and weights
     mirror-symmetric to the bit, an odd count: every
@@ -927,10 +982,11 @@ def _job(model: DriftModel, fold: bool = True) -> tuple:
     np.add.at(merged_weights, index, weights[coupled])
     deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
     shift = complex(model.params.kappa, model.params.delta_cs)
-    seeds = _seeds(shift, merged, merged_weights)
+    mirrored = shift.imag == 0.0 and _mirrored(merged, merged_weights)
+    seeds = _seeds(shift, merged, merged_weights, mirrored)
     # np.unique sorts the poles, which share one real part, by Delta
     half = merged.size // 2
-    if shift.imag == 0.0 and _mirrored(merged, merged_weights):
+    if mirrored:
         upper, upper_weights = merged[half:], merged_weights[half:]
         collective = _collective_seeds(
             shift.real, upper, upper_weights, seeds[half + 1]

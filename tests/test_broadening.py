@@ -259,6 +259,20 @@ class TestDensity:
             1.0 / (2.0 * np.sqrt(2.0 * np.pi)), rel=1e-14
         )
 
+    @pytest.mark.parametrize("width", [1e-300, 1e-170, 1e170, 1e300])
+    def test_gaussian_at_widths_whose_variance_leaves_the_float_range(
+        self, width
+    ):
+        # 2 sigma^2 underflows or overflows: sigma f(sigma x) is still the
+        # unit normal density, with no warning
+        x = np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 40.0])
+        spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, width)
+        values = density(spec, width * x)
+        assert np.all(np.isfinite(values))
+        unit = density(BroadeningSpec(BroadeningFamily.GAUSSIAN, 1.0), x)
+        assert_allclose(width * values, unit, rtol=1e-14)
+        assert density(spec, 0.0) * width == pytest.approx(unit[2], rel=1e-15)
+
     def test_homogeneous_has_no_density(self):
         spec = BroadeningSpec(BroadeningFamily.HOMOGENEOUS, 0.0)
         with pytest.raises(PreconditionError):

@@ -924,6 +924,17 @@ class TestArrowheadSpectrum:
             arrowhead_eigenvalues(model)
 
 
+def strongly_coupled_batch():
+    """A Gaussian line at C = 1 ... 40, kappa = 2, M = 201, both p."""
+    width = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, 1.0, 0.0)
+    spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, width)
+    return [
+        small_model(spec=spec, m=201, kappa=2.0, gamma_perp=0.0,
+                    g_ens=np.sqrt(2.0 * c), p=p)[0]
+        for p in (1, -1) for c in np.geomspace(1.0, 40.0, 8)
+    ]
+
+
 def assert_matches_dense(model, lam):
     """Eigenvalues equal dense eig of the arrowhead to 1e-12 ||A||_1."""
     dense = np.linalg.eigvals(model.arrowhead)
@@ -949,6 +960,11 @@ class TestSecularSolver:
         ),
         m=st.sampled_from([3, 41, 201]),
     )
+    # iterates next to one another take small Aberth steps that only the
+    # root sums make: a Newton step from there drew one onto a root
+    # another iterate held, and a root went missing
+    @example(family="lorentzian", p=1, log_c=1.0, log_kappa=0.0,
+             gamma_perp=0.0, log10_n=0.0, delta_cs=-1.0, m=201)
     def test_matches_dense_eig(self, family, p, log_c, log_kappa,
                                gamma_perp, log10_n, delta_cs, m):
         # kappa and g_ens in units of the characteristic width Gamma
@@ -1128,7 +1144,7 @@ class TestSecularSolver:
         params = SystemParams(kappa=0.5, gamma_perp=1.0, g_ens=1.0)
         model = build_drift_matrix(params, grid, 1)
         poles, weights = dynamics._secular_terms(model)
-        seeds = dynamics._seeds(0.5, poles, weights)
+        seeds = dynamics._seeds(0.5, poles, weights, True)
         assert seeds[1] == -poles[0] and seeds[3] == -poles[2]
         lam, fallback = arrowhead_eigenvalues(model)
         assert not fallback
@@ -1136,31 +1152,36 @@ class TestSecularSolver:
 
     @pytest.mark.parametrize("p", [1, -1])
     def test_dressed_seeds_match_the_two_by_two_roots(self, p):
-        # an unmirrored line and delta_cs != 0: the seed of pole m is the
-        # root nearest -d_m of (z + d_m)(z + c - S_m) = w_m, with S_m
-        # summed over the other poles in complex arithmetic
+        # an unmirrored line and delta_cs != 0: the seed of pole m is
+        # -d_m + t, t the root nearest 0 of (1 - U_m) t^2 + (c - d_m -
+        # S_m) t = w_m, with S_m summed over the other poles in complex
+        # arithmetic and U_m in a loop of its own
         rng = np.random.default_rng(26)
         poles = 0.3 + 1j * np.sort(rng.uniform(-3.0, 3.0, 41))
         weights = p * rng.uniform(0.01, 0.2, 41)
         shift = complex(2.0, 0.7)
-        seeds = dynamics._seeds(shift, poles, weights)
+        seeds = dynamics._seeds(shift, poles, weights, False)
         assert seeds[0] == -shift
         for m, (pole, w) in enumerate(zip(poles, weights)):
             others = np.arange(poles.size) != m
             dressed = shift - (weights[others] / (poles[others] - pole)).sum()
-            roots = np.roots([1.0, pole + dressed, pole * dressed - w])
-            want = roots[np.argmin(np.abs(roots + pole))]
+            slope = 0.0
+            for j in range(poles.size):
+                if j != m:
+                    slope += weights[j] / (poles[j].imag - pole.imag) ** 2
+            roots = np.roots([1.0 - slope, dressed - pole, -w])
+            want = roots[np.argmin(np.abs(roots))] - pole
             assert abs(seeds[m + 1] - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("p", [1, -1])
     @pytest.mark.parametrize("spec", [LOR, GAUSS], ids=["lorentzian", "gaussian"])
     def test_mirrored_seeds_keep_the_mirror(self, spec, p):
-        # the dressing sums of a mirrored line are odd to the bit: the
-        # centre seed and every seed of the iteration's real roots stay
-        # real, and mirrored poles get conjugate seeds
+        # the dressing sums of a mirrored line are odd (T) and even (U)
+        # to the bit: the centre seed and every seed of the iteration's
+        # real roots stay real, and mirrored poles get conjugate seeds
         model, _ = small_model(spec=spec, m=201, kappa=4.0, g_ens=1.0, p=p)
         poles, weights = dynamics._secular_terms(model)
-        seeds = dynamics._seeds(4.0 + 0j, poles, weights)[1:]
+        seeds = dynamics._seeds(4.0 + 0j, poles, weights, True)[1:]
         assert seeds[100].imag == 0.0
         assert np.array_equal(seeds[:100], seeds[:100:-1].conjugate())
         job = dynamics._job(model)[0]
@@ -1168,9 +1189,9 @@ class TestSecularSolver:
         assert np.all(job.seeds[:2].imag == 0.0)
 
     def test_strong_coupling_takes_few_iteration_rows(self, monkeypatch):
-        # a Gaussian line at C = 1 ... 40, both p: the dressed seeds
-        # settle in under 2 rows of secular sums per root, the residue
-        # pass included, where weak-coupling seeds took over 3
+        # the dressed seeds settle in under 1.7 rows of secular sums per
+        # root, the residue pass included, where first-order ones took 1.9
+        # and weak-coupling seeds over 3
         rows = []
         run = dynamics._split_sums
 
@@ -1179,16 +1200,50 @@ class TestSecularSolver:
             return run(z, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_split_sums", counted)
-        width = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, 1.0, 0.0)
-        spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, width)
-        models = [
-            small_model(spec=spec, m=201, kappa=2.0, gamma_perp=0.0,
-                        g_ens=np.sqrt(2.0 * c), p=p)[0]
-            for p in (1, -1) for c in np.geomspace(1.0, 40.0, 8)
-        ]
+        models = strongly_coupled_batch()
         spectra = dynamics._roots(models)
         assert not any(spectrum.dense for spectrum in spectra)
-        assert sum(rows) <= 2.5 * sum(spectrum.lam.size for spectrum in spectra)
+        assert sum(rows) <= 1.7 * sum(spectrum.lam.size for spectrum in spectra)
+
+    def test_second_order_seeds_lie_next_to_their_roots(self):
+        # the slope U_m of the other poles' dressing takes the pole seeds
+        # of the strongly coupled batch at least 100 times closer to the
+        # settled roots than the first-order dressed seeds
+        for model in strongly_coupled_batch():
+            lam = arrowhead_eigenvalues(model)[0]
+            poles, weights = dynamics._secular_terms(model)
+            seeds = dynamics._seeds(2.0 + 0j, poles, weights, True)[1:]
+            # the first-order seed: the root nearest 0 of t^2 + (c - d_m -
+            # S_m) t = w_m, S_m in complex arithmetic
+            others = poles[None, :] - poles[:, None]
+            np.fill_diagonal(others, np.inf)
+            gap = 2.0 - poles - (weights / others).sum(axis=1)
+            root = np.sqrt(gap * gap + 4.0 * weights)
+            root = np.where((gap.conjugate() * root).real < 0.0, -root, root)
+            first = -poles + 2.0 * weights / (gap + root)
+            # the centre seed stays first-order
+            poled = np.arange(poles.size) != poles.size // 2
+            near = [np.abs(seed[poled, None] - lam).min(axis=1)
+                    for seed in (first, seeds)]
+            assert np.median(near[0]) >= 100.0 * np.median(near[1])
+
+    @pytest.mark.parametrize("p", [1, -1])
+    @pytest.mark.parametrize("spec", [GAUSS, LOR], ids=["gaussian", "lorentzian"])
+    def test_every_root_is_settled_to_its_tolerance(self, spec, p):
+        # the roots a confirming Newton step settled: each matches dense
+        # eig, and the Newton correction F / F' in extended precision is
+        # within the settle tolerance 4 eps max(|lambda|, floor)
+        model, _ = small_model(spec=spec, m=41, kappa=2.0, g_ens=4.0, p=p)
+        lam, fallback = arrowhead_eigenvalues(model)
+        assert not fallback
+        assert_matches_dense(model, lam)
+        poles, weights = dynamics._secular_terms(model)
+        inv = 1.0 / np.add.outer(lam.astype(np.clongdouble), poles)
+        f = lam + model.params.kappa - (weights * inv).sum(axis=1)
+        df = 1.0 + (weights * inv * inv).sum(axis=1)
+        floor = max(model.params.kappa, np.abs(poles).max())
+        tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(lam), floor)
+        assert np.all(np.abs(f / df).astype(float) <= tol)
 
     @pytest.mark.parametrize("m", [601, 1201])
     def test_strongly_coupled_absorbing_lorentzian(self, m):
@@ -1327,9 +1382,9 @@ class TestBatchedSpectra:
                  for model in batch_models("gaussian", 0.0, 1, 0.0, points)]
         seeds = dynamics._seeds
 
-        def poisoned(shift, poles, weights):
+        def poisoned(shift, *args):
             # NaN seeds for the model at kappa = 4: its steps are not finite
-            return seeds(shift, poles, weights) * (np.nan if shift == 4.0 else 1.0)
+            return seeds(shift, *args) * (np.nan if shift == 4.0 else 1.0)
 
         monkeypatch.setattr(dynamics, "_seeds", poisoned)
         aberth_calls.clear()
