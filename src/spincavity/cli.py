@@ -33,9 +33,11 @@ blocks and ``columns``.
 
 Exit codes (the README lists every case): 0 success; 2 precondition
 failure, such as a non-finite float option, a ``--width`` next to
-``--normalize-gamma`` or ``--family homogeneous`` (which set it), a
-sample grid over its byte budget or a dense fallback over the library's
-budget; 3 numerical failure, a NaN from a propagation included.
+``--normalize-gamma`` or ``--family homogeneous`` (which set it), an
+``--m`` other than 1 next to ``--family homogeneous``, a sample grid
+over its byte budget or a dense fallback over the library's budget; 3
+numerical failure, a secular iteration that does not settle and a NaN
+from a propagation included.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from .broadening import (
     solve_width_for_gamma,
 )
 from .dynamics import (
-    arrowhead_eigenvalues, arrowhead_spectra, check_revival_window,
-    evolve_covariance, evolve_mean, field_kick_response,
+    arrowhead_spectra, check_revival_window, evolve_covariance, evolve_mean,
+    field_kick_response,
 )
 from .errors import (
     ConvergenceError, DomainError, NumericalError, PreconditionError,
@@ -238,10 +240,7 @@ def _decay(o: dict):
         "t", "X_c_sim", "X_c_lorentzian_analytic", "X_c_weak_coupling",
         "X_c_pole_tail",
     ]
-    header = {
-        "Gamma": Gamma, "kick_response_fallbacks": int(fallback),
-        "eigensolver_fallbacks": int(arrowhead_eigenvalues(model)[1]),
-    }
+    header = {"Gamma": Gamma, "kick_response_fallbacks": int(fallback)}
     return columns, rows, header, trailer
 
 
@@ -333,10 +332,9 @@ def _stability_sweep(o: dict):
     # the window reads only the grid spacing, which g leaves alone
     check_revival_window(grid, o["gamma_perp"], o["t_max"])
     spectra = arrowhead_spectra([model for *_, model in points])
-    fallbacks = dense = 0
+    fallbacks = 0
     rows = []
-    for (g, kappa, report, model), (eigenvalues, dense_path) in zip(points, spectra):
-        dense += dense_path
+    for (g, kappa, report, model), eigenvalues in zip(points, spectra):
         abscissa = float(eigenvalues.real.max())
         if windowed:
             response, fallback = field_kick_response(model, times)
@@ -347,10 +345,7 @@ def _stability_sweep(o: dict):
             numeric = bool(abscissa < 0.0)
         rows.append([g, kappa, report.Gamma, report.C, abscissa,
                      bool(report.stable), numeric])
-    header = {
-        "windowed_verdict": windowed, "kick_response_fallbacks": fallbacks,
-        "eigensolver_fallbacks": dense,
-    }
+    header = {"windowed_verdict": windowed, "kick_response_fallbacks": fallbacks}
     return columns, rows, header, {}
 
 
@@ -420,6 +415,9 @@ def _resolve(name: str, values: dict) -> dict:
     if o["width"] is not None and (o["normalize_gamma"] or family is _HOMOGENEOUS):
         other = "--normalize-gamma" if o["normalize_gamma"] else "--family homogeneous"
         raise PreconditionError(f"--width conflicts with {other}, which sets the width")
+    if family is _HOMOGENEOUS and o.get("m") not in (None, 1):
+        raise PreconditionError(f"--m {o['m']} conflicts with --family homogeneous, "
+                                "which is one sub-ensemble")
     if o["normalize_gamma"]:
         # interpret all rates in units of the characteristic width:
         # recompute the distribution width so that Gamma == 1 exactly

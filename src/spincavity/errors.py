@@ -7,7 +7,7 @@ Two branches matter to callers and to the CLI exit-code mapping:
   model, or a simulation window the discretization cannot support.
 * ``NumericalError`` (exit code 3): the request was valid but a
   numerical procedure failed to meet its tolerance, e.g. a root search
-  that does not converge or an ODE step-size underflow.
+  that does not converge or a propagation that leaves the float range.
 """
 
 from __future__ import annotations

@@ -148,15 +148,10 @@ REJECTED = [
     ("spectrum", "delta_e_max", "-20"),  # the default --delta-e-min
 ]
 ADDED_KEYS = {
-    "decay": {
-        "Gamma", "kick_response_fallbacks", "eigensolver_fallbacks",
-        "pole_rate_re", "pole_rate_im",
-    },
+    "decay": {"Gamma", "kick_response_fallbacks", "pole_rate_re", "pole_rate_im"},
     "moments": {"moment_fallbacks", "panel_f_ratio_sx", "panel_f_ratio_pc"},
     "spectrum": {"invalid_rows"},
-    "stability-sweep": {
-        "windowed_verdict", "kick_response_fallbacks", "eigensolver_fallbacks",
-    },
+    "stability-sweep": {"windowed_verdict", "kick_response_fallbacks"},
     "pole": set(),
 }
 
@@ -285,14 +280,14 @@ class TestDecay:
         assert all(row[1] != "" and row[3] != "" for row in rows)
 
     @pytest.mark.parametrize("argv, code, phrase", [
-        # past kappa ~ 1.3e154 the secular roots fall to dense eigvals,
-        # their residues fail the gate and the expm steps of the mean
-        # fallback return NaN: a numerical failure, not blank cells
-        pytest.param([*SMALL["decay"], "--kappa", "1.4e154"], 3, "dense fallback",
-                     id="decay-kappa-1.4e154"),
-        # the seeds overflow on the way to the same fallback
-        pytest.param([*SMALL["decay"], "--kappa", "1e300"], 3, "dense fallback",
-                     id="decay-kappa-1e300"),
+        # past kappa ~ 1.3e154 the secular sums leave the float range in
+        # both layouts of the collective pair: a numerical failure naming
+        # the step, not blank cells
+        pytest.param([*SMALL["decay"], "--kappa", "1.4e154"], 3,
+                     "secular iteration step is not finite", id="decay-kappa-1.4e154"),
+        # the seeds overflow on the way to the same failure
+        pytest.param([*SMALL["decay"], "--kappa", "1e300"], 3,
+                     "secular iteration step is not finite", id="decay-kappa-1e300"),
         # w(z) overflows its square on the way to 0; the pole tail is
         # left unconverged and the simulated field still prints
         pytest.param([*SMALL["decay"], "--kappa", "1e100"], 0, None,
@@ -356,6 +351,39 @@ class TestDecay:
         else:
             assert result.stdout.endswith("# pole_tail=unconverged\n")
 
+    @pytest.mark.parametrize("argv", [
+        # the first layout of the collective pair fails, the other settles
+        ["--family", "gaussian", "--normalize-gamma", "--gamma-perp", "0", "--p",
+         "-1", "--m", "7", "--kappa", "0.9767", "--g-ens", "0.5479576888",
+         "--t-max", "0.5", "--t-samples", "11"],
+        ["--family", "gaussian", "--normalize-gamma", "--gamma-perp", "0.5",
+         "--p", "-1", "--m", "21", "--kappa", "3.585", "--g-ens", "1.716095568"],
+        # the other layout again
+        ["--family", "lorentzian", "--normalize-gamma", "--gamma-perp", "0.25",
+         "--p", "-1", "--m", "21", "--kappa", "0.2001", "--g-ens",
+         "0.10796603671656"],
+        # two roots 8e-9 apart, which settle at their condition
+        ["--family", "lorentzian", "--normalize-gamma", "--gamma-perp", "0.25",
+         "--p", "-1", "--m", "21", "--kappa", "0.2000934387948906", "--g-ens",
+         "0.10797683435503808"],
+        # the exact double root -2.5
+        ["--family", "homogeneous", "--gamma-perp", "1", "--p", "-1", "--kappa",
+         "4", "--g-ens", "1.5"],
+    ], ids=["gaussian-m7", "gaussian-m21", "lorentzian", "lorentzian-8e-9",
+            "homogeneous-double"])
+    def test_near_exceptional_points_exit_silently(self, argv):
+        # roots about to merge: the secular iteration alone finds them,
+        # and the kicked field, whose residues fail their gate, comes
+        # from the means
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "spincavity",
+             "decay", *argv, "--out", "-"],
+            capture_output=True, text=True, env=source_env(),
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "# kick_response_fallbacks=1\n" in result.stdout
+
     def test_marginal_gaussian_band(self, tmp_path):
         # C = 1: the kicked field neither grows past 1.05x nor falls
         # below 0.1x of the initial amplitude across the window tail
@@ -418,24 +446,28 @@ class TestDecay:
         reference = expm_mean(model.drift, y0, times)[:, 0]
         assert np.abs(sim - reference).max() <= 1e-10 * np.abs(reference).max()
 
-    @pytest.mark.parametrize(
-        "constant, kick_fallbacks, eigensolver_fallbacks",
-        [("_RESIDUE_BOUND", "1", "1"), ("_ABERTH_MAX_ITER", "0", "1")],
-    )
-    def test_records_the_kick_response_fallback(
-        self, tmp_path, monkeypatch, secular_solves, constant, kick_fallbacks,
-        eigensolver_fallbacks,
-    ):
-        # both send the roots to dense eigvals; a zero residue bound also
-        # refuses their residues, a zero iteration cap does not
-        monkeypatch.setattr(dynamics, constant, 0)
+    def test_records_the_kick_response_fallback(self, tmp_path, monkeypatch,
+                                                secular_solves):
+        # a zero residue bound refuses the residues of the secular roots
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         out = tmp_path / "decay.csv"
         assert run_cli(LOR_DECAY + ["--out", out]) == 0
         meta, _, _, _ = read_table(out)
-        assert meta["kick_response_fallbacks"] == kick_fallbacks
-        assert meta["eigensolver_fallbacks"] == eigensolver_fallbacks
-        # the fallback's means and the count read the one spectrum
+        assert meta["kick_response_fallbacks"] == "1"
+        # the fallback's means read the one spectrum
         assert len(secular_solves) == 1
+
+    def test_iteration_cap_is_a_numerical_failure(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # no other root finder remains: both layouts of the collective
+        # pair stop at the cap, and the run exits 3 naming it
+        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 0)
+        out = tmp_path / "decay.csv"
+        assert run_cli(SMALL["decay"] + ["--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: secular roots still moving at the "
+                       "cap of 0 iterations\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "experiment", ["decay", "stability-sweep"],
@@ -580,6 +612,21 @@ class TestMoments:
         assert spectral[0]["moment_fallbacks"] == "0"
         assert dense[0]["moment_fallbacks"] == "3"
         assert_columns_match(tmp_path / "spectral.csv", tmp_path / "dense.csv")
+
+    def test_marginal_steady_state_warns_nothing(self):
+        # gamma_perp = 0 and a weak absorbing line: the steady state takes
+        # Bartels-Stewart, whose scipy solver warns of an eigenvalue pair
+        # that nearly cancels; the residual check judges it instead
+        result = subprocess.run(
+            [sys.executable, "-m", "spincavity", "moments", "--family", "gaussian",
+             "--normalize-gamma", "--gamma-perp", "0", "--p", "-1", "--kappa",
+             "0.0943", "--g-ens", "0.014072313242676202", "--m", "101",
+             "--t-max", "2", "--t-samples", "21", "--out", "-"],
+            capture_output=True, text=True, env=source_env(),
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "# moment_fallbacks=2\n" in result.stdout
 
     def test_homogeneous_complex_pair_takes_no_fallback(self, tmp_path,
                                                         monkeypatch):
@@ -757,7 +804,6 @@ class TestStabilitySweep:
         )
         assert manifest["windowed_verdict"] is True
         assert manifest["kick_response_fallbacks"] == 0
-        assert manifest["eigensolver_fallbacks"] == 0
         spec = BroadeningSpec("gaussian", manifest["width"])
         times = np.linspace(0.0, 2.0, 101)
         fifth = times.size // 5
@@ -833,25 +879,17 @@ class TestStabilitySweep:
             tracemalloc.stop()
         assert peak <= 2 * points * per_point + 4 * dynamics._CHUNK_BYTES
 
-    @pytest.mark.parametrize(
-        "constant, kick_fallbacks",
-        [("_RESIDUE_BOUND", 16), ("_ABERTH_MAX_ITER", 0)],
-    )
-    def test_fallbacks_counted_with_unchanged_verdicts(
-        self, tmp_path, monkeypatch, constant, kick_fallbacks
-    ):
-        # a zero residue bound rejects both residue sums, a zero
-        # iteration cap only the secular solver
+    def test_fallbacks_counted_with_unchanged_verdicts(self, tmp_path, monkeypatch):
+        # a zero residue bound rejects the residues of every point
         out = tmp_path / "sweep.csv"
         assert run_cli(self.WINDOWED + ["--out", out]) == 0
-        monkeypatch.setattr(dynamics, constant, 0)
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         forced = tmp_path / "forced.csv"
         assert run_cli(self.WINDOWED + ["--out", forced]) == 0
         manifest = json.loads(
             (tmp_path / "forced.csv.manifest.json").read_text()
         )
-        assert manifest["kick_response_fallbacks"] == kick_fallbacks
-        assert manifest["eigensolver_fallbacks"] == 16
+        assert manifest["kick_response_fallbacks"] == 16
         verdicts = [row[6] for row in read_table(out)[2]]
         assert [row[6] for row in read_table(forced)[2]] == verdicts
 
@@ -1265,6 +1303,10 @@ class TestExitCodes:
              "--width conflicts with --normalize-gamma"),
             (SMALL["stability-sweep"] + ["--width", "0"],
              "--width conflicts with --family homogeneous"),
+            # a homogeneous line is one sub-ensemble, whatever --m says
+            *(([name, "--family", "homogeneous", "--gamma-perp", "1", "--m", m],
+               f"--m {m} conflicts with --family homogeneous")
+              for name in ("decay", "moments") for m in ("7", "-4")),
         ],
     )
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, argv, name):
@@ -1367,11 +1409,11 @@ class TestExitCodes:
                                              monkeypatch, argv):
         # the budget bounds one dense (M+1)^2 complex array; every M that
         # builds one in the tests, scripts and benchmark fits it.  Both
-        # experiments build one only when dense eigvals takes over
+        # experiments build one only when the residues fail their gate
         limit = math.isqrt(dynamics._DENSE_BYTE_BUDGET // 16) - 1
         assert limit >= 801
         m = limit + 2
-        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 0)
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
         tracemalloc.start()
         try:
             code = run_cli(argv + [
@@ -1415,7 +1457,7 @@ class TestExitCodes:
         [
             (["decay"], ["kick_response_fallbacks"]),
             (["stability-sweep", "--g-samples", "3", "--kappa-samples", "3"],
-             ["kick_response_fallbacks", "eigensolver_fallbacks"]),
+             ["kick_response_fallbacks"]),
         ],
         ids=["decay", "stability-sweep"],
     )
