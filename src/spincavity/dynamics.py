@@ -540,7 +540,7 @@ def _hilbert_sums(poles: np.ndarray, weights: np.ndarray, mirrored: bool) -> tup
 
 
 def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray,
-           mirrored: bool) -> np.ndarray:
+           dressing: tuple) -> np.ndarray:
     """The decoupled cavity root ``-shift``, then one seed per pole.
 
     The seed of pole m is the root nearest ``-d_m`` of its dressed
@@ -548,15 +548,15 @@ def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray,
     d_m``: ``t F`` with the sum over the other poles taken to first order
     in ``t``, ``S_m + U_m t``.  Its value ``S_m = sum_{j != m} w_j / (d_j
     - d_m) = -i T_m`` dresses the cavity and its slope ``U_m`` offsets
-    the unit slope of ``F`` (:func:`_hilbert_sums`, ``mirrored`` as
-    there).  Without them (``T_m = U_m = 0``) the seed is the
-    weak-coupling one, ``-d_m + w_m / (shift - d_m)`` to first order in
-    ``w_m``.
+    the unit slope of ``F``; ``dressing`` holds both, ``(T, U)`` of
+    :func:`_hilbert_sums`.  Without them (``T_m = U_m = 0``) the seed is
+    the weak-coupling one, ``-d_m + w_m / (shift - d_m)`` to first order
+    in ``w_m``.
     """
     seeds = np.empty(poles.size + 1, dtype=complex)
     seeds[0] = -shift
+    sums, slopes = dressing
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sums, slopes = _hilbert_sums(poles, weights, mirrored)
         gap = shift - poles
         gap.imag += sums
         root = np.sqrt(gap * gap + 4.0 * (1.0 - slopes) * weights)
@@ -918,6 +918,9 @@ def arrowhead_spectra(models) -> list:
     layout (every point of a sweep over ``g_ens`` and ``kappa``), with
     each model's roots bit-equal to its own solve; a model that fails in
     its batch retries its other layout in a batch of the failed ones.
+    The set-up each model reads of its line, the merged poles and the
+    dressing sums of its seeds, is formed once per distinct line in the
+    call (:func:`_line`), so a sweep sets up one line per ``g_ens``.
     Each model's spectrum is kept while the model lives, so its later
     paths, and later calls, read it and only models with no spectrum yet
     are solved.
@@ -987,29 +990,46 @@ class _Job(NamedTuple):
     root_pairs: int = 0
 
 
-def _job(model: DriftModel, layout: int = 0) -> tuple:
-    """A model's secular iteration, its deflated poles (see :func:`_roots`)
-    and whether its line is mirrored.
+class _Line(NamedTuple):
+    """The part of a secular iteration that a line's models share: :func:`_line`."""
+
+    poles: np.ndarray
+    weights: np.ndarray
+    deflated: np.ndarray
+    mirrored: bool
+    dressing: tuple
+
+
+def _line(poles: np.ndarray, weights: np.ndarray, real_shift: bool) -> _Line:
+    """The coupled poles merged, with their summed weights, the deflated
+    poles (see :func:`_roots`), whether the line is mirrored (a
+    ``real_shift`` and :func:`_mirrored` merged poles) and the dressing
+    sums of the merged poles (:func:`_hilbert_sums`): everything a
+    model's secular iteration needs but its cavity shift."""
+    coupled = weights != 0.0
+    merged, first, index = np.unique(poles[coupled], return_index=True,
+                                     return_inverse=True)
+    merged_weights = np.zeros(merged.size)
+    np.add.at(merged_weights, index, weights[coupled])
+    deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
+    mirrored = real_shift and _mirrored(merged, merged_weights)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dressing = _hilbert_sums(merged, merged_weights, mirrored)
+    return _Line(merged, merged_weights, deflated, mirrored, dressing)
+
+
+def _job(shift: complex, line: _Line, layout: int = 0) -> _Job:
+    """The secular iteration of a model with cavity shift ``shift`` on ``line``.
 
     A mirrored line folds, with the ``layout``-th of the two layouts of
     its collective pair, the likelier first (:func:`_collective_seeds`).
     """
-    poles, weights = _secular_terms(model)
-    coupled = weights != 0.0
-    merged, first, index = np.unique(
-        poles[coupled], return_index=True, return_inverse=True
-    )
-    merged_weights = np.zeros(merged.size)
-    np.add.at(merged_weights, index, weights[coupled])
-    deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
-    shift = complex(model.params.kappa, model.params.delta_cs)
-    mirrored = shift.imag == 0.0 and _mirrored(merged, merged_weights)
-    seeds = _seeds(shift, merged, merged_weights, mirrored)
-    if not mirrored:
-        return _Job(shift, merged, merged_weights, seeds), deflated, False
+    seeds = _seeds(shift, line.poles, line.weights, line.dressing)
+    if not line.mirrored:
+        return _Job(shift, line.poles, line.weights, seeds)
     # np.unique sorts the poles, which share one real part, by Delta
-    half = merged.size // 2
-    upper, upper_weights = merged[half:], merged_weights[half:]
+    half = line.poles.size // 2
+    upper, upper_weights = line.poles[half:], line.weights[half:]
     collective = _collective_seeds(
         shift.real, upper, upper_weights, seeds[half + 1]
     )[layout]
@@ -1017,20 +1037,29 @@ def _job(model: DriftModel, layout: int = 0) -> tuple:
     if collective.size == 1:  # a conjugate pair
         collective, paired = seeds[:0], np.concatenate([collective, paired])
     seeds = np.concatenate([collective, paired])
-    return _Job(shift, upper, upper_weights, seeds, half, paired.size), deflated, True
+    return _Job(shift, upper, upper_weights, seeds, half, paired.size)
 
 
 def _solve(models, layout: int = 0) -> list:
-    """``[deflated poles, mirrored, roots and residues or the error]`` of
-    each model's secular iteration (:func:`_job`), in one batch of
-    :func:`_aberth_roots` per group of models with bit-equal poles and
-    one layout."""
-    out, groups = [], {}
+    """``[deflated poles, mirrored, root pairs, roots and residues or the
+    error]`` of each model's secular iteration (:func:`_job`), in one batch
+    of :func:`_aberth_roots` per group of models with bit-equal merged
+    poles and one layout.  Models whose poles and weights agree to the
+    bit, and whose cavity shifts are all real or all not, share one
+    :func:`_line` within the call, as the points of a sweep at one
+    ``g_ens`` do; nothing of it outlives the call."""
+    out, groups, lines = [], {}, {}
     for model in models:
-        job, deflated, mirrored = _job(model, layout)
-        key = (job.poles.tobytes(), job.pairs, job.root_pairs)
-        groups.setdefault(key, []).append((len(out), job))
-        out.append([deflated, mirrored, None])
+        poles, weights = _secular_terms(model)
+        shift = complex(model.params.kappa, model.params.delta_cs)
+        key = (poles.tobytes(), weights.tobytes(), shift.imag == 0.0)
+        if key not in lines:
+            lines[key] = _line(poles, weights, key[2])
+        line = lines[key]
+        job = _job(shift, line, layout)
+        groups.setdefault((job.poles.tobytes(), job.pairs, job.root_pairs),
+                          []).append((len(out), job))
+        out.append([line.deflated, line.mirrored, job.root_pairs, None])
     while groups:
         # the stacked rows replace the jobs before the batch iterates
         index, jobs = zip(*groups.popitem()[1])
@@ -1042,15 +1071,22 @@ def _solve(models, layout: int = 0) -> list:
         found = _aberth_roots(shifts, first.poles, weights, seeds,
                               pairs=first.pairs, root_pairs=first.root_pairs)
         for i, result in zip(index, found):
-            out[i][2] = result
+            out[i][3] = result
     return out
 
 
 class _Spectrum(NamedTuple):
-    """The arrowhead spectrum of one model: :func:`_roots`, read-only."""
+    """The arrowhead spectrum of one model: :func:`_roots`, read-only.
+
+    The last ``pairs`` roots and residues are the conjugates of the
+    ``pairs`` before them, as a folded iteration found them; ``pairs`` is
+    0 unless the model's iteration folded and its residues passed their
+    gate.
+    """
 
     lam: np.ndarray
     residues: np.ndarray | None
+    pairs: int = 0
 
 
 def _roots(models) -> list:
@@ -1066,12 +1102,12 @@ def _roots(models) -> list:
     and ``|sum_k r_k - 1| <= 1e-10`` (see :func:`field_kick_response`).
     """
     first = _solve(models)
-    again = iter(_solve([model for model, (_, mirrored, found) in zip(models, first)
+    again = iter(_solve([model for model, (_, mirrored, _, found) in zip(models, first)
                          if mirrored and isinstance(found, NumericalError)], layout=1))
     spectra = []
-    for deflated, mirrored, result in first:
+    for deflated, mirrored, pairs, result in first:
         if mirrored and isinstance(result, NumericalError):
-            result = next(again)[2]
+            _, _, pairs, result = next(again)
         if isinstance(result, NumericalError):
             raise result
         roots, residues = result
@@ -1082,7 +1118,8 @@ def _roots(models) -> list:
                 and np.abs(residues).sum() <= _RESIDUE_BOUND
                 and abs(residues.sum() - 1.0) <= 1e-10
             )
-        spectra.append(_Spectrum(lam, residues if gated else None))
+        spectra.append(_Spectrum(lam, residues, pairs) if gated
+                       else _Spectrum(lam, None))
     return spectra
 
 
@@ -1121,25 +1158,35 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     After a field kick ``a(t) / a(0) = [e^{H t}]_00 = sum_k r_k
     e^{lambda_k t}``, the partial fractions of ``1 / F``
     (:func:`arrowhead_eigenvalues`), with ``e^{lambda_k t}`` from
-    :func:`_growth_blocks`.  The residues add up to 1 from terms as
-    large as ``|r_k|``: near an exceptional point they blow up with
-    opposite signs and leave an error near ``eps (sum_k |r_k|)^2`` (1e-13,
-    1e-12 and 2e-10 of the kick at ``sum_k |r_k|`` = 22, 70 and 700 next
-    to the homogeneous double root).  So the expansion is used only
-    while the residues pass their gate (:func:`_roots`: ``sum_k |r_k| <=
-    100``, and ``sum_k r_k = 1`` to 1e-10) and no pole was deflated;
-    otherwise the field is propagated with :func:`evolve_mean`.  Returns
-    ``(response, fallback)``, ``fallback`` telling whether it was; a NaN
-    on either path, or an ``e^{lambda t}`` past the float range, raises
+    :func:`_growth_blocks`.  A folded spectrum (``pairs`` of
+    :class:`_Spectrum`, a mirrored line) sums only its first ``K -
+    pairs`` roots, each paired one with twice its residue, and keeps the
+    real part, as a conjugate pair adds ``2 Re(r_k e^{lambda_k t})``:
+    about half the exponentials and products.  The residues add up to 1
+    from terms as large as ``|r_k|``: near an exceptional point they
+    blow up with opposite signs and leave an error near ``eps (sum_k
+    |r_k|)^2`` (1e-13, 1e-12 and 2e-10 of the kick at ``sum_k |r_k|`` =
+    22, 70 and 700 next to the homogeneous double root).  So the
+    expansion is used only while the residues pass their gate
+    (:func:`_roots`: ``sum_k |r_k| <= 100``, and ``sum_k r_k = 1`` to
+    1e-10) and no pole was deflated; otherwise the field is propagated
+    with :func:`evolve_mean`.  Returns ``(response, fallback)``,
+    ``fallback`` telling whether it was; a NaN on either path, or an
+    ``e^{lambda t}`` past the float range, raises
     :class:`NumericalError`.
     """
     times = _validate_times(times)
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])
-    spectrum = _spectrum(model)
-    if spectrum.residues is not None:
+    lam, residues, pairs = _spectrum(model)
+    if residues is not None:
+        folded = lam.size - pairs
+        coefs = residues[:folded].copy()
+        coefs[folded - pairs:] *= 2.0
         response = np.empty(times.size, dtype=complex)
-        for block, growth in _growth_blocks(times, spectrum.lam):
-            response[block] = growth @ spectrum.residues
+        for block, growth in _growth_blocks(times, lam[:folded]):
+            response[block] = growth @ coefs
+        if pairs:
+            response.imag = 0.0
         return _finite(response, "the residue expansion of the kicked field",
                        times), False
     y0 = np.zeros(model.dim)

@@ -288,6 +288,14 @@ class TestDecay:
         # the seeds overflow on the way to the same failure
         pytest.param([*SMALL["decay"], "--kappa", "1e300"], 3,
                      "secular iteration step is not finite", id="decay-kappa-1e300"),
+        # a width far from 1: Delta^2 of the dressing sums over- or
+        # underflows, the seeds are NaN and so is the first step
+        *(pytest.param(["decay", "--family", "gaussian", "--width", width,
+                        "--gamma-perp", "0.5", "--kappa", "1", "--g-ens", "1",
+                        "--m", "21", "--t-samples", "5"], 3,
+                       "a secular iteration step is not finite",
+                       id=f"decay-width-{width}")
+          for width in ("1e170", "1e-170")),
         # w(z) overflows its square on the way to 0; the pole tail is
         # left unconverged and the simulated field still prints
         pytest.param([*SMALL["decay"], "--kappa", "1e100"], 0, None,

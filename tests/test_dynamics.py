@@ -1162,7 +1162,8 @@ class TestSecularSolver:
         params = SystemParams(kappa=0.5, gamma_perp=1.0, g_ens=1.0)
         model = build_drift_matrix(params, grid, 1)
         poles, weights = dynamics._secular_terms(model)
-        seeds = dynamics._seeds(0.5, poles, weights, True)
+        seeds = dynamics._seeds(0.5, poles, weights,
+                                dynamics._hilbert_sums(poles, weights, True))
         assert seeds[1] == -poles[0] and seeds[3] == -poles[2]
         lam = arrowhead_eigenvalues(model)
         assert_matches_dense(model, lam)
@@ -1177,7 +1178,8 @@ class TestSecularSolver:
         poles = 0.3 + 1j * np.sort(rng.uniform(-3.0, 3.0, 41))
         weights = p * rng.uniform(0.01, 0.2, 41)
         shift = complex(2.0, 0.7)
-        seeds = dynamics._seeds(shift, poles, weights, False)
+        seeds = dynamics._seeds(shift, poles, weights,
+                                dynamics._hilbert_sums(poles, weights, False))
         assert seeds[0] == -shift
         for m, (pole, w) in enumerate(zip(poles, weights)):
             others = np.arange(poles.size) != m
@@ -1198,10 +1200,11 @@ class TestSecularSolver:
         # real roots stay real, and mirrored poles get conjugate seeds
         model, _ = small_model(spec=spec, m=201, kappa=4.0, g_ens=1.0, p=p)
         poles, weights = dynamics._secular_terms(model)
-        seeds = dynamics._seeds(4.0 + 0j, poles, weights, True)[1:]
+        seeds = dynamics._seeds(4.0 + 0j, poles, weights,
+                                dynamics._hilbert_sums(poles, weights, True))[1:]
         assert seeds[100].imag == 0.0
         assert np.array_equal(seeds[:100], seeds[:100:-1].conjugate())
-        job = dynamics._job(model)[0]
+        job = dynamics._job(4.0 + 0j, dynamics._line(poles, weights, True))
         assert job.seeds.size - job.root_pairs == 2
         assert np.all(job.seeds[:2].imag == 0.0)
 
@@ -1228,7 +1231,8 @@ class TestSecularSolver:
         for model in strongly_coupled_batch():
             lam = arrowhead_eigenvalues(model)
             poles, weights = dynamics._secular_terms(model)
-            seeds = dynamics._seeds(2.0 + 0j, poles, weights, True)[1:]
+            seeds = dynamics._seeds(2.0 + 0j, poles, weights,
+                                    dynamics._hilbert_sums(poles, weights, True))[1:]
             # the first-order seed: the root nearest 0 of t^2 + (c - d_m -
             # S_m) t = w_m, S_m in complex arithmetic
             others = poles[None, :] - poles[:, None]
@@ -1355,6 +1359,7 @@ def assert_bit_equal(got, want):
     assert (got.residues is None) == (want.residues is None)
     if want.residues is not None:
         assert got.residues.tobytes() == want.residues.tobytes()
+    assert got.pairs == want.pairs
 
 
 class TestBatchedSpectra:
@@ -1381,6 +1386,32 @@ class TestBatchedSpectra:
         ]
         for model, spectrum in zip(models, spectra):
             assert_bit_equal(spectrum, dynamics._roots([model])[0])
+
+    @pytest.mark.parametrize("delta_cs", [0.0, 0.3])
+    @pytest.mark.parametrize("gamma_perp", [0.0, 0.25])
+    @pytest.mark.parametrize("p", [1, -1])
+    @pytest.mark.parametrize("family", ["gaussian", "lorentzian"])
+    def test_a_sweep_sets_up_each_line_once(self, family, p, gamma_perp,
+                                            delta_cs, monkeypatch):
+        # a 3 x 3 (kappa, g_ens) grid: the three points at one g_ens lie
+        # on one line, so a solve forms its dressing sums once, and each
+        # spectrum stays bit-equal to its own solve
+        points = [(kappa, g_ens) for g_ens in (0.5, 2.0, 6.0)
+                  for kappa in (0.4, 1.5, 5.0)]
+        models = batch_models(family, gamma_perp, p, delta_cs, points)
+        alone = [dynamics._roots([model])[0] for model in models]
+        sizes = []
+        run = dynamics._hilbert_sums
+
+        def counted(poles, *args):
+            sizes.append(poles.size)
+            return run(poles, *args)
+
+        monkeypatch.setattr(dynamics, "_hilbert_sums", counted)
+        dynamics._solve(models)
+        assert sizes == [21] * 3
+        for spectrum, want in zip(dynamics._roots(models), alone):
+            assert_bit_equal(spectrum, want)
 
     def test_a_failing_model_retries_its_other_layout_alone(self, monkeypatch,
                                                             aberth_calls):
@@ -1517,6 +1548,43 @@ class TestFieldKickResponse:
         reference = np.exp(exponent)
         ulps = 4.0 * np.finfo(float).eps * (1.0 + np.abs(exponent))
         assert np.all(np.abs(growth - reference) <= ulps * np.abs(reference))
+
+    @pytest.mark.parametrize("gamma_perp", [0.0, 0.3])
+    @pytest.mark.parametrize("p", [1, -1])
+    @pytest.mark.parametrize("spec", [GAUSS, LOR], ids=["gaussian", "lorentzian"])
+    def test_mirrored_line_sums_half_the_spectrum(self, spec, p, gamma_perp):
+        # a folded spectrum sums its lone roots and one root of each
+        # conjugate pair: a real field, within rounding of the sum over
+        # every root at each time
+        model, _ = small_model(spec=spec, m=201, kappa=2.0, g_ens=2.0, p=p,
+                               gamma_perp=gamma_perp)
+        spectrum = dynamics._spectrum(model)
+        assert spectrum.pairs > 0
+        times = np.linspace(0.0, 3.0, 61)
+        response, fallback = field_kick_response(model, times)
+        assert not fallback
+        assert np.all(response.imag == 0.0)
+        terms = spectrum.residues * np.exp(np.outer(times, spectrum.lam))
+        bound = 16.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(response - terms.sum(axis=1)) <= bound)
+
+    @pytest.mark.parametrize(
+        "spec, m, delta_cs", [(GAUSS, 201, 0.3), (LOR, 201, 0.3), (HOM, 1, 0.0)],
+        ids=["gaussian-detuned", "lorentzian-detuned", "homogeneous"],
+    )
+    def test_unfolded_spectrum_sums_every_root(self, spec, m, delta_cs):
+        # with no pairs the field is the sum over every root, to the bit
+        model, _ = small_model(spec=spec, m=m, kappa=2.0, g_ens=2.0,
+                               delta_cs=delta_cs)
+        spectrum = dynamics._spectrum(model)
+        assert spectrum.pairs == 0
+        times = np.linspace(0.0, 3.0, 61)
+        want = np.empty(times.size, dtype=complex)
+        for block, growth in dynamics._growth_blocks(times, spectrum.lam):
+            want[block] = growth @ spectrum.residues
+        response, fallback = field_kick_response(model, times)
+        assert not fallback
+        assert response.tobytes() == want.tobytes()
 
     def test_exceptional_point_falls_back(self, monkeypatch):
         # p = -1, kappa = 3, gamma_perp = 1, g_ens = 1: the double root
