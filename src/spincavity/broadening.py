@@ -20,6 +20,7 @@ The module provides
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -123,21 +124,25 @@ def _weideman_coefficients(n: int):
     f = np.exp(-t * t) * (big_l * big_l + t * t)
     f = np.concatenate(([0.0], f))
     coeff = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m2)
-    return big_l, coeff[1 : n + 1]  # ascending polynomial coefficients
+    # polynomial coefficients as floats, highest order first, for Horner
+    return big_l, coeff[n:0:-1].tolist()
 
 
 _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coefficients(_WEIDEMAN_N)
 
 
-def _faddeeva_upper(z: np.ndarray) -> np.ndarray:
-    # valid for Im(z) >= 0 only
+def _faddeeva_upper(z):
+    # valid for Im(z) >= 0 only; z one complex number or an array
     big_l = _WEIDEMAN_L
     iz = 1j * z
     ratio = (big_l + iz) / (big_l - iz)
-    poly = np.polynomial.polynomial.polyval(ratio, _WEIDEMAN_A)
-    with np.errstate(over="ignore"):  # past |z| ~ 1e154 the first term is 0
-        square = (big_l - iz) ** 2
-    return 2.0 * poly / square + (1.0 / math.sqrt(math.pi)) / (big_l - iz)
+    poly = _WEIDEMAN_A[0]
+    for coeff in _WEIDEMAN_A[1:]:
+        poly = coeff + poly * ratio
+    # a product, not a power: past |z| ~ 1e154 the square is not finite,
+    # the first term 0, and a complex power of a number would raise
+    edge = big_l - iz
+    return 2.0 * poly / (edge * edge) + (1.0 / math.sqrt(math.pi)) / edge
 
 
 def faddeeva(z):
@@ -147,7 +152,18 @@ def faddeeva(z):
     below the real axis the reflection formula overflows and no
     physical quantity in this package needs it).  Relative accuracy is
     better than 1e-10 on the strip ``|Im z| <= 10``, ``|Re z| <= 30``.
+    A Python number is evaluated in complex arithmetic with no array,
+    and agrees with the array path to rounding.
     """
+    if isinstance(z, (int, float, complex)):
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError("faddeeva requires finite arguments")
+        if z.imag < -10.0:
+            raise DomainError("faddeeva arguments must satisfy Im(z) >= -10")
+        if z.imag >= 0.0:
+            return _faddeeva_upper(z)
+        return 2.0 * cmath.exp(-z * z) - _faddeeva_upper(-z)
     arr = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(arr)):
         raise DomainError("faddeeva requires finite arguments")
@@ -155,15 +171,14 @@ def faddeeva(z):
         raise DomainError("faddeeva arguments must satisfy Im(z) >= -10")
     upper = arr.imag >= 0.0
     out = np.empty_like(arr)
-    if np.any(upper):
-        out[upper] = _faddeeva_upper(arr[upper])
-    if not np.all(upper):
-        zl = arr[~upper]
-        # reflection through the real axis keeps the entire function
-        out[~upper] = 2.0 * np.exp(-zl * zl) - _faddeeva_upper(-zl)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
+    with np.errstate(over="ignore"):  # squares past |z| ~ 1e154
+        if np.any(upper):
+            out[upper] = _faddeeva_upper(arr[upper])
+        if not np.all(upper):
+            zl = arr[~upper]
+            # reflection through the real axis keeps the entire function
+            out[~upper] = 2.0 * np.exp(-zl * zl) - _faddeeva_upper(-zl)
+    return complex(out) if out.ndim == 0 else out
 
 
 def density(spec: BroadeningSpec, delta) -> float | np.ndarray:

@@ -656,14 +656,13 @@ def _real_pair(level: float, halves: np.ndarray, weights: np.ndarray) -> bool:
     return True
 
 
-def _work_arrays(width: int, batched: bool = False) -> np.ndarray:
-    """Complex work arrays of ``_CHUNK_BYTES`` for :func:`_view`: two, and
-    a third for the rows a batch of models gathers (:func:`_take`).
+def _work_arrays(width: int) -> np.ndarray:
+    """Three complex work arrays of ``_CHUNK_BYTES`` for :func:`_view`.
 
     Every block array of the secular kernel lives in them: fresh arrays
     that large cost more to allocate than to fill.
     """
-    return np.empty((2 + batched, max(_CHUNK_BYTES // 16, width)), dtype=complex)
+    return np.empty((3, max(_CHUNK_BYTES // 16, width)), dtype=complex)
 
 
 def _view(work, index, count, columns, dtype=complex) -> np.ndarray:
@@ -688,13 +687,18 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
     With ``F_k``, ``S_k`` the sums over the other poles, ``F = F_k - v /
     q``: ``q = z + d_k``, ``v = w_k`` for an unpaired pole, ``q = (y +
     iD)(y - iD)``, ``y = z + g``, ``v = 2 w_k y`` for the pair ``g +- iD``.
-    Returns ``(F_k, F_k', S_k, q, v, q', v')``, finite and uncancelled at
-    the pole; the poles are laid out as in :func:`_aberth_roots`.  Row
-    ``i`` reads the weights ``weights[owner_i]`` (row 0 with no
-    ``owner``) and ``shift``, one value or one per row; every (rows x
-    poles) array lives in ``work`` (:func:`_work_arrays`).  With
-    ``shift`` None no ``F_k`` is formed, and unless ``aberth`` no
-    ``S_k``, which only an Aberth step reads; each comes back ``None``.
+    Returns ``(F_k, F_k', F_k'', S_k, q, v, q', v', q'')``, finite and
+    uncancelled at the pole, ``F_k''`` for the residue of a freezing root
+    (``-2 sum w inv^3`` over the unpaired poles, ``12 y sum w inv^2 - 16
+    y^3 sum w inv^3`` over the pairs); the poles are laid out as in
+    :func:`_aberth_roots`.  Row ``i`` reads the weights
+    ``weights[owner_i]`` (row 0 with no ``owner``) and ``shift``, one
+    value or one per row; every (rows x poles) array lives in ``work``
+    (:func:`_work_arrays`).  No product is formed in place: numpy rounds
+    an in-place complex product of one element apart from the same
+    product in a longer array, and a row's sums must not depend on its
+    block.  Unless ``aberth`` no ``S_k``, which only an Aberth step
+    reads, is formed; it comes back ``None``.
     """
     single = poles.size - pairs
     lone_poles = poles[:single]
@@ -707,7 +711,7 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
     q = gap[at, near]
     v = weights[which, near].astype(complex)
     dq = np.ones(count, dtype=complex)
-    dv = np.zeros(count)
+    dv, ddq = np.zeros(count), np.zeros(count)
     if pairs:
         halves = poles[single:].imag
         y = z + lone_poles[-1].real
@@ -716,15 +720,17 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
         split = pair_dist < dist[at, near]
         ys, ws, hs = y[split], weights[which, single + k][split], 1j * halves[k[split]]
         q[split], v[split] = (ys + hs) * (ys - hs), 2.0 * ws * ys
-        dq[split], dv[split] = 2.0 * ys, 2.0 * ws
+        dq[split], dv[split], ddq[split] = 2.0 * ys, 2.0 * ws, 2.0
         gap[at[~split], near[~split]] = np.inf
     else:
         gap[at, near] = np.inf
     inv = np.divide(1.0, gap, out=gap)
     terms = np.multiply(_take(weights[:, :single], owner, work), inv,
                         out=_view(work, 1, count, single))
-    f = None if shift is None else z + shift - terms.sum(axis=1)
-    df = 1.0 + np.multiply(terms, inv, out=terms).sum(axis=1)
+    f = z + shift - terms.sum(axis=1)
+    square = np.multiply(terms, inv, out=_view(work, 2, count, single))
+    df = 1.0 + square.sum(axis=1)
+    ddf = -2.0 * np.multiply(square, inv, out=terms).sum(axis=1)
     rest = inv.sum(axis=1) if aberth else None
     if pairs:
         # 1/(z + d) + 1/(z + conj d) = 2y / (y^2 + D^2), and the squares
@@ -737,29 +743,16 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
         terms = np.multiply(_take(weights[:, single:], owner, work), inv,
                             out=_view(work, 1, count, pairs))
         pole_sum = terms.sum(axis=1)
-        if f is not None:
-            f -= 2.0 * y * pole_sum
-        df += 4.0 * y * y * np.multiply(terms, inv, out=terms).sum(axis=1)
+        f -= 2.0 * y * pole_sum
+        square = np.multiply(terms, inv, out=_view(work, 2, count, pairs))
+        cube = np.multiply(square, inv, out=terms).sum(axis=1)
+        square = square.sum(axis=1)
+        df += 4.0 * y * y * square
         df -= 2.0 * pole_sum
+        ddf += y * (12.0 * square - 16.0 * y * y * cube)
         if aberth:
             rest += 2.0 * y * inv.sum(axis=1)
-    return f, df, rest, q, v, dq, dv
-
-
-def _residue_pass(roots, poles, weights, pairs, work, owner=None) -> np.ndarray:
-    """Residues ``1 / F'`` at ``roots``, root ``i`` of model ``owner_i``, in
-    the split-off form of :func:`_split_sums`: ``1 / F' = q^2 / (F_k' q^2
-    - (v' q - v q'))``, O(M) per root from the ``F_k'`` sums alone, zero
-    on a pole, and with no cancellation next to one."""
-    residues = np.empty(roots.size, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for block in _row_blocks(roots.size, poles.size):
-            _, df, _, q, v, dq, dv = _split_sums(
-                roots[block], None, poles, weights, pairs, work,
-                None if owner is None else owner[block], aberth=False,
-            )
-            residues[block] = q * q / (df * q * q - (dv * q - v * dq))
-    return residues
+    return f, df, ddf, rest, q, v, dq, dv, ddq
 
 
 def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
@@ -777,9 +770,9 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
     and order, so a model's roots do not depend on its batch; the
     settling floor, the iteration cap and the finite-step check hold per
     model.  The roots replace ``seeds`` in place.  Returns one ``(roots,
-    residues)`` per model, the residues ``1 / F'`` from one more pass at
-    the settled roots (:func:`_residue_pass`), or for a model whose roots
-    do not settle the :class:`NumericalError` that names why (see
+    residues)`` per model, each residue ``1 / F'`` formed in the row
+    that froze its root, or for a model whose roots do not settle the
+    :class:`NumericalError` that names why (see
     :func:`arrowhead_eigenvalues`).
     """
     models, size = seeds.shape
@@ -792,7 +785,8 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
     floor = np.maximum(np.abs(shifts), np.abs(poles).max())
     tol = 4.0 * np.finfo(float).eps
     width = max(poles.size, size)
-    work = _work_arrays(width, models > 1)
+    work = _work_arrays(width)
+    residues = np.empty(roots.size, dtype=complex)
 
     # why each model failed: 0 it did not, 1 a step not finite, 2 the cap
     failed = np.zeros(models, dtype=np.int8)
@@ -809,9 +803,10 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
     newton = np.zeros(roots.size, dtype=bool)
     for _ in range(_ABERTH_MAX_ITER):
         steps = np.empty(active.size, dtype=complex)
-        scales = np.empty(active.size)
-        conds = np.empty(active.size)
-        local = np.ones(active.size, dtype=bool)
+        # whether each row's step makes its next one a Newton step, and
+        # whether the row is still moving after it
+        confirms = np.empty(active.size, dtype=bool)
+        moving = np.empty(active.size, dtype=bool)
         partner = table[:, lone:]
         partner_real, partner_square = partner.real, partner.imag**2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -823,7 +818,7 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
                         active[here], size)
                     z = roots[active[here]]
                     # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
-                    f, df, rest, q, v, dq, dv = _split_sums(
+                    f, df, ddf, rest, q, v, dq, dv, ddq = _split_sums(
                         z, shifts[0 if who is None else who], poles, weights, pairs,
                         work, who, aberth,
                     )
@@ -852,9 +847,9 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
                             rest[~own] -= 0.5 / (1j * z[~own].imag)
                         # 1 / (P'/P - sum_j 1/(z_i - z_j))
                         slope = num + den * rest
-                        local[here] = np.abs(den * rest) <= confirm * np.abs(num)
+                        local = np.abs(den * rest) <= confirm * np.abs(num)
                     else:
-                        slope = num
+                        slope, local = num, True
                     # zero at an exact root, even one that another iterate
                     # or a double root shares, where the slope is not finite
                     step = np.divide(den, slope, out=np.zeros_like(den),
@@ -865,40 +860,45 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
                         # them off
                         step[own] = step[own].real
                     steps[here] = step
-                    scales[here] = np.maximum(np.abs(z - step),
-                                              floor[0 if who is None else who])
+                    stepped = z - step
+                    length = np.abs(step)
+                    scale = np.maximum(np.abs(stepped), floor[0 if who is None else who])
+                    confirms[here] = (length <= confirm * scale) & local
                     # the root's condition |r_k| = |q / G'| widens its freeze
                     # up to 2^26 of rounding: a near-double root is known to
                     # about the square root of it
-                    conds[here] = np.fmin(np.fmax(np.abs(q / num), 1.0), 2.0**26)
+                    cond = np.fmin(np.fmax(np.abs(q / num), 1.0), 2.0**26)
+                    moving[here] = length > tol * scale * cond
+                    # 1 / F' = q^2 / (F_k' q^2 - (v' q - v q')) at the stepped
+                    # root, a move h = z - stepped away: q and v are exact
+                    # there, F_k' - h F_k'' is to first order in h, and the
+                    # row that freezes a root leaves its residue
+                    h = z - stepped
+                    qh, dqh = q - h * (dq - 0.5 * h * ddq), dq - h * ddq
+                    residues[active[here]] = qh * qh / (
+                        (df - h * ddf) * qh * qh - (dv * qh - (v - h * dv) * dqh))
+        newton[active] = confirms
         bad = ~np.isfinite(steps)
         if bad.any():
             # a step that is not finite fails its model; the others go on
             failed[active[bad] // size] = 1
             keep = failed[active // size] == 0
-            active, steps, scales = active[keep], steps[keep], scales[keep]
-            local, conds = local[keep], conds[keep]
+            active, steps, moving = active[keep], steps[keep], moving[keep]
         roots[active] -= steps
-        sizes = np.abs(steps)
-        newton[active] = (sizes <= confirm * scales) & local
-        active = active[sizes > tol * scales * conds]
+        active = active[moving]
         if active.size == 0:
             break
     else:
         failed[active // size] = 2
-    good = np.flatnonzero(failed == 0)
-    residues = _residue_pass(
-        roots if good.size == models else table[good].ravel(), poles, weights,
-        pairs, work, None if models == 1 else np.repeat(good, size),
-    ).reshape(good.size, size)
     del work  # let the work arrays go before the roots are copied out
     why = (None, "a secular iteration step is not finite", "secular roots still "
            f"moving at the cap of {_ABERTH_MAX_ITER} iterations")
     found = [NumericalError(why[code]) if code else None for code in failed]
     pair = slice(lone, None)
-    for b, row in zip(good, residues):
-        found[b] = (np.concatenate([table[b], table[b, pair].conjugate()]),
-                    np.concatenate([row, row[pair].conjugate()]))
+    for b, row in enumerate(residues.reshape(models, size)):
+        if not failed[b]:
+            found[b] = (np.concatenate([table[b], table[b, pair].conjugate()]),
+                        np.concatenate([row, row[pair].conjugate()]))
     return found
 
 
@@ -955,12 +955,12 @@ def arrowhead_eigenvalues(model: DriftModel) -> np.ndarray:
     band centre, which jitter at the rounding level of ``F``, and the
     condition stops roots that merge at an exceptional point, known
     there to about the square root of the rounding error.  An iteration
-    costs O(M) per unfrozen root, in row blocks of ``_CHUNK_BYTES``.  One
-    more pass of the ``F'`` sums at the settled roots forms the residues
-    ``1 / F'`` (:func:`_residue_pass`); those of the last step, taken
-    before it, would move the kicked field by up to 2e-12 of the kick.
-    A root takes about three rows of O(M) sums: a step, the step that
-    confirms it, and its residue.
+    costs O(M) per unfrozen root, in row blocks of ``_CHUNK_BYTES``.  The
+    row that freezes a root also forms its residue ``1 / F'`` at the
+    stepped root, from ``F_k'`` and ``F_k''`` of that row, to first order
+    in the step (the value before the step moved the kicked field by up
+    to 2e-12 of the kick).  A root takes about two rows of O(M) sums: a
+    step and the step that confirms it.
 
     On a mirrored line (``delta_cs = 0``, coupled poles and weights
     mirror-symmetric to the bit, an odd count: every

@@ -57,6 +57,28 @@ class TestFaddeeva:
         assert isinstance(faddeeva(1 + 1j), complex)
         assert isinstance(faddeeva(np.array(1 + 1j)), complex)
 
+    def test_scalar_path_agrees_with_the_array_path(self):
+        # a Python number is evaluated in complex arithmetic with no
+        # array; both half planes of the contract strip, the axis included
+        re = np.linspace(-30.0, 30.0, 61)
+        im = np.linspace(-10.0, 10.0, 41)
+        z = (re[:, None] + 1j * im[None, :]).ravel()
+        scalar = np.array([faddeeva(complex(value)) for value in z])
+        assert_allclose(scalar, faddeeva(z), rtol=1e-14, atol=0.0)
+
+    def test_scalar_path_past_the_square_range(self):
+        # past |z| ~ 1e154 the square (L - iz)^2 leaves the float range,
+        # where a complex power of a Python number raises; the scalar
+        # path takes the array path's 0, inf, NaN or finite values
+        parts = [1e154, 1e155, 1e200, 1e300, 1.7e308]
+        z = np.array([complex(s * x, y) for s in (1.0, -1.0) for x in [0.0, 1.0, *parts]
+                      for y in [0.0, 1.0, -5.0, -10.0, *parts] if max(x, y) >= 1e154])
+        scalar = np.array([faddeeva(complex(value)) for value in z])
+        with np.errstate(invalid="ignore"):
+            array = faddeeva(z)
+        assert np.isfinite(array).any() and np.isnan(array).any()
+        assert_allclose(scalar, array, rtol=1e-14, atol=0.0)
+
     def test_array_shape_preserved(self):
         z = np.array([[0j, 1j], [1 + 1j, 2 - 3j]])
         out = faddeeva(z)
