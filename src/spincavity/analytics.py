@@ -293,9 +293,12 @@ def weak_coupling_response(alpha, params: SystemParams, sigma_delta, t):
     kappa = params.kappa
     with _in_float_range(kappa=kappa, g_ens=params.g_ens):
         ratio = (params.g_ens / kappa) ** 2
+    # (sigma t)^2: a square of sigma alone can leave the float range
+    with np.errstate(over="ignore"):
+        spread = (sigma_delta * t) ** 2
     out = alpha * (
         np.exp(-kappa * t)
-        + ratio * np.exp(-0.5 * sigma_delta**2 * t * t - params.gamma_perp * t)
+        + ratio * np.exp(-0.5 * spread - params.gamma_perp * t)
     )
     return float(out) if out.ndim == 0 else out
 

@@ -140,9 +140,16 @@ def _faddeeva_upper(z):
     for coeff in _WEIDEMAN_A[1:]:
         poly = coeff + poly * ratio
     # a product, not a power: past |z| ~ 1e154 the square is not finite,
-    # the first term 0, and a complex power of a number would raise
+    # where a complex power of a number would raise; there w(z) is the
+    # second term alone, 1 / (sqrt(pi) (L - iz)), within 1e-150.  Both
+    # sides of that quotient are halved (exactly), so that its scale
+    # stays in the float range up to |z| ~ 1.7e308
     edge = big_l - iz
-    return 2.0 * poly / (edge * edge) + (1.0 / math.sqrt(math.pi)) / edge
+    square = edge * edge
+    tail = (0.5 / math.sqrt(math.pi)) / (0.5 * edge)
+    if isinstance(z, complex):
+        return 2.0 * poly / square + tail if cmath.isfinite(square) else tail
+    return np.where(np.isfinite(square), 2.0 * poly / square + tail, tail)
 
 
 def faddeeva(z):
@@ -171,7 +178,7 @@ def faddeeva(z):
         raise DomainError("faddeeva arguments must satisfy Im(z) >= -10")
     upper = arr.imag >= 0.0
     out = np.empty_like(arr)
-    with np.errstate(over="ignore"):  # squares past |z| ~ 1e154
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past |z| ~ 1e154
         if np.any(upper):
             out[upper] = _faddeeva_upper(arr[upper])
         if not np.all(upper):

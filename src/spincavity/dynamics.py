@@ -5,8 +5,9 @@ Every path works in the amplitudes ``z = (a, s_1, ..., s_M)``,
 complex (M+1) x (M+1) arrowhead ``H`` (:attr:`DriftModel.arrowhead`), and
 ``C = T gamma T^H`` obeys ``dC/dt = H C + C H^H + D``.  The roots
 ``lambda_k`` of the secular function ``F`` and the residues
-``r_k = 1 / F'(lambda_k)``, found in O(M^2) by the one root finder,
-the secular iteration, and gated once per model
+``r_k = 1 / F'(lambda_k)``, found by the one root finder, the secular
+iteration (O(M) per root off its pole, O(1) next to it), and gated once
+per model
 (:func:`arrowhead_eigenvalues`; models that share their poles, as the
 points of a sweep over ``g_ens`` and ``kappa`` do, in one batched
 iteration, :func:`arrowhead_spectra`), give every moment on any time
@@ -35,6 +36,7 @@ range raise :class:`NumericalError` (:func:`_finite`).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 import weakref
@@ -61,6 +63,14 @@ _RESIDUE_BOUND = 100.0
 
 # Aberth iterations before a secular iteration fails (see _roots)
 _ABERTH_MAX_ITER = 100
+
+# a root next to its pole iterates on the pole's local function (see
+# _moments): the far poles' series to this many orders, the _NEAR poles
+# on each side summed exactly, while the root stays within _REACH of
+# the distance to its nearest far pole
+_ORDERS = 16
+_NEAR = 4
+_REACH = 0.1
 
 # bytes of each complex (roots x sub-ensembles) work array
 _CHUNK_BYTES = 256 * 2**10
@@ -485,10 +495,15 @@ def _finite(values: np.ndarray, what: str, times: np.ndarray) -> np.ndarray:
 
 
 def _secular_terms(model: DriftModel):
-    """Poles ``d_m = gamma_perp + i Delta_m`` and weights ``w_m = p g_m^2 N_m``."""
+    """Poles ``d_m = gamma_perp + i Delta_m`` and weights ``w_m = p g_m^2
+    N_m``, or :class:`NumericalError` where a weight leaves the float range."""
     grid = model.grid
     poles = model.params.gamma_perp + 1j * grid.deltas
-    return poles, model.p * grid.couplings**2 * grid.spins
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = model.p * grid.couplings**2 * grid.spins
+    if not np.isfinite(weights).all():
+        raise NumericalError("the coupling weights p g_m^2 N_m overflow the float range")
+    return poles, weights
 
 
 def _mirrored(poles: np.ndarray, weights: np.ndarray) -> bool:
@@ -498,45 +513,154 @@ def _mirrored(poles: np.ndarray, weights: np.ndarray) -> bool:
             and np.array_equal(weights, weights[::-1]))
 
 
-def _hilbert_sums(poles: np.ndarray, weights: np.ndarray, mirrored: bool) -> tuple:
-    """``T_m = sum_{j != m} w_j / (Delta_j - Delta_m)`` and its slope ``U_m
-    = sum_{j != m} w_j / (Delta_j - Delta_m)^2``, of poles ``d_j =
-    gamma_perp + i Delta_j`` sorted by ``Delta``, in real row sums (under
-    the caller's ``errstate``).
+def _lattice(deltas: np.ndarray):
+    """``(unit, scale, tangent)`` of sorted deltas that lie, to rounding,
+    on a lattice of :func:`~spincavity.broadening.discretize`, else
+    ``None``.
 
-    A ``mirrored`` line (:func:`_mirrored`) forms only the upper half,
-    each mirrored pair ``j`` as ``2 Delta_m w_j / (Delta_j^2 - Delta_m^2)``
-    in ``T`` and ``2 w_j (Delta_j^2 + Delta_m^2) / (Delta_j^2 -
-    Delta_m^2)^2`` in ``U``, and the centre and partner terms of ``m``
-    apart, so ``T`` is odd and ``U`` even to the bit.  The centre's ``T``
-    is 0; its ``U`` is left 0, so its seed stays first-order (see
-    :func:`_collective_seeds`).
+    Told from the deltas alone, in O(M).  On the uniform lattice
+    ``Delta_j - Delta_m = h (j - m)``; on the tangent lattice ``Delta_j =
+    c + a tan theta_j``, ``theta_j = (j - (n - 1) / 2) pi / n``, ``Delta_j
+    - Delta_m = a sin(theta_j - theta_m) / (cos theta_j cos theta_m)``.
+    Either way ``unit_m / (Delta_j - Delta_m) = scale_j kernel_(j - m)``
+    (:func:`_kernels`): unit ``h`` and scale 1 (``None``), or unit ``a (pi
+    / n) / cos theta_m`` and scale ``cos theta_j``.
     """
-    deltas, half = poles.imag, poles.size // 2
+    n = deltas.size
+    index = np.arange(n) - (n - 1) / 2.0
+    centre = (deltas[0] + deltas[-1]) / 2.0
+    rest = deltas - centre
+    eps = np.finfo(float).eps
+    step = (deltas[-1] - deltas[0]) / (n - 1)
+    if np.abs(rest - step * index).max() <= 8.0 * eps * np.abs(deltas).max():
+        return np.full(n, step), None, False
+    # cos and sin of the angles to full relative accuracy near +-pi/2
+    angle = math.pi / n
+    cos = np.sin((n / 2.0 - np.abs(index)) * angle)
+    tan = np.sin(index * angle) / cos
+    quarter = (n - 1) // 2 + n // 4  # theta near pi/4
+    a = rest[quarter] / tan[quarter]
+    if np.all(np.abs(rest - a * tan)
+              <= 8.0 * eps * (np.abs(rest) + abs(centre) + a * math.pi / cos**2)):
+        return a * angle / cos, cos, True
+    return None
+
+
+@functools.lru_cache(maxsize=4)
+def _kernels(n: int, tangent: bool) -> tuple:
+    """``(size, spectra)``: the FFT length for a lattice of ``n`` poles and
+    the real FFTs of its far-pole kernels ``kernel_s^(k+1)``, ``|s| >
+    _NEAR``, laid out for a correlation, in blocks of orders.
+
+    The kernel is ``1 / s`` on the uniform lattice and ``(pi / n) / sin(pi
+    s / n)`` on the tangent one (:func:`_lattice`), odd in ``s``.  A
+    block holds up to 2^14 real entries, 128 KiB, whatever
+    ``_CHUNK_BYTES`` is: an FFT rounds a row by how many rows share its
+    transform.  They depend on ``n`` alone, so the lines of a sweep share
+    them.
+    """
+    steps = np.arange(1.0, n)
+    angle = math.pi / n
+    if tangent:
+        kernel = angle / np.sin(np.minimum(steps, n - steps) * angle)
+    else:
+        kernel = 1.0 / steps
+    kernel[:_NEAR] = 0.0
+    size = 1 << (2 * n - 2).bit_length()  # no wrap-around
+    count = min(max(2**14 // size, 1), _ORDERS)
+    spectra = []
+    for first in range(0, _ORDERS, count):
+        power = np.arange(first + 1, min(first + count, _ORDERS) + 1)[:, None]
+        ker = np.zeros((power.size, size))
+        ker[:, size - 1:size - n:-1] = kernel**power
+        ker[:, 1:n] = ker[:, size - 1:size - n:-1] * (-1.0) ** power
+        spectra.append(np.fft.rfft(ker))
+        spectra[-1].flags.writeable = False
+    return size, tuple(spectra)
+
+
+def _moments(deltas: np.ndarray, weights: np.ndarray, mirrored: bool) -> tuple:
+    """``(table, unit, reach)`` of the far poles of each pole ``m``.
+
+    ``table[m, k] = sum_{|j - m| > q} w_j (unit_m / (Delta_j -
+    Delta_m))^(k+1)`` for ``k < _ORDERS``, ``q = _NEAR``, of sorted
+    deltas: the series ``sum_{|j - m| > q} w_j / (t + d_j - d_m) = (-i /
+    unit_m) sum_k (i t / unit_m)^k table[m, k]`` in the offset ``t = z +
+    d_m``, held in units of each pole's ``unit`` so that no power over-
+    or underflows at any width.  On a lattice (:func:`_lattice`) each
+    order is one real FFT convolution of a power-of-two length; any other
+    line takes direct row sums in units of the distance to the pole's
+    nearest far pole.  ``reach_m``, the lesser of ``unit_m / 2`` and
+    ``_REACH`` of that distance, bounds the offsets at which a root reads
+    the series (:func:`_local_sums`): there the truncated orders, and the
+    convolution's rounding in the high ones, stay below rounding of ``F``
+    and ``F'``.  A line of fewer than ``2 q + 2`` poles has reach 0.  On
+    a ``mirrored`` line each order is odd or even in ``m`` to the bit.
+    """
+    n, near = deltas.size, _NEAR
+    orders = np.arange(1, _ORDERS + 1)[:, None]
+    span = np.full(n, np.inf)  # distance to the nearest far pole
+    if n > near + 1:
+        gaps = deltas[near + 1:] - deltas[:-near - 1]
+        span[:-near - 1] = gaps
+        span[near + 1:] = np.minimum(span[near + 1:], gaps)
+    local = n >= 2 * near + 2
+    lattice = _lattice(deltas) if local else None
+    table = np.zeros((n, _ORDERS))
+    if lattice is not None:
+        unit, scale, tangent = lattice
+        size, spectra = _kernels(n, tangent)
+        first, signal = 0, np.fft.rfft(weights, size)
+        for kernel in spectra:
+            block = slice(first, first + kernel.shape[0])
+            if scale is not None:
+                signal = np.fft.rfft(weights * scale ** orders[block], size)
+            table[:, block] = np.fft.irfft(signal * kernel, size)[:, :n].T
+            first = block.stop
+    else:
+        unit = np.where(span < np.inf, span, 1.0)
+        index = np.arange(n)
+        # with no reach, only the dressing's orders 0 and 1 are read
+        for block in _row_blocks(n if n > near + 1 else 0, n):
+            m = index[block, None]
+            ratio = unit[m] / (deltas - deltas[m])
+            ratio[np.abs(index - m) <= near] = 0.0
+            power = ratio
+            for k in range(_ORDERS if local else 2):
+                table[m[:, 0], k] = (weights * power).sum(axis=1)
+                power = power * ratio
     if mirrored:
-        centre, deltas, weights = weights[half], deltas[half + 1:], weights[half + 1:]
-        squares = deltas * deltas
-    sums, slopes = np.empty(deltas.size), np.empty(deltas.size)
-    for block in _row_blocks(deltas.size, deltas.size):
-        den = deltas - deltas[block, None]
-        if mirrored:
-            den *= deltas + deltas[block, None]
-        np.fill_diagonal(den[:, block.start:], np.inf)
-        terms = weights / den
-        sums[block] = terms.sum(axis=1)
-        if mirrored:
-            # the ratio first: a square of the denominator would leave the
-            # float range at widths far from 1 where U does not
-            terms *= (squares + squares[block, None]) / den
-        else:
-            terms /= den
-        slopes[block] = terms.sum(axis=1)
-    if not mirrored:
-        return sums, slopes
-    upper = 2.0 * deltas * sums - (centre + weights / 2.0) / deltas
-    slopes = 2.0 * slopes + (centre + weights / 4.0) / squares
-    return (np.concatenate([-upper[::-1], [0.0], upper]),
-            np.concatenate([slopes[::-1], [0.0], slopes]))
+        half = n // 2
+        signs = (-1.0) ** orders[:, 0]
+        table[:half] = table[:half:-1] * signs
+        table[half, signs < 0.0] = 0.0
+    reach = np.minimum(_REACH * span, unit / 2.0) if local else np.zeros(n)
+    return table, unit, reach
+
+
+def _dressing(deltas: np.ndarray, weights: np.ndarray, table, unit,
+              mirrored: bool) -> tuple:
+    """``T_m = sum_{j != m} w_j / (Delta_j - Delta_m)`` and its slope
+    ``U_m = sum_{j != m} w_j / (Delta_j - Delta_m)^2``: orders 0 and 1 of
+    the far moments (:func:`_moments`) and the ``_NEAR`` neighbours on
+    each side, each pair at one distance summed first, so that on a
+    ``mirrored`` line ``T`` is odd and ``U`` even to the bit (under the
+    caller's ``errstate``).  There the centre's ``U`` is left 0, so its
+    seed stays first-order (see :func:`_collective_seeds`)."""
+    n, near = deltas.size, _NEAR
+    pad, none = np.full(near, np.inf), np.zeros(near)
+    spread = np.concatenate([-pad, deltas, pad])
+    padded = np.concatenate([none, weights, none])
+    # row o - 1 holds the neighbours at distance o
+    up = near + np.arange(1, near + 1)[:, None] + np.arange(n)
+    down = up - 2 * np.arange(1, near + 1)[:, None]
+    above, below = spread[up] - deltas, spread[down] - deltas
+    over, under = padded[up] / above, padded[down] / below
+    sums = table[:, 0] / unit + (over + under).sum(axis=0)
+    slopes = table[:, 1] / unit / unit + (over / above + under / below).sum(axis=0)
+    if mirrored:
+        slopes[n // 2] = 0.0
+    return sums, slopes
 
 
 def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray,
@@ -549,7 +673,10 @@ def _seeds(shift: complex, poles: np.ndarray, weights: np.ndarray,
     in ``t``, ``S_m + U_m t``.  Its value ``S_m = sum_{j != m} w_j / (d_j
     - d_m) = -i T_m`` dresses the cavity and its slope ``U_m`` offsets
     the unit slope of ``F``; ``dressing`` holds both, ``(T, U)`` of
-    :func:`_hilbert_sums`.  Without them (``T_m = U_m = 0``) the seed is
+    :func:`_dressing`: orders 0 and 1 of the far-pole moments of
+    :func:`_moments` and the neighbours summed exactly, so the local rows
+    of :func:`_aberth_roots` start from a seed of their own local function
+    to second order.  Without them (``T_m = U_m = 0``) the seed is
     the weak-coupling one, ``-d_m + w_m / (shift - d_m)`` to first order
     in ``w_m``.
     """
@@ -698,7 +825,9 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
     an in-place complex product of one element apart from the same
     product in a longer array, and a row's sums must not depend on its
     block.  Unless ``aberth`` no ``S_k``, which only an Aberth step
-    reads, is formed; it comes back ``None``.
+    reads, is formed; it comes back ``None``.  These are the full rows,
+    O(M) each; a root next to its pole takes local rows of the same
+    shape instead (:func:`_local_sums`).
     """
     single = poles.size - pairs
     lone_poles = poles[:single]
@@ -755,9 +884,77 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
     return f, df, ddf, rest, q, v, dq, dv, ddq
 
 
-def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
-    """Roots of ``z + shifts_b - sum_m weights_bm / (z + poles_m)`` from
-    ``seeds[b]``, for each model ``b`` of a batch that shares the poles.
+def _local_sums(z, shift, pole, line, local, work) -> tuple:
+    """``(F_k, F_k', F_k'', q, v)`` at rows ``z`` next to their poles
+    ``pole`` (merged indices) on lines ``line``, with that pole split off
+    as in :func:`_split_sums`: ``q = t = z + d_m`` and ``v = w_m``.
+
+    The ``_NEAR`` poles on each side are summed exactly and the far poles
+    by their series ``(-i / unit_m) P(u)``, ``P(u) = sum_k H_k u^k``, ``u
+    = i t / unit_m`` (:func:`_moments`), with ``P'`` and ``P''`` by
+    Horner: O(K + q) per row.  ``local`` holds the lines' terms
+    (:func:`_local_terms`); the (rows x neighbours) arrays live in
+    ``work`` (:func:`_work_arrays`).
+    """
+    poles, spread, weighted, table, unit, _ = local
+    n, near, span = unit.size, _NEAR, 2 * _NEAR + 1
+    count = z.size
+    t = z + poles[pole]
+    cols = pole[:, None] + np.arange(span)
+    around = np.take(spread, cols, mode="clip", out=_view(work, 2, count, span, float))
+    gap = _view(work, 0, count, span)
+    gap.real = t.real[:, None]
+    np.subtract(around, around[:, near, None], out=gap.imag)
+    gap.imag += t.imag[:, None]
+    gap.imag[:, near] = np.inf  # the pole itself is split off
+    inv = np.divide(1.0, gap, out=gap)
+    cols += (line * (n + 2 * near))[:, None]  # each line's padded weights in turn
+    nearby = np.take(weighted, cols, mode="clip", out=_view(work, 2, count, span, float))
+    own = nearby[:, near].copy()
+    terms = np.multiply(nearby, inv, out=_view(work, 1, count, span))
+    near_sum = terms.sum(axis=1)
+    square = np.multiply(terms, inv, out=_view(work, 2, count, span))
+    near_square = square.sum(axis=1)
+    near_cube = np.multiply(square, inv, out=terms).sum(axis=1)
+    scale = unit[pole]
+    u = 1j * t / scale
+    # P, P' and P'' by Horner in rows of work array 0, the moments of
+    # each row's pole (a row of the table) in work array 2
+    moments = np.take(table, line * n + pole, axis=0, mode="clip",
+                      out=_view(work, 2, count, _ORDERS, float))
+    p, dp, ddp, product, twice = _view(work, 0, 5, count)
+    p[:], dp[:], ddp[:] = moments[:, -1], 0.0, 0.0
+    for k in range(_ORDERS - 2, -1, -1):
+        np.multiply(ddp, u, out=product)
+        np.add(product, np.add(dp, dp, out=twice), out=ddp)
+        np.multiply(dp, u, out=product)
+        np.add(product, p, out=dp)
+        np.multiply(p, u, out=product)
+        np.add(product, moments[:, k], out=p)
+    f = z + shift - near_sum + 1j * p / scale
+    df = 1.0 + near_square - dp / scale / scale
+    ddf = -2.0 * near_cube - 1j * ddp / scale / scale / scale
+    return f, df, ddf, t, own
+
+
+def _local_terms(lines) -> tuple:
+    """What the local rows of a batch read of its ``lines``, which share
+    their merged poles: ``(poles, deltas, weights, table, unit, reach)``,
+    the deltas padded with ``_NEAR`` infinities on each side, each line's
+    weights with ``_NEAR`` zeros and flattened, and the lines' moment
+    tables stacked (:func:`_moments`), one row per line and pole."""
+    first = lines[0]
+    pad, none = np.full(_NEAR, np.inf), np.zeros(_NEAR)
+    return (first.poles, np.concatenate([-pad, first.poles.imag, pad]),
+            np.concatenate([part for line in lines for part in (none, line.weights, none)]),
+            np.concatenate([line.moments for line in lines]),
+            first.unit, first.reach)
+
+
+def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -> list:
+    """Roots of ``z + shifts_b - sum_m weights_lm / (z + poles_m)`` from
+    ``seeds[b]``, for each model ``b`` of a batch that shares the poles,
+    on the line ``l`` of its own (a row of ``weights``).
 
     The poles must be distinct and the weights nonzero; n poles give
     n + 1 roots.  The last ``pairs`` poles stand for themselves and their
@@ -774,6 +971,13 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
     that froze its root, or for a model whose roots do not settle the
     :class:`NumericalError` that names why (see
     :func:`arrowhead_eigenvalues`).
+
+    ``local`` is ``(line_of, pole_of, terms)``: each model's line, each
+    seed's merged pole (-1 for a collective seed) and the lines' terms
+    (:func:`_local_terms`).  A pole-seeded root within its pole's reach
+    (:func:`_moments`) takes Newton rows on the pole's local function
+    (:func:`_local_sums`); a root whose step is not finite or leaves the
+    reach keeps full rows from then on.
     """
     models, size = seeds.shape
     if poles.size == 0:
@@ -788,6 +992,16 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
     work = _work_arrays(width)
     residues = np.empty(roots.size, dtype=complex)
 
+    # the kind of each root's next row: 0 Aberth, 1 Newton, 2 local
+    mode = np.zeros((models, size), dtype=np.int8)
+    line_of, pole_of, local = local
+    reach = local[-1]
+    seeded = np.flatnonzero(pole_of >= 0)
+    at = pole_of[seeded]
+    for block in _row_blocks(models, seeded.size):
+        offset = np.abs(table[block, seeded] + local[0][at])
+        mode[block, seeded] = 2 * (offset < reach[at])
+    mode = mode.reshape(-1)
     # why each model failed: 0 it did not, 1 a step not finite, 2 the cap
     failed = np.zeros(models, dtype=np.int8)
     active = np.arange(roots.size)
@@ -800,31 +1014,36 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
     # takes small steps that only the root sums make, and Newton's would
     # pull it onto the other's root
     confirm = np.finfo(float).eps ** (1.0 / 3.0)
-    newton = np.zeros(roots.size, dtype=bool)
     for _ in range(_ABERTH_MAX_ITER):
         steps = np.empty(active.size, dtype=complex)
-        # whether each row's step makes its next one a Newton step, and
-        # whether the row is still moving after it
-        confirms = np.empty(active.size, dtype=bool)
+        # each row's next kind, and whether the row is still moving after it
+        following = np.empty(active.size, dtype=np.int8)
         moving = np.empty(active.size, dtype=bool)
-        partner = table[:, lone:]
-        partner_real, partner_square = partner.real, partner.imag**2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for aberth in (True, False):
-                part = np.flatnonzero(newton[active] != aberth)
-                for block in _row_blocks(part.size, width):
+            partner = table[:, lone:]
+            partner_real, partner_square = partner.real, partner.imag**2
+            for kind in (0, 1, 2):
+                part = np.flatnonzero(mode[active] == kind)
+                for block in _row_blocks(part.size, width if kind < 2 else _ORDERS):
                     here = part[block]
                     who, rows = (None, active[here]) if models == 1 else np.divmod(
                         active[here], size)
                     z = roots[active[here]]
-                    # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
-                    f, df, ddf, rest, q, v, dq, dv, ddq = _split_sums(
-                        z, shifts[0 if who is None else who], poles, weights, pairs,
-                        work, who, aberth,
-                    )
+                    shift = shifts[0 if who is None else who]
+                    line = None if who is None else line_of[who]
+                    if kind == 2:
+                        pole = pole_of[rows]
+                        line = np.zeros_like(pole) if who is None else line
+                        f, df, ddf, q, v = _local_sums(z, shift, pole, line, local, work)
+                        dq, dv, ddq = 1.0, 0.0, 0.0
+                    else:
+                        # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
+                        f, df, ddf, rest, q, v, dq, dv, ddq = _split_sums(
+                            z, shift, poles, weights, pairs, work, line, kind == 0,
+                        )
                     own = rows < lone
                     num, den = df * q + f * dq - dv, f * q - v
-                    if aberth:
+                    if kind == 0:
                         count = rows.size
                         at = np.arange(count)
                         diff = np.subtract(z[:, None],
@@ -847,9 +1066,9 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
                             rest[~own] -= 0.5 / (1j * z[~own].imag)
                         # 1 / (P'/P - sum_j 1/(z_i - z_j))
                         slope = num + den * rest
-                        local = np.abs(den * rest) <= confirm * np.abs(num)
+                        confirms = np.abs(den * rest) <= confirm * np.abs(num)
                     else:
-                        slope, local = num, True
+                        slope, confirms = num, kind == 1
                     # zero at an exact root, even one that another iterate
                     # or a double root shares, where the slope is not finite
                     step = np.divide(den, slope, out=np.zeros_like(den),
@@ -859,16 +1078,24 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
                         # so are their steps but for rounding, which would pull
                         # them off
                         step[own] = step[own].real
-                    steps[here] = step
                     stepped = z - step
                     length = np.abs(step)
                     scale = np.maximum(np.abs(stepped), floor[0 if who is None else who])
-                    confirms[here] = (length <= confirm * scale) & local
+                    if kind == 2:
+                        # a root that leaves its pole's reach, or whose step is
+                        # not finite, stays put and takes full rows from now on
+                        stays = np.abs(q - step) < reach[pole]
+                        step[~stays], following[here] = 0.0, np.where(stays, 2, 0)
+                        moving[here] = ~stays
+                    else:
+                        following[here] = (length <= confirm * scale) & confirms
+                        moving[here] = False
+                    steps[here] = step
                     # the root's condition |r_k| = |q / G'| widens its freeze
                     # up to 2^26 of rounding: a near-double root is known to
                     # about the square root of it
                     cond = np.fmin(np.fmax(np.abs(q / num), 1.0), 2.0**26)
-                    moving[here] = length > tol * scale * cond
+                    moving[here] |= length > tol * scale * cond
                     # 1 / F' = q^2 / (F_k' q^2 - (v' q - v q')) at the stepped
                     # root, a move h = z - stepped away: q and v are exact
                     # there, F_k' - h F_k'' is to first order in h, and the
@@ -877,7 +1104,7 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
                     qh, dqh = q - h * (dq - 0.5 * h * ddq), dq - h * ddq
                     residues[active[here]] = qh * qh / (
                         (df - h * ddf) * qh * qh - (dv * qh - (v - h * dv) * dqh))
-        newton[active] = confirms
+        mode[active] = following
         bad = ~np.isfinite(steps)
         if bad.any():
             # a step that is not finite fails its model; the others go on
@@ -890,7 +1117,7 @@ def _aberth_roots(shifts, poles, weights, seeds, pairs=0, root_pairs=0) -> list:
             break
     else:
         failed[active // size] = 2
-    del work  # let the work arrays go before the roots are copied out
+    del work, local  # let the work arrays go before the roots are copied out
     why = (None, "a secular iteration step is not finite", "secular roots still "
            f"moving at the cap of {_ABERTH_MAX_ITER} iterations")
     found = [NumericalError(why[code]) if code else None for code in failed]
@@ -918,9 +1145,10 @@ def arrowhead_spectra(models) -> list:
     layout (every point of a sweep over ``g_ens`` and ``kappa``), with
     each model's roots bit-equal to its own solve; a model that fails in
     its batch retries its other layout in a batch of the failed ones.
-    The set-up each model reads of its line, the merged poles and the
-    dressing sums of its seeds, is formed once per distinct line in the
-    call (:func:`_line`), so a sweep sets up one line per ``g_ens``.
+    The set-up each model reads of its line, the merged poles, their
+    far-pole moments and the dressing sums of its seeds, is formed once
+    per distinct line in the call (:func:`_line`), so a sweep sets up one
+    line per ``g_ens``.
     Each model's spectrum is kept while the model lives, so its later
     paths, and later calls, read it and only models with no spectrum yet
     are solved.
@@ -945,22 +1173,36 @@ def arrowhead_eigenvalues(model: DriftModel) -> np.ndarray:
     offset from its pole, the root of the pole's quadratic problem in
     which every other pole dresses the cavity with its value and slope
     at the pole (:func:`_seeds`), so strongly coupled lines settle in a
-    few iterations too.  A root whose last step was at most ``eps^(1/3)``
-    of its scale, and which the root sums moved by at most ``eps^(1/3)``
-    of itself, takes its next step as Newton's on the split-off ``F``,
-    with no root sums: that step confirms it.
+    few iterations too.  Such a root, while within its pole's reach (the
+    lesser of a tenth of the distance to the pole's (q+1)-th neighbour and
+    half a unit of the local node spacing, :func:`_moments`), iterates with
+    Newton rows on the pole's local function: the pole itself, its ``q =
+    _NEAR`` neighbours on each side and a ``_ORDERS``-term series of the
+    far poles in the offset ``t = lambda + d_m``, whose moments each line
+    forms once by FFT convolutions on a lattice of
+    :func:`~spincavity.broadening.discretize`, told from its deltas, or
+    by direct row sums (Livne & Brandt, SIAM J. Matrix Anal. Appl. 24,
+    439 (2002)): O(K + q) per row (:func:`_local_sums`).  Every other
+    root, the collective ones, one that leaves its reach or whose local
+    step is not finite, and all roots of a line of fewer than ``2 q +
+    2`` poles, takes full rows of O(M) sums.  A full-row root whose last
+    step was at most ``eps^(1/3)`` of its scale, and which the root sums
+    moved by at most ``eps^(1/3)`` of itself, takes its next step as
+    Newton's on the split-off ``F``, with no root sums: that step
+    confirms it.
     A root is frozen once its step is at most ``4 eps max(|lambda_i|,
     |c|, max_m |d_m|) min(max(1, |r_i|), 2^26)``, ``|r_i| ~ |q / G'|`` its
     condition (Bini & Robol); the absolute floor stops roots near the
     band centre, which jitter at the rounding level of ``F``, and the
     condition stops roots that merge at an exceptional point, known
-    there to about the square root of the rounding error.  An iteration
-    costs O(M) per unfrozen root, in row blocks of ``_CHUNK_BYTES``.  The
-    row that freezes a root also forms its residue ``1 / F'`` at the
-    stepped root, from ``F_k'`` and ``F_k''`` of that row, to first order
-    in the step (the value before the step moved the kicked field by up
-    to 2e-12 of the kick).  A root takes about two rows of O(M) sums: a
-    step and the step that confirms it.
+    there to about the square root of the rounding error.  Rows run in
+    blocks of ``_CHUNK_BYTES``.  The row that freezes a root also forms
+    its residue ``1 / F'`` at the stepped root, from ``F_k'`` and
+    ``F_k''`` of that row (a local row's from the same series), to first
+    order in the step (the value before the step moved the kicked field
+    by up to 2e-12 of the kick).  A pole-seeded root takes under 0.2 full
+    rows on the benchmark's lines, and the solve grows about as M^0.64 up
+    to M = 10001 on a discretized Gaussian line.
 
     On a mirrored line (``delta_cs = 0``, coupled poles and weights
     mirror-symmetric to the bit, an odd count: every
@@ -980,12 +1222,15 @@ def arrowhead_eigenvalues(model: DriftModel) -> np.ndarray:
 
 
 class _Job(NamedTuple):
-    """One model's secular iteration: the arguments of :func:`_aberth_roots`."""
+    """One model's secular iteration: the arguments of :func:`_aberth_roots`,
+    its line and each seed's merged pole (-1 for a collective seed)."""
 
     shift: complex
     poles: np.ndarray
     weights: np.ndarray
     seeds: np.ndarray
+    line: "_Line"
+    pole_of: np.ndarray
     pairs: int = 0
     root_pairs: int = 0
 
@@ -998,14 +1243,19 @@ class _Line(NamedTuple):
     deflated: np.ndarray
     mirrored: bool
     dressing: tuple
+    moments: np.ndarray
+    unit: np.ndarray
+    reach: np.ndarray
 
 
 def _line(poles: np.ndarray, weights: np.ndarray, real_shift: bool) -> _Line:
     """The coupled poles merged, with their summed weights, the deflated
     poles (see :func:`_roots`), whether the line is mirrored (a
-    ``real_shift`` and :func:`_mirrored` merged poles) and the dressing
-    sums of the merged poles (:func:`_hilbert_sums`): everything a
-    model's secular iteration needs but its cavity shift."""
+    ``real_shift`` and :func:`_mirrored` merged poles), the far-pole
+    moments of the merged poles with their units and reach
+    (:func:`_moments`) and the dressing sums of their seeds
+    (:func:`_dressing`): everything a model's secular iteration needs but
+    its cavity shift."""
     coupled = weights != 0.0
     merged, first, index = np.unique(poles[coupled], return_index=True,
                                      return_inverse=True)
@@ -1013,9 +1263,10 @@ def _line(poles: np.ndarray, weights: np.ndarray, real_shift: bool) -> _Line:
     np.add.at(merged_weights, index, weights[coupled])
     deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
     mirrored = real_shift and _mirrored(merged, merged_weights)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dressing = _hilbert_sums(merged, merged_weights, mirrored)
-    return _Line(merged, merged_weights, deflated, mirrored, dressing)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        table, unit, reach = _moments(merged.imag, merged_weights, mirrored)
+        dressing = _dressing(merged.imag, merged_weights, table, unit, mirrored)
+    return _Line(merged, merged_weights, deflated, mirrored, dressing, table, unit, reach)
 
 
 def _job(shift: complex, line: _Line, layout: int = 0) -> _Job:
@@ -1025,10 +1276,11 @@ def _job(shift: complex, line: _Line, layout: int = 0) -> _Job:
     its collective pair, the likelier first (:func:`_collective_seeds`).
     """
     seeds = _seeds(shift, line.poles, line.weights, line.dressing)
+    size = line.poles.size
     if not line.mirrored:
-        return _Job(shift, line.poles, line.weights, seeds)
+        return _Job(shift, line.poles, line.weights, seeds, line, np.arange(-1, size))
     # np.unique sorts the poles, which share one real part, by Delta
-    half = line.poles.size // 2
+    half = size // 2
     upper, upper_weights = line.poles[half:], line.weights[half:]
     collective = _collective_seeds(
         shift.real, upper, upper_weights, seeds[half + 1]
@@ -1037,7 +1289,9 @@ def _job(shift: complex, line: _Line, layout: int = 0) -> _Job:
     if collective.size == 1:  # a conjugate pair
         collective, paired = seeds[:0], np.concatenate([collective, paired])
     seeds = np.concatenate([collective, paired])
-    return _Job(shift, upper, upper_weights, seeds, half, paired.size)
+    pole_of = np.concatenate([np.full(seeds.size + half + 1 - size, -1),
+                              np.arange(half + 1, size)])
+    return _Job(shift, upper, upper_weights, seeds, line, pole_of, half, paired.size)
 
 
 def _solve(models, layout: int = 0) -> list:
@@ -1055,21 +1309,31 @@ def _solve(models, layout: int = 0) -> list:
         key = (poles.tobytes(), weights.tobytes(), shift.imag == 0.0)
         if key not in lines:
             lines[key] = _line(poles, weights, key[2])
-        line = lines[key]
-        job = _job(shift, line, layout)
+        job = _job(shift, lines[key], layout)
         groups.setdefault((job.poles.tobytes(), job.pairs, job.root_pairs),
                           []).append((len(out), job))
-        out.append([line.deflated, line.mirrored, job.root_pairs, None])
+        out.append([job.line.deflated, job.line.mirrored, job.root_pairs, None])
+    lines = job = None  # each line lives on in its jobs alone
     while groups:
         # the stacked rows replace the jobs before the batch iterates
         index, jobs = zip(*groups.popitem()[1])
         first = jobs[0]
         shifts = np.array([job.shift for job in jobs])
-        weights = np.array([job.weights for job in jobs])
         seeds = np.array([job.seeds for job in jobs])
-        del jobs
-        found = _aberth_roots(shifts, first.poles, weights, seeds,
-                              pairs=first.pairs, root_pairs=first.root_pairs)
+        batch = {id(job.line): job for job in jobs}  # a job on each line
+        order = {key: k for k, key in enumerate(batch)}
+        weights = np.array([job.weights for job in batch.values()])
+        line_of = np.array([order[id(job.line)] for job in jobs])
+        poles, pairs, root_pairs = first.poles, first.pairs, first.root_pairs
+        pole_of = first.pole_of
+        del jobs, first
+        # the lines' moments live on in the stacked terms alone, which the
+        # iteration lets go before it copies the roots out
+        found = _aberth_roots(
+            shifts, poles, weights, seeds,
+            (line_of, pole_of, _local_terms([batch.pop(key).line for key in list(batch)])),
+            pairs=pairs, root_pairs=root_pairs,
+        )
         for i, result in zip(index, found):
             out[i][3] = result
     return out

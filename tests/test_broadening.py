@@ -68,16 +68,17 @@ class TestFaddeeva:
 
     def test_scalar_path_past_the_square_range(self):
         # past |z| ~ 1e154 the square (L - iz)^2 leaves the float range,
-        # where a complex power of a Python number raises; the scalar
-        # path takes the array path's 0, inf, NaN or finite values
+        # where a complex power of a Python number raises; both paths
+        # take the limit w(z) = i / (sqrt(pi) z) there, finite everywhere
         parts = [1e154, 1e155, 1e200, 1e300, 1.7e308]
         z = np.array([complex(s * x, y) for s in (1.0, -1.0) for x in [0.0, 1.0, *parts]
                       for y in [0.0, 1.0, -5.0, -10.0, *parts] if max(x, y) >= 1e154])
         scalar = np.array([faddeeva(complex(value)) for value in z])
-        with np.errstate(invalid="ignore"):
-            array = faddeeva(z)
-        assert np.isfinite(array).any() and np.isnan(array).any()
-        assert_allclose(scalar, array, rtol=1e-14, atol=0.0)
+        array = faddeeva(z)
+        assert np.isfinite(scalar).all() and np.isfinite(array).all()
+        limit = 1j / np.sqrt(np.pi) / z.astype(np.clongdouble)  # no overflow
+        assert_allclose(scalar, limit, rtol=1e-14, atol=0.0)
+        assert_allclose(array, limit, rtol=1e-14, atol=0.0)
 
     def test_array_shape_preserved(self):
         z = np.array([[0j, 1j], [1 + 1j, 2 - 3j]])

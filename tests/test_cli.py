@@ -288,14 +288,22 @@ class TestDecay:
         # the seeds overflow on the way to the same failure
         pytest.param([*SMALL["decay"], "--kappa", "1e300"], 3,
                      "secular iteration step is not finite", id="decay-kappa-1e300"),
-        # a width far from 1: Delta^2 of the dressing sums over- or
-        # underflows, the seeds are NaN and so is the first step
-        *(pytest.param(["decay", "--family", "gaussian", "--width", width,
-                        "--gamma-perp", "0.5", "--kappa", "1", "--g-ens", "1",
-                        "--m", "21", "--t-samples", "5"], 3,
-                       "a secular iteration step is not finite",
-                       id=f"decay-width-{width}")
-          for width in ("1e170", "1e-170")),
+        # g_ens^2 N of the one homogeneous node leaves the float range
+        pytest.param(["decay", "--family", "homogeneous", "--gamma-perp", "1",
+                      "--kappa", "1", "--g-ens", "1e160", "--t-samples", "5"], 3,
+                     "the coupling weights p g_m^2 N_m overflow the float range",
+                     id="decay-weights-1e160"),
+        # a width far below 1: w / Delta^2 of the dressing slopes leaves
+        # the float range, the seeds are NaN and so is the first step
+        pytest.param(["decay", "--family", "gaussian", "--width", "1e-170",
+                      "--gamma-perp", "0.5", "--kappa", "1", "--g-ens", "1",
+                      "--m", "21", "--t-samples", "5"], 3,
+                     "a secular iteration step is not finite", id="decay-width-1e-170"),
+        # a width far above 1: the moments in units of the node spacing
+        # keep every seed finite, and the centre node alone dresses the field
+        pytest.param(["decay", "--family", "gaussian", "--width", "1e170",
+                      "--gamma-perp", "0.5", "--kappa", "1", "--g-ens", "1",
+                      "--m", "21", "--t-samples", "5"], 0, "", id="decay-width-1e170"),
         # w(z) overflows its square on the way to 0; the pole tail is
         # left unconverged and the simulated field still prints
         pytest.param([*SMALL["decay"], "--kappa", "1e100"], 0, None,

@@ -1187,23 +1187,29 @@ class TestSecularSolver:
         model = build_drift_matrix(params, grid, 1)
         poles, weights = dynamics._secular_terms(model)
         seeds = dynamics._seeds(0.5, poles, weights,
-                                dynamics._hilbert_sums(poles, weights, True))
+                                dynamics._line(poles, weights, True).dressing)
         assert seeds[1] == -poles[0] and seeds[3] == -poles[2]
         lam = arrowhead_eigenvalues(model)
         assert_matches_dense(model, lam)
 
+    @pytest.mark.parametrize("lattice", [None, LOR, GAUSS],
+                             ids=["direct", "tangent", "uniform"])
     @pytest.mark.parametrize("p", [1, -1])
-    def test_dressed_seeds_match_the_two_by_two_roots(self, p):
+    def test_dressed_seeds_match_the_two_by_two_roots(self, p, lattice):
         # an unmirrored line and delta_cs != 0: the seed of pole m is
         # -d_m + t, t the root nearest 0 of (1 - U_m) t^2 + (c - d_m -
         # S_m) t = w_m, with S_m summed over the other poles in complex
-        # arithmetic and U_m in a loop of its own
+        # arithmetic and U_m in a loop of its own.  S_m and U_m come from
+        # the far moments, by row sums off a lattice and FFTs on one
         rng = np.random.default_rng(26)
-        poles = 0.3 + 1j * np.sort(rng.uniform(-3.0, 3.0, 41))
+        deltas = (np.sort(rng.uniform(-3.0, 3.0, 41)) if lattice is None
+                  else discretize(lattice, 41, 1.0, 1.0).deltas)
+        assert (dynamics._lattice(deltas) is None) == (lattice is None)
+        poles = 0.3 + 1j * deltas
         weights = p * rng.uniform(0.01, 0.2, 41)
         shift = complex(2.0, 0.7)
         seeds = dynamics._seeds(shift, poles, weights,
-                                dynamics._hilbert_sums(poles, weights, False))
+                                dynamics._line(poles, weights, False).dressing)
         assert seeds[0] == -shift
         for m, (pole, w) in enumerate(zip(poles, weights)):
             others = np.arange(poles.size) != m
@@ -1225,7 +1231,7 @@ class TestSecularSolver:
         model, _ = small_model(spec=spec, m=201, kappa=4.0, g_ens=1.0, p=p)
         poles, weights = dynamics._secular_terms(model)
         seeds = dynamics._seeds(4.0 + 0j, poles, weights,
-                                dynamics._hilbert_sums(poles, weights, True))[1:]
+                                dynamics._line(poles, weights, True).dressing)[1:]
         assert seeds[100].imag == 0.0
         assert np.array_equal(seeds[:100], seeds[:100:-1].conjugate())
         job = dynamics._job(4.0 + 0j, dynamics._line(poles, weights, True))
@@ -1328,7 +1334,7 @@ class TestSecularSolver:
             lam = arrowhead_eigenvalues(model)
             poles, weights = dynamics._secular_terms(model)
             seeds = dynamics._seeds(2.0 + 0j, poles, weights,
-                                    dynamics._hilbert_sums(poles, weights, True))[1:]
+                                    dynamics._line(poles, weights, True).dressing)[1:]
             # the first-order seed: the root nearest 0 of t^2 + (c - d_m -
             # S_m) t = w_m, S_m in complex arithmetic
             others = poles[None, :] - poles[:, None]
@@ -1435,6 +1441,176 @@ class TestSecularSolver:
         assert len(aberth_calls) == 2 and aberth_calls[0] == aberth_calls[1]
 
 
+def decay_line(family, m, width, c=0.6, g_ens=2.0):
+    """A benchmark ``decay`` line: g_ens = 2, kappa = 4 / C, gamma_perp = 0."""
+    grid = discretize(BroadeningSpec(family, width), m, g_ens, 1.0)
+    return build_drift_matrix(
+        SystemParams(kappa=g_ens**2 / c, gamma_perp=0.0, g_ens=g_ens), grid, 1)
+
+
+def sweep_batch(m=201, samples=8):
+    """The benchmark's stability sweep: a normalized Gaussian line, g_ens
+    in [0.5, 5] and kappa in [0.5, 10]."""
+    width = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, 1.0, 0.0)
+    return [
+        small_model(spec=BroadeningSpec(BroadeningFamily.GAUSSIAN, width), m=m,
+                    kappa=kappa, gamma_perp=0.0, g_ens=g_ens, n=1.0)[0]
+        for g_ens in np.linspace(0.5, 5.0, samples)
+        for kappa in np.linspace(0.5, 10.0, samples)
+    ]
+
+
+def far_oracle(poles, weights, m, t):
+    """``sum_{|j - m| > _NEAR} w_j / (t + d_j - d_m)`` and the sum of the
+    absolute values of every pole term of ``F`` at ``z = t - d_m``, in
+    extended precision row sums."""
+    gaps = t + (poles - poles[m]).astype(np.clongdouble)
+    gaps[m] = t
+    terms = weights / gaps
+    far = np.abs(np.arange(poles.size) - m) > dynamics._NEAR
+    return terms[far].sum(), np.abs(terms).sum()
+
+
+class TestPoleLocalRows:
+    @pytest.mark.parametrize("scale", [1.0, 1e170, 1e-170], ids=["1", "1e170", "1e-170"])
+    @pytest.mark.parametrize("m", [201, 601, 4001])
+    @pytest.mark.parametrize("family", ["gaussian", "lorentzian"])
+    def test_far_series_matches_direct_sums_at_the_roots(self, family, m, scale):
+        # the FFT moments can be far off at the tail poles in the high
+        # orders (cos^(k+1) theta spans ~46 decades on the Lorentzian
+        # line), but not where they are read: at each root within its
+        # pole's reach the series is within 32 eps of sum |terms| of F.
+        # At widths 1e+-170, where the roots do not settle, the same
+        # offsets scaled by the width take the scaled sum |terms|
+        width = 2.0 if family == "lorentzian" else solve_width_for_gamma(
+            BroadeningFamily.GAUSSIAN, 1.0, 0.0)
+        base = decay_line(family, m, width)
+        lam = arrowhead_eigenvalues(base)
+        kappa = base.params.kappa
+        poles1 = dynamics._secular_terms(base)[0]
+        poles, weights = dynamics._secular_terms(decay_line(family, m, width * scale))
+        line = dynamics._line(poles, weights, True)
+        assert dynamics._lattice(line.poles.imag) is not None
+        # each root's nearest pole, by Delta
+        up = np.clip(np.searchsorted(poles1.imag, -lam.imag), 1, m - 1)
+        near = np.where(np.abs(lam + poles1[up]) < np.abs(lam + poles1[up - 1]), up, up - 1)
+        read = 0
+        for k in range(0, lam.size, 1 if m < 4001 else 16):
+            j, t = near[k], (lam[k] + poles1[near[k]]) * scale
+            if not abs(t) < line.reach[j]:
+                continue
+            read += 1
+            unit = line.unit[j]
+            series = -1j / unit * np.polyval(line.moments[j, ::-1], 1j * t / unit)
+            exact, size = far_oracle(poles, weights, j, t)
+            size = size / scale + abs(lam[k]) + kappa  # sum |terms| at width 1
+            assert abs(series - exact) / scale <= 32.0 * np.finfo(float).eps * size
+        assert read >= 0.9 * len(range(0, lam.size, 1 if m < 4001 else 16))
+
+    @pytest.mark.parametrize("lattice", [None, LOR, GAUSS],
+                             ids=["direct", "tangent", "uniform"])
+    def test_local_rows_match_direct_sums(self, lattice):
+        # F_k and F_k' of a local row, the own pole split off, are within
+        # 32 eps of the sums of their terms' sizes, summed directly in
+        # extended precision, anywhere within each pole's reach.  F_k'',
+        # which moves a residue only by the tiny freezing step times it,
+        # is held to 1e-9 (the far poles' share is ~2 %)
+        rng = np.random.default_rng(31)
+        deltas = (np.sort(rng.uniform(-3.0, 3.0, 201)) if lattice is None
+                  else discretize(lattice, 201, 1.0, 1.0).deltas)
+        poles, weights = 0.2 + 1j * deltas, rng.uniform(0.001, 0.02, 201)
+        shift = complex(2.0, 0.5)
+        line = dynamics._line(poles, weights, False)
+        pole = np.arange(201)
+        t = 0.9 * line.reach * np.exp(2j * np.pi * rng.uniform(size=201))
+        z = t - poles
+        f, df, ddf, q, v = dynamics._local_sums(
+            z, shift, pole, np.zeros(201, dtype=int), dynamics._local_terms([line]),
+            dynamics._work_arrays(201))
+        assert np.array_equal(q, z + poles) and np.array_equal(v, weights)
+        gaps = z[:, None] + poles.astype(np.clongdouble)
+        np.fill_diagonal(gaps, np.inf)
+        terms = [weights / gaps]
+        terms += [terms[0] / gaps, terms[0] / gaps / gaps]
+        want = [z + shift - terms[0].sum(axis=1), 1.0 + terms[1].sum(axis=1),
+                -2.0 * terms[2].sum(axis=1)]
+        sizes = [np.abs(z) + abs(shift) + np.abs(terms[0]).sum(axis=1),
+                 1.0 + np.abs(terms[1]).sum(axis=1), 2.0 * np.abs(terms[2]).sum(axis=1)]
+        for got, exact, size, tol in zip((f, df, ddf), want, sizes,
+                                         (32.0 * np.finfo(float).eps,) * 2 + (1e-9,)):
+            assert np.all(np.abs(got - exact) <= tol * size)
+
+    @pytest.mark.parametrize("spec", [LOR, GAUSS], ids=["lorentzian", "gaussian"])
+    def test_lattices_are_told_from_the_deltas(self, spec, monkeypatch):
+        # a discretized line is a lattice at any width; one node moved by
+        # 1e-9 of the span, or one node gone, is not and takes direct row
+        # sums, which agree with the FFT moments at the roots
+        grid = discretize(spec, 41, 1.0, 1.0)
+        assert dynamics._lattice(grid.deltas) is not None
+        moved = grid.deltas.copy()
+        moved[30] += 1e-9 * moved[-1]
+        assert dynamics._lattice(moved) is None
+        assert dynamics._lattice(np.delete(grid.deltas, 7)) is None
+        model, _ = small_model(spec=spec, m=201, kappa=2.0, g_ens=3.0)
+        want = arrowhead_eigenvalues(model)
+        monkeypatch.setattr(dynamics, "_lattice", lambda deltas: None)
+        again, _ = small_model(spec=spec, m=201, kappa=2.0, g_ens=3.0)
+        assert_allclose(arrowhead_eigenvalues(again), want, rtol=0.0,
+                        atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("spec", [LOR, GAUSS], ids=["lorentzian", "gaussian"])
+    def test_mirrored_moments_keep_their_parity(self, spec):
+        # order k of a mirrored line is odd in m for even k, even for odd
+        # k, to the bit, as the dressing sums of its seeds are
+        model, _ = small_model(spec=spec, m=201, kappa=2.0)
+        line = dynamics._line(*dynamics._secular_terms(model), True)
+        signs = (-1.0) ** np.arange(1, dynamics._ORDERS + 1)
+        assert np.array_equal(line.moments[::-1], line.moments * signs)
+        assert np.array_equal(line.unit, line.unit[::-1])
+        assert np.all(line.moments[100, 0::2] == 0.0)
+
+    @pytest.mark.parametrize("case", ["decay-0.6", "decay-1.75", "sweep"])
+    def test_pole_seeded_roots_take_few_full_rows(self, case, monkeypatch):
+        # every pole-seeded root within its pole's reach iterates on its
+        # local series: full rows of O(M) sums per pole-seeded root stay
+        # below 0.2 (about 0.9 with the full rows alone)
+        rows = []
+        run = dynamics._split_sums
+
+        def counted(z, *args, **kwargs):
+            rows.append(z.size)
+            return run(z, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_split_sums", counted)
+        if case == "sweep":
+            models = sweep_batch()
+        else:
+            width = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, 1.0, 0.0)
+            models = [decay_line("gaussian", 601, width, c=float(case[6:]))]
+        spectra = dynamics._roots(models)
+        seeded = sum(spectrum.lam.size - 1 for spectrum in spectra)
+        assert sum(rows) < 0.2 * seeded
+        for model, spectrum in zip(models[::9], spectra[::9]):
+            assert_matches_dense(model, spectrum.lam)
+
+    def test_a_failed_local_step_takes_full_rows(self, monkeypatch, aberth_calls):
+        # a local row whose step is not finite leaves its root where it is,
+        # on full rows from the next iteration on: the roots still match
+        # dense eig and no model fails
+        model, _ = small_model(spec=GAUSS, m=201, kappa=2.0, g_ens=3.0)
+        run = dynamics._local_sums
+        calls = []
+
+        def poisoned(*args):
+            calls.append(1)
+            out = run(*args)
+            return (out[0] * np.nan,) + out[1:] if len(calls) == 1 else out
+
+        monkeypatch.setattr(dynamics, "_local_sums", poisoned)
+        assert_matches_dense(model, arrowhead_eigenvalues(model))
+        assert len(calls) >= 1 and all(settled for _, _, settled in aberth_calls)
+
+
 def batch_models(family, gamma_perp, p, delta_cs, points, m=21):
     """Models on one grid at the given ``(kappa, g_ens)`` points: their
     merged poles agree to the bit, so one batch iterates them together."""
@@ -1469,13 +1645,15 @@ class TestBatchedSpectra:
             st.tuples(st.floats(0.2, 12.0), st.floats(0.2, 6.0)),
             min_size=2, max_size=6,
         ),
+        m=st.sampled_from([21, 201]),
     )
     def test_each_spectrum_is_bit_equal_to_its_own_solve(
-        self, family, gamma_perp, p, delta_cs, points
+        self, family, gamma_perp, p, delta_cs, points, m
     ):
         # p = -1 mixes layouts with 0 and 2 real collective roots, so one
-        # call runs several batches
-        models = batch_models(family, gamma_perp, p, delta_cs, points)
+        # call runs several batches; at M = 201 most roots take local
+        # rows, several lines' moments stacked in one batch
+        models = batch_models(family, gamma_perp, p, delta_cs, points, m)
         spectra = dynamics._spectra(models)
         assert dynamics.arrowhead_spectra(models) == [
             spectrum.lam for spectrum in spectra
@@ -1483,29 +1661,36 @@ class TestBatchedSpectra:
         for model, spectrum in zip(models, spectra):
             assert_bit_equal(spectrum, dynamics._roots([model])[0])
 
+    @pytest.mark.parametrize("m", [21, 201])
     @pytest.mark.parametrize("delta_cs", [0.0, 0.3])
     @pytest.mark.parametrize("gamma_perp", [0.0, 0.25])
     @pytest.mark.parametrize("p", [1, -1])
     @pytest.mark.parametrize("family", ["gaussian", "lorentzian"])
     def test_a_sweep_sets_up_each_line_once(self, family, p, gamma_perp,
-                                            delta_cs, monkeypatch):
+                                            delta_cs, m, monkeypatch):
         # a 3 x 3 (kappa, g_ens) grid: the three points at one g_ens lie
-        # on one line, so a solve forms its dressing sums once, and each
-        # spectrum stays bit-equal to its own solve
+        # on one line, so a solve forms its far-pole moments once, and each
+        # spectrum stays bit-equal to its own solve, local rows included
         points = [(kappa, g_ens) for g_ens in (0.5, 2.0, 6.0)
                   for kappa in (0.4, 1.5, 5.0)]
-        models = batch_models(family, gamma_perp, p, delta_cs, points)
+        models = batch_models(family, gamma_perp, p, delta_cs, points, m)
         alone = [dynamics._roots([model])[0] for model in models]
-        sizes = []
-        run = dynamics._hilbert_sums
+        sizes, local = [], []
+        run, rows = dynamics._moments, dynamics._local_sums
 
-        def counted(poles, *args):
-            sizes.append(poles.size)
-            return run(poles, *args)
+        def counted(deltas, *args):
+            sizes.append(deltas.size)
+            return run(deltas, *args)
 
-        monkeypatch.setattr(dynamics, "_hilbert_sums", counted)
+        def local_rows(z, *args):
+            local.append(z.size)
+            return rows(z, *args)
+
+        monkeypatch.setattr(dynamics, "_moments", counted)
+        monkeypatch.setattr(dynamics, "_local_sums", local_rows)
         dynamics._solve(models)
-        assert sizes == [21] * 3
+        assert sizes == [m] * 3
+        assert sum(local) >= 9 * (m // 2)  # the folded roots of nine models
         for spectrum, want in zip(dynamics._roots(models), alone):
             assert_bit_equal(spectrum, want)
 
