@@ -46,6 +46,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -88,6 +89,11 @@ _ROW_BYTES = 512
 
 # rows of a float table turned into Python floats at a time by the writer
 _BLOCK_ROWS = 1024
+
+# the tokens that argparse reads as a value, not an option, after a flag:
+# its own negative numbers, and those with an exponent or inf or nan
+_NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$",
+                              re.IGNORECASE)
 
 
 def _choice(kind, values):
@@ -531,6 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, experiment in _EXPERIMENTS.items():
         command = sub.add_parser(name)
+        command._negative_number_matcher = _NEGATIVE_NUMBER
         command.add_argument("--config", help="flat key=value config file")
         command.add_argument("--out", help="output CSV path ('-' for stdout)")
         for key in experiment.options:

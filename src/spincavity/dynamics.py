@@ -579,7 +579,7 @@ def _kernels(n: int, tangent: bool) -> tuple:
     return size, tuple(spectra)
 
 
-def _moments(deltas: np.ndarray, weights: np.ndarray, mirrored: bool) -> tuple:
+def _moments(deltas: np.ndarray, weights: np.ndarray) -> tuple:
     """``(table, unit, reach)`` of the far poles of each pole ``m``.
 
     ``table[m, k] = sum_{|j - m| > q} w_j (unit_m / (Delta_j -
@@ -594,8 +594,7 @@ def _moments(deltas: np.ndarray, weights: np.ndarray, mirrored: bool) -> tuple:
     ``_REACH`` of that distance, bounds the offsets at which a root reads
     the series (:func:`_local_sums`): there the truncated orders, and the
     convolution's rounding in the high ones, stay below rounding of ``F``
-    and ``F'``.  A line of fewer than ``2 q + 2`` poles has reach 0.  On
-    a ``mirrored`` line each order is odd or even in ``m`` to the bit.
+    and ``F'``.  A line of fewer than ``2 q + 2`` poles has reach 0.
     """
     n, near = deltas.size, _NEAR
     orders = np.arange(1, _ORDERS + 1)[:, None]
@@ -629,24 +628,16 @@ def _moments(deltas: np.ndarray, weights: np.ndarray, mirrored: bool) -> tuple:
             for k in range(_ORDERS if local else 2):
                 table[m[:, 0], k] = (weights * power).sum(axis=1)
                 power = power * ratio
-    if mirrored:
-        half = n // 2
-        signs = (-1.0) ** orders[:, 0]
-        table[:half] = table[:half:-1] * signs
-        table[half, signs < 0.0] = 0.0
     reach = np.minimum(_REACH * span, unit / 2.0) if local else np.zeros(n)
     return table, unit, reach
 
 
-def _dressing(deltas: np.ndarray, weights: np.ndarray, table, unit,
-              mirrored: bool) -> tuple:
+def _dressing(deltas: np.ndarray, weights: np.ndarray, table, unit) -> tuple:
     """``T_m = sum_{j != m} w_j / (Delta_j - Delta_m)`` and its slope
     ``U_m = sum_{j != m} w_j / (Delta_j - Delta_m)^2``: orders 0 and 1 of
     the far moments (:func:`_moments`) and the ``_NEAR`` neighbours on
-    each side, each pair at one distance summed first, so that on a
-    ``mirrored`` line ``T`` is odd and ``U`` even to the bit (under the
-    caller's ``errstate``).  There the centre's ``U`` is left 0, so its
-    seed stays first-order (see :func:`_collective_seeds`)."""
+    each side, each pair at one distance summed first (under the caller's
+    ``errstate``)."""
     n, near = deltas.size, _NEAR
     pad, none = np.full(near, np.inf), np.zeros(near)
     spread = np.concatenate([-pad, deltas, pad])
@@ -658,8 +649,6 @@ def _dressing(deltas: np.ndarray, weights: np.ndarray, table, unit,
     over, under = padded[up] / above, padded[down] / below
     sums = table[:, 0] / unit + (over + under).sum(axis=0)
     slopes = table[:, 1] / unit / unit + (over / above + under / below).sum(axis=0)
-    if mirrored:
-        slopes[n // 2] = 0.0
     return sums, slopes
 
 
@@ -799,16 +788,15 @@ def _view(work, index, count, columns, dtype=complex) -> np.ndarray:
 
 def _take(table, owner, work, index=2) -> np.ndarray:
     """Rows ``table[owner]`` of a (models x columns) table, gathered into
-    work array ``index``; with no ``owner`` (one model) its one row, to
-    broadcast."""
-    if owner is None:
+    work array ``index``; of a one-row table (one model, or one line) that
+    row, to broadcast."""
+    if table.shape[0] == 1:
         return table[0]
     out = _view(work, index, owner.size, table.shape[1], table.dtype)
     return np.take(table, owner, axis=0, out=out, mode="clip")
 
 
-def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
-                aberth=True) -> tuple:
+def _split_sums(z, shift, poles, weights, pairs, work, owner) -> tuple:
     """Secular sums at ``z`` with the nearest pole, or pole pair, split off.
 
     With ``F_k``, ``S_k`` the sums over the other poles, ``F = F_k - v /
@@ -819,26 +807,23 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
     (``-2 sum w inv^3`` over the unpaired poles, ``12 y sum w inv^2 - 16
     y^3 sum w inv^3`` over the pairs); the poles are laid out as in
     :func:`_aberth_roots`.  Row ``i`` reads the weights
-    ``weights[owner_i]`` (row 0 with no ``owner``) and ``shift``, one
-    value or one per row; every (rows x poles) array lives in ``work``
-    (:func:`_work_arrays`).  No product is formed in place: numpy rounds
-    an in-place complex product of one element apart from the same
-    product in a longer array, and a row's sums must not depend on its
-    block.  Unless ``aberth`` no ``S_k``, which only an Aberth step
-    reads, is formed; it comes back ``None``.  These are the full rows,
-    O(M) each; a root next to its pole takes local rows of the same
-    shape instead (:func:`_local_sums`).
+    ``weights[owner_i]`` and ``shift``, one value or one per row; every
+    (rows x poles) array lives in ``work`` (:func:`_work_arrays`).  No
+    product is formed in place: numpy rounds an in-place complex product
+    of one element apart from the same product in a longer array, and a
+    row's sums must not depend on its block.  These are the full rows of
+    the Aberth steps, O(M) each; a root next to its pole takes local rows
+    of the same shape instead (:func:`_local_sums`).
     """
     single = poles.size - pairs
     lone_poles = poles[:single]
     count = z.size
     at = np.arange(count)
-    which = 0 if owner is None else owner
     gap = np.add(z[:, None], lone_poles, out=_view(work, 0, count, single))
     dist = np.abs(gap, out=_view(work, 1, count, single, float))
     near = dist.argmin(axis=1)
     q = gap[at, near]
-    v = weights[which, near].astype(complex)
+    v = weights[owner, near].astype(complex)
     dq = np.ones(count, dtype=complex)
     dv, ddq = np.zeros(count), np.zeros(count)
     if pairs:
@@ -847,7 +832,7 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
         k = _nearest(halves, np.abs(y.imag))
         pair_dist = np.hypot(y.real, np.abs(y.imag) - halves[k])
         split = pair_dist < dist[at, near]
-        ys, ws, hs = y[split], weights[which, single + k][split], 1j * halves[k[split]]
+        ys, ws, hs = y[split], weights[owner, single + k][split], 1j * halves[k[split]]
         q[split], v[split] = (ys + hs) * (ys - hs), 2.0 * ws * ys
         dq[split], dv[split], ddq[split] = 2.0 * ys, 2.0 * ws, 2.0
         gap[at[~split], near[~split]] = np.inf
@@ -860,7 +845,7 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
     square = np.multiply(terms, inv, out=_view(work, 2, count, single))
     df = 1.0 + square.sum(axis=1)
     ddf = -2.0 * np.multiply(square, inv, out=terms).sum(axis=1)
-    rest = inv.sum(axis=1) if aberth else None
+    rest = inv.sum(axis=1)
     if pairs:
         # 1/(z + d) + 1/(z + conj d) = 2y / (y^2 + D^2), and the squares
         # add up to 4y^2 / (y^2 + D^2)^2 - 2 / (y^2 + D^2); y^2 + D^2
@@ -879,8 +864,7 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner=None,
         df += 4.0 * y * y * square
         df -= 2.0 * pole_sum
         ddf += y * (12.0 * square - 16.0 * y * y * cube)
-        if aberth:
-            rest += 2.0 * y * inv.sum(axis=1)
+        rest += 2.0 * y * inv.sum(axis=1)
     return f, df, ddf, rest, q, v, dq, dv, ddq
 
 
@@ -977,7 +961,9 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
     (:func:`_local_terms`).  A pole-seeded root within its pole's reach
     (:func:`_moments`) takes Newton rows on the pole's local function
     (:func:`_local_sums`); a root whose step is not finite or leaves the
-    reach keeps full rows from then on.
+    reach takes Aberth rows (:func:`_split_sums`) from then on, as every
+    other root does.  One model is a batch of one, whose one-row tables
+    broadcast (:func:`_take`).
     """
     models, size = seeds.shape
     if poles.size == 0:
@@ -992,58 +978,43 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
     work = _work_arrays(width)
     residues = np.empty(roots.size, dtype=complex)
 
-    # the kind of each root's next row: 0 Aberth, 1 Newton, 2 local
-    mode = np.zeros((models, size), dtype=np.int8)
+    # whether each root's next row is a local one, else a full Aberth row
+    near_pole = np.zeros((models, size), dtype=bool)
     line_of, pole_of, local = local
     reach = local[-1]
     seeded = np.flatnonzero(pole_of >= 0)
     at = pole_of[seeded]
     for block in _row_blocks(models, seeded.size):
-        offset = np.abs(table[block, seeded] + local[0][at])
-        mode[block, seeded] = 2 * (offset < reach[at])
-    mode = mode.reshape(-1)
+        near_pole[block, seeded] = np.abs(table[block, seeded] + local[0][at]) < reach[at]
+    near_pole = near_pole.reshape(-1)
     # why each model failed: 0 it did not, 1 a step not finite, 2 the cap
     failed = np.zeros(models, dtype=np.int8)
     active = np.arange(roots.size)
-    # the iteration converges cubically, so a root whose last step was at
-    # most eps^(1/3) of its scale is within rounding of its root after
-    # one more step: it confirms itself with a Newton step on G = F_k q -
-    # v, without the root sums.  The root sums must also have moved that
-    # step by at most eps^(1/3) of itself (the Newton step N and the
-    # Aberth step s differ by s N rest): an iterate next to another one
-    # takes small steps that only the root sums make, and Newton's would
-    # pull it onto the other's root
-    confirm = np.finfo(float).eps ** (1.0 / 3.0)
     for _ in range(_ABERTH_MAX_ITER):
         steps = np.empty(active.size, dtype=complex)
-        # each row's next kind, and whether the row is still moving after it
-        following = np.empty(active.size, dtype=np.int8)
-        moving = np.empty(active.size, dtype=bool)
+        moving = np.empty(active.size, dtype=bool)  # still moving after the row
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             partner = table[:, lone:]
             partner_real, partner_square = partner.real, partner.imag**2
-            for kind in (0, 1, 2):
-                part = np.flatnonzero(mode[active] == kind)
-                for block in _row_blocks(part.size, width if kind < 2 else _ORDERS):
+            for near in (False, True):
+                part = np.flatnonzero(near_pole[active] == near)
+                for block in _row_blocks(part.size, _ORDERS if near else width):
                     here = part[block]
-                    who, rows = (None, active[here]) if models == 1 else np.divmod(
-                        active[here], size)
+                    who, rows = np.divmod(active[here], size)
                     z = roots[active[here]]
-                    shift = shifts[0 if who is None else who]
-                    line = None if who is None else line_of[who]
-                    if kind == 2:
+                    shift, line = shifts[who], line_of[who]
+                    if near:
                         pole = pole_of[rows]
-                        line = np.zeros_like(pole) if who is None else line
                         f, df, ddf, q, v = _local_sums(z, shift, pole, line, local, work)
                         dq, dv, ddq = 1.0, 0.0, 0.0
                     else:
                         # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
                         f, df, ddf, rest, q, v, dq, dv, ddq = _split_sums(
-                            z, shift, poles, weights, pairs, work, line, kind == 0,
-                        )
+                            z, shift, poles, weights, pairs, work, line)
                     own = rows < lone
                     num, den = df * q + f * dq - dv, f * q - v
-                    if kind == 0:
+                    slope = num
+                    if not near:
                         count = rows.size
                         at = np.arange(count)
                         diff = np.subtract(z[:, None],
@@ -1066,9 +1037,6 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
                             rest[~own] -= 0.5 / (1j * z[~own].imag)
                         # 1 / (P'/P - sum_j 1/(z_i - z_j))
                         slope = num + den * rest
-                        confirms = np.abs(den * rest) <= confirm * np.abs(num)
-                    else:
-                        slope, confirms = num, kind == 1
                     # zero at an exact root, even one that another iterate
                     # or a double root shares, where the slope is not finite
                     step = np.divide(den, slope, out=np.zeros_like(den),
@@ -1080,22 +1048,20 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
                         step[own] = step[own].real
                     stepped = z - step
                     length = np.abs(step)
-                    scale = np.maximum(np.abs(stepped), floor[0 if who is None else who])
-                    if kind == 2:
+                    scale = np.maximum(np.abs(stepped), floor[who])
+                    leaves = False
+                    if near:
                         # a root that leaves its pole's reach, or whose step is
                         # not finite, stays put and takes full rows from now on
-                        stays = np.abs(q - step) < reach[pole]
-                        step[~stays], following[here] = 0.0, np.where(stays, 2, 0)
-                        moving[here] = ~stays
-                    else:
-                        following[here] = (length <= confirm * scale) & confirms
-                        moving[here] = False
+                        leaves = ~(np.abs(q - step) < reach[pole])
+                        step[leaves] = 0.0
+                        near_pole[active[here[leaves]]] = False
                     steps[here] = step
                     # the root's condition |r_k| = |q / G'| widens its freeze
                     # up to 2^26 of rounding: a near-double root is known to
                     # about the square root of it
                     cond = np.fmin(np.fmax(np.abs(q / num), 1.0), 2.0**26)
-                    moving[here] |= length > tol * scale * cond
+                    moving[here] = leaves | (length > tol * scale * cond)
                     # 1 / F' = q^2 / (F_k' q^2 - (v' q - v q')) at the stepped
                     # root, a move h = z - stepped away: q and v are exact
                     # there, F_k' - h F_k'' is to first order in h, and the
@@ -1104,7 +1070,6 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
                     qh, dqh = q - h * (dq - 0.5 * h * ddq), dq - h * ddq
                     residues[active[here]] = qh * qh / (
                         (df - h * ddf) * qh * qh - (dv * qh - (v - h * dv) * dqh))
-        mode[active] = following
         bad = ~np.isfinite(steps)
         if bad.any():
             # a step that is not finite fails its model; the others go on
@@ -1185,11 +1150,7 @@ def arrowhead_eigenvalues(model: DriftModel) -> np.ndarray:
     439 (2002)): O(K + q) per row (:func:`_local_sums`).  Every other
     root, the collective ones, one that leaves its reach or whose local
     step is not finite, and all roots of a line of fewer than ``2 q +
-    2`` poles, takes full rows of O(M) sums.  A full-row root whose last
-    step was at most ``eps^(1/3)`` of its scale, and which the root sums
-    moved by at most ``eps^(1/3)`` of itself, takes its next step as
-    Newton's on the split-off ``F``, with no root sums: that step
-    confirms it.
+    2`` poles, takes Aberth rows of O(M) sums.
     A root is frozen once its step is at most ``4 eps max(|lambda_i|,
     |c|, max_m |d_m|) min(max(1, |r_i|), 2^26)``, ``|r_i| ~ |q / G'|`` its
     condition (Bini & Robol); the absolute floor stops roots near the
@@ -1255,7 +1216,12 @@ def _line(poles: np.ndarray, weights: np.ndarray, real_shift: bool) -> _Line:
     moments of the merged poles with their units and reach
     (:func:`_moments`) and the dressing sums of their seeds
     (:func:`_dressing`): everything a model's secular iteration needs but
-    its cavity shift."""
+    its cavity shift.
+
+    A mirrored line's iteration seeds only the centre pole and the upper
+    half (:func:`_job`), so it keeps only their dressing, the centre's at
+    ``T = U = 0``: ``T`` is odd there, and with no ``U`` its seed stays
+    first-order (see :func:`_collective_seeds`)."""
     coupled = weights != 0.0
     merged, first, index = np.unique(poles[coupled], return_index=True,
                                      return_inverse=True)
@@ -1264,9 +1230,13 @@ def _line(poles: np.ndarray, weights: np.ndarray, real_shift: bool) -> _Line:
     deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
     mirrored = real_shift and _mirrored(merged, merged_weights)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        table, unit, reach = _moments(merged.imag, merged_weights, mirrored)
-        dressing = _dressing(merged.imag, merged_weights, table, unit, mirrored)
-    return _Line(merged, merged_weights, deflated, mirrored, dressing, table, unit, reach)
+        table, unit, reach = _moments(merged.imag, merged_weights)
+        sums, slopes = _dressing(merged.imag, merged_weights, table, unit)
+    if mirrored:
+        sums, slopes = sums[merged.size // 2:], slopes[merged.size // 2:]
+        sums[0] = slopes[0] = 0.0
+    return _Line(merged, merged_weights, deflated, mirrored, (sums, slopes), table,
+                 unit, reach)
 
 
 def _job(shift: complex, line: _Line, layout: int = 0) -> _Job:
@@ -1275,17 +1245,16 @@ def _job(shift: complex, line: _Line, layout: int = 0) -> _Job:
     A mirrored line folds, with the ``layout``-th of the two layouts of
     its collective pair, the likelier first (:func:`_collective_seeds`).
     """
-    seeds = _seeds(shift, line.poles, line.weights, line.dressing)
     size = line.poles.size
     if not line.mirrored:
+        seeds = _seeds(shift, line.poles, line.weights, line.dressing)
         return _Job(shift, line.poles, line.weights, seeds, line, np.arange(-1, size))
     # np.unique sorts the poles, which share one real part, by Delta
     half = size // 2
     upper, upper_weights = line.poles[half:], line.weights[half:]
-    collective = _collective_seeds(
-        shift.real, upper, upper_weights, seeds[half + 1]
-    )[layout]
-    paired = seeds[half + 2:]
+    seeds = _seeds(shift, upper, upper_weights, line.dressing)
+    collective = _collective_seeds(shift.real, upper, upper_weights, seeds[1])[layout]
+    paired = seeds[2:]
     if collective.size == 1:  # a conjugate pair
         collective, paired = seeds[:0], np.concatenate([collective, paired])
     seeds = np.concatenate([collective, paired])
@@ -1624,7 +1593,7 @@ def _spectral_steady(model: DriftModel) -> _Steady | None:
     )):
         return None
     # bound / _LYAPUNOV_RTOL is ||H|| ||C|| + ||D||, balanced
-    floor = np.abs(scale**2 * noise).max()
+    floor = np.abs(scale * noise * scale).max()
     rounding = np.finfo(float).eps * (bound / _LYAPUNOV_RTOL - floor) / floor
     residual = max(unscaled / 2.0, rounding * model.noise_diag.max())
     return _Steady(sums, residual, field, rows)
@@ -1651,8 +1620,8 @@ def _lyapunov_check(model: DriftModel, field, rows, out=None) -> tuple:
 
     def sizes(at, residual, amp):
         """Balanced largest entries of ``R`` and ``C``, and unscaled ``R``."""
-        balance = np.multiply.outer(scale[at], scale)
-        return (np.abs(balance * residual).max(), np.abs(balance * amp).max(),
+        rows = scale[at, None]  # one scale after the other: their product overflows
+        return (np.abs(rows * (residual * scale)).max(), np.abs(rows * (amp * scale)).max(),
                 np.abs(residual.view(float)).max())
 
     top = diag[0] * field  # the field row of H C, less the spin rows' part
@@ -1676,7 +1645,7 @@ def _lyapunov_check(model: DriftModel, field, rows, out=None) -> tuple:
     if out is not None:
         out[0] = top
     worst, peak, unscaled = np.max(stats, axis=0)
-    bound = _LYAPUNOV_RTOL * (norm * peak + np.abs(scale**2 * noise).max())
+    bound = _LYAPUNOV_RTOL * (norm * peak + np.abs(scale * noise * scale).max())
     sums = np.array([field[0].real, spins, field[1:].sum().imag])
     return worst, bound, unscaled, sums
 
@@ -1745,9 +1714,9 @@ def _steady_state(model: DriftModel, steady: _Steady | None) -> tuple:
     _check_dense(model)
     # solved with the spin amplitudes scaled by 1 / sqrt(N_m): unscaled,
     # the couplings span sqrt(N) to 1 / sqrt(N), and at N = 1e11 the
-    # solver returns a negative field variance that passes the residual
+    # solver returns a negative field variance that passes the residual;
+    # one scale after the other, as at N_m = 1e-300 their product overflows
     scale = _balance(model)
-    scales = np.outer(scale, scale)
     balanced = scale[:, None] * model.arrowhead / scale
 
     def solve(source):
@@ -1758,8 +1727,8 @@ def _steady_state(model: DriftModel, steady: _Steady | None) -> tuple:
         # marginal mode; _lyapunov_check judges the result instead
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            amp = solve_continuous_lyapunov(balanced, -scales * source)
-        return (amp + amp.conj().T) / (2.0 * scales)
+            amp = solve_continuous_lyapunov(balanced, -scale[:, None] * (source * scale))
+        return (amp + amp.conj().T) / 2.0 / scale / scale[:, None]
 
     amp = solve(np.diag(_noise(model)))
     residual = np.empty_like(amp)

@@ -100,6 +100,12 @@ LOR_DECAY = [
     "--t-samples", "9",
 ]
 
+# a moments run short of its spin count (--n-spins)
+TINY_SPINS = [
+    "moments", "--family", "gaussian", "--normalize-gamma", "--gamma-perp", "0.5",
+    "--m", "21", "--t-samples", "5", "--n-spins",
+]
+
 
 # one small, valid run per experiment, and the keys each one adds to
 # its options: run-level header values and fitted/reference trailer values
@@ -345,6 +351,10 @@ class TestDecay:
                       "--gamma-perp", "0.1", "--t-max", "1e308", "--t-samples", "3"],
                      3, "the phase Im(lambda) t of e^(lambda t) overflows the float "
                      "range past t = 2.99616e+307", id="decay-phase-1e308"),
+        # subnormal N_m on the Gaussian tail: balance scales up to 2.3e154,
+        # whose products overflow, still give the spectral steady state
+        pytest.param(TINY_SPINS + ["1e-300"], 0, "# moment_fallbacks=0",
+                     id="moments-n-spins-1e-300"),
     ])
     def test_extreme_rates_exit_silently(self, argv, code, phrase):
         # the library prints no RuntimeWarning: with warnings as errors
@@ -364,8 +374,10 @@ class TestDecay:
                                             else "numerical failure: ")
             assert result.stderr.count("\n") == 1
             assert phrase in result.stderr
-        else:
+        elif argv[0] == "decay":
             assert result.stdout.endswith("# pole_tail=unconverged\n")
+        else:
+            assert phrase in result.stdout.splitlines()
 
     @pytest.mark.parametrize("argv", [
         # the first layout of the collective pair fails, the other settles
@@ -727,6 +739,23 @@ class TestMoments:
         _, _, rows, trailing = read_table(out)
         assert all(row[5] == "" for row in rows)
         assert trailing == {}
+
+    def test_tiny_spin_counts_match_a_large_one(self, tmp_path):
+        # the columns do not depend on N but for P_c, which scales as
+        # sqrt(N); at N = 1e-300 the balance scales of the subnormal tail
+        # N_m overflow as products, so each is applied in turn
+        n_spins, tables = 1e-300, {}
+        for n in (n_spins, 1e6):
+            out = tmp_path / f"{n}.csv"
+            assert run_cli(TINY_SPINS + [repr(n), "--out", out]) == 0
+            _, columns, rows, _ = read_table(out)
+            tables[n] = np.array(rows, dtype=float)
+        got, want = tables[n_spins], tables[1e6]
+        got[:, columns.index("Pc")] /= math.sqrt(n_spins / 1e6)
+        for name in ("Sx_over_Sx0", "Pc", "VarSx_over_N_minus_1",
+                     "twoVarPc_minus_1", "R"):
+            k = columns.index(name)
+            assert np.abs(got[:, k] - want[:, k]).max() <= 1e-12 * np.abs(want[:, k]).max()
 
     def test_steady_state_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(dynamics, "_LYAPUNOV_RTOL", 0.0)
@@ -1323,6 +1352,9 @@ class TestExitCodes:
             *(([name, "--family", "homogeneous", "--gamma-perp", "1", "--m", m],
                f"--m {m} conflicts with --family homogeneous")
               for name in ("decay", "moments") for m in ("7", "-4")),
+            # a value that reads as a negative number, not as an option
+            (SMALL["spectrum"] + ["--delta-e-min", "-inf"],
+             "argument --delta-e-min: expected a finite number, got '-inf'"),
         ],
     )
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, argv, name):
@@ -1334,6 +1366,13 @@ class TestExitCodes:
         assert code == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_exponent_notation_is_a_value(self, tmp_path):
+        # argparse reads "-5e-1" as an option unless told otherwise
+        outs = [tmp_path / "exponent.csv", tmp_path / "decimal.csv"]
+        for value, out in zip(("-5e-1", "-0.5"), outs):
+            assert run_cli(LOR_DECAY + ["--delta-cs", value, "--out", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_argparse_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit) as info:

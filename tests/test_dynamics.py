@@ -1186,9 +1186,9 @@ class TestSecularSolver:
         params = SystemParams(kappa=0.5, gamma_perp=1.0, g_ens=1.0)
         model = build_drift_matrix(params, grid, 1)
         poles, weights = dynamics._secular_terms(model)
-        seeds = dynamics._seeds(0.5, poles, weights,
-                                dynamics._line(poles, weights, True).dressing)
-        assert seeds[1] == -poles[0] and seeds[3] == -poles[2]
+        # the mirrored line seeds its upper pole, the conjugate of the lower
+        job = dynamics._job(0.5 + 0j, dynamics._line(poles, weights, True))
+        assert job.pole_of[-1] == 2 and job.seeds[-1] == -poles[2]
         lam = arrowhead_eigenvalues(model)
         assert_matches_dense(model, lam)
 
@@ -1225,16 +1225,15 @@ class TestSecularSolver:
     @pytest.mark.parametrize("p", [1, -1])
     @pytest.mark.parametrize("spec", [LOR, GAUSS], ids=["lorentzian", "gaussian"])
     def test_mirrored_seeds_keep_the_mirror(self, spec, p):
-        # the dressing sums of a mirrored line are odd (T) and even (U)
-        # to the bit: the centre seed and every seed of the iteration's
-        # real roots stay real, and mirrored poles get conjugate seeds
+        # a mirrored line keeps the dressing of its centre, at T = U = 0,
+        # and of its upper half: the centre seed and every seed of the
+        # iteration's real roots are real
         model, _ = small_model(spec=spec, m=201, kappa=4.0, g_ens=1.0, p=p)
         poles, weights = dynamics._secular_terms(model)
-        seeds = dynamics._seeds(4.0 + 0j, poles, weights,
-                                dynamics._line(poles, weights, True).dressing)[1:]
-        assert seeds[100].imag == 0.0
-        assert np.array_equal(seeds[:100], seeds[:100:-1].conjugate())
-        job = dynamics._job(4.0 + 0j, dynamics._line(poles, weights, True))
+        line = dynamics._line(poles, weights, True)
+        seeds = dynamics._seeds(4.0 + 0j, poles[100:], weights[100:], line.dressing)
+        assert seeds[1].imag == 0.0
+        job = dynamics._job(4.0 + 0j, line)
         assert job.seeds.size - job.root_pairs == 2
         assert np.all(job.seeds[:2].imag == 0.0)
 
@@ -1281,15 +1280,14 @@ class TestSecularSolver:
         weights = weights * signs
         owner = rng.integers(0, 4, 64)
         work = dynamics._work_arrays(poles.size)
-        for aberth in (True, False):
-            batch = [None if out is None else out.copy() for out in dynamics._split_sums(
-                z, shifts[owner], poles, weights, pairs, work, owner, aberth)]
-            for i, b in enumerate(owner):
-                alone = dynamics._split_sums(z[i:i + 1], shifts[b], poles,
-                                             weights[b:b + 1], pairs, work, None, aberth)
-                for got, want in zip(alone, batch):
-                    assert (got is None if want is None
-                            else got.tobytes() == want[i:i + 1].tobytes())
+        batch = [out.copy() for out in dynamics._split_sums(
+            z, shifts[owner], poles, weights, pairs, work, owner)]
+        for i, b in enumerate(owner):
+            # one model's weights, one row to broadcast
+            alone = dynamics._split_sums(z[i:i + 1], shifts[b], poles, weights[b:b + 1],
+                                         pairs, work, np.zeros(1, dtype=int))
+            for got, want in zip(alone, batch):
+                assert got.tobytes() == want[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("case", ["wide-lorentzian", "strongly-coupled"])
     def test_residues_match_an_extended_precision_oracle(self, case):
@@ -1333,8 +1331,11 @@ class TestSecularSolver:
         for model in strongly_coupled_batch():
             lam = arrowhead_eigenvalues(model)
             poles, weights = dynamics._secular_terms(model)
-            seeds = dynamics._seeds(2.0 + 0j, poles, weights,
-                                    dynamics._line(poles, weights, True).dressing)[1:]
+            # the pole seeds of the mirrored line's iteration, one of each
+            # mirrored pair; the centre seed, first-order, is a collective one
+            job = dynamics._job(2.0 + 0j, dynamics._line(poles, weights, True))
+            poled = job.pole_of >= 0
+            assert np.array_equal(job.pole_of[poled], np.arange(101, 201))
             # the first-order seed: the root nearest 0 of t^2 + (c - d_m -
             # S_m) t = w_m, S_m in complex arithmetic
             others = poles[None, :] - poles[:, None]
@@ -1343,16 +1344,14 @@ class TestSecularSolver:
             root = np.sqrt(gap * gap + 4.0 * weights)
             root = np.where((gap.conjugate() * root).real < 0.0, -root, root)
             first = -poles + 2.0 * weights / (gap + root)
-            # the centre seed stays first-order
-            poled = np.arange(poles.size) != poles.size // 2
-            near = [np.abs(seed[poled, None] - lam).min(axis=1)
-                    for seed in (first, seeds)]
+            near = [np.abs(seed[:, None] - lam).min(axis=1)
+                    for seed in (first[101:], job.seeds[poled])]
             assert np.median(near[0]) >= 100.0 * np.median(near[1])
 
     @pytest.mark.parametrize("p", [1, -1])
     @pytest.mark.parametrize("spec", [GAUSS, LOR], ids=["gaussian", "lorentzian"])
     def test_every_root_is_settled_to_its_tolerance(self, spec, p):
-        # the roots a confirming Newton step settled: each matches dense
+        # the roots as the iteration froze them: each matches dense
         # eig, and the Newton correction F / F' in extended precision is
         # within the settle tolerance 4 eps max(|lambda|, floor)
         model, _ = small_model(spec=spec, m=41, kappa=2.0, g_ens=4.0, p=p)
@@ -1557,17 +1556,6 @@ class TestPoleLocalRows:
         again, _ = small_model(spec=spec, m=201, kappa=2.0, g_ens=3.0)
         assert_allclose(arrowhead_eigenvalues(again), want, rtol=0.0,
                         atol=1e-14 * np.abs(want).max())
-
-    @pytest.mark.parametrize("spec", [LOR, GAUSS], ids=["lorentzian", "gaussian"])
-    def test_mirrored_moments_keep_their_parity(self, spec):
-        # order k of a mirrored line is odd in m for even k, even for odd
-        # k, to the bit, as the dressing sums of its seeds are
-        model, _ = small_model(spec=spec, m=201, kappa=2.0)
-        line = dynamics._line(*dynamics._secular_terms(model), True)
-        signs = (-1.0) ** np.arange(1, dynamics._ORDERS + 1)
-        assert np.array_equal(line.moments[::-1], line.moments * signs)
-        assert np.array_equal(line.unit, line.unit[::-1])
-        assert np.all(line.moments[100, 0::2] == 0.0)
 
     @pytest.mark.parametrize("case", ["decay-0.6", "decay-1.75", "sweep"])
     def test_pole_seeded_roots_take_few_full_rows(self, case, monkeypatch):
