@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,8 +349,11 @@ def discretize(
     N = float(N)
     if not (math.isfinite(g_ens) and g_ens >= 0.0):
         raise PreconditionError(f"g_ens must be finite and >= 0, got {g_ens!r}")
-    if not (math.isfinite(N) and N > 0.0):
-        raise PreconditionError(f"total spin count must be finite and > 0, got {N!r}")
+    # below the normal floats N keeps fewer than 53 bits, and 1 / N_m
+    # leaves the float range
+    if not (math.isfinite(N) and N >= sys.float_info.min):
+        raise PreconditionError("total spin count must be finite and at least "
+                                f"{sys.float_info.min!r}, got {N!r}")
     family = spec.family
 
     if family is BroadeningFamily.HOMOGENEOUS:

@@ -198,6 +198,13 @@ def _check_samples(flag: str, samples: int, row_bytes: int) -> None:
         )
 
 
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``, also where ``hi - lo`` leaves the float
+    range: halving and doubling are exact, so a grid whose ends and step
+    are normal floats keeps its bits."""
+    return 2.0 * np.linspace(lo / 2.0, hi / 2.0, n)
+
+
 def _time_grid(o: dict) -> np.ndarray:
     if o["t_max"] <= 0 or o["t_samples"] < 2:
         raise PreconditionError("need t_max > 0 and t_samples >= 2")
@@ -299,7 +306,7 @@ def _spectrum(o: dict):
     if o["delta_e_samples"] < 2 or o["delta_e_max"] <= o["delta_e_min"]:
         raise PreconditionError("need delta_e_max > delta_e_min and >= 2 samples")
     _check_samples("--delta-e-samples", o["delta_e_samples"], _ROW_BYTES)
-    delta_grid = np.linspace(o["delta_e_min"], o["delta_e_max"], o["delta_e_samples"])
+    delta_grid = _linspace(o["delta_e_min"], o["delta_e_max"], o["delta_e_samples"])
     table = spectrum_scan(_params(o), _spec(o), o["p"], delta_grid)
     columns = ["delta_e", "re_t", "im_t", "re_r", "im_r"]
     # undefined rows carry NaN, which the writer leaves empty
@@ -328,10 +335,10 @@ def _stability_sweep(o: dict):
     times = np.linspace(0.0, o["t_max"], 101)
     fifth = max(2, times.size // 5)
     points = []
-    for g in np.linspace(o["g_min"], o["g_max"], o["g_samples"]):
+    for g in _linspace(o["g_min"], o["g_max"], o["g_samples"]):
         # the spectrum reads the spins only through g_m^2 N_m = g^2 w_m
         grid = discretize(spec, m, g, 1.0)
-        for kappa in np.linspace(o["kappa_min"], o["kappa_max"], o["kappa_samples"]):
+        for kappa in _linspace(o["kappa_min"], o["kappa_max"], o["kappa_samples"]):
             point = _params(o, kappa=kappa, g_ens=g)
             report = stability_report(point, spec)
             points.append((g, kappa, report, build_drift_matrix(point, grid, o["p"])))
@@ -448,7 +455,8 @@ def _read_config(path: str, name: str) -> dict:
     parsers = {key: _OPTIONS[key].parse for key in _EXPERIMENTS[name].options}
     parsers["out"] = str
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # a byte-order mark, as Windows editors write one, is no key
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read --config {path}: {exc}") from exc

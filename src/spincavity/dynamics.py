@@ -23,8 +23,9 @@ covariance run starts from the diagonal that
 quadratures of each mode, so the phase-insensitive model keeps the
 anomalous ``A = T gamma T^T`` at zero.
 
-Where the residues fail their gate (next to an exceptional point) or a
-pole was deflated, dense paths on ``H`` remain as gated fallbacks of
+Where the residues fail their gate (next to an exceptional point), or a
+mean weight or the steady state is not finite (a root on its pole, as a
+deflated pole's is), dense paths on ``H`` remain as gated fallbacks of
 the moments: exact steps ``z <- e^{H h} z``, Van Loan's block
 exponential (IEEE Trans. Autom. Control 23, 395 (1978)) for ``C <- Phi
 C Phi^H + Q``, and Bartels-Stewart for the steady state, checked the
@@ -58,10 +59,10 @@ __all__ = [
 ]
 
 # largest sum_k |r_k| = sum_k 1 / |F'(lambda_k)| accepted by the residue
-# gate of a spectrum (_roots)
+# gate of a spectrum (_spectra)
 _RESIDUE_BOUND = 100.0
 
-# Aberth iterations before a secular iteration fails (see _roots)
+# Aberth iterations before a secular iteration fails (see _spectra)
 _ABERTH_MAX_ITER = 100
 
 # a root next to its pole iterates on the pole's local function (see
@@ -88,8 +89,7 @@ _LYAPUNOV_RTOL = 1e-10
 # (3e-10 at N = 1e12), so R over a denominator of a few ulps is noise
 _R_RTOL = 1e-10
 
-# each live model's spectrum: model -> (the gate constants it was found
-# under, its _Spectrum), dropped when the model dies
+# each live model's _Spectrum, dropped when the model dies
 _MEMO = weakref.WeakKeyDictionary()
 
 # order of the per-time variance track of evolve_covariance:
@@ -185,10 +185,11 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     on any grid.  The real means are the real and the signed imaginary
     parts of ``z``, the first row ``y0`` itself; ``reductions`` holds
     ``X_c``, ``P_c`` and the collective ``S_x`` and ``S_y``.  Fallback
-    (``fallbacks`` 1), chosen before any time is propagated: when a pole
-    was deflated, the residues fail their gate (:func:`_roots`) or a
-    weight is not finite (a root that rounds onto its pole, as at very
-    weak coupling), each output interval ``h`` is one step ``z <- e^{H
+    (``fallbacks`` 1), chosen before any time is propagated: when the
+    residues fail their gate (:func:`_spectra`) or a weight is not
+    finite (a root on its pole: a deflated pole's, whose residue 0 meets
+    an infinite Cauchy entry, or one that rounds onto it, as at very weak
+    coupling), each output interval ``h`` is one step ``z <- e^{H
     h} z`` (:func:`scipy.linalg.expm` within :func:`_check_dense`, one
     for a uniform grid).  A mean past the float range raises
     :class:`NumericalError` naming the path and the time
@@ -501,6 +502,9 @@ def _secular_terms(model: DriftModel):
     poles = model.params.gamma_perp + 1j * grid.deltas
     with np.errstate(over="ignore", invalid="ignore"):
         weights = model.p * grid.couplings**2 * grid.spins
+        if not np.isfinite(weights).all():
+            # at a tiny N, g_m^2 leaves the float range before g_m^2 N_m
+            weights = model.p * grid.couplings * (grid.couplings * grid.spins)
     if not np.isfinite(weights).all():
         raise NumericalError("the coupling weights p g_m^2 N_m overflow the float range")
     return poles, weights
@@ -1129,8 +1133,9 @@ def arrowhead_eigenvalues(model: DriftModel) -> np.ndarray:
     ``d_m = gamma_perp + i Delta_m``.  A decoupled sub-ensemble keeps
     ``-d_m``, and k sub-ensembles on one pole keep k - 1 roots ``-d_m``
     and enter ``F`` as one pole of summed weight (deflation; Gu &
-    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  The other
-    roots come from the Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  These roots
+    come first, each with residue 0, as its mode has no field component.
+    The other roots come from the Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
     339 (1973); Bini & Robol, J. Comput. Appl. Math. 272, 276 (2014)) on
     ``P = F prod_m (lambda + d_m)``, all roots at once, with the pole
     nearest each iterate split off (:func:`_split_sums`) so ``P'/P``
@@ -1211,9 +1216,9 @@ class _Line(NamedTuple):
 
 def _line(poles: np.ndarray, weights: np.ndarray, real_shift: bool) -> _Line:
     """The coupled poles merged, with their summed weights, the deflated
-    poles (see :func:`_roots`), whether the line is mirrored (a
-    ``real_shift`` and :func:`_mirrored` merged poles), the far-pole
-    moments of the merged poles with their units and reach
+    poles (see :func:`arrowhead_eigenvalues`), whether the line is
+    mirrored (a ``real_shift`` and :func:`_mirrored` merged poles), the
+    far-pole moments of the merged poles with their units and reach
     (:func:`_moments`) and the dressing sums of their seeds
     (:func:`_dressing`): everything a model's secular iteration needs but
     its cavity shift.
@@ -1309,12 +1314,13 @@ def _solve(models, layout: int = 0) -> list:
 
 
 class _Spectrum(NamedTuple):
-    """The arrowhead spectrum of one model: :func:`_roots`, read-only.
+    """The arrowhead spectrum of one model: :func:`_spectra`, read-only.
 
-    The last ``pairs`` roots and residues are the conjugates of the
-    ``pairs`` before them, as a folded iteration found them; ``pairs`` is
-    0 unless the model's iteration folded and its residues passed their
-    gate.
+    The roots ``-d_m`` of the deflated poles come first, each with
+    residue 0: its mode has no field component.  The last ``pairs`` roots
+    and residues are the conjugates of the ``pairs`` before them, as a
+    folded iteration found them; ``pairs`` is 0 unless the model's
+    iteration folded and its residues passed their gate.
     """
 
     lam: np.ndarray
@@ -1322,57 +1328,41 @@ class _Spectrum(NamedTuple):
     pairs: int = 0
 
 
-def _roots(models) -> list:
-    """Each model's :class:`_Spectrum`: roots and their gated residues.
+def _spectra(models) -> list:
+    """Each model's :class:`_Spectrum`, kept read-only while the model
+    lives, so every path on one model shares one record.
 
-    The first iterations run batched (:func:`_solve`), then, for each
-    mirrored line whose iteration failed, one with the other layout of
-    its collective pair: a real seed stays real on a mirrored line, so no
-    iteration can repair a wrong layout.  A model that fails both raises the
-    :class:`NumericalError` of its last iteration.  The residues ``r_k =
-    1 / F'(lambda_k)`` come from the secular solve.  They are ``None``
-    when a pole was deflated, or unless ``sum_k |r_k| <= _RESIDUE_BOUND``
-    and ``|sum_k r_k - 1| <= 1e-10`` (see :func:`field_kick_response`).
+    Models with no record run their first iterations batched
+    (:func:`_solve`), then, for each mirrored line whose iteration
+    failed, one with the other layout of its collective pair: a real seed
+    stays real on a mirrored line, so no iteration can repair a wrong
+    layout.  A model that fails both raises the :class:`NumericalError`
+    of its last iteration.  The residues ``r_k = 1 / F'(lambda_k)`` come
+    from the secular solve, 0 at a deflated pole.  They are ``None``
+    unless ``sum_k |r_k| <= _RESIDUE_BOUND`` and ``|sum_k r_k - 1| <=
+    1e-10`` (see :func:`field_kick_response`).
     """
-    first = _solve(models)
-    again = iter(_solve([model for model, (_, mirrored, _, found) in zip(models, first)
+    missing = list(dict.fromkeys(model for model in models if model not in _MEMO))
+    if not missing:
+        return [_MEMO[model] for model in models]
+    first = _solve(missing)
+    again = iter(_solve([model for model, (_, mirrored, _, found) in zip(missing, first)
                          if mirrored and isinstance(found, NumericalError)], layout=1))
-    spectra = []
-    for deflated, mirrored, pairs, result in first:
+    for model, (deflated, mirrored, pairs, result) in zip(missing, first):
         if mirrored and isinstance(result, NumericalError):
             _, _, pairs, result = next(again)
         if isinstance(result, NumericalError):
             raise result
-        roots, residues = result
-        lam = np.concatenate([roots, -deflated]) if deflated.size else roots
+        lam = np.concatenate([-deflated, result[0]])
+        residues = np.concatenate([np.zeros(deflated.size), result[1]])
         with np.errstate(invalid="ignore", over="ignore"):
-            gated = (
-                deflated.size == 0
-                and np.abs(residues).sum() <= _RESIDUE_BOUND
-                and abs(residues.sum() - 1.0) <= 1e-10
-            )
-        spectra.append(_Spectrum(lam, residues, pairs) if gated
-                       else _Spectrum(lam, None))
-    return spectra
-
-
-def _spectra(models) -> list:
-    """Each model's spectrum; those with no record under the current gate
-    constants are found in one batched secular solve.
-
-    A record is kept while its model lives and the gate constants stay
-    as they were, so every path on one model shares one.
-    """
-    key = (_RESIDUE_BOUND, _ABERTH_MAX_ITER)
-    missing = list(dict.fromkeys(
-        model for model in models if _MEMO.get(model, (None,))[0] != key
-    ))
-    for model, spectrum in zip(missing, _roots(missing) if missing else ()):
-        for array in (spectrum.lam, spectrum.residues):
-            if array is not None:
-                array.flags.writeable = False
-        _MEMO[model] = (key, spectrum)
-    return [_MEMO[model][1] for model in models]
+            gated = (np.abs(residues).sum() <= _RESIDUE_BOUND
+                     and abs(residues.sum() - 1.0) <= 1e-10)
+        for array in (lam, residues):
+            array.flags.writeable = False
+        _MEMO[model] = (_Spectrum(lam, residues, pairs) if gated
+                        else _Spectrum(lam, None))
+    return [_MEMO[model] for model in models]
 
 
 def _spectrum(model: DriftModel) -> _Spectrum:
@@ -1401,12 +1391,13 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     |r_k|)^2`` (1e-13, 1e-12 and 2e-10 of the kick at ``sum_k |r_k|`` =
     22, 70 and 700 next to the homogeneous double root).  So the
     expansion is used only while the residues pass their gate
-    (:func:`_roots`: ``sum_k |r_k| <= 100``, and ``sum_k r_k = 1`` to
-    1e-10) and no pole was deflated; otherwise the field is propagated
-    with :func:`evolve_mean`.  Returns ``(response, fallback)``,
-    ``fallback`` telling whether it was; a NaN on either path, or an
-    ``e^{lambda t}`` past the float range, raises
-    :class:`NumericalError`.
+    (:func:`_spectra`: ``sum_k |r_k| <= 100``, and ``sum_k r_k = 1`` to
+    1e-10); otherwise the field is propagated with :func:`evolve_mean`.
+    A deflated pole's root adds nothing, its residue 0: with ``g_ens =
+    0`` the field is the cavity's own ``e^{-(kappa + i delta_cs) t}``.
+    Returns ``(response, fallback)``, ``fallback`` telling whether it
+    was; a NaN on either path, or an ``e^{lambda t}`` past the float
+    range, raises :class:`NumericalError`.
     """
     times = _validate_times(times)
     check_revival_window(model.grid, model.params.gamma_perp, times[-1])

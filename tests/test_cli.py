@@ -74,14 +74,16 @@ def source_env():
 
 @pytest.fixture
 def secular_solves(monkeypatch):
-    """The model of each secular solve: each model of a ``dynamics._roots`` call."""
-    solved, solve = [], dynamics._roots
+    """The model of each secular solve: each model of a first-layout
+    ``dynamics._solve`` call."""
+    solved, solve = [], dynamics._solve
 
-    def counted(models):
-        solved.extend(models)
-        return solve(models)
+    def counted(models, layout=0):
+        if not layout:
+            solved.extend(models)
+        return solve(models, layout)
 
-    monkeypatch.setattr(dynamics, "_roots", counted)
+    monkeypatch.setattr(dynamics, "_solve", counted)
     return solved
 
 
@@ -355,6 +357,20 @@ class TestDecay:
         # whose products overflow, still give the spectral steady state
         pytest.param(TINY_SPINS + ["1e-300"], 0, "# moment_fallbacks=0",
                      id="moments-n-spins-1e-300"),
+        # a spin count below the normal floats: 1 / N_m leaves the float
+        # range, and N itself keeps fewer than 53 bits
+        *(pytest.param([*TINY_SPINS[:2], family, *TINY_SPINS[3:], n], 2,
+                       f"total spin count must be finite and at least "
+                       f"2.2250738585072014e-308, got {n}",
+                       id=f"moments-{family}-n-spins-{n}")
+          for family in ("gaussian", "lorentzian")
+          for n in ("1e-308", "1e-310", "1e-320")),
+        # g_m^2 = g_ens^2 / N leaves the float range, g_m^2 N_m does not:
+        # the run fails as its N = 1e6 twin does, on the growth of C = 1e19
+        *(pytest.param(TINY_SPINS[:-1] + ["--g-ens", "1e10", "--n-spins", n], 3,
+                       "e^(lambda t) overflows the float range past t = 7.09783e-08",
+                       id=f"moments-g-1e10-n-spins-{n}")
+          for n in ("1e-290", "1e6")),
     ])
     def test_extreme_rates_exit_silently(self, argv, code, phrase):
         # the library prints no RuntimeWarning: with warnings as errors
@@ -809,7 +825,27 @@ class TestSpectrum:
         assert all(value != "" for value in rows[0][1:])
 
 
+    def test_a_grid_whose_span_leaves_the_float_range(self, capsys):
+        # delta_e_max - delta_e_min = 2e308 is infinite: the grid is
+        # formed from the halved ends
+        assert run_cli(["spectrum", "--family", "lorentzian", "--width", "1",
+                        "--delta-e-min", "-1e308", "--delta-e-max", "1e308",
+                        "--delta-e-samples", "3", "--out", "-"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-3:]
+        assert [row.split(",")[0] for row in rows] == ["-1e+308", "0", "1e+308"]
+
+
 class TestStabilitySweep:
+    def test_a_grid_whose_span_leaves_the_float_range(self, capsys):
+        # the grid starts at the negative rate, which is named: no NaN
+        # from an infinite span
+        assert run_cli(["stability-sweep", "--family", "gaussian",
+                        "--normalize-gamma", "--gamma-perp", "0.5",
+                        "--g-min", "-1e308", "--g-max", "1e308", "--g-samples", "3",
+                        "--kappa-samples", "2", "--out", "-"]) == 2
+        assert capsys.readouterr().err == (
+            "error: g_ens must be finite and >= 0, got -1e+308\n")
+
     def test_verdicts_agree_off_threshold(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli([
@@ -1175,6 +1211,20 @@ class TestConfigResolution:
         assert manifest["kappa"] == 4.0
         assert manifest["g_ens"] == 2.0
         assert manifest["m"] == 41
+
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        # as Windows editors write it: the mark is no part of the first key
+        text = "kappa = 4\ngamma_perp = 0.5\ng_ens = 2\nm = 21\nt_samples = 5\n"
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(text, encoding=encoding)
+            argv = ["decay", "--family", "gaussian", "--width", "1",
+                    "--config", config, "--out", tmp_path / f"{name}.csv"]
+            assert run_cli(argv) == 0
+        assert (tmp_path / "marked.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+        for suffix in ("", ".manifest.json"):
+            assert ((tmp_path / f"plain.csv{suffix}").read_bytes()
+                    == (tmp_path / f"marked.csv{suffix}").read_bytes())
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -596,21 +596,17 @@ class TestSpectralMoments:
         assert dense_calls == NO_DENSE_CALLS
         assert "drift" not in vars(model)
 
-    def test_one_spectrum_per_model_and_gates(self, monkeypatch):
-        # one record per model, kept read-only while the model lives,
-        # found again when a gate constant changes, and let go with the
-        # model
-        model, grid = small_model(spec=GAUSS, m=21)
+    def test_one_spectrum_per_model(self, monkeypatch):
+        # one record per model, kept read-only while the model lives, and
+        # let go with the model; a gate set after the solve leaves it be
+        model, _ = small_model(spec=GAUSS, m=21)
         spectrum = dynamics._spectrum(model)
         assert arrowhead_eigenvalues(model) is spectrum.lam
-        assert dynamics._spectrum(model).residues is spectrum.residues
+        assert dynamics._spectrum(model) is spectrum
         for array in (spectrum.lam, spectrum.residues):
             assert not array.flags.writeable
         monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
-        assert dynamics._spectrum(model) is not spectrum
-        assert dynamics._spectrum(model).residues is None
-        y0, _ = initial_state("tilted-spin", grid, theta=1e-3)
-        assert evolve_mean(model, y0, np.linspace(0.0, 1.0, 3)).fallbacks == 1
+        assert dynamics._spectrum(model) is spectrum
         record, alive = dynamics._MEMO[model], weakref.ref(model)
         del model
         assert alive() is None
@@ -958,6 +954,14 @@ def assert_matches_dense(model, lam):
 
 
 class TestSecularSolver:
+    def test_weights_of_a_tiny_spin_count(self):
+        # at N = 3e-308, g_m^2 = g_ens^2 w_m / N_m leaves the float range,
+        # while g_m^2 N_m = g_ens^2 w_m does not
+        tiny, large = (small_model(spec=GAUSS, m=21, g_ens=4.0, n=n)[0]
+                       for n in (3e-308, 1e6))
+        got, want = (dynamics._secular_terms(model)[1] for model in (tiny, large))
+        assert np.abs(got - want).max() <= 1e-14 * want.max()
+
     @settings(max_examples=60, deadline=None)
     @given(
         family=st.sampled_from(["homogeneous", "lorentzian", "gaussian"]),
@@ -1154,9 +1158,24 @@ class TestSecularSolver:
         model = build_drift_matrix(params, grid, 1)
         lam = arrowhead_eigenvalues(model)
         assert_matches_dense(model, lam)
-        # both deflated eigenvalues are exact
+        # both deflated eigenvalues are exact, first and with residue 0
         assert np.count_nonzero(lam == -(0.3 + 1j)) == 1
         assert np.count_nonzero(lam == -(0.3 + 0j)) == 1
+        assert set(lam[:2]) == {-(0.3 + 1j), -(0.3 + 0j)}
+        residues = dynamics._spectrum(model).residues
+        assert np.array_equal(residues[:2], [0.0, 0.0])
+        # the kicked field keeps its expansion; the means meet the
+        # deflated roots' infinite Cauchy entries and step densely
+        times = np.linspace(0.0, 3.0, 7)
+        response, fallback = field_kick_response(model, times)
+        assert not fallback
+        assert np.abs(response - kick_oracle(model, times)).max() <= 1e-12
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        series = evolve_mean(model, y0, times)
+        reference = expm_mean(model.drift, y0, times)
+        assert series.fallbacks == 1
+        assert np.abs(series.means - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert evolve_covariance(model, gamma0, times).fallbacks == 2
 
     @pytest.mark.parametrize("p", [1, -1])
     @pytest.mark.parametrize("kappa, g_ens", [(1.0, np.sqrt(2.0)), (1.0, 1.5),
@@ -1251,7 +1270,7 @@ class TestSecularSolver:
 
         monkeypatch.setattr(dynamics, "_split_sums", counted)
         models = strongly_coupled_batch()
-        spectra = dynamics._roots(models)
+        spectra = dynamics._spectra(models)
         assert sum(rows) <= 1.2 * sum(spectrum.lam.size for spectrum in spectra)
 
     @pytest.mark.parametrize("pairs", [0, 40], ids=["unfolded", "folded"])
@@ -1575,7 +1594,7 @@ class TestPoleLocalRows:
         else:
             width = solve_width_for_gamma(BroadeningFamily.GAUSSIAN, 1.0, 0.0)
             models = [decay_line("gaussian", 601, width, c=float(case[6:]))]
-        spectra = dynamics._roots(models)
+        spectra = dynamics._spectra(models)
         seeded = sum(spectrum.lam.size - 1 for spectrum in spectra)
         assert sum(rows) < 0.2 * seeded
         for model, spectrum in zip(models[::9], spectra[::9]):
@@ -1646,8 +1665,9 @@ class TestBatchedSpectra:
         assert dynamics.arrowhead_spectra(models) == [
             spectrum.lam for spectrum in spectra
         ]
-        for model, spectrum in zip(models, spectra):
-            assert_bit_equal(spectrum, dynamics._roots([model])[0])
+        fresh = batch_models(family, gamma_perp, p, delta_cs, points, m)
+        for model, spectrum in zip(fresh, spectra):
+            assert_bit_equal(spectrum, dynamics._spectra([model])[0])
 
     @pytest.mark.parametrize("m", [21, 201])
     @pytest.mark.parametrize("delta_cs", [0.0, 0.3])
@@ -1662,7 +1682,8 @@ class TestBatchedSpectra:
         points = [(kappa, g_ens) for g_ens in (0.5, 2.0, 6.0)
                   for kappa in (0.4, 1.5, 5.0)]
         models = batch_models(family, gamma_perp, p, delta_cs, points, m)
-        alone = [dynamics._roots([model])[0] for model in models]
+        alone = [dynamics._spectra([model])[0] for model in
+                 batch_models(family, gamma_perp, p, delta_cs, points, m)]
         sizes, local = [], []
         run, rows = dynamics._moments, dynamics._local_sums
 
@@ -1679,13 +1700,13 @@ class TestBatchedSpectra:
         dynamics._solve(models)
         assert sizes == [m] * 3
         assert sum(local) >= 9 * (m // 2)  # the folded roots of nine models
-        for spectrum, want in zip(dynamics._roots(models), alone):
+        for spectrum, want in zip(dynamics._spectra(models), alone):
             assert_bit_equal(spectrum, want)
 
     def test_a_failing_model_retries_its_other_layout_alone(self, monkeypatch,
                                                             aberth_calls):
         points = [(2.0, 1.0), (4.0, 2.5), (8.0, 3.0)]
-        alone = [dynamics._roots([model])[0]
+        alone = [dynamics._spectra([model])[0]
                  for model in batch_models("gaussian", 0.0, 1, 0.0, points)]
         layouts = dynamics._collective_seeds
 
@@ -1872,12 +1893,32 @@ class TestFieldKickResponse:
         assert_allclose(response, (1.0 - times) * np.exp(-2.0 * times),
                         rtol=0.0, atol=1e-10)
 
-    def test_decoupled_spins_fall_back(self):
-        model, _ = small_model(g_ens=0.0, kappa=3.0, delta_cs=0.5)
+    def test_decoupled_spins_keep_the_residues(self, dense_calls):
+        # every pole is deflated: its root carries residue 0, so the field
+        # is the cavity's own decay with no dense step, while the means
+        # and the covariance meet an infinite Cauchy entry and fall back
+        model, grid = small_model(g_ens=0.0, kappa=3.0, delta_cs=0.5)
         times = np.linspace(0.0, 2.0, 9)
         response, fallback = field_kick_response(model, times)
-        assert fallback
-        assert_allclose(response, np.exp(-(3.0 + 0.5j) * times), rtol=1e-12)
+        assert not fallback and dense_calls == NO_DENSE_CALLS
+        assert np.abs(response - np.exp(-(3.0 + 0.5j) * times)).max() <= 1e-15
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        series = evolve_mean(model, y0, times)
+        assert series.fallbacks == 1
+        reference = expm_mean(model.drift, y0, times)
+        assert np.abs(series.means - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert evolve_covariance(model, gamma0, times).fallbacks == 2
+
+    @pytest.mark.parametrize("spec", [GAUSS, LOR], ids=["gaussian", "lorentzian"])
+    def test_decoupled_field_past_the_dense_budget(self, spec):
+        # M = 2001 is past the dense budget: the 2001 deflated roots add
+        # nothing, and the cavity root alone gives the closed form
+        model, _ = small_model(spec=spec, m=2001, kappa=3.0, gamma_perp=0.5,
+                               g_ens=0.0, delta_cs=0.7)
+        times = np.linspace(0.0, 5.0, 201)
+        response, fallback = field_kick_response(model, times)
+        assert not fallback
+        assert np.abs(response - np.exp(-(3.0 + 0.7j) * times)).max() <= 1e-15
 
     def test_guards(self):
         model, _ = small_model(spec=GAUSS, m=25, gamma_perp=0.0)
