@@ -311,9 +311,10 @@ def evolve_covariance(
     ``_LYAPUNOV_RTOL`` of the largest noise entry (near threshold
     ``C_inf + (C(t) - C_inf)`` cancels too many digits), each output
     interval is one exact step ``C <- Phi C Phi^H + Q`` of the Van Loan
-    pair (:func:`_van_loan_pair`, one for a uniform grid), counted in
-    ``fallbacks``.  A track past the float range raises
-    :class:`NumericalError` naming the path and the time (:func:`_finite`).
+    pair (:func:`_van_loan_pair`, one for a uniform grid) of the balanced
+    arrowhead (:func:`_balanced`), counted in ``fallbacks``.  A track past
+    the float range raises :class:`NumericalError` naming the path and the
+    time (:func:`_finite`).
 
     ``reductions`` holds the track under the ``_TRACK_KEYS``, its first
     row that of ``gamma0``; the steady ``var_S_x_inf`` and
@@ -359,7 +360,7 @@ def evolve_covariance(
         track, covs = _spectral_covariance(model, times, steady, amp0, store_full)
     else:
         _check_dense(model)
-        track, covs = _van_loan_covariance(model, np.diag(amp0 + 0j), times, store_full)
+        track, covs = _van_loan_covariance(model, amp0, times, store_full)
     track[0] = _track(_sums(amp0))
     path = "the residues" if spectral else "the dense fallback (Van Loan steps)"
     _finite(track, f"covariance propagation by {path}", times)
@@ -375,9 +376,13 @@ def evolve_covariance(
                         fallbacks=int(not spectral) + dense)
 
 
-def _van_loan_covariance(model, amp, times, store_full) -> tuple:
-    """Track and optional matrices by Van Loan steps from ``C_0``."""
-    arrowhead, noise = model.arrowhead, _noise(model)
+def _van_loan_covariance(model, amp0, times, store_full) -> tuple:
+    """Track and optional matrices by Van Loan steps from the diagonal
+    ``amp0`` of ``C_0``, on the balanced ``H``, ``D`` and ``C``
+    (:func:`_balanced`), each step unscaled before its sums."""
+    scale, arrowhead = _balanced(model)
+    noise = scale * _noise(model) * scale
+    amp = np.diag(scale * amp0 * scale + 0j)
     sums = np.zeros((times.size, 3))
     covs = np.empty((times.size, model.dim, model.dim)) if store_full else None
     with np.errstate(over="ignore", invalid="ignore"):  # left to _finite
@@ -387,9 +392,10 @@ def _van_loan_covariance(model, amp, times, store_full) -> tuple:
                 phi, q = pairs[k - 1]
                 amp = phi @ amp @ phi.conj().T + q
                 amp = (amp + amp.conj().T) / 2.0
-            sums[k] = _sums(amp)
+            unscaled = amp / scale / scale[:, None]
+            sums[k] = _sums(unscaled)
             if store_full:
-                covs[k] = _from_amplitudes(amp)
+                covs[k] = _from_amplitudes(unscaled)
     return _track(sums), covs
 
 
@@ -636,16 +642,15 @@ def _moments(deltas: np.ndarray, weights: np.ndarray) -> tuple:
     return table, unit, reach
 
 
-def _dressing(deltas: np.ndarray, weights: np.ndarray, table, unit) -> tuple:
+def _dressing(spread: np.ndarray, padded: np.ndarray, table, unit) -> tuple:
     """``T_m = sum_{j != m} w_j / (Delta_j - Delta_m)`` and its slope
     ``U_m = sum_{j != m} w_j / (Delta_j - Delta_m)^2``: orders 0 and 1 of
     the far moments (:func:`_moments`) and the ``_NEAR`` neighbours on
     each side, each pair at one distance summed first (under the caller's
-    ``errstate``)."""
-    n, near = deltas.size, _NEAR
-    pad, none = np.full(near, np.inf), np.zeros(near)
-    spread = np.concatenate([-pad, deltas, pad])
-    padded = np.concatenate([none, weights, none])
+    ``errstate``), from the line's padded deltas and weights
+    (:func:`_line`)."""
+    n, near = unit.size, _NEAR
+    deltas = spread[near:near + n]
     # row o - 1 holds the neighbours at distance o
     up = near + np.arange(1, near + 1)[:, None] + np.arange(n)
     down = up - 2 * np.arange(1, near + 1)[:, None]
@@ -880,11 +885,14 @@ def _local_sums(z, shift, pole, line, local, work) -> tuple:
     The ``_NEAR`` poles on each side are summed exactly and the far poles
     by their series ``(-i / unit_m) P(u)``, ``P(u) = sum_k H_k u^k``, ``u
     = i t / unit_m`` (:func:`_moments`), with ``P'`` and ``P''`` by
-    Horner: O(K + q) per row.  ``local`` holds the lines' terms
-    (:func:`_local_terms`); the (rows x neighbours) arrays live in
-    ``work`` (:func:`_work_arrays`).
+    Horner: O(K + q) per row.  ``local`` is ``(poles, spread, padded,
+    table, unit, reach)``: the merged poles, padded deltas, units and
+    reach that the lines share, their padded weights flattened and their
+    moment tables stacked, one row per line and pole (:func:`_line`,
+    :func:`_solve`); the (rows x neighbours) arrays live in ``work``
+    (:func:`_work_arrays`).
     """
-    poles, spread, weighted, table, unit, _ = local
+    poles, spread, padded, table, unit, _ = local
     n, near, span = unit.size, _NEAR, 2 * _NEAR + 1
     count = z.size
     t = z + poles[pole]
@@ -897,7 +905,7 @@ def _local_sums(z, shift, pole, line, local, work) -> tuple:
     gap.imag[:, near] = np.inf  # the pole itself is split off
     inv = np.divide(1.0, gap, out=gap)
     cols += (line * (n + 2 * near))[:, None]  # each line's padded weights in turn
-    nearby = np.take(weighted, cols, mode="clip", out=_view(work, 2, count, span, float))
+    nearby = np.take(padded, cols, mode="clip", out=_view(work, 2, count, span, float))
     own = nearby[:, near].copy()
     terms = np.multiply(nearby, inv, out=_view(work, 1, count, span))
     near_sum = terms.sum(axis=1)
@@ -925,20 +933,6 @@ def _local_sums(z, shift, pole, line, local, work) -> tuple:
     return f, df, ddf, t, own
 
 
-def _local_terms(lines) -> tuple:
-    """What the local rows of a batch read of its ``lines``, which share
-    their merged poles: ``(poles, deltas, weights, table, unit, reach)``,
-    the deltas padded with ``_NEAR`` infinities on each side, each line's
-    weights with ``_NEAR`` zeros and flattened, and the lines' moment
-    tables stacked (:func:`_moments`), one row per line and pole."""
-    first = lines[0]
-    pad, none = np.full(_NEAR, np.inf), np.zeros(_NEAR)
-    return (first.poles, np.concatenate([-pad, first.poles.imag, pad]),
-            np.concatenate([part for line in lines for part in (none, line.weights, none)]),
-            np.concatenate([line.moments for line in lines]),
-            first.unit, first.reach)
-
-
 def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -> list:
     """Roots of ``z + shifts_b - sum_m weights_lm / (z + poles_m)`` from
     ``seeds[b]``, for each model ``b`` of a batch that shares the poles,
@@ -961,8 +955,9 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
     :func:`arrowhead_eigenvalues`).
 
     ``local`` is ``(line_of, pole_of, terms)``: each model's line, each
-    seed's merged pole (-1 for a collective seed) and the lines' terms
-    (:func:`_local_terms`).  A pole-seeded root within its pole's reach
+    seed's merged pole (-1 for a collective seed) and what the lines'
+    local rows read, stacked by :func:`_solve` from their :func:`_line`
+    records.  A pole-seeded root within its pole's reach
     (:func:`_moments`) takes Newton rows on the pole's local function
     (:func:`_local_sums`); a root whose step is not finite or leaves the
     reach takes Aberth rows (:func:`_split_sums`) from then on, as every
@@ -1187,20 +1182,6 @@ def arrowhead_eigenvalues(model: DriftModel) -> np.ndarray:
     return arrowhead_spectra([model])[0]
 
 
-class _Job(NamedTuple):
-    """One model's secular iteration: the arguments of :func:`_aberth_roots`,
-    its line and each seed's merged pole (-1 for a collective seed)."""
-
-    shift: complex
-    poles: np.ndarray
-    weights: np.ndarray
-    seeds: np.ndarray
-    line: "_Line"
-    pole_of: np.ndarray
-    pairs: int = 0
-    root_pairs: int = 0
-
-
 class _Line(NamedTuple):
     """The part of a secular iteration that a line's models share: :func:`_line`."""
 
@@ -1208,6 +1189,8 @@ class _Line(NamedTuple):
     weights: np.ndarray
     deflated: np.ndarray
     mirrored: bool
+    spread: np.ndarray
+    padded: np.ndarray
     dressing: tuple
     moments: np.ndarray
     unit: np.ndarray
@@ -1218,10 +1201,12 @@ def _line(poles: np.ndarray, weights: np.ndarray, real_shift: bool) -> _Line:
     """The coupled poles merged, with their summed weights, the deflated
     poles (see :func:`arrowhead_eigenvalues`), whether the line is
     mirrored (a ``real_shift`` and :func:`_mirrored` merged poles), the
-    far-pole moments of the merged poles with their units and reach
-    (:func:`_moments`) and the dressing sums of their seeds
-    (:func:`_dressing`): everything a model's secular iteration needs but
-    its cavity shift.
+    merged deltas padded with ``_NEAR`` infinities on each side and their
+    weights with ``_NEAR`` zeros, the far-pole moments of the merged poles
+    with their units and reach (:func:`_moments`) and the dressing sums of
+    their seeds (:func:`_dressing`): everything a model's secular iteration
+    needs but its cavity shift, and all that a batch of :func:`_solve`
+    reads of its lines.
 
     A mirrored line's iteration seeds only the centre pole and the upper
     half (:func:`_job`), so it keeps only their dressing, the centre's at
@@ -1234,48 +1219,57 @@ def _line(poles: np.ndarray, weights: np.ndarray, real_shift: bool) -> _Line:
     np.add.at(merged_weights, index, weights[coupled])
     deflated = np.concatenate([poles[~coupled], np.delete(poles[coupled], first)])
     mirrored = real_shift and _mirrored(merged, merged_weights)
+    pad, none = np.full(_NEAR, np.inf), np.zeros(_NEAR)
+    spread = np.concatenate([-pad, merged.imag, pad])
+    padded = np.concatenate([none, merged_weights, none])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         table, unit, reach = _moments(merged.imag, merged_weights)
-        sums, slopes = _dressing(merged.imag, merged_weights, table, unit)
+        sums, slopes = _dressing(spread, padded, table, unit)
     if mirrored:
         sums, slopes = sums[merged.size // 2:], slopes[merged.size // 2:]
         sums[0] = slopes[0] = 0.0
-    return _Line(merged, merged_weights, deflated, mirrored, (sums, slopes), table,
-                 unit, reach)
+    return _Line(merged, merged_weights, deflated, mirrored, spread, padded,
+                 (sums, slopes), table, unit, reach)
 
 
-def _job(shift: complex, line: _Line, layout: int = 0) -> _Job:
-    """The secular iteration of a model with cavity shift ``shift`` on ``line``.
+def _job(shift: complex, line: _Line, layout: int = 0) -> tuple:
+    """``(seeds, root_pairs)`` of the secular iteration of a model with
+    cavity shift ``shift`` on ``line``: the arguments of
+    :func:`_aberth_roots` that its line does not hold.
 
-    A mirrored line folds, with the ``layout``-th of the two layouts of
-    its collective pair, the likelier first (:func:`_collective_seeds`).
+    An unmirrored line seeds the cavity root, then every pole
+    (:func:`_seeds`).  A mirrored line folds onto its centre pole and upper
+    half, with the ``layout``-th of the two layouts of its collective pair,
+    the likelier first (:func:`_collective_seeds`), then one seed of each
+    pole pair; the last ``root_pairs`` seeds stand for conjugate pairs.
     """
-    size = line.poles.size
     if not line.mirrored:
-        seeds = _seeds(shift, line.poles, line.weights, line.dressing)
-        return _Job(shift, line.poles, line.weights, seeds, line, np.arange(-1, size))
+        return _seeds(shift, line.poles, line.weights, line.dressing), 0
     # np.unique sorts the poles, which share one real part, by Delta
-    half = size // 2
+    half = line.poles.size // 2
     upper, upper_weights = line.poles[half:], line.weights[half:]
     seeds = _seeds(shift, upper, upper_weights, line.dressing)
     collective = _collective_seeds(shift.real, upper, upper_weights, seeds[1])[layout]
     paired = seeds[2:]
     if collective.size == 1:  # a conjugate pair
         collective, paired = seeds[:0], np.concatenate([collective, paired])
-    seeds = np.concatenate([collective, paired])
-    pole_of = np.concatenate([np.full(seeds.size + half + 1 - size, -1),
-                              np.arange(half + 1, size)])
-    return _Job(shift, upper, upper_weights, seeds, line, pole_of, half, paired.size)
+    return np.concatenate([collective, paired]), paired.size
 
 
 def _solve(models, layout: int = 0) -> list:
     """``[deflated poles, mirrored, root pairs, roots and residues or the
     error]`` of each model's secular iteration (:func:`_job`), in one batch
     of :func:`_aberth_roots` per group of models with bit-equal merged
-    poles and one layout.  Models whose poles and weights agree to the
-    bit, and whose cavity shifts are all real or all not, share one
+    poles, one fold and one layout.  Models whose poles and weights agree
+    to the bit, and whose cavity shifts are all real or all not, share one
     :func:`_line` within the call, as the points of a sweep at one
-    ``g_ens`` do; nothing of it outlives the call."""
+    ``g_ens`` do; nothing of it outlives the call.
+
+    A batch reads its first line's poles, folded to the upper half of a
+    mirrored line with ``pairs`` of them, and each seed's merged pole (-1
+    for a collective seed) from that line and the seed count; each of its
+    lines adds its folded weights, padded weights and moment tables, one
+    row per line."""
     out, groups, lines = [], {}, {}
     for model in models:
         poles, weights = _secular_terms(model)
@@ -1283,31 +1277,37 @@ def _solve(models, layout: int = 0) -> list:
         key = (poles.tobytes(), weights.tobytes(), shift.imag == 0.0)
         if key not in lines:
             lines[key] = _line(poles, weights, key[2])
-        job = _job(shift, lines[key], layout)
-        groups.setdefault((job.poles.tobytes(), job.pairs, job.root_pairs),
-                          []).append((len(out), job))
-        out.append([job.line.deflated, job.line.mirrored, job.root_pairs, None])
-    lines = job = None  # each line lives on in its jobs alone
+        line = lines[key]
+        seeds, root_pairs = _job(shift, line, layout)
+        groups.setdefault((line.poles.tobytes(), line.mirrored, root_pairs),
+                          []).append((len(out), shift, seeds, line))
+        out.append([line.deflated, line.mirrored, root_pairs, None])
+    lines = line = seeds = None  # each line lives on in its group alone
     while groups:
-        # the stacked rows replace the jobs before the batch iterates
-        index, jobs = zip(*groups.popitem()[1])
-        first = jobs[0]
-        shifts = np.array([job.shift for job in jobs])
-        seeds = np.array([job.seeds for job in jobs])
-        batch = {id(job.line): job for job in jobs}  # a job on each line
-        order = {key: k for k, key in enumerate(batch)}
-        weights = np.array([job.weights for job in batch.values()])
-        line_of = np.array([order[id(job.line)] for job in jobs])
-        poles, pairs, root_pairs = first.poles, first.pairs, first.root_pairs
-        pole_of = first.pole_of
-        del jobs, first
-        # the lines' moments live on in the stacked terms alone, which the
-        # iteration lets go before it copies the roots out
-        found = _aberth_roots(
-            shifts, poles, weights, seeds,
-            (line_of, pole_of, _local_terms([batch.pop(key).line for key in list(batch)])),
-            pairs=pairs, root_pairs=root_pairs,
-        )
+        (_, mirrored, root_pairs), group = groups.popitem()
+        index, shifts, seeds, batch = zip(*group)
+        # the stacked rows replace the models' own before the batch iterates
+        shifts, seeds, group = np.array(shifts), np.array(seeds), None
+        _, first, line_of = np.unique([id(line) for line in batch], return_index=True,
+                                      return_inverse=True)
+        batch = [batch[k] for k in first]  # each line once
+        line = batch[0]
+        size = line.poles.size
+        half = size // 2 if mirrored else 0
+        seeded = half if mirrored else size  # roots seeded at poles, the last ones
+        pole_of = np.concatenate([np.full(seeds.shape[1] - seeded, -1),
+                                  np.arange(size - seeded, size)])
+        weights = np.array([line.weights[half:] for line in batch])
+        # popped into the call, the stacked terms are the iteration's
+        # alone, so it lets the lines' padded weights and moments go
+        # before it copies the roots out
+        local = [(line_of, pole_of, (
+            line.poles, line.spread, np.concatenate([line.padded for line in batch]),
+            np.concatenate([line.moments for line in batch]), line.unit, line.reach))]
+        poles = line.poles[half:]
+        batch = line = None
+        found = _aberth_roots(shifts, poles, weights, seeds, local.pop(),
+                              pairs=half, root_pairs=root_pairs)
         for i, result in zip(index, found):
             out[i][3] = result
     return out
@@ -1449,6 +1449,20 @@ def _balance(model: DriftModel) -> np.ndarray:
     (``1`` to ``N``) to order one."""
     spins = model.grid.spins
     return np.concatenate(([1.0], 1.0 / np.sqrt(np.where(spins > 0.0, spins, 1.0))))
+
+
+def _balanced(model: DriftModel) -> tuple:
+    """``(scale, S H S^-1)``: the scales ``S`` of :func:`_balance` and the
+    arrowhead balanced by them, in which the dense paths step and solve.
+
+    Unscaled, the couplings span ``sqrt(N)`` to ``1 / sqrt(N)``: at N =
+    1e11 Bartels-Stewart returns a negative field variance that passes
+    the residual, and at N = 1e-307 Van Loan steps subnormal spin entries.
+    A balanced ``X`` is ``scale * X * scale`` (diagonal) or
+    ``scale[:, None] * X * scale``, one scale after the other, as at N_m =
+    1e-300 their product overflows, and is unscaled likewise."""
+    scale = _balance(model)
+    return scale, scale[:, None] * model.arrowhead / scale
 
 
 class _Steady(NamedTuple):
@@ -1660,11 +1674,12 @@ def _spectral_covariance(model, times, steady, amp0, store_full) -> tuple:
         for rows in _row_blocks(lam.size, lam.size):
             part = diff(rows)
             count = part.shape[0]
-            product = back @ np.concatenate([part, part * rho.conj()]).T
             x = growth[:, rows]
-            forms[block, 0] += (x * product[:, :count]).sum(axis=1)
-            forms[block, 1] += (x * rho[rows] * product[:, count:]).sum(axis=1)
-            forms[block, 2] += (x * product[:, count:]).sum(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):  # left to _finite
+                product = back @ np.concatenate([part, part * rho.conj()]).T
+                forms[block, 0] += (x * product[:, :count]).sum(axis=1)
+                forms[block, 1] += (x * rho[rows] * product[:, count:]).sum(axis=1)
+                forms[block, 2] += (x * product[:, count:]).sum(axis=1)
     covs = None
     if store_full:
         poles, (_, _, col) = _secular_terms(model)[0], model._arrowhead_border()
@@ -1703,12 +1718,7 @@ def _steady_state(model: DriftModel, steady: _Steady | None) -> tuple:
     if steady is not None:
         return steady, False
     _check_dense(model)
-    # solved with the spin amplitudes scaled by 1 / sqrt(N_m): unscaled,
-    # the couplings span sqrt(N) to 1 / sqrt(N), and at N = 1e11 the
-    # solver returns a negative field variance that passes the residual;
-    # one scale after the other, as at N_m = 1e-300 their product overflows
-    scale = _balance(model)
-    balanced = scale[:, None] * model.arrowhead / scale
+    scale, balanced = _balanced(model)
 
     def solve(source):
         """``C`` with ``H C + C H^H + source = 0``."""

@@ -68,7 +68,7 @@ class SystemParams:
         for name in ("kappa", "kappa1", "kappa2", "gamma_perp", "g_ens"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
-                raise PreconditionError(f"{name} must be finite and >= 0")
+                raise PreconditionError(f"{name} must be finite and >= 0, got {value!r}")
         if not math.isfinite(self.delta_cs):
             raise PreconditionError("delta_cs must be finite")
         if self.kappa <= 0.0:

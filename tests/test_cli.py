@@ -371,6 +371,16 @@ class TestDecay:
                        "e^(lambda t) overflows the float range past t = 7.09783e-08",
                        id=f"moments-g-1e10-n-spins-{n}")
           for n in ("1e-290", "1e6")),
+        # C = 1e4: the covariance forms overflow, at any spin count
+        *(pytest.param(TINY_SPINS[:-1] + ["--g-ens", "100", "--n-spins", n], 3,
+                       "covariance propagation by the residues overflows the float "
+                       "range by t = 3.75", id=f"moments-g-100-n-spins-{n}")
+          for n in ("1e-300", "1e6")),
+        # the kappa grid's negative end is named
+        pytest.param(["stability-sweep", "--family", "gaussian", "--normalize-gamma",
+                      "--kappa-min", "-1e308", "--kappa-max", "1e308"], 2,
+                     "kappa must be finite and >= 0, got -1e+308",
+                     id="sweep-kappa-min-minus-1e308"),
     ])
     def test_extreme_rates_exit_silently(self, argv, code, phrase):
         # the library prints no RuntimeWarning: with warnings as errors
@@ -756,18 +766,29 @@ class TestMoments:
         assert all(row[5] == "" for row in rows)
         assert trailing == {}
 
-    def test_tiny_spin_counts_match_a_large_one(self, tmp_path):
+    @pytest.mark.parametrize("coupling, n_spins", [
+        ([], 1e-300),
+        # on the Van Loan fallback, which steps the balanced arrowhead
+        (["--g-ens", "4"], 1e-307),
+        (["--g-ens", "4"], 2.3e-308),
+    ], ids=["1e-300", "van-loan-1e-307", "van-loan-2.3e-308"])
+    def test_tiny_spin_counts_match_a_large_one(self, tmp_path, coupling, n_spins):
         # the columns do not depend on N but for P_c, which scales as
         # sqrt(N); at N = 1e-300 the balance scales of the subnormal tail
         # N_m overflow as products, so each is applied in turn
-        n_spins, tables = 1e-300, {}
+        tables = {}
         for n in (n_spins, 1e6):
             out = tmp_path / f"{n}.csv"
-            assert run_cli(TINY_SPINS + [repr(n), "--out", out]) == 0
+            assert run_cli(TINY_SPINS[:-1] + coupling + ["--n-spins", repr(n),
+                                                         "--out", out]) == 0
             _, columns, rows, _ = read_table(out)
-            tables[n] = np.array(rows, dtype=float)
+            tables[n] = np.array([[float(x or "nan") for x in row] for row in rows])
         got, want = tables[n_spins], tables[1e6]
-        got[:, columns.index("Pc")] /= math.sqrt(n_spins / 1e6)
+        # R is empty on an unstable line, at both spin counts
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        got, want = np.nan_to_num(got), np.nan_to_num(want)
+        # each count on its own: n_spins / 1e6 is subnormal below 2.2e-302
+        got[:, columns.index("Pc")] /= math.sqrt(n_spins) / math.sqrt(1e6)
         for name in ("Sx_over_Sx0", "Pc", "VarSx_over_N_minus_1",
                      "twoVarPc_minus_1", "R"):
             k = columns.index(name)

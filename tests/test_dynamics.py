@@ -112,6 +112,22 @@ def aberth_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def aberth_seeds(monkeypatch):
+    """``(seeds, pole_of)`` of each secular iteration run: its stacked
+    seeds before they settle and each seed's merged pole (-1 for a
+    collective seed)."""
+    calls = []
+    run = dynamics._aberth_roots
+
+    def recorded(shifts, poles, weights, seeds, local, **kwargs):
+        calls.append((seeds.copy(), local[1]))
+        return run(shifts, poles, weights, seeds, local, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_aberth_roots", recorded)
+    return calls
+
+
 def real_track(gamma, m):
     """The six ``_TRACK_KEYS`` entries read off a real covariance ``gamma``."""
     ix = 2 + 2 * np.arange(m)
@@ -1191,7 +1207,7 @@ class TestSecularSolver:
         distance = np.abs(np.sort_complex(lam) - np.sort_complex(closed))
         assert distance.max() <= 4 * np.finfo(float).eps * np.abs(closed).max()
 
-    def test_seed_that_rounds_onto_its_pole(self):
+    def test_seed_that_rounds_onto_its_pole(self, aberth_seeds):
         # a far-tail sub-ensemble so weakly coupled that its dressed
         # seed rounds to the pole -d_m itself
         grid = SubEnsembleGrid(
@@ -1204,12 +1220,12 @@ class TestSecularSolver:
         )
         params = SystemParams(kappa=0.5, gamma_perp=1.0, g_ens=1.0)
         model = build_drift_matrix(params, grid, 1)
-        poles, weights = dynamics._secular_terms(model)
-        # the mirrored line seeds its upper pole, the conjugate of the lower
-        job = dynamics._job(0.5 + 0j, dynamics._line(poles, weights, True))
-        assert job.pole_of[-1] == 2 and job.seeds[-1] == -poles[2]
+        poles = dynamics._secular_terms(model)[0]
         lam = arrowhead_eigenvalues(model)
         assert_matches_dense(model, lam)
+        # the mirrored line seeds its upper pole, the conjugate of the lower
+        seeds, pole_of = aberth_seeds[0]
+        assert pole_of[-1] == 2 and seeds[0, -1] == -poles[2]
 
     @pytest.mark.parametrize("lattice", [None, LOR, GAUSS],
                              ids=["direct", "tangent", "uniform"])
@@ -1252,9 +1268,9 @@ class TestSecularSolver:
         line = dynamics._line(poles, weights, True)
         seeds = dynamics._seeds(4.0 + 0j, poles[100:], weights[100:], line.dressing)
         assert seeds[1].imag == 0.0
-        job = dynamics._job(4.0 + 0j, line)
-        assert job.seeds.size - job.root_pairs == 2
-        assert np.all(job.seeds[:2].imag == 0.0)
+        seeds, root_pairs = dynamics._job(4.0 + 0j, line)
+        assert seeds.size - root_pairs == 2
+        assert np.all(seeds[:2].imag == 0.0)
 
     def test_strong_coupling_takes_few_iteration_rows(self, monkeypatch):
         # the dressed seeds settle in under 1.2 rows of secular sums per
@@ -1343,18 +1359,19 @@ class TestSecularSolver:
         bound = 4.0 * np.finfo(float).eps * (size.sum() + size**2 * condition)
         assert np.all(error <= bound)
 
-    def test_second_order_seeds_lie_next_to_their_roots(self):
+    def test_second_order_seeds_lie_next_to_their_roots(self, aberth_seeds):
         # the slope U_m of the other poles' dressing takes the pole seeds
         # of the strongly coupled batch at least 100 times closer to the
         # settled roots than the first-order dressed seeds
         for model in strongly_coupled_batch():
+            aberth_seeds.clear()
             lam = arrowhead_eigenvalues(model)
             poles, weights = dynamics._secular_terms(model)
             # the pole seeds of the mirrored line's iteration, one of each
             # mirrored pair; the centre seed, first-order, is a collective one
-            job = dynamics._job(2.0 + 0j, dynamics._line(poles, weights, True))
-            poled = job.pole_of >= 0
-            assert np.array_equal(job.pole_of[poled], np.arange(101, 201))
+            seeds, pole_of = aberth_seeds[0]
+            poled = pole_of >= 0
+            assert np.array_equal(pole_of[poled], np.arange(101, 201))
             # the first-order seed: the root nearest 0 of t^2 + (c - d_m -
             # S_m) t = w_m, S_m in complex arithmetic
             others = poles[None, :] - poles[:, None]
@@ -1364,7 +1381,7 @@ class TestSecularSolver:
             root = np.where((gap.conjugate() * root).real < 0.0, -root, root)
             first = -poles + 2.0 * weights / (gap + root)
             near = [np.abs(seed[:, None] - lam).min(axis=1)
-                    for seed in (first[101:], job.seeds[poled])]
+                    for seed in (first[101:], seeds[0, poled])]
             assert np.median(near[0]) >= 100.0 * np.median(near[1])
 
     @pytest.mark.parametrize("p", [1, -1])
@@ -1542,9 +1559,10 @@ class TestPoleLocalRows:
         pole = np.arange(201)
         t = 0.9 * line.reach * np.exp(2j * np.pi * rng.uniform(size=201))
         z = t - poles
+        terms = (line.poles, line.spread, line.padded, line.moments, line.unit,
+                 line.reach)
         f, df, ddf, q, v = dynamics._local_sums(
-            z, shift, pole, np.zeros(201, dtype=int), dynamics._local_terms([line]),
-            dynamics._work_arrays(201))
+            z, shift, pole, np.zeros(201, dtype=int), terms, dynamics._work_arrays(201))
         assert np.array_equal(q, z + poles) and np.array_equal(v, weights)
         gaps = z[:, None] + poles.astype(np.clongdouble)
         np.fill_diagonal(gaps, np.inf)
