@@ -7,11 +7,13 @@ cooperativity ``C = g_ens^2 / (kappa Gamma)``.  An inverted ensemble is
 stable against self-oscillation exactly when ``C < 1``.
 
 The kicked-cavity response has a closed form for homogeneous and
-Lorentzian broadening (two-pole interference).  For Gaussian
-broadening the decay rates are roots of a transcendental pole equation
-involving the Faddeeva function, located here by damped Newton
-iteration; near threshold and in the weak-coupling limit the module
-also provides the corresponding asymptotic laws.
+Lorentzian broadening (two-pole interference); every two-pole result
+here is a root pair of ``(lam + a)(lam + b) = c``, taken from one
+cancellation-free formula.  For Gaussian broadening the decay rates are
+roots of a transcendental pole equation in the line resolvent
+(:func:`~spincavity.broadening.line_resolvent`), located here by damped
+Newton iteration; near threshold and in the weak-coupling limit the
+module also provides the corresponding asymptotic laws.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .broadening import BroadeningSpec, characteristic_width, faddeeva
+from .broadening import BroadeningSpec, characteristic_width, line_resolvent
 from .errors import ConvergenceError, DomainError, PreconditionError, UnstableModelError
 from .model import SystemParams
 
@@ -41,9 +43,6 @@ __all__ = [
     "weak_coupling_response",
     "steady_state_moments_hom",
 ]
-
-_SQRT_PI_HALF = math.sqrt(math.pi / 2.0)
-
 
 @contextmanager
 def _in_float_range(**rates):
@@ -67,18 +66,42 @@ class StabilityReport:
     lambda_minus: complex
 
 
-def eigenvalue_pair(kappa: float, Gamma: float, C: float):
-    """Mean-field decay eigenvalues of the two-mode reduction.
+def _root_pair(a, b, c):
+    """Roots ``(near, far)`` of ``(lam + a)(lam + b) = c``, as complex.
 
-    ``lambda_pm = -(kappa+Gamma)/2 * (1 -/+ sqrt(1 + 4(C-1) kappa Gamma
-    / (kappa+Gamma)^2))``; exact for homogeneous and Lorentzian
-    broadening, heuristic for Gaussian.
+    With ``m = (a + b)/2`` and ``d = sqrt(((a - b)/2)^2 + c)``, the far
+    root is ``-(m + d)``, the sign of ``d`` taken to add magnitudes, and
+    the near root is ``(a b - c) / far`` by Vieta's formula, so neither
+    subtracts one root-sized number from another (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 1.8).  Both are
+    formed in units of the power of two ``2^k`` at the largest of
+    ``|a|``, ``|b|`` and ``sqrt|c|``, so no square leaves the float range.
+    For real ``a``, ``b`` the near root is the less damped one.
     """
-    s = kappa + Gamma
-    root = cmath.sqrt(1.0 + 4.0 * (C - 1.0) * kappa * Gamma / (s * s))
-    lam_plus = -s / 2.0 * (1.0 - root)
-    lam_minus = -s / 2.0 * (1.0 + root)
-    return lam_plus, lam_minus
+    unit = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b), math.sqrt(abs(c))))[1])
+    a_unit, b_unit = a * unit, b * unit
+    half_sum, half_diff = (a_unit + b_unit) / 2.0, (a_unit - b_unit) / 2.0
+    d = cmath.sqrt(half_diff * half_diff + c * unit * unit)
+    if half_sum.real * d.real + half_sum.imag * d.imag < 0.0:
+        d = -d
+    far = -(half_sum + d)
+    return (a_unit * b - c * unit) / far, far / unit
+
+
+def eigenvalue_pair(kappa: float, Gamma: float, C: float):
+    """Mean-field decay eigenvalues ``(lambda_+, lambda_-)`` of the
+    two-mode reduction.
+
+    The roots of ``(lam + kappa)(lam + Gamma) = C kappa Gamma``,
+    ``lambda_+`` the less damped; exact for homogeneous and Lorentzian
+    broadening, heuristic for Gaussian.  ``lambda_-`` is the far root of
+    :func:`_root_pair`, and ``lambda_+`` its Vieta partner formed with
+    ``1 - C`` rather than ``kappa Gamma - C kappa Gamma``, so both keep
+    a few ulps of relative accuracy at any ratio ``kappa / Gamma`` and
+    at any distance from threshold.
+    """
+    lam_minus = _root_pair(kappa, Gamma, C * kappa * Gamma)[1]
+    return kappa / lam_minus * Gamma * (1.0 - C), lam_minus
 
 
 def stability_report(params: SystemParams, spec: BroadeningSpec) -> StabilityReport:
@@ -100,54 +123,47 @@ def stability_report(params: SystemParams, spec: BroadeningSpec) -> StabilityRep
     )
 
 
-def lorentzian_kick_response(alpha, kappa, Gamma, g_ens, t):
+def lorentzian_kick_response(alpha, kappa, Gamma, g_ens, t, p=1, delta_cs=0.0):
     """Cavity mean after a kick, Lorentzian (or homogeneous) line.
 
-    Two-pole closed form
-    ``a_c(t) = alpha [ (lam_+ + Gamma) e^{lam_+ t}
-    - (lam_- + Gamma) e^{lam_- t} ] / (lam_+ - lam_-)`` for t >= 0 and
-    0 for t < 0; the degenerate double-pole case falls back to the
-    analytic limit ``alpha (1 + (Gamma + lam) t) e^{lam t}``.
-    Vectorized over ``t``, returns complex; raises :class:`DomainError`
-    where the poles leave the float range.
+    The poles ``lam_1``, ``lam_2`` are the roots of ``(lam + kappa + i
+    delta_cs)(lam + Gamma) = p g_ens^2``, ``lam_1`` the less damped, and
+    the two residues sum to
+    ``a_c(t) = alpha e^{lam_1 t} [1 + (lam_2 + Gamma) t phi_1((lam_2 -
+    lam_1) t)]`` for t >= 0 and 0 for t < 0, where ``phi_1(z) =
+    expm1(z) / z`` and ``phi_1(0) = 1``: a double root takes the same
+    expression.  ``p`` is the inversion sign and ``delta_cs`` the
+    cavity-spin detuning of the model.  Vectorized over ``t``, returns
+    complex; raises :class:`DomainError` where ``g_ens^2`` leaves the
+    float range.
     """
     t = np.asarray(t, dtype=float)
-    with _in_float_range(kappa=kappa, Gamma=Gamma, g_ens=g_ens):
-        C = g_ens**2 / (kappa * Gamma)
-        lam_plus, lam_minus = eigenvalue_pair(kappa, Gamma, C)
+    with _in_float_range(kappa=kappa, Gamma=Gamma, g_ens=g_ens, delta_cs=delta_cs):
+        lam_1, lam_2 = _root_pair(complex(kappa, delta_cs), Gamma, p * g_ens**2)
+    if lam_2.real > lam_1.real:
+        lam_1, lam_2 = lam_2, lam_1
     out = np.zeros(t.shape, dtype=complex)
     fwd = t >= 0.0
     tf = t[fwd]
-    if abs(lam_plus - lam_minus) <= 1e-12 * (kappa + Gamma):
-        lam = (lam_plus + lam_minus) / 2.0
-        out[fwd] = alpha * (1.0 + (Gamma + lam) * tf) * np.exp(lam * tf)
-    else:
-        out[fwd] = (
-            alpha
-            * (
-                (lam_plus + Gamma) * np.exp(lam_plus * tf)
-                - (lam_minus + Gamma) * np.exp(lam_minus * tf)
-            )
-            / (lam_plus - lam_minus)
-        )
+    z = (lam_2 - lam_1) * tf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_1 = np.where(z == 0.0, 1.0, np.expm1(z) / z)
+    out[fwd] = alpha * np.exp(lam_1 * tf) * (1.0 + (lam_2 + Gamma) * tf * phi_1)
     return complex(out) if out.ndim == 0 else out
 
 
-def _pole_function(lam: complex, kappa, gamma_perp, g_ens, sigma_delta):
-    """Pole condition F(lam) and its derivative dF/dlam.
+def _pole_function(lam: complex, params: SystemParams, spec: BroadeningSpec):
+    """Pole condition F(lam) and its derivative dF/dlam on a Gaussian line.
 
-    ``F(lam) = lam + kappa - sqrt(pi/2) (g_ens^2/sigma) w(z)`` with
-    ``z = i (lam + gamma_perp) / (sqrt(2) sigma)``; roots of F are the
-    exponential decay rates of the Gaussian-broadened mean dynamics.
+    ``F(lam) = lam + kappa - g_ens^2 G(lam)`` with ``G`` the line
+    resolvent, whose derivative is ``((lam + gamma_perp) G - 1) /
+    sigma^2``; roots of F are the exponential decay rates of the
+    Gaussian-broadened mean dynamics.
     """
-    z = 1j * (lam + gamma_perp) / (math.sqrt(2.0) * sigma_delta)
-    w = faddeeva(z)
-    prefactor = _SQRT_PI_HALF * g_ens**2 / sigma_delta
-    F = lam + kappa - prefactor * w
-    # dw/dz = -2 z w(z) + 2i/sqrt(pi); dz/dlam = i/(sqrt(2) sigma)
-    dw = -2.0 * z * w + 2.0j / math.sqrt(math.pi)
-    dF = 1.0 - prefactor * dw * 1j / (math.sqrt(2.0) * sigma_delta)
-    return F, dF
+    gp, g2, sigma = params.gamma_perp, params.g_ens**2, spec.width
+    G = line_resolvent(spec, gp, lam)
+    dG = ((lam + gp) * G - 1.0) / sigma / sigma
+    return lam + params.kappa - g2 * G, 1.0 - g2 * dG
 
 
 class PoleRoot(NamedTuple):
@@ -177,15 +193,13 @@ def gaussian_pole(
     lam = complex(seed)
     if not cmath.isfinite(lam):
         raise PreconditionError("seed must be finite")
-    kappa = params.kappa
-    gp = params.gamma_perp
-    g = params.g_ens
-    tol = 1e-10 * kappa
+    spec = BroadeningSpec("gaussian", sigma_delta)
+    tol = 1e-10 * params.kappa
     trace = [lam]
     try:
-        F, dF = _pole_function(lam, kappa, gp, g, sigma_delta)
+        F, dF = _pole_function(lam, params, spec)
     except DomainError as exc:
-        floor = -10.0 * math.sqrt(2.0) * sigma_delta - gp
+        floor = -10.0 * math.sqrt(2.0) * sigma_delta - params.gamma_perp
         raise PreconditionError(
             "seed maps outside the evaluable Faddeeva strip; "
             f"need Re(seed) >= {floor:.6g}"
@@ -204,9 +218,7 @@ def gaussian_pole(
         for _ in range(60):
             candidate = lam + damping * step
             try:
-                F_new, dF_new = _pole_function(
-                    candidate, kappa, gp, g, sigma_delta
-                )
+                F_new, dF_new = _pole_function(candidate, params, spec)
             except DomainError:
                 damping /= 2.0
                 continue
@@ -238,22 +250,16 @@ def pole_seeds(params: SystemParams, sigma_delta: float):
     for ``Re lam + gamma_perp < 0`` the Faddeeva factor grows like
     ``2 exp(|z|^2)``, so it is useless as a seed.)
     ``slow``: the near-threshold expansion of the pole condition, the
-    long-time tail rate.  Raises :class:`DomainError` when a seed
-    overflows, for rates past about 1e154.
+    long-time tail rate.  Raises :class:`DomainError` when the slow seed
+    leaves the float range, for rates past about 1e154; the fast seed is
+    a :func:`_root_pair` root and stays finite.
     """
-    kappa = params.kappa
-    gp = params.gamma_perp
-    g = params.g_ens
-    spec = BroadeningSpec("gaussian", sigma_delta)
-    Gamma = characteristic_width(spec, gp)
-    kappa_c = g * g / Gamma
-    try:  # a float ** raises on overflow, where * and + return inf
-        disc = math.sqrt((kappa - gp) ** 2 + 4.0 * g * g)
-        fast = (-(kappa + gp) + disc) / 2.0
-        slow = threshold_rate_approx(kappa, kappa_c, sigma_delta, g)
-    except OverflowError:
-        fast = slow = math.inf
-    if not (math.isfinite(fast) and math.isfinite(slow)):
+    kappa, gp, g = params.kappa, params.gamma_perp, params.g_ens
+    Gamma = characteristic_width(BroadeningSpec("gaussian", sigma_delta), gp)
+    with _in_float_range(kappa=kappa, gamma_perp=gp, g_ens=g):
+        fast = _root_pair(kappa, gp, g**2)[0].real
+    slow = threshold_rate_approx(kappa, g * g / Gamma, sigma_delta, g)
+    if not math.isfinite(slow):
         raise DomainError(
             f"the pole seeds overflow at kappa={kappa:g}, "
             f"gamma_perp={gp:g}, g_ens={g:g}"

@@ -13,6 +13,8 @@ The module provides
   integrals,
 * :func:`characteristic_width`, the effective linewidth ``Gamma``
   defined by ``1/Gamma = integral f(Delta) dDelta / (gamma_perp + i Delta)``,
+* :func:`line_resolvent`, the same integral with ``z + gamma_perp`` in
+  place of ``gamma_perp``, the line's response at a complex rate ``z``,
 * :func:`density`, the distribution density ``f(Delta)``,
 * :func:`discretize`, which splits the continuous distribution into
   ``M`` sub-ensembles carrying ``(Delta_m, g_m, N_m)``.
@@ -36,6 +38,7 @@ __all__ = [
     "SubEnsembleGrid",
     "faddeeva",
     "characteristic_width",
+    "line_resolvent",
     "density",
     "discretize",
     "solve_width_for_gamma",
@@ -226,14 +229,12 @@ def characteristic_width(spec: BroadeningSpec, gamma_perp: float) -> float:
     if gamma_perp < 0.0 or not math.isfinite(gamma_perp):
         raise PreconditionError("gamma_perp must be finite and >= 0")
     family = spec.family
-    if family is BroadeningFamily.HOMOGENEOUS:
-        if gamma_perp == 0.0:
-            raise PreconditionError(
-                "homogeneous ensemble with gamma_perp = 0 has no linewidth"
-            )
-        return gamma_perp
-    if family is BroadeningFamily.LORENTZIAN:
-        return spec.width / 2.0 + gamma_perp
+    if family is BroadeningFamily.HOMOGENEOUS and gamma_perp == 0.0:
+        raise PreconditionError(
+            "homogeneous ensemble with gamma_perp = 0 has no linewidth"
+        )
+    if family is not BroadeningFamily.GAUSSIAN:
+        return spec.width / 2.0 + gamma_perp  # a homogeneous width is 0
     sigma = spec.width
     if gamma_perp == 0.0:
         return math.sqrt(2.0 / math.pi) * sigma  # w(0) = 1
@@ -246,6 +247,24 @@ def characteristic_width(spec: BroadeningSpec, gamma_perp: float) -> float:
             "characteristic width came out non-real; distribution not symmetric?"
         )
     return gamma
+
+
+def line_resolvent(spec: BroadeningSpec, gamma_perp: float, z):
+    """Line resolvent ``G(z) = integral f(Delta) dDelta / (z + gamma_perp
+    + i Delta)`` at a complex rate ``z`` (a scalar or an array).
+
+    Closed forms: ``1 / (z + width/2 + gamma_perp)`` for the homogeneous
+    (width 0) and Lorentzian lines, and ``sqrt(pi/2) w(u) / sigma`` with
+    ``u = i (z + gamma_perp) / (sqrt(2) sigma)`` for the Gaussian, valid
+    where :func:`faddeeva` is (``Re z + gamma_perp >= -10 sqrt(2)
+    sigma``).  ``G(0)`` is ``1 / Gamma`` of :func:`characteristic_width`,
+    and ``dG/dz = ((z + gamma_perp) G - 1) / sigma^2`` on the Gaussian.
+    """
+    if spec.family is not BroadeningFamily.GAUSSIAN:
+        return 1.0 / (z + (spec.width / 2.0 + gamma_perp))
+    sigma = spec.width
+    u = 1j * (z + gamma_perp) / (math.sqrt(2.0) * sigma)
+    return math.sqrt(math.pi / 2.0) * faddeeva(u) / sigma
 
 
 def solve_width_for_gamma(

@@ -230,9 +230,12 @@ def _decay(o: dict):
     trailer: dict = {}
     if spec.family is not _GAUSSIAN:
         response = lorentzian_kick_response(
-            o["alpha"], params.kappa, Gamma, params.g_ens, times
+            o["alpha"], params.kappa, Gamma, params.g_ens, times, o["p"],
+            params.delta_cs,
         )
         rows[:, 2] = _SQRT2 * response.real
+    elif o["p"] != 1 or params.delta_cs != 0.0:
+        trailer["pole_tail"] = "derived only for p +1 at delta_cs 0"
     else:
         rows[:, 3] = _SQRT2 * weak_coupling_response(
             o["alpha"], params, spec.width, times

@@ -70,9 +70,9 @@ class SystemParams:
             if not math.isfinite(value) or value < 0.0:
                 raise PreconditionError(f"{name} must be finite and >= 0, got {value!r}")
         if not math.isfinite(self.delta_cs):
-            raise PreconditionError("delta_cs must be finite")
+            raise PreconditionError(f"delta_cs must be finite, got {self.delta_cs!r}")
         if self.kappa <= 0.0:
-            raise PreconditionError("kappa must be > 0")
+            raise PreconditionError(f"kappa must be > 0, got {self.kappa!r}")
         if not math.isclose(
             self.kappa, self.kappa1 + self.kappa2, rel_tol=1e-12, abs_tol=0.0
         ):

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .broadening import (
-    BroadeningFamily,
     BroadeningSpec,
     SubEnsembleGrid,
     characteristic_width,
-    faddeeva,
+    line_resolvent,
 )
 from .errors import PreconditionError, UnstableModelError
 from .model import DriftModel, SystemParams
@@ -94,9 +93,9 @@ def _field_per_drive(
     """Steady ``<a_c> / beta`` over an array of probe detunings.
 
     The distribution overlap ``integral f(Delta) dDelta / (gamma_perp +
-    i (Delta - Delta_e))`` is in closed form per family.  The undamped
-    homogeneous ensemble has no linear response at zero detuning; those
-    entries are NaN.
+    i (Delta - Delta_e))`` is the line resolvent at ``-i Delta_e``.  The
+    undamped homogeneous ensemble has no linear response at zero
+    detuning, where that resolvent has its pole; those entries are NaN.
     """
     if params.delta_cs != 0.0:
         raise PreconditionError(
@@ -111,19 +110,11 @@ def _field_per_drive(
                 f"inverted sample beyond threshold (C={C:.6g} >= 1); "
                 "the driven steady state does not exist"
             )
-    singular = False
-    if spec.family is BroadeningFamily.LORENTZIAN:
-        overlap = 1.0 / (spec.width / 2.0 + params.gamma_perp - 1j * delta_e)
-    elif spec.family is BroadeningFamily.GAUSSIAN:
-        sigma = spec.width
-        z = (delta_e + 1j * params.gamma_perp) / (math.sqrt(2.0) * sigma)
-        overlap = math.sqrt(math.pi / 2.0) * faddeeva(z) / sigma
-    else:
-        pole = params.gamma_perp - 1j * delta_e
-        singular = pole == 0.0
-        overlap = 1.0 / np.where(singular, 1.0, pole)
-    denominator = params.kappa - 1j * delta_e - p * params.g_ens**2 * overlap
-    return np.where(singular, np.nan, math.sqrt(2.0 * params.kappa1) / denominator)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        overlap = line_resolvent(spec, params.gamma_perp, -1j * delta_e)
+        denominator = params.kappa - 1j * delta_e - p * params.g_ens**2 * overlap
+        field = math.sqrt(2.0 * params.kappa1) / denominator
+    return np.where(np.isfinite(overlap), field, np.nan)
 
 
 def _coefficients(params: SystemParams, field):

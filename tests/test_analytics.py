@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,28 @@ class TestEigenvaluePair:
         lam_p, _ = eigenvalue_pair(4.0, 1.0, 1.0)
         assert lam_p == 0
 
+    @pytest.mark.parametrize("kappa, Gamma, C", [
+        (1.0, 1.0, 1.0 - 1e-9),
+        (3.0, 0.7, 1.0 - 1e-9),
+        (1e12, 1.0, 0.5),
+        (1.0, 1e12, 0.5),
+        (1e17, 1.0, 0.5),
+        (2.0, 0.5, -20.0),
+    ], ids=["threshold", "threshold-generic", "kappa-over-gamma-1e12",
+            "gamma-over-kappa-1e12", "kappa-over-gamma-1e17", "oscillating"])
+    def test_roots_match_mpmath(self, kappa, Gamma, C):
+        # the exact roots of (lam + kappa)(lam + Gamma) = C kappa Gamma for
+        # these very floats; a cancelling formula loses 1e-7 at threshold,
+        # 2e-5 at kappa/Gamma = 1e12 and the whole slow root at 1e17
+        with mpmath.workprec(200):
+            k, G = mpmath.mpf(kappa), mpmath.mpf(Gamma)
+            d = mpmath.sqrt(((k - G) / 2) ** 2 + mpmath.mpf(C) * k * G)
+            exact = (-(k + G) / 2 + d, -(k + G) / 2 - d)
+            for lam, ref in zip(eigenvalue_pair(kappa, Gamma, C), exact):
+                assert abs(mpmath.mpc(lam) - ref) <= 1e-15 * abs(ref)
+        lam_plus, _ = eigenvalue_pair(kappa, Gamma, C)
+        assert (lam_plus.real < 0.0) == (C < 1.0)
+
 
 class TestStabilityReport:
     def test_derived_quantities(self):
@@ -99,13 +122,37 @@ class TestLorentzianKickResponse:
         assert tail.real == pytest.approx(Gamma / (kappa + Gamma), rel=1e-8)
 
     def test_decoupled_limit_uses_degenerate_branch(self):
-        # kappa = Gamma with g -> 0 collapses both rates; the closed
-        # form must fall back to the analytic limit and stay continuous
+        # kappa = Gamma with g -> 0 collapses both rates into a double
+        # root; with phi_1(0) = 1 the closed form stays exact and continuous
         times = np.linspace(0.0, 3.0, 7)
         exact = lorentzian_kick_response(1.0, 1.0, 1.0, 0.0, times)
         assert_allclose(exact.real, np.exp(-times), rtol=1e-12)
         near = lorentzian_kick_response(1.0, 1.0, 1.0, 1e-13, times)
         assert np.max(np.abs(near - exact)) <= 1e-9
+
+    @pytest.mark.parametrize("p, delta_cs, kappa, g_ens", [
+        (1, 0.0, 8.0, 2.0), (-1, 0.0, 8.0, 2.0), (1, 3.0, 8.0, 2.0),
+        (-1, 3.0, 2.0, 2.0), (1, 0.0, 2.0, 2.0),
+        # the exact double root -2.5 of (lam + 4)(lam + 1) = -2.25
+        (-1, 0.0, 4.0, 1.5),
+    ])
+    def test_matches_two_mode_propagator(self, p, delta_cs, kappa, g_ens):
+        # the homogeneous line is the two-mode system (a, s) with
+        # a' = -(kappa + i delta_cs) a - i g s / sqrt(2) and
+        # s' = i sqrt(2) p g a - Gamma s: its exact propagator
+        from scipy.linalg import expm
+
+        Gamma, alpha = 1.0, 1.3
+        H = np.array([
+            [-(kappa + 1j * delta_cs), -1j * g_ens / math.sqrt(2.0)],
+            [1j * math.sqrt(2.0) * p * g_ens, -Gamma],
+        ])
+        times = np.linspace(0.0, 3.0, 13)
+        exact = np.array([alpha * expm(H * t)[0, 0] for t in times])
+        closed = lorentzian_kick_response(
+            alpha, kappa, Gamma, g_ens, times, p, delta_cs
+        )
+        assert np.max(np.abs(closed - exact)) <= 1e-12 * alpha
 
     def test_matches_fourier_inversion_oracle(self):
         # invert the field resolvent numerically; the bare-cavity part
@@ -222,7 +269,7 @@ class TestGaussianPole:
             assert abs(residual - condition) <= 1e-12 * kappa
             # the very value the pole CSV printed when it evaluated F again
             assert residual == analytics._pole_function(
-                lam, kappa, gamma_perp, g_ens, SIGMA_UNIT
+                lam, params, BroadeningSpec("gaussian", SIGMA_UNIT)
             )[0]
 
 

@@ -23,6 +23,7 @@ from spincavity import (
     density,
     discretize,
     faddeeva,
+    line_resolvent,
     solve_width_for_gamma,
 )
 
@@ -172,6 +173,42 @@ class TestCharacteristicWidth:
         assert characteristic_width(spec, gamma_perp) == pytest.approx(
             1.0 / inverse, rel=1e-9
         )
+
+
+class TestLineResolvent:
+    @pytest.mark.parametrize("family, width", [("lorentzian", 1.6), ("gaussian", 1.0)])
+    def test_matches_defining_integral_off_the_axis(self, family, width):
+        # G(z) = int f(Delta) dDelta / (z + gamma_perp + i Delta) at a rate
+        # with both parts nonzero
+        spec = BroadeningSpec(family, width)
+        gamma_perp, z = 0.3, 0.4 - 0.7j
+
+        def part(take):
+            def integrand(delta):
+                return take(density(spec, delta) / (z + gamma_perp + 1j * delta))
+
+            return quad(integrand, -np.inf, np.inf, limit=400, epsabs=1e-13)[0]
+
+        exact = part(np.real) + 1j * part(np.imag)
+        assert abs(line_resolvent(spec, gamma_perp, z) - exact) <= 1e-9 * abs(exact)
+
+    @pytest.mark.parametrize("family, width", [
+        ("homogeneous", 0.0), ("lorentzian", 1.6), ("gaussian", 1.3),
+    ])
+    def test_origin_is_the_inverse_width(self, family, width):
+        spec = BroadeningSpec(family, width)
+        Gamma = characteristic_width(spec, 0.4)
+        assert abs(line_resolvent(spec, 0.4, 0.0) * Gamma - 1.0) <= 1e-14
+
+    def test_gaussian_derivative(self):
+        # dG/dz = ((z + gamma_perp) G - 1) / sigma^2, which the pole search
+        # takes for its F'
+        spec, gamma_perp, z, h = BroadeningSpec("gaussian", 1.3), 0.4, 0.2 + 0.9j, 1e-5
+        G = line_resolvent(spec, gamma_perp, z)
+        slope = ((z + gamma_perp) * G - 1.0) / 1.3**2
+        central = (line_resolvent(spec, gamma_perp, z + h)
+                   - line_resolvent(spec, gamma_perp, z - h)) / (2.0 * h)
+        assert abs(central - slope) <= 1e-8 * abs(slope)
 
 
 class TestSolveWidth:

@@ -271,11 +271,15 @@ class TestDecay:
         assert all(row[4] == "" for row in rows)
         assert all(row[1] != "" and row[3] != "" for row in rows)
 
-    @pytest.mark.parametrize("p", ["1", "-1"])
-    def test_refused_pole_seed_leaves_the_tail_empty(self, tmp_path, p):
-        # the slow seed of this weakly coupled line maps outside the
-        # evaluable Faddeeva strip, so gaussian_pole refuses it; the
-        # kicked field and the weak-coupling law still print
+    @pytest.mark.parametrize("p, reason", [
+        ("1", "seed outside the Faddeeva strip"),
+        # the Gaussian laws are those of p = +1: neither prints at p = -1
+        ("-1", "derived only for p +1 at delta_cs 0"),
+    ], ids=["1", "-1"])
+    def test_refused_pole_seed_leaves_the_tail_empty(self, tmp_path, p, reason):
+        # at p = +1 the slow seed of this weakly coupled line maps outside
+        # the evaluable Faddeeva strip, so gaussian_pole refuses it; the
+        # kicked field still prints, and the weak-coupling law at p = +1
         out = tmp_path / "decay.csv"
         assert run_cli([
             "decay", "--family", "gaussian", "--normalize-gamma",
@@ -283,9 +287,41 @@ class TestDecay:
             "--g-ens", "0.0499", "--m", "21", "--out", out,
         ]) == 0
         _, _, rows, trailing = read_table(out)
-        assert trailing == {"pole_tail": "seed outside the Faddeeva strip"}
+        assert trailing == {"pole_tail": reason}
         assert all(row[4] == "" for row in rows)
-        assert all(row[1] != "" and row[3] != "" for row in rows)
+        assert all(row[1] != "" and (row[3] != "") == (p == "1") for row in rows)
+
+    @pytest.mark.parametrize("delta_cs", ["0", "3"])
+    @pytest.mark.parametrize("p", ["1", "-1"])
+    @pytest.mark.parametrize("family", ["lorentzian", "homogeneous"])
+    def test_closed_form_follows_p_and_delta_cs(self, tmp_path, family, p, delta_cs):
+        # the two-pole law of the model's own p and delta_cs, within
+        # acceptance test 1's bound; the homogeneous line is exact
+        line = {"lorentzian": ["--width", "2", "--gamma-perp", "0", "--m", "401"],
+                "homogeneous": ["--gamma-perp", "1"]}[family]
+        out = tmp_path / "decay.csv"
+        assert run_cli([
+            "decay", "--family", family, *line, "--p", p, "--delta-cs", delta_cs,
+            "--kappa", "2", "--g-ens", "2", "--t-max", "5", "--t-samples", "11",
+            "--out", out,
+        ]) == 0
+        _, _, rows, _ = read_table(out)
+        sim = np.array([cell(row[1]) for row in rows])
+        ref = np.array([cell(row[2]) for row in rows])
+        assert np.max(np.abs(sim - ref)) <= 1e-3 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("p, delta_cs", [("-1", "0"), ("1", "3"), ("-1", "3")])
+    def test_gaussian_laws_only_at_p_plus_one_and_resonance(self, tmp_path, p,
+                                                            delta_cs):
+        out = tmp_path / "decay.csv"
+        assert run_cli([
+            "decay", "--family", "gaussian", "--normalize-gamma", "--gamma-perp", "0",
+            "--p", p, "--delta-cs", delta_cs, "--kappa", "8", "--g-ens", "0.5",
+            "--m", "601", "--t-max", "2", "--t-samples", "9", "--out", out,
+        ]) == 0
+        _, _, rows, trailing = read_table(out)
+        assert trailing == {"pole_tail": "derived only for p +1 at delta_cs 0"}
+        assert all(row[1] != "" and row[2:] == ["", "", ""] for row in rows)
 
     @pytest.mark.parametrize("argv, code, phrase", [
         # past kappa ~ 1.3e154 the secular sums leave the float range in
@@ -376,6 +412,18 @@ class TestDecay:
                        "covariance propagation by the residues overflows the float "
                        "range by t = 3.75", id=f"moments-g-100-n-spins-{n}")
           for n in ("1e-300", "1e6")),
+        # kappa Gamma of this Lorentzian line overflows: the root pair
+        # keeps the closed form finite, and 0 past t = 0 as the field is
+        pytest.param(["decay", "--family", "lorentzian", "--width",
+                      "3.8624931408996426e+114", "--gamma-perp",
+                      "1.145970309329477e-62", "--kappa", "3.531104484411246e+241",
+                      "--g-ens", "8.396097646800582e-169", "--t-max",
+                      "0.003610962138429278", "--t-samples", "5", "--m", "21"], 0,
+                     "0.0036109621384292781,0,0,,", id="decay-kappa-gamma-overflow"),
+        # a kappa grid through 0 names the rejected point
+        pytest.param(["stability-sweep", "--family", "gaussian", "--normalize-gamma",
+                      "--kappa-min", "0", "--kappa-max", "10"], 2,
+                     "kappa must be > 0, got 0.0", id="sweep-kappa-min-0"),
         # the kappa grid's negative end is named
         pytest.param(["stability-sweep", "--family", "gaussian", "--normalize-gamma",
                       "--kappa-min", "-1e308", "--kappa-max", "1e308"], 2,
@@ -400,7 +448,7 @@ class TestDecay:
                                             else "numerical failure: ")
             assert result.stderr.count("\n") == 1
             assert phrase in result.stderr
-        elif argv[0] == "decay":
+        elif argv[0] == "decay" and "gaussian" in argv:
             assert result.stdout.endswith("# pole_tail=unconverged\n")
         else:
             assert phrase in result.stdout.splitlines()

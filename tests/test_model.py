@@ -35,7 +35,7 @@ def hom_model(kappa, gamma_perp, g_ens, N=1e6, p=1, delta_cs=0.0):
     "build, message",
     [
         (lambda: SystemParams(kappa=1.0, gamma_perp=0.0, g_ens=1.0,
-                              delta_cs=np.nan), "delta_cs must be finite"),
+                              delta_cs=np.nan), "delta_cs must be finite, got nan"),
         (lambda: build_drift_matrix(
             SystemParams(kappa=1.0, gamma_perp=0.0, g_ens=1.0),
             replace(discretize(HOM, 1, 1.0, 1e6), deltas=[], couplings=[], spins=[]),
