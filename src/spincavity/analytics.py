@@ -184,8 +184,10 @@ def gaussian_pole(
     Damped Newton iteration on the transcendental pole condition,
     converged when ``|F(lam)| <= 1e-10 kappa``.  Returns the root
     nearest the seed and ``F`` there; raises :class:`ConvergenceError`
-    with the iterate trace if the budget is exhausted.  Use
-    :func:`pole_seeds` for the standard fast/slow starting points.
+    with the iterate trace if the budget is exhausted, and
+    :class:`DomainError` naming ``g_ens`` where its square leaves the
+    float range.  Use :func:`pole_seeds` for the standard fast/slow
+    starting points.
     """
     sigma_delta = float(sigma_delta)
     if not 0.0 < sigma_delta < math.inf:
@@ -196,6 +198,10 @@ def gaussian_pole(
     spec = BroadeningSpec("gaussian", sigma_delta)
     tol = 1e-10 * params.kappa
     trace = [lam]
+    # every F squares g_ens: checked once here, its overflow names g_ens,
+    # where the except below would blame the seed
+    with _in_float_range(g_ens=params.g_ens):
+        params.g_ens**2
     try:
         F, dF = _pole_function(lam, params, spec)
     except DomainError as exc:

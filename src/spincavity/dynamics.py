@@ -30,14 +30,16 @@ the moments: exact steps ``z <- e^{H h} z``, Van Loan's block
 exponential (IEEE Trans. Autom. Control 23, 395 (1978)) for ``C <- Phi
 C Phi^H + Q``, and Bartels-Stewart for the steady state, checked the
 same way.  They import scipy where they run, so the package imports
-with numpy alone, and each first checks the model against
-``_DENSE_BYTE_BUDGET`` (:func:`_check_dense`); steps past the float
-range raise :class:`NumericalError` (:func:`_finite`).
+with numpy alone, and all three step and solve on the arrowhead balanced
+by ``1 / sqrt(N_m)`` (:func:`_balanced`), which first checks the model
+against ``_DENSE_BYTE_BUDGET`` (:func:`_check_dense`); steps past the
+float range raise :class:`NumericalError` (:func:`_finite`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 import weakref
@@ -129,12 +131,14 @@ def _uniform(times: np.ndarray) -> bool:
     return np.array_equal(times, np.linspace(0.0, times[-1], times.size))
 
 
-def _interval_maps(times: np.ndarray, step) -> list:
-    """``step(h)`` for each output interval ``h``; a uniform grid takes one call."""
+def _interval_maps(times: np.ndarray, step):
+    """``step(h)`` for each output interval ``h`` in turn, each formed when it
+    is asked for, so a grid holds one map at a time; a uniform grid takes one
+    call."""
     steps = np.diff(times)
     if _uniform(times):
-        return [step(steps[0])] * steps.size
-    return [step(h) for h in steps]
+        return itertools.repeat(step(steps[0]), steps.size)
+    return map(step, steps)
 
 
 def check_revival_window(
@@ -189,9 +193,12 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     residues fail their gate (:func:`_spectra`) or a weight is not
     finite (a root on its pole: a deflated pole's, whose residue 0 meets
     an infinite Cauchy entry, or one that rounds onto it, as at very weak
-    coupling), each output interval ``h`` is one step ``z <- e^{H
-    h} z`` (:func:`scipy.linalg.expm` within :func:`_check_dense`, one
-    for a uniform grid).  A mean past the float range raises
+    coupling), each output interval ``h`` is one step ``z~ <- e^{h S H
+    S^-1} z~`` of the amplitudes ``z~ = S z`` balanced as the Van Loan and
+    Bartels-Stewart paths balance them (:func:`_balanced`), so the means
+    depend on N only by their scale; :func:`scipy.linalg.expm` forms each
+    interval's map when its step is taken, one for a uniform grid
+    (:func:`_interval_maps`).  A mean past the float range raises
     :class:`NumericalError` naming the path and the time
     (:func:`_finite`), and so does an ``e^{lambda t}`` past it
     (:func:`_growth_blocks`).
@@ -225,14 +232,15 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     else:
         from scipy.linalg import expm
 
-        _check_dense(model)
-        arrowhead = model.arrowhead
+        scale, balanced = _balanced(model)
+        z = scale * z
         # steps past the float range are left to _finite, unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            phis = _interval_maps(times, lambda h: expm(h * arrowhead))
+            phis = _interval_maps(times, lambda h: expm(h * balanced))
             for k, phi in enumerate(phis, start=1):
                 z = phi @ z
                 ys[k, 0::2], ys[k, 1::2] = z.real, signs * z.imag
+            ys[1:] /= np.repeat(scale, 2)
     ys[0] = y0
     path = "the eigenvectors" if spectral else "the dense fallback (e^{H h} steps)"
     _finite(ys, f"mean propagation by {path}", times)
@@ -359,7 +367,6 @@ def evolve_covariance(
     if spectral:
         track, covs = _spectral_covariance(model, times, steady, amp0, store_full)
     else:
-        _check_dense(model)
         track, covs = _van_loan_covariance(model, amp0, times, store_full)
     track[0] = _track(_sums(amp0))
     path = "the residues" if spectral else "the dense fallback (Van Loan steps)"
@@ -379,7 +386,8 @@ def evolve_covariance(
 def _van_loan_covariance(model, amp0, times, store_full) -> tuple:
     """Track and optional matrices by Van Loan steps from the diagonal
     ``amp0`` of ``C_0``, on the balanced ``H``, ``D`` and ``C``
-    (:func:`_balanced`), each step unscaled before its sums."""
+    (:func:`_balanced`), one pair at a time (:func:`_interval_maps`), each
+    step unscaled before its sums."""
     scale, arrowhead = _balanced(model)
     noise = scale * _noise(model) * scale
     amp = np.diag(scale * amp0 * scale + 0j)
@@ -389,7 +397,7 @@ def _van_loan_covariance(model, amp0, times, store_full) -> tuple:
         pairs = _interval_maps(times, lambda h: _van_loan_pair(arrowhead, noise, h))
         for k in range(times.size):
             if k > 0:
-                phi, q = pairs[k - 1]
+                phi, q = next(pairs)
                 amp = phi @ amp @ phi.conj().T + q
                 amp = (amp + amp.conj().T) / 2.0
             unscaled = amp / scale / scale[:, None]
@@ -399,10 +407,9 @@ def _van_loan_covariance(model, amp0, times, store_full) -> tuple:
     return _track(sums), covs
 
 
-def _row_blocks(rows: int, cols: int, chunk: int | None = None):
-    """Row slices of a complex (rows x cols) array, each <= ``chunk`` bytes
-    (``_CHUNK_BYTES`` by default)."""
-    step = max(1, (chunk or _CHUNK_BYTES) // (16 * max(cols, 1)))
+def _row_blocks(rows: int, cols: int):
+    """Row slices of a complex (rows x cols) array, each <= ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // (16 * max(cols, 1)))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
 
@@ -428,38 +435,38 @@ def _pole_sums(rows, cols, values, square=False) -> np.ndarray:
 
 
 def _growth_blocks(times: np.ndarray, lam: np.ndarray, chunk: int | None = None):
-    """Row blocks of the (T x K) ``e^{lambda_k t_j}``, each <= ``chunk`` bytes.
+    """Row blocks of the (T x K) ``e^{lambda_k t_j}``, each <= ``chunk`` bytes
+    (``_CHUNK_BYTES`` by default).
 
     Each block is a view of one reused work array.  On a uniform grid
     (:func:`_uniform`) row ``j = a B + b`` is ``e^{lambda t_aB} e^{lambda
-    t_b}``, ``B = ceil(sqrt(T))`` capped at a block: about ``2 sqrt(T) K``
-    exponentials, where other grids take ``T K``; an entry moves by a few
-    ulps times ``1 + |lambda t_j|``.  A block with an entry past the
+    t_b}``, ``B = ceil(sqrt(T))`` capped at a block; a grid that spans
+    several blocks is cut at coarse rows ``a``, and each block is filled
+    as one product of the ``B`` fine rows and its coarse rows: about ``2
+    sqrt(T) K`` exponentials, where other grids take ``T K``; an entry
+    moves by a few ulps times ``1 + |lambda t_j|``.  A block with an entry past the
     float range raises :class:`NumericalError` naming the overflow: the
     growth ``e^{Re lambda t}`` or, first on a decaying spectrum, the
     phase ``Im lambda t``.
     """
     uniform = _uniform(times)
-    rows = min(times.size, max(1, (chunk or _CHUNK_BYTES) // (16 * lam.size)))
+    rows = max(1, (chunk or _CHUNK_BYTES) // (16 * lam.size))
+    size = min(math.isqrt(times.size - 1) + 1, rows) if uniform else 1
+    # whole coarse rows per block, all of the grid's if they fit
+    rows = size * min(rows // size, -(-times.size // size))
     if uniform:
-        size = min(math.isqrt(times.size - 1) + 1, rows)
         with np.errstate(over="ignore", invalid="ignore"):
             fine = np.exp(np.multiply.outer(times[:size], lam))
-        last = -1
     work = np.empty((rows, lam.size), dtype=complex)
-    for block in _row_blocks(times.size, lam.size, chunk):
-        growth = work[: block.stop - block.start]
+    for start in range(0, times.size, rows):
+        block = slice(start, min(start + rows, times.size))
+        growth = work[: block.stop - start]
         with np.errstate(over="ignore", invalid="ignore"):
             if uniform:
-                for a in range(block.start // size, (block.stop - 1) // size + 1):
-                    if a != last:  # a coarse row can span two blocks
-                        last, coarse = a, np.exp(times[a * size] * lam)
-                    lo = max(block.start, a * size)
-                    hi = min(block.stop, (a + 1) * size)
-                    np.multiply(
-                        fine[lo - a * size: hi - a * size], coarse,
-                        out=growth[lo - block.start: hi - block.start],
-                    )
+                coarse = np.exp(np.multiply.outer(times[block][::size], lam))
+                # the last coarse row may run past T into the work array
+                tiles = work[: coarse.shape[0] * size].reshape(-1, size, lam.size)
+                np.multiply(fine, coarse[:, None], out=tiles)
             else:
                 np.exp(np.multiply(times[block, None], lam, out=growth), out=growth)
         if not np.isfinite(growth.view(float)).all():
@@ -805,6 +812,17 @@ def _take(table, owner, work, index=2) -> np.ndarray:
     return np.take(table, owner, axis=0, out=out, mode="clip")
 
 
+def _row_sums(weights, inv, work) -> tuple:
+    """``sum w inv``, ``sum w inv^2`` and ``sum w inv^3`` along each row of
+    ``inv`` (work array 0), with ``weights`` of its shape or one row to
+    broadcast, which may live in work array 2: the three products go to
+    work arrays 1 and 2, none formed in place (see :func:`_split_sums`)."""
+    terms = np.multiply(weights, inv, out=_view(work, 1, *inv.shape))
+    square = np.multiply(terms, inv, out=_view(work, 2, *inv.shape))
+    first, second = terms.sum(axis=1), square.sum(axis=1)
+    return first, second, np.multiply(square, inv, out=terms).sum(axis=1)
+
+
 def _split_sums(z, shift, poles, weights, pairs, work, owner) -> tuple:
     """Secular sums at ``z`` with the nearest pole, or pole pair, split off.
 
@@ -848,12 +866,8 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner) -> tuple:
     else:
         gap[at, near] = np.inf
     inv = np.divide(1.0, gap, out=gap)
-    terms = np.multiply(_take(weights[:, :single], owner, work), inv,
-                        out=_view(work, 1, count, single))
-    f = z + shift - terms.sum(axis=1)
-    square = np.multiply(terms, inv, out=_view(work, 2, count, single))
-    df = 1.0 + square.sum(axis=1)
-    ddf = -2.0 * np.multiply(square, inv, out=terms).sum(axis=1)
+    first, square, cube = _row_sums(_take(weights[:, :single], owner, work), inv, work)
+    f, df, ddf = z + shift - first, 1.0 + square, -2.0 * cube
     rest = inv.sum(axis=1)
     if pairs:
         # 1/(z + d) + 1/(z + conj d) = 2y / (y^2 + D^2), and the squares
@@ -863,15 +877,10 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner) -> tuple:
         inv = np.add((y * y)[:, None], halves**2, out=_view(work, 0, count, pairs))
         inv[at[split], k[split]] = np.inf
         inv = np.divide(1.0, inv, out=inv)
-        terms = np.multiply(_take(weights[:, single:], owner, work), inv,
-                            out=_view(work, 1, count, pairs))
-        pole_sum = terms.sum(axis=1)
-        f -= 2.0 * y * pole_sum
-        square = np.multiply(terms, inv, out=_view(work, 2, count, pairs))
-        cube = np.multiply(square, inv, out=terms).sum(axis=1)
-        square = square.sum(axis=1)
+        first, square, cube = _row_sums(_take(weights[:, single:], owner, work), inv, work)
+        f -= 2.0 * y * first
         df += 4.0 * y * y * square
-        df -= 2.0 * pole_sum
+        df -= 2.0 * first
         ddf += y * (12.0 * square - 16.0 * y * y * cube)
         rest += 2.0 * y * inv.sum(axis=1)
     return f, df, ddf, rest, q, v, dq, dv, ddq
@@ -907,11 +916,7 @@ def _local_sums(z, shift, pole, line, local, work) -> tuple:
     cols += (line * (n + 2 * near))[:, None]  # each line's padded weights in turn
     nearby = np.take(padded, cols, mode="clip", out=_view(work, 2, count, span, float))
     own = nearby[:, near].copy()
-    terms = np.multiply(nearby, inv, out=_view(work, 1, count, span))
-    near_sum = terms.sum(axis=1)
-    square = np.multiply(terms, inv, out=_view(work, 2, count, span))
-    near_square = square.sum(axis=1)
-    near_cube = np.multiply(square, inv, out=terms).sum(axis=1)
+    near_sum, near_square, near_cube = _row_sums(nearby, inv, work)
     scale = unit[pole]
     u = 1j * t / scale
     # P, P' and P'' by Horner in rows of work array 0, the moments of
@@ -1453,14 +1458,19 @@ def _balance(model: DriftModel) -> np.ndarray:
 
 def _balanced(model: DriftModel) -> tuple:
     """``(scale, S H S^-1)``: the scales ``S`` of :func:`_balance` and the
-    arrowhead balanced by them, in which the dense paths step and solve.
+    arrowhead balanced by them, in which every dense path steps and solves
+    (the mean and Van Loan steps, Bartels-Stewart), or
+    :class:`PreconditionError` past the budget of :func:`_check_dense`.
 
     Unscaled, the couplings span ``sqrt(N)`` to ``1 / sqrt(N)``: at N =
     1e11 Bartels-Stewart returns a negative field variance that passes
-    the residual, and at N = 1e-307 Van Loan steps subnormal spin entries.
-    A balanced ``X`` is ``scale * X * scale`` (diagonal) or
-    ``scale[:, None] * X * scale``, one scale after the other, as at N_m =
-    1e-300 their product overflows, and is unscaled likewise."""
+    the residual, at N = 1e-307 Van Loan steps subnormal spin entries,
+    and at N = 1e-300 unscaled mean steps miss ``S_x`` by 6e26 of
+    ``S_x(0)``.  A balanced amplitude vector is ``scale * z``, a balanced
+    ``X`` is ``scale * X * scale`` (diagonal) or ``scale[:, None] * X *
+    scale``, one scale after the other, as at N_m = 1e-300 their product
+    overflows, and each is unscaled likewise."""
+    _check_dense(model)
     scale = _balance(model)
     return scale, scale[:, None] * model.arrowhead / scale
 
@@ -1717,7 +1727,6 @@ def _steady_state(model: DriftModel, steady: _Steady | None) -> tuple:
         )
     if steady is not None:
         return steady, False
-    _check_dense(model)
     scale, balanced = _balanced(model)
 
     def solve(source):

@@ -135,6 +135,9 @@ class TestLorentzianKickResponse:
         (-1, 3.0, 2.0, 2.0), (1, 0.0, 2.0, 2.0),
         # the exact double root -2.5 of (lam + 4)(lam + 1) = -2.25
         (-1, 0.0, 4.0, 1.5),
+        # detuned lines on which the far root needs d = -d and the roots
+        # of _root_pair come out with the less damped one second
+        (1, 5.0, 0.2, 1.0), (1, -5.0, 0.2, 1.0), (-1, -3.0, 0.5, 1.0),
     ])
     def test_matches_two_mode_propagator(self, p, delta_cs, kappa, g_ens):
         # the homogeneous line is the two-mode system (a, s) with
@@ -249,6 +252,12 @@ class TestGaussianPole:
         params = SystemParams(kappa=kappa, gamma_perp=0.0, g_ens=2.0)
         with pytest.raises(DomainError, match=re.escape(f"kappa={kappa:g}")):
             pole_seeds(params, SIGMA_UNIT)
+
+    def test_overflowing_coupling_names_g_ens(self):
+        # g_ens ** 2 raises OverflowError past ~1.34e154; the seed is fine
+        params = SystemParams(kappa=1.0, gamma_perp=0.0, g_ens=1e200)
+        with pytest.raises(DomainError, match=re.escape("g_ens=1e+200")):
+            gaussian_pole(params, 1.0, -0.5)
 
     @pytest.mark.parametrize("kappa, gamma_perp, g_ens", [
         (8.0, 0.0, 2.0), (3.96, 0.0, 2.0), (2.0, 0.5, 3.0),

@@ -842,6 +842,26 @@ class TestMoments:
             k = columns.index(name)
             assert np.abs(got[:, k] - want[:, k]).max() <= 1e-12 * np.abs(want[:, k]).max()
 
+    @pytest.mark.parametrize("n_spins", [1e-307, 1e-300, 1e-250, 1e250, 1e300])
+    def test_dense_means_at_extreme_spin_counts_match_a_large_one(self, tmp_path,
+                                                                   n_spins):
+        # at g_ens = 1e-9 the means take the dense steps e^{H h}, on the
+        # balanced amplitudes as the Van Loan and Bartels-Stewart paths;
+        # the variances at this coupling are rounding noise and left out
+        tables = {}
+        for n in (n_spins, 1e6):
+            out = tmp_path / f"{n}.csv"
+            assert run_cli(TINY_SPINS[:-1] + ["--g-ens", "1e-9", "--n-spins", repr(n),
+                                              "--out", out]) == 0
+            meta, columns, rows, _ = read_table(out)
+            assert meta["moment_fallbacks"] == "3"
+            tables[n] = np.array([[float(x or "nan") for x in row] for row in rows])
+        got, want = tables[n_spins], tables[1e6]
+        got[:, columns.index("Pc")] /= math.sqrt(n_spins) / math.sqrt(1e6)
+        for name in ("Sx_over_Sx0", "Pc"):
+            k = columns.index(name)
+            assert np.abs(got[:, k] - want[:, k]).max() <= 1e-12 * np.abs(want[:, k]).max()
+
     def test_steady_state_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(dynamics, "_LYAPUNOV_RTOL", 0.0)
         assert run_cli(SMALL["moments"] + ["--out", tmp_path / "m.csv"]) == 3

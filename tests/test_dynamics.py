@@ -267,6 +267,28 @@ class TestEvolveMean:
         scale = np.abs(reference).max()
         assert np.max(np.abs(series.means - reference)) <= 1e-8 * scale
 
+    def test_dense_steps_hold_one_map_on_a_nonuniform_grid(self):
+        # weak coupling sends the means and the covariance to the dense
+        # steps; each of the 100 intervals has its own map (0.027 MB at
+        # M = 41), formed when its step is taken, so the traced peak stays
+        # near one map, not one per interval
+        params = SystemParams(kappa=1.0, gamma_perp=0.1, g_ens=1e-9)
+        grid = discretize(BroadeningSpec(BroadeningFamily.LORENTZIAN, 2.0), 41,
+                          1e-9, 1e6)
+        model = build_drift_matrix(params, grid, 1)
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        times = np.linspace(0.0, 1.0, 101) ** 1.5
+        evolve_mean(model, y0, times[:3])  # the spectrum, outside the trace
+        for run, bound in ((lambda: evolve_mean(model, y0, times), 1e6),
+                           (lambda: evolve_covariance(model, gamma0, times), 2e6)):
+            tracemalloc.start()
+            try:
+                assert run().fallbacks >= 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
     def test_time_grid_validation(self):
         model, grid = small_model()
         y0, _ = initial_state("vacuum", grid)
