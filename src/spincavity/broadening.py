@@ -362,7 +362,10 @@ def discretize(
 
     ``M`` must be odd and >= 3 for the broadened families so that the
     grid contains the symmetry point ``Delta = 0``; the homogeneous
-    family always produces a single sub-ensemble.
+    family always produces a single sub-ensemble.  A ``g_ens`` and ``N``
+    whose per-spin couplings, about ``g_ens / sqrt(N)``, leave the float
+    range raise :class:`DomainError`: no such grid keeps ``sum_m g_m^2
+    N_m = g_ens^2``.
     """
     g_ens = float(g_ens)
     N = float(N)
@@ -406,7 +409,11 @@ def discretize(
             spacing = None
 
     spins = N * weights
-    couplings = g_ens * np.sqrt(weights / spins)
+    with np.errstate(over="ignore"):  # refused below
+        couplings = g_ens * np.sqrt(weights / spins)
+    if not np.isfinite(couplings).all():
+        raise DomainError(f"per-spin couplings g_ens sqrt(weight_m / N_m) overflow the "
+                          f"float range at g_ens = {g_ens!r}, N = {N!r}")
     return SubEnsembleGrid(
         family=family,
         deltas=deltas,

@@ -205,11 +205,12 @@ def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
     return 2.0 * np.linspace(lo / 2.0, hi / 2.0, n)
 
 
-def _time_grid(o: dict) -> np.ndarray:
+def _time_grid(o: dict, state_bytes: int = 0) -> np.ndarray:
+    """The output times, each sample charged a CSV row and ``state_bytes``
+    of what the experiment stores per time."""
     if o["t_max"] <= 0 or o["t_samples"] < 2:
         raise PreconditionError("need t_max > 0 and t_samples >= 2")
-    # moments and the decay fallback store a (T, 2M + 2) mean series
-    _check_samples("--t-samples", o["t_samples"], 8 * (2 * o["m"] + 2) + _ROW_BYTES)
+    _check_samples("--t-samples", o["t_samples"], state_bytes + _ROW_BYTES)
     return np.linspace(0.0, o["t_max"], o["t_samples"])
 
 
@@ -264,7 +265,7 @@ def _moments(o: dict):
     if o["theta"] == 0.0:
         raise PreconditionError("moments needs a nonzero tilt angle theta")
     spec, params = _spec(o), _params(o)
-    times = _time_grid(o)
+    times = _time_grid(o, 8 * (2 * o["m"] + 2))  # the (T, 2M + 2) mean series
     grid = discretize(spec, o["m"], params.g_ens, o["n_spins"])
     model = build_drift_matrix(params, grid, o["p"])
     y0, gamma0 = initial_state("tilted-spin", grid, theta=o["theta"])

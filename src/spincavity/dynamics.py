@@ -195,10 +195,8 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
     an infinite Cauchy entry, or one that rounds onto it, as at very weak
     coupling), each output interval ``h`` is one step ``z~ <- e^{h S H
     S^-1} z~`` of the amplitudes ``z~ = S z`` balanced as the Van Loan and
-    Bartels-Stewart paths balance them (:func:`_balanced`), so the means
-    depend on N only by their scale; :func:`scipy.linalg.expm` forms each
-    interval's map when its step is taken, one for a uniform grid
-    (:func:`_interval_maps`).  A mean past the float range raises
+    Bartels-Stewart paths balance them (:func:`_dense_steps`), so the means
+    depend on N only by their scale.  A mean past the float range raises
     :class:`NumericalError` naming the path and the time
     (:func:`_finite`), and so does an ``e^{lambda t}`` past it
     (:func:`_growth_blocks`).
@@ -230,17 +228,10 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
             ys[block, 0], ys[block, 1] = field.real, field.imag
             ys[block, 2::2], ys[block, 3::2] = spins.real, -spins.imag
     else:
-        from scipy.linalg import expm
-
-        scale, balanced = _balanced(model)
-        z = scale * z
         # steps past the float range are left to _finite, unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            phis = _interval_maps(times, lambda h: expm(h * balanced))
-            for k, phi in enumerate(phis, start=1):
-                z = phi @ z
-                ys[k, 0::2], ys[k, 1::2] = z.real, signs * z.imag
-            ys[1:] /= np.repeat(scale, 2)
+            for k, (real, imag) in enumerate(_dense_steps(model, z, times), start=1):
+                ys[k, 0::2], ys[k, 1::2] = real, signs * imag
     ys[0] = y0
     path = "the eigenvectors" if spectral else "the dense fallback (e^{H h} steps)"
     _finite(ys, f"mean propagation by {path}", times)
@@ -249,6 +240,26 @@ def evolve_mean(model: DriftModel, y0: np.ndarray, times) -> MomentSeries:
         "S_x": ys[:, 2::2].sum(axis=1), "S_y": ys[:, 3::2].sum(axis=1),
     }
     return MomentSeries(reductions=reductions, means=ys, fallbacks=int(not spectral))
+
+
+def _dense_steps(model: DriftModel, z: np.ndarray, times: np.ndarray):
+    """The amplitudes ``z`` at each output time after the first by the
+    dense fallback, as their real and imaginary parts.
+
+    Each output interval ``h`` is one step ``z~ <- e^{h S H S^-1} z~`` of
+    the balanced ``z~ = S z`` (:func:`_balanced`), its map formed by
+    :func:`scipy.linalg.expm` when the step is taken, one for a uniform
+    grid (:func:`_interval_maps`), and each part unscaled by ``S`` on its
+    own: a complex amplitude over the real scales rounds otherwise.
+    Steps past the float range are left to the caller's ``errstate``.
+    """
+    from scipy.linalg import expm
+
+    scale, balanced = _balanced(model)
+    z = scale * z
+    for phi in _interval_maps(times, lambda h: expm(h * balanced)):
+        z = phi @ z
+        yield z.real / scale, z.imag / scale
 
 
 def _sums(amp: np.ndarray) -> np.ndarray:
@@ -886,42 +897,43 @@ def _split_sums(z, shift, poles, weights, pairs, work, owner) -> tuple:
     return f, df, ddf, rest, q, v, dq, dv, ddq
 
 
-def _local_sums(z, shift, pole, line, local, work) -> tuple:
+def _local_sums(z, shift, pole, owner, line, work) -> tuple:
     """``(F_k, F_k', F_k'', q, v)`` at rows ``z`` next to their poles
-    ``pole`` (merged indices) on lines ``line``, with that pole split off
-    as in :func:`_split_sums`: ``q = t = z + d_m`` and ``v = w_m``.
+    ``pole`` (merged indices), row ``i`` on line ``owner_i`` of the stacked
+    ``line``, with that pole split off as in :func:`_split_sums`: ``q = t =
+    z + d_m`` and ``v = w_m``.
 
     The ``_NEAR`` poles on each side are summed exactly and the far poles
     by their series ``(-i / unit_m) P(u)``, ``P(u) = sum_k H_k u^k``, ``u
     = i t / unit_m`` (:func:`_moments`), with ``P'`` and ``P''`` by
-    Horner: O(K + q) per row.  ``local`` is ``(poles, spread, padded,
-    table, unit, reach)``: the merged poles, padded deltas, units and
-    reach that the lines share, their padded weights flattened and their
-    moment tables stacked, one row per line and pole (:func:`_line`,
-    :func:`_solve`); the (rows x neighbours) arrays live in ``work``
+    Horner: O(K + q) per row.  Of the :class:`_Line` it reads the merged
+    ``poles``, padded deltas ``spread`` and ``unit`` that the lines share,
+    and their ``padded`` weights and ``moments`` tables, each line's in
+    turn (:func:`_solve`); the (rows x neighbours) arrays live in ``work``
     (:func:`_work_arrays`).
     """
-    poles, spread, padded, table, unit, _ = local
-    n, near, span = unit.size, _NEAR, 2 * _NEAR + 1
+    n, near, span = line.unit.size, _NEAR, 2 * _NEAR + 1
     count = z.size
-    t = z + poles[pole]
+    t = z + line.poles[pole]
     cols = pole[:, None] + np.arange(span)
-    around = np.take(spread, cols, mode="clip", out=_view(work, 2, count, span, float))
+    around = np.take(line.spread, cols, mode="clip",
+                     out=_view(work, 2, count, span, float))
     gap = _view(work, 0, count, span)
     gap.real = t.real[:, None]
     np.subtract(around, around[:, near, None], out=gap.imag)
     gap.imag += t.imag[:, None]
     gap.imag[:, near] = np.inf  # the pole itself is split off
     inv = np.divide(1.0, gap, out=gap)
-    cols += (line * (n + 2 * near))[:, None]  # each line's padded weights in turn
-    nearby = np.take(padded, cols, mode="clip", out=_view(work, 2, count, span, float))
+    cols += (owner * (n + 2 * near))[:, None]  # each line's padded weights in turn
+    nearby = np.take(line.padded, cols, mode="clip",
+                     out=_view(work, 2, count, span, float))
     own = nearby[:, near].copy()
     near_sum, near_square, near_cube = _row_sums(nearby, inv, work)
-    scale = unit[pole]
+    scale = line.unit[pole]
     u = 1j * t / scale
     # P, P' and P'' by Horner in rows of work array 0, the moments of
     # each row's pole (a row of the table) in work array 2
-    moments = np.take(table, line * n + pole, axis=0, mode="clip",
+    moments = np.take(line.moments, owner * n + pole, axis=0, mode="clip",
                       out=_view(work, 2, count, _ORDERS, float))
     p, dp, ddp, product, twice = _view(work, 0, 5, count)
     p[:], dp[:], ddp[:] = moments[:, -1], 0.0, 0.0
@@ -938,15 +950,16 @@ def _local_sums(z, shift, pole, line, local, work) -> tuple:
     return f, df, ddf, t, own
 
 
-def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -> list:
-    """Roots of ``z + shifts_b - sum_m weights_lm / (z + poles_m)`` from
-    ``seeds[b]``, for each model ``b`` of a batch that shares the poles,
-    on the line ``l`` of its own (a row of ``weights``).
+def _aberth_roots(shifts, seeds, line, line_of, root_pairs=0) -> list:
+    """Roots of ``z + shifts_b - sum_m w_lm / (z + d_m)`` from ``seeds[b]``,
+    for each model ``b`` of a batch that shares the poles ``d_m`` of the
+    stacked :class:`_Line` ``line``, on the line ``l = line_of[b]`` of its
+    own (a row of ``line.weights``).
 
     The poles must be distinct and the weights nonzero; n poles give
-    n + 1 roots.  The last ``pairs`` poles stand for themselves and their
-    conjugates, of equal weight, sharing the real part of the last
-    unpaired pole, with increasing positive imaginary parts; the last
+    n + 1 roots.  On a mirrored line the iteration folds: it runs on the
+    centre pole and the upper half, whose last ``pairs = n // 2`` poles
+    stand for themselves and their conjugates, of equal weight; the last
     ``root_pairs`` seeds of each model likewise stand for conjugate
     pairs, and with any pair the other seeds must be real.  The roots of
     all models iterate as one set of rows, each reading only its own
@@ -959,19 +972,25 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
     :class:`NumericalError` that names why (see
     :func:`arrowhead_eigenvalues`).
 
-    ``local`` is ``(line_of, pole_of, terms)``: each model's line, each
-    seed's merged pole (-1 for a collective seed) and what the lines'
-    local rows read, stacked by :func:`_solve` from their :func:`_line`
-    records.  A pole-seeded root within its pole's reach
+    The last seeds are each at a pole of its own, the last ``pairs``
+    poles on a fold, every pole otherwise (:func:`_job`); the others are
+    collective.  A pole-seeded root within its pole's reach
     (:func:`_moments`) takes Newton rows on the pole's local function
     (:func:`_local_sums`); a root whose step is not finite or leaves the
     reach takes Aberth rows (:func:`_split_sums`) from then on, as every
     other root does.  One model is a batch of one, whose one-row tables
-    broadcast (:func:`_take`).
+    broadcast (:func:`_take`).  The caller hands over ``line``, so the
+    stacked tables go before the roots are copied out.
     """
     models, size = seeds.shape
-    if poles.size == 0:
+    n = line.poles.size
+    if n == 0:
         return [(row.copy(), np.ones(size, dtype=complex)) for row in seeds]
+    # the fold's pole pairs, and the count of last seeds that sit each at a
+    # pole: the poles above the centre on a fold, every pole otherwise
+    pairs, seeded = (n // 2, n // 2) if line.mirrored else (0, n)
+    pole_of = np.concatenate([np.full(size - seeded, -1), np.arange(n - seeded, n)])
+    poles, weights, reach = line.poles[pairs:], line.weights[:, pairs:], line.reach
     table = seeds  # (models x roots), settled in place
     roots = table.reshape(-1)
     lone = size - root_pairs
@@ -984,12 +1003,10 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
 
     # whether each root's next row is a local one, else a full Aberth row
     near_pole = np.zeros((models, size), dtype=bool)
-    line_of, pole_of, local = local
-    reach = local[-1]
-    seeded = np.flatnonzero(pole_of >= 0)
-    at = pole_of[seeded]
-    for block in _row_blocks(models, seeded.size):
-        near_pole[block, seeded] = np.abs(table[block, seeded] + local[0][at]) < reach[at]
+    ends = slice(size - seeded, size)
+    at = pole_of[ends]
+    for block in _row_blocks(models, seeded):
+        near_pole[block, ends] = np.abs(table[block, ends] + line.poles[at]) < reach[at]
     near_pole = near_pole.reshape(-1)
     # why each model failed: 0 it did not, 1 a step not finite, 2 the cap
     failed = np.zeros(models, dtype=np.int8)
@@ -1006,15 +1023,15 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
                     here = part[block]
                     who, rows = np.divmod(active[here], size)
                     z = roots[active[here]]
-                    shift, line = shifts[who], line_of[who]
+                    shift, owner = shifts[who], line_of[who]
                     if near:
                         pole = pole_of[rows]
-                        f, df, ddf, q, v = _local_sums(z, shift, pole, line, local, work)
+                        f, df, ddf, q, v = _local_sums(z, shift, pole, owner, line, work)
                         dq, dv, ddq = 1.0, 0.0, 0.0
                     else:
                         # P'/P = G'/G + S_k for P = F prod_m (z + d_m), G = F_k q - v
                         f, df, ddf, rest, q, v, dq, dv, ddq = _split_sums(
-                            z, shift, poles, weights, pairs, work, line)
+                            z, shift, poles, weights, pairs, work, owner)
                     own = rows < lone
                     num, den = df * q + f * dq - dv, f * q - v
                     slope = num
@@ -1086,7 +1103,7 @@ def _aberth_roots(shifts, poles, weights, seeds, local, pairs=0, root_pairs=0) -
             break
     else:
         failed[active // size] = 2
-    del work, local  # let the work arrays go before the roots are copied out
+    del work, line  # let the work arrays and tables go before the roots are copied out
     why = (None, "a secular iteration step is not finite", "secular roots still "
            f"moving at the cap of {_ABERTH_MAX_ITER} iterations")
     found = [NumericalError(why[code]) if code else None for code in failed]
@@ -1188,7 +1205,11 @@ def arrowhead_eigenvalues(model: DriftModel) -> np.ndarray:
 
 
 class _Line(NamedTuple):
-    """The part of a secular iteration that a line's models share: :func:`_line`."""
+    """The part of a secular iteration that a line's models share: :func:`_line`.
+
+    A batch of :func:`_solve` reads one, its lines' ``weights`` stacked one
+    row per line, and their ``padded`` weights and ``moments`` tables each
+    line's in turn (:func:`_aberth_roots`)."""
 
     poles: np.ndarray
     weights: np.ndarray
@@ -1270,11 +1291,9 @@ def _solve(models, layout: int = 0) -> list:
     :func:`_line` within the call, as the points of a sweep at one
     ``g_ens`` do; nothing of it outlives the call.
 
-    A batch reads its first line's poles, folded to the upper half of a
-    mirrored line with ``pairs`` of them, and each seed's merged pole (-1
-    for a collective seed) from that line and the seed count; each of its
-    lines adds its folded weights, padded weights and moment tables, one
-    row per line."""
+    A batch reads its first line with each of its lines' weights, padded
+    weights and moment tables stacked in, one row per line (:class:`_Line`,
+    :func:`_aberth_roots`)."""
     out, groups, lines = [], {}, {}
     for model in models:
         poles, weights = _secular_terms(model)
@@ -1289,30 +1308,22 @@ def _solve(models, layout: int = 0) -> list:
         out.append([line.deflated, line.mirrored, root_pairs, None])
     lines = line = seeds = None  # each line lives on in its group alone
     while groups:
-        (_, mirrored, root_pairs), group = groups.popitem()
+        (_, _, root_pairs), group = groups.popitem()
         index, shifts, seeds, batch = zip(*group)
         # the stacked rows replace the models' own before the batch iterates
         shifts, seeds, group = np.array(shifts), np.array(seeds), None
         _, first, line_of = np.unique([id(line) for line in batch], return_index=True,
                                       return_inverse=True)
         batch = [batch[k] for k in first]  # each line once
-        line = batch[0]
-        size = line.poles.size
-        half = size // 2 if mirrored else 0
-        seeded = half if mirrored else size  # roots seeded at poles, the last ones
-        pole_of = np.concatenate([np.full(seeds.shape[1] - seeded, -1),
-                                  np.arange(size - seeded, size)])
-        weights = np.array([line.weights[half:] for line in batch])
-        # popped into the call, the stacked terms are the iteration's
-        # alone, so it lets the lines' padded weights and moments go
-        # before it copies the roots out
-        local = [(line_of, pole_of, (
-            line.poles, line.spread, np.concatenate([line.padded for line in batch]),
-            np.concatenate([line.moments for line in batch]), line.unit, line.reach))]
-        poles = line.poles[half:]
-        batch = line = None
-        found = _aberth_roots(shifts, poles, weights, seeds, local.pop(),
-                              pairs=half, root_pairs=root_pairs)
+        # popped into the call, the stacked line is the iteration's alone,
+        # so it lets the padded weights and moments go before it copies the
+        # roots out
+        stacked = [batch[0]._replace(
+            weights=np.array([line.weights for line in batch]),
+            padded=np.concatenate([line.padded for line in batch]),
+            moments=np.concatenate([line.moments for line in batch]))]
+        batch = None
+        found = _aberth_roots(shifts, seeds, stacked.pop(), line_of, root_pairs=root_pairs)
         for i, result in zip(index, found):
             out[i][3] = result
     return out
@@ -1338,7 +1349,8 @@ def _spectra(models) -> list:
     lives, so every path on one model shares one record.
 
     Models with no record run their first iterations batched
-    (:func:`_solve`), then, for each mirrored line whose iteration
+    (:func:`_solve`; none when every model has one), then, for each
+    mirrored line whose iteration
     failed, one with the other layout of its collective pair: a real seed
     stays real on a mirrored line, so no iteration can repair a wrong
     layout.  A model that fails both raises the :class:`NumericalError`
@@ -1348,8 +1360,6 @@ def _spectra(models) -> list:
     1e-10`` (see :func:`field_kick_response`).
     """
     missing = list(dict.fromkeys(model for model in models if model not in _MEMO))
-    if not missing:
-        return [_MEMO[model] for model in models]
     first = _solve(missing)
     again = iter(_solve([model for model, (_, mirrored, _, found) in zip(missing, first)
                          if mirrored and isinstance(found, NumericalError)], layout=1))
@@ -1397,7 +1407,9 @@ def field_kick_response(model: DriftModel, times) -> tuple:
     22, 70 and 700 next to the homogeneous double root).  So the
     expansion is used only while the residues pass their gate
     (:func:`_spectra`: ``sum_k |r_k| <= 100``, and ``sum_k r_k = 1`` to
-    1e-10); otherwise the field is propagated with :func:`evolve_mean`.
+    1e-10); otherwise the field is propagated by the dense steps of
+    :func:`evolve_mean`'s fallback (:func:`_dense_steps`), of which it keeps
+    only the field, O(T) stored however large M.
     A deflated pole's root adds nothing, its residue 0: with ``g_ens =
     0`` the field is the cavity's own ``e^{-(kappa + i delta_cs) t}``.
     Returns ``(response, fallback)``, ``fallback`` telling whether it
@@ -1418,10 +1430,12 @@ def field_kick_response(model: DriftModel, times) -> tuple:
             response.imag = 0.0
         return _finite(response, "the residue expansion of the kicked field",
                        times), False
-    y0 = np.zeros(model.dim)
-    y0[0] = 1.0
-    means = evolve_mean(model, y0, times).means
-    return means[:, 0] + 1j * means[:, 1], True
+    kick = np.eye(1, model.grid.size + 1, dtype=complex)[0]  # a(0) = 1
+    response = np.ones(times.size, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # left to _finite
+        for k, (real, imag) in enumerate(_dense_steps(model, kick, times), start=1):
+            response[k] = complex(real[0], imag[0])
+    return _finite(response, "the field by the dense fallback (e^{H h} steps)", times), True
 
 
 def _signs(size: int) -> np.ndarray:

@@ -106,6 +106,14 @@ class TestFaddeeva:
         with pytest.raises(DomainError):
             faddeeva(np.array([0j, -12j]))
 
+    @pytest.mark.parametrize("z", [-11j, np.array([-11j])], ids=["scalar", "array"])
+    def test_both_paths_refuse_the_lower_half_plane_alike(self, z):
+        # below Im z = -10 the reflection formula overflows: the scalar
+        # path refuses the argument with the array path's message
+        with pytest.raises(DomainError, match=r"^faddeeva arguments must satisfy "
+                                              r"Im\(z\) >= -10$"):
+            faddeeva(z)
+
 
 class TestCharacteristicWidth:
     @pytest.mark.parametrize("family", list(BroadeningFamily))

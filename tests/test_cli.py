@@ -407,6 +407,15 @@ class TestDecay:
                        "e^(lambda t) overflows the float range past t = 7.09783e-08",
                        id=f"moments-g-1e10-n-spins-{n}")
           for n in ("1e-290", "1e6")),
+        # g_ens / sqrt(N) past the float range: no per-spin coupling is a
+        # float, and the grid is refused naming both
+        *(pytest.param(["moments", "--family", *family, "--gamma-perp", "0.1",
+                        "--g-ens", "1e160", "--t-samples", "5", "--n-spins", "1e-300"],
+                       2, "per-spin couplings g_ens sqrt(weight_m / N_m) overflow the "
+                       "float range at g_ens = 1e+160, N = 1e-300",
+                       id=f"moments-{family[0]}-coupling-overflow")
+          for family in (["gaussian", "--width", "1", "--m", "21"],
+                         ["lorentzian", "--width", "1", "--m", "21"], ["homogeneous"])),
         # C = 1e4: the covariance forms overflow, at any spin count
         *(pytest.param(TINY_SPINS[:-1] + ["--g-ens", "100", "--n-spins", n], 3,
                        "covariance propagation by the residues overflows the float "
@@ -1645,6 +1654,20 @@ class TestExitCodes:
         assert meta["moment_fallbacks"] == "0"
         assert len(rows) == 201 and all(cell != "" for cell in rows[-1][:5])
         assert peak < 16 * (m + 1) ** 2
+
+    def test_decay_is_charged_only_for_what_it_stores(self, tmp_path, capsys):
+        # the residue expansion stores no per-site mean series: at M =
+        # 100001 one of 201 samples would take 306.8 MiB, over the sample
+        # budget, which moments, storing it, still refuses
+        argv = ["--family", "lorentzian", "--width", "2", "--gamma-perp", "0",
+                "--kappa", "2", "--g-ens", "1", "--m", "100001", "--t-max", "5",
+                "--t-samples", "201", "--out", tmp_path / "out.csv"]
+        assert run_cli(["decay", *argv]) == 0
+        meta, _, rows, _ = read_table(tmp_path / "out.csv")
+        assert meta["kick_response_fallbacks"] == "0" and len(rows) == 201
+        assert run_cli(["moments", *argv]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --t-samples 201 needs 306.8 MiB at 1600544 bytes per sample")
 
     @pytest.mark.parametrize(
         "argv, fallbacks",

@@ -102,9 +102,10 @@ def aberth_calls(monkeypatch):
     calls = []
     run = dynamics._aberth_roots
 
-    def counted(*args, **kwargs):
-        found = run(*args, **kwargs)
-        calls.extend((kwargs.get("pairs", 0), kwargs.get("root_pairs", 0),
+    def counted(shifts, seeds, line, *args, **kwargs):
+        pairs = line.poles.size // 2 if line.mirrored else 0  # the fold
+        found = run(shifts, seeds, line, *args, **kwargs)
+        calls.extend((pairs, kwargs.get("root_pairs", 0),
                       not isinstance(result, NumericalError)) for result in found)
         return found
 
@@ -120,9 +121,15 @@ def aberth_seeds(monkeypatch):
     calls = []
     run = dynamics._aberth_roots
 
-    def recorded(shifts, poles, weights, seeds, local, **kwargs):
-        calls.append((seeds.copy(), local[1]))
-        return run(shifts, poles, weights, seeds, local, **kwargs)
+    def recorded(shifts, seeds, line, *args, **kwargs):
+        # the last seeds are each at a pole of its own: the poles above the
+        # centre of a mirrored line, every pole of any other
+        n = line.poles.size
+        seeded = n // 2 if line.mirrored else n
+        pole_of = np.concatenate([np.full(seeds.shape[1] - seeded, -1),
+                                  np.arange(n - seeded, n)])
+        calls.append((seeds.copy(), pole_of))
+        return run(shifts, seeds, line, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_aberth_roots", recorded)
     return calls
@@ -1581,10 +1588,8 @@ class TestPoleLocalRows:
         pole = np.arange(201)
         t = 0.9 * line.reach * np.exp(2j * np.pi * rng.uniform(size=201))
         z = t - poles
-        terms = (line.poles, line.spread, line.padded, line.moments, line.unit,
-                 line.reach)
         f, df, ddf, q, v = dynamics._local_sums(
-            z, shift, pole, np.zeros(201, dtype=int), terms, dynamics._work_arrays(201))
+            z, shift, pole, np.zeros(201, dtype=int), line, dynamics._work_arrays(201))
         assert np.array_equal(q, z + poles) and np.array_equal(v, weights)
         gaps = z[:, None] + poles.astype(np.clongdouble)
         np.fill_diagonal(gaps, np.inf)
@@ -1916,22 +1921,40 @@ class TestFieldKickResponse:
         assert not fallback
         assert response.tobytes() == want.tobytes()
 
-    def test_exceptional_point_falls_back(self, monkeypatch):
+    def test_exceptional_point_falls_back(self, dense_calls):
         # p = -1, kappa = 3, gamma_perp = 1, g_ens = 1: the double root
-        # lambda = -2 of (lambda + kappa)(lambda + gamma_perp) = p g_ens^2
-        calls = []
-        monkeypatch.setattr(
-            dynamics, "evolve_mean",
-            lambda *args: calls.append(args) or evolve_mean(*args),
-        )
+        # lambda = -2 of (lambda + kappa)(lambda + gamma_perp) = p g_ens^2.
+        # The uniform grid takes one map e^{H h} for all its steps
         model, _ = small_model(spec=HOM, m=1, kappa=3.0, gamma_perp=1.0,
                                g_ens=1.0, p=-1)
         times = np.linspace(0.0, 5.0, 26)
         response, fallback = field_kick_response(model, times)
-        assert fallback and len(calls) == 1
+        assert fallback and dense_calls == {**NO_DENSE_CALLS, "expm": 1}
         # the defective pair gives a(t)/a(0) = (1 - t) e^{-2 t}
         assert_allclose(response, (1.0 - times) * np.exp(-2.0 * times),
                         rtol=0.0, atol=1e-10)
+
+    def test_dense_fallback_stores_only_the_field(self, monkeypatch):
+        # the kick's dense steps keep the two field columns alone: T =
+        # 20001 per-site means of M = 41 would take 12.8 MiB, the field
+        # 0.3 MiB, next to one map of 0.03 MiB
+        monkeypatch.setattr(dynamics, "_RESIDUE_BOUND", 0.0)
+        model, _ = small_model(spec=GAUSS, m=41, kappa=8.0, gamma_perp=0.02,
+                               g_ens=2.0)
+        times = np.linspace(0.0, 5.0, 20001)
+        field_kick_response(model, times[:3])  # the spectrum, outside the trace
+        tracemalloc.start()
+        try:
+            response, fallback = field_kick_response(model, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fallback and peak <= 4 * 2**20
+        y0 = np.zeros(model.dim)
+        y0[0] = 1.0
+        reference = expm_mean(model.drift, y0, times[::1000])
+        reference = reference[:, 0] + 1j * reference[:, 1]
+        assert np.abs(response[::1000] - reference).max() <= 1e-10
 
     def test_decoupled_spins_keep_the_residues(self, dense_calls):
         # every pole is deflated: its root carries residue 0, so the field

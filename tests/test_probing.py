@@ -132,6 +132,13 @@ class TestDrivenField:
         with pytest.raises(PreconditionError):
             driven_field(params, LOR, ProbeConfig(beta0=1.0))
 
+    def test_undamped_homogeneous_resonance_rejected(self):
+        # gamma_perp = 0 on one sub-ensemble: at zero detuning the spins'
+        # response is singular, refused by name rather than returned as NaN
+        params = SystemParams(kappa=1.0, gamma_perp=0.0, g_ens=1.0)
+        with pytest.raises(PreconditionError, match="singular resonant response"):
+            driven_field(params, HOM, ProbeConfig(1.0, 0.0, p=-1))
+
     def test_inverted_above_threshold_rejected(self):
         params = SystemParams(kappa=1.0, gamma_perp=0.2, g_ens=2.0)
         probe = ProbeConfig(beta0=1.0, delta_e=0.0, p=1)
