@@ -65,6 +65,7 @@ from .dynamics import (
     arrowhead_spectra, check_revival_window, evolve_covariance, evolve_mean,
     field_kick_response,
 )
+from .dynamics import _finite as _finite_column  # names a column's first overflow
 from .errors import (
     ConvergenceError, DomainError, NumericalError, PreconditionError,
     UnstableModelError,
@@ -220,43 +221,47 @@ def _decay(o: dict):
     # the kicked field reads the spins only through g_m^2 N_m = g_ens^2 w_m
     grid = discretize(spec, o["m"], params.g_ens, 1.0)
     model = build_drift_matrix(params, grid, o["p"])
+    x0 = initial_state("field-kick", grid, alpha=o["alpha"])[0][0]
     response, fallback = field_kick_response(model, times)
-    x_sim = (_SQRT2 * o["alpha"] * response).real  # X_c(0) = sqrt(2) alpha
 
     Gamma = characteristic_width(spec, params.gamma_perp)
-    # t, X_c_sim and the three reference columns; a reference the family
-    # does not define stays NaN, which the writer leaves empty
-    rows = np.full((times.size, 5), np.nan)
-    rows[:, 0], rows[:, 1] = times, x_sim
-    trailer: dict = {}
-    if spec.family is not _GAUSSIAN:
-        response = lorentzian_kick_response(
-            o["alpha"], params.kappa, Gamma, params.g_ens, times, o["p"],
-            params.delta_cs,
-        )
-        rows[:, 2] = _SQRT2 * response.real
-    elif o["p"] != 1 or params.delta_cs != 0.0:
-        trailer["pole_tail"] = "derived only for p +1 at delta_cs 0"
-    else:
-        rows[:, 3] = _SQRT2 * weak_coupling_response(
-            o["alpha"], params, spec.width, times
-        )
-        try:
-            seed = pole_seeds(params, spec.width)["slow"]
-            lam = gaussian_pole(params, spec.width, seed).lam
-        except (ConvergenceError, DomainError):
-            trailer["pole_tail"] = "unconverged"
-        except PreconditionError:  # gaussian_pole refused the seed
-            trailer["pole_tail"] = "seed outside the Faddeeva strip"
-        else:
-            anchor = int(np.argmin(np.abs(times - 0.5 * o["t_max"])))
-            tail = x_sim[anchor] * np.exp(lam * (times - times[anchor]))
-            rows[anchor:, 4] = tail[anchor:].real
-            trailer.update(pole_rate_re=lam.real, pole_rate_im=lam.imag)
     columns = [
         "t", "X_c_sim", "X_c_lorentzian_analytic", "X_c_weak_coupling",
         "X_c_pole_tail",
     ]
+    # t, X_c_sim and the three reference columns; a reference the family
+    # does not define stays NaN, which the writer leaves empty
+    rows = np.full((times.size, 5), np.nan)
+    rows[:, 0] = times
+    trailer: dict = {}
+    # every other column scales with alpha: a cell past the float range is
+    # named with its column and first time, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[:, 1] = x_sim = _finite_column((x0 * response).real, columns[1], times)
+        if spec.family is not _GAUSSIAN:
+            response = lorentzian_kick_response(
+                o["alpha"], params.kappa, Gamma, params.g_ens, times, o["p"],
+                params.delta_cs,
+            )
+            rows[:, 2] = _finite_column(_SQRT2 * response.real, columns[2], times)
+        elif o["p"] != 1 or params.delta_cs != 0.0:
+            trailer["pole_tail"] = "derived only for p +1 at delta_cs 0"
+        else:
+            rows[:, 3] = _finite_column(_SQRT2 * weak_coupling_response(
+                o["alpha"], params, spec.width, times), columns[3], times)
+            try:
+                seed = pole_seeds(params, spec.width)["slow"]
+                lam = gaussian_pole(params, spec.width, seed).lam
+            except (ConvergenceError, DomainError):
+                trailer["pole_tail"] = "unconverged"
+            except PreconditionError:  # gaussian_pole refused the seed
+                trailer["pole_tail"] = "seed outside the Faddeeva strip"
+            else:
+                anchor = int(np.argmin(np.abs(times - 0.5 * o["t_max"])))
+                tail = x_sim[anchor] * np.exp(lam * (times - times[anchor]))
+                rows[anchor:, 4] = _finite_column(tail[anchor:].real, columns[4],
+                                                  times[anchor:])
+                trailer.update(pole_rate_re=lam.real, pole_rate_im=lam.imag)
     header = {"Gamma": Gamma, "kick_response_fallbacks": int(fallback)}
     return columns, rows, header, trailer
 
@@ -321,6 +326,8 @@ def _spectrum(o: dict):
 
 
 def _stability_sweep(o: dict):
+    if o["t_max"] <= 0:
+        raise PreconditionError("need t_max > 0")
     spec = _spec(o)
     columns = [
         "g_ens", "kappa", "Gamma", "C", "spectral_abscissa_discrete",

@@ -116,9 +116,13 @@ class MomentSeries:
 
 
 def _validate_times(times) -> np.ndarray:
+    """``times`` as floats, or :class:`PreconditionError` unless they are a
+    finite, strictly increasing 1-d grid of at least 2 points from 0."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise PreconditionError("times must be a 1-d grid with >= 2 points")
+    if not np.isfinite(times).all():
+        raise PreconditionError("times must be finite")
     if times[0] != 0.0:
         raise PreconditionError("times must start at 0")
     if not np.all(np.diff(times) > 0.0):
@@ -150,8 +154,11 @@ def check_revival_window(
     so with ``gamma_perp == 0`` the window must end within a quarter of
     that; a larger M extends it.  Returns the margin ``t_revival /
     (4 t_max)``, at least 1, or ``None`` where no revival is guarded (a
-    damped line, or a grid that is not uniform Gaussian).
+    damped line, or a grid that is not uniform Gaussian).  Any window
+    but ``0 < t_max < inf`` raises :class:`PreconditionError`.
     """
+    if not 0.0 < t_max < math.inf:
+        raise PreconditionError(f"t_max must be finite and > 0, got {t_max:g}")
     if not (
         grid.spacing is not None
         and gamma_perp == 0.0
@@ -967,10 +974,12 @@ def _aberth_roots(shifts, seeds, line, line_of, root_pairs=0) -> list:
     and order, so a model's roots do not depend on its batch; the
     settling floor, the iteration cap and the finite-step check hold per
     model.  The roots replace ``seeds`` in place.  Returns one ``(roots,
-    residues)`` per model, each residue ``1 / F'`` formed in the row
-    that froze its root, or for a model whose roots do not settle the
-    :class:`NumericalError` that names why (see
-    :func:`arrowhead_eigenvalues`).
+    residues)`` per model, views of the model's row of the settled
+    tables holding the folded roots only (the caller appends the
+    conjugates of the last ``root_pairs``, :func:`_spectra`), each
+    residue ``1 / F'`` formed in the row that froze its root, or for a
+    model whose roots do not settle the :class:`NumericalError` that
+    names why (see :func:`arrowhead_eigenvalues`).
 
     The last seeds are each at a pole of its own, the last ``pairs``
     poles on a fold, every pole otherwise (:func:`_job`); the others are
@@ -979,13 +988,12 @@ def _aberth_roots(shifts, seeds, line, line_of, root_pairs=0) -> list:
     (:func:`_local_sums`); a root whose step is not finite or leaves the
     reach takes Aberth rows (:func:`_split_sums`) from then on, as every
     other root does.  One model is a batch of one, whose one-row tables
-    broadcast (:func:`_take`).  The caller hands over ``line``, so the
-    stacked tables go before the roots are copied out.
+    broadcast (:func:`_take`).
     """
     models, size = seeds.shape
     n = line.poles.size
     if n == 0:
-        return [(row.copy(), np.ones(size, dtype=complex)) for row in seeds]
+        return list(zip(seeds, np.ones_like(seeds)))
     # the fold's pole pairs, and the count of last seeds that sit each at a
     # pole: the poles above the centre on a fold, every pole otherwise
     pairs, seeded = (n // 2, n // 2) if line.mirrored else (0, n)
@@ -1103,16 +1111,10 @@ def _aberth_roots(shifts, seeds, line, line_of, root_pairs=0) -> list:
             break
     else:
         failed[active // size] = 2
-    del work, line  # let the work arrays and tables go before the roots are copied out
     why = (None, "a secular iteration step is not finite", "secular roots still "
            f"moving at the cap of {_ABERTH_MAX_ITER} iterations")
-    found = [NumericalError(why[code]) if code else None for code in failed]
-    pair = slice(lone, None)
-    for b, row in enumerate(residues.reshape(models, size)):
-        if not failed[b]:
-            found[b] = (np.concatenate([table[b], table[b, pair].conjugate()]),
-                        np.concatenate([row, row[pair].conjugate()]))
-    return found
+    return [NumericalError(why[code]) if code else settled
+            for code, settled in zip(failed, zip(table, residues.reshape(models, size)))]
 
 
 def _nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -1293,7 +1295,9 @@ def _solve(models, layout: int = 0) -> list:
 
     A batch reads its first line with each of its lines' weights, padded
     weights and moment tables stacked in, one row per line (:class:`_Line`,
-    :func:`_aberth_roots`)."""
+    :func:`_aberth_roots`), handed to the iteration as a plain argument;
+    its roots and residues come back as views of the batch's settled
+    tables, folded roots only."""
     out, groups, lines = [], {}, {}
     for model in models:
         poles, weights = _secular_terms(model)
@@ -1315,15 +1319,12 @@ def _solve(models, layout: int = 0) -> list:
         _, first, line_of = np.unique([id(line) for line in batch], return_index=True,
                                       return_inverse=True)
         batch = [batch[k] for k in first]  # each line once
-        # popped into the call, the stacked line is the iteration's alone,
-        # so it lets the padded weights and moments go before it copies the
-        # roots out
-        stacked = [batch[0]._replace(
+        stacked = batch[0]._replace(
             weights=np.array([line.weights for line in batch]),
             padded=np.concatenate([line.padded for line in batch]),
-            moments=np.concatenate([line.moments for line in batch]))]
+            moments=np.concatenate([line.moments for line in batch]))
         batch = None
-        found = _aberth_roots(shifts, seeds, stacked.pop(), line_of, root_pairs=root_pairs)
+        found = _aberth_roots(shifts, seeds, stacked, line_of, root_pairs=root_pairs)
         for i, result in zip(index, found):
             out[i][3] = result
     return out
@@ -1335,13 +1336,14 @@ class _Spectrum(NamedTuple):
     The roots ``-d_m`` of the deflated poles come first, each with
     residue 0: its mode has no field component.  The last ``pairs`` roots
     and residues are the conjugates of the ``pairs`` before them, as a
-    folded iteration found them; ``pairs`` is 0 unless the model's
-    iteration folded and its residues passed their gate.
+    folded iteration found them; ``pairs`` is the fold's count of root
+    pairs, 0 unless the model's iteration folded, whether or not its
+    residues passed their gate (``residues`` is then ``None``).
     """
 
     lam: np.ndarray
     residues: np.ndarray | None
-    pairs: int = 0
+    pairs: int
 
 
 def _spectra(models) -> list:
@@ -1354,10 +1356,13 @@ def _spectra(models) -> list:
     failed, one with the other layout of its collective pair: a real seed
     stays real on a mirrored line, so no iteration can repair a wrong
     layout.  A model that fails both raises the :class:`NumericalError`
-    of its last iteration.  The residues ``r_k = 1 / F'(lambda_k)`` come
-    from the secular solve, 0 at a deflated pole.  They are ``None``
-    unless ``sum_k |r_k| <= _RESIDUE_BOUND`` and ``|sum_k r_k - 1| <=
-    1e-10`` (see :func:`field_kick_response`).
+    of its last iteration.  It is the one writer of the record's layout:
+    one concatenation each of the roots and the residues puts the
+    deflated roots ``-d_m`` first, then the folded roots, then the
+    conjugates of their last ``pairs``.  The residues ``r_k = 1 /
+    F'(lambda_k)`` come from the secular solve, 0 at a deflated pole.
+    They are ``None`` unless ``sum_k |r_k| <= _RESIDUE_BOUND`` and
+    ``|sum_k r_k - 1| <= 1e-10`` (see :func:`field_kick_response`).
     """
     missing = list(dict.fromkeys(model for model in models if model not in _MEMO))
     first = _solve(missing)
@@ -1368,15 +1373,17 @@ def _spectra(models) -> list:
             _, _, pairs, result = next(again)
         if isinstance(result, NumericalError):
             raise result
-        lam = np.concatenate([-deflated, result[0]])
-        residues = np.concatenate([np.zeros(deflated.size), result[1]])
+        roots, residues = result
+        lone = roots.size - pairs
+        lam = np.concatenate([-deflated, roots, roots[lone:].conjugate()])
+        residues = np.concatenate([np.zeros(deflated.size), residues,
+                                   residues[lone:].conjugate()])
         with np.errstate(invalid="ignore", over="ignore"):
             gated = (np.abs(residues).sum() <= _RESIDUE_BOUND
                      and abs(residues.sum() - 1.0) <= 1e-10)
         for array in (lam, residues):
             array.flags.writeable = False
-        _MEMO[model] = (_Spectrum(lam, residues, pairs) if gated
-                        else _Spectrum(lam, None))
+        _MEMO[model] = _Spectrum(lam, residues if gated else None, pairs)
     return [_MEMO[model] for model in models]
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .broadening import SubEnsembleGrid
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "SystemParams",
@@ -248,7 +248,9 @@ def initial_state(
     ``vacuum``: zero means.
     All three share the coherent/vacuum covariance
     ``diag(1, 1, 2 N_1, 2 N_1, ..., 2 N_M, 2 N_M)``, returned as its
-    diagonal (``np.diag`` of it is the matrix).
+    diagonal (``np.diag`` of it is the matrix).  A start whose ``X_c(0)``
+    or collective tilt ``S_x(0) = theta N`` is not finite raises
+    :class:`DomainError`; a subnormal one is kept.
     """
     try:
         kind = InitialStateKind(kind)
@@ -260,7 +262,14 @@ def initial_state(
     ix = 2 + 2 * np.arange(M)
     if kind is InitialStateKind.FIELD_KICK:
         y0[0] = _SQRT2 * float(alpha)
+        if not math.isfinite(y0[0]):
+            raise DomainError("the kicked field X_c(0) = sqrt(2) alpha is not finite "
+                              f"at alpha = {float(alpha):g}")
     elif kind is InitialStateKind.TILTED_SPIN:
+        # a Python product: past the float range it is inf, with no warning
+        if not math.isfinite(float(theta) * grid.total_spins):
+            raise DomainError("the collective tilt S_x(0) = theta N is not finite "
+                              f"at theta = {float(theta):g}, N = {grid.total_spins:g}")
         y0[ix] = float(theta) * grid.spins
     gamma0 = np.zeros(dim)
     gamma0[0] = gamma0[1] = 1.0

@@ -236,6 +236,20 @@ class TestGaussianPole:
         assert len(info.value.trace) >= 2
         assert all(isinstance(z, complex) for z in info.value.trace)
 
+    @pytest.mark.parametrize("value, message", [
+        # F' = 0 at the seed: no Newton step exists
+        ((1.0, 0.0), "pole search stalled on a vanishing derivative"),
+        # |F| = 1 at every lambda: no damped step lowers the residual
+        ((1.0, 1.0), "pole search could not reduce the residual "
+                     "(|F|=1.000e+00 at lam=0.5+0j)"),
+    ], ids=["vanishing-derivative", "unreduced-residual"])
+    def test_stalled_search_fails_at_its_seed(self, monkeypatch, value, message):
+        monkeypatch.setattr(analytics, "_pole_function", lambda *args: value)
+        params = SystemParams(kappa=8.0, gamma_perp=0.0, g_ens=2.0)
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$") as info:
+            gaussian_pole(params, SIGMA_UNIT, 0.5 + 0j)
+        assert info.value.trace == [0.5 + 0j]
+
     def test_default_seeds_find_the_slow_root(self):
         params = SystemParams(kappa=8.0, gamma_perp=0.0, g_ens=2.0)
         seeds = pole_seeds(params, SIGMA_UNIT)

@@ -105,6 +105,8 @@ class TestFaddeeva:
             faddeeva(0.0 - 11j)
         with pytest.raises(DomainError):
             faddeeva(np.array([0j, -12j]))
+        with pytest.raises(DomainError, match="^faddeeva requires finite arguments$"):
+            faddeeva(np.array([0.0, np.inf]))
 
     @pytest.mark.parametrize("z", [-11j, np.array([-11j])], ids=["scalar", "array"])
     def test_both_paths_refuse_the_lower_half_plane_alike(self, z):

@@ -438,6 +438,30 @@ class TestDecay:
                       "--kappa-min", "-1e308", "--kappa-max", "1e308"], 2,
                      "kappa must be finite and >= 0, got -1e+308",
                      id="sweep-kappa-min-minus-1e308"),
+        # a window that ends at or before t = 0 is refused on every line
+        *(pytest.param(["stability-sweep", "--family", *family, "--gamma-perp", "0",
+                        "--t-max", t_max, "--m", "21", "--g-samples", "2",
+                        "--kappa-samples", "2"], 2, "need t_max > 0",
+                       id=f"sweep-{family[0]}-t-max-{t_max}")
+          for family in (["gaussian", "--normalize-gamma"], ["lorentzian", "--width", "2"])
+          for t_max in ("0", "-1")),
+        # starts past the float range are refused, naming the value
+        pytest.param(["decay", "--family", "lorentzian", "--width", "2", "--alpha",
+                      "1.5e308", "--m", "21", "--t-samples", "5"], 2,
+                     "X_c(0) = sqrt(2) alpha is not finite at alpha = 1.5e+308",
+                     id="decay-alpha-1.5e308"),
+        pytest.param(["moments", "--family", "gaussian", "--normalize-gamma",
+                      "--gamma-perp", "0.5", "--theta", "1e305", "--m", "21",
+                      "--t-samples", "5"], 2,
+                     "S_x(0) = theta N is not finite at theta = 1e+305, N = 1e+06",
+                     id="moments-theta-1e305"),
+        # a growing kicked field times alpha = 1e300: its first cell past
+        # the float range is named
+        pytest.param(["decay", "--family", "lorentzian", "--width", "2",
+                      "--gamma-perp", "0", "--kappa", "0.5", "--g-ens", "3", "--alpha",
+                      "1e300", "--t-max", "20", "--t-samples", "5"], 3,
+                     "X_c_sim overflows the float range by t = 10",
+                     id="decay-alpha-1e300-growth"),
     ])
     def test_extreme_rates_exit_silently(self, argv, code, phrase):
         # the library prints no RuntimeWarning: with warnings as errors

@@ -2069,6 +2069,29 @@ class TestRevivalGuard:
         with pytest.raises(RevivalGuardError, match="M >="):
             check_revival_window(grid, 0.0, 20.0)
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, np.inf, np.nan])
+    def test_window_must_be_finite_and_positive(self, t_max):
+        # no division by 4 t_max, no margin of a window that never opens
+        grid = discretize(GAUSS, 21, 2.0, 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError,
+                               match="^t_max must be finite and > 0, got "):
+                check_revival_window(grid, 0.0, t_max)
+
+    @pytest.mark.parametrize("gamma_perp", [0.0, 0.5])
+    def test_times_must_be_finite(self, gamma_perp):
+        model, grid = small_model(spec=GAUSS, m=21, gamma_perp=gamma_perp)
+        y0, gamma0 = initial_state("tilted-spin", grid, theta=1e-3)
+        times = np.array([0.0, 1.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: evolve_mean(model, y0, times),
+                        lambda: evolve_covariance(model, gamma0, times),
+                        lambda: field_kick_response(model, times)):
+                with pytest.raises(PreconditionError, match="^times must be finite$"):
+                    run()
+
 
 class TestGridRefinement:
     def test_gaussian_decay_curve_converged(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from spincavity import (
     BroadeningFamily,
     BroadeningSpec,
+    DomainError,
     PreconditionError,
     SystemParams,
     build_drift_matrix,
@@ -225,6 +227,20 @@ class TestInitialState:
         y0, gamma0 = initial_state("vacuum", grid)
         assert np.all(y0 == 0.0)
         assert np.diag(gamma0)[0, 0] == 1.0
+
+    @pytest.mark.parametrize("kind, start, message", [
+        ("field-kick", {"alpha": 1.5e308},
+         "the kicked field X_c(0) = sqrt(2) alpha is not finite at alpha = 1.5e+308"),
+        ("tilted-spin", {"theta": 1e305}, "the collective tilt S_x(0) = theta N is "
+                                          "not finite at theta = 1e+305, N = 1e+06"),
+        ("tilted-spin", {"theta": np.nan}, "the collective tilt S_x(0) = theta N is "
+                                           "not finite at theta = nan, N = 1e+06"),
+    ])
+    def test_starts_past_the_float_range_rejected(self, kind, start, message):
+        spec = BroadeningSpec(BroadeningFamily.GAUSSIAN, 1.0)
+        grid = discretize(spec, 21, 2.0, 1e6)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            initial_state(kind, grid, **start)
 
     def test_unknown_kind_rejected(self):
         grid = discretize(HOM, 1, 2.0, 1e6)
