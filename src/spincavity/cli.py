@@ -21,15 +21,24 @@ over the file, the file over the default.  The argument parser is built
 once per process, so callers that run ``main`` many times in one
 process (the figure bundle, the benchmark) pay for it once.
 
-One writer (:func:`_csv_text`) emits every output.  The CSV opens with
+One writer (:func:`_csv_bytes`) emits every output.  The CSV opens with
 ``# key=value`` lines (sorted keys): experiment, package version, the
 resolved options and the run-level ``header`` values (``Gamma``,
 ``invalid_rows``, ``windowed_verdict`` and the deterministic counts of
 dense solver paths taken, ``*_fallbacks``).  The column names and the
-data rows follow, floats at 17 significant digits and undefined cells
-empty; closing ``#`` lines hold the fitted or reference values of
-``trailer`` (``pole_*``, ``panel_f_ratio_*``).  The manifest holds both
-blocks and ``columns``.
+data rows follow; closing ``#`` lines hold the fitted or reference
+values of ``trailer`` (``pole_*``, ``panel_f_ratio_*``).  The manifest
+holds both blocks and ``columns``.
+
+Every float cell is ``"%.17g" % x``: 17 significant digits, enough to
+read back the same double, with ``inf`` and ``-inf`` as such and NaN
+(an undefined cell) empty.  A float table's cells come from a numpy
+kernel (:func:`_float_rows`) rather than from Python's correctly rounded
+``%`` one cell at a time, whose 17-digit path is its slow one.  The
+kernel forms each cell's 17 digits from an error-free product, exact
+to about 1e-14 of a unit in the last digit, and hands every cell whose
+rounding that error could move, and every cell outside its range, to
+``%`` itself, so the bytes are those of ``%`` by construction.
 
 Exit codes (the README lists every case): 0 success; 2 precondition
 failure, such as a non-finite float option, a ``--width`` next to
@@ -82,13 +91,13 @@ _FAMILIES = tuple(f.value for f in BroadeningFamily)
 
 # time and detuning grids: each sample holds one float64 row of the
 # table a compute returns and, on a time grid, one float64 state row.
-# The writer then holds, per row, one CSV line of up to seven 17-digit
-# cells as a Python string and its share of the joined text, then that
-# text and its UTF-8 encoding: about 340 bytes a row at its peak
+# The writer then holds, per row, its bytes twice, in its block (or its
+# own line, for a row of mixed cells) and in their join: at most 25
+# bytes a cell and seven cells a row, about 340 bytes a row at its peak
 _SAMPLE_BYTE_BUDGET = 256 * 2**20
 _ROW_BYTES = 512
 
-# rows of a float table turned into Python floats at a time by the writer
+# rows of a float table formatted at a time by the writer's kernel
 _BLOCK_ROWS = 1024
 
 # the tokens that argparse reads as a value, not an option, after a flag:
@@ -273,7 +282,14 @@ def _moments(o: dict):
     times = _time_grid(o, 8 * (2 * o["m"] + 2))  # the (T, 2M + 2) mean series
     grid = discretize(spec, o["m"], params.g_ens, o["n_spins"])
     model = build_drift_matrix(params, grid, o["p"])
-    y0, gamma0 = initial_state("tilted-spin", grid, theta=o["theta"])
+    # the means are linear in theta: a start with a per-site tilt theta N_m
+    # below the normal floats, which keeps few bits, is evolved as the tilt
+    # theta 2**shift, with theta 2**shift sqrt(N) in [1/4, 1) as at the
+    # default theta and N, and P_c scaled back by an exact ldexp
+    shift = 0
+    if abs(o["theta"]) * grid.spins.min() < sys.float_info.min:
+        shift = -math.frexp(o["theta"])[1] - math.frexp(math.sqrt(grid.total_spins))[1]
+    y0, gamma0 = initial_state("tilted-spin", grid, theta=math.ldexp(o["theta"], shift))
     mean_series = evolve_mean(model, y0, times)
     cov_series = evolve_covariance(model, gamma0, times)
     mean, red = mean_series.reductions, cov_series.reductions
@@ -304,7 +320,7 @@ def _moments(o: dict):
         "R",
     ]
     rows = np.column_stack([
-        times, sx / sx[0], mean["P_c"], red["var_S_x"] / N - 1.0,
+        times, sx / sx[0], np.ldexp(mean["P_c"], -shift), red["var_S_x"] / N - 1.0,
         2.0 * red["var_P_c"] - 1.0, red["R"],
     ])
     header = {"moment_fallbacks": mean_series.fallbacks + cov_series.fallbacks}
@@ -500,46 +516,174 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_text(header: dict, columns, rows, trailer: dict) -> str:
-    """The CSV: ``header`` lines, the column names, the rows, ``trailer``.
+def _csv_bytes(header: dict, columns, rows, trailer: dict) -> bytes:
+    """The CSV in UTF-8: ``header`` lines, column names, rows, ``trailer``.
 
     ``rows`` is a float table or a list of mixed rows, the latter cell
-    by cell through :func:`_format_cell`.  A float table is formatted in
-    blocks of ``_BLOCK_ROWS`` rows, each with one ``%`` of its rows'
-    formats joined by newlines, and then its NaN cells are emptied:
-    ``"%.17g"`` prints every NaN as ``nan``, and no other float's digits,
-    sign, ``.``, ``e`` or ``inf`` hold that substring, nor can it span the
-    ``,`` or newline between two cells, so the bytes are those of
-    :func:`_format_cell`.  The Python floats of a long table never exist
-    all at once, and the blocks are freed on return, before the text is
-    encoded and written.
+    by cell through :func:`_format_cell`.  A float table goes through
+    :func:`_float_rows` in blocks of ``_BLOCK_ROWS`` rows, which write
+    the bytes of :func:`_format_cell` with no Python float per cell:
+    each cell's 17 digits come from an error-free product, within about
+    1e-14 of a unit in the 17th digit, and each cell whose bytes that
+    error could change (a tie or near tie at the 17th digit, an exponent
+    estimate off by one), like each zero, subnormal, non-finite or
+    out-of-range one, takes ``"%.17g" %`` itself.  So the bytes are those
+    of ``%`` by construction, a long table's cells never exist as Python
+    objects, its transient arrays are bounded by one block, and its
+    ASCII blocks are joined as they are, never decoded or encoded.
     """
-    lines = [f"# {key}={_format_cell(header[key])}" for key in sorted(header)]
-    lines.append(",".join(columns))
+    head = [f"# {key}={_format_cell(header[key])}\n" for key in sorted(header)]
+    head.append(",".join(columns) + "\n")
     if isinstance(rows, np.ndarray):
-        row_format = ",".join(["%.17g"] * rows.shape[1])
-        for start in range(0, rows.shape[0], _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            block_format = "\n".join([row_format] * block.shape[0])
-            text = block_format % tuple(block.ravel().tolist())
-            lines.append(text.replace("nan", ""))
+        body = [_float_rows(rows[start:start + _BLOCK_ROWS])
+                for start in range(0, rows.shape[0], _BLOCK_ROWS)]
     else:
-        lines.extend(",".join(map(_format_cell, row)) for row in rows)
-    lines.extend(f"# {key}={_format_cell(trailer[key])}" for key in sorted(trailer))
-    lines.append("")  # the closing newline
-    return "\n".join(lines)
+        body = [(",".join(map(_format_cell, row)) + "\n").encode() for row in rows]
+    tail = "".join(f"# {key}={_format_cell(trailer[key])}\n" for key in sorted(trailer))
+    return b"".join(["".join(head).encode(), *body, tail.encode()])
+
+
+def _csv_text(header: dict, columns, rows, trailer: dict) -> str:
+    """The CSV of :func:`_csv_bytes` as text, for standard output."""
+    return _csv_bytes(header, columns, rows, trailer).decode()
+
+
+def _split(a):
+    """Dekker's split of ``a`` into two halves of at most 26 bits, exact."""
+    t = a * 134217729.0  # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+def _scale(s: int) -> tuple:
+    """``10**s`` as the exact sum ``hi + lo`` of doubles, with ``hi`` split."""
+    hi = float(10**s)
+    return (hi, *_split(hi), float(10**s - int(hi)))
+
+
+# the decimal exponents k = floor(log10|x|) that _float_rows formats, and
+# per k the scale 10**(16 - k): 5**45 has 105 bits, so up to 10**45 each
+# scale is exactly hi + lo
+_K_MIN, _K_MAX = -29, 15
+_SCALES = np.array([_scale(16 - k) for k in range(_K_MIN, _K_MAX + 1)]).T
+_FAST_RANGE = (10.0 ** _K_MIN, 10.0 ** (_K_MAX + 1))
+# the digits of 0..9999, four ASCII bytes as one uint32 each
+_DIGITS = np.arange(10000, dtype=np.int16) // np.array(
+    [[1000], [100], [10], [1]], dtype=np.int16) % 10
+_DIGITS = (_DIGITS.T + ord("0")).astype(np.uint8, order="C").view(np.uint32).ravel()
+_SLOT = np.arange(18, dtype=np.int8)[:, None]
+_ZEROS = np.frombuffer(b"0.000", np.uint8)[:, None]
+
+
+def _float_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of a float block: each cell ``"%.17g" % x``, NaN empty.
+
+    The rule of ``%.17g``: with ``|x|`` correctly rounded to 17 digits
+    ``D`` (``10**16 <= D < 10**17``) times ``10**(X - 16)``, the cell is
+    fixed-point for ``-4 <= X < 17`` and ``d.ddde±XX`` otherwise (only
+    ``e-`` in the range formatted here), with trailing zeros dropped,
+    and the point too if no digit follows it.
+
+    Digits.  For ``|x|`` in ``_FAST_RANGE``, ``k = floor(log10|x|)``
+    estimates ``X``, and ``y = |x| 10**(16 - k)`` is formed as ``p + e``:
+    ``p = |x| hi`` rounded, ``e`` its error by Dekker's exact product
+    (each ufunc rounds on its own, so nothing contracts to an FMA) plus
+    ``|x| lo``, so ``p + e`` is within about 1e-14 of ``y``.  As ``p >=
+    2**53`` is an integer, ``floor(y) = p + floor(e)``, and ``D`` rounds
+    on the fraction ``r = e - floor(e)``.  A cell takes ``"%.17g" % x``
+    itself where that error could change its bytes: ``r`` within
+    ``2**-30`` of 1/2 (an exact tie or a near one), ``floor(y)`` below
+    ``10**16`` or ``D`` at ``10**17`` (``k`` off by one, or a carry into
+    the next power of ten, which a correctly rounded ``log10`` already
+    counts in ``k``), and every zero, subnormal, non-finite or
+    out-of-range ``x``.  A ``floor(y)`` wrongly at ``10**16`` is harmless:
+    ``y`` is then within 1e-14 of ``10**16``, which both exponents round
+    to the same digits.
+
+    Layout.  Each cell has a 29-byte slot, one row of ``out`` per slot
+    byte so that every step works on whole rows: the sign, the ``0.000``
+    before the digits of ``-4 <= X < 0``, 18 bytes of digits with the
+    point after the ``ip`` integer digits, the exponent and the
+    separator.  Unused bytes are NUL, which ``bytes.translate`` drops.
+    """
+    x = block.ravel()
+    n = x.size
+    ax = np.abs(x)
+    fast = (ax >= _FAST_RANGE[0]) & (ax < _FAST_RANGE[1])
+    a = np.where(fast, ax, 1.0)
+    k = np.clip(np.floor(np.log10(a)), _K_MIN, _K_MAX).astype(np.intp)
+    hi, hi_high, hi_low, lo = (row[k - _K_MIN] for row in _SCALES)
+    p = a * hi
+    a_high, a_low = _split(a)
+    e = a_high * hi_high - p
+    e += a_high * hi_low
+    e += a_low * hi_high
+    e += a_low * hi_low
+    e += a * lo
+    floor_e = np.floor(e)
+    r = e - floor_e
+    floor_y = p.astype(np.int64) + floor_e.astype(np.int64)
+    d = floor_y + (r > 0.5)
+    fast &= (floor_y >= 10**16) & (d < 10**17) & (np.abs(r - 0.5) >= 2.0**-30)
+    exp10 = k.astype(np.int8)
+
+    # the leading digit and four groups of four (remainders by product, as
+    # integer % is slow), then one row of ASCII digits per digit
+    top = d // 10**8
+    first = top // 10**8
+    halves = np.stack([top - first * 10**8, d - top * 10**8])
+    high = halves // 10**4
+    groups = np.stack([high, halves - high * 10**4], axis=1).reshape(4, n)
+    digits = np.empty((19, n), np.uint8)  # rows 1..17, with a NUL row each side
+    digits[0] = digits[18] = 0
+    digits[1] = first + ord("0")
+    words = _DIGITS.take(groups).view(np.uint8).reshape(4, n, 4)
+    digits[2:18].reshape(4, 4, n)[...] = words.transpose(0, 2, 1)
+    significant = ((digits[1:18] != ord("0")) * _SLOT[1:]).max(axis=0)
+
+    sci = exp10 < -4
+    ip = np.maximum(exp10 + 1, 0) + sci  # digits before the point
+    nd = np.maximum(significant, ip)  # digits written
+    out = np.empty((29, n), np.uint8)
+    out[0] = np.signbit(x) * np.uint8(ord("-"))
+    # "0." and -X - 1 zeros before the digits of -4 <= X < 0
+    np.multiply(_ZEROS, _SLOT[:5] < (1 - exp10) * ((exp10 < 0) & ~sci), out=out[1:6])
+    # digit j at slot j < ip, the point at ip, digit j - 1 after it: a
+    # select between the digit rows and their shift, in wrapping uint8
+    area = out[6:24]
+    np.subtract(digits[1:], digits[:-1], out=area)
+    area *= _SLOT < ip
+    area += digits[:-1]
+    area *= _SLOT <= nd
+    point = (nd > ip) & (ip > 0)  # for -4 <= X < 0 the point is in the zeros
+    area.reshape(-1)[ip.astype(np.intp) * n + np.arange(n)] = point * np.uint8(ord("."))
+    exponent = -exp10 * sci  # 5 .. 29: every exponent in range has two digits
+    tens = exponent // 10
+    out[24] = sci * np.uint8(ord("e"))
+    out[25] = sci * np.uint8(ord("-"))
+    out[26] = (tens + ord("0")) * sci
+    out[27] = (exponent - 10 * tens + ord("0")) * sci
+    out[28] = ord(",")
+    out[28, block.shape[1] - 1::block.shape[1]] = ord("\n")
+    nan = np.isnan(x)
+    out[:28, nan] = 0
+    slow = np.flatnonzero(~fast & ~nan)
+    if slow.size:
+        text = np.array(["%.17g" % value for value in x[slow].tolist()], dtype="S28")
+        out[:28, slow] = text.view(np.uint8).reshape(-1, 28).T
+    return out.T.tobytes().translate(None, b"\0")
 
 
 def _write(out: str, header: dict, columns, rows, trailer: dict) -> None:
     """The CSV (or stdout for ``-``) and, for a file, its manifest."""
-    text = _csv_text(header, columns, rows, trailer)
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(_csv_text(header, columns, rows, trailer))
         return
+    data = _csv_bytes(header, columns, rows, trailer)
     manifest = {**header, **trailer, "columns": list(columns)}
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
         with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")

@@ -11,6 +11,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -895,6 +896,27 @@ class TestMoments:
             k = columns.index(name)
             assert np.abs(got[:, k] - want[:, k]).max() <= 1e-12 * np.abs(want[:, k]).max()
 
+    @pytest.mark.parametrize("theta", [1e-310, 1e-315, 1e-320])
+    def test_subnormal_tilts_match_a_normal_one(self, tmp_path, theta):
+        # the means are linear in theta: below the normal floats, where
+        # theta N_m keeps few bits, the start is evolved scaled by a power
+        # of two, so S_x / S_x(0) is that of theta = 1e-3 and P_c scales
+        tables = {}
+        for tilt in (theta, 1e-3):
+            out = tmp_path / f"{tilt}.csv"
+            assert run_cli(TINY_SPINS[:-1] + ["--theta", repr(tilt), "--out", out]) == 0
+            _, columns, rows, _ = read_table(out)
+            tables[tilt] = np.array([[float(x) for x in row] for row in rows])
+        got, want = tables[theta], tables[1e-3]
+        k = columns.index("Sx_over_Sx0")
+        assert np.abs(got[:, k] - want[:, k]).max() <= 1e-15
+        k = columns.index("Pc")
+        scaled = want[:, k] / 1e-3 * theta  # one rounding, to the subnormal grain
+        assert np.abs(got[:, k] - scaled).max() <= 1e-13 * np.abs(scaled).max() + 5e-324
+        others = [columns.index(name) for name in ("t", "VarSx_over_N_minus_1",
+                                                   "twoVarPc_minus_1", "R")]
+        assert np.array_equal(got[:, others], want[:, others])
+
     def test_steady_state_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(dynamics, "_LYAPUNOV_RTOL", 0.0)
         assert run_cli(SMALL["moments"] + ["--out", tmp_path / "m.csv"]) == 3
@@ -1232,6 +1254,17 @@ HEADER = {"experiment": "decay", "Gamma": 0.5, "invalid_rows": 3,
           "windowed_verdict": True, "width": None}
 
 
+def assert_kernel_matches_reference(values):
+    """The writer's float table against :func:`reference_cell`, with the
+    values one to a row and then five to a row (repeated to fill it)."""
+    values = np.asarray(values, dtype=float)
+    for width in (1, 5):
+        rows = np.resize(values, (-(-values.size // width), width))
+        columns = [f"c{k}" for k in range(width)]
+        want = reference_csv({}, columns, rows.tolist(), {})
+        assert cli._csv_text({}, columns, rows, {}) == want
+
+
 class TestWriter:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1247,6 +1280,69 @@ class TestWriter:
         columns = [f"c{k}" for k in range(width)]
         want = reference_csv(HEADER, columns, table, trailer)
         assert written(HEADER, columns, rows, trailer) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda width: st.lists(
+        st.lists(st.integers(0, 2**64 - 1), min_size=width, max_size=width),
+        min_size=1, max_size=40)))
+    def test_float_bit_patterns_match_the_reference(self, bits):
+        # every float64: NaNs of any payload, subnormals, both zeros, and
+        # normals of every exponent, in and out of the kernel's range
+        rows = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert_kernel_matches_reference(rows.ravel())
+
+    def test_exact_ties_at_the_seventeenth_digit(self):
+        # x = m 2**(k - 17) with m odd and 10**k <= x < 10**(k + 1) puts x
+        # 10**(16 - k) = m 5**(16 - k) / 2 half-way between two 17-digit
+        # integers; such doubles exist for k = -8 .. 15
+        ties = []
+        for k in range(-8, 16):
+            scale = Fraction(2) ** (17 - k)
+            low = math.ceil(Fraction(10) ** k * scale)
+            high = min(math.ceil(Fraction(10) ** (k + 1) * scale), 2**53)
+            odd = [m for m in (low, low + 1, (low + high) // 2, high - 2, high - 1)
+                   if m % 2 and low <= m < high]
+            assert odd
+            for m in odd:
+                x = math.ldexp(m, k - 17)
+                assert Fraction(x) * Fraction(10) ** (16 - k) % 1 == Fraction(1, 2)
+                ties.append(x)
+        assert_kernel_matches_reference(ties + [-x for x in ties])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = []
+        for k in range(-25, 26):
+            x = float(f"1e{k}")
+            values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        assert_kernel_matches_reference(values + [-x for x in values])
+
+    def test_values_that_carry_to_the_next_power_of_ten(self):
+        # below 10**j, yet 17 digits round them up to 10**j; 1e-14 is the
+        # one in the kernel's range
+        carries = [1e-14, 1e-70, 1e-73, 1e98, 1e129]
+        for x in carries:
+            j = round(math.log10(x))
+            assert Fraction(x) < Fraction(10) ** j and "%.17g" % x == f"1e{j:+03d}"
+        assert_kernel_matches_reference(carries + [-x for x in carries])
+
+    def test_both_ends_of_the_tabulated_range(self):
+        values = []
+        for edge in cli._FAST_RANGE:
+            values += [math.nextafter(math.nextafter(edge, 0.0), 0.0),
+                       math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        assert_kernel_matches_reference(values + [-x for x in values])
+
+    def test_scales_are_exact(self):
+        # each 10**(16 - k) is hi + lo exactly, and hi the sum of halves of
+        # at most 26 significant bits, whose products Dekker's sum keeps
+        def significant_bits(value):
+            numerator = abs(Fraction(value).numerator)
+            return (numerator // (numerator & -numerator or 1)).bit_length()
+
+        for k, (hi, high, low, lo) in enumerate(cli._SCALES.T, start=cli._K_MIN):
+            assert int(hi) + int(lo) == 10 ** (16 - k)
+            assert high + low == hi
+            assert max(significant_bits(high), significant_bits(low)) <= 26
 
     @pytest.mark.parametrize("width", [1, 5])
     @pytest.mark.parametrize("count", [
